@@ -36,12 +36,14 @@ from .generators import (
     CayleyBall,
     StairwayStrip,
     TreeChainSpec,
+    WordBall,
     cayley_ball,
     heisenberg_graph,
     lattice_graph,
     norm_profile,
     stairway_strip,
     stretched_tree_chain,
+    word_ball,
 )
 from .graphio import dump_graph, load_graph, parse_graph, save_graph
 from .groups import GroupModel, check_generates, heisenberg_model, zd_model

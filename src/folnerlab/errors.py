@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+from __future__ import annotations
+
 
 class GraphFormatError(ValueError):
     """Raised when a graph file violates the on-disk format."""
@@ -9,15 +11,18 @@ class BudgetExceededError(RuntimeError):
     """Raised when a construction would exceed a size budget.
 
     Carries enough context to tell the user which stage blew up and how far
-    it got before the guard fired.
+    it got before the guard fired: `layer`, when given, is the index of the
+    layer whose addition crossed the budget.
     """
 
-    def __init__(self, stage: str, reached: int, budget: int):
+    def __init__(self, stage: str, reached: int, budget: int, layer: int | None = None):
         self.stage = stage
         self.reached = reached
         self.budget = budget
+        self.layer = layer
+        where = "" if layer is None else f" at layer {layer}"
         super().__init__(
-            f"{stage}: size {reached} exceeds budget {budget}"
+            f"{stage}: size {reached} exceeds budget {budget}{where}"
         )
 
 

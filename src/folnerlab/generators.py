@@ -1,14 +1,18 @@
 """Graph constructions: word-metric balls, stretched tree chains, stairway strip.
 
-Four families, all returned as unit-edge graphs with named basepoints:
+Four families of unit-edge graphs with named basepoints:
 
-lattice_graph / heisenberg_graph
+word_ball / lattice_graph / heisenberg_graph
     The radius-R word ball in Z^d or H3(Z) with respect to a symmetrized
-    generating set.  Vertices are group elements discovered layer by layer
-    from the identity (each layer sorted, so indexing is deterministic);
-    edges join elements differing by one generator.  Because every geodesic
-    word keeps its prefixes inside the ball, graph distance from the
-    basepoint "origin" equals word length for every vertex.
+    generating set.  `word_ball` is the exact numpy kernel: it returns the
+    birth layers (layer r = the elements of word length exactly r), each
+    sorted, so indexing is deterministic.  Because every geodesic word keeps
+    its prefixes inside the ball, graph distance from the basepoint "origin"
+    equals word length for every vertex, and the BFS profile of the origin
+    is the running sum of the layer sizes: group spaces profile the origin
+    from the layers and build the graph only on demand.  When it is built
+    (`WordBall.graph`, `cayley_ball`), edges join elements differing by one
+    generator and are found by key lookup.
 
 stretched_tree_chain
     Blocks G'_1 .. G'_N glued in a row.  Block n is a depth-n tree with
@@ -34,13 +38,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError
 from .groups import Element, GroupModel, check_generates, heisenberg_model, zd_model
 from .space import Graph, VolumeProfile
 
 __all__ = [
+    "WordBall",
+    "word_ball",
     "CayleyBall",
     "TreeChainSpec",
     "StairwayStrip",
@@ -54,6 +63,189 @@ __all__ = [
 ]
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
+
+
+@dataclass(frozen=True, eq=False)
+class WordBall:
+    """Birth layers of a word ball, elements packed into int64 keys.
+
+    `layers[r]` holds the sorted keys of the elements of word length exactly
+    r.  A key writes an element's coordinates, shifted by `offsets`, as digits
+    of the mixed radix `widths`, most significant first, so sorted keys are
+    sorted tuples.  The box covers the ball and its one-step neighbors.
+    Vertex i of the ball is the i-th key in (layer, key) order, the identity
+    being vertex 0.
+    """
+
+    model: GroupModel
+    steps: tuple[Element, ...]
+    layers: tuple[np.ndarray, ...]
+    offsets: tuple[int, ...]
+    widths: tuple[int, ...]
+
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(len(layer) for layer in self.layers)
+
+    @property
+    def vertex_count(self) -> int:
+        return sum(self.sizes)
+
+    @cached_property
+    def edge_count(self) -> int:
+        """Half the number of pairs (g, s) with g * s in the ball.
+
+        |g * s| differs from |g| by at most one, so every product of a layer
+        before the last lies in the ball, and a product of the last layer
+        does exactly when it lands in the last two layers.
+        """
+        last = self.layers[-1]
+        images = _step_images(self.model, self.steps, last, self.offsets, self.widths)
+        inside = sum(
+            len(_lookup(layer, image)[0]) for layer in self.layers[-2:] for image in images
+        )
+        return (len(self.steps) * (self.vertex_count - len(last)) + inside) // 2
+
+    @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        rows = _decode(np.concatenate(self.layers), self.offsets, self.widths)
+        return tuple(map(tuple, rows.tolist()))
+
+    def edges(self) -> np.ndarray:
+        """Edges (i, j), i < j, sorted: the vertex pairs with g_i * s = g_j.
+
+        A step moves an element of layer r into layer r - 1, r or r + 1, and
+        the steps are closed under inversion, so every edge is found exactly
+        once by looking up g * s in layers r and r + 1 and keeping i < j.
+        """
+        starts = np.cumsum((0,) + self.sizes)
+        pieces = [np.empty((0, 2), dtype=np.intp)]
+        for r, keys in enumerate(self.layers):
+            images = _step_images(self.model, self.steps, keys, self.offsets, self.widths)
+            for t in range(r, min(r + 2, len(self.layers))):
+                for image in images:
+                    i, j = _lookup(self.layers[t], image)
+                    i += starts[r]
+                    j += starts[t]
+                    keep = i < j
+                    pieces.append(np.stack((i[keep], j[keep]), axis=1))
+        edges = np.concatenate(pieces)
+        return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+    def graph(self) -> Graph:
+        """The ball as a validated graph with basepoint "origin" = identity."""
+        return Graph.from_edges(
+            self.vertex_count, self.edges().tolist(), {"origin": 0}
+        )
+
+    def profile(self, depth: int) -> VolumeProfile:
+        """Volume profile of the identity, equal to `volume_profile` of vertex
+        0 on `graph()`: ball[r] sums layers 0..r and saturates past the
+        radius."""
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        ball, total = [], 0
+        sizes = self.sizes
+        for r in range(depth + 1):
+            if r < len(sizes):
+                total += sizes[r]
+            ball.append(total)
+        return VolumeProfile(center=0, ball=tuple(ball))
+
+
+def _encode(rows: np.ndarray, offsets: Sequence[int], widths: Sequence[int]) -> np.ndarray:
+    """Keys of the elements along the last axis of `rows` (see `WordBall`)."""
+    keys = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for c, (offset, width) in enumerate(zip(offsets, widths)):
+        keys *= width
+        keys += rows[..., c] + offset
+    return keys
+
+
+def _decode(keys: np.ndarray, offsets: Sequence[int], widths: Sequence[int]) -> np.ndarray:
+    """Inverse of `_encode`."""
+    rows = np.empty(keys.shape + (len(widths),), dtype=np.int64)
+    rest = keys
+    for c in reversed(range(len(widths))):
+        rest, rows[..., c] = np.divmod(rest, widths[c])
+        rows[..., c] -= offsets[c]
+    return rows
+
+
+def _step_images(
+    model: GroupModel,
+    steps: Sequence[Element],
+    keys: np.ndarray,
+    offsets: Sequence[int],
+    widths: Sequence[int],
+) -> list[np.ndarray]:
+    """Keys of g * s for the elements g of `keys`, one array per step s.
+
+    Right multiplication by a fixed element keeps the lexicographic order in
+    Z^d and H3, so sorted `keys` give sorted images, which makes the sorts
+    and lookups that follow cheap.
+    """
+    rows = _decode(keys, offsets, widths)
+    return [
+        _encode(model.multiply_rows(rows, np.array(s, dtype=np.int64)), offsets, widths)
+        for s in steps
+    ]
+
+
+def _lookup(ranked: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indices of the queries found in the sorted keys `ranked`, their positions)."""
+    if not len(ranked):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    pos = np.searchsorted(ranked, queries)
+    np.minimum(pos, len(ranked) - 1, out=pos)
+    hit = np.flatnonzero(ranked[pos] == queries)
+    return hit, pos[hit]
+
+
+def word_ball(
+    model: GroupModel,
+    generating_set: Sequence[Element],
+    radius: int,
+    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+) -> WordBall:
+    """Birth layers of the word ball of `radius` for the symmetrized set.
+
+    Layer r + 1 is the set of products g * s (g in layer r, s a step) that
+    lie in neither layer r nor layer r - 1.  This is exact because the steps
+    are closed under inversion: |g * s| is |g| - 1, |g| or |g| + 1.  The
+    vertex budget is checked as each layer is added; a bounding box whose
+    keys would overflow int64 is rejected before any array is allocated.
+    """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    steps = model.symmetrize(generating_set)
+    check_generates(model, steps)
+    offsets = model.reach(steps, radius + 1)
+    widths = tuple(2 * b + 1 for b in offsets)
+    cells = math.prod(widths)
+    if cells > 2**63:
+        raise ValueError(
+            f"cayley_ball: the bounding box of the radius-{radius} ball has "
+            f"{cells} cells, too many for int64 keys"
+        )
+    layers = [_encode(np.array(model.identity, dtype=np.int64)[None], offsets, widths)]
+    total = 1
+    for r in range(radius):
+        grown = np.sort(np.concatenate(
+            _step_images(model, steps, layers[-1], offsets, widths)
+        ), kind="stable")
+        fresh = np.ones(len(grown), dtype=bool)
+        fresh[1:] = grown[1:] != grown[:-1]
+        for older in layers[-2:]:
+            fresh[_lookup(older, grown)[0]] = False
+        grown = grown[fresh]
+        if not len(grown):
+            break
+        total += len(grown)
+        if total > vertex_budget:
+            raise BudgetExceededError("cayley_ball", total, vertex_budget, layer=r + 1)
+        layers.append(grown)
+    return WordBall(model, steps, tuple(layers), offsets, widths)
 
 
 @dataclass(frozen=True)
@@ -74,45 +266,15 @@ def cayley_ball(
     radius: int,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> CayleyBall:
-    """Word ball of `radius` in `model` for the symmetrized generating set.
+    """Word ball of `radius` in `model` for the symmetrized generating set,
+    realized as a graph from the layers of `word_ball`.
 
     The generating set is symmetrized (closed under inversion, identity
     dropped) before building edges; one-sided product sets are the business
     of the `products` module, not of graph realizations.
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    steps = model.symmetrize(generating_set)
-    check_generates(model, steps)
-    seen: set[Element] = {model.identity}
-    layers: list[list[Element]] = [[model.identity]]
-    for _ in range(radius):
-        frontier: set[Element] = set()
-        for g in layers[-1]:
-            for s in steps:
-                h = model.multiply(g, s)
-                if h not in seen:
-                    frontier.add(h)
-        if not frontier:
-            break
-        seen |= frontier
-        if len(seen) > vertex_budget:
-            raise BudgetExceededError("cayley_ball", len(seen), vertex_budget)
-        layers.append(sorted(frontier))
-    # Vertex index = position in (layer, sorted-within-layer) order, so the
-    # numbering is deterministic and layer r is exactly the word sphere r.
-    elements: list[Element] = []
-    for layer in layers:
-        elements.extend(layer)
-    index = {g: i for i, g in enumerate(elements)}
-    edges = set()
-    for g, i in index.items():
-        for s in steps:
-            j = index.get(model.multiply(g, s))
-            if j is not None and i < j:
-                edges.add((i, j))
-    graph = Graph.from_edges(len(elements), sorted(edges), {"origin": 0})
-    return CayleyBall(graph=graph, elements=tuple(elements))
+    ball = word_ball(model, generating_set, radius, vertex_budget)
+    return CayleyBall(graph=ball.graph(), elements=ball.elements)
 
 
 def lattice_graph(

@@ -7,17 +7,23 @@ Heisenberg group H3(Z) of upper-triangular integer matrices encoded as
 
     (x, y, z) * (x', y', z') = (x + x', y + y', z + z' + x * y').
 
-Named generating sets are carried on the model; all contain the identity so
-that powers U^n are nondecreasing.  `check_generates` verifies that a finite
-set generates the whole group *as a semigroup* (inverses must be reachable as
-products), which is the right notion for one-sided product sets.
+Each model also carries the same law vectorised over int64 arrays of
+elements (`multiply_rows`) and a bound on the coordinates of short words
+(`reach`), which together let `generators.word_ball` expand word balls with
+numpy.  Named generating sets are carried on the model; all contain the
+identity so that powers U^n are nondecreasing.  `check_generates` verifies
+that a finite set generates the whole group *as a semigroup* (inverses must
+be reachable as products), which is the right notion for one-sided product
+sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import NotGeneratingError
 
@@ -33,6 +39,12 @@ class GroupModel:
     identity: Element
     multiply: Callable[[Element, Element], Element]
     invert: Callable[[Element], Element]
+    # The law on int64 arrays whose last axis holds coordinates, broadcasting
+    # over the other axes.
+    multiply_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # reach(steps, n): per coordinate, a bound on |coordinate| over all
+    # products of at most n of the steps.
+    reach: Callable[[Sequence[Element], int], tuple[int, ...]]
     generating_sets: Mapping[str, tuple[Element, ...]] = field(default_factory=dict)
 
     def generating_set(self, label: str) -> tuple[Element, ...]:
@@ -60,6 +72,18 @@ def _zd_invert(a: Element) -> Element:
     return tuple(-x for x in a)
 
 
+def _zd_multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a + b
+
+
+def _column_maxima(steps: Sequence[Element]) -> list[int]:
+    return [max(abs(c) for c in column) for column in zip(*steps)]
+
+
+def _zd_reach(steps: Sequence[Element], n: int) -> tuple[int, ...]:
+    return tuple(n * m for m in _column_maxima(steps))
+
+
 def zd_model(d: int) -> GroupModel:
     """The free abelian group Z^d with standard, diagonal and skew generating sets."""
     if d < 1:
@@ -82,6 +106,8 @@ def zd_model(d: int) -> GroupModel:
         identity=zero,
         multiply=_zd_multiply,
         invert=_zd_invert,
+        multiply_rows=_zd_multiply_rows,
+        reach=_zd_reach,
         generating_sets=sets,
     )
 
@@ -92,6 +118,19 @@ def _heis_multiply(a: Element, b: Element) -> Element:
 
 def _heis_invert(a: Element) -> Element:
     return (-a[0], -a[1], -a[2] + a[0] * a[1])
+
+
+def _heis_multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = a + b
+    out[..., 2] += a[..., 0] * b[..., 1]
+    return out
+
+
+def _heis_reach(steps: Sequence[Element], n: int) -> tuple[int, ...]:
+    # After k steps |x| <= k * mx, so step k + 1 moves z by at most
+    # mz + k * mx * my; summing over k < n gives the z bound.
+    mx, my, mz = _column_maxima(steps)
+    return (n * mx, n * my, n * mz + mx * my * n * (n - 1) // 2)
 
 
 def heisenberg_model() -> GroupModel:
@@ -109,6 +148,8 @@ def heisenberg_model() -> GroupModel:
         identity=(0, 0, 0),
         multiply=_heis_multiply,
         invert=_heis_invert,
+        multiply_rows=_heis_multiply_rows,
+        reach=_heis_reach,
         generating_sets={"standard": tuple(sorted(standard))},
     )
 

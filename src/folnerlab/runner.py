@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -35,11 +36,11 @@ from .errors import ConfigError
 from .generators import (
     StairwayStrip,
     TreeChainSpec,
-    heisenberg_graph,
-    lattice_graph,
+    WordBall,
     norm_profile,
     stairway_strip,
     stretched_tree_chain,
+    word_ball,
 )
 from .graphio import load_graph
 from .groups import GroupModel, heisenberg_model, zd_model
@@ -62,60 +63,78 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class BuiltSpace:
-    """A realized space: the graph, plus whatever extra structure it came with."""
+    """A realized space, plus whatever extra structure it came with.
 
-    graph: Graph
-    model: GroupModel | None  # set for the group families
-    strip: StairwayStrip | None  # set for the stairway family
+    The group families carry their word ball and build the graph from it
+    only when something asks for `graph`; the others carry the graph.
+    """
+
+    given: Graph | None = None  # set for graph files, tree chains and the stairway
+    ball: WordBall | None = None  # set for the group families
+    strip: StairwayStrip | None = None  # set for the stairway family
+
+    @property
+    def model(self) -> GroupModel | None:
+        return None if self.ball is None else self.ball.model
+
+    @cached_property
+    def graph(self) -> Graph:
+        return self.given if self.ball is None else self.ball.graph()
+
+    @property
+    def vertex_count(self) -> int:
+        return self.graph.vertex_count if self.ball is None else self.ball.vertex_count
+
+    @property
+    def edge_count(self) -> int:
+        return self.graph.edge_count if self.ball is None else self.ball.edge_count
+
+    @property
+    def basepoints(self) -> Mapping[str, int]:
+        return self.graph.basepoints if self.ball is None else {"origin": 0}
 
 
 def build_space(config: ExperimentConfig) -> BuiltSpace:
     space = config.space
     budget = config.vertex_budget
     if "graph_file" in space:
-        return BuiltSpace(graph=load_graph(space["graph_file"]), model=None, strip=None)
+        return BuiltSpace(given=load_graph(space["graph_file"]))
     family = space["family"]
-    if family == "lattice":
-        model = zd_model(space["d"])
-        ball = lattice_graph(
-            space["d"], space["generating_set"], space["radius"], budget
-        )
-        return BuiltSpace(graph=ball.graph, model=model, strip=None)
-    if family == "heisenberg":
-        ball = heisenberg_graph(space["generating_set"], space["radius"], budget)
-        return BuiltSpace(graph=ball.graph, model=heisenberg_model(), strip=None)
+    if family in ("lattice", "heisenberg"):
+        model = zd_model(space["d"]) if family == "lattice" else heisenberg_model()
+        gens = model.generating_set(space["generating_set"])
+        return BuiltSpace(ball=word_ball(model, gens, space["radius"], budget))
     if family == "tree-chain":
         spec = TreeChainSpec(
             stretch=space["a"], valence=space["b"], blocks=space["blocks"]
         )
-        return BuiltSpace(
-            graph=stretched_tree_chain(spec, budget), model=None, strip=None
-        )
+        return BuiltSpace(given=stretched_tree_chain(spec, budget))
     if family == "stairway":
         strip = stairway_strip(space["levels"], budget)
-        return BuiltSpace(graph=strip.graph, model=None, strip=strip)
+        return BuiltSpace(given=strip.graph, strip=strip)
     raise ConfigError(f"space.family: unknown family {family!r}")
 
 
 def _resolve_centers(
-    graph: Graph, config: ExperimentConfig
+    built: BuiltSpace, config: ExperimentConfig
 ) -> list[tuple[str, int]]:
     """(label, vertex) pairs for the configured centers, in label order."""
     spec = config.centers
-    by_vertex = {v: label for label, v in sorted(graph.basepoints.items())}
+    basepoints = built.basepoints
     if spec["sample"] > 0:
-        vertices = sample_centers(graph, spec["sample"], config.seed or 0)
+        by_vertex = {v: label for label, v in sorted(basepoints.items())}
+        vertices = sample_centers(built.graph, spec["sample"], config.seed or 0)
         return [(by_vertex.get(v, f"v{v}"), v) for v in vertices]
     labels = spec["basepoints"]
     if labels == "all":
-        return sorted(graph.basepoints.items())
+        return sorted(basepoints.items())
     out = []
     for label in labels:
-        if label not in graph.basepoints:
+        if label not in basepoints:
             raise ConfigError(
                 f"centers.basepoints: unknown basepoint label {label!r}"
             )
-        out.append((label, graph.basepoints[label]))
+        out.append((label, basepoints[label]))
     return out
 
 
@@ -148,7 +167,13 @@ def _profiles(
         # Stairway analyses run in the ambient Euclidean metric from the
         # origin; the graph metric sees only a thick path here.
         return [("origin", norm_profile(built.strip, depth))]
-    return [(label, volume_profile(built.graph, v, depth)) for label, v in centers]
+
+    def profile(v: int) -> VolumeProfile:
+        if built.ball is not None and v == 0:
+            return built.ball.profile(depth)  # the identity: no graph needed
+        return volume_profile(built.graph, v, depth)
+
+    return [(label, profile(v)) for label, v in centers]
 
 
 def run_experiment(
@@ -159,8 +184,7 @@ def run_experiment(
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     built = build_space(config)
-    graph = built.graph
-    centers = _resolve_centers(graph, config)
+    centers = _resolve_centers(built, config)
     depth = config.depth
     labeled = _profiles(built, centers, depth)
     profiles = [p for _, p in labeled]
@@ -179,8 +203,8 @@ def run_experiment(
     summary: dict[str, Any] = {
         "config": digest,
         "space": dict(config.space),
-        "vertices": graph.vertex_count,
-        "edges": graph.edge_count,
+        "vertices": built.vertex_count,
+        "edges": built.edge_count,
         "alpha": None,
         "delta": None,
         "fitted_C": None,
@@ -323,7 +347,10 @@ def run_experiment(
         opts = analyses["ergodic"]
         assert built.model is not None
         sequence = product_powers(
-            built.model, "standard", opts["n_max"], config.element_budget
+            built.model,
+            config.space["generating_set"],
+            opts["n_max"],
+            config.element_budget,
         )
         trace = ergodic_trace(
             TorusAction(GOLDEN_ANGLES),

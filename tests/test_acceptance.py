@@ -14,7 +14,6 @@ S(x, r) = B(x, r+1) minus B(x, r)).
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -339,16 +338,13 @@ def test_criterion_10_ergodic():
     )
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, child_env):
     def run(args, hash_seed, threads):
-        env = dict(os.environ)
-        env["PYTHONHASHSEED"] = hash_seed
-        env["OMP_NUM_THREADS"] = threads
         return subprocess.run(
             [sys.executable, *args],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(PYTHONHASHSEED=hash_seed, OMP_NUM_THREADS=threads),
             cwd=tmp_path,
         )
 

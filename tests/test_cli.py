@@ -8,7 +8,6 @@ byte-identical across runs.
 """
 
 import json
-import os
 import subprocess
 import sys
 
@@ -229,9 +228,7 @@ class TestReproduce:
         assert "known" in result.output
 
 
-def _run_cli(args, env_extra, cwd):
-    env = dict(os.environ)
-    env.update(env_extra)
+def _run_cli(args, env, cwd):
     return subprocess.run(
         [sys.executable, "-m", "folnerlab", *args],
         capture_output=True,
@@ -242,26 +239,26 @@ def _run_cli(args, env_extra, cwd):
 
 
 class TestReproducibility:
-    def test_identical_bytes_across_hash_seeds(self, tmp_path, z2_graph):
+    def test_identical_bytes_across_hash_seeds(self, tmp_path, z2_graph, child_env):
         outputs = []
         for hash_seed in ("1", "2"):
             out = tmp_path / f"prof{hash_seed}.csv"
             proc = _run_cli(
                 ["--seed", "9", "--out", str(out), "profile", "--graph", str(z2_graph), "--depth", "6", "--sample", "4"],
-                {"PYTHONHASHSEED": hash_seed},
+                child_env(PYTHONHASHSEED=hash_seed),
                 tmp_path,
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_recipe_artifacts_are_stable(self, tmp_path):
+    def test_recipe_artifacts_are_stable(self, tmp_path, child_env):
         digests = []
         for run in ("a", "b"):
             out = tmp_path / run
             proc = _run_cli(
                 ["--out", str(out), "reproduce", "claims-5-3"],
-                {"PYTHONHASHSEED": run == "a" and "11" or "22"},
+                child_env(PYTHONHASHSEED=run == "a" and "11" or "22"),
                 tmp_path,
             )
             assert proc.returncode == 0, proc.stderr

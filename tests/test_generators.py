@@ -8,6 +8,12 @@ Core claims:
       unipotent matrices for R <= 5, with |B(1)| = 5, |B(2)| = 17 and the
       central element at word length 4
     - cayley_ball layers are word spheres and indexing is deterministic
+    - the numpy word-ball kernel matches the pure-Python frontier loop kept
+      here as the reference (layer sizes, element order, adjacency, edge
+      count) on named and seeded random generating sets, and the closed
+      forms of Z^2 and Z^3 beyond the reference's reach; budget errors fire
+      at the same layer with the same count, and a key box too large for
+      int64 is rejected before numpy is touched
     - stretched_tree_chain has the hand-counted shape for (2,3,1), the
       advertised root-to-leaf distances, shared last generations, and the
       annulus/sphere bursts that break sphere decay
@@ -25,7 +31,8 @@ import random
 import numpy as np
 import pytest
 
-from folnerlab.errors import BudgetExceededError
+from folnerlab import generators
+from folnerlab.errors import BudgetExceededError, NotGeneratingError
 from folnerlab.generators import (
     TreeChainSpec,
     cayley_ball,
@@ -34,8 +41,10 @@ from folnerlab.generators import (
     norm_profile,
     stairway_strip,
     stretched_tree_chain,
+    word_ball,
 )
-from folnerlab.groups import heisenberg_model, zd_model
+from folnerlab.groups import check_generates, heisenberg_model, zd_model
+from folnerlab.space import Graph
 from folnerlab.space import (
     bfs_distances,
     monotone_geodesic,
@@ -76,6 +85,157 @@ def _heis_oracle_balls(r_max: int) -> list[int]:
         sizes.append(len(ball))
         frontier = new
     return sizes
+
+
+def _reference_cayley_ball(model, generating_set, radius, vertex_budget=10**9):
+    """The pure-Python frontier loop: (layers, elements, graph).
+
+    Layers are the sorted word spheres; vertex i is the i-th element in
+    (layer, sorted) order; a budget error carries the layer that crossed it.
+    """
+    steps = model.symmetrize(generating_set)
+    check_generates(model, steps)
+    seen = {model.identity}
+    layers = [[model.identity]]
+    for r in range(radius):
+        frontier = set()
+        for g in layers[-1]:
+            for s in steps:
+                h = model.multiply(g, s)
+                if h not in seen:
+                    frontier.add(h)
+        if not frontier:
+            break
+        seen |= frontier
+        if len(seen) > vertex_budget:
+            raise BudgetExceededError("cayley_ball", len(seen), vertex_budget, layer=r + 1)
+        layers.append(sorted(frontier))
+    elements = [g for layer in layers for g in layer]
+    index = {g: i for i, g in enumerate(elements)}
+    edges = set()
+    for g, i in index.items():
+        for s in steps:
+            j = index.get(model.multiply(g, s))
+            if j is not None and i < j:
+                edges.add((i, j))
+    graph = Graph.from_edges(len(elements), sorted(edges), {"origin": 0})
+    return layers, tuple(elements), graph
+
+
+def _random_generating_sets(model, seed, count, size, span, z_span=0):
+    """Seeded small generating sets, one-sided ones included (the kernel
+    symmetrizes them); draws that do not generate are skipped."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        gens = []
+        for _ in range(rng.randint(*size)):
+            g = [rng.randint(-span, span) for _ in range(model.rank)]
+            if z_span:
+                g[2] = rng.randint(-z_span, z_span)
+            gens.append(tuple(g))
+        try:
+            check_generates(model, model.symmetrize(gens))
+        except NotGeneratingError:
+            continue
+        found.append(tuple(gens))
+    return found
+
+
+def _kernel_cases():
+    """(model, generating set, radius) triples for the differential tests."""
+    cases = [
+        pytest.param(zd_model(1), "standard", 12, id="Z1-standard"),
+        pytest.param(zd_model(2), "standard", 10, id="Z2-standard"),
+        pytest.param(zd_model(2), "diagonal", 9, id="Z2-diagonal"),
+        pytest.param(zd_model(2), "skew", 9, id="Z2-skew"),
+        pytest.param(zd_model(3), "standard", 6, id="Z3-standard"),
+        pytest.param(heisenberg_model(), "standard", 8, id="H3-standard"),
+    ]
+    for name, model, seed, size, span, z_span, radius in (
+        ("Z2", zd_model(2), 5, (2, 4), 2, 0, 6),
+        ("Z3", zd_model(3), 6, (3, 5), 1, 0, 4),
+        ("H3", heisenberg_model(), 7, (2, 4), 1, 1, 4),
+    ):
+        sets = _random_generating_sets(model, seed, 3, size, span, z_span)
+        for k, gens in enumerate(sets):
+            cases.append(pytest.param(model, gens, radius, id=f"{name}-random{k}"))
+    return cases
+
+
+class TestWordBallKernel:
+    @pytest.mark.parametrize("model,gens,radius", _kernel_cases())
+    def test_matches_reference_loop(self, model, gens, radius):
+        if isinstance(gens, str):
+            gens = model.generating_set(gens)
+        layers, elements, graph = _reference_cayley_ball(model, gens, radius)
+        kernel = word_ball(model, gens, radius)
+        assert kernel.sizes == tuple(len(layer) for layer in layers)
+        assert kernel.elements == elements
+        assert kernel.edge_count == graph.edge_count
+        ball = cayley_ball(model, gens, radius)
+        assert ball.elements == elements
+        assert ball.graph.adjacency == graph.adjacency
+
+    def test_random_cases_include_one_sided_sets(self):
+        one_sided = [
+            gens
+            for model, gens, _ in (case.values for case in _kernel_cases())
+            if not isinstance(gens, str)
+            and set(model.symmetrize(gens)) != set(gens) - {model.identity}
+        ]
+        assert one_sided
+
+    def test_z2_closed_form_at_radius_400(self):
+        ball = word_ball(zd_model(2), zd_model(2).generating_set("standard"), 400)
+        profile = ball.profile(400)
+        assert all(profile.ball[r] == 2 * r * r + 2 * r + 1 for r in range(401))
+        assert ball.edge_count == 4 * 400**2
+
+    def test_z3_octahedral_numbers(self):
+        ball = word_ball(zd_model(3), zd_model(3).generating_set("standard"), 60)
+        profile = ball.profile(60)
+        assert all(
+            profile.ball[r] == (2 * r + 1) * (2 * r * r + 2 * r + 3) // 3
+            for r in range(61)
+        )
+
+    def test_radius_zero_is_the_identity(self):
+        model = heisenberg_model()
+        ball = word_ball(model, model.generating_set("standard"), 0)
+        assert ball.elements == ((0, 0, 0),)
+        assert ball.edge_count == 0
+        assert ball.graph().vertex_count == 1
+
+    @pytest.mark.parametrize("budget", [4, 5, 12, 13, 40, 100])
+    def test_budget_fires_like_the_reference(self, budget):
+        model = heisenberg_model()
+        gens = model.generating_set("standard")
+        with pytest.raises(BudgetExceededError) as expected:
+            _reference_cayley_ball(model, gens, 6, budget)
+        with pytest.raises(BudgetExceededError, match="cayley_ball") as got:
+            word_ball(model, gens, 6, budget)
+        assert (got.value.reached, got.value.layer) == (
+            expected.value.reached,
+            expected.value.layer,
+        )
+
+    def test_budget_error_names_layer(self):
+        with pytest.raises(BudgetExceededError, match="at layer 2") as exc:
+            lattice_graph(2, "standard", 10, vertex_budget=10)
+        assert (exc.value.stage, exc.value.reached, exc.value.layer) == (
+            "cayley_ball",
+            13,
+            2,
+        )
+
+    def test_key_box_overflow_is_rejected_before_numpy(self, monkeypatch):
+        model = zd_model(2)
+        gens = model.generating_set("standard") + ((2**40, 0),)
+        # Any numpy call would now fail with another error type.
+        monkeypatch.setattr(generators, "np", None)
+        with pytest.raises(ValueError, match="int64"):
+            word_ball(model, gens, 2**12)
 
 
 # -- Word-metric graphs ------------------------------------------------------

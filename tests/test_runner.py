@@ -1,0 +1,105 @@
+"""
+Runner behavior that the recipes alone do not pin down.
+
+Core claims:
+    - group spaces profile the origin from the word ball's birth layers, and
+      that profile equals the BFS profile on the built graph for every named
+      generating set, also when the depth exceeds the radius
+    - an origin-only run on a group space never builds a graph, while
+      sampled centers do and agree with the graph-free origin profile
+    - the ergodic analysis expands the configured generating set
+"""
+
+import csv
+
+import pytest
+
+from folnerlab.config import validate_config
+from folnerlab.ergodic import GOLDEN_ANGLES, TorusAction, ergodic_trace
+from folnerlab.groups import zd_model
+from folnerlab.products import product_powers
+from folnerlab.runner import build_space, run_experiment
+from folnerlab.space import Graph, volume_profile
+
+NAMED_SETS = [
+    ({"family": "lattice", "d": 1}, "standard"),
+    ({"family": "lattice", "d": 2}, "standard"),
+    ({"family": "lattice", "d": 2}, "diagonal"),
+    ({"family": "lattice", "d": 2}, "skew"),
+    ({"family": "lattice", "d": 3}, "standard"),
+    ({"family": "heisenberg"}, "standard"),
+]
+
+
+def _config(space, generating_set, radius, depth, **extra):
+    raw = {
+        "space": dict(space, radius=radius, generating_set=generating_set),
+        "depth": depth,
+        "analyses": {"annulus": {}},
+    }
+    raw.update(extra)
+    return validate_config(raw)
+
+
+def _profile_rows(path):
+    lines = path.read_text().splitlines()[1:]
+    return [row for row in csv.DictReader(lines)]
+
+
+@pytest.mark.parametrize("space,generating_set", NAMED_SETS)
+@pytest.mark.parametrize("depth", [3, 5, 9])
+def test_origin_profile_matches_bfs(space, generating_set, depth):
+    built = build_space(_config(space, generating_set, 5, depth))
+    graph = built.graph
+    assert built.ball.profile(depth) == volume_profile(graph, 0, depth)
+    assert (built.vertex_count, built.edge_count) == (
+        graph.vertex_count,
+        graph.edge_count,
+    )
+    assert dict(built.basepoints) == dict(graph.basepoints)
+
+
+def test_origin_only_run_builds_no_graph(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(refuse))
+    config = _config({"family": "heisenberg"}, "standard", 6, 8)
+    result = run_experiment(config, tmp_path)
+    # Counts of the radius-6 ball from the pure-Python reference loop.
+    assert (result.summary["vertices"], result.summary["edges"]) == (593, 816)
+
+
+def test_sampled_centers_use_the_graph(tmp_path):
+    config = _config(
+        {"family": "lattice", "d": 2},
+        "diagonal",
+        6,
+        8,
+        centers={"sample": 4},
+        seed=3,
+    )
+    run_experiment(config, tmp_path)
+    rows = _profile_rows(tmp_path / "profile.csv")
+    assert len({row["center"] for row in rows}) == 4
+    graph = build_space(config).graph
+    origin = [int(row["ball"]) for row in rows if row["center"] == "origin"]
+    assert tuple(origin) == volume_profile(graph, 0, 8).ball
+
+
+@pytest.mark.parametrize("generating_set", ["standard", "diagonal"])
+def test_ergodic_uses_the_configured_generating_set(tmp_path, generating_set):
+    opts = {"observable": "cos_x", "start": [0.1, 0.2], "n_max": 12}
+    config = _config(
+        {"family": "lattice", "d": 2},
+        generating_set,
+        4,
+        4,
+        analyses={"ergodic": opts},
+    )
+    result = run_experiment(config, tmp_path)
+    sequence = product_powers(zd_model(2), generating_set, 12)
+    trace = ergodic_trace(TorusAction(GOLDEN_ANGLES), sequence, "cos_x", (0.1, 0.2))
+    assert result.summary["ergodic"]["final_error"] == trace.final_error
+    lines = (tmp_path / "ergodic.csv").read_text().splitlines()[2:]
+    assert [float(line.split(",")[1]) for line in lines] == list(trace.averages)
