@@ -53,6 +53,7 @@ __all__ = [
     "verify_sphere_bound",
     "dyadic_subsequence",
     "abelian_isop_check",
+    "isoperimetric_ratios",
     "growth_exponent_fit",
     "least_squares_slope",
 ]
@@ -241,6 +242,8 @@ class RecursionAudit:
     (1+alpha)^top >= n^log2(1+alpha) / (1+alpha).  `violations` lists the
     indices i whose step inequality fails (empty on any space whose measured
     alpha really is a lower shell bound at all dyadic widths).
+    `final_bound_ok` is the exact end-to-end inequality
+    mu(S(x,n)) * (1+alpha)^top <= mu(B(x,n)), with mu(S(x,n)) = b_0.
     """
 
     n: int
@@ -270,10 +273,8 @@ def lemma_recursion_audit(
         i for i in range(1, top + 1) if Fraction(b[i]) < one_plus * b[i - 1]
     )
     chain_ok = profile.ball[n] >= b[top] and Fraction(b[top]) >= one_plus**top * b[0]
-    # top > log2(n) - 1, so (1+alpha)^top >= n^log2(1+alpha) / (1+alpha).
-    final_bound_ok = float(one_plus) ** top >= n ** math.log2(
-        float(one_plus)
-    ) / float(one_plus)
+    # The end-to-end bound the chain delivers, checked on the data itself.
+    final_bound_ok = one_plus**top * b[0] <= profile.ball[n]
     if violations:
         chain_ok = False
     return RecursionAudit(
@@ -419,25 +420,32 @@ def dyadic_subsequence(
 # -- abelian-style isoperimetry ----------------------------------------------
 
 
-def abelian_isop_check(ball_sizes: Sequence[int], n_max: int | None = None) -> Fraction:
-    """Max over 1 <= n <= n_max of n * (mu(B(n+1)) - mu(B(n))) / mu(B(n)).
+def isoperimetric_ratios(
+    ball_sizes: Sequence[int], n_max: int | None = None
+) -> list[Fraction]:
+    """n * (mu(B(n+1)) - mu(B(n))) / mu(B(n)) for n = 1 .. n_max, exactly.
 
     `ball_sizes[n]` must be mu(B(0, n)), either a profile's ball array or
-    the sizes of a product-power sequence.  A bounded result is the 1/n
-    boundary decay characteristic of abelian (and more generally polynomial,
-    rank-one-commutator) situations.
+    the sizes of a product-power sequence; n stops at len(ball_sizes) - 2.
     """
     if len(ball_sizes) < 3:
         raise ValueError("need sizes up to radius at least 2")
     top = len(ball_sizes) - 2
     if n_max is not None:
         top = min(top, n_max)
-    best = Fraction(0)
-    for n in range(1, top + 1):
-        best = max(
-            best, Fraction(n * (ball_sizes[n + 1] - ball_sizes[n]), ball_sizes[n])
-        )
-    return best
+    return [
+        Fraction(n * (ball_sizes[n + 1] - ball_sizes[n]), ball_sizes[n])
+        for n in range(1, top + 1)
+    ]
+
+
+def abelian_isop_check(ball_sizes: Sequence[int], n_max: int | None = None) -> Fraction:
+    """Max over 1 <= n <= n_max of the `isoperimetric_ratios`.
+
+    A bounded result is the 1/n boundary decay characteristic of abelian
+    (and more generally polynomial, rank-one-commutator) situations.
+    """
+    return max(isoperimetric_ratios(ball_sizes, n_max), default=Fraction(0))
 
 
 # -- growth exponent ---------------------------------------------------------

@@ -6,6 +6,11 @@ models directly, and `reproduce` runs the bundled recipes.  Ad-hoc commands
 stamp their CSVs with a digest of their own parameters, so any artifact can
 be traced to the invocation that wrote it; `reproduce` artifacts carry the
 config hash instead.
+
+The CLI is a thin front end: `generate` builds through the family table of
+`registry`, and `profile` and the analysis commands call the runner's
+`profile_space` and the analysis-table entries, adding only their own digest
+stamp, stdout line and exit code.  No command computes an analysis itself.
 """
 
 from __future__ import annotations
@@ -21,31 +26,16 @@ from typing import Any, Sequence
 
 import click
 
-from .analysis import (
-    doubling_constant,
-    dyadic_subsequence,
-    growth_exponent_fit,
-    shell_alpha,
-    verify_sphere_bound,
-)
-from .config import load_config
-from .ergodic import GOLDEN_ANGLES, TorusAction, ergodic_trace
+from .config import ExperimentConfig, load_config
 from .errors import (
     BudgetExceededError,
     ConfigError,
     GraphFormatError,
     NotGeneratingError,
 )
-from .generators import (
-    DEFAULT_VERTEX_BUDGET,
-    TreeChainSpec,
-    heisenberg_graph,
-    lattice_graph,
-    stairway_strip,
-    stretched_tree_chain,
-)
-from .graphio import dump_graph, load_graph
-from .groups import GroupModel, heisenberg_model, zd_model
+from .generators import DEFAULT_VERTEX_BUDGET
+from .graphio import dump_graph
+from .groups import GroupModel
 from .products import (
     DEFAULT_ELEMENT_BUDGET,
     folner_ratios,
@@ -53,8 +43,8 @@ from .products import (
     varying_products,
 )
 from .recipes import RECIPES
-from .runner import _cell, reproduce as run_recipe, run_experiment
-from .space import Graph, sample_centers, volume_profile
+from .registry import ANALYSES, FAMILIES, Context, Table, profile_table, write_csv
+from .runner import profile_space, reproduce as run_recipe, run_experiment
 
 __all__ = ["main"]
 
@@ -85,18 +75,6 @@ def _digest(command: str, **params: Any) -> str:
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
 
 
-def _csv_text(digest: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    import csv as _csv
-
-    buf = io.StringIO()
-    buf.write(f"# config {digest}\n")
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -104,12 +82,14 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="ascii")
 
 
+def _emit_csv(ctx: click.Context, digest: str, table: Table) -> None:
+    buf = io.StringIO()
+    write_csv(buf, digest, *table)
+    _emit(buf.getvalue(), ctx.obj["out"])
+
+
 def _resolve_model(group: str, d: int) -> GroupModel:
-    if group == "zd":
-        return zd_model(d)
-    if group == "heisenberg":
-        return heisenberg_model()
-    raise click.ClickException(f"unknown group {group!r}")
+    return FAMILIES["lattice" if group == "zd" else group].model({"d": d})
 
 
 def _parse_set(model: GroupModel, text: str) -> tuple[tuple[int, ...], ...]:
@@ -122,23 +102,25 @@ def _parse_set(model: GroupModel, text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(c) for c in g) for g in raw)
 
 
-def _centers(
-    graph: Graph, labels: Sequence[str], sample: int, seed: int
-) -> list[tuple[str, int]]:
-    if sample > 0:
-        by_vertex = {v: lab for lab, v in sorted(graph.basepoints.items())}
-        return [
-            (by_vertex.get(v, f"v{v}"), v)
-            for v in sample_centers(graph, sample, seed)
-        ]
-    if not labels:
-        return sorted(graph.basepoints.items())
-    out = []
-    for label in labels:
-        if label not in graph.basepoints:
-            raise click.ClickException(f"unknown basepoint label {label!r}")
-        out.append((label, graph.basepoints[label]))
-    return out
+def _profiled(
+    ctx: click.Context, graph_path: str, depth: int, center_labels: Sequence[str], sample: int
+) -> Context:
+    """The runner's context for a graph file, its centers and depth."""
+    config = ExperimentConfig({
+        "space": {"graph_file": str(graph_path)},
+        "depth": depth,
+        "centers": {"basepoints": list(center_labels) or "all", "sample": sample},
+        "seed": ctx.obj["seed"],
+        "budgets": {"vertices": ctx.obj["budget_vertices"], "elements": ctx.obj["budget_elements"]},
+    })
+    return profile_space(config)[1]
+
+
+_Z2_STANDARD = {"family": "lattice", "d": 2, "generating_set": "standard"}
+
+
+def _labels(context: Context) -> list[str]:
+    return [label for label, _ in context.labeled]
 
 
 @click.group()
@@ -158,7 +140,7 @@ def main(ctx: click.Context, seed: int, budget_vertices: int, budget_elements: i
 
 
 @main.command()
-@click.option("--family", type=click.Choice(["lattice", "heisenberg", "tree-chain", "stairway"]), required=True)
+@click.option("--family", type=click.Choice(list(FAMILIES)), required=True)
 @click.option("--d", type=int, default=2, show_default=True, help="Lattice rank.")
 @click.option("--radius", type=int, default=8, show_default=True, help="Word-ball radius (lattice / heisenberg).")
 @click.option("--generating-set", default="standard", show_default=True)
@@ -170,16 +152,10 @@ def main(ctx: click.Context, seed: int, budget_vertices: int, budget_elements: i
 @_friendly
 def generate(ctx, family, d, radius, generating_set, a, b, blocks, levels):
     """Build a space and emit it in the graph file format."""
-    budget = ctx.obj["budget_vertices"]
-    if family == "lattice":
-        graph = lattice_graph(d, generating_set, radius, budget).graph
-    elif family == "heisenberg":
-        graph = heisenberg_graph(generating_set, radius, budget).graph
-    elif family == "tree-chain":
-        graph = stretched_tree_chain(TreeChainSpec(a, b, blocks), budget)
-    else:
-        graph = stairway_strip(levels, budget).graph
-    _emit(dump_graph(graph), ctx.obj["out"])
+    space = dict(family=family, d=d, radius=radius, generating_set=generating_set,
+                 a=a, b=b, blocks=blocks, levels=levels)
+    built = FAMILIES[family].build(space, ctx.obj["budget_vertices"])
+    _emit(dump_graph(built.graph), ctx.obj["out"])
 
 
 @main.command()
@@ -191,16 +167,9 @@ def generate(ctx, family, d, radius, generating_set, a, b, blocks, levels):
 @_friendly
 def profile(ctx, graph_path, depth, center_labels, sample):
     """Ball and sphere volumes around the chosen centers."""
-    graph = load_graph(graph_path)
-    centers = _centers(graph, center_labels, sample, ctx.obj["seed"])
-    digest = _digest("profile", graph=str(graph_path), depth=depth, centers=[c for c, _ in centers])
-    rows = []
-    for label, v in centers:
-        p = volume_profile(graph, v, depth)
-        spheres = p.sphere
-        for r in range(p.depth + 1):
-            rows.append((label, r, p.ball[r], spheres[r] if r < p.depth else ""))
-    _emit(_csv_text(digest, ("center", "r", "ball", "sphere"), rows), ctx.obj["out"])
+    context = _profiled(ctx, graph_path, depth, center_labels, sample)
+    digest = _digest("profile", graph=str(graph_path), depth=depth, centers=_labels(context))
+    _emit_csv(ctx, digest, profile_table(context.labeled))
 
 
 def _powers_rows(sizes: Sequence[int], ratios: Sequence[Fraction]) -> list[tuple]:
@@ -226,7 +195,7 @@ def powers(ctx, group, d, set_text, n_max):
     seq = product_powers(model, gen, n_max, ctx.obj["budget_elements"])
     digest = _digest("powers", group=group, d=d, set=sorted(gen), n_max=n_max)
     rows = _powers_rows(seq.sizes, folner_ratios(seq))
-    _emit(_csv_text(digest, ("n", "size", "delta_size", "folner_ratio"), rows), ctx.obj["out"])
+    _emit_csv(ctx, digest, (("n", "size", "delta_size", "folner_ratio"), rows))
 
 
 @main.command()
@@ -249,13 +218,7 @@ def nprod(ctx, group, d, factors_text, inner_text, outer_text):
     seq = varying_products(model, factors, inner, outer, element_budget=ctx.obj["budget_elements"])
     digest = _digest("nprod", group=group, d=d, factors=[sorted(f) for f in factors])
     rows = _powers_rows(seq.sizes, folner_ratios(seq))
-    _emit(_csv_text(digest, ("n", "size", "delta_size", "folner_ratio"), rows), ctx.obj["out"])
-
-
-def _graph_profiles(ctx, graph_path, depth, center_labels, sample):
-    graph = load_graph(graph_path)
-    centers = _centers(graph, center_labels, sample, ctx.obj["seed"])
-    return centers, [volume_profile(graph, v, depth) for _, v in centers]
+    _emit_csv(ctx, digest, (("n", "size", "delta_size", "folner_ratio"), rows))
 
 
 @main.command("shell-report")
@@ -270,21 +233,12 @@ def _graph_profiles(ctx, graph_path, depth, center_labels, sample):
 @_friendly
 def shell_report(ctx, graph_path, depth, center_labels, sample, k_min, n_max, record_all):
     """Shell-comparison sweep: alpha, delta, and the worst pair."""
-    centers, profiles = _graph_profiles(ctx, graph_path, depth, center_labels, sample)
-    report = shell_alpha(profiles, k_min=k_min, n_max=n_max, record_all=record_all)
-    digest = _digest("shell-report", graph=str(graph_path), depth=depth, centers=[c for c, _ in centers], k_min=k_min, n_max=report.n_max)
-    rows = [
-        (r.center, r.n, r.k, r.c_lo, r.c_hi, "" if r.ratio is None else r.ratio)
-        for r in report.records
-    ]
-    _emit(_csv_text(digest, ("center", "n", "k", "c_lo", "c_hi", "ratio"), rows), ctx.obj["out"])
-    summary = {
-        "alpha": _cell(report.alpha),
-        "delta": report.delta,
-        "fitted_C": report.fitted_constant,
-        "pass": report.alpha > 0,
-    }
-    click.echo(json.dumps(summary, sort_keys=True))
+    context = _profiled(ctx, graph_path, depth, center_labels, sample)
+    shell = ANALYSES["shell"].run(context, {"k_min": k_min, "n_max": n_max, "record_all": record_all})
+    digest = _digest("shell-report", graph=str(graph_path), depth=depth, centers=_labels(context), k_min=k_min, n_max=context.shell.n_max)
+    _emit_csv(ctx, digest, shell.table)
+    summary = {key: shell.summary[key] for key in ("alpha", "delta", "fitted_C")}
+    click.echo(json.dumps({**summary, "pass": context.shell.alpha > 0}, sort_keys=True))
 
 
 @main.command()
@@ -299,24 +253,20 @@ def shell_report(ctx, graph_path, depth, center_labels, sample, k_min, n_max, re
 @_friendly
 def verify(ctx, graph_path, depth, center_labels, sample, k_min, n_max, slope_tol):
     """Measure alpha, then verify the n^(-delta) sphere bound it implies."""
-    centers, profiles = _graph_profiles(ctx, graph_path, depth, center_labels, sample)
-    shell = shell_alpha(profiles, k_min=k_min, n_max=n_max)
-    report = verify_sphere_bound(
-        profiles, shell.delta, n_range=(1, min(shell.n_max, depth - 1)),
-        slope_tolerance=slope_tol,
-    )
-    digest = _digest("verify", graph=str(graph_path), depth=depth, centers=[c for c, _ in centers], delta=shell.delta)
-    rows = list(zip(range(report.n_lo, report.n_hi + 1), report.constants))
-    _emit(_csv_text(digest, ("n", "constant"), rows), ctx.obj["out"])
+    context = _profiled(ctx, graph_path, depth, center_labels, sample)
+    shell = ANALYSES["shell"].run(context, {"k_min": k_min, "n_max": n_max, "record_all": False})
+    verified = ANALYSES["verify"].run(context, {"slope_tolerance": slope_tol})
+    digest = _digest("verify", graph=str(graph_path), depth=depth, centers=_labels(context), delta=context.shell.delta)
+    _emit_csv(ctx, digest, verified.table)
     summary = {
-        "alpha": _cell(shell.alpha),
-        "delta": shell.delta,
-        "fitted_C": report.fitted_constant,
-        "trend_slope": report.trend_slope,
-        "pass": report.passed,
+        "alpha": shell.summary["alpha"],
+        "delta": shell.summary["delta"],
+        "fitted_C": verified.summary["fitted_C"],
+        "trend_slope": verified.summary["verify"]["trend_slope"],
+        "pass": verified.passed,
     }
     click.echo(json.dumps(summary, sort_keys=True))
-    ctx.exit(0 if report.passed else 1)
+    ctx.exit(0 if verified.passed else 1)
 
 
 @main.command()
@@ -329,19 +279,13 @@ def verify(ctx, graph_path, depth, center_labels, sample, k_min, n_max, slope_to
 @_friendly
 def dyadic(ctx, graph_path, depth, center_labels, sample, i_max):
     """Dyadic radius selection certified against 2 C_D mu(B)/2^i."""
-    centers, profiles = _graph_profiles(ctx, graph_path, depth, center_labels, sample)
-    slack = 2 * doubling_constant(profiles, depth // 2)
-    rows = []
-    all_ok = True
-    for (label, _), p in zip(centers, profiles):
-        sel = dyadic_subsequence(p, slack, i_max)
-        all_ok = all_ok and sel.all_certified
-        for rec in sel.records:
-            rows.append((label, rec.i, rec.radius, rec.sphere, rec.ball, rec.bound, rec.certified))
-    digest = _digest("dyadic", graph=str(graph_path), depth=depth, centers=[c for c, _ in centers])
-    _emit(_csv_text(digest, ("center", "i", "radius", "sphere", "ball", "bound", "certified"), rows), ctx.obj["out"])
-    click.echo(json.dumps({"doubling_slack": _cell(slack), "pass": all_ok}, sort_keys=True))
-    ctx.exit(0 if all_ok else 1)
+    context = _profiled(ctx, graph_path, depth, center_labels, sample)
+    dyadic = ANALYSES["dyadic"].run(context, {"i_max": i_max})
+    digest = _digest("dyadic", graph=str(graph_path), depth=depth, centers=_labels(context))
+    _emit_csv(ctx, digest, dyadic.table)
+    slack = dyadic.summary["dyadic"]["slack_doubling"]
+    click.echo(json.dumps({"doubling_slack": slack, "pass": dyadic.passed}, sort_keys=True))
+    ctx.exit(0 if dyadic.passed else 1)
 
 
 @main.command()
@@ -354,19 +298,9 @@ def dyadic(ctx, graph_path, depth, center_labels, sample, i_max):
 @_friendly
 def fit(ctx, graph_path, depth, center_labels, dyadic_radii, min_points):
     """Growth exponent: least-squares slope of log volume vs log radius."""
-    centers, profiles = _graph_profiles(ctx, graph_path, depth, center_labels, 0)
-    radii = None
-    if dyadic_radii:
-        radii = [2**i for i in range(3, depth.bit_length()) if 2**i <= depth]
-    out = {}
-    for (label, _), p in zip(centers, profiles):
-        result = growth_exponent_fit(p.ball, radii=radii, min_points=min_points)
-        out[label] = {
-            "exponent": result.exponent,
-            "intercept": result.intercept,
-            "residual_rms": result.residual_rms,
-        }
-    click.echo(json.dumps(out, sort_keys=True))
+    context = _profiled(ctx, graph_path, depth, center_labels, 0)
+    fits = ANALYSES["fit"].run(context, {"dyadic_radii": dyadic_radii, "min_points": min_points})
+    click.echo(json.dumps(fits.summary["fit"], sort_keys=True))
 
 
 @main.command()
@@ -381,13 +315,14 @@ def ergodic(ctx, observable, start, n_max, preset):
     point = tuple(float(v) for v in start.split(","))
     if len(point) != 2:
         raise click.ClickException("start must have two coordinates")
-    model = zd_model(2)
-    seq = product_powers(model, "standard", n_max, ctx.obj["budget_elements"])
-    trace = ergodic_trace(TorusAction(GOLDEN_ANGLES), seq, observable, point)
+    context = Context(_Z2_STANDARD, ctx.obj["budget_elements"])
+    trace = ANALYSES["ergodic"].run(
+        context, {"observable": observable, "start": point, "n_max": n_max, "preset": preset}
+    )
     digest = _digest("ergodic", observable=observable, start=list(point), n_max=n_max, preset=preset)
-    rows = list(zip(range(len(trace.averages)), trace.averages, trace.errors))
-    _emit(_csv_text(digest, ("n", "average", "error"), rows), ctx.obj["out"])
-    click.echo(json.dumps({"final_error": trace.final_error, "envelope": trace.envelope()}, sort_keys=True))
+    _emit_csv(ctx, digest, trace.table)
+    summary = {key: trace.summary["ergodic"][key] for key in ("final_error", "envelope")}
+    click.echo(json.dumps(summary, sort_keys=True))
 
 
 @main.command()

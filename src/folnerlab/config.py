@@ -4,7 +4,9 @@ The schema is small enough that explicit checks beat a schema library, and
 hand-rolled validation lets every error name the offending field the way the
 rest of the package names offending factors and labels.  Unknown keys are
 errors anywhere in the document: a typo that silently disables an analysis
-would invalidate an experiment.
+would invalidate an experiment.  Space parameters and analysis options are
+checked through the family and analysis tables of `registry`, so this
+module names no family and no analysis.
 
 A validated config is normalized (defaults filled in) before hashing, so two
 spellings of the same experiment share one hash, and every artifact written
@@ -20,45 +22,19 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ConfigError
+from .registry import (
+    ANALYSES,
+    FAMILIES,
+    at_least,
+    check_keys,
+    int_value,
+    option_parser,
+    parse_options,
+)
 
 __all__ = ["ExperimentConfig", "validate_config", "load_config"]
 
 _TOP_KEYS = {"space", "centers", "depth", "analyses", "output_dir", "seed", "budgets"}
-
-# family name -> (required int params with minima, optional str params with defaults)
-_FAMILIES: dict[str, tuple[dict[str, int], dict[str, str]]] = {
-    "lattice": ({"d": 1, "radius": 1}, {"generating_set": "standard"}),
-    "heisenberg": ({"radius": 1}, {"generating_set": "standard"}),
-    "tree-chain": ({"a": 2, "b": 2, "blocks": 1}, {}),
-    "stairway": ({"levels": 1}, {}),
-}
-
-_ANALYSES = {
-    "doubling",
-    "shell",
-    "annulus",
-    "verify",
-    "dyadic",
-    "abelian",
-    "fit",
-    "ergodic",
-    "claims",
-}
-
-
-def _check_keys(mapping: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-
-
-def _get_int(mapping: Mapping[str, Any], key: str, where: str, minimum: int) -> int:
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{where}.{key}: must be at least {minimum}, got {value}")
-    return value
 
 
 def _require(mapping: Mapping[str, Any], key: str, where: str) -> Any:
@@ -71,22 +47,22 @@ def _validate_space(raw: Any) -> dict[str, Any]:
     if not isinstance(raw, Mapping):
         raise ConfigError("space: expected an object")
     if "graph_file" in raw:
-        _check_keys(raw, {"graph_file"}, "space")
+        check_keys(raw, {"graph_file"}, "space")
         path = raw["graph_file"]
         if not isinstance(path, str) or not path:
             raise ConfigError("space.graph_file: expected a nonempty string")
         return {"graph_file": path}
     family = _require(raw, "family", "space")
-    if family not in _FAMILIES:
-        known = ", ".join(sorted(_FAMILIES))
+    if family not in FAMILIES:
+        known = ", ".join(sorted(FAMILIES))
         raise ConfigError(f"space.family: unknown family {family!r}; known: {known}")
-    required, optional = _FAMILIES[family]
-    _check_keys(raw, {"family"} | set(required) | set(optional), "space")
+    spec = FAMILIES[family]
+    check_keys(raw, {"family"} | set(spec.ints) | set(spec.strs), "space")
     out: dict[str, Any] = {"family": family}
-    for key, minimum in required.items():
+    for key, minimum in spec.ints.items():
         _require(raw, key, "space")
-        out[key] = _get_int(raw, key, "space", minimum)
-    for key, default in optional.items():
+        out[key] = int_value(raw[key], f"space.{key}", minimum)
+    for key, default in spec.strs.items():
         value = raw.get(key, default)
         if not isinstance(value, str):
             raise ConfigError(f"space.{key}: expected a string, got {value!r}")
@@ -94,32 +70,24 @@ def _validate_space(raw: Any) -> dict[str, Any]:
     return out
 
 
-def _validate_centers(raw: Any) -> dict[str, Any]:
-    if raw is None:
-        return {"basepoints": "all", "sample": 0}
+_CENTERS = {
+    "basepoints": (
+        option_parser(
+            lambda v: v == "all" or isinstance(v, list) and all(isinstance(p, str) for p in v),
+            "expected 'all' or a list of labels",
+            lambda v: v if v == "all" else list(v),
+        ),
+        "all",
+    ),
+    "sample": (at_least(0), 0),
+}
+_BUDGETS = {"vertices": (at_least(1), 2_000_000), "elements": (at_least(1), 5_000_000)}
+
+
+def _validate_section(raw: Any, spec: Mapping[str, Any], where: str) -> dict[str, Any]:
     if not isinstance(raw, Mapping):
-        raise ConfigError("centers: expected an object")
-    _check_keys(raw, {"basepoints", "sample"}, "centers")
-    out: dict[str, Any] = {"basepoints": "all", "sample": 0}
-    if "basepoints" in raw:
-        points = raw["basepoints"]
-        if points != "all":
-            if not isinstance(points, list) or not all(
-                isinstance(p, str) for p in points
-            ):
-                raise ConfigError(
-                    "centers.basepoints: expected 'all' or a list of labels"
-                )
-            out["basepoints"] = list(points)
-    if "sample" in raw:
-        out["sample"] = _get_int(raw, "sample", "centers", 0)
-    return out
-
-
-def _validate_float(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+        raise ConfigError(f"{where}: expected an object")
+    return parse_options(raw, spec, where)
 
 
 def _validate_analyses(
@@ -127,121 +95,17 @@ def _validate_analyses(
 ) -> dict[str, Any]:
     if not isinstance(raw, Mapping):
         raise ConfigError("analyses: expected an object")
-    _check_keys(raw, _ANALYSES, "analyses")
+    check_keys(raw, set(ANALYSES), "analyses")
     if not raw:
         raise ConfigError("analyses: at least one analysis must be enabled")
-    out: dict[str, Any] = {}
+    out = {}
     for name, options in raw.items():
-        where = f"analyses.{name}"
         if not isinstance(options, Mapping):
-            raise ConfigError(f"{where}: expected an object of options")
-        if name == "doubling":
-            _check_keys(options, {"r_max"}, where)
-            r_max = (
-                _get_int(options, "r_max", "analyses.doubling", 1)
-                if "r_max" in options
-                else depth // 2
-            )
-            out[name] = {"r_max": r_max}
-        elif name == "shell":
-            _check_keys(options, {"k_min", "n_max", "record_all"}, where)
-            opts = {
-                "k_min": _get_int(options, "k_min", "analyses.shell", 1)
-                if "k_min" in options
-                else 5,
-                "n_max": _get_int(options, "n_max", "analyses.shell", 1)
-                if "n_max" in options
-                else depth // 2,
-                "record_all": options.get("record_all", False),
-            }
-            if not isinstance(opts["record_all"], bool):
-                raise ConfigError("analyses.shell.record_all: expected a boolean")
-            out[name] = opts
-        elif name == "annulus":
-            _check_keys(options, set(), where)
-            out[name] = {}
-        elif name == "verify":
-            _check_keys(options, {"slope_tolerance"}, where)
-            tol = _validate_float(
-                options.get("slope_tolerance", 0.05), f"{where}.slope_tolerance"
-            )
-            out[name] = {"slope_tolerance": tol}
-        elif name == "dyadic":
-            _check_keys(options, {"i_max"}, where)
-            opts = {}
-            if "i_max" in options:
-                opts["i_max"] = _get_int(options, "i_max", where, 0)
-            out[name] = opts
-        elif name == "abelian":
-            _check_keys(options, {"n_max"}, where)
-            opts = {}
-            if "n_max" in options:
-                opts["n_max"] = _get_int(options, "n_max", where, 1)
-            out[name] = opts
-        elif name == "fit":
-            _check_keys(options, {"dyadic_radii", "min_points"}, where)
-            dyadic_radii = options.get("dyadic_radii", False)
-            if not isinstance(dyadic_radii, bool):
-                raise ConfigError(f"{where}.dyadic_radii: expected a boolean")
-            out[name] = {
-                "dyadic_radii": dyadic_radii,
-                "min_points": _get_int(options, "min_points", where, 2)
-                if "min_points" in options
-                else 8,
-            }
-        elif name == "claims":
-            _check_keys(options, {"n_max", "widths"}, where)
-            widths = options.get("widths", [4, 8, 12])
-            if not isinstance(widths, list) or not all(
-                isinstance(k, int) and not isinstance(k, bool) and k >= 4
-                for k in widths
-            ):
-                raise ConfigError(
-                    f"{where}.widths: expected a list of integers >= 4"
-                )
-            out[name] = {
-                "n_max": _get_int(options, "n_max", where, 4)
-                if "n_max" in options
-                else 20,
-                "widths": widths,
-            }
-        elif name == "ergodic":
-            _check_keys(options, {"observable", "start", "n_max", "preset"}, where)
-            start = options.get("start", [0.0, 0.0])
-            if not isinstance(start, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in start
-            ):
-                raise ConfigError(f"{where}.start: expected a list of numbers")
-            preset = options.get("preset", "golden")
-            if preset != "golden":
-                raise ConfigError(f"{where}.preset: unknown preset {preset!r}")
-            name_opt = options.get("observable", "cos_x")
-            if not isinstance(name_opt, str):
-                raise ConfigError(f"{where}.observable: expected a string")
-            out[name] = {
-                "observable": name_opt,
-                "start": [float(v) for v in start],
-                "n_max": _get_int(options, "n_max", where, 1)
-                if "n_max" in options
-                else 200,
-                "preset": preset,
-            }
-    if "verify" in out and "shell" not in out:
-        raise ConfigError(
-            "analyses.verify: requires analyses.shell (the decay exponent "
-            "comes from the shell sweep)"
-        )
-    family = space.get("family")
-    if "ergodic" in out and (family != "lattice" or space.get("d") != 2):
-        raise ConfigError(
-            "analyses.ergodic: requires a lattice space with d = 2 "
-            "(the rotation presets live on the 2-torus)"
-        )
-    if "claims" in out and family not in ("lattice", "heisenberg"):
-        raise ConfigError(
-            "analyses.claims: requires a lattice or heisenberg space "
-            "(the inclusions are checked on the group model)"
-        )
+            raise ConfigError(f"analyses.{name}: expected an object of options")
+        out[name] = parse_options(options, ANALYSES[name].options, f"analyses.{name}", depth)
+    for name, entry in ANALYSES.items():
+        if name in out and entry.needs and not entry.needs[0](out, space):
+            raise ConfigError(f"analyses.{name}: {entry.needs[1]}")
     return out
 
 
@@ -251,10 +115,19 @@ class ExperimentConfig:
 
     `data` is the canonical nested dict (defaults filled in); `digest` is the
     sha-256 of its sorted-key JSON form, truncated to 16 hex digits, and is
-    what artifact files record.
+    what artifact files record.  Every config, validated or assembled by
+    the CLI, is checked here to have depth at most the vertex budget: a
+    profile holds depth + 1 counts per center.
     """
 
     data: Mapping[str, Any]
+
+    def __post_init__(self) -> None:
+        if self.depth > self.vertex_budget:
+            raise ConfigError(
+                f"config.depth: must be at most the vertex budget {self.vertex_budget} "
+                f"(budgets.vertices, --budget-vertices), got {self.depth}"
+            )
 
     @property
     def digest(self) -> str:
@@ -302,12 +175,14 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     """
     if not isinstance(raw, Mapping):
         raise ConfigError("config: expected a JSON object at top level")
-    _check_keys(raw, _TOP_KEYS, "config")
+    check_keys(raw, _TOP_KEYS, "config")
     space = _validate_space(_require(raw, "space", "config"))
-    depth = _get_int(raw, "depth", "config", 2) if "depth" in raw else None
+    depth = int_value(raw["depth"], "config.depth", 2) if "depth" in raw else None
     if depth is None:
         raise ConfigError("config: missing required key 'depth'")
-    centers = _validate_centers(raw.get("centers"))
+    centers_raw = raw.get("centers")
+    centers_raw = {} if centers_raw is None else centers_raw
+    centers = _validate_section(centers_raw, _CENTERS, "centers")
     analyses = _validate_analyses(_require(raw, "analyses", "config"), depth, space)
     output_dir = raw.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
@@ -317,18 +192,7 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError(f"seed: expected an integer, got {seed!r}")
     if centers["sample"] > 0 and seed is None:
         raise ConfigError("seed: required whenever centers.sample is positive")
-    budgets_raw = raw.get("budgets", {})
-    if not isinstance(budgets_raw, Mapping):
-        raise ConfigError("budgets: expected an object")
-    _check_keys(budgets_raw, {"vertices", "elements"}, "budgets")
-    budgets = {
-        "vertices": _get_int(budgets_raw, "vertices", "budgets", 1)
-        if "vertices" in budgets_raw
-        else 2_000_000,
-        "elements": _get_int(budgets_raw, "elements", "budgets", 1)
-        if "elements" in budgets_raw
-        else 5_000_000,
-    }
+    budgets = _validate_section(raw.get("budgets", {}), _BUDGETS, "budgets")
     data = {
         "space": space,
         "centers": centers,

@@ -1,0 +1,409 @@
+"""The two dispatch tables: analyses and space families.
+
+`ANALYSES` maps each analysis name to `run(ctx, opts)`, its options (each
+with a parser and a default) and what it needs of the rest of the config.
+`run` returns the analysis's part of `summary.json`, its CSV table and, for
+the analyses that gate `pass`, its verdict.  `FAMILIES` maps each space
+family to its integer parameters with their minima, its string parameters
+with their defaults, and its builder.  `config` validates through both
+tables, `runner` builds and runs through them, and the CLI's analysis
+commands call the same entries, so adding an analysis or a family is one
+entry here.
+
+Analyses run in table order.  The order matters: `verify` reads the shell
+report that `shell` leaves in the context, and overrides its `fitted_C`.
+
+Tables are formatted by `write_csv`: exact columns carry rationals as
+"p/q" strings and integers as plain decimals; fitted columns carry floats
+via repr (shortest round-trip form); booleans are "true"/"false".
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass
+from functools import cached_property
+from fractions import Fraction
+from typing import IO, Any, Callable, Mapping, NamedTuple, Sequence
+
+from .analysis import (
+    ShellReport,
+    doubling_constant,
+    dyadic_subsequence,
+    growth_exponent_fit,
+    isoperimetric_ratios,
+    shell_alpha,
+    verify_sphere_bound,
+)
+from .ergodic import GOLDEN_ANGLES, TorusAction, ergodic_trace
+from .errors import ConfigError
+from .generators import (
+    StairwayStrip,
+    TreeChainSpec,
+    WordBall,
+    stairway_strip,
+    stretched_tree_chain,
+    word_ball,
+)
+from .groups import GroupModel, heisenberg_model, zd_model
+from .products import product_powers, shell_inclusion_check
+from .space import Graph, VolumeProfile
+
+__all__ = ["ANALYSES", "FAMILIES", "BuiltSpace", "Context", "Outcome", "parse_options"]
+
+
+# -- option parsing ----------------------------------------------------------
+
+
+def check_keys(mapping: Mapping[str, Any], allowed: set[str], where: str) -> None:
+    unknown = sorted(set(mapping) - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+
+
+def int_value(value: Any, where: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{where}: must be at least {minimum}, got {value}")
+    return value
+
+
+def at_least(minimum: int) -> Callable[[Any, str], int]:
+    return lambda value, where: int_value(value, where, minimum)
+
+
+def option_parser(test: Callable[[Any], bool], error: str, convert: Callable = lambda v: v):
+    """A parser that returns `convert(value)` if `test(value)` holds and
+    otherwise raises `error`, formatted with the offending value."""
+
+    def parse(value: Any, where: str) -> Any:
+        if not test(value):
+            raise ConfigError(f"{where}: " + error.format(value=value))
+        return convert(value)
+
+    return parse
+
+
+def _real(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_flag = option_parser(lambda v: isinstance(v, bool), "expected a boolean")
+_number = option_parser(_real, "expected a number, got {value!r}", float)
+_text = option_parser(lambda v: isinstance(v, str), "expected a string")
+_preset = option_parser(lambda v: v == "golden", "unknown preset {value!r}")
+_point = option_parser(
+    lambda v: isinstance(v, list) and all(map(_real, v)),
+    "expected a list of numbers",
+    lambda v: [float(c) for c in v],
+)
+_widths = option_parser(
+    lambda v: isinstance(v, list)
+    and all(isinstance(k, int) and not isinstance(k, bool) and k >= 4 for k in v),
+    "expected a list of integers >= 4",
+)
+
+HALF_DEPTH = object()  # an option default: the config's depth // 2
+# option name -> (parser, default); a None default leaves the option unset
+Options = Mapping[str, tuple[Callable[[Any, str], Any], Any]]
+
+
+def parse_options(raw: Mapping[str, Any], spec: Options, where: str, depth: int = 0) -> dict:
+    """Check the options `raw` at `where` against `spec` and fill in defaults."""
+    check_keys(raw, set(spec), where)
+    out = {}
+    for key, (parse, default) in spec.items():
+        if key in raw:
+            out[key] = parse(raw[key], f"{where}.{key}")
+        elif default is HALF_DEPTH:
+            out[key] = depth // 2
+        elif default is not None:
+            out[key] = parse(default, f"{where}.{key}")
+    return out
+
+
+# -- tables ------------------------------------------------------------------
+
+
+Table = tuple[Sequence[str], Sequence[Sequence[Any]]]  # (header, rows)
+
+
+def cell(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_csv(fh: IO[str], digest: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    fh.write(f"# config {digest}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell(v) for v in row] for row in rows)
+
+
+def profile_table(labeled: Sequence[tuple[str, VolumeProfile]]) -> Table:
+    rows = []
+    for label, p in labeled:
+        for r in range(p.depth + 1):
+            rows.append((label, r, p.ball[r], p.sphere[r] if r < p.depth else ""))
+    return ("center", "r", "ball", "sphere"), rows
+
+
+# -- analyses ----------------------------------------------------------------
+
+
+@dataclass
+class Context:
+    """What analyses read: the space description, the element budget, the
+    depth and the profiles by center label.  `shell` holds the shell report
+    once the shell analysis has run."""
+
+    space: Mapping[str, Any]
+    element_budget: int
+    depth: int = 0
+    labeled: Sequence[tuple[str, VolumeProfile]] = ()
+    shell: ShellReport | None = None
+
+    @property
+    def profiles(self) -> list[VolumeProfile]:
+        return [p for _, p in self.labeled]
+
+    @property
+    def model(self) -> GroupModel:
+        return FAMILIES[self.space["family"]].model(self.space)
+
+
+class Outcome(NamedTuple):
+    summary: dict[str, Any]  # merged into summary.json
+    table: Table | None = None  # written as <name>.csv
+    passed: bool | None = None  # None: the analysis does not gate "pass"
+
+
+def _doubling(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
+    return Outcome({"doubling": cell(doubling_constant(ctx.profiles, opts["r_max"]))})
+
+
+def _shell(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
+    report = ctx.shell = shell_alpha(
+        ctx.profiles, k_min=opts["k_min"], n_max=opts["n_max"], record_all=opts["record_all"]
+    )
+    worst = report.worst
+    summary = {
+        "alpha": cell(report.alpha),
+        "delta": report.delta,
+        "fitted_C": report.fitted_constant,
+        "shell": {
+            "pairs_tested": report.pairs_tested,
+            "worst_center": worst.center,
+            "worst_n": worst.n,
+            "worst_k": worst.k,
+        },
+    }
+    rows = [
+        (r.center, r.n, r.k, r.c_lo, r.c_hi, "" if r.ratio is None else r.ratio)
+        for r in report.records
+    ]
+    return Outcome(summary, (("center", "n", "k", "c_lo", "c_hi", "ratio"), rows))
+
+
+def _annulus(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
+    rows = []
+    for label, p in ctx.labeled:
+        for r in (2**i for i in range(1, p.depth.bit_length())):  # 2, 4, ... <= depth
+            inner = p.ball[r] - p.ball[r // 2]
+            rows.append((label, r, inner, p.ball[r], Fraction(inner, p.ball[r])))
+    return Outcome({}, (("center", "r", "annulus", "ball", "ratio"), rows))
+
+
+def _verify(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
+    n_range = (1, min(ctx.shell.n_max, ctx.depth - 1))
+    report = verify_sphere_bound(
+        ctx.profiles, ctx.shell.delta, n_range=n_range, slope_tolerance=opts["slope_tolerance"]
+    )
+    summary = {
+        "fitted_C": report.fitted_constant,
+        "verify": {"trend_slope": report.trend_slope, "passed": report.passed},
+    }
+    rows = list(zip(range(report.n_lo, report.n_hi + 1), report.constants))
+    return Outcome(summary, (("n", "constant"), rows), report.passed)
+
+
+def _dyadic(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
+    slack = 2 * doubling_constant(ctx.profiles, ctx.depth // 2)
+    rows, all_ok = [], True
+    for label, p in ctx.labeled:
+        selection = dyadic_subsequence(p, slack, opts.get("i_max"))
+        all_ok = all_ok and selection.all_certified
+        rows.extend(
+            (label, rec.i, rec.radius, rec.sphere, rec.ball, rec.bound, rec.certified)
+            for rec in selection.records
+        )
+    summary = {"dyadic": {"certified": all_ok, "slack_doubling": cell(slack)}}
+    header = ("center", "i", "radius", "sphere", "ball", "bound", "certified")
+    return Outcome(summary, (header, rows), all_ok)
+
+
+def _abelian(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
+    rows = [
+        (label, n, ratio)
+        for label, p in ctx.labeled
+        for n, ratio in enumerate(isoperimetric_ratios(p.ball, opts.get("n_max")), 1)
+    ]
+    worst = max((ratio for _, _, ratio in rows), default=Fraction(0))
+    return Outcome({"abelian_max": cell(worst)}, (("center", "n", "isop"), rows))
+
+
+def _fit(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
+    radii = None
+    if opts["dyadic_radii"]:
+        radii = [2**i for i in range(3, ctx.depth.bit_length()) if 2**i <= ctx.depth]
+    fits = {}
+    for label, p in ctx.labeled:
+        fit = growth_exponent_fit(p.ball, radii=radii, min_points=opts["min_points"])
+        fits[label] = {
+            "exponent": fit.exponent,
+            "intercept": fit.intercept,
+            "residual_rms": fit.residual_rms,
+        }
+    return Outcome({"fit": fits})
+
+
+def _ergodic(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
+    sequence = product_powers(
+        ctx.model, ctx.space["generating_set"], opts["n_max"], ctx.element_budget
+    )
+    trace = ergodic_trace(
+        TorusAction(GOLDEN_ANGLES), sequence, opts["observable"], tuple(opts["start"])
+    )
+    summary = {
+        "observable": opts["observable"],
+        "final_error": trace.final_error,
+        "envelope": trace.envelope(),
+    }
+    rows = list(zip(range(len(trace.averages)), trace.averages, trace.errors))
+    return Outcome({"ergodic": summary}, (("n", "average", "error"), rows))
+
+
+def _claims(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
+    model = ctx.model
+    gen = model.generating_set(ctx.space["generating_set"])
+    rows = [
+        (n, k, *shell_inclusion_check(model, gen, n, k, ctx.element_budget))
+        for k in opts["widths"]
+        for n in range(k, opts["n_max"] + 1)
+    ]
+    all_ok = all(forward and backward for _, _, forward, backward in rows)
+    header = ("n", "k", "forward", "backward")
+    return Outcome({"claims": {"all_hold": all_ok}}, (header, rows), all_ok)
+
+
+def _on_group(analyses: Mapping[str, Any], space: Mapping[str, Any]) -> bool:
+    family = FAMILIES.get(space.get("family"))
+    return family is not None and family.model is not None
+
+
+class Analysis(NamedTuple):
+    run: Callable[[Context, Mapping[str, Any]], Outcome]
+    options: Options
+    # what it needs of the rest of the config: (test of (analyses, space), error)
+    needs: tuple[Callable[[Mapping[str, Any], Mapping[str, Any]], bool], str] | None = None
+
+
+ANALYSES: dict[str, Analysis] = {
+    "doubling": Analysis(_doubling, {"r_max": (at_least(1), HALF_DEPTH)}),
+    "shell": Analysis(_shell, {
+        "k_min": (at_least(1), 5),
+        "n_max": (at_least(1), HALF_DEPTH),
+        "record_all": (_flag, False),
+    }),
+    "annulus": Analysis(_annulus, {}),
+    "verify": Analysis(_verify, {"slope_tolerance": (_number, 0.05)}, (
+        lambda analyses, space: "shell" in analyses,
+        "requires analyses.shell (the decay exponent comes from the shell sweep)",
+    )),
+    "dyadic": Analysis(_dyadic, {"i_max": (at_least(0), None)}),
+    "abelian": Analysis(_abelian, {"n_max": (at_least(1), None)}),
+    "fit": Analysis(_fit, {"dyadic_radii": (_flag, False), "min_points": (at_least(2), 8)}),
+    "ergodic": Analysis(_ergodic, {
+        "start": (_point, [0.0, 0.0]),
+        "preset": (_preset, "golden"),
+        "observable": (_text, "cos_x"),
+        "n_max": (at_least(1), 200),
+    }, (
+        lambda analyses, space: space.get("family") == "lattice" and space.get("d") == 2,
+        "requires a lattice space with d = 2 (the rotation presets live on the 2-torus)",
+    )),
+    "claims": Analysis(_claims, {"widths": (_widths, [4, 8, 12]), "n_max": (at_least(4), 20)}, (
+        _on_group,
+        "requires a lattice or heisenberg space (the inclusions are checked on the group model)",
+    )),
+}
+
+
+# -- space families ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BuiltSpace:
+    """A realized space, plus whatever extra structure it came with.
+
+    The group families carry their word ball and build the graph from it
+    only when something asks for `graph`; the others carry the graph.
+    """
+
+    given: Graph | None = None  # set for graph files, tree chains and the stairway
+    ball: WordBall | None = None  # set for the group families
+    strip: StairwayStrip | None = None  # set for the stairway family
+
+    @cached_property
+    def graph(self) -> Graph:
+        return self.given if self.ball is None else self.ball.graph()
+
+    @property
+    def vertex_count(self) -> int:
+        return self.graph.vertex_count if self.ball is None else self.ball.vertex_count
+
+    @property
+    def edge_count(self) -> int:
+        return self.graph.edge_count if self.ball is None else self.ball.edge_count
+
+    @property
+    def basepoints(self) -> Mapping[str, int]:
+        return self.graph.basepoints if self.ball is None else {"origin": 0}
+
+
+class Family(NamedTuple):
+    ints: Mapping[str, int]  # required integer parameters -> minimum
+    strs: Mapping[str, str]  # optional string parameters -> default
+    build: Callable[[Mapping[str, Any], int], BuiltSpace]  # (space, vertex budget)
+    model: Callable[[Mapping[str, Any]], GroupModel] | None = None  # group families only
+
+
+def _word_ball(space: Mapping[str, Any], budget: int) -> BuiltSpace:
+    model = FAMILIES[space["family"]].model(space)
+    gens = model.generating_set(space["generating_set"])
+    return BuiltSpace(ball=word_ball(model, gens, space["radius"], budget))
+
+
+def _tree_chain(space: Mapping[str, Any], budget: int) -> BuiltSpace:
+    spec = TreeChainSpec(stretch=space["a"], valence=space["b"], blocks=space["blocks"])
+    return BuiltSpace(given=stretched_tree_chain(spec, budget))
+
+
+def _stairway(space: Mapping[str, Any], budget: int) -> BuiltSpace:
+    strip = stairway_strip(space["levels"], budget)
+    return BuiltSpace(given=strip.graph, strip=strip)
+
+
+_GROUP_SET = {"generating_set": "standard"}
+FAMILIES: dict[str, Family] = {
+    "lattice": Family({"d": 1, "radius": 1}, _GROUP_SET, _word_ball, lambda s: zd_model(s["d"])),
+    "heisenberg": Family({"radius": 1}, _GROUP_SET, _word_ball, lambda s: heisenberg_model()),
+    "tree-chain": Family({"a": 2, "b": 2, "blocks": 1}, {}, _tree_chain),
+    "stairway": Family({"levels": 1}, {}, _stairway),
+}

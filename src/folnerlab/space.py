@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -120,7 +121,7 @@ class VolumeProfile:
     def depth(self) -> int:
         return len(self.ball) - 1
 
-    @property
+    @cached_property
     def sphere(self) -> tuple[int, ...]:
         return tuple(
             self.ball[r + 1] - self.ball[r] for r in range(self.depth)

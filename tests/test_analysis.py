@@ -133,6 +133,13 @@ class TestRecursionAudit:
         assert audit.violations
         assert not audit.passed
 
+    def test_final_bound_is_checked_on_the_data(self, z1_profile):
+        # mu(S(32)) * (1 + alpha)^5 <= mu(B(32)) = 65: 2 * 2^5 = 64 holds,
+        # 2 * (5/2)^5 > 195 does not.
+        assert lemma_recursion_audit(z1_profile, 32, Fraction(1)).final_bound_ok
+        audit = lemma_recursion_audit(z1_profile, 32, Fraction(3, 2))
+        assert not audit.final_bound_ok
+
     def test_z2_measured_alpha_passes(self, z2_profile):
         report = shell_alpha(z2_profile, k_min=5, n_max=16)
         audit = lemma_recursion_audit(z2_profile, 16, report.alpha)

@@ -14,7 +14,10 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import folnerlab.runner
 from folnerlab.cli import main
+from folnerlab.config import validate_config
+from folnerlab.runner import run_experiment
 
 
 @pytest.fixture()
@@ -72,6 +75,18 @@ class TestProfile:
         result = runner.invoke(main, ["profile", "--graph", str(z2_graph), "--depth", "4", "--center", "nope"])
         assert result.exit_code != 0
         assert "unknown basepoint label 'nope'" in result.output
+
+    def test_depth_is_bounded_by_the_vertex_budget(self, runner, z2_graph, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the graph was loaded")
+
+        args = ["--budget-vertices", "20", "profile", "--graph", str(z2_graph), "--depth"]
+        with monkeypatch.context() as patched:
+            patched.setattr(folnerlab.runner, "load_graph", refuse)
+            result = runner.invoke(main, args + ["21"])
+        assert result.exit_code == 1
+        assert "config.depth: must be at most the vertex budget 20" in result.output
+        assert runner.invoke(main, args + ["20"]).exit_code == 0
 
     def test_malformed_graph_file(self, tmp_path, runner):
         bad = tmp_path / "bad.graph"
@@ -226,6 +241,84 @@ class TestReproduce:
         result = runner.invoke(main, ["reproduce", "no-such-recipe"])
         assert result.exit_code != 0
         assert "known" in result.output
+
+
+def _body(text):
+    """A CSV without its first line, the `# config` stamp."""
+    first, rest = text.split("\n", 1)
+    assert first.startswith("# config ")
+    return rest
+
+
+G = ["--graph", "<graph>"]
+PARITY = [
+    # (CLI arguments, the equivalent config fields, the runner's artifact)
+    (["profile", *G, "--depth", "8"], {"depth": 8, "analyses": {"annulus": {}}}, "profile.csv"),
+    (
+        ["--seed", "9", "profile", *G, "--depth", "6", "--sample", "4"],
+        {"depth": 6, "centers": {"sample": 4}, "seed": 9, "analyses": {"annulus": {}}},
+        "profile.csv",
+    ),
+    (
+        ["shell-report", *G, "--depth", "12", "--k-min", "3", "--n-max", "6"],
+        {"depth": 12, "analyses": {"shell": {"k_min": 3, "n_max": 6}}},
+        "shell.csv",
+    ),
+    (
+        ["shell-report", *G, "--depth", "12", "--k-min", "3", "--n-max", "6", "--record-all"],
+        {"depth": 12, "analyses": {"shell": {"k_min": 3, "n_max": 6, "record_all": True}}},
+        "shell.csv",
+    ),
+    (
+        ["verify", *G, "--depth", "12", "--k-min", "3", "--n-max", "6"],
+        {"depth": 12, "analyses": {"shell": {"k_min": 3, "n_max": 6}, "verify": {}}},
+        "verify.csv",
+    ),
+    (
+        ["dyadic", *G, "--depth", "12", "--i-max", "2"],
+        {"depth": 12, "analyses": {"dyadic": {"i_max": 2}}},
+        "dyadic.csv",
+    ),
+]
+
+
+class TestRunnerParity:
+    """The analysis commands and `run_experiment` share one code path: on the
+    same graph, centers and options they write the same CSV body."""
+
+    @pytest.mark.parametrize("cli_args,fields,artifact", PARITY)
+    def test_csv_body_matches_the_runner(self, tmp_path, runner, z2_graph, cli_args, fields, artifact):
+        argv = [str(z2_graph) if a == "<graph>" else a for a in cli_args]
+        result = runner.invoke(main, ["--out", str(tmp_path / "cli.csv")] + argv)
+        assert result.exit_code == 0, result.output
+        config = validate_config({"space": {"graph_file": str(z2_graph)}, **fields})
+        run_experiment(config, tmp_path / "run")
+        cli_body = _body((tmp_path / "cli.csv").read_text())
+        assert cli_body == _body((tmp_path / "run" / artifact).read_text())
+        assert len(cli_body.splitlines()) > 1
+
+    def test_fit_summary_matches_the_runner(self, tmp_path, runner, z2_graph):
+        result = runner.invoke(main, ["fit", "--graph", str(z2_graph), "--depth", "12", "--min-points", "4"])
+        assert result.exit_code == 0, result.output
+        config = validate_config({
+            "space": {"graph_file": str(z2_graph)},
+            "depth": 12,
+            "analyses": {"fit": {"min_points": 4}},
+        })
+        summary = run_experiment(config, tmp_path).summary
+        assert json.loads(result.output) == summary["fit"]
+
+    def test_ergodic_csv_body_matches_the_runner(self, tmp_path, runner):
+        out = tmp_path / "cli.csv"
+        args = ["ergodic", "--n-max", "30", "--start", "0.3,0.7", "--observable", "cos_y"]
+        assert runner.invoke(main, ["--out", str(out)] + args).exit_code == 0
+        config = validate_config({
+            "space": {"family": "lattice", "d": 2, "radius": 2},
+            "depth": 2,
+            "analyses": {"ergodic": {"n_max": 30, "start": [0.3, 0.7], "observable": "cos_y"}},
+        })
+        run_experiment(config, tmp_path / "run")
+        assert _body(out.read_text()) == _body((tmp_path / "run" / "ergodic.csv").read_text())
 
 
 def _run_cli(args, env, cwd):

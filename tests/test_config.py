@@ -70,6 +70,11 @@ class TestTopLevel:
         with pytest.raises(ConfigError, match="budgets: unknown key"):
             validate_config(_base(budgets={"edges": 5}))
 
+    def test_depth_is_bounded_by_the_vertex_budget(self):
+        assert validate_config(_base(depth=500, budgets={"vertices": 500})).depth == 500
+        with pytest.raises(ConfigError, match="config.depth: must be at most"):
+            validate_config(_base(depth=501, budgets={"vertices": 500}))
+
     def test_output_dir_must_be_nonempty(self):
         with pytest.raises(ConfigError, match="output_dir"):
             validate_config(_base(output_dir=""))

@@ -112,6 +112,10 @@ class TestVolumeProfileType:
         assert p.depth == 3
         assert p.sphere == (2, 4, 0)
 
+    def test_sphere_is_computed_once(self):
+        p = VolumeProfile(center=0, ball=(1, 3, 7, 7))
+        assert p.sphere is p.sphere
+
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError, match="nondecreasing"):
             VolumeProfile(center=0, ball=(1, 3, 2))
