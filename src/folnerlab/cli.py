@@ -26,7 +26,7 @@ from typing import Any, Sequence
 
 import click
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, validate_space
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -152,9 +152,11 @@ def main(ctx: click.Context, seed: int, budget_vertices: int, budget_elements: i
 @_friendly
 def generate(ctx, family, d, radius, generating_set, a, b, blocks, levels):
     """Build a space and emit it in the graph file format."""
-    space = dict(family=family, d=d, radius=radius, generating_set=generating_set,
-                 a=a, b=b, blocks=blocks, levels=levels)
-    built = FAMILIES[family].build(space, ctx.obj["budget_vertices"])
+    params = dict(d=d, radius=radius, generating_set=generating_set,
+                  a=a, b=b, blocks=blocks, levels=levels)
+    spec = FAMILIES[family]
+    space = validate_space({"family": family, **{key: params[key] for key in (*spec.ints, *spec.strs)}})
+    built = spec.build(space, ctx.obj["budget_vertices"])
     _emit(dump_graph(built.graph), ctx.obj["out"])
 
 

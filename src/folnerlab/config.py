@@ -32,7 +32,7 @@ from .registry import (
     parse_options,
 )
 
-__all__ = ["ExperimentConfig", "validate_config", "load_config"]
+__all__ = ["ExperimentConfig", "validate_config", "validate_space", "load_config"]
 
 _TOP_KEYS = {"space", "centers", "depth", "analyses", "output_dir", "seed", "budgets"}
 
@@ -43,7 +43,8 @@ def _require(mapping: Mapping[str, Any], key: str, where: str) -> Any:
     return mapping[key]
 
 
-def _validate_space(raw: Any) -> dict[str, Any]:
+def validate_space(raw: Any) -> dict[str, Any]:
+    """The `space` section, checked against the family table and normalized."""
     if not isinstance(raw, Mapping):
         raise ConfigError("space: expected an object")
     if "graph_file" in raw:
@@ -176,7 +177,7 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     if not isinstance(raw, Mapping):
         raise ConfigError("config: expected a JSON object at top level")
     check_keys(raw, _TOP_KEYS, "config")
-    space = _validate_space(_require(raw, "space", "config"))
+    space = validate_space(_require(raw, "space", "config"))
     depth = int_value(raw["depth"], "config.depth", 2) if "depth" in raw else None
     if depth is None:
         raise ConfigError("config: missing required key 'depth'")

@@ -4,15 +4,15 @@ Four families of unit-edge graphs with named basepoints:
 
 word_ball / lattice_graph / heisenberg_graph
     The radius-R word ball in Z^d or H3(Z) with respect to a symmetrized
-    generating set.  `word_ball` is the exact numpy kernel: it returns the
-    birth layers (layer r = the elements of word length exactly r), each
-    sorted, so indexing is deterministic.  Because every geodesic word keeps
-    its prefixes inside the ball, graph distance from the basepoint "origin"
-    equals word length for every vertex, and the BFS profile of the origin
-    is the running sum of the layer sizes: group spaces profile the origin
-    from the layers and build the graph only on demand.  When it is built
-    (`WordBall.graph`, `cayley_ball`), edges join elements differing by one
-    generator and are found by key lookup.
+    generating set.  `word_ball` reads the birth layers off the expansion
+    kernel `groups.expand` (layer r = the elements of word length exactly
+    r), each sorted, so indexing is deterministic.  Because every geodesic
+    word keeps its prefixes inside the ball, graph distance from the
+    basepoint "origin" equals word length for every vertex, and the BFS
+    profile of the origin is the running sum of the layer sizes: group
+    spaces profile the origin from the layers and build the graph only on
+    demand.  When it is built (`WordBall.graph`, `cayley_ball`), edges join
+    elements differing by one generator and are found by key lookup.
 
 stretched_tree_chain
     Blocks G'_1 .. G'_N glued in a row.  Block n is a depth-n tree with
@@ -39,12 +39,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import islice, takewhile
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .groups import Element, GroupModel, check_generates, heisenberg_model, zd_model
+from .groups import (
+    Element,
+    GroupModel,
+    KeyBox,
+    check_generates,
+    expand,
+    heisenberg_model,
+    lookup,
+    step_images,
+    zd_model,
+)
 from .space import Graph, VolumeProfile
 
 __all__ = [
@@ -69,10 +80,8 @@ DEFAULT_VERTEX_BUDGET = 2_000_000
 class WordBall:
     """Birth layers of a word ball, elements packed into int64 keys.
 
-    `layers[r]` holds the sorted keys of the elements of word length exactly
-    r.  A key writes an element's coordinates, shifted by `offsets`, as digits
-    of the mixed radix `widths`, most significant first, so sorted keys are
-    sorted tuples.  The box covers the ball and its one-step neighbors.
+    `layers[r]` holds the sorted keys in `box` of the elements of word
+    length exactly r.  The box covers the ball and its one-step neighbors.
     Vertex i of the ball is the i-th key in (layer, key) order, the identity
     being vertex 0.
     """
@@ -80,8 +89,7 @@ class WordBall:
     model: GroupModel
     steps: tuple[Element, ...]
     layers: tuple[np.ndarray, ...]
-    offsets: tuple[int, ...]
-    widths: tuple[int, ...]
+    box: KeyBox
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -100,16 +108,15 @@ class WordBall:
         does exactly when it lands in the last two layers.
         """
         last = self.layers[-1]
-        images = _step_images(self.model, self.steps, last, self.offsets, self.widths)
+        images = step_images(self.model, self.box, last, self.steps)
         inside = sum(
-            len(_lookup(layer, image)[0]) for layer in self.layers[-2:] for image in images
+            len(lookup(layer, image)[0]) for layer in self.layers[-2:] for image in images
         )
         return (len(self.steps) * (self.vertex_count - len(last)) + inside) // 2
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
-        rows = _decode(np.concatenate(self.layers), self.offsets, self.widths)
-        return tuple(map(tuple, rows.tolist()))
+        return tuple(self.box.elements(np.concatenate(self.layers)))
 
     def edges(self) -> np.ndarray:
         """Edges (i, j), i < j, sorted: the vertex pairs with g_i * s = g_j.
@@ -121,10 +128,10 @@ class WordBall:
         starts = np.cumsum((0,) + self.sizes)
         pieces = [np.empty((0, 2), dtype=np.intp)]
         for r, keys in enumerate(self.layers):
-            images = _step_images(self.model, self.steps, keys, self.offsets, self.widths)
+            images = step_images(self.model, self.box, keys, self.steps)
             for t in range(r, min(r + 2, len(self.layers))):
                 for image in images:
-                    i, j = _lookup(self.layers[t], image)
+                    i, j = lookup(self.layers[t], image)
                     i += starts[r]
                     j += starts[t]
                     keep = i < j
@@ -153,99 +160,24 @@ class WordBall:
         return VolumeProfile(center=0, ball=tuple(ball))
 
 
-def _encode(rows: np.ndarray, offsets: Sequence[int], widths: Sequence[int]) -> np.ndarray:
-    """Keys of the elements along the last axis of `rows` (see `WordBall`)."""
-    keys = np.zeros(rows.shape[:-1], dtype=np.int64)
-    for c, (offset, width) in enumerate(zip(offsets, widths)):
-        keys *= width
-        keys += rows[..., c] + offset
-    return keys
-
-
-def _decode(keys: np.ndarray, offsets: Sequence[int], widths: Sequence[int]) -> np.ndarray:
-    """Inverse of `_encode`."""
-    rows = np.empty(keys.shape + (len(widths),), dtype=np.int64)
-    rest = keys
-    for c in reversed(range(len(widths))):
-        rest, rows[..., c] = np.divmod(rest, widths[c])
-        rows[..., c] -= offsets[c]
-    return rows
-
-
-def _step_images(
-    model: GroupModel,
-    steps: Sequence[Element],
-    keys: np.ndarray,
-    offsets: Sequence[int],
-    widths: Sequence[int],
-) -> list[np.ndarray]:
-    """Keys of g * s for the elements g of `keys`, one array per step s.
-
-    Right multiplication by a fixed element keeps the lexicographic order in
-    Z^d and H3, so sorted `keys` give sorted images, which makes the sorts
-    and lookups that follow cheap.
-    """
-    rows = _decode(keys, offsets, widths)
-    return [
-        _encode(model.multiply_rows(rows, np.array(s, dtype=np.int64)), offsets, widths)
-        for s in steps
-    ]
-
-
-def _lookup(ranked: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(indices of the queries found in the sorted keys `ranked`, their positions)."""
-    if not len(ranked):
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    pos = np.searchsorted(ranked, queries)
-    np.minimum(pos, len(ranked) - 1, out=pos)
-    hit = np.flatnonzero(ranked[pos] == queries)
-    return hit, pos[hit]
-
-
 def word_ball(
     model: GroupModel,
     generating_set: Sequence[Element],
     radius: int,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> WordBall:
-    """Birth layers of the word ball of `radius` for the symmetrized set.
-
-    Layer r + 1 is the set of products g * s (g in layer r, s a step) that
-    lie in neither layer r nor layer r - 1.  This is exact because the steps
-    are closed under inversion: |g * s| is |g| - 1, |g| or |g| + 1.  The
-    vertex budget is checked as each layer is added; a bounding box whose
-    keys would overflow int64 is rejected before any array is allocated.
-    """
+    """Birth layers of the word ball of `radius` for the symmetrized set:
+    those of `groups.expand` from the identity, with the vertex budget as
+    its budget."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     steps = model.symmetrize(generating_set)
     check_generates(model, steps)
-    offsets = model.reach(steps, radius + 1)
-    widths = tuple(2 * b + 1 for b in offsets)
-    cells = math.prod(widths)
-    if cells > 2**63:
-        raise ValueError(
-            f"cayley_ball: the bounding box of the radius-{radius} ball has "
-            f"{cells} cells, too many for int64 keys"
-        )
-    layers = [_encode(np.array(model.identity, dtype=np.int64)[None], offsets, widths)]
-    total = 1
-    for r in range(radius):
-        grown = np.sort(np.concatenate(
-            _step_images(model, steps, layers[-1], offsets, widths)
-        ), kind="stable")
-        fresh = np.ones(len(grown), dtype=bool)
-        fresh[1:] = grown[1:] != grown[:-1]
-        for older in layers[-2:]:
-            fresh[_lookup(older, grown)[0]] = False
-        grown = grown[fresh]
-        if not len(grown):
-            break
-        total += len(grown)
-        if total > vertex_budget:
-            raise BudgetExceededError("cayley_ball", total, vertex_budget, layer=r + 1)
-        layers.append(grown)
-    return WordBall(model, steps, tuple(layers), offsets, widths)
+    # One factor more than the radius, never expanded: it sizes the box for
+    # the one-step neighbors that `edges` and `edge_count` encode.
+    layers = expand(model, [model.identity], [steps] * (radius + 1), vertex_budget, "cayley_ball")
+    kept = list(takewhile(lambda layer: len(layer.keys), islice(layers, radius + 1)))
+    return WordBall(model, steps, tuple(layer.keys for layer in kept), kept[0].box)
 
 
 @dataclass(frozen=True)

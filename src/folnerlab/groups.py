@@ -1,4 +1,5 @@
-"""Concrete group models with exact integer-tuple elements.
+"""Concrete group models with exact integer-tuple elements, and the one
+layered expansion kernel every product, ball and search in folnerlab uses.
 
 A `GroupModel` packages the group law for a finitely generated group whose
 elements are encoded as integer tuples: Z^d under addition, and the discrete
@@ -8,26 +9,42 @@ Heisenberg group H3(Z) of upper-triangular integer matrices encoded as
     (x, y, z) * (x', y', z') = (x + x', y + y', z + z' + x * y').
 
 Each model also carries the same law vectorised over int64 arrays of
-elements (`multiply_rows`) and a bound on the coordinates of short words
-(`reach`), which together let `generators.word_ball` expand word balls with
-numpy.  Named generating sets are carried on the model; all contain the
-identity so that powers U^n are nondecreasing.  `check_generates` verifies
-that a finite set generates the whole group *as a semigroup* (inverses must
-be reachable as products), which is the right notion for one-sided product
-sets.
+elements (`multiply_rows`) and a bound on the coordinates of products
+(`reach`).  With them, `expand` computes the birth layers of
+N_0 = seeds, N_n = N_(n-1) * (F_n with the identity adjoined): elements are
+packed into int64 keys over a box that `reach` bounds (`KeyBox`), and each
+layer is the sorted set of products not reached before.  Word balls
+(`generators.word_ball`), product sequences and set products (`products`)
+and the generation check below are all read off these layers.  Named
+generating sets are carried on the model; all contain the identity so that
+powers U^n are nondecreasing.  `check_generates` verifies that a finite set
+generates the whole group *as a semigroup* (inverses must be reachable as
+products), which is the right notion for one-sided product sets.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NotGeneratingError
+from .errors import BudgetExceededError, NotGeneratingError
 
-__all__ = ["GroupModel", "zd_model", "heisenberg_model", "check_generates"]
+__all__ = [
+    "GroupModel",
+    "zd_model",
+    "heisenberg_model",
+    "KeyBox",
+    "Layer",
+    "expand",
+    "step_images",
+    "lookup",
+    "search_targets",
+    "check_generates",
+]
 
 Element = tuple[int, ...]
 
@@ -42,9 +59,10 @@ class GroupModel:
     # The law on int64 arrays whose last axis holds coordinates, broadcasting
     # over the other axes.
     multiply_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    # reach(steps, n): per coordinate, a bound on |coordinate| over all
-    # products of at most n of the steps.
-    reach: Callable[[Sequence[Element], int], tuple[int, ...]]
+    # reach(seed_max, step_max, n): per coordinate, a bound on |coordinate|
+    # over all products s * g_1 * ... * g_m, m <= n, where s and every g_i
+    # are bounded coordinatewise by seed_max and step_max.
+    reach: Callable[[Sequence[int], Sequence[int], int], tuple[int, ...]]
     generating_sets: Mapping[str, tuple[Element, ...]] = field(default_factory=dict)
 
     def generating_set(self, label: str) -> tuple[Element, ...]:
@@ -76,12 +94,8 @@ def _zd_multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a + b
 
 
-def _column_maxima(steps: Sequence[Element]) -> list[int]:
-    return [max(abs(c) for c in column) for column in zip(*steps)]
-
-
-def _zd_reach(steps: Sequence[Element], n: int) -> tuple[int, ...]:
-    return tuple(n * m for m in _column_maxima(steps))
+def _zd_reach(seed_max: Sequence[int], step_max: Sequence[int], n: int) -> tuple[int, ...]:
+    return tuple(s + n * m for s, m in zip(seed_max, step_max))
 
 
 def zd_model(d: int) -> GroupModel:
@@ -126,11 +140,16 @@ def _heis_multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _heis_reach(steps: Sequence[Element], n: int) -> tuple[int, ...]:
-    # After k steps |x| <= k * mx, so step k + 1 moves z by at most
-    # mz + k * mx * my; summing over k < n gives the z bound.
-    mx, my, mz = _column_maxima(steps)
-    return (n * mx, n * my, n * mz + mx * my * n * (n - 1) // 2)
+def _heis_reach(seed_max: Sequence[int], step_max: Sequence[int], n: int) -> tuple[int, ...]:
+    # After the seed and k steps |x| <= sx + k * mx, so step k + 1 moves z
+    # by at most mz + (sx + k * mx) * my; summing over k < n gives the z bound.
+    sx, sy, sz = seed_max
+    mx, my, mz = step_max
+    return (
+        sx + n * mx,
+        sy + n * my,
+        sz + n * mz + n * sx * my + mx * my * n * (n - 1) // 2,
+    )
 
 
 def heisenberg_model() -> GroupModel:
@@ -154,6 +173,174 @@ def heisenberg_model() -> GroupModel:
     )
 
 
+class KeyBox(NamedTuple):
+    """The integer points with |coordinate c| <= offsets[c], as int64 keys.
+
+    A key writes an element's coordinates, shifted by `offsets`, as digits
+    of the mixed radix `widths` (2 * offset + 1 each), most significant
+    first, so sorted keys are sorted tuples.
+    """
+
+    offsets: tuple[int, ...]
+    widths: tuple[int, ...]
+
+    def encode(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Keys of the elements along the last axis of `rows`, in `out` if given."""
+        keys = np.zeros(rows.shape[:-1], dtype=np.int64) if out is None else out
+        keys[...] = 0
+        for c, (offset, width) in enumerate(zip(self.offsets, self.widths)):
+            keys *= width
+            keys += rows[..., c] + offset
+        return keys
+
+    def decode(self, keys: np.ndarray) -> np.ndarray:
+        """Inverse of `encode`."""
+        rows = np.empty(keys.shape + (len(self.widths),), dtype=np.int64)
+        rest = keys
+        for c in reversed(range(len(self.widths))):
+            rest, rows[..., c] = np.divmod(rest, self.widths[c])
+            rows[..., c] -= self.offsets[c]
+        return rows
+
+    def elements(self, keys: np.ndarray) -> list[Element]:
+        """The elements of `keys` as tuples, in the same order."""
+        return list(zip(*self.decode(keys).T.tolist()))
+
+
+def step_images(
+    model: GroupModel, box: KeyBox, keys: np.ndarray, steps: Sequence[Element]
+) -> np.ndarray:
+    """Keys of g * s for the elements g of `keys`: row j holds the images
+    under steps[j].
+
+    Right multiplication by a fixed element keeps the lexicographic order in
+    Z^d and H3, so sorted `keys` give sorted rows, which makes the sorts and
+    lookups that follow cheap.
+    """
+    rows = box.decode(keys)
+    images = np.empty((len(steps), len(keys)), dtype=np.int64)
+    for j, s in enumerate(steps):
+        box.encode(model.multiply_rows(rows, np.array(s, dtype=np.int64)), images[j])
+    return images
+
+
+def lookup(ranked: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indices of the queries found in the sorted keys `ranked`, their positions)."""
+    if not len(ranked):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    pos = np.searchsorted(ranked, queries)
+    np.minimum(pos, len(ranked) - 1, out=pos)
+    hit = np.flatnonzero(ranked[pos] == queries)
+    return hit, pos[hit]
+
+
+class Layer(NamedTuple):
+    """One birth layer of `expand`."""
+
+    keys: np.ndarray  # the layer's keys in `box`, sorted
+    order: np.ndarray | None  # the same keys in discovery order, if asked for
+    box: KeyBox
+
+    def elements(self) -> list[Element]:
+        """The layer's elements, in discovery order when it was computed."""
+        return self.box.elements(self.keys if self.order is None else self.order)
+
+
+def expand(
+    model: GroupModel,
+    seeds: Iterable[Element],
+    factors: Sequence[Iterable[Element]],
+    budget: int | None,
+    stage: str,
+    ordered: bool = False,
+) -> Iterator[Layer]:
+    """Birth layers of N_0 = seeds, N_n = N_(n-1) * (F_n with the identity
+    adjoined), one per step, computed only as they are consumed.
+
+    Layer 0 holds the seeds and layer n holds N_n minus N_(n-1).  Products
+    of the newest layer suffice when F_n lies inside F_(n-1), since then
+    N_(n-2) * F_n lies in N_(n-1); otherwise all of N_(n-1) is multiplied.
+    A product is new unless an earlier layer holds it.  With one fixed
+    factor closed under inversion only the last two layers can: if
+    g * s were born before layer n - 1, then g = (g * s) * s^-1 would be
+    born before layer n.  With `ordered`, each layer also comes in
+    discovery order, the order in which a loop over the sources (in their
+    discovery order) and then the sorted factor first meets its elements.
+
+    The running total is checked against `budget` as each layer is added
+    (BudgetExceededError naming `stage` and the layer); a box too large
+    for int64 keys is rejected before any array is allocated.
+    """
+    steps = [tuple(sorted(set(f) - {model.identity})) for f in factors]
+    seeds = list(dict.fromkeys(seeds))
+
+    def maxima(elements: Sequence[Element]) -> list[int]:
+        return [max((abs(g[c]) for g in elements), default=0) for c in range(model.rank)]
+
+    offsets = model.reach(maxima(seeds), maxima([s for f in steps for s in f]), len(steps))
+    box = KeyBox(tuple(offsets), tuple(2 * b + 1 for b in offsets))
+    cells = math.prod(box.widths)
+    if cells > 2**63:
+        raise ValueError(
+            f"{stage}: the bounding box of {len(steps)} steps has {cells} "
+            "cells, too many for int64 keys"
+        )
+    symmetric = len(set(steps)) == 1 and set(map(model.invert, steps[0])) == set(steps[0])
+    order = box.encode(np.array(seeds, dtype=np.int64).reshape(len(seeds), model.rank))
+    layers = [Layer(np.sort(order), order if ordered else None, box)]
+    seen = layers[0].keys  # the union of all layers, unless `symmetric`
+    total = len(seen)
+    # nested[n]: F_(n+1) lies inside F_n, so layer n alone is multiplied.
+    nested = [n == 0 or set(f) <= set(steps[n - 1]) for n, f in enumerate(steps)]
+    keep_all = not all(nested)
+    yield layers[0]
+    for n, factor in enumerate(steps, start=1):
+        if nested[n - 1]:
+            sources = layers[-1].order if ordered else layers[-1].keys
+        else:
+            sources = np.concatenate([l.order if ordered else l.keys for l in layers])
+        older = [l.keys for l in layers[-2:]] if symmetric else [seen]
+        keys, order = _new_products(model, box, sources, factor, older, ordered)
+        total += len(keys)
+        if budget is not None and total > budget:
+            raise BudgetExceededError(stage, total, budget, layer=n)
+        if not symmetric:
+            seen = np.insert(seen, np.searchsorted(seen, keys), keys)
+        layers.append(Layer(keys, order, box))
+        if not keep_all:
+            del layers[:-2]  # no later step reads older layers
+        yield layers[-1]
+
+
+def _new_products(
+    model: GroupModel,
+    box: KeyBox,
+    sources: np.ndarray,
+    factor: Sequence[Element],
+    older: Sequence[np.ndarray],
+    ordered: bool,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The products g * s, g in `sources`, s in `factor`, that no sorted
+    array of `older` holds: sorted, and in discovery order if `ordered`."""
+    grown = step_images(model, box, sources, factor)
+    if ordered:
+        grown = grown.T.ravel()  # (source, step) order
+        first = np.argsort(grown, kind="stable")
+        grown = grown[first]
+    else:
+        grown = grown.ravel()
+        grown.sort(kind="stable")
+    unique = np.ones(len(grown), dtype=bool)
+    unique[1:] = grown[1:] != grown[:-1]
+    grown = grown[unique]
+    fresh = np.ones(len(grown), dtype=bool)
+    for keys in older:
+        fresh[lookup(keys, grown)[0]] = False
+    keys = grown[fresh]
+    # A stable sort puts each key's first occurrence first among its copies.
+    return keys, keys[np.argsort(first[unique][fresh])] if ordered else None
+
+
 def _integer_span_is_full(vectors: list[Element], d: int) -> bool:
     """True iff the integer span of `vectors` is all of Z^d.
 
@@ -162,16 +349,10 @@ def _integer_span_is_full(vectors: list[Element], d: int) -> bool:
     """
     minors_gcd = 0
     for rows in combinations(vectors, d):
-        minors_gcd = _gcd(minors_gcd, abs(_det([list(r) for r in rows])))
+        minors_gcd = math.gcd(minors_gcd, _det([list(r) for r in rows]))
         if minors_gcd == 1:
             return True
     return minors_gcd == 1
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _det(m: list[list[int]]) -> int:
@@ -188,22 +369,24 @@ def _det(m: list[list[int]]) -> int:
     return total
 
 
-def _semigroup_closure_contains(
-    model: GroupModel, generators: list[Element], targets: set[Element], depth: int
-) -> bool:
-    """Whether every target appears among products of at most `depth` generators."""
-    reached = {model.identity}
-    frontier = set(reached)
-    missing = set(targets) - reached
-    for _ in range(depth):
+def search_targets(
+    model: GroupModel,
+    generating_set: Sequence[Element],
+    targets: Iterable[Element],
+    depth: int,
+    budget: int | None = None,
+    stage: str = "generation check",
+) -> tuple[int, set[Element]]:
+    """Expand U^0, U^1, ..., U^depth (identity adjoined) until every target
+    is reached: (the last power expanded, the targets still missing)."""
+    missing = set(targets)
+    for m, layer in enumerate(
+        expand(model, [model.identity], [generating_set] * depth, budget, stage)
+    ):
+        missing.difference_update(layer.elements())
         if not missing:
-            return True
-        frontier = {
-            model.multiply(a, g) for a in frontier for g in generators
-        } - reached
-        reached |= frontier
-        missing -= frontier
-    return not missing
+            break
+    return m, missing
 
 
 def check_generates(
@@ -232,7 +415,7 @@ def check_generates(
                 f"{model.name}: integer span of {sorted(gens)} is a proper subgroup"
             )
         inverses = {model.invert(g) for g in gens}
-        if not _semigroup_closure_contains(model, gens, inverses, search_depth):
+        if search_targets(model, gens, inverses, search_depth)[1]:
             raise NotGeneratingError(
                 f"{model.name}: some inverse is not a product of at most "
                 f"{search_depth} generators; set does not generate as a semigroup"
@@ -246,7 +429,7 @@ def check_generates(
             f"{model.name}: projections {sorted(set(proj))} do not span Z^2"
         )
     targets = {(0, 0, 1), (0, 0, -1)} | {model.invert(g) for g in gens}
-    if not _semigroup_closure_contains(model, gens, targets, search_depth):
+    if search_targets(model, gens, targets, search_depth)[1]:
         raise NotGeneratingError(
             f"{model.name}: central element or an inverse unreachable within "
             f"{search_depth} factors"

@@ -1,24 +1,27 @@
 """Exact product-set dynamics: |U^n|, varying factors, Folner ratios.
 
-Everything here works with hash sets of encoded group elements, so all sizes
-and ratios are exact.  Products are one-sided (N_{n+1} = N_n * U_{n+1});
-sets are never symmetrized.  The identity is adjoined to every factor before
-multiplying; that makes the sequence of products nondecreasing, and the flag
-`identity_adjoined` records whether any factor actually lacked it.
+All sizes and ratios here are exact.  Products are one-sided
+(N_{n+1} = N_n * U_{n+1}); sets are never symmetrized.  The identity is
+adjoined to every factor before multiplying; that makes the sequence of
+products nondecreasing, and the flag `identity_adjoined` records whether
+any factor actually lacked it.
 
-With the identity present, expanding only the newest elements of N_n by the
-next factor is exhaustive, so the cost per step is proportional to the
-frontier, not the whole set.
+Every expansion here is `groups.expand`: product sequences read its birth
+layers in discovery order; set products, the regularity constant and the
+containment search read them as sets.  Expanding only the newest elements of N_n is exhaustive
+when the next factor lies inside the one before it (always, for powers of
+one set); otherwise the kernel multiplies the whole of N_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
-from .groups import Element, GroupModel, check_generates
+from .groups import Element, GroupModel, check_generates, expand, search_targets
 
 __all__ = [
     "ProductSequence",
@@ -40,10 +43,13 @@ class ProductSequence:
     """Products N_0 = {1}, N_n = U_1 * ... * U_n (identity adjoined to factors).
 
     `birth[g]` is the first n with g in N_n, which encodes every N_n at once:
-    N_n = {g : birth[g] <= n}.  `sizes[n] = |N_n|`.
+    N_n = {g : birth[g] <= n}; its keys come in discovery order, layer by
+    layer.  `sizes[n] = |N_n|`.  `factors[n - 1]` is U_n, sorted, with the
+    identity adjoined.
     """
 
     model: GroupModel
+    factors: tuple[tuple[Element, ...], ...]
     factor_labels: tuple[str, ...]
     sizes: tuple[int, ...]
     birth: dict[Element, int]
@@ -65,45 +71,27 @@ class ProductSequence:
         return frozenset(g for g, b in self.birth.items() if b == n)
 
 
-def _normalize_factor(
-    model: GroupModel, factor: Iterable[Element]
-) -> tuple[tuple[Element, ...], bool]:
-    elems = set(factor)
-    adjoined = model.identity not in elems
-    elems.add(model.identity)
-    return tuple(sorted(elems)), adjoined
-
-
 def _expand(
     model: GroupModel,
-    factors: Sequence[Iterable[Element]],
+    factors: Sequence[Sequence[Element]],
     labels: Sequence[str],
     element_budget: int,
 ) -> ProductSequence:
-    birth: dict[Element, int] = {model.identity: 0}
-    frontier: list[Element] = [model.identity]
-    sizes = [1]
-    adjoined_any = False
-    for n, factor in enumerate(factors, start=1):
-        steps, adjoined = _normalize_factor(model, factor)
-        adjoined_any = adjoined_any or adjoined
-        new: list[Element] = []
-        for g in frontier:
-            for s in steps:
-                h = model.multiply(g, s)
-                if h not in birth:
-                    birth[h] = n
-                    new.append(h)
-        if len(birth) > element_budget:
-            raise BudgetExceededError("product expansion", len(birth), element_budget)
-        frontier = new
+    steps = tuple(tuple(sorted(set(f) | {model.identity})) for f in factors)
+    birth: dict[Element, int] = {}
+    sizes = []
+    for n, layer in enumerate(
+        expand(model, [model.identity], steps, element_budget, "product expansion", ordered=True)
+    ):
+        birth.update(zip(layer.elements(), repeat(n)))
         sizes.append(len(birth))
     return ProductSequence(
         model=model,
+        factors=steps,
         factor_labels=tuple(labels),
         sizes=tuple(sizes),
         birth=birth,
-        identity_adjoined=adjoined_any,
+        identity_adjoined=any(model.identity not in f for f in factors),
     )
 
 
@@ -114,6 +102,8 @@ def product_powers(
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> ProductSequence:
     """Powers U, U^2, ..., U^n_max of a single factor, exactly."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if isinstance(generating_set, str):
         label = generating_set
         generating_set = model.generating_set(generating_set)
@@ -187,8 +177,8 @@ def regularity_constant(
             "regularity product", len(elements) ** 2, element_budget
         )
     inverses = [model.invert(g) for g in elements]
-    out = {model.multiply(a, b) for a in inverses for b in elements}
-    return Fraction(len(out), len(elements))
+    layers = expand(model, inverses, [elements], None, "regularity product")
+    return Fraction(sum(len(layer.keys) for layer in layers), len(elements))
 
 
 def generating_containment(
@@ -203,31 +193,15 @@ def generating_containment(
     This is the effective version of "any finite set is swallowed by some
     power of a generating set": a direct nested-ball search.
     """
-    steps, _ = _normalize_factor(model, generating_set)
-    missing = set(targets)
-    reached = {model.identity}
-    missing -= reached
-    if not missing:
-        return 0
-    frontier = [model.identity]
-    for m in range(1, m_max + 1):
-        new = []
-        for g in frontier:
-            for s in steps:
-                h = model.multiply(g, s)
-                if h not in reached:
-                    reached.add(h)
-                    new.append(h)
-        if len(reached) > element_budget:
-            raise BudgetExceededError("containment search", len(reached), element_budget)
-        missing -= set(new)
-        if not missing:
-            return m
-        frontier = new
-    raise ValueError(
-        f"targets {sorted(missing)} not contained in U^{m_max}; "
-        "increase m_max or check generation"
+    m, missing = search_targets(
+        model, generating_set, targets, m_max, element_budget, "containment search"
     )
+    if missing:
+        raise ValueError(
+            f"targets {sorted(missing)} not contained in U^{m_max}; "
+            "increase m_max or check generation"
+        )
+    return m
 
 
 def product_with_powers(
@@ -238,34 +212,21 @@ def product_with_powers(
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> frozenset[Element]:
     """The set base * U^m with the identity adjoined to U, via m expansions."""
-    steps, _ = _normalize_factor(model, generating_set)
-    current = set(base)
-    frontier = list(current)
-    for _ in range(m):
-        new = []
-        for g in frontier:
-            for s in steps:
-                h = model.multiply(g, s)
-                if h not in current:
-                    current.add(h)
-                    new.append(h)
-        if len(current) > element_budget:
-            raise BudgetExceededError("set product", len(current), element_budget)
-        frontier = new
-    return frozenset(current)
+    layers = expand(model, base, [generating_set] * m, element_budget, "set product")
+    return frozenset(g for layer in layers for g in layer.elements())
 
 
 def shell_inclusion_check(
-    model: GroupModel,
-    generating_set: Sequence[Element],
+    sequence: ProductSequence,
     n: int,
     k: int,
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> tuple[bool, bool]:
     """Exact word-shell sandwich at width k around radius n.
 
-    With N_m the m-th power of the (identity-adjoined) generating set,
-    C_{a,b} = N_b minus N_a, and h = n - k/2:
+    `sequence` holds the powers N_m of one (identity-adjoined) generating
+    set U, at least up to m = n + k.  With C_{a,b} = N_b minus N_a and
+    h = n - k/2:
 
         forward:   C_{n, n+k}  is contained in  C_{h, h+1} * U^(2k)
         backward:  C_{h, h+1} * U^(k/4)  is contained in  C_{n-k, n}
@@ -277,11 +238,15 @@ def shell_inclusion_check(
         raise ValueError("width k must be a positive multiple of 4")
     if k > n:
         raise ValueError("width k must not exceed the radius n")
-    seq = product_powers(model, generating_set, n + k, element_budget)
+    if n + k > sequence.steps:
+        raise ValueError(f"needs the powers up to n + k = {n + k}, got {sequence.steps}")
+    if len(set(sequence.factors)) != 1:
+        raise ValueError("needs the powers of one generating set")
+    model, generating_set = sequence.model, sequence.factors[0]
     h = n - k // 2
 
     def shell(a: int, b: int) -> frozenset[Element]:
-        return frozenset(g for g, born in seq.birth.items() if a < born <= b)
+        return frozenset(g for g, born in sequence.birth.items() if a < born <= b)
 
     middle = shell(h, h + 1)
     forward = shell(n, n + k) <= product_with_powers(

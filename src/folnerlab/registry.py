@@ -290,12 +290,14 @@ def _ergodic(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
 
 
 def _claims(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
-    model = ctx.model
-    gen = model.generating_set(ctx.space["generating_set"])
+    widths, n_max = opts["widths"], opts["n_max"]
+    # One expansion serves every (n, k): the largest pair needs N_(n_max + k).
+    top = n_max + max((k for k in widths if k <= n_max), default=0)
+    sequence = product_powers(ctx.model, ctx.space["generating_set"], top, ctx.element_budget)
     rows = [
-        (n, k, *shell_inclusion_check(model, gen, n, k, ctx.element_budget))
-        for k in opts["widths"]
-        for n in range(k, opts["n_max"] + 1)
+        (n, k, *shell_inclusion_check(sequence, n, k, ctx.element_budget))
+        for k in widths
+        for n in range(k, n_max + 1)
     ]
     all_ok = all(forward and backward for _, _, forward, backward in rows)
     header = ("n", "k", "forward", "backward")

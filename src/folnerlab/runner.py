@@ -68,15 +68,18 @@ def _resolve_centers(
         return [(by_vertex.get(v, f"v{v}"), v) for v in vertices]
     labels = spec["basepoints"]
     if labels == "all":
-        return sorted(basepoints.items())
-    out = []
+        labels = sorted(basepoints)
+    if not labels:
+        raise ConfigError(
+            "centers: no centers to profile (the space has no basepoints "
+            "or centers.basepoints is empty, and centers.sample is 0)"
+        )
     for label in labels:
         if label not in basepoints:
             raise ConfigError(
                 f"centers.basepoints: unknown basepoint label {label!r}"
             )
-        out.append((label, basepoints[label]))
-    return out
+    return [(label, basepoints[label]) for label in labels]
 
 
 def _profiles(

@@ -220,13 +220,12 @@ def test_criterion_04_exact_oracles(z2_64_profile):
 
 
 def test_criterion_05_shell_factoring():
-    model = zd_model(2)
-    gen = model.generating_set("standard")
+    sequence = product_powers(zd_model(2), "standard", 20 + 12)
     checked = 0
     for k in (4, 8, 12):
         for n in range(k, 21):
             forward, backward = shell_inclusion_check(
-                model, gen, n, k, element_budget=5_000_000
+                sequence, n, k, element_budget=5_000_000
             )
             assert forward, (n, k)
             assert backward, (n, k)

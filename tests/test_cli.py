@@ -17,6 +17,7 @@ from click.testing import CliRunner
 import folnerlab.runner
 from folnerlab.cli import main
 from folnerlab.config import validate_config
+from folnerlab.errors import ConfigError
 from folnerlab.runner import run_experiment
 
 
@@ -55,6 +56,19 @@ class TestGenerate:
         assert result.exit_code != 0
         assert "budget" in result.output
 
+    @pytest.mark.parametrize("args,space,field", [
+        (["--family", "lattice", "--radius", "0"], {"family": "lattice", "d": 2, "radius": 0}, "space.radius"),
+        (["--family", "heisenberg", "--radius", "0"], {"family": "heisenberg", "radius": 0}, "space.radius"),
+        (["--family", "lattice", "--d", "0"], {"family": "lattice", "d": 0, "radius": 8}, "space.d"),
+        (["--family", "tree-chain", "--b", "1"], {"family": "tree-chain", "a": 2, "b": 1, "blocks": 6}, "space.b"),
+    ])
+    def test_family_minima_match_the_config(self, runner, args, space, field):
+        result = runner.invoke(main, ["generate"] + args)
+        assert result.exit_code == 1
+        assert f"{field}: must be at least" in result.output
+        with pytest.raises(ConfigError, match=f"{field}: must be at least"):
+            validate_config({"space": space, "depth": 2, "analyses": {"annulus": {}}})
+
 
 class TestProfile:
     def test_csv_shape_and_values(self, tmp_path, runner, z2_graph):
@@ -88,6 +102,14 @@ class TestProfile:
         assert "config.depth: must be at most the vertex budget 20" in result.output
         assert runner.invoke(main, args + ["20"]).exit_code == 0
 
+    @pytest.mark.parametrize("command", ["profile", "shell-report", "verify", "dyadic", "fit"])
+    def test_graph_without_basepoints_names_centers(self, tmp_path, runner, command):
+        path = tmp_path / "path3.graph"
+        path.write_text("vertices 3\nedge 0 1\nedge 1 2\n")
+        result = runner.invoke(main, [command, "--graph", str(path), "--depth", "2"])
+        assert result.exit_code == 1
+        assert "Error: centers: no centers to profile" in result.output
+
     def test_malformed_graph_file(self, tmp_path, runner):
         bad = tmp_path / "bad.graph"
         bad.write_text("vertices 2\nedge 0 5\n")
@@ -116,6 +138,11 @@ class TestPowers:
         assert result.exit_code == 0
         rows = [line.split(",") for line in result.output.splitlines()[2:]]
         assert [int(r[1]) for r in rows] == [1, 5, 17]
+
+    def test_negative_n_max_fails(self, runner):
+        result = runner.invoke(main, ["powers", "--n-max", "-2"])
+        assert result.exit_code == 1
+        assert "n_max must be nonnegative, got -2" in result.output
 
     def test_non_generating_set_fails(self, runner):
         result = runner.invoke(main, ["powers", "--n-max", "3", "--set", "[[2,0],[-2,0],[0,2],[0,-2]]"])

@@ -92,6 +92,10 @@ class TestProductPowers:
         with pytest.raises(BudgetExceededError, match="product expansion"):
             product_powers(zd_model(2), "standard", 50, element_budget=100)
 
+    def test_negative_n_max_is_rejected(self):
+        with pytest.raises(ValueError, match="n_max must be nonnegative, got -2"):
+            product_powers(zd_model(2), "standard", -2)
+
 
 class TestFolnerRatios:
     def test_z1_exact_values(self):
@@ -162,6 +166,15 @@ class TestVaryingProducts:
         for n in range(11):
             assert lo.sizes[n] <= seq.sizes[n] <= hi.sizes[n]
 
+    def test_non_nested_factors_expand_the_whole_product(self):
+        # {+-1, 5} is not inside {+-1}: the new elements 3..7 come from all
+        # of N_2 = [-2, 2], not only from its newest elements +-2.
+        model = zd_model(1)
+        inner, outer = [(1,), (-1,)], [(1,), (-1,), (5,)]
+        seq = varying_products(model, [inner, inner, outer], inner, outer)
+        assert seq.sizes == (1, 3, 5, 11)
+        assert seq.element_set(3) == frozenset((x,) for x in range(-3, 8))
+
     def test_missing_certified_element_names_factor(self):
         model = zd_model(2)
         inner, outer = self._sets(model)
@@ -203,22 +216,21 @@ class TestProductWithPowers:
 class TestShellInclusions:
     @pytest.mark.parametrize("n,k", [(8, 4), (12, 4), (12, 8)])
     def test_lattice_shells(self, n, k):
-        model = zd_model(2)
+        sequence = product_powers(zd_model(2), "standard", n + k)
         forward, backward = shell_inclusion_check(
-            model, model.generating_set("standard"), n, k, element_budget=2_000_000
+            sequence, n, k, element_budget=2_000_000
         )
         assert forward and backward
 
     def test_heisenberg_shells(self):
-        model = heisenberg_model()
+        sequence = product_powers(heisenberg_model(), "standard", 10 + 4)
         forward, backward = shell_inclusion_check(
-            model, model.generating_set("standard"), 10, 4, element_budget=2_000_000
+            sequence, 10, 4, element_budget=2_000_000
         )
         assert forward and backward
 
     def test_width_validation(self):
-        model = zd_model(2)
-        gen = model.generating_set("standard")
+        sequence = product_powers(zd_model(2), "standard", 20)
         for n, k in [(8, 3), (8, 6), (8, 12), (2, 4)]:
             with pytest.raises(ValueError):
-                shell_inclusion_check(model, gen, n, k, element_budget=10**6)
+                shell_inclusion_check(sequence, n, k, element_budget=10**6)

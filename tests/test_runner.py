@@ -8,6 +8,7 @@ Core claims:
     - an origin-only run on a group space never builds a graph, while
       sampled centers do and agree with the graph-free origin profile
     - the ergodic analysis expands the configured generating set
+    - an empty center list is a config error naming `centers`
 """
 
 import csv
@@ -15,6 +16,7 @@ import csv
 import pytest
 
 from folnerlab.config import validate_config
+from folnerlab.errors import ConfigError
 from folnerlab.ergodic import GOLDEN_ANGLES, TorusAction, ergodic_trace
 from folnerlab.groups import zd_model
 from folnerlab.products import product_powers
@@ -103,3 +105,9 @@ def test_ergodic_uses_the_configured_generating_set(tmp_path, generating_set):
     assert result.summary["ergodic"]["final_error"] == trace.final_error
     lines = (tmp_path / "ergodic.csv").read_text().splitlines()[2:]
     assert [float(line.split(",")[1]) for line in lines] == list(trace.averages)
+
+
+def test_empty_center_list_names_centers(tmp_path):
+    config = _config(NAMED_SETS[1][0], "standard", 3, 3, centers={"basepoints": []})
+    with pytest.raises(ConfigError, match="^centers: no centers to profile"):
+        run_experiment(config, tmp_path)
