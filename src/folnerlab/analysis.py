@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -194,7 +194,7 @@ def shell_alpha(
         raise ValueError("no admissible shell pair in the requested range")
     alpha = Fraction(best[0], best[1])
     delta = delta_from_alpha(alpha)
-    fitted = _fitted_constant(profs, delta, n_max)
+    fitted = max(_sphere_constants(profs, delta, range(1, n_max + 1)))
     return ShellReport(
         k_min=k_min,
         n_max=n_max,
@@ -214,17 +214,12 @@ def delta_from_alpha(alpha: Fraction | float) -> float:
     return math.log2(1 + alpha)
 
 
-def _fitted_constant(
-    profiles: Sequence[VolumeProfile], delta: float, n_max: int
-) -> float:
-    """Smallest C with mu(S(x,n)) <= C n^(-delta) mu(B(x,n)) on the tested range."""
-    best = 0.0
-    for p in profiles:
-        sphere = p.sphere
-        for n in range(1, min(n_max, p.depth - 1) + 1):
-            value = sphere[n] * n**delta / p.ball[n]
-            best = max(best, value)
-    return best
+def _sphere_constants(
+    profiles: Sequence[VolumeProfile], delta: float, radii: Iterable[int]
+) -> list[float]:
+    """Per radius n, the smallest C with mu(S(x,n)) <= C n^(-delta) mu(B(x,n))
+    at every center x: the max of mu(S(x,n)) n^delta / mu(B(x,n))."""
+    return [max(p.sphere[n] * n**delta / p.ball[n] for p in profiles) for n in radii]
 
 
 # -- telescoping recursion audit ---------------------------------------------
@@ -329,12 +324,7 @@ def verify_sphere_bound(
     n_lo, n_hi = n_range
     if not 1 <= n_lo < n_hi <= depth - 1:
         raise ValueError(f"radius range {n_range} not within profile depth {depth}")
-    per_n: list[float] = []
-    for n in range(n_lo, n_hi + 1):
-        best = 0.0
-        for p in profs:
-            best = max(best, p.sphere[n] * n**delta / p.ball[n])
-        per_n.append(best)
+    per_n = _sphere_constants(profs, delta, range(n_lo, n_hi + 1))
     fitted = max(per_n)
     half_start = (n_lo + n_hi) // 2
     xs, ys = [], []

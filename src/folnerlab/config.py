@@ -105,8 +105,10 @@ def _validate_analyses(
             raise ConfigError(f"analyses.{name}: expected an object of options")
         out[name] = parse_options(options, ANALYSES[name].options, f"analyses.{name}", depth)
     for name, entry in ANALYSES.items():
-        if name in out and entry.needs and not entry.needs[0](out, space):
-            raise ConfigError(f"analyses.{name}: {entry.needs[1]}")
+        for option, test, error in entry.needs:
+            if name in out and not test(out, space):
+                where = ".".join(filter(None, ("analyses", name, option)))
+                raise ConfigError(f"{where}: {error}")
     return out
 
 

@@ -9,7 +9,7 @@ times the sup norm, so the whole sequence converges rather than just a
 subsequence.
 
 `ergodic_trace` computes the averages incrementally from a
-`ProductSequence`'s birth map, touching every group element exactly once.
+`ProductSequence`'s birth layers, touching every group element exactly once.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def ergodic_trace(
 ) -> ErgodicTrace:
     """Average a named observable over the element sets of a product sequence.
 
-    The sequence's birth map is replayed level by level, so the total work is
+    The sequence's birth layers are replayed in order, so the total work is
     one observable evaluation per distinct group element.
     """
     f, mean = observable(name)
@@ -127,21 +127,11 @@ def ergodic_trace(
         raise ValueError(
             f"n_max={n_max} exceeds the {sequence.steps} expanded steps"
         )
-    by_level: list[list[tuple[int, ...]]] = [[] for _ in range(n_max + 1)]
-    for element, born in sequence.birth.items():
-        if born <= n_max:
-            by_level[born].append(element)
     running = 0.0
-    count = 0
     averages: list[float] = []
-    for n in range(n_max + 1):
-        for element in by_level[n]:
+    for layer, count in zip(sequence.layers[: n_max + 1], sequence.sizes):
+        for element in layer:
             running += f(action.move(element, start))
-            count += 1
-        if count != sequence.sizes[n]:
-            raise AssertionError(
-                f"birth map inconsistent at step {n}: {count} != {sequence.sizes[n]}"
-            )
         averages.append(running / count)
     return ErgodicTrace(
         observable=name, start=start, space_mean=mean, averages=tuple(averages)

@@ -149,15 +149,7 @@ class WordBall:
         """Volume profile of the identity, equal to `volume_profile` of vertex
         0 on `graph()`: ball[r] sums layers 0..r and saturates past the
         radius."""
-        if depth < 0:
-            raise ValueError("depth must be nonnegative")
-        ball, total = [], 0
-        sizes = self.sizes
-        for r in range(depth + 1):
-            if r < len(sizes):
-                total += sizes[r]
-            ball.append(total)
-        return VolumeProfile(center=0, ball=tuple(ball))
+        return VolumeProfile.from_sizes(0, self.sizes, depth)
 
 
 def word_ball(
@@ -267,27 +259,25 @@ def stretched_tree_chain(
     with the all-zeros child address.
     """
     a, b, blocks = spec.stretch, spec.valence, spec.blocks
-    adj: list[list[int]] = []
+    edges: list[tuple[int, int]] = []
     basepoints: dict[str, int] = {}
+    count = 0
 
     def new_vertex() -> int:
-        adj.append([])
-        if len(adj) > vertex_budget:
-            raise BudgetExceededError("stretched_tree_chain", len(adj), vertex_budget)
-        return len(adj) - 1
-
-    def add_edge(u: int, v: int) -> None:
-        adj[u].append(v)
-        adj[v].append(u)
+        nonlocal count
+        count += 1
+        if count > vertex_budget:
+            raise BudgetExceededError("stretched_tree_chain", count, vertex_budget)
+        return count - 1
 
     def add_path(u: int, v: int, length: int) -> None:
         """Connect u to v through length-1 fresh intermediate vertices."""
         prev = u
         for _ in range(length - 1):
             w = new_vertex()
-            add_edge(prev, w)
+            edges.append((prev, w))
             prev = w
-        add_edge(prev, v)
+        edges.append((prev, v))
 
     def grow_tree(root: int, n: int, leaves: dict[tuple[int, ...], int] | None):
         """Depth-n stretched tree below `root`.
@@ -324,12 +314,7 @@ def stretched_tree_chain(
         basepoints[f"leaf_{n}"] = leaves[(0,) * n]
         prev_far_root = far_root
 
-    graph = Graph(
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-        basepoints=basepoints,
-    )
-    graph.validate()
-    return graph
+    return Graph.from_edges(count, edges, basepoints)
 
 
 @dataclass(frozen=True)
@@ -412,7 +397,6 @@ def norm_profile(strip: StairwayStrip, depth: int) -> VolumeProfile:
     half-circle of scale 2^k lands in the ring (2^k, 2^k + 1].  The graph
     metric would instead see a thick path here and no spikes.
     """
-    origin = strip.graph.basepoints["origin"]
     counts = [0] * (depth + 1)
     for x, y in strip.points:
         # smallest integer r with x^2 + y^2 <= r^2
@@ -421,9 +405,4 @@ def norm_profile(strip: StairwayStrip, depth: int) -> VolumeProfile:
             r += 1
         if r <= depth:
             counts[r] += 1
-    ball = []
-    total = 0
-    for r in range(depth + 1):
-        total += counts[r]
-        ball.append(total)
-    return VolumeProfile(center=origin, ball=tuple(ball))
+    return VolumeProfile.from_sizes(strip.graph.basepoints["origin"], counts, depth)

@@ -6,18 +6,22 @@ adjoined to every factor before multiplying; that makes the sequence of
 products nondecreasing, and the flag `identity_adjoined` records whether
 any factor actually lacked it.
 
-Every expansion here is `groups.expand`: product sequences read its birth
-layers in discovery order; set products, the regularity constant and the
-containment search read them as sets.  Expanding only the newest elements of N_n is exhaustive
-when the next factor lies inside the one before it (always, for powers of
-one set); otherwise the kernel multiplies the whole of N_n.
+Every expansion here is `groups.expand`.  A `ProductSequence` keeps its
+birth layers, in discovery order, as the one record of the products: each
+N_n, each frontier N_n minus N_(n-1) and each shell N_b minus N_a is a run
+of consecutive layers.  Set products, the regularity constant and the
+containment search read the layers as sets.  Expanding only the newest
+elements of N_n is exhaustive when the next factor lies inside the one
+before it (always, for powers of one set); otherwise the kernel multiplies
+the whole of N_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
@@ -42,33 +46,42 @@ DEFAULT_ELEMENT_BUDGET = 5_000_000
 class ProductSequence:
     """Products N_0 = {1}, N_n = U_1 * ... * U_n (identity adjoined to factors).
 
-    `birth[g]` is the first n with g in N_n, which encodes every N_n at once:
-    N_n = {g : birth[g] <= n}; its keys come in discovery order, layer by
-    layer.  `sizes[n] = |N_n|`.  `factors[n - 1]` is U_n, sorted, with the
-    identity adjoined.
+    `layers[n]` holds N_n minus N_(n-1) (layer 0 the identity), in discovery
+    order, so N_n is the union of layers 0..n.  `sizes[n] = |N_n|`.
+    `factors[n - 1]` is U_n, sorted, with the identity adjoined.
     """
 
     model: GroupModel
     factors: tuple[tuple[Element, ...], ...]
     factor_labels: tuple[str, ...]
-    sizes: tuple[int, ...]
-    birth: dict[Element, int]
+    layers: tuple[tuple[Element, ...], ...]
     identity_adjoined: bool
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(accumulate(map(len, self.layers)))
+
+    @cached_property
+    def birth(self) -> dict[Element, int]:
+        """The first n with g in N_n, for each g, keys in layer order."""
+        return {g: n for n, layer in enumerate(self.layers) for g in layer}
 
     @property
     def steps(self) -> int:
-        return len(self.sizes) - 1
+        return len(self.layers) - 1
+
+    def shell(self, a: int, b: int) -> frozenset[Element]:
+        """N_b minus N_a, reading N_a as empty for a < 0."""
+        if not 0 <= b <= self.steps:
+            raise ValueError(f"step {b} outside computed range 0..{self.steps}")
+        return frozenset(chain.from_iterable(self.layers[max(a + 1, 0) : b + 1]))
 
     def element_set(self, n: int) -> frozenset[Element]:
-        if not 0 <= n <= self.steps:
-            raise ValueError(f"step {n} outside computed range 0..{self.steps}")
-        return frozenset(g for g, b in self.birth.items() if b <= n)
+        return self.shell(-1, n)
 
     def frontier(self, n: int) -> frozenset[Element]:
         """Elements first reached at step n: N_n minus N_(n-1)."""
-        if not 0 <= n <= self.steps:
-            raise ValueError(f"step {n} outside computed range 0..{self.steps}")
-        return frozenset(g for g, b in self.birth.items() if b == n)
+        return self.shell(n - 1, n)
 
 
 def _expand(
@@ -78,19 +91,14 @@ def _expand(
     element_budget: int,
 ) -> ProductSequence:
     steps = tuple(tuple(sorted(set(f) | {model.identity})) for f in factors)
-    birth: dict[Element, int] = {}
-    sizes = []
-    for n, layer in enumerate(
-        expand(model, [model.identity], steps, element_budget, "product expansion", ordered=True)
-    ):
-        birth.update(zip(layer.elements(), repeat(n)))
-        sizes.append(len(birth))
+    layers = expand(
+        model, [model.identity], steps, element_budget, "product expansion", ordered=True
+    )
     return ProductSequence(
         model=model,
         factors=steps,
         factor_labels=tuple(labels),
-        sizes=tuple(sizes),
-        birth=birth,
+        layers=tuple(tuple(layer.elements()) for layer in layers),
         identity_adjoined=any(model.identity not in f for f in factors),
     )
 
@@ -244,15 +252,11 @@ def shell_inclusion_check(
         raise ValueError("needs the powers of one generating set")
     model, generating_set = sequence.model, sequence.factors[0]
     h = n - k // 2
-
-    def shell(a: int, b: int) -> frozenset[Element]:
-        return frozenset(g for g, born in sequence.birth.items() if a < born <= b)
-
-    middle = shell(h, h + 1)
-    forward = shell(n, n + k) <= product_with_powers(
+    middle = sequence.shell(h, h + 1)
+    forward = sequence.shell(n, n + k) <= product_with_powers(
         model, middle, generating_set, 2 * k, element_budget
     )
     backward = product_with_powers(
         model, middle, generating_set, k // 4, element_budget
-    ) <= shell(n - k, n)
+    ) <= sequence.shell(n - k, n)
     return forward, backward

@@ -309,11 +309,20 @@ def _on_group(analyses: Mapping[str, Any], space: Mapping[str, Any]) -> bool:
     return family is not None and family.model is not None
 
 
+def _tests_a_pair(analyses: Mapping[str, Any], space: Mapping[str, Any]) -> bool:
+    opts = analyses["claims"]
+    return any(k <= opts["n_max"] for k in opts["widths"])
+
+
+Need = tuple[str, Callable[[Mapping[str, Any], Mapping[str, Any]], bool], str]
+
+
 class Analysis(NamedTuple):
     run: Callable[[Context, Mapping[str, Any]], Outcome]
     options: Options
-    # what it needs of the rest of the config: (test of (analyses, space), error)
-    needs: tuple[Callable[[Mapping[str, Any], Mapping[str, Any]], bool], str] | None = None
+    # what it needs of the rest of the config: (the option the error names,
+    # or "" for the analysis; test of (analyses, space); error)
+    needs: tuple[Need, ...] = ()
 
 
 ANALYSES: dict[str, Analysis] = {
@@ -324,10 +333,11 @@ ANALYSES: dict[str, Analysis] = {
         "record_all": (_flag, False),
     }),
     "annulus": Analysis(_annulus, {}),
-    "verify": Analysis(_verify, {"slope_tolerance": (_number, 0.05)}, (
+    "verify": Analysis(_verify, {"slope_tolerance": (_number, 0.05)}, ((
+        "",
         lambda analyses, space: "shell" in analyses,
         "requires analyses.shell (the decay exponent comes from the shell sweep)",
-    )),
+    ),)),
     "dyadic": Analysis(_dyadic, {"i_max": (at_least(0), None)}),
     "abelian": Analysis(_abelian, {"n_max": (at_least(1), None)}),
     "fit": Analysis(_fit, {"dyadic_radii": (_flag, False), "min_points": (at_least(2), 8)}),
@@ -336,13 +346,16 @@ ANALYSES: dict[str, Analysis] = {
         "preset": (_preset, "golden"),
         "observable": (_text, "cos_x"),
         "n_max": (at_least(1), 200),
-    }, (
+    }, ((
+        "",
         lambda analyses, space: space.get("family") == "lattice" and space.get("d") == 2,
         "requires a lattice space with d = 2 (the rotation presets live on the 2-torus)",
-    )),
+    ),)),
     "claims": Analysis(_claims, {"widths": (_widths, [4, 8, 12]), "n_max": (at_least(4), 20)}, (
-        _on_group,
-        "requires a lattice or heisenberg space (the inclusions are checked on the group model)",
+        ("", _on_group,
+         "requires a lattice or heisenberg space (the inclusions are checked on the group model)"),
+        ("widths", _tests_a_pair,
+         "no width is at most n_max, so no (n, k) pair would be tested"),
     )),
 }
 
@@ -407,5 +420,5 @@ FAMILIES: dict[str, Family] = {
     "lattice": Family({"d": 1, "radius": 1}, _GROUP_SET, _word_ball, lambda s: zd_model(s["d"])),
     "heisenberg": Family({"radius": 1}, _GROUP_SET, _word_ball, lambda s: heisenberg_model()),
     "tree-chain": Family({"a": 2, "b": 2, "blocks": 1}, {}, _tree_chain),
-    "stairway": Family({"levels": 1}, {}, _stairway),
+    "stairway": Family({"levels": 2}, {}, _stairway),
 }

@@ -3,18 +3,21 @@
 Every space in this package is a finite connected graph with unit edge
 lengths, carrying the shortest-path metric and the counting measure.  This
 module owns the graph container and the metric primitives everything else
-is built from:
+is built from.  Each of them is read off one breadth-first loop,
+`bfs_layers`, which yields the vertices at distance 0, 1, 2, ... from a
+center, each layer in discovery order:
 
-    - breadth-first distances with a cutoff,
-    - ball/sphere volume profiles around a center,
+    - distances with a cutoff (`bfs_distances`, the layers as a dict),
+    - ball/sphere volume profiles around a center (the layer sizes, summed
+      by `VolumeProfile.from_sizes`),
     - greedy maximal separated nets inside annuli,
-    - monotone geodesic chains,
+    - monotone geodesic chains (walked back through the layers),
     - the monotone-geodesic constant (how far a point of B(x, r+1) can sit
-      from B(x, r)).
+      from B(x, r)), with the ball grown one layer at a time.
 
 Balls are closed: B(x, r) = {y : d(x, y) <= r}.  The sphere at radius r is
 S(x, r) = B(x, r+1) \\ B(x, r), which on a unit-edge graph is the set of
-vertices at distance exactly r + 1.
+vertices at distance exactly r + 1, the layer r + 1.
 
 Subdivided-edge constructions (see `generators`) stay inside this model:
 stretching an edge means inserting degree-2 vertices, never changing edge
@@ -24,15 +27,16 @@ lengths.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Graph",
     "VolumeProfile",
     "GeodesicChain",
+    "bfs_layers",
     "bfs_distances",
     "volume_profile",
     "separated_net",
@@ -101,7 +105,7 @@ class Graph:
         for label, v in self.basepoints.items():
             if not 0 <= v < n:
                 raise ValueError(f"basepoint {label!r} -> {v} out of range")
-        if n > 0 and len(bfs_distances(self, 0)) != n:
+        if n > 0 and sum(map(len, bfs_layers(self, 0))) != n:
             raise ValueError("graph is not connected")
 
 
@@ -127,6 +131,18 @@ class VolumeProfile:
             self.ball[r + 1] - self.ball[r] for r in range(self.depth)
         )
 
+    @classmethod
+    def from_sizes(
+        cls, center: Vertex, sizes: Sequence[int], depth: int
+    ) -> "VolumeProfile":
+        """The profile whose ball[r] sums sizes[0..r] for r = 0..depth,
+        saturating at the total once `sizes` runs out."""
+        if depth < 0:
+            raise ValueError("depth must be nonnegative")
+        ball = list(accumulate(sizes[: depth + 1]))
+        ball += ball[-1:] * (depth + 1 - len(ball))
+        return cls(center=center, ball=tuple(ball))
+
     def __post_init__(self) -> None:
         if not self.ball or self.ball[0] < 1:
             raise ValueError("ball[0] must count at least the center")
@@ -143,29 +159,47 @@ class GeodesicChain:
     step_bound: int
 
 
+def bfs_layers(
+    graph: Graph, center: Vertex, cutoff: int | None = None
+) -> Iterator[list[Vertex]]:
+    """The vertices at distance 0, 1, 2, ... from `center`, one list per
+    distance, up to `cutoff` (the whole component when cutoff is None).
+
+    Each layer comes in discovery order: the order in which a scan of the
+    layer before it, in its own order, and of each vertex's sorted neighbors
+    first meets its vertices.  Layers are computed only as they are consumed.
+    """
+    if not 0 <= center < graph.vertex_count:
+        raise ValueError(f"center {center} out of range")
+    adjacency = graph.adjacency
+    seen = {center}
+    layer = [center]
+    d = 0
+    while layer:
+        yield layer
+        if cutoff is not None and d >= cutoff:
+            return
+        d += 1
+        nxt = []
+        for v in layer:
+            for u in adjacency[v]:
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        layer = nxt
+
+
 def bfs_distances(
     graph: Graph, center: Vertex, cutoff: int | None = None
 ) -> dict[Vertex, int]:
     """Shortest-path distances from `center`, restricted to d <= cutoff.
 
     Returns a dict vertex -> distance covering exactly the ball of radius
-    `cutoff` (the whole component when cutoff is None).
+    `cutoff` (the whole component when cutoff is None), in discovery order.
     """
-    if not 0 <= center < graph.vertex_count:
-        raise ValueError(f"center {center} out of range")
-    dist = {center: 0}
-    frontier = deque([center])
-    adjacency = graph.adjacency
-    while frontier:
-        v = frontier.popleft()
-        d = dist[v]
-        if cutoff is not None and d >= cutoff:
-            continue
-        for u in adjacency[v]:
-            if u not in dist:
-                dist[u] = d + 1
-                frontier.append(u)
-    return dist
+    return {
+        v: d for d, layer in enumerate(bfs_layers(graph, center, cutoff)) for v in layer
+    }
 
 
 def volume_profile(graph: Graph, center: Vertex, depth: int) -> VolumeProfile:
@@ -174,18 +208,8 @@ def volume_profile(graph: Graph, center: Vertex, depth: int) -> VolumeProfile:
     If the BFS exhausts the component before `depth`, the profile saturates:
     ball[r] stays at the component size.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    dist = bfs_distances(graph, center, cutoff=depth)
-    counts = [0] * (depth + 1)
-    for d in dist.values():
-        counts[d] += 1
-    ball = []
-    total = 0
-    for r in range(depth + 1):
-        total += counts[r]
-        ball.append(total)
-    return VolumeProfile(center=center, ball=tuple(ball))
+    sizes = [len(layer) for layer in bfs_layers(graph, center, depth)]
+    return VolumeProfile.from_sizes(center, sizes, depth)
 
 
 def separated_net(
@@ -218,30 +242,28 @@ def separated_net(
 def monotone_geodesic(graph: Graph, start: Vertex, end: Vertex) -> GeodesicChain:
     """A shortest path from `start` to `end` as a monotone chain.
 
-    On a unit-edge graph a BFS shortest path already satisfies the monotone
+    On a unit-edge graph a shortest path already satisfies the monotone
     chain conditions: d(x_i, start) = i increases by exactly 1 per step, so
-    step_bound = 1 (0 for the trivial chain).  Ties are broken toward the
-    smallest-index predecessor, making the output deterministic.
+    step_bound = 1 (0 for the trivial chain).  The path is walked back from
+    `end` through the BFS layers of `start`; each step goes to the neighbor
+    in the layer before that was discovered first, making the output
+    deterministic.
     """
     if not 0 <= end < graph.vertex_count:
         raise ValueError(f"end {end} out of range")
     if start == end:
         return GeodesicChain(vertices=(start,), step_bound=0)
-    parent: dict[Vertex, Vertex] = {start: start}
-    frontier = deque([start])
-    while frontier:
-        v = frontier.popleft()
-        if v == end:
+    layers = []
+    for layer in bfs_layers(graph, start):
+        layers.append(layer)
+        if end in layer:
             break
-        for u in graph.adjacency[v]:
-            if u not in parent:
-                parent[u] = v
-                frontier.append(u)
-    if end not in parent:
+    else:
         raise ValueError(f"vertices {start} and {end} are not connected")
     path = [end]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
+    for layer in reversed(layers[:-1]):
+        rank = {v: i for i, v in enumerate(layer)}
+        path.append(min((u for u in graph.adjacency[path[-1]] if u in rank), key=rank.get))
     path.reverse()
     return GeodesicChain(vertices=tuple(path), step_bound=1)
 
@@ -271,32 +293,22 @@ def property_m_constant(
     for x in centers:
         if space is not None and x not in space:
             raise ValueError(f"center {x} not in subspace")
-        dist = bfs_distances(graph, x, cutoff=depth + 1)
-        for r in range(depth + 1):
-            ball = {v for v, d in dist.items() if d <= r}
-            sphere = [v for v, d in dist.items() if d == r + 1]
+        ball: set[Vertex] = set()  # B(x, r), grown one layer at a time
+        for layer in bfs_layers(graph, x, cutoff=depth + 1):
             if space is not None:
-                ball &= space
-                sphere = [v for v in sphere if v in space]
-            for y in sphere:
-                best = max(best, _distance_to_set(graph, y, ball))
+                layer = [v for v in layer if v in space]
+            if ball:  # the layer is the sphere S(x, r) around the ball so far
+                for y in layer:
+                    best = max(best, _distance_to_set(graph, y, ball))
+            ball.update(layer)
     return best
 
 
 def _distance_to_set(graph: Graph, source: Vertex, targets: set[Vertex]) -> int:
-    """BFS from `source` until any vertex of `targets` is reached."""
-    if source in targets:
-        return 0
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        v = frontier.popleft()
-        for u in graph.adjacency[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                if u in targets:
-                    return dist[u]
-                frontier.append(u)
+    """Distance from `source` to the first BFS layer that meets `targets`."""
+    for d, layer in enumerate(bfs_layers(graph, source)):
+        if not targets.isdisjoint(layer):
+            return d
     raise ValueError("target set unreachable")
 
 

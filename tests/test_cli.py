@@ -61,6 +61,7 @@ class TestGenerate:
         (["--family", "heisenberg", "--radius", "0"], {"family": "heisenberg", "radius": 0}, "space.radius"),
         (["--family", "lattice", "--d", "0"], {"family": "lattice", "d": 0, "radius": 8}, "space.d"),
         (["--family", "tree-chain", "--b", "1"], {"family": "tree-chain", "a": 2, "b": 1, "blocks": 6}, "space.b"),
+        (["--family", "stairway", "--levels", "1"], {"family": "stairway", "levels": 1}, "space.levels"),
     ])
     def test_family_minima_match_the_config(self, runner, args, space, field):
         result = runner.invoke(main, ["generate"] + args)

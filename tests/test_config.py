@@ -194,6 +194,15 @@ class TestAnalyses:
         with pytest.raises(ConfigError, match="widths"):
             validate_config(_base(analyses={"claims": {"widths": [4, 3]}}))
 
+    @pytest.mark.parametrize("claims", [{"widths": []}, {"widths": [8, 12], "n_max": 7}])
+    def test_claims_that_test_no_pair_are_rejected(self, claims):
+        with pytest.raises(ConfigError, match=r"^analyses\.claims\.widths: no width is at most n_max"):
+            validate_config(_base(analyses={"claims": claims}))
+
+    def test_claims_width_equal_to_n_max_tests_a_pair(self):
+        cfg = validate_config(_base(analyses={"claims": {"widths": [8, 12], "n_max": 8}}))
+        assert cfg.analyses["claims"]["widths"] == [8, 12]
+
     def test_fit_flag_type(self):
         with pytest.raises(ConfigError, match="dyadic_radii: expected a boolean"):
             validate_config(_base(analyses={"fit": {"dyadic_radii": "yes"}}))

@@ -1,0 +1,74 @@
+"""
+Byte pins of the exact artifacts of every bundled recipe.
+
+Each recipe runs in-process and the SHA-256 of each of its exact CSVs is
+compared with the value committed below.  Exact CSVs hold only integers,
+`Fraction`s and booleans (profile, shell, dyadic, annulus, abelian,
+claims), so their bytes cannot depend on the platform's libm; the float
+artifacts (verify, ergodic, summary.json) are left out for that reason.
+A refactor that changes a single count or ratio fails here.  Rewrite a
+pin only for an intended change of output, and say so where the change is
+described.
+"""
+
+import hashlib
+
+import pytest
+
+from folnerlab.recipes import RECIPES
+from folnerlab.runner import reproduce
+
+EXACT = ("profile", "shell", "dyadic", "annulus", "abelian", "claims")
+
+PINS = {
+    "abelian": {
+        "profile.csv": "8fd78d2f573aef670fff2a32097fdbfa14c4587a05954cb170983c3cc9ec9dd2",
+        "abelian.csv": "aaa865d811dd559df28d1f19b885a19195cf39d5c8efa2a378c0714b6d672abd",
+    },
+    "claims-5-3": {
+        "profile.csv": "080aa2f06b910b8acc61c7a68ac1dda1a796054599ebec18bcd4f0958b554c2d",
+        "claims.csv": "93b16016af40689b9ce6a96b3215d54c8c9b10121325026e54805f85da16b4aa",
+    },
+    "counterexample-remark-ab": {
+        "profile.csv": "cf9fb3530b6650d55466520cdda52802ad7c553b258e4b284ae33e64c7a147e1",
+        "shell.csv": "dd3cc55a1d7ea9ea425d162426b7b370ded053b62c15c879fb5c239470cf59e1",
+    },
+    "counterexample-stairway": {
+        "profile.csv": "0402f5445ec70098dcc2fd34a08d023c97c07acf8373c9fd2376791c6a99ed89",
+    },
+    "counterexample-tree": {
+        "profile.csv": "83bfdfb7247abbd45bfaa0690cf8749f22fd4a145d8879e63e7bad1b018bddcc",
+        "annulus.csv": "5439e319fd96783e75b5850ccf9d89fb92f4b9e5110456e36266e11aa2d7f9ed",
+    },
+    "dyadic": {
+        "profile.csv": "f1b09629e65fe89ecd46322a68065630667a28ad2930b908360b6e6d7bba1166",
+        "dyadic.csv": "b6f2d7ed9a931d0cc8ec008a4423b61d91456f1b5feffc0983b0f61a4344f63b",
+    },
+    "ergodic": {
+        "profile.csv": "c2499715687b3e5f95b48d612eff4a5e906ce4c35e5e5e6d0400c0f67f7ef81a",
+    },
+    "theorem-heisenberg": {
+        "profile.csv": "4c1d1e12f678dadef9e9ebd4ce2c29e4f61f44796059d96163b63052f4ce8b38",
+        "shell.csv": "cc59e535ca84818ee63f794f134c2af844df2ee2e04e7da8ac3fb3b7c481f77e",
+    },
+    "theorem-zd": {
+        "profile.csv": "f2f3dc8b1abf1ca4e035f6956fc86f5ab477b24ec71e6151fa166cc0a271a96e",
+        "shell.csv": "2317bee035f510621d8285bf9d178e2099bd1334c6f11c2448fa43e4ac65c538",
+        "dyadic.csv": "575b65177095e9d36129b2b0e0cf99207e18402038e9401d10844f93c85e9010",
+    },
+}
+
+
+def test_every_recipe_is_pinned():
+    assert sorted(PINS) == sorted(RECIPES)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_exact_artifacts_match_their_pins(tmp_path, name):
+    result = reproduce(name, out_dir=tmp_path)
+    exact = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in result.artifacts
+        if path.stem in EXACT
+    }
+    assert exact == PINS[name]

@@ -227,15 +227,28 @@ class TestMonotoneGeodesic:
             for u, v in zip(verts, verts[1:]):
                 assert v in g.adjacency[u]
 
+    def test_start_out_of_range(self):
+        with pytest.raises(ValueError, match="center -1 out of range"):
+            monotone_geodesic(_path(4), -1, 1)
+
     def test_trivial_chain(self):
         chain = monotone_geodesic(_path(4), 2, 2)
         assert chain.vertices == (2,)
         assert chain.step_bound == 0
 
     def test_deterministic_tie_break(self):
-        # Two shortest 0 -> 3 paths in a 4-cycle; the smaller predecessor wins.
+        # Two shortest 0 -> 2 paths in a 4-cycle; the first-discovered
+        # predecessor wins.
         g = _cycle(4)
         assert monotone_geodesic(g, 0, 2).vertices == (0, 1, 2)
+
+    def test_tie_goes_to_the_first_discovered_predecessor(self):
+        # 7 has the predecessors 9 (via 2) and 3 (via 5).  9 is discovered
+        # first, so it wins over the smaller index 3.
+        edges = [(0, 2), (0, 5), (2, 9), (5, 3), (9, 7), (3, 7)]
+        edges += [(0, leaf) for leaf in (1, 4, 6, 8)]
+        g = Graph.from_edges(10, edges)
+        assert monotone_geodesic(g, 0, 7).vertices == (0, 2, 9, 7)
 
 
 # -- Monotone-geodesic constant ----------------------------------------------
