@@ -9,7 +9,10 @@ times the sup norm, so the whole sequence converges rather than just a
 subsequence.
 
 `ergodic_trace` computes the averages incrementally from a
-`ProductSequence`'s birth layers, touching every group element exactly once.
+`ProductSequence`'s birth layers, touching every group element exactly once:
+each layer is moved as one int64 array, in discovery order, by numpy float
+arithmetic, which rounds like Python's and follows its sign rule for `%`,
+and the observable is then summed over the points in that order.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .products import ProductSequence
 
@@ -46,12 +51,13 @@ class TorusAction:
     def dimension(self) -> int:
         return len(self.angles)
 
-    def move(self, element: tuple[int, ...], point: Point) -> Point:
-        if len(element) != len(self.angles) or len(point) != len(self.angles):
+    def move(self, elements: tuple[int, ...] | np.ndarray, point: Point) -> Point | np.ndarray:
+        """g . point for one element g, or for each row g of an array."""
+        rows = np.asarray(elements)
+        if rows.shape[-1:] != (self.dimension,) or len(point) != self.dimension:
             raise ValueError("element and point must match the action dimension")
-        return tuple(
-            (p + g * t) % 1.0 for p, g, t in zip(point, element, self.angles)
-        )
+        moved = (np.asarray(point) + rows * np.asarray(self.angles)) % 1.0
+        return tuple(moved.tolist()) if rows.ndim == 1 else moved
 
 
 def _box_sixteenth(point: Point) -> float:
@@ -117,8 +123,9 @@ def ergodic_trace(
 ) -> ErgodicTrace:
     """Average a named observable over the element sets of a product sequence.
 
-    The sequence's birth layers are replayed in order, so the total work is
-    one observable evaluation per distinct group element.
+    The sequence's birth layers are replayed in order, each in discovery
+    order, so the total work is one observable evaluation per distinct
+    group element.
     """
     f, mean = observable(name)
     if n_max is None:
@@ -130,8 +137,8 @@ def ergodic_trace(
     running = 0.0
     averages: list[float] = []
     for layer, count in zip(sequence.layers[: n_max + 1], sequence.sizes):
-        for element in layer:
-            running += f(action.move(element, start))
+        for point in action.move(layer.box.decode(layer.order), start).tolist():
+            running += f(point)
         averages.append(running / count)
     return ErgodicTrace(
         observable=name, start=start, space_mean=mean, averages=tuple(averages)

@@ -12,20 +12,21 @@ Vertices are 0-indexed.  `edge` lines are undirected and must appear once per
 edge; `basepoint` lines are optional and attach labels to vertices.  Blank
 lines and lines starting with '#' are ignored.  The loader rejects self-loops,
 duplicate edges (in either orientation), out-of-range indices, duplicate
-basepoint labels, and disconnected graphs.
+basepoint labels, and disconnected graphs.  Given a vertex budget, it
+rejects a `vertices N` header with N above it before reading further.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import GraphFormatError
+from .errors import BudgetExceededError, GraphFormatError
 from .space import Graph
 
 __all__ = ["load_graph", "save_graph", "dump_graph", "parse_graph"]
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
     lines = [
         (lineno, line.strip())
         for lineno, line in enumerate(text.splitlines(), start=1)
@@ -43,6 +44,8 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(f"line {lineno}: vertex count {parts[1]!r} is not an integer")
     if n < 1:
         raise GraphFormatError(f"line {lineno}: vertex count must be positive")
+    if vertex_budget is not None and n > vertex_budget:
+        raise BudgetExceededError(f"graph file header, line {lineno}", n, vertex_budget)
 
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -87,8 +90,8 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(str(exc)) from exc
 
 
-def load_graph(path: str | Path) -> Graph:
-    return parse_graph(Path(path).read_text())
+def load_graph(path: str | Path, vertex_budget: int | None = None) -> Graph:
+    return parse_graph(Path(path).read_text(), vertex_budget)
 
 
 def dump_graph(graph: Graph) -> str:

@@ -8,18 +8,22 @@ Heisenberg group H3(Z) of upper-triangular integer matrices encoded as
 
     (x, y, z) * (x', y', z') = (x + x', y + y', z + z' + x * y').
 
-Each model also carries the same law vectorised over int64 arrays of
-elements (`multiply_rows`) and a bound on the coordinates of products
-(`reach`).  With them, `expand` computes the birth layers of
-N_0 = seeds, N_n = N_(n-1) * (F_n with the identity adjoined): elements are
-packed into int64 keys over a box that `reach` bounds (`KeyBox`), and each
-layer is the sorted set of products not reached before.  Word balls
+The law has one implementation per model, `multiply_rows`, on int64 arrays
+of elements; `invert` (on tuples) serves symmetrization and the generation
+check, and `reach` bounds the coordinates of products.  With them, `expand`
+computes the birth layers of N_0 = seeds, N_n = N_(n-1) * (F_n with the
+identity adjoined): elements are packed into int64 keys over a box that
+`reach` bounds (`KeyBox`), and each layer is the sorted set of products not
+reached before.  A `KeySet` is a finite set in the same representation,
+sorted keys in one box, with a subset test across boxes.  Word balls
 (`generators.word_ball`), product sequences and set products (`products`)
-and the generation check below are all read off these layers.  Named
-generating sets are carried on the model; all contain the identity so that
-powers U^n are nondecreasing.  `check_generates` verifies that a finite set
-generates the whole group *as a semigroup* (inverses must be reachable as
-products), which is the right notion for one-sided product sets.
+and the generation search below are all read off these layers; tuples are
+decoded only where a caller asks for elements.  Named generating sets are
+carried on the model; all contain the identity so that powers U^n are
+nondecreasing.  `check_generates` verifies that a finite set generates the
+whole group *as a semigroup* (inverses must be reachable as products), which
+is the right notion for one-sided product sets: exactly for Z^d, by a
+bounded search for H3.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ __all__ = [
     "heisenberg_model",
     "KeyBox",
     "Layer",
+    "KeySet",
     "expand",
     "step_images",
     "lookup",
@@ -54,10 +59,9 @@ class GroupModel:
     name: str
     rank: int  # tuple length of encoded elements
     identity: Element
-    multiply: Callable[[Element, Element], Element]
     invert: Callable[[Element], Element]
-    # The law on int64 arrays whose last axis holds coordinates, broadcasting
-    # over the other axes.
+    # The group law, on int64 arrays whose last axis holds coordinates,
+    # broadcasting over the other axes.
     multiply_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
     # reach(seed_max, step_max, n): per coordinate, a bound on |coordinate|
     # over all products s * g_1 * ... * g_m, m <= n, where s and every g_i
@@ -80,10 +84,6 @@ class GroupModel:
             out.add(self.invert(g))
         out.discard(self.identity)
         return tuple(sorted(out))
-
-
-def _zd_multiply(a: Element, b: Element) -> Element:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _zd_invert(a: Element) -> Element:
@@ -118,16 +118,11 @@ def zd_model(d: int) -> GroupModel:
         name=f"Z^{d}",
         rank=d,
         identity=zero,
-        multiply=_zd_multiply,
         invert=_zd_invert,
         multiply_rows=_zd_multiply_rows,
         reach=_zd_reach,
         generating_sets=sets,
     )
-
-
-def _heis_multiply(a: Element, b: Element) -> Element:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
 
 
 def _heis_invert(a: Element) -> Element:
@@ -165,7 +160,6 @@ def heisenberg_model() -> GroupModel:
         name="H3(Z)",
         rank=3,
         identity=(0, 0, 0),
-        multiply=_heis_multiply,
         invert=_heis_invert,
         multiply_rows=_heis_multiply_rows,
         reach=_heis_reach,
@@ -206,6 +200,13 @@ class KeyBox(NamedTuple):
         """The elements of `keys` as tuples, in the same order."""
         return list(zip(*self.decode(keys).T.tolist()))
 
+    def keys_of(self, rows: np.ndarray) -> np.ndarray:
+        """`encode`, with -1, a key no set holds, for rows outside the box."""
+        inside = np.all(np.abs(rows) <= self.offsets, axis=-1)
+        keys = self.encode(rows * inside[..., None])
+        keys[~inside] = -1
+        return keys
+
 
 def step_images(
     model: GroupModel, box: KeyBox, keys: np.ndarray, steps: Sequence[Element]
@@ -234,12 +235,42 @@ def lookup(ranked: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndar
     return hit, pos[hit]
 
 
-class Layer(NamedTuple):
-    """One birth layer of `expand`."""
+@dataclass(frozen=True, eq=False)
+class KeySet:
+    """A finite set of elements: its sorted int64 keys in one `KeyBox`."""
 
-    keys: np.ndarray  # the layer's keys in `box`, sorted
-    order: np.ndarray | None  # the same keys in discovery order, if asked for
+    keys: np.ndarray
     box: KeyBox
+
+    @classmethod
+    def union(cls, sets: Sequence[KeySet], box: KeyBox) -> KeySet:
+        """The union of disjoint sets whose keys are in `box`."""
+        keys = np.concatenate([s.keys for s in sets] or [np.empty(0, dtype=np.int64)])
+        keys.sort(kind="stable")
+        return cls(keys, box)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __le__(self, other: KeySet) -> bool:
+        """Subset test.  Keys in another box are re-encoded into `other`'s
+        box; an element outside that box is outside `other`."""
+        keys = self.keys
+        if self.box != other.box:
+            keys = other.box.keys_of(self.box.decode(keys))
+        return len(lookup(other.keys, keys)[0]) == len(keys)
+
+    def elements(self) -> list[Element]:
+        """The elements as tuples, sorted."""
+        return self.box.elements(self.keys)
+
+
+@dataclass(frozen=True, eq=False)
+class Layer(KeySet):
+    """One birth layer of `expand`, with its keys in discovery order if
+    they were asked for."""
+
+    order: np.ndarray | None = None
 
     def elements(self) -> list[Element]:
         """The layer's elements, in discovery order when it was computed."""
@@ -248,7 +279,7 @@ class Layer(NamedTuple):
 
 def expand(
     model: GroupModel,
-    seeds: Iterable[Element],
+    seeds: Iterable[Element] | KeySet,
     factors: Sequence[Iterable[Element]],
     budget: int | None,
     stage: str,
@@ -269,15 +300,21 @@ def expand(
 
     The running total is checked against `budget` as each layer is added
     (BudgetExceededError naming `stage` and the layer); a box too large
-    for int64 keys is rejected before any array is allocated.
+    for int64 keys is rejected before any array is allocated.  The seeds
+    may come as tuples or as a `KeySet`.
     """
     steps = [tuple(sorted(set(f) - {model.identity})) for f in factors]
-    seeds = list(dict.fromkeys(seeds))
 
     def maxima(elements: Sequence[Element]) -> list[int]:
         return [max((abs(g[c]) for g in elements), default=0) for c in range(model.rank)]
 
-    offsets = model.reach(maxima(seeds), maxima([s for f in steps for s in f]), len(steps))
+    if isinstance(seeds, KeySet):
+        seeds = seeds.box.decode(seeds.keys)
+        seed_max = np.abs(seeds).max(axis=0, initial=0).tolist()
+    else:
+        seeds = list(dict.fromkeys(seeds))
+        seed_max = maxima(seeds)
+    offsets = model.reach(seed_max, maxima([s for f in steps for s in f]), len(steps))
     box = KeyBox(tuple(offsets), tuple(2 * b + 1 for b in offsets))
     cells = math.prod(box.widths)
     if cells > 2**63:
@@ -287,7 +324,7 @@ def expand(
         )
     symmetric = len(set(steps)) == 1 and set(map(model.invert, steps[0])) == set(steps[0])
     order = box.encode(np.array(seeds, dtype=np.int64).reshape(len(seeds), model.rank))
-    layers = [Layer(np.sort(order), order if ordered else None, box)]
+    layers = [Layer(np.sort(order), box, order if ordered else None)]
     seen = layers[0].keys  # the union of all layers, unless `symmetric`
     total = len(seen)
     # nested[n]: F_(n+1) lies inside F_n, so layer n alone is multiplied.
@@ -306,7 +343,7 @@ def expand(
             raise BudgetExceededError(stage, total, budget, layer=n)
         if not symmetric:
             seen = np.insert(seen, np.searchsorted(seen, keys), keys)
-        layers.append(Layer(keys, order, box))
+        layers.append(Layer(keys, box, order))
         if not keep_all:
             del layers[:-2]  # no later step reads older layers
         yield layers[-1]
@@ -355,9 +392,11 @@ def _integer_span_is_full(vectors: list[Element], d: int) -> bool:
     return minors_gcd == 1
 
 
-def _det(m: list[list[int]]) -> int:
+def _det(m: Sequence[Sequence[int]]) -> int:
     """Integer determinant by cofactor expansion (d <= 3 in practice)."""
     n = len(m)
+    if n == 0:
+        return 1
     if n == 1:
         return m[0][0]
     if n == 2:
@@ -367,6 +406,25 @@ def _det(m: list[list[int]]) -> int:
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += (-1) ** j * m[0][j] * _det(minor)
     return total
+
+
+def _half_space_normal(gens: list[Element], d: int) -> Element | None:
+    """A nonzero integer n with <g, n> >= 0 for every generator g, if one
+    exists, for generators that span R^d.
+
+    Their cone is then not all of R^d, so it has a facet, spanned by d - 1
+    linearly independent generators; the cofactor normal of those (or its
+    negative) is such an n.  So trying every (d - 1)-subset decides it.
+    """
+    for rows in combinations(gens, d - 1):
+        normal = [(-1) ** j * _det([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)]
+        if not any(normal):
+            continue  # the subset is linearly dependent
+        dots = [sum(a * b for a, b in zip(g, normal)) for g in gens]
+        for sign in (1, -1):
+            if min(sign * x for x in dots) >= 0:
+                return tuple(sign * c for c in normal)
+    return None
 
 
 def search_targets(
@@ -379,14 +437,20 @@ def search_targets(
 ) -> tuple[int, set[Element]]:
     """Expand U^0, U^1, ..., U^depth (identity adjoined) until every target
     is reached: (the last power expanded, the targets still missing)."""
-    missing = set(targets)
+    targets = list(dict.fromkeys(targets))
+    if any(len(g) != model.rank for g in targets):
+        raise ValueError(f"{stage}: every target needs {model.rank} coordinates")
+    rows = np.array(targets, dtype=np.int64).reshape(len(targets), model.rank)
+    missing = np.ones(len(targets), dtype=bool)
     for m, layer in enumerate(
         expand(model, [model.identity], [generating_set] * depth, budget, stage)
     ):
-        missing.difference_update(layer.elements())
-        if not missing:
+        if m == 0:
+            wanted = layer.box.keys_of(rows)
+        missing[lookup(layer.keys, wanted)[0]] = False
+        if not missing.any():
             break
-    return m, missing
+    return m, {g for g, left in zip(targets, missing) if left}
 
 
 def check_generates(
@@ -394,12 +458,15 @@ def check_generates(
 ) -> None:
     """Raise NotGeneratingError unless `elements` generate the group as a semigroup.
 
-    For Z^d this is an exact integer-span test followed by a bounded search
-    showing each inverse is reachable as a product (a non-symmetric set like
-    {0, e1, e2} spans Z^2 as a group but never reaches -e1 and is rejected).
-    For the Heisenberg model the criterion is: the (x, y) projections span Z^2
-    and the bounded search reaches the central element (0, 0, 1), its inverse,
-    and every generator inverse.
+    For Z^d the test is exact: the generators must span Z^d as a group, and
+    no nonzero linear functional may be >= 0 on all of them.  Then each -g
+    is a nonnegative rational combination of them, so, times a common
+    denominator N, -g = (N - 1) g + (a nonnegative integer combination).  A
+    non-symmetric set like {0, e1, e2} spans Z^2 as a group but stays in
+    the half-plane x + y >= 0 and is rejected.  For the Heisenberg model
+    the (x, y) projections must span Z^2, and a search of `search_depth`
+    factors must reach the central element (0, 0, 1), its inverse and every
+    generator inverse; a failed search is no proof, and its error says so.
     """
     gens = [g for g in elements if g != model.identity]
     if not gens:
@@ -414,11 +481,11 @@ def check_generates(
             raise NotGeneratingError(
                 f"{model.name}: integer span of {sorted(gens)} is a proper subgroup"
             )
-        inverses = {model.invert(g) for g in gens}
-        if search_targets(model, gens, inverses, search_depth)[1]:
+        normal = _half_space_normal(gens, d)
+        if normal is not None:
             raise NotGeneratingError(
-                f"{model.name}: some inverse is not a product of at most "
-                f"{search_depth} generators; set does not generate as a semigroup"
+                f"{model.name}: <g, {normal}> >= 0 for every generator g, so no "
+                "product leaves that half-space; set does not generate as a semigroup"
             )
         return
 
@@ -431,6 +498,6 @@ def check_generates(
     targets = {(0, 0, 1), (0, 0, -1)} | {model.invert(g) for g in gens}
     if search_targets(model, gens, targets, search_depth)[1]:
         raise NotGeneratingError(
-            f"{model.name}: central element or an inverse unreachable within "
-            f"{search_depth} factors"
+            f"{model.name}: the central element, its inverse or a generator "
+            f"inverse was not found within {search_depth} factors"
         )

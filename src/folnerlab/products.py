@@ -6,14 +6,15 @@ adjoined to every factor before multiplying; that makes the sequence of
 products nondecreasing, and the flag `identity_adjoined` records whether
 any factor actually lacked it.
 
-Every expansion here is `groups.expand`.  A `ProductSequence` keeps its
-birth layers, in discovery order, as the one record of the products: each
-N_n, each frontier N_n minus N_(n-1) and each shell N_b minus N_a is a run
-of consecutive layers.  Set products, the regularity constant and the
-containment search read the layers as sets.  Expanding only the newest
-elements of N_n is exhaustive when the next factor lies inside the one
-before it (always, for powers of one set); otherwise the kernel multiplies
-the whole of N_n.
+Every expansion here is `groups.expand`.  A `ProductSequence` keeps the
+kernel's birth layers (sorted keys, discovery order, one key box) as the
+one record of the products: each N_n, each frontier N_n minus N_(n-1) and
+each shell N_b minus N_a is a run of consecutive layers.  Shells and set
+products are `KeySet`s, so the word-shell sandwich is tested on keys;
+`birth`, `element_set` and `frontier` decode tuples for callers that want
+elements.  Expanding only the newest elements of N_n is exhaustive when the
+next factor lies inside the one before it (always, for powers of one set);
+otherwise the kernel multiplies the whole of N_n.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError
-from .groups import Element, GroupModel, check_generates, expand, search_targets
+from .groups import Element, GroupModel, KeySet, Layer, check_generates, expand, search_targets
 
 __all__ = [
     "ProductSequence",
@@ -42,19 +43,20 @@ __all__ = [
 DEFAULT_ELEMENT_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductSequence:
     """Products N_0 = {1}, N_n = U_1 * ... * U_n (identity adjoined to factors).
 
-    `layers[n]` holds N_n minus N_(n-1) (layer 0 the identity), in discovery
-    order, so N_n is the union of layers 0..n.  `sizes[n] = |N_n|`.
-    `factors[n - 1]` is U_n, sorted, with the identity adjoined.
+    `layers[n]` is the kernel's layer N_n minus N_(n-1) (layer 0 the
+    identity), with its discovery order; all layers share one key box, and
+    N_n is the union of layers 0..n.  `sizes[n] = |N_n|`.  `factors[n - 1]`
+    is U_n, sorted, with the identity adjoined.
     """
 
     model: GroupModel
     factors: tuple[tuple[Element, ...], ...]
     factor_labels: tuple[str, ...]
-    layers: tuple[tuple[Element, ...], ...]
+    layers: tuple[Layer, ...]
     identity_adjoined: bool
 
     @cached_property
@@ -63,25 +65,25 @@ class ProductSequence:
 
     @cached_property
     def birth(self) -> dict[Element, int]:
-        """The first n with g in N_n, for each g, keys in layer order."""
-        return {g: n for n, layer in enumerate(self.layers) for g in layer}
+        """The first n with g in N_n, for each g, keys in discovery order."""
+        return {g: n for n, layer in enumerate(self.layers) for g in layer.elements()}
 
     @property
     def steps(self) -> int:
         return len(self.layers) - 1
 
-    def shell(self, a: int, b: int) -> frozenset[Element]:
+    def shell(self, a: int, b: int) -> KeySet:
         """N_b minus N_a, reading N_a as empty for a < 0."""
         if not 0 <= b <= self.steps:
             raise ValueError(f"step {b} outside computed range 0..{self.steps}")
-        return frozenset(chain.from_iterable(self.layers[max(a + 1, 0) : b + 1]))
+        return KeySet.union(self.layers[max(a + 1, 0) : b + 1], self.layers[0].box)
 
     def element_set(self, n: int) -> frozenset[Element]:
-        return self.shell(-1, n)
+        return frozenset(self.shell(-1, n).elements())
 
     def frontier(self, n: int) -> frozenset[Element]:
         """Elements first reached at step n: N_n minus N_(n-1)."""
-        return self.shell(n - 1, n)
+        return frozenset(self.shell(n - 1, n).elements())
 
 
 def _expand(
@@ -98,7 +100,7 @@ def _expand(
         model=model,
         factors=steps,
         factor_labels=tuple(labels),
-        layers=tuple(tuple(layer.elements()) for layer in layers),
+        layers=tuple(layers),
         identity_adjoined=any(model.identity not in f for f in factors),
     )
 
@@ -214,14 +216,14 @@ def generating_containment(
 
 def product_with_powers(
     model: GroupModel,
-    base: Iterable[Element],
+    base: Iterable[Element] | KeySet,
     generating_set: Sequence[Element],
     m: int,
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> frozenset[Element]:
+) -> KeySet:
     """The set base * U^m with the identity adjoined to U, via m expansions."""
-    layers = expand(model, base, [generating_set] * m, element_budget, "set product")
-    return frozenset(g for layer in layers for g in layer.elements())
+    layers = list(expand(model, base, [generating_set] * m, element_budget, "set product"))
+    return KeySet.union(layers, layers[0].box)
 
 
 def shell_inclusion_check(

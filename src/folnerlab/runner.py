@@ -52,7 +52,7 @@ class ExperimentResult:
 def build_space(config: ExperimentConfig) -> BuiltSpace:
     space = config.space
     if "graph_file" in space:
-        return BuiltSpace(given=load_graph(space["graph_file"]))
+        return BuiltSpace(given=load_graph(space["graph_file"], config.vertex_budget))
     return FAMILIES[space["family"]].build(space, config.vertex_budget)
 
 

@@ -10,6 +10,7 @@ byte-identical across runs.
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -95,13 +96,15 @@ class TestProfile:
         def refuse(*args, **kwargs):
             raise AssertionError("the graph was loaded")
 
-        args = ["--budget-vertices", "20", "profile", "--graph", str(z2_graph), "--depth"]
+        # The budget is the graph's vertex count (313), which the header
+        # check admits, so only the depth can be refused.
+        args = ["--budget-vertices", "313", "profile", "--graph", str(z2_graph), "--depth"]
         with monkeypatch.context() as patched:
             patched.setattr(folnerlab.runner, "load_graph", refuse)
-            result = runner.invoke(main, args + ["21"])
+            result = runner.invoke(main, args + ["314"])
         assert result.exit_code == 1
-        assert "config.depth: must be at most the vertex budget 20" in result.output
-        assert runner.invoke(main, args + ["20"]).exit_code == 0
+        assert "config.depth: must be at most the vertex budget 313" in result.output
+        assert runner.invoke(main, args + ["313"]).exit_code == 0
 
     @pytest.mark.parametrize("command", ["profile", "shell-report", "verify", "dyadic", "fit"])
     def test_graph_without_basepoints_names_centers(self, tmp_path, runner, command):
@@ -117,6 +120,20 @@ class TestProfile:
         result = runner.invoke(main, ["profile", "--graph", str(bad), "--depth", "2"])
         assert result.exit_code != 0
         assert "line 2" in result.output
+
+    def test_graph_header_above_the_vertex_budget(self, tmp_path, runner):
+        # Fails at the header, before any per-vertex allocation.
+        path = tmp_path / "huge.graph"
+        path.write_text("vertices 1000000\nbasepoint a 0\n")
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["--budget-vertices", "100", "profile", "--graph", str(path), "--depth", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 1
+        assert "Error: graph file header, line 1: size 1000000 exceeds budget 100" in result.output
+        assert peak < 2**20
 
 
 class TestPowers:
@@ -144,6 +161,13 @@ class TestPowers:
         result = runner.invoke(main, ["powers", "--n-max", "-2"])
         assert result.exit_code == 1
         assert "n_max must be nonnegative, got -2" in result.output
+
+    def test_set_whose_inverses_need_many_factors(self, runner):
+        # Generates Z^2 as a semigroup, though -(1, 0) needs 12 factors.
+        result = runner.invoke(main, ["powers", "--n-max", "3", "--set", "[[1,0],[0,1],[-5,-7]]"])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in result.output.splitlines()[2:]]
+        assert [int(r[1]) for r in rows] == [1, 4, 10, 20]
 
     def test_non_generating_set_fails(self, runner):
         result = runner.invoke(main, ["powers", "--n-max", "3", "--set", "[[2,0],[-2,0],[0,2],[0,-2]]"])

@@ -14,6 +14,7 @@ trace must reproduce this to addition-order rounding.
 
 import math
 
+import numpy as np
 import pytest
 
 from folnerlab.ergodic import (
@@ -50,6 +51,15 @@ class TestTorusAction:
         assert 0 <= p[0] < 1 and 0 <= p[1] < 1
         assert p[0] == pytest.approx((0.9 + GOLDEN_ANGLES[0]) % 1)
         assert p[1] == pytest.approx((0.1 - 2 * GOLDEN_ANGLES[1]) % 1)
+
+    def test_rows_move_like_single_points(self, golden_action):
+        rows = np.array([[1, -2], [0, 0], [-7, 3], [40, -41]])
+        for start in [(0.9, 0.1), (-0.3, 1.7)]:
+            moved = golden_action.move(rows, start)
+            assert moved.shape == rows.shape
+            for g, point in zip(rows.tolist(), moved.tolist()):
+                expected = tuple((p + x * t) % 1.0 for p, x, t in zip(start, g, GOLDEN_ANGLES))
+                assert tuple(point) == expected == golden_action.move(tuple(g), start)
 
     def test_dimension(self, golden_action):
         assert golden_action.dimension == 2

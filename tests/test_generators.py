@@ -51,6 +51,7 @@ from folnerlab.space import (
     separated_net,
     volume_profile,
 )
+from tuple_law import multiply
 
 
 # -- Oracles -----------------------------------------------------------------
@@ -101,7 +102,7 @@ def _reference_cayley_ball(model, generating_set, radius, vertex_budget=10**9):
         frontier = set()
         for g in layers[-1]:
             for s in steps:
-                h = model.multiply(g, s)
+                h = multiply(model, g, s)
                 if h not in seen:
                     frontier.add(h)
         if not frontier:
@@ -115,7 +116,7 @@ def _reference_cayley_ball(model, generating_set, radius, vertex_budget=10**9):
     edges = set()
     for g, i in index.items():
         for s in steps:
-            j = index.get(model.multiply(g, s))
+            j = index.get(multiply(model, g, s))
             if j is not None and i < j:
                 edges.add((i, j))
     graph = Graph.from_edges(len(elements), sorted(edges), {"origin": 0})

@@ -5,11 +5,12 @@ Core claims:
     - dump/parse round-trips graphs including basepoints
     - comments and blank lines are ignored
     - every malformed input is rejected with the offending line number
+    - a vertex count above the vertex budget is rejected at the header
 """
 
 import pytest
 
-from folnerlab.errors import GraphFormatError
+from folnerlab.errors import BudgetExceededError, GraphFormatError
 from folnerlab.graphio import dump_graph, load_graph, parse_graph, save_graph
 from folnerlab.space import Graph
 
@@ -68,3 +69,17 @@ class TestRejections:
     def test_malformed_inputs(self, text, message):
         with pytest.raises(GraphFormatError, match=message):
             parse_graph(text)
+
+
+class TestVertexBudget:
+    def test_header_above_budget(self, tmp_path):
+        text = "vertices 1000000\nbasepoint a 0\n"
+        with pytest.raises(BudgetExceededError, match="line 1: size 1000000 exceeds budget 100"):
+            parse_graph(text, 100)
+        path = tmp_path / "huge.graph"
+        path.write_text(text)
+        with pytest.raises(BudgetExceededError, match="line 1"):
+            load_graph(path, 100)
+
+    def test_budget_is_inclusive(self):
+        assert parse_graph(dump_graph(_triangle()), 3).vertex_count == 3

@@ -10,16 +10,21 @@ The guiding identities, each checked against independent enumeration:
       |U^2n| / |U^n|
     - the central Heisenberg element first appears in U^4
     - shells N_(n+k) minus N_n are trapped between products of the middle
-      set with small powers of U
+      set with small powers of U, and `shell_inclusion_check` gives the
+      outcomes of the frozenset implementation it replaced (kept here as
+      the reference), False ones included
+    - the subset test of key sets re-encodes across key boxes, and an
+      element outside the right side's box is outside the set
 """
 
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from folnerlab.errors import BudgetExceededError, NotGeneratingError
-from folnerlab.groups import heisenberg_model, zd_model
+from folnerlab.groups import KeyBox, KeySet, expand, heisenberg_model, zd_model
 from folnerlab.products import (
     folner_ratios,
     generating_containment,
@@ -29,6 +34,7 @@ from folnerlab.products import (
     shell_inclusion_check,
     varying_products,
 )
+from tuple_law import multiply
 
 
 def _bare_products(model, factor, n):
@@ -36,9 +42,37 @@ def _bare_products(model, factor, n):
     out = [frozenset([model.identity])]
     for _ in range(n):
         out.append(
-            frozenset(model.multiply(g, s) for g in out[-1] for s in factor)
+            frozenset(multiply(model, g, s) for g in out[-1] for s in factor)
         )
     return out
+
+
+def _reference_shell_inclusion(sequence, n, k):
+    """`shell_inclusion_check` on frozensets of tuples."""
+    model, gens = sequence.model, sequence.factors[0]
+    layers = [frozenset(layer.elements()) for layer in sequence.layers]
+
+    def shell(a, b):
+        return frozenset().union(*layers[max(a + 1, 0) : b + 1])
+
+    def product(base, m):
+        grown = expand(model, base, [gens] * m, None, "reference")
+        return frozenset(g for layer in grown for g in layer.elements())
+
+    h = n - k // 2
+    middle = shell(h, h + 1)
+    return shell(n, n + k) <= product(middle, 2 * k), product(middle, k // 4) <= shell(n - k, n)
+
+
+_Z2, _H3 = zd_model(2), heisenberg_model()
+
+SANDWICH_CASES = [
+    pytest.param(_Z2, "standard", 12, id="Z2-standard"),
+    pytest.param(_Z2, "skew", 12, id="Z2-skew"),
+    pytest.param(_Z2, [*_Z2.generating_set("standard"), (3, 1)], 12, id="Z2-standard+(3,1)"),
+    pytest.param(_H3, "standard", 8, id="H3-standard"),
+    pytest.param(_H3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0)], 8, id="H3-one-sided"),
+]
 
 
 class TestProductPowers:
@@ -148,6 +182,15 @@ class TestContainment:
         model = zd_model(2)
         with pytest.raises(ValueError, match="not contained"):
             generating_containment(model, model.generating_set("standard"), [(40, 0)], m_max=8)
+        # (-1, 9) lies outside the key box of U^8, where its digits would
+        # spell (0, -8), an element of U^8.
+        with pytest.raises(ValueError, match="not contained"):
+            generating_containment(model, model.generating_set("standard"), [(-1, 9)], m_max=8)
+
+    def test_target_of_wrong_arity_is_named(self):
+        model = zd_model(2)
+        with pytest.raises(ValueError, match="containment search: every target needs 2 coordinates"):
+            generating_containment(model, model.generating_set("standard"), [(1, 0, 0)])
 
 
 class TestVaryingProducts:
@@ -201,16 +244,40 @@ class TestProductWithPowers:
         gen = model.generating_set("standard")
         got = product_with_powers(model, [model.identity], gen, 5)
         seq = product_powers(model, "standard", 5)
-        assert got == seq.element_set(5)
+        assert frozenset(got.elements()) == seq.element_set(5)
 
     def test_translate_of_ball(self):
         model = zd_model(2)
         gen = model.generating_set("standard")
         got = product_with_powers(model, [(10, 0)], gen, 2)
-        assert got == frozenset(
+        assert frozenset(got.elements()) == frozenset(
             (10 + dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)
             if abs(dx) + abs(dy) <= 2
         )
+
+
+class TestKeySets:
+    def test_subset_across_boxes(self):
+        small = KeyBox((2, 2), (5, 5))
+        large = KeyBox((4, 1), (9, 3))
+        rows = np.array([[-2, 1], [0, 0], [2, -1]])
+        left = KeySet(np.sort(small.encode(rows)), small)
+        right = KeySet(np.sort(large.encode(np.array([[-2, 1], [0, 0], [1, -1], [2, -1], [4, 1]]))), large)
+        assert len(left) == 3 and len(right) == 5
+        assert left <= right
+        assert not right <= left  # (4, 1) lies outside the small box
+        # (0, 2) fits the small box but not the large one, so it is not in
+        # `right`, though encoded in the large box it would read (1, -1).
+        assert large.encode(np.array([0, 2])) == large.encode(np.array([1, -1]))
+        outside = KeySet(np.sort(small.encode(np.array([[0, 0], [0, 2]]))), small)
+        assert not outside <= right
+        assert left.elements() == [(-2, 1), (0, 0), (2, -1)]
+
+    def test_empty_set_is_inside_every_set(self):
+        box = KeyBox((1,), (3,))
+        empty = KeySet.union([], box)
+        assert len(empty) == 0 and empty <= empty
+        assert empty <= KeySet(np.array([1]), box)
 
 
 class TestShellInclusions:
@@ -228,6 +295,25 @@ class TestShellInclusions:
             sequence, 10, 4, element_budget=2_000_000
         )
         assert forward and backward
+
+    @pytest.mark.parametrize("model,gens,n_max", SANDWICH_CASES)
+    def test_matches_frozenset_reference(self, model, gens, n_max):
+        sequence = product_powers(model, gens, n_max + 8)
+        for k in (4, 8):
+            for n in range(k, n_max + 1):
+                got = shell_inclusion_check(sequence, n, k)
+                assert got == _reference_shell_inclusion(sequence, n, k), (n, k)
+
+    def test_a_one_sided_set_fails_backward(self):
+        # The inverse of (3, 1) has word length 4, so g * (3, 1) can be
+        # shorter than g by up to 4: for g in C_(n-2, n-1) it can fall out
+        # of C_(n-4, n), and the backward inclusion fails.
+        model = zd_model(2)
+        gens = [*model.generating_set("standard"), (3, 1)]
+        sequence = product_powers(model, gens, 16)
+        outcomes = [shell_inclusion_check(sequence, n, 4) for n in range(4, 13)]
+        assert all(forward for forward, _ in outcomes)
+        assert not all(backward for _, backward in outcomes)
 
     def test_width_validation(self):
         sequence = product_powers(zd_model(2), "standard", 20)
