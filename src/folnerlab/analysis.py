@@ -452,7 +452,6 @@ class GrowthFit:
 def growth_exponent_fit(
     ball_sizes: Sequence[int],
     radii: Sequence[int] | None = None,
-    top_half: bool = True,
     min_points: int = 8,
 ) -> GrowthFit:
     """Least-squares slope of log volume against log radius.
@@ -463,8 +462,7 @@ def growth_exponent_fit(
     """
     if radii is None:
         r_hi = len(ball_sizes) - 1
-        r_lo = max(1, r_hi // 2) if top_half else 1
-        radii = range(r_lo, r_hi + 1)
+        radii = range(max(1, r_hi // 2), r_hi + 1)
     radii = tuple(radii)
     if len(radii) < min_points:
         raise ValueError(f"need at least {min_points} radii, got {len(radii)}")

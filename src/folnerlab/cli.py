@@ -7,10 +7,14 @@ stamp their CSVs with a digest of their own parameters, so any artifact can
 be traced to the invocation that wrote it; `reproduce` artifacts carry the
 config hash instead.
 
-The CLI is a thin front end: `generate` builds through the family table of
-`registry`, and `profile` and the analysis commands call the runner's
-`profile_space` and the analysis-table entries, adding only their own digest
-stamp, stdout line and exit code.  No command computes an analysis itself.
+The CLI is a thin front end with one way in: `profile` and each analysis
+command turn their options into a raw config, validate it as a config file
+is validated (so a bad option fails naming the config field, such as
+`analyses.fit.min_points`), and run it through the runner's
+`run_analyses`, adding only their own digest stamp, stdout line and exit
+code.  Their option defaults are read from the analysis table, and
+`generate` builds through the family table.  No command computes an
+analysis itself.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Any, Sequence
 
 import click
 
-from .config import ExperimentConfig, load_config, validate_space
+from .config import load_config, validate_config, validate_sections, validate_space
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -43,8 +47,8 @@ from .products import (
     varying_products,
 )
 from .recipes import RECIPES
-from .registry import ANALYSES, FAMILIES, Context, Table, profile_table, write_csv
-from .runner import profile_space, reproduce as run_recipe, run_experiment
+from .registry import ANALYSES, FAMILIES, Table, write_csv
+from .runner import reproduce as run_recipe, run_analyses, run_experiment
 
 __all__ = ["main"]
 
@@ -92,35 +96,47 @@ def _resolve_model(group: str, d: int) -> GroupModel:
     return FAMILIES["lattice" if group == "zd" else group].model({"d": d})
 
 
-def _parse_set(model: GroupModel, text: str) -> tuple[tuple[int, ...], ...]:
+def _elements(raw: Any, option: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON array of integer arrays, as tuples."""
+    if not isinstance(raw, list) or not all(isinstance(g, list) for g in raw):
+        raise click.ClickException(f"{option}: expected a JSON array of integer arrays")
+    for c in (c for g in raw for c in g):
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise click.ClickException(f"{option}: coordinates must be integers, got {c!r}")
+    return tuple(tuple(g) for g in raw)
+
+
+def _parse_set(model: GroupModel, text: str, option: str) -> tuple[tuple[int, ...], ...]:
     """A generating set given as a named label or a JSON array of tuples."""
     if not text.lstrip().startswith("["):
         return model.generating_set(text)
-    raw = json.loads(text)
-    if not isinstance(raw, list) or not all(isinstance(g, list) for g in raw):
-        raise click.ClickException("expected a JSON array of integer arrays")
-    return tuple(tuple(int(c) for c in g) for g in raw)
+    return _elements(json.loads(text), option)
 
 
-def _profiled(
-    ctx: click.Context, graph_path: str, depth: int, center_labels: Sequence[str], sample: int
-) -> Context:
-    """The runner's context for a graph file, its centers and depth."""
-    config = ExperimentConfig({
+def _default(analysis: str, option: str) -> Any:
+    return ANALYSES[analysis].options[option][1]
+
+
+def _graph_config(ctx: click.Context, graph_path: str, depth: int, center_labels: Sequence[str],
+                  sample: int, **analyses: dict[str, Any]) -> dict[str, Any]:
+    """The raw config of a graph-file command; an option given as None is
+    left unset, for the config to fill in."""
+    return {
         "space": {"graph_file": str(graph_path)},
         "depth": depth,
         "centers": {"basepoints": list(center_labels) or "all", "sample": sample},
+        "analyses": {
+            name: {key: value for key, value in opts.items() if value is not None}
+            for name, opts in analyses.items()
+        },
         "seed": ctx.obj["seed"],
-        "budgets": {"vertices": ctx.obj["budget_vertices"], "elements": ctx.obj["budget_elements"]},
-    })
-    return profile_space(config)[1]
+        "budgets": ctx.obj["budgets"],
+    }
 
 
-_Z2_STANDARD = {"family": "lattice", "d": 2, "generating_set": "standard"}
-
-
-def _labels(context: Context) -> list[str]:
-    return [label for label, _ in context.labeled]
+def _labels(tables: dict[str, Table]) -> list[str]:
+    """The profiled centers, in order: one profile row at r = 0 each."""
+    return [label for label, r, *_ in tables["profile"][1] if r == 0]
 
 
 @click.group()
@@ -131,12 +147,8 @@ def _labels(context: Context) -> list[str]:
 @click.pass_context
 def main(ctx: click.Context, seed: int, budget_vertices: int, budget_elements: int, out: str | None) -> None:
     """Growth, shells, and ergodic averages on doubling graphs and groups."""
-    ctx.obj = {
-        "seed": seed,
-        "budget_vertices": budget_vertices,
-        "budget_elements": budget_elements,
-        "out": out,
-    }
+    budgets = {"vertices": budget_vertices, "elements": budget_elements}
+    ctx.obj = {"seed": seed, "budgets": budgets, "out": out}
 
 
 @main.command()
@@ -156,7 +168,7 @@ def generate(ctx, family, d, radius, generating_set, a, b, blocks, levels):
                   a=a, b=b, blocks=blocks, levels=levels)
     spec = FAMILIES[family]
     space = validate_space({"family": family, **{key: params[key] for key in (*spec.ints, *spec.strs)}})
-    built = spec.build(space, ctx.obj["budget_vertices"])
+    built = spec.build(space, ctx.obj["budgets"]["vertices"])
     _emit(dump_graph(built.graph), ctx.obj["out"])
 
 
@@ -169,9 +181,9 @@ def generate(ctx, family, d, radius, generating_set, a, b, blocks, levels):
 @_friendly
 def profile(ctx, graph_path, depth, center_labels, sample):
     """Ball and sphere volumes around the chosen centers."""
-    context = _profiled(ctx, graph_path, depth, center_labels, sample)
-    digest = _digest("profile", graph=str(graph_path), depth=depth, centers=_labels(context))
-    _emit_csv(ctx, digest, profile_table(context.labeled))
+    _, tables = run_analyses(validate_sections(_graph_config(ctx, graph_path, depth, center_labels, sample)))
+    digest = _digest("profile", graph=str(graph_path), depth=depth, centers=_labels(tables))
+    _emit_csv(ctx, digest, tables["profile"])
 
 
 def _powers_rows(sizes: Sequence[int], ratios: Sequence[Fraction]) -> list[tuple]:
@@ -193,8 +205,8 @@ def _powers_rows(sizes: Sequence[int], ratios: Sequence[Fraction]) -> list[tuple
 def powers(ctx, group, d, set_text, n_max):
     """Exact sizes of the powers U^n of one generating set."""
     model = _resolve_model(group, d)
-    gen = _parse_set(model, set_text)
-    seq = product_powers(model, gen, n_max, ctx.obj["budget_elements"])
+    gen = _parse_set(model, set_text, "--set")
+    seq = product_powers(model, gen, n_max, ctx.obj["budgets"]["elements"])
     digest = _digest("powers", group=group, d=d, set=sorted(gen), n_max=n_max)
     rows = _powers_rows(seq.sizes, folner_ratios(seq))
     _emit_csv(ctx, digest, (("n", "size", "delta_size", "folner_ratio"), rows))
@@ -213,11 +225,11 @@ def nprod(ctx, group, d, factors_text, inner_text, outer_text):
     model = _resolve_model(group, d)
     raw = json.loads(factors_text)
     if not isinstance(raw, list):
-        raise click.ClickException("expected a JSON array of factor sets")
-    factors = [tuple(tuple(int(c) for c in g) for g in factor) for factor in raw]
-    inner = _parse_set(model, inner_text)
-    outer = _parse_set(model, outer_text)
-    seq = varying_products(model, factors, inner, outer, element_budget=ctx.obj["budget_elements"])
+        raise click.ClickException("--factors: expected a JSON array of factor sets")
+    factors = [_elements(factor, "--factors") for factor in raw]
+    inner = _parse_set(model, inner_text, "--inner")
+    outer = _parse_set(model, outer_text, "--outer")
+    seq = varying_products(model, factors, inner, outer, element_budget=ctx.obj["budgets"]["elements"])
     digest = _digest("nprod", group=group, d=d, factors=[sorted(f) for f in factors])
     rows = _powers_rows(seq.sizes, folner_ratios(seq))
     _emit_csv(ctx, digest, (("n", "size", "delta_size", "folner_ratio"), rows))
@@ -228,19 +240,21 @@ def nprod(ctx, group, d, factors_text, inner_text, outer_text):
 @click.option("--depth", type=int, required=True)
 @click.option("--center", "center_labels", multiple=True)
 @click.option("--sample", type=int, default=0, show_default=True)
-@click.option("--k-min", type=int, default=5, show_default=True)
+@click.option("--k-min", type=int, default=_default("shell", "k_min"), show_default=True)
 @click.option("--n-max", type=int, default=None)
 @click.option("--record-all", is_flag=True, help="Emit every tested pair, not just the worst.")
 @click.pass_context
 @_friendly
 def shell_report(ctx, graph_path, depth, center_labels, sample, k_min, n_max, record_all):
     """Shell-comparison sweep: alpha, delta, and the worst pair."""
-    context = _profiled(ctx, graph_path, depth, center_labels, sample)
-    shell = ANALYSES["shell"].run(context, {"k_min": k_min, "n_max": n_max, "record_all": record_all})
-    digest = _digest("shell-report", graph=str(graph_path), depth=depth, centers=_labels(context), k_min=k_min, n_max=context.shell.n_max)
-    _emit_csv(ctx, digest, shell.table)
-    summary = {key: shell.summary[key] for key in ("alpha", "delta", "fitted_C")}
-    click.echo(json.dumps({**summary, "pass": context.shell.alpha > 0}, sort_keys=True))
+    shell = {"k_min": k_min, "n_max": n_max, "record_all": record_all}
+    config = validate_config(_graph_config(ctx, graph_path, depth, center_labels, sample, shell=shell))
+    summary, tables = run_analyses(config)
+    n_max = config.analyses["shell"]["n_max"]
+    digest = _digest("shell-report", graph=str(graph_path), depth=depth, centers=_labels(tables), k_min=k_min, n_max=n_max)
+    _emit_csv(ctx, digest, tables["shell"])
+    line = {key: summary[key] for key in ("alpha", "delta", "fitted_C")}
+    click.echo(json.dumps({**line, "pass": Fraction(summary["alpha"]) > 0}, sort_keys=True))
 
 
 @main.command()
@@ -248,27 +262,21 @@ def shell_report(ctx, graph_path, depth, center_labels, sample, k_min, n_max, re
 @click.option("--depth", type=int, required=True)
 @click.option("--center", "center_labels", multiple=True)
 @click.option("--sample", type=int, default=0, show_default=True)
-@click.option("--k-min", type=int, default=5, show_default=True)
+@click.option("--k-min", type=int, default=_default("shell", "k_min"), show_default=True)
 @click.option("--n-max", type=int, default=None)
-@click.option("--slope-tol", type=float, default=0.05, show_default=True)
+@click.option("--slope-tol", type=float, default=_default("verify", "slope_tolerance"), show_default=True)
 @click.pass_context
 @_friendly
 def verify(ctx, graph_path, depth, center_labels, sample, k_min, n_max, slope_tol):
     """Measure alpha, then verify the n^(-delta) sphere bound it implies."""
-    context = _profiled(ctx, graph_path, depth, center_labels, sample)
-    shell = ANALYSES["shell"].run(context, {"k_min": k_min, "n_max": n_max, "record_all": False})
-    verified = ANALYSES["verify"].run(context, {"slope_tolerance": slope_tol})
-    digest = _digest("verify", graph=str(graph_path), depth=depth, centers=_labels(context), delta=context.shell.delta)
-    _emit_csv(ctx, digest, verified.table)
-    summary = {
-        "alpha": shell.summary["alpha"],
-        "delta": shell.summary["delta"],
-        "fitted_C": verified.summary["fitted_C"],
-        "trend_slope": verified.summary["verify"]["trend_slope"],
-        "pass": verified.passed,
-    }
-    click.echo(json.dumps(summary, sort_keys=True))
-    ctx.exit(0 if verified.passed else 1)
+    raw = _graph_config(ctx, graph_path, depth, center_labels, sample,
+                        shell={"k_min": k_min, "n_max": n_max}, verify={"slope_tolerance": slope_tol})
+    summary, tables = run_analyses(validate_config(raw))
+    digest = _digest("verify", graph=str(graph_path), depth=depth, centers=_labels(tables), delta=summary["delta"])
+    _emit_csv(ctx, digest, tables["verify"])
+    line = {key: summary[key] for key in ("alpha", "delta", "fitted_C", "pass")}
+    click.echo(json.dumps({**line, "trend_slope": summary["verify"]["trend_slope"]}, sort_keys=True))
+    ctx.exit(0 if summary["pass"] else 1)
 
 
 @main.command()
@@ -281,13 +289,13 @@ def verify(ctx, graph_path, depth, center_labels, sample, k_min, n_max, slope_to
 @_friendly
 def dyadic(ctx, graph_path, depth, center_labels, sample, i_max):
     """Dyadic radius selection certified against 2 C_D mu(B)/2^i."""
-    context = _profiled(ctx, graph_path, depth, center_labels, sample)
-    dyadic = ANALYSES["dyadic"].run(context, {"i_max": i_max})
-    digest = _digest("dyadic", graph=str(graph_path), depth=depth, centers=_labels(context))
-    _emit_csv(ctx, digest, dyadic.table)
-    slack = dyadic.summary["dyadic"]["slack_doubling"]
-    click.echo(json.dumps({"doubling_slack": slack, "pass": dyadic.passed}, sort_keys=True))
-    ctx.exit(0 if dyadic.passed else 1)
+    raw = _graph_config(ctx, graph_path, depth, center_labels, sample, dyadic={"i_max": i_max})
+    summary, tables = run_analyses(validate_config(raw))
+    digest = _digest("dyadic", graph=str(graph_path), depth=depth, centers=_labels(tables))
+    _emit_csv(ctx, digest, tables["dyadic"])
+    slack = summary["dyadic"]["slack_doubling"]
+    click.echo(json.dumps({"doubling_slack": slack, "pass": summary["pass"]}, sort_keys=True))
+    ctx.exit(0 if summary["pass"] else 1)
 
 
 @main.command()
@@ -295,36 +303,35 @@ def dyadic(ctx, graph_path, depth, center_labels, sample, i_max):
 @click.option("--depth", type=int, required=True)
 @click.option("--center", "center_labels", multiple=True)
 @click.option("--dyadic-radii", is_flag=True, help="Fit at radii 8, 16, 32, ... only.")
-@click.option("--min-points", type=int, default=8, show_default=True)
+@click.option("--min-points", type=int, default=_default("fit", "min_points"), show_default=True)
 @click.pass_context
 @_friendly
 def fit(ctx, graph_path, depth, center_labels, dyadic_radii, min_points):
     """Growth exponent: least-squares slope of log volume vs log radius."""
-    context = _profiled(ctx, graph_path, depth, center_labels, 0)
-    fits = ANALYSES["fit"].run(context, {"dyadic_radii": dyadic_radii, "min_points": min_points})
-    click.echo(json.dumps(fits.summary["fit"], sort_keys=True))
+    fit = {"dyadic_radii": dyadic_radii, "min_points": min_points}
+    summary, _ = run_analyses(validate_config(_graph_config(ctx, graph_path, depth, center_labels, 0, fit=fit)))
+    click.echo(json.dumps(summary["fit"], sort_keys=True))
 
 
 @main.command()
-@click.option("--observable", default="cos_x", show_default=True)
+@click.option("--observable", default=_default("ergodic", "observable"), show_default=True)
 @click.option("--start", default="0.1,0.2", show_default=True, help="Start point on the 2-torus, comma separated.")
-@click.option("--n-max", type=int, default=200, show_default=True)
-@click.option("--preset", type=click.Choice(["golden"]), default="golden", show_default=True)
+@click.option("--n-max", type=int, default=_default("ergodic", "n_max"), show_default=True)
+@click.option("--preset", type=click.Choice(["golden"]), default=_default("ergodic", "preset"), show_default=True)
 @click.pass_context
 @_friendly
 def ergodic(ctx, observable, start, n_max, preset):
     """Ball averages of a torus rotation along word-ball powers of Z^2."""
-    point = tuple(float(v) for v in start.split(","))
-    if len(point) != 2:
-        raise click.ClickException("start must have two coordinates")
-    context = Context(_Z2_STANDARD, ctx.obj["budget_elements"])
-    trace = ANALYSES["ergodic"].run(
-        context, {"observable": observable, "start": point, "n_max": n_max, "preset": preset}
-    )
-    digest = _digest("ergodic", observable=observable, start=list(point), n_max=n_max, preset=preset)
-    _emit_csv(ctx, digest, trace.table)
-    summary = {key: trace.summary["ergodic"][key] for key in ("final_error", "envelope")}
-    click.echo(json.dumps(summary, sort_keys=True))
+    point = [float(v) for v in start.split(",")]
+    opts = {"observable": observable, "start": point, "n_max": n_max, "preset": preset}
+    # The analysis expands its own powers; the space is the smallest valid one.
+    raw = {"space": {"family": "lattice", "d": 2, "radius": 1}, "depth": 2,
+           "analyses": {"ergodic": opts}, "budgets": ctx.obj["budgets"]}
+    summary, tables = run_analyses(validate_config(raw))
+    digest = _digest("ergodic", observable=observable, start=point, n_max=n_max, preset=preset)
+    _emit_csv(ctx, digest, tables["ergodic"])
+    line = {key: summary["ergodic"][key] for key in ("final_error", "envelope")}
+    click.echo(json.dumps(line, sort_keys=True))
 
 
 @main.command()

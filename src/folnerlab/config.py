@@ -8,6 +8,12 @@ would invalidate an experiment.  Space parameters and analysis options are
 checked through the family and analysis tables of `registry`, so this
 module names no family and no analysis.
 
+Config files and the CLI's analysis commands share this one way in: each
+command turns its options into a raw config, so a bad option fails here
+with the same error, naming the same field, as the config would.  Only
+`validate_sections` admits a config that enables no analysis, which is
+what the `profile` command runs.
+
 A validated config is normalized (defaults filled in) before hashing, so two
 spellings of the same experiment share one hash, and every artifact written
 by the runner carries that hash in a comment line.
@@ -17,11 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
 from .errors import ConfigError
+from .generators import DEFAULT_VERTEX_BUDGET
+from .products import DEFAULT_ELEMENT_BUDGET
 from .registry import (
     ANALYSES,
     FAMILIES,
@@ -32,7 +40,7 @@ from .registry import (
     parse_options,
 )
 
-__all__ = ["ExperimentConfig", "validate_config", "validate_space", "load_config"]
+__all__ = ["ExperimentConfig", "validate_config", "validate_sections", "validate_space", "load_config"]
 
 _TOP_KEYS = {"space", "centers", "depth", "analyses", "output_dir", "seed", "budgets"}
 
@@ -82,7 +90,10 @@ _CENTERS = {
     ),
     "sample": (at_least(0), 0),
 }
-_BUDGETS = {"vertices": (at_least(1), 2_000_000), "elements": (at_least(1), 5_000_000)}
+_BUDGETS = {
+    "vertices": (at_least(1), DEFAULT_VERTEX_BUDGET),
+    "elements": (at_least(1), DEFAULT_ELEMENT_BUDGET),
+}
 
 
 def _validate_section(raw: Any, spec: Mapping[str, Any], where: str) -> dict[str, Any]:
@@ -97,8 +108,6 @@ def _validate_analyses(
     if not isinstance(raw, Mapping):
         raise ConfigError("analyses: expected an object")
     check_keys(raw, set(ANALYSES), "analyses")
-    if not raw:
-        raise ConfigError("analyses: at least one analysis must be enabled")
     out = {}
     for name, options in raw.items():
         if not isinstance(options, Mapping):
@@ -114,64 +123,39 @@ def _validate_analyses(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated, normalized experiment description.
+    """A validated, normalized experiment description, built only by
+    `validate_config` and `validate_sections`.
 
-    `data` is the canonical nested dict (defaults filled in); `digest` is the
-    sha-256 of its sorted-key JSON form, truncated to 16 hex digits, and is
-    what artifact files record.  Every config, validated or assembled by
-    the CLI, is checked here to have depth at most the vertex budget: a
-    profile holds depth + 1 counts per center.
+    The fields hold the sections with defaults filled in; `digest` is the
+    sha-256 of their sorted-key JSON form, truncated to 16 hex digits, and
+    is what artifact files record.
     """
 
-    data: Mapping[str, Any]
-
-    def __post_init__(self) -> None:
-        if self.depth > self.vertex_budget:
-            raise ConfigError(
-                f"config.depth: must be at most the vertex budget {self.vertex_budget} "
-                f"(budgets.vertices, --budget-vertices), got {self.depth}"
-            )
+    space: Mapping[str, Any]
+    centers: Mapping[str, Any]
+    depth: int
+    analyses: Mapping[str, Any]
+    output_dir: str
+    seed: int | None
+    budgets: Mapping[str, int]
 
     @property
     def digest(self) -> str:
-        canonical = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:16]
 
     @property
-    def space(self) -> Mapping[str, Any]:
-        return self.data["space"]
-
-    @property
-    def centers(self) -> Mapping[str, Any]:
-        return self.data["centers"]
-
-    @property
-    def depth(self) -> int:
-        return self.data["depth"]
-
-    @property
-    def analyses(self) -> Mapping[str, Any]:
-        return self.data["analyses"]
-
-    @property
-    def output_dir(self) -> str:
-        return self.data["output_dir"]
-
-    @property
-    def seed(self) -> int | None:
-        return self.data["seed"]
-
-    @property
     def vertex_budget(self) -> int:
-        return self.data["budgets"]["vertices"]
+        return self.budgets["vertices"]
 
     @property
     def element_budget(self) -> int:
-        return self.data["budgets"]["elements"]
+        return self.budgets["elements"]
 
 
-def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
-    """Check a raw JSON object against the schema and fill in defaults.
+def validate_sections(raw: Mapping[str, Any]) -> ExperimentConfig:
+    """Check a raw JSON object against the schema and fill in defaults,
+    allowing `analyses` to enable nothing: a run that only profiles.
 
     Raises ConfigError naming the first offending field.  Structural checks
     only; label existence against the actual space is the runner's job.
@@ -180,9 +164,7 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError("config: expected a JSON object at top level")
     check_keys(raw, _TOP_KEYS, "config")
     space = validate_space(_require(raw, "space", "config"))
-    depth = int_value(raw["depth"], "config.depth", 2) if "depth" in raw else None
-    if depth is None:
-        raise ConfigError("config: missing required key 'depth'")
+    depth = int_value(_require(raw, "depth", "config"), "config.depth", 2)
     centers_raw = raw.get("centers")
     centers_raw = {} if centers_raw is None else centers_raw
     centers = _validate_section(centers_raw, _CENTERS, "centers")
@@ -196,16 +178,21 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     if centers["sample"] > 0 and seed is None:
         raise ConfigError("seed: required whenever centers.sample is positive")
     budgets = _validate_section(raw.get("budgets", {}), _BUDGETS, "budgets")
-    data = {
-        "space": space,
-        "centers": centers,
-        "depth": depth,
-        "analyses": analyses,
-        "output_dir": output_dir,
-        "seed": seed,
-        "budgets": budgets,
-    }
-    return ExperimentConfig(data=data)
+    # A profile holds depth + 1 counts per center.
+    if depth > budgets["vertices"]:
+        raise ConfigError(
+            f"config.depth: must be at most the vertex budget {budgets['vertices']} "
+            f"(budgets.vertices, --budget-vertices), got {depth}"
+        )
+    return ExperimentConfig(space, centers, depth, analyses, output_dir, seed, budgets)
+
+
+def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
+    """`validate_sections`, with at least one analysis enabled."""
+    config = validate_sections(raw)
+    if not config.analyses:
+        raise ConfigError("analyses: at least one analysis must be enabled")
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

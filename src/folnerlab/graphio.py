@@ -19,6 +19,7 @@ rejects a `vertices N` header with N above it before reading further.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 from .errors import BudgetExceededError, GraphFormatError
 from .space import Graph
@@ -26,15 +27,29 @@ from .space import Graph
 __all__ = ["load_graph", "save_graph", "dump_graph", "parse_graph"]
 
 
+def _records(text: str) -> Iterator[tuple[int, str]]:
+    """The number and stripped text of each line that is not blank or a
+    comment.  Lines are split one at a time up to the first record (the
+    header) and all at once after it, so a caller that stops at the header
+    has not split the rest of the text."""
+    lineno = pos = 0
+    bulk = False
+    while pos < len(text):
+        end = len(text) if bulk else text.find("\n", pos) + 1 or len(text)
+        for line in text[pos:end].splitlines():
+            lineno += 1
+            line = line.strip()
+            if line and not line.startswith("#"):
+                bulk = True
+                yield lineno, line
+        pos = end
+
+
 def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
-    lines = [
-        (lineno, line.strip())
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    ]
-    if not lines:
+    records = _records(text)
+    lineno, header = next(records, (0, ""))
+    if not header:
         raise GraphFormatError("empty graph file")
-    lineno, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != "vertices":
         raise GraphFormatError(f"line {lineno}: expected 'vertices N', got {header!r}")
@@ -50,7 +65,7 @@ def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     basepoints: dict[str, int] = {}
-    for lineno, line in lines[1:]:
+    for lineno, line in records:
         parts = line.split()
         if parts[0] == "edge":
             if len(parts) != 3:

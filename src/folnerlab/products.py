@@ -55,7 +55,6 @@ class ProductSequence:
 
     model: GroupModel
     factors: tuple[tuple[Element, ...], ...]
-    factor_labels: tuple[str, ...]
     layers: tuple[Layer, ...]
     identity_adjoined: bool
 
@@ -89,7 +88,6 @@ class ProductSequence:
 def _expand(
     model: GroupModel,
     factors: Sequence[Sequence[Element]],
-    labels: Sequence[str],
     element_budget: int,
 ) -> ProductSequence:
     steps = tuple(tuple(sorted(set(f) | {model.identity})) for f in factors)
@@ -99,7 +97,6 @@ def _expand(
     return ProductSequence(
         model=model,
         factors=steps,
-        factor_labels=tuple(labels),
         layers=tuple(layers),
         identity_adjoined=any(model.identity not in f for f in factors),
     )
@@ -115,14 +112,9 @@ def product_powers(
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if isinstance(generating_set, str):
-        label = generating_set
         generating_set = model.generating_set(generating_set)
-    else:
-        label = "custom"
     check_generates(model, generating_set)
-    return _expand(
-        model, [generating_set] * n_max, [label] * n_max, element_budget
-    )
+    return _expand(model, [generating_set] * n_max, element_budget)
 
 
 def varying_products(
@@ -130,7 +122,6 @@ def varying_products(
     factors: Sequence[Sequence[Element]],
     inner: Sequence[Element],
     outer: Sequence[Element],
-    labels: Sequence[str] | None = None,
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> ProductSequence:
     """Products of varying factors pinched between two certified sets.
@@ -156,9 +147,7 @@ def varying_products(
             raise ValueError(
                 f"factor {i} exceeds the outer certificate by {sorted(excess)}"
             )
-    if labels is None:
-        labels = [f"factor_{i}" for i in range(len(factors))]
-    return _expand(model, factors, labels, element_budget)
+    return _expand(model, factors, element_budget)
 
 
 def folner_ratios(sequence: ProductSequence) -> tuple[Fraction, ...]:

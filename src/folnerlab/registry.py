@@ -6,9 +6,9 @@ with a parser and a default) and what it needs of the rest of the config.
 the analyses that gate `pass`, its verdict.  `FAMILIES` maps each space
 family to its integer parameters with their minima, its string parameters
 with their defaults, and its builder.  `config` validates through both
-tables, `runner` builds and runs through them, and the CLI's analysis
-commands call the same entries, so adding an analysis or a family is one
-entry here.
+tables, and `runner` builds and runs through them; the CLI's analysis
+commands go through `config` and `runner` too, reading only their option
+defaults here.  Adding an analysis or a family is one entry here.
 
 Analyses run in table order.  The order matters: `verify` reads the shell
 report that `shell` leaves in the context, and overrides its `fitted_C`.
@@ -21,6 +21,7 @@ via repr (shortest round-trip form); booleans are "true"/"false".
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -93,15 +94,16 @@ _flag = option_parser(lambda v: isinstance(v, bool), "expected a boolean")
 _number = option_parser(_real, "expected a number, got {value!r}", float)
 _text = option_parser(lambda v: isinstance(v, str), "expected a string")
 _preset = option_parser(lambda v: v == "golden", "unknown preset {value!r}")
-_point = option_parser(
-    lambda v: isinstance(v, list) and all(map(_real, v)),
-    "expected a list of numbers",
+_point = option_parser(  # a point on the 2-torus
+    lambda v: isinstance(v, list) and len(v) == 2
+    and all(_real(c) and math.isfinite(c) for c in v),
+    "expected a list of two finite numbers, got {value!r}",
     lambda v: [float(c) for c in v],
 )
 _widths = option_parser(
     lambda v: isinstance(v, list)
-    and all(isinstance(k, int) and not isinstance(k, bool) and k >= 4 for k in v),
-    "expected a list of integers >= 4",
+    and all(isinstance(k, int) and not isinstance(k, bool) and k >= 4 and k % 4 == 0 for k in v),
+    "expected a list of positive multiples of 4, got {value!r}",
 )
 
 HALF_DEPTH = object()  # an option default: the config's depth // 2
@@ -309,6 +311,13 @@ def _on_group(analyses: Mapping[str, Any], space: Mapping[str, Any]) -> bool:
     return family is not None and family.model is not None
 
 
+def _two_radii(analyses: Mapping[str, Any], space: Mapping[str, Any]) -> bool:
+    # verify fits radii 1..n_max of the shell sweep, which keeps n_max below
+    # the depth.  A sweep with k_min > n_max tests no pair and fails first.
+    shell = analyses["shell"]
+    return shell["n_max"] >= 2 or shell["k_min"] > shell["n_max"]
+
+
 def _tests_a_pair(analyses: Mapping[str, Any], space: Mapping[str, Any]) -> bool:
     opts = analyses["claims"]
     return any(k <= opts["n_max"] for k in opts["widths"])
@@ -333,11 +342,12 @@ ANALYSES: dict[str, Analysis] = {
         "record_all": (_flag, False),
     }),
     "annulus": Analysis(_annulus, {}),
-    "verify": Analysis(_verify, {"slope_tolerance": (_number, 0.05)}, ((
-        "",
-        lambda analyses, space: "shell" in analyses,
-        "requires analyses.shell (the decay exponent comes from the shell sweep)",
-    ),)),
+    "verify": Analysis(_verify, {"slope_tolerance": (_number, 0.05)}, (
+        ("", lambda analyses, space: "shell" in analyses,
+         "requires analyses.shell (the decay exponent comes from the shell sweep)"),
+        ("", _two_radii,
+         "requires analyses.shell.n_max of at least 2 (the sphere-bound fit needs two radii)"),
+    )),
     "dyadic": Analysis(_dyadic, {"i_max": (at_least(0), None)}),
     "abelian": Analysis(_abelian, {"n_max": (at_least(1), None)}),
     "fit": Analysis(_fit, {"dyadic_radii": (_flag, False), "min_points": (at_least(2), 8)}),

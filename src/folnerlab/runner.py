@@ -6,11 +6,13 @@ starts with a `# config HASH` comment so artifacts can be traced back to the
 exact normalized config that produced them; bodies are byte-identical across
 reruns with the same config and seed.
 
-The runner names no analysis and no family: it builds the space through
-the family table of `registry`, profiles the centers, and runs the enabled
-entries of the analysis table in table order, writing each entry's table
-as `<name>.csv` and merging its summary part.  The CLI's analysis commands
-go through `profile_space` and the same entries.
+The runner names no analysis and no family.  `run_analyses` is the one
+place analyses run: it builds the space through the family table of
+`registry`, profiles the centers, and runs the enabled entries of the
+analysis table in table order, merging each entry's summary part and
+keeping its table.  `run_experiment` writes what it returns, each table as
+`<name>.csv`; the CLI's analysis commands call it with the config their
+options make, and print their own part of it.
 """
 
 from __future__ import annotations
@@ -21,22 +23,23 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .analysis import shell_alpha  # noqa: F401  (kept importable from this module)
-from .config import ExperimentConfig, validate_config
+from .config import ExperimentConfig
 from .errors import ConfigError
 from .generators import norm_profile
 from .graphio import load_graph
-from .recipes import recipe, recipe_config
+from .recipes import recipe_config
 from .registry import (
     ANALYSES,
     FAMILIES,
     BuiltSpace,
     Context,
+    Table,
     profile_table,
     write_csv,
 )
 from .space import VolumeProfile, sample_centers, volume_profile
 
-__all__ = ["ExperimentResult", "BuiltSpace", "build_space", "run_experiment", "reproduce"]
+__all__ = ["ExperimentResult", "BuiltSpace", "build_space", "run_analyses", "run_experiment", "reproduce"]
 
 
 @dataclass(frozen=True)
@@ -98,33 +101,17 @@ def _profiles(
     return [(label, profile(v)) for label, v in centers]
 
 
-def profile_space(config: ExperimentConfig) -> tuple[BuiltSpace, Context]:
-    """Build the configured space and profile its centers: the context
-    every analysis runs in."""
+def run_analyses(config: ExperimentConfig) -> tuple[dict[str, Any], dict[str, Table]]:
+    """Build the configured space, profile its centers and run the enabled
+    analyses in table order.
+
+    Returns the summary and each table by name, `profile` first.
+    """
     built = build_space(config)
     labeled = _profiles(built, _resolve_centers(built, config), config.depth)
-    return built, Context(config.space, config.element_budget, config.depth, labeled)
-
-
-def _write_csv(
-    path: Path, digest: str, header: Sequence[str], rows: Sequence[Sequence[Any]]
-) -> Path:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        write_csv(fh, digest, header, rows)
-    return path
-
-
-def run_experiment(
-    config: ExperimentConfig, out_dir: str | Path | None = None
-) -> ExperimentResult:
-    """Run every enabled analysis and write artifacts under the output dir."""
-    digest = config.digest
-    out = Path(out_dir if out_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    built, ctx = profile_space(config)
-    artifacts = [_write_csv(out / "profile.csv", digest, *profile_table(ctx.labeled))]
+    ctx = Context(config.space, config.element_budget, config.depth, labeled)
     summary: dict[str, Any] = {
-        "config": digest,
+        "config": config.digest,
         "space": dict(config.space),
         "vertices": built.vertex_count,
         "edges": built.edge_count,
@@ -132,6 +119,7 @@ def run_experiment(
         "delta": None,
         "fitted_C": None,
     }
+    tables = {"profile": profile_table(labeled)}
     checks: list[bool] = []
     for name, analysis in ANALYSES.items():
         if name not in config.analyses:
@@ -139,11 +127,26 @@ def run_experiment(
         outcome = analysis.run(ctx, config.analyses[name])
         summary.update(outcome.summary)
         if outcome.table is not None:
-            artifacts.append(_write_csv(out / f"{name}.csv", digest, *outcome.table))
+            tables[name] = outcome.table
         if outcome.passed is not None:
             checks.append(outcome.passed)
-
     summary["pass"] = all(checks)
+    return summary, tables
+
+
+def run_experiment(
+    config: ExperimentConfig, out_dir: str | Path | None = None
+) -> ExperimentResult:
+    """Run every enabled analysis and write artifacts under the output dir."""
+    out = Path(out_dir if out_dir is not None else config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    summary, tables = run_analyses(config)
+    artifacts = []
+    for name, (header, rows) in tables.items():
+        path = out / f"{name}.csv"
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            write_csv(fh, summary["config"], header, rows)
+        artifacts.append(path)
     summary_path = out / "summary.json"
     summary_path.write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="ascii"
@@ -152,16 +155,6 @@ def run_experiment(
     return ExperimentResult(summary=summary, artifacts=tuple(artifacts))
 
 
-def reproduce(
-    name: str,
-    out_dir: str | Path | None = None,
-    overrides: Mapping[str, Any] | None = None,
-) -> ExperimentResult:
-    """Run a bundled recipe, optionally overriding top-level config keys."""
-    if overrides:
-        raw = dict(recipe(name).raw)
-        raw.update(overrides)
-        config = validate_config(raw)
-    else:
-        config = recipe_config(name)
-    return run_experiment(config, out_dir=out_dir)
+def reproduce(name: str, out_dir: str | Path | None = None) -> ExperimentResult:
+    """Run a bundled recipe."""
+    return run_experiment(recipe_config(name), out_dir=out_dir)

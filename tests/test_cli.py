@@ -19,6 +19,7 @@ import folnerlab.runner
 from folnerlab.cli import main
 from folnerlab.config import validate_config
 from folnerlab.errors import ConfigError
+from folnerlab.registry import ANALYSES
 from folnerlab.runner import run_experiment
 
 
@@ -87,6 +88,15 @@ class TestProfile:
             assert int(sphere) == 4 * (r + 1)
         assert lines[10].endswith(",")  # sphere unknown at the final radius
 
+    def test_runs_no_analysis(self, runner, z2_graph, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an analysis ran")
+
+        for name, entry in ANALYSES.items():
+            monkeypatch.setitem(ANALYSES, name, entry._replace(run=refuse))
+        result = runner.invoke(main, ["profile", "--graph", str(z2_graph), "--depth", "8"])
+        assert result.exit_code == 0, result.output
+
     def test_unknown_center_label(self, runner, z2_graph):
         result = runner.invoke(main, ["profile", "--graph", str(z2_graph), "--depth", "4", "--center", "nope"])
         assert result.exit_code != 0
@@ -127,7 +137,7 @@ class TestProfile:
         path.write_text("vertices 1000000\nbasepoint a 0\n")
         tracemalloc.start()
         try:
-            result = runner.invoke(main, ["--budget-vertices", "100", "profile", "--graph", str(path), "--depth", "1"])
+            result = runner.invoke(main, ["--budget-vertices", "100", "profile", "--graph", str(path), "--depth", "2"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -169,6 +179,16 @@ class TestPowers:
         rows = [line.split(",") for line in result.output.splitlines()[2:]]
         assert [int(r[1]) for r in rows] == [1, 4, 10, 20]
 
+    @pytest.mark.parametrize("elements,message", [
+        ("[[1.5,0],[0,1],[-1,-1]]", "--set: coordinates must be integers, got 1.5"),
+        ("[[true,0],[0,1],[-1,-1]]", "--set: coordinates must be integers, got True"),
+        ("[1,2]", "--set: expected a JSON array of integer arrays"),
+    ])
+    def test_set_needs_integer_coordinates(self, runner, elements, message):
+        result = runner.invoke(main, ["powers", "--n-max", "3", "--set", elements])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
+
     def test_non_generating_set_fails(self, runner):
         result = runner.invoke(main, ["powers", "--n-max", "3", "--set", "[[2,0],[-2,0],[0,2],[0,-2]]"])
         assert result.exit_code != 0
@@ -191,6 +211,16 @@ class TestNprod:
         result = runner.invoke(main, ["nprod", "--factors", f"[{bad}]", "--inner", std, "--outer", std])
         assert result.exit_code != 0
         assert "factor 0 is missing" in result.output
+
+    @pytest.mark.parametrize("factors,message", [
+        ("[[[1.5,0],[-1,0],[0,1],[0,-1]]]", "--factors: coordinates must be integers, got 1.5"),
+        ("[1]", "--factors: expected a JSON array of integer arrays"),
+    ])
+    def test_factors_need_integer_coordinates(self, runner, factors, message):
+        std = "[[1,0],[-1,0],[0,1],[0,-1]]"
+        result = runner.invoke(main, ["nprod", "--factors", factors, "--inner", std, "--outer", std])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {message}\n"
 
 
 class TestShellReport:
@@ -371,6 +401,41 @@ class TestRunnerParity:
         })
         run_experiment(config, tmp_path / "run")
         assert _body(out.read_text()) == _body((tmp_path / "run" / "ergodic.csv").read_text())
+
+
+Z2_R1 = {"family": "lattice", "d": 2, "radius": 1}
+INVALID = [
+    # (CLI arguments, the equivalent config fields); the space is the graph
+    # file unless the fields name one
+    (["profile", *G, "--depth", "0"], {"depth": 0, "analyses": {"annulus": {}}}),
+    (["profile", *G, "--depth", "4", "--sample", "-2"], {"depth": 4, "centers": {"sample": -2}, "analyses": {"annulus": {}}}),
+    (["fit", *G, "--depth", "12", "--min-points", "1"], {"depth": 12, "analyses": {"fit": {"min_points": 1}}}),
+    (["shell-report", *G, "--depth", "12", "--k-min", "0"], {"depth": 12, "analyses": {"shell": {"k_min": 0}}}),
+    (["dyadic", *G, "--depth", "12", "--i-max", "-1"], {"depth": 12, "analyses": {"dyadic": {"i_max": -1}}}),
+    (
+        ["verify", *G, "--depth", "3", "--k-min", "1"],
+        {"depth": 3, "analyses": {"shell": {"k_min": 1}, "verify": {}}},
+    ),
+    (["ergodic", "--n-max", "0"], {"space": Z2_R1, "depth": 2, "analyses": {"ergodic": {"n_max": 0}}}),
+    (
+        ["ergodic", "--start", "nan,0.2"],
+        {"space": Z2_R1, "depth": 2, "analyses": {"ergodic": {"start": [float("nan"), 0.2]}}},
+    ),
+]
+
+
+class TestOptionsAreValidatedAsConfigs:
+    """An analysis command's options go through config validation: a bad
+    option fails with the error its config would give, naming the field."""
+
+    @pytest.mark.parametrize("cli_args,fields", INVALID)
+    def test_invalid_option_fails_as_its_config(self, runner, z2_graph, cli_args, fields):
+        with pytest.raises(ConfigError) as error:
+            validate_config({"space": {"graph_file": str(z2_graph)}, **fields})
+        argv = [str(z2_graph) if a == "<graph>" else a for a in cli_args]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1
+        assert result.output == f"Error: {error.value}\n"
 
 
 def _run_cli(args, env, cwd):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from folnerlab.config import ExperimentConfig, load_config, validate_config
+from folnerlab.config import ExperimentConfig, load_config, validate_config, validate_sections
 from folnerlab.errors import ConfigError
 from folnerlab.recipes import RECIPES, recipe, recipe_config
 
@@ -141,6 +141,8 @@ class TestAnalyses:
     def test_at_least_one(self):
         with pytest.raises(ConfigError, match="at least one analysis"):
             validate_config(_base(analyses={}))
+        # The sections alone admit a run that only profiles.
+        assert validate_sections(_base(analyses={})).analyses == {}
 
     def test_unknown_analysis(self):
         with pytest.raises(ConfigError, match="analyses: unknown key 'spectral'"):
@@ -178,6 +180,26 @@ class TestAnalyses:
         assert erg["n_max"] == 200
         assert erg["preset"] == "golden"
 
+    def test_verify_needs_two_radii(self):
+        # The shell sweep's default n_max is depth // 2 = 1: one radius.
+        raw = _base(depth=3, analyses={"shell": {"k_min": 1}, "verify": {}})
+        with pytest.raises(ConfigError, match=r"^analyses\.verify: requires analyses\.shell\.n_max of at least 2"):
+            validate_config(raw)
+        raw["depth"] = 4
+        assert validate_config(raw).analyses["shell"]["n_max"] == 2
+
+    @pytest.mark.parametrize("start", [[float("nan"), 0.2], [0.1, float("inf")], [0.1], [0.1, 0.2, 0.3], [True, 0.2]])
+    def test_ergodic_start_is_a_finite_point_on_the_torus(self, start):
+        with pytest.raises(ConfigError, match=r"^analyses\.ergodic\.start: expected a list of two finite numbers"):
+            validate_config(_base(analyses={"ergodic": {"start": start}}))
+
+    def test_ergodic_start_from_json_nan(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(_base(analyses={"ergodic": {"start": [float("nan"), 0.2]}})))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ConfigError, match="start: expected a list of two finite numbers"):
+            load_config(path)
+
     def test_ergodic_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             validate_config(_base(analyses={"ergodic": {"preset": "pi"}}))
@@ -193,6 +215,11 @@ class TestAnalyses:
     def test_claims_width_validation(self):
         with pytest.raises(ConfigError, match="widths"):
             validate_config(_base(analyses={"claims": {"widths": [4, 3]}}))
+
+    @pytest.mark.parametrize("widths", [[6], [4, 10], [0], [-4]])
+    def test_claims_widths_are_multiples_of_four(self, widths):
+        with pytest.raises(ConfigError, match=r"^analyses\.claims\.widths: expected a list of positive multiples of 4"):
+            validate_config(_base(analyses={"claims": {"widths": widths}}))
 
     @pytest.mark.parametrize("claims", [{"widths": []}, {"widths": [8, 12], "n_max": 7}])
     def test_claims_that_test_no_pair_are_rejected(self, claims):

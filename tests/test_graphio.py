@@ -5,8 +5,11 @@ Core claims:
     - dump/parse round-trips graphs including basepoints
     - comments and blank lines are ignored
     - every malformed input is rejected with the offending line number
-    - a vertex count above the vertex budget is rejected at the header
+    - a vertex count above the vertex budget is rejected at the header,
+      before the rest of the text is split into lines
 """
+
+import tracemalloc
 
 import pytest
 
@@ -64,6 +67,8 @@ class TestRejections:
             ),
             ("vertices 2\nedge 0 1\nvertex 1", "line 3: unknown record"),
             ("vertices 3\nedge 0 1", "not connected"),
+            # Line numbers count every line break that str.splitlines knows.
+            ("# c\r\n\nvertices 2\r\nedge 0 1\redge 0 5\n", "line 5: edge \\(0, 5\\) out of range"),
         ],
     )
     def test_malformed_inputs(self, text, message):
@@ -80,6 +85,17 @@ class TestVertexBudget:
         path.write_text(text)
         with pytest.raises(BudgetExceededError, match="line 1"):
             load_graph(path, 100)
+
+    def test_header_is_read_before_the_rest_is_split(self):
+        text = "vertices 1000000\n" + "".join(f"edge {i} {i + 1}\n" for i in range(300_000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="line 1: size 1000000 exceeds budget 100"):
+                parse_graph(text, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_budget_is_inclusive(self):
         assert parse_graph(dump_graph(_triangle()), 3).vertex_count == 3
