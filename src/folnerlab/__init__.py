@@ -33,7 +33,6 @@ from .errors import (
     NotGeneratingError,
 )
 from .generators import (
-    CayleyBall,
     StairwayStrip,
     TreeChainSpec,
     WordBall,

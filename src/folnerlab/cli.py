@@ -169,7 +169,7 @@ def generate(ctx, family, d, radius, generating_set, a, b, blocks, levels):
     spec = FAMILIES[family]
     space = validate_space({"family": family, **{key: params[key] for key in (*spec.ints, *spec.strs)}})
     built = spec.build(space, ctx.obj["budgets"]["vertices"])
-    _emit(dump_graph(built.graph), ctx.obj["out"])
+    _emit(dump_graph(built.graph()), ctx.obj["out"])
 
 
 @main.command()
@@ -322,7 +322,10 @@ def fit(ctx, graph_path, depth, center_labels, dyadic_radii, min_points):
 @_friendly
 def ergodic(ctx, observable, start, n_max, preset):
     """Ball averages of a torus rotation along word-ball powers of Z^2."""
-    point = [float(v) for v in start.split(",")]
+    try:
+        point = [float(v) for v in start.split(",")]
+    except ValueError:  # left as text, for the config check to reject naming its field
+        point = start.split(",")
     opts = {"observable": observable, "start": point, "n_max": n_max, "preset": preset}
     # The analysis expands its own powers; the space is the smallest valid one.
     raw = {"space": {"family": "lattice", "d": 2, "radius": 1}, "depth": 2,

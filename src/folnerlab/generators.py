@@ -11,8 +11,9 @@ word_ball / lattice_graph / heisenberg_graph
     basepoint "origin" equals word length for every vertex, and the BFS
     profile of the origin is the running sum of the layer sizes: group
     spaces profile the origin from the layers and build the graph only on
-    demand.  When it is built (`WordBall.graph`, `cayley_ball`), edges join
-    elements differing by one generator and are found by key lookup.
+    demand.  When it is built (`WordBall.graph`, at most once per ball;
+    `cayley_ball` builds it at once), edges join elements differing by one
+    generator and are found by key lookup.
 
 stretched_tree_chain
     Blocks G'_1 .. G'_N glued in a row.  Block n is a depth-n tree with
@@ -61,7 +62,6 @@ from .space import Graph, VolumeProfile
 __all__ = [
     "WordBall",
     "word_ball",
-    "CayleyBall",
     "TreeChainSpec",
     "StairwayStrip",
     "lattice_graph",
@@ -139,6 +139,7 @@ class WordBall:
         edges = np.concatenate(pieces)
         return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
+    @cached_property
     def graph(self) -> Graph:
         """The ball as a validated graph with basepoint "origin" = identity."""
         return Graph.from_edges(
@@ -147,22 +148,24 @@ class WordBall:
 
     def profile(self, depth: int) -> VolumeProfile:
         """Volume profile of the identity, equal to `volume_profile` of vertex
-        0 on `graph()`: ball[r] sums layers 0..r and saturates past the
+        0 on `graph`: ball[r] sums layers 0..r and saturates past the
         radius."""
         return VolumeProfile.from_sizes(0, self.sizes, depth)
 
 
 def word_ball(
     model: GroupModel,
-    generating_set: Sequence[Element],
+    generating_set: Sequence[Element] | str,
     radius: int,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> WordBall:
-    """Birth layers of the word ball of `radius` for the symmetrized set:
-    those of `groups.expand` from the identity, with the vertex budget as
-    its budget."""
+    """Birth layers of the word ball of `radius` for the symmetrized set
+    (a named set of `model` or explicit tuples): those of `groups.expand`
+    from the identity, with the vertex budget as its budget."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    if isinstance(generating_set, str):
+        generating_set = model.generating_set(generating_set)
     steps = model.symmetrize(generating_set)
     check_generates(model, steps)
     # One factor more than the radius, never expanded: it sizes the box for
@@ -172,33 +175,22 @@ def word_ball(
     return WordBall(model, steps, tuple(layer.keys for layer in kept), kept[0].box)
 
 
-@dataclass(frozen=True)
-class CayleyBall:
-    """A word ball realized as a graph, keeping the vertex -> element table."""
-
-    graph: Graph
-    elements: tuple[Element, ...]
-
-    @property
-    def index(self) -> dict[Element, int]:
-        return {g: i for i, g in enumerate(self.elements)}
-
-
 def cayley_ball(
     model: GroupModel,
-    generating_set: Sequence[Element],
+    generating_set: Sequence[Element] | str,
     radius: int,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> CayleyBall:
+) -> WordBall:
     """Word ball of `radius` in `model` for the symmetrized generating set,
-    realized as a graph from the layers of `word_ball`.
+    with its graph realized from the layers of `word_ball`.
 
     The generating set is symmetrized (closed under inversion, identity
     dropped) before building edges; one-sided product sets are the business
     of the `products` module, not of graph realizations.
     """
     ball = word_ball(model, generating_set, radius, vertex_budget)
-    return CayleyBall(graph=ball.graph(), elements=ball.elements)
+    ball.graph  # built here, so its time is spent inside this call
+    return ball
 
 
 def lattice_graph(
@@ -206,24 +198,18 @@ def lattice_graph(
     generating_set: Sequence[Element] | str = "standard",
     radius: int = 8,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> CayleyBall:
+) -> WordBall:
     """Word ball in Z^d.  `generating_set` is a named set or explicit tuples."""
-    model = zd_model(d)
-    if isinstance(generating_set, str):
-        generating_set = model.generating_set(generating_set)
-    return cayley_ball(model, generating_set, radius, vertex_budget)
+    return cayley_ball(zd_model(d), generating_set, radius, vertex_budget)
 
 
 def heisenberg_graph(
     generating_set: Sequence[Element] | str = "standard",
     radius: int = 8,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> CayleyBall:
+) -> WordBall:
     """Word ball in the discrete Heisenberg group."""
-    model = heisenberg_model()
-    if isinstance(generating_set, str):
-        generating_set = model.generating_set(generating_set)
-    return cayley_ball(model, generating_set, radius, vertex_budget)
+    return cayley_ball(heisenberg_model(), generating_set, radius, vertex_budget)
 
 
 @dataclass(frozen=True)

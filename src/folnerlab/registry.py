@@ -5,10 +5,13 @@ with a parser and a default) and what it needs of the rest of the config.
 `run` returns the analysis's part of `summary.json`, its CSV table and, for
 the analyses that gate `pass`, its verdict.  `FAMILIES` maps each space
 family to its integer parameters with their minima, its string parameters
-with their defaults, and its builder.  `config` validates through both
-tables, and `runner` builds and runs through them; the CLI's analysis
-commands go through `config` and `runner` too, reading only their option
-defaults here.  Adding an analysis or a family is one entry here.
+with their defaults, and its builder, which returns the one space record,
+`BuiltSpace`.  What is special about a family lives in its builder, so the
+runner names no family, no analysis and no kind of space.  `config`
+validates through both tables, and `runner` builds and runs through them;
+the CLI's analysis commands go through `config` and `runner` too, reading
+only their option defaults here.  Adding an analysis or a family is one
+entry here.
 
 Analyses run in table order.  The order matters: `verify` reads the shell
 report that `shell` leaves in the context, and overrides its `fitted_C`.
@@ -23,7 +26,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import IO, Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -36,21 +38,20 @@ from .analysis import (
     shell_alpha,
     verify_sphere_bound,
 )
-from .ergodic import GOLDEN_ANGLES, TorusAction, ergodic_trace
+from .ergodic import GOLDEN_ANGLES, OBSERVABLES, TorusAction, ergodic_trace
 from .errors import ConfigError
 from .generators import (
-    StairwayStrip,
     TreeChainSpec,
-    WordBall,
+    norm_profile,
     stairway_strip,
     stretched_tree_chain,
     word_ball,
 )
 from .groups import GroupModel, heisenberg_model, zd_model
 from .products import product_powers, shell_inclusion_check
-from .space import Graph, VolumeProfile
+from .space import Graph, VolumeProfile, volume_profile
 
-__all__ = ["ANALYSES", "FAMILIES", "BuiltSpace", "Context", "Outcome", "parse_options"]
+__all__ = ["ANALYSES", "FAMILIES", "BuiltSpace", "Context", "Outcome", "graph_space", "parse_options"]
 
 
 # -- option parsing ----------------------------------------------------------
@@ -92,7 +93,10 @@ def _real(value: Any) -> bool:
 
 _flag = option_parser(lambda v: isinstance(v, bool), "expected a boolean")
 _number = option_parser(_real, "expected a number, got {value!r}", float)
-_text = option_parser(lambda v: isinstance(v, str), "expected a string")
+_observable = option_parser(
+    lambda v: isinstance(v, str) and v in OBSERVABLES,
+    "unknown observable {value!r}; known: " + ", ".join(sorted(OBSERVABLES)),
+)
 _preset = option_parser(lambda v: v == "golden", "unknown preset {value!r}")
 _point = option_parser(  # a point on the 2-torus
     lambda v: isinstance(v, list) and len(v) == 2
@@ -354,7 +358,7 @@ ANALYSES: dict[str, Analysis] = {
     "ergodic": Analysis(_ergodic, {
         "start": (_point, [0.0, 0.0]),
         "preset": (_preset, "golden"),
-        "observable": (_text, "cos_x"),
+        "observable": (_observable, "cos_x"),
         "n_max": (at_least(1), 200),
     }, ((
         "",
@@ -373,33 +377,30 @@ ANALYSES: dict[str, Analysis] = {
 # -- space families ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuiltSpace:
-    """A realized space, plus whatever extra structure it came with.
+class BuiltSpace(NamedTuple):
+    """A realized space, seen as a measure and balls around centers.
 
-    The group families carry their word ball and build the graph from it
-    only when something asks for `graph`; the others carry the graph.
+    Each family builder fills every field.  `graph()` builds the graph on
+    first use, at most once, and `profile(vertex, depth)` is the volume
+    profile around a vertex in the metric the family is studied in.
     """
 
-    given: Graph | None = None  # set for graph files, tree chains and the stairway
-    ball: WordBall | None = None  # set for the group families
-    strip: StairwayStrip | None = None  # set for the stairway family
+    vertex_count: int
+    edge_count: int
+    basepoints: Mapping[str, int]
+    graph: Callable[[], Graph]
+    profile: Callable[[int, int], VolumeProfile]
 
-    @cached_property
-    def graph(self) -> Graph:
-        return self.given if self.ball is None else self.ball.graph()
 
-    @property
-    def vertex_count(self) -> int:
-        return self.graph.vertex_count if self.ball is None else self.ball.vertex_count
-
-    @property
-    def edge_count(self) -> int:
-        return self.graph.edge_count if self.ball is None else self.ball.edge_count
-
-    @property
-    def basepoints(self) -> Mapping[str, int]:
-        return self.graph.basepoints if self.ball is None else {"origin": 0}
+def graph_space(graph: Graph) -> BuiltSpace:
+    """The record of a plain graph, profiled by BFS."""
+    return BuiltSpace(
+        graph.vertex_count,
+        graph.edge_count,
+        graph.basepoints,
+        lambda: graph,
+        lambda v, depth: volume_profile(graph, v, depth),
+    )
 
 
 class Family(NamedTuple):
@@ -411,18 +412,35 @@ class Family(NamedTuple):
 
 def _word_ball(space: Mapping[str, Any], budget: int) -> BuiltSpace:
     model = FAMILIES[space["family"]].model(space)
-    gens = model.generating_set(space["generating_set"])
-    return BuiltSpace(ball=word_ball(model, gens, space["radius"], budget))
+    ball = word_ball(model, space["generating_set"], space["radius"], budget)
+
+    def profile(v: int, depth: int) -> VolumeProfile:
+        if v == 0:
+            return ball.profile(depth)  # the identity: no graph needed
+        return volume_profile(ball.graph, v, depth)
+
+    return BuiltSpace(ball.vertex_count, ball.edge_count, {"origin": 0}, lambda: ball.graph, profile)
 
 
 def _tree_chain(space: Mapping[str, Any], budget: int) -> BuiltSpace:
     spec = TreeChainSpec(stretch=space["a"], valence=space["b"], blocks=space["blocks"])
-    return BuiltSpace(given=stretched_tree_chain(spec, budget))
+    return graph_space(stretched_tree_chain(spec, budget))
 
 
 def _stairway(space: Mapping[str, Any], budget: int) -> BuiltSpace:
     strip = stairway_strip(space["levels"], budget)
-    return BuiltSpace(given=strip.graph, strip=strip)
+    origin = strip.graph.basepoints["origin"]
+
+    def profile(v: int, depth: int) -> VolumeProfile:
+        # Stairway analyses run in the ambient Euclidean metric from the
+        # origin; the graph metric sees only a thick path here.
+        if v != origin:
+            raise ConfigError(
+                f"centers: the stairway is profiled from its origin only, not from vertex {v}"
+            )
+        return norm_profile(strip, depth)
+
+    return graph_space(strip.graph)._replace(profile=profile)
 
 
 _GROUP_SET = {"generating_set": "standard"}

@@ -6,13 +6,15 @@ starts with a `# config HASH` comment so artifacts can be traced back to the
 exact normalized config that produced them; bodies are byte-identical across
 reruns with the same config and seed.
 
-The runner names no analysis and no family.  `run_analyses` is the one
-place analyses run: it builds the space through the family table of
-`registry`, profiles the centers, and runs the enabled entries of the
-analysis table in table order, merging each entry's summary part and
-keeping its table.  `run_experiment` writes what it returns, each table as
-`<name>.csv`; the CLI's analysis commands call it with the config their
-options make, and print their own part of it.
+The runner names no family, no analysis and no kind of space.
+`run_analyses` is the one place analyses run: it builds the space record
+through the family table of `registry` (a graph file through
+`registry.graph_space`), profiles every center with the record's one
+`profile` call, and runs the enabled entries of the analysis table in table
+order, merging each entry's summary part and keeping its table.
+`run_experiment` writes what it returns, each table as `<name>.csv`; the
+CLI's analysis commands call it with the config their options make, and
+print their own part of it.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .analysis import shell_alpha  # noqa: F401  (kept importable from this module)
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .generators import norm_profile
 from .graphio import load_graph
 from .recipes import recipe_config
 from .registry import (
@@ -34,10 +35,11 @@ from .registry import (
     BuiltSpace,
     Context,
     Table,
+    graph_space,
     profile_table,
     write_csv,
 )
-from .space import VolumeProfile, sample_centers, volume_profile
+from .space import sample_centers
 
 __all__ = ["ExperimentResult", "BuiltSpace", "build_space", "run_analyses", "run_experiment", "reproduce"]
 
@@ -55,7 +57,7 @@ class ExperimentResult:
 def build_space(config: ExperimentConfig) -> BuiltSpace:
     space = config.space
     if "graph_file" in space:
-        return BuiltSpace(given=load_graph(space["graph_file"], config.vertex_budget))
+        return graph_space(load_graph(space["graph_file"], config.vertex_budget))
     return FAMILIES[space["family"]].build(space, config.vertex_budget)
 
 
@@ -67,7 +69,7 @@ def _resolve_centers(
     basepoints = built.basepoints
     if spec["sample"] > 0:
         by_vertex = {v: label for label, v in sorted(basepoints.items())}
-        vertices = sample_centers(built.graph, spec["sample"], config.seed or 0)
+        vertices = sample_centers(built.graph(), spec["sample"], config.seed or 0)
         return [(by_vertex.get(v, f"v{v}"), v) for v in vertices]
     labels = spec["basepoints"]
     if labels == "all":
@@ -85,22 +87,6 @@ def _resolve_centers(
     return [(label, basepoints[label]) for label in labels]
 
 
-def _profiles(
-    built: BuiltSpace, centers: Sequence[tuple[str, int]], depth: int
-) -> list[tuple[str, VolumeProfile]]:
-    if built.strip is not None:
-        # Stairway analyses run in the ambient Euclidean metric from the
-        # origin; the graph metric sees only a thick path here.
-        return [("origin", norm_profile(built.strip, depth))]
-
-    def profile(v: int) -> VolumeProfile:
-        if built.ball is not None and v == 0:
-            return built.ball.profile(depth)  # the identity: no graph needed
-        return volume_profile(built.graph, v, depth)
-
-    return [(label, profile(v)) for label, v in centers]
-
-
 def run_analyses(config: ExperimentConfig) -> tuple[dict[str, Any], dict[str, Table]]:
     """Build the configured space, profile its centers and run the enabled
     analyses in table order.
@@ -108,7 +94,9 @@ def run_analyses(config: ExperimentConfig) -> tuple[dict[str, Any], dict[str, Ta
     Returns the summary and each table by name, `profile` first.
     """
     built = build_space(config)
-    labeled = _profiles(built, _resolve_centers(built, config), config.depth)
+    labeled = [
+        (label, built.profile(v, config.depth)) for label, v in _resolve_centers(built, config)
+    ]
     ctx = Context(config.space, config.element_budget, config.depth, labeled)
     summary: dict[str, Any] = {
         "config": config.digest,

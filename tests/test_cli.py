@@ -421,6 +421,14 @@ INVALID = [
         ["ergodic", "--start", "nan,0.2"],
         {"space": Z2_R1, "depth": 2, "analyses": {"ergodic": {"start": [float("nan"), 0.2]}}},
     ),
+    (
+        ["ergodic", "--start", "a,b"],
+        {"space": Z2_R1, "depth": 2, "analyses": {"ergodic": {"start": ["a", "b"]}}},
+    ),
+    (
+        ["ergodic", "--observable", "bogus"],
+        {"space": Z2_R1, "depth": 2, "analyses": {"ergodic": {"observable": "bogus"}}},
+    ),
 ]
 
 

@@ -200,6 +200,15 @@ class TestAnalyses:
         with pytest.raises(ConfigError, match="start: expected a list of two finite numbers"):
             load_config(path)
 
+    @pytest.mark.parametrize("observable", ["bogus", ["cos_x"], 3])
+    def test_ergodic_unknown_observable(self, observable):
+        with pytest.raises(
+            ConfigError,
+            match=r"^analyses\.ergodic\.observable: unknown observable .*; "
+            r"known: box, cos_mix, cos_x, cos_y, one$",
+        ):
+            validate_config(_base(analyses={"ergodic": {"observable": observable}}))
+
     def test_ergodic_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             validate_config(_base(analyses={"ergodic": {"preset": "pi"}}))

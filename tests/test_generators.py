@@ -206,7 +206,7 @@ class TestWordBallKernel:
         ball = word_ball(model, model.generating_set("standard"), 0)
         assert ball.elements == ((0, 0, 0),)
         assert ball.edge_count == 0
-        assert ball.graph().vertex_count == 1
+        assert ball.graph.vertex_count == 1
 
     @pytest.mark.parametrize("budget", [4, 5, 12, 13, 40, 100])
     def test_budget_fires_like_the_reference(self, budget):
@@ -315,11 +315,11 @@ class TestHeisenbergGraph:
     def test_central_element_at_distance_4(self):
         ball = heisenberg_graph("standard", 4)
         dist = bfs_distances(ball.graph, 0)
-        assert dist[ball.index[(0, 0, 1)]] == 4
+        assert dist[ball.elements.index((0, 0, 1))] == 4
 
     def test_monotone_geodesic_on_word_ball(self):
         ball = heisenberg_graph("standard", 4)
-        target = ball.index[(0, 0, 1)]
+        target = ball.elements.index((0, 0, 1))
         chain = monotone_geodesic(ball.graph, 0, target)
         dist = bfs_distances(ball.graph, 0)
         assert [dist[v] for v in chain.vertices] == list(range(len(chain.vertices)))

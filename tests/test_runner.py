@@ -7,6 +7,10 @@ Core claims:
       generating set, also when the depth exceeds the radius
     - an origin-only run on a group space never builds a graph, while
       sampled centers do and agree with the graph-free origin profile
+    - every family's space record, and a graph file's, agrees with its own
+      graph: counts, basepoints and, in the graph metric, the BFS profile
+      at the basepoints and at sampled vertices; the stairway profiles its
+      origin in the ambient norm and refuses any other center
     - the ergodic analysis expands the configured generating set
     - an empty center list is a config error naming `centers`
 """
@@ -18,10 +22,13 @@ import pytest
 from folnerlab.config import validate_config
 from folnerlab.errors import ConfigError
 from folnerlab.ergodic import GOLDEN_ANGLES, TorusAction, ergodic_trace
+from folnerlab.generators import TreeChainSpec, norm_profile, stairway_strip, stretched_tree_chain
+from folnerlab.graphio import save_graph
 from folnerlab.groups import zd_model
 from folnerlab.products import product_powers
+from folnerlab.registry import FAMILIES
 from folnerlab.runner import build_space, run_experiment
-from folnerlab.space import Graph, volume_profile
+from folnerlab.space import Graph, sample_centers, volume_profile
 
 NAMED_SETS = [
     ({"family": "lattice", "d": 1}, "standard"),
@@ -52,13 +59,55 @@ def _profile_rows(path):
 @pytest.mark.parametrize("depth", [3, 5, 9])
 def test_origin_profile_matches_bfs(space, generating_set, depth):
     built = build_space(_config(space, generating_set, 5, depth))
-    graph = built.graph
-    assert built.ball.profile(depth) == volume_profile(graph, 0, depth)
+    graph = built.graph()
+    assert built.profile(0, depth) == volume_profile(graph, 0, depth)
     assert (built.vertex_count, built.edge_count) == (
         graph.vertex_count,
         graph.edge_count,
     )
     assert dict(built.basepoints) == dict(graph.basepoints)
+
+
+# One small space per family; the record tests add a graph file.
+SMALL_SPACES = {
+    "lattice": {"family": "lattice", "d": 2, "radius": 4, "generating_set": "diagonal"},
+    "heisenberg": {"family": "heisenberg", "radius": 3},
+    "tree-chain": {"family": "tree-chain", "a": 2, "b": 3, "blocks": 3},
+    "stairway": {"family": "stairway", "levels": 4},
+}
+
+
+def _space_config(tmp_path, name, depth, **extra):
+    if name == "graph_file":  # a tree chain written to disk
+        path = tmp_path / "space.graph"
+        save_graph(stretched_tree_chain(TreeChainSpec(2, 3, 3)), path)
+        space = {"graph_file": str(path)}
+    else:
+        space = SMALL_SPACES[name]
+    return validate_config({"space": space, "depth": depth, "analyses": {"annulus": {}}, **extra})
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, "graph_file"])
+def test_space_record_agrees_with_its_graph(tmp_path, name):
+    depth = 7
+    built = build_space(_space_config(tmp_path, name, depth))
+    graph = built.graph()
+    assert built.graph() is graph
+    assert (built.vertex_count, built.edge_count) == (graph.vertex_count, graph.edge_count)
+    assert dict(built.basepoints) == dict(graph.basepoints)
+    if name == "stairway":
+        strip = stairway_strip(SMALL_SPACES["stairway"]["levels"])
+        assert built.profile(built.basepoints["origin"], depth) == norm_profile(strip, depth)
+        return
+    for v in [*built.basepoints.values(), *sample_centers(graph, 2, 5)]:
+        assert built.profile(v, depth) == volume_profile(graph, v, depth)
+
+
+def test_stairway_refuses_sampled_centers(tmp_path):
+    config = _space_config(tmp_path, "stairway", 7, centers={"sample": 4}, seed=0)
+    with pytest.raises(ConfigError, match="^centers: the stairway is profiled from its origin only"):
+        run_experiment(config, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_origin_only_run_builds_no_graph(tmp_path, monkeypatch):
@@ -84,7 +133,7 @@ def test_sampled_centers_use_the_graph(tmp_path):
     run_experiment(config, tmp_path)
     rows = _profile_rows(tmp_path / "profile.csv")
     assert len({row["center"] for row in rows}) == 4
-    graph = build_space(config).graph
+    graph = build_space(config).graph()
     origin = [int(row["ball"]) for row in rows if row["center"] == "origin"]
     assert tuple(origin) == volume_profile(graph, 0, 8).ball
 
