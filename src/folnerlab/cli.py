@@ -167,7 +167,7 @@ def generate(ctx, family, d, radius, generating_set, a, b, blocks, levels):
     params = dict(d=d, radius=radius, generating_set=generating_set,
                   a=a, b=b, blocks=blocks, levels=levels)
     spec = FAMILIES[family]
-    space = validate_space({"family": family, **{key: params[key] for key in (*spec.ints, *spec.strs)}})
+    space = validate_space({"family": family, **{key: params[key] for key in spec.options}})
     built = spec.build(space, ctx.obj["budgets"]["vertices"])
     _emit(dump_graph(built.graph()), ctx.obj["out"])
 

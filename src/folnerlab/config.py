@@ -65,18 +65,8 @@ def validate_space(raw: Any) -> dict[str, Any]:
     if family not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
         raise ConfigError(f"space.family: unknown family {family!r}; known: {known}")
-    spec = FAMILIES[family]
-    check_keys(raw, {"family"} | set(spec.ints) | set(spec.strs), "space")
-    out: dict[str, Any] = {"family": family}
-    for key, minimum in spec.ints.items():
-        _require(raw, key, "space")
-        out[key] = int_value(raw[key], f"space.{key}", minimum)
-    for key, default in spec.strs.items():
-        value = raw.get(key, default)
-        if not isinstance(value, str):
-            raise ConfigError(f"space.{key}: expected a string, got {value!r}")
-        out[key] = value
-    return out
+    params = {key: value for key, value in raw.items() if key != "family"}
+    return {"family": family, **parse_options(params, FAMILIES[family].options, "space")}
 
 
 _CENTERS = {
@@ -115,9 +105,9 @@ def _validate_analyses(
         out[name] = parse_options(options, ANALYSES[name].options, f"analyses.{name}", depth)
     for name, entry in ANALYSES.items():
         for option, test, error in entry.needs:
-            if name in out and not test(out, space):
+            if name in out and not test(out, space, depth):
                 where = ".".join(filter(None, ("analyses", name, option)))
-                raise ConfigError(f"{where}: {error}")
+                raise ConfigError(f"{where}: " + error.format(depth=depth, **out[name]))
     return out
 
 

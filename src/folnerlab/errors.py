@@ -4,7 +4,14 @@ from __future__ import annotations
 
 
 class GraphFormatError(ValueError):
-    """Raised when a graph file violates the on-disk format."""
+    """A broken graph invariant: an edge's (range, loop, repeat) from
+    `Graph.from_edges`, the graph's (symmetry, basepoint range, connectivity)
+    from `Graph.validate`, a file's text from `graphio.parse_graph`.  `where`
+    is the edge's list index or the basepoint's label, if one record shows it."""
+
+    def __init__(self, message: str, where: int | str | None = None):
+        super().__init__(message)
+        self.where = where
 
 
 class BudgetExceededError(RuntimeError):

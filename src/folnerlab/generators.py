@@ -32,7 +32,12 @@ stairway_strip
     centered at the origin, joined by straight runs along the x-axis.  The
     interesting metric here is the ambient one: `norm_profile` counts points
     by Euclidean norm from the origin, where growth is linear but the ring
-    (2^k, 2^k + 1] contains an entire half-circle of points.
+    (2^k, 2^k + 1] contains an entire half-circle of points.  A graph file
+    holds no coordinates, so a stairway written out and read back is
+    profiled in its graph metric, not in this one.
+
+Every graph here is assembled by `Graph.from_edges`, the one check of an
+edge list.
 """
 
 from __future__ import annotations

@@ -10,10 +10,16 @@ Format, one record per line:
 
 Vertices are 0-indexed.  `edge` lines are undirected and must appear once per
 edge; `basepoint` lines are optional and attach labels to vertices.  Blank
-lines and lines starting with '#' are ignored.  The loader rejects self-loops,
-duplicate edges (in either orientation), out-of-range indices, duplicate
-basepoint labels, and disconnected graphs.  Given a vertex budget, it
-rejects a `vertices N` header with N above it before reading further.
+lines and lines starting with '#' are ignored.
+
+`parse_graph` only reads.  It rejects what the text gets wrong (the header,
+a vertex count above a given budget, before reading on, a record's shape, a
+non-integer vertex, a repeated basepoint label) and hands the rest to
+`Graph.from_edges`, the one check of out-of-range, self-loop and duplicate
+edges, whose `validate` checks basepoint range and connectivity.  So a file
+with several faults reports its first text fault, else its first edge fault,
+else its first basepoint fault, else that it is disconnected.  The line of
+an edge or basepoint fault is looked up only once the fault is found.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from .errors import BudgetExceededError, GraphFormatError
 from .space import Graph
 
 __all__ = ["load_graph", "save_graph", "dump_graph", "parse_graph"]
+
+_SHAPES = {"edge": "edge U V", "basepoint": "basepoint LABEL V"}
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:
@@ -63,46 +71,38 @@ def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
         raise BudgetExceededError(f"graph file header, line {lineno}", n, vertex_budget)
 
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     basepoints: dict[str, int] = {}
     for lineno, line in records:
-        parts = line.split()
-        if parts[0] == "edge":
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: expected 'edge U V'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer vertex in {line!r}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range")
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: self-loop at {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-            seen.add(key)
-            edges.append((u, v))
-        elif parts[0] == "basepoint":
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: expected 'basepoint LABEL V'")
-            label = parts[1]
-            try:
-                v = int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer vertex in {line!r}")
-            if not 0 <= v < n:
-                raise GraphFormatError(f"line {lineno}: basepoint {label!r} -> {v} out of range")
-            if label in basepoints:
-                raise GraphFormatError(f"line {lineno}: duplicate basepoint {label!r}")
-            basepoints[label] = v
+        kind, *fields = line.split()
+        if kind not in _SHAPES:
+            raise GraphFormatError(f"line {lineno}: unknown record {kind!r}")
+        if len(fields) != 2:
+            raise GraphFormatError(f"line {lineno}: expected {_SHAPES[kind]!r}")
+        try:  # an edge's first field is a vertex, a basepoint's its label
+            first = int(fields[0]) if kind == "edge" else fields[0]
+            v = int(fields[1])
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer vertex in {line!r}")
+        if kind == "edge":
+            edges.append((first, v))
+        elif first in basepoints:
+            raise GraphFormatError(f"line {lineno}: duplicate basepoint {first!r}")
         else:
-            raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
-
+            basepoints[first] = v
     try:
         return Graph.from_edges(n, edges, basepoints)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    except GraphFormatError as exc:
+        if exc.where is None:
+            raise
+        raise GraphFormatError(f"line {_line_of(text, exc.where)}: {exc}") from exc
+
+
+def _line_of(text: str, where: int | str) -> int:
+    """The line of edge record number `where` (from 0), or of the basepoint
+    record labelled `where`."""
+    key = ["edge"] if isinstance(where, int) else ["basepoint", where]
+    lines = [lineno for lineno, line in _records(text) if line.split()[: len(key)] == key]
+    return lines[where if isinstance(where, int) else 0]
 
 
 def load_graph(path: str | Path, vertex_budget: int | None = None) -> Graph:
@@ -113,8 +113,7 @@ def dump_graph(graph: Graph) -> str:
     out = [f"vertices {graph.vertex_count}"]
     for u, nbrs in enumerate(graph.adjacency):
         out.extend(f"edge {u} {v}" for v in nbrs if u < v)
-    for label in sorted(graph.basepoints):
-        out.append(f"basepoint {label} {graph.basepoints[label]}")
+    out.extend(f"basepoint {label} {v}" for label, v in sorted(graph.basepoints.items()))
     return "\n".join(out) + "\n"
 
 

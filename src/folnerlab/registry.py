@@ -1,17 +1,18 @@
 """The two dispatch tables: analyses and space families.
 
 `ANALYSES` maps each analysis name to `run(ctx, opts)`, its options (each
-with a parser and a default) and what it needs of the rest of the config.
-`run` returns the analysis's part of `summary.json`, its CSV table and, for
-the analyses that gate `pass`, its verdict.  `FAMILIES` maps each space
-family to its integer parameters with their minima, its string parameters
-with their defaults, and its builder, which returns the one space record,
-`BuiltSpace`.  What is special about a family lives in its builder, so the
-runner names no family, no analysis and no kind of space.  `config`
-validates through both tables, and `runner` builds and runs through them;
-the CLI's analysis commands go through `config` and `runner` too, reading
-only their option defaults here.  Adding an analysis or a family is one
-entry here.
+with a parser and a default) and what it needs of the rest of the config,
+the depth included, so that a run too shallow for it fails at validation,
+naming the field.  `run` returns the analysis's part of `summary.json`, its
+CSV table and, for the analyses that gate `pass`, its verdict.  `FAMILIES`
+maps each space family to its parameters, declared like analysis options
+(a parser and a default, or `REQUIRED`), and its builder, which returns the
+one space record, `BuiltSpace`.  What is special about a family lives in
+its builder, so the runner names no family, no analysis and no kind of
+space.  `config` validates through both tables, and `runner` builds and
+runs through them; the CLI's analysis commands go through `config` and
+`runner` too, reading only their option defaults here.  Adding an analysis
+or a family is one entry here.
 
 Analyses run in table order.  The order matters: `verify` reads the shell
 report that `shell` leaves in the context, and overrides its `fitted_C`.
@@ -92,6 +93,7 @@ def _real(value: Any) -> bool:
 
 
 _flag = option_parser(lambda v: isinstance(v, bool), "expected a boolean")
+_string = option_parser(lambda v: isinstance(v, str), "expected a string, got {value!r}")
 _number = option_parser(_real, "expected a number, got {value!r}", float)
 _observable = option_parser(
     lambda v: isinstance(v, str) and v in OBSERVABLES,
@@ -111,6 +113,7 @@ _widths = option_parser(
 )
 
 HALF_DEPTH = object()  # an option default: the config's depth // 2
+REQUIRED = object()  # an option default: the key must be given
 # option name -> (parser, default); a None default leaves the option unset
 Options = Mapping[str, tuple[Callable[[Any, str], Any], Any]]
 
@@ -122,6 +125,8 @@ def parse_options(raw: Mapping[str, Any], spec: Options, where: str, depth: int 
     for key, (parse, default) in spec.items():
         if key in raw:
             out[key] = parse(raw[key], f"{where}.{key}")
+        elif default is REQUIRED:
+            raise ConfigError(f"{where}: missing required key {key!r}")
         elif default is HALF_DEPTH:
             out[key] = depth // 2
         elif default is not None:
@@ -264,10 +269,16 @@ def _abelian(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
     return Outcome({"abelian_max": cell(worst)}, (("center", "n", "isop"), rows))
 
 
+def _fit_radii(depth: int, dyadic: bool) -> Sequence[int]:
+    """The radii `fit` samples at `depth`: 8, 16, 32, ... up to the depth,
+    or the top half of 1..depth (the default of `growth_exponent_fit`)."""
+    if dyadic:
+        return [2**i for i in range(3, depth.bit_length())]
+    return range(max(1, depth // 2), depth + 1)
+
+
 def _fit(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
-    radii = None
-    if opts["dyadic_radii"]:
-        radii = [2**i for i in range(3, ctx.depth.bit_length()) if 2**i <= ctx.depth]
+    radii = _fit_radii(ctx.depth, opts["dyadic_radii"])
     fits = {}
     for label, p in ctx.labeled:
         fit = growth_exponent_fit(p.ball, radii=radii, min_points=opts["min_points"])
@@ -310,51 +321,77 @@ def _claims(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
     return Outcome({"claims": {"all_hold": all_ok}}, (header, rows), all_ok)
 
 
-def _on_group(analyses: Mapping[str, Any], space: Mapping[str, Any]) -> bool:
+def _on_group(analyses: Mapping[str, Any], space: Mapping[str, Any], depth: int) -> bool:
     family = FAMILIES.get(space.get("family"))
     return family is not None and family.model is not None
 
 
-def _two_radii(analyses: Mapping[str, Any], space: Mapping[str, Any]) -> bool:
+def _shell_within_depth(analyses: Mapping[str, Any], space: Mapping[str, Any], depth: int) -> bool:
+    shell = analyses["shell"]
+    return shell["n_max"] + shell["k_min"] <= depth
+
+
+def _two_radii(analyses: Mapping[str, Any], space: Mapping[str, Any], depth: int) -> bool:
     # verify fits radii 1..n_max of the shell sweep, which keeps n_max below
     # the depth.  A sweep with k_min > n_max tests no pair and fails first.
     shell = analyses["shell"]
     return shell["n_max"] >= 2 or shell["k_min"] > shell["n_max"]
 
 
-def _tests_a_pair(analyses: Mapping[str, Any], space: Mapping[str, Any]) -> bool:
+def _tests_a_pair(analyses: Mapping[str, Any], space: Mapping[str, Any], depth: int) -> bool:
     opts = analyses["claims"]
     return any(k <= opts["n_max"] for k in opts["widths"])
 
 
-Need = tuple[str, Callable[[Mapping[str, Any], Mapping[str, Any]], bool], str]
+def _enough_radii(analyses: Mapping[str, Any], space: Mapping[str, Any], depth: int) -> bool:
+    opts = analyses["fit"]
+    return len(_fit_radii(depth, opts["dyadic_radii"])) >= opts["min_points"]
+
+
+Need = tuple[str, Callable[[Mapping[str, Any], Mapping[str, Any], int], bool], str]
 
 
 class Analysis(NamedTuple):
     run: Callable[[Context, Mapping[str, Any]], Outcome]
     options: Options
     # what it needs of the rest of the config: (the option the error names,
-    # or "" for the analysis; test of (analyses, space); error)
+    # or "" for the analysis; test of (analyses, space, depth); error,
+    # formatted with the depth and the analysis's options)
     needs: tuple[Need, ...] = ()
 
 
 ANALYSES: dict[str, Analysis] = {
-    "doubling": Analysis(_doubling, {"r_max": (at_least(1), HALF_DEPTH)}),
+    "doubling": Analysis(_doubling, {"r_max": (at_least(1), HALF_DEPTH)}, ((
+        "r_max",
+        lambda analyses, space, depth: 2 * analyses["doubling"]["r_max"] <= depth,
+        "must be at most half of config.depth {depth}, got {r_max}",
+    ),)),
     "shell": Analysis(_shell, {
         "k_min": (at_least(1), 5),
         "n_max": (at_least(1), HALF_DEPTH),
         "record_all": (_flag, False),
-    }),
+    }, ((
+        "n_max", _shell_within_depth,
+        "n_max + k_min must be at most config.depth {depth}, got {n_max} + {k_min}",
+    ),)),
     "annulus": Analysis(_annulus, {}),
     "verify": Analysis(_verify, {"slope_tolerance": (_number, 0.05)}, (
-        ("", lambda analyses, space: "shell" in analyses,
+        ("", lambda analyses, space, depth: "shell" in analyses,
          "requires analyses.shell (the decay exponent comes from the shell sweep)"),
         ("", _two_radii,
          "requires analyses.shell.n_max of at least 2 (the sphere-bound fit needs two radii)"),
     )),
-    "dyadic": Analysis(_dyadic, {"i_max": (at_least(0), None)}),
+    "dyadic": Analysis(_dyadic, {"i_max": (at_least(0), None)}, ((
+        "",
+        lambda analyses, space, depth: depth >= 3,
+        "requires config.depth of at least 3 (the first dyadic window needs the sphere "
+        "at radius 2), got {depth}",
+    ),)),
     "abelian": Analysis(_abelian, {"n_max": (at_least(1), None)}),
-    "fit": Analysis(_fit, {"dyadic_radii": (_flag, False), "min_points": (at_least(2), 8)}),
+    "fit": Analysis(_fit, {"dyadic_radii": (_flag, False), "min_points": (at_least(2), 8)}, ((
+        "min_points", _enough_radii,
+        "must be at most the number of radii fitted at config.depth {depth}, got {min_points}",
+    ),)),
     "ergodic": Analysis(_ergodic, {
         "start": (_point, [0.0, 0.0]),
         "preset": (_preset, "golden"),
@@ -362,7 +399,7 @@ ANALYSES: dict[str, Analysis] = {
         "n_max": (at_least(1), 200),
     }, ((
         "",
-        lambda analyses, space: space.get("family") == "lattice" and space.get("d") == 2,
+        lambda analyses, space, depth: space.get("family") == "lattice" and space.get("d") == 2,
         "requires a lattice space with d = 2 (the rotation presets live on the 2-torus)",
     ),)),
     "claims": Analysis(_claims, {"widths": (_widths, [4, 8, 12]), "n_max": (at_least(4), 20)}, (
@@ -404,8 +441,7 @@ def graph_space(graph: Graph) -> BuiltSpace:
 
 
 class Family(NamedTuple):
-    ints: Mapping[str, int]  # required integer parameters -> minimum
-    strs: Mapping[str, str]  # optional string parameters -> default
+    options: Options  # the parameters of `space`, read by `parse_options`
     build: Callable[[Mapping[str, Any], int], BuiltSpace]  # (space, vertex budget)
     model: Callable[[Mapping[str, Any]], GroupModel] | None = None  # group families only
 
@@ -443,10 +479,17 @@ def _stairway(space: Mapping[str, Any], budget: int) -> BuiltSpace:
     return graph_space(strip.graph)._replace(profile=profile)
 
 
-_GROUP_SET = {"generating_set": "standard"}
+def _required(minimum: int) -> tuple[Callable[[Any, str], int], Any]:
+    return at_least(minimum), REQUIRED
+
+
+_GROUP_SET = {"generating_set": (_string, "standard")}
 FAMILIES: dict[str, Family] = {
-    "lattice": Family({"d": 1, "radius": 1}, _GROUP_SET, _word_ball, lambda s: zd_model(s["d"])),
-    "heisenberg": Family({"radius": 1}, _GROUP_SET, _word_ball, lambda s: heisenberg_model()),
-    "tree-chain": Family({"a": 2, "b": 2, "blocks": 1}, {}, _tree_chain),
-    "stairway": Family({"levels": 2}, {}, _stairway),
+    "lattice": Family({"d": _required(1), "radius": _required(1), **_GROUP_SET}, _word_ball,
+                      lambda s: zd_model(s["d"])),
+    "heisenberg": Family({"radius": _required(1), **_GROUP_SET}, _word_ball,
+                         lambda s: heisenberg_model()),
+    "tree-chain": Family({"a": _required(2), "b": _required(2), "blocks": _required(1)},
+                         _tree_chain),
+    "stairway": Family({"levels": _required(2)}, _stairway),
 }

@@ -32,6 +32,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .errors import GraphFormatError
+
 __all__ = [
     "Graph",
     "VolumeProfile",
@@ -53,9 +55,9 @@ class Graph:
     """Finite undirected graph with named basepoints.
 
     `adjacency[v]` lists the neighbors of vertex v in ascending order.  The
-    graph is immutable after construction; `validate()` checks the structural
-    invariants (symmetry, no loops, no duplicate edges, connectivity, basepoint
-    indices in range) and every constructor in this package calls it.
+    graph is immutable.  Every constructor here goes through `from_edges`,
+    which checks each edge and then calls `validate()`, which checks what no
+    single edge shows; each invariant is checked in exactly one of the two.
     """
 
     adjacency: tuple[tuple[Vertex, ...], ...]
@@ -71,42 +73,42 @@ class Graph:
 
     @staticmethod
     def from_edges(
-        n: int,
-        edges: Iterable[tuple[Vertex, Vertex]],
-        basepoints: Mapping[str, Vertex] | None = None,
+        n: int, edges: Iterable[Sequence[Vertex]], basepoints: Mapping[str, Vertex] | None = None
     ) -> "Graph":
-        """Build a graph from an edge list, normalizing adjacency order."""
+        """A validated graph on 0..n-1.  Each edge is checked once, in list
+        order, for range, self-loop and a repeat in either orientation; the
+        first fault raises GraphFormatError with the edge's index as `where`."""
         adj: list[list[Vertex]] = [[] for _ in range(n)]
-        for u, v in edges:
+        seen: set[int] = set()  # u * n + v for each edge {u, v} with u < v
+        for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+                raise GraphFormatError(f"edge ({u}, {v}) out of range", i)
+            if u == v:
+                raise GraphFormatError(f"self-loop at {u}", i)
+            key = u * n + v if u < v else v * n + u
+            if key in seen:
+                raise GraphFormatError(f"duplicate edge ({u}, {v})", i)
+            seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
-        graph = Graph(
-            adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-            basepoints=dict(basepoints or {}),
-        )
+        graph = Graph(tuple(tuple(sorted(nbrs)) for nbrs in adj), dict(basepoints or {}))
         graph.validate()
         return graph
 
     def validate(self) -> None:
-        """Raise ValueError on any violated structural invariant."""
-        n = self.vertex_count
-        for v, nbrs in enumerate(self.adjacency):
-            if any(u == v for u in nbrs):
-                raise ValueError(f"self-loop at vertex {v}")
-            if len(set(nbrs)) != len(nbrs):
-                raise ValueError(f"duplicate edge at vertex {v}")
+        """Raise GraphFormatError on an asymmetric adjacency (only a graph
+        built by hand can have one), a basepoint out of range (its label as
+        `where`) or a disconnected graph."""
+        adjacency, n = self.adjacency, self.vertex_count
+        for v, nbrs in enumerate(adjacency):
             for u in nbrs:
-                if not 0 <= u < n:
-                    raise ValueError(f"neighbor {u} of {v} out of range")
-                if v not in self.adjacency[u]:
-                    raise ValueError(f"asymmetric edge ({v}, {u})")
+                if v not in adjacency[u]:
+                    raise GraphFormatError(f"asymmetric edge ({v}, {u})")
         for label, v in self.basepoints.items():
             if not 0 <= v < n:
-                raise ValueError(f"basepoint {label!r} -> {v} out of range")
+                raise GraphFormatError(f"basepoint {label!r} -> {v} out of range", label)
         if n > 0 and sum(map(len, bfs_layers(self, 0))) != n:
-            raise ValueError("graph is not connected")
+            raise GraphFormatError("graph is not connected")
 
 
 @dataclass(frozen=True)
@@ -127,14 +129,10 @@ class VolumeProfile:
 
     @cached_property
     def sphere(self) -> tuple[int, ...]:
-        return tuple(
-            self.ball[r + 1] - self.ball[r] for r in range(self.depth)
-        )
+        return tuple(self.ball[r + 1] - self.ball[r] for r in range(self.depth))
 
     @classmethod
-    def from_sizes(
-        cls, center: Vertex, sizes: Sequence[int], depth: int
-    ) -> "VolumeProfile":
+    def from_sizes(cls, center: Vertex, sizes: Sequence[int], depth: int) -> "VolumeProfile":
         """The profile whose ball[r] sums sizes[0..r] for r = 0..depth,
         saturating at the total once `sizes` runs out."""
         if depth < 0:
@@ -159,9 +157,7 @@ class GeodesicChain:
     step_bound: int
 
 
-def bfs_layers(
-    graph: Graph, center: Vertex, cutoff: int | None = None
-) -> Iterator[list[Vertex]]:
+def bfs_layers(graph: Graph, center: Vertex, cutoff: int | None = None) -> Iterator[list[Vertex]]:
     """The vertices at distance 0, 1, 2, ... from `center`, one list per
     distance, up to `cutoff` (the whole component when cutoff is None).
 
@@ -189,17 +185,13 @@ def bfs_layers(
         layer = nxt
 
 
-def bfs_distances(
-    graph: Graph, center: Vertex, cutoff: int | None = None
-) -> dict[Vertex, int]:
+def bfs_distances(graph: Graph, center: Vertex, cutoff: int | None = None) -> dict[Vertex, int]:
     """Shortest-path distances from `center`, restricted to d <= cutoff.
 
     Returns a dict vertex -> distance covering exactly the ball of radius
     `cutoff` (the whole component when cutoff is None), in discovery order.
     """
-    return {
-        v: d for d, layer in enumerate(bfs_layers(graph, center, cutoff)) for v in layer
-    }
+    return {v: d for d, layer in enumerate(bfs_layers(graph, center, cutoff)) for v in layer}
 
 
 def volume_profile(graph: Graph, center: Vertex, depth: int) -> VolumeProfile:

@@ -120,7 +120,7 @@ class TestProfile:
     def test_graph_without_basepoints_names_centers(self, tmp_path, runner, command):
         path = tmp_path / "path3.graph"
         path.write_text("vertices 3\nedge 0 1\nedge 1 2\n")
-        result = runner.invoke(main, [command, "--graph", str(path), "--depth", "2"])
+        result = runner.invoke(main, [command, "--graph", str(path), "--depth", "16"])
         assert result.exit_code == 1
         assert "Error: centers: no centers to profile" in result.output
 
@@ -428,6 +428,18 @@ INVALID = [
     (
         ["ergodic", "--observable", "bogus"],
         {"space": Z2_R1, "depth": 2, "analyses": {"ergodic": {"observable": "bogus"}}},
+    ),
+    # limits that depend on the depth
+    (["shell-report", *G, "--depth", "12", "--k-min", "10"], {"depth": 12, "analyses": {"shell": {"k_min": 10}}}),
+    (
+        ["verify", *G, "--depth", "12", "--k-min", "10"],
+        {"depth": 12, "analyses": {"shell": {"k_min": 10}, "verify": {}}},
+    ),
+    (["dyadic", *G, "--depth", "2"], {"depth": 2, "analyses": {"dyadic": {}}}),
+    (["fit", *G, "--depth", "12"], {"depth": 12, "analyses": {"fit": {}}}),
+    (
+        ["fit", *G, "--depth", "15", "--dyadic-radii", "--min-points", "2"],
+        {"depth": 15, "analyses": {"fit": {"dyadic_radii": True, "min_points": 2}}},
     ),
 ]
 

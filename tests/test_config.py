@@ -1,5 +1,6 @@
 """Schema tests for experiment configs and the bundled recipes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from folnerlab.config import ExperimentConfig, load_config, validate_config, validate_sections
 from folnerlab.errors import ConfigError
 from folnerlab.recipes import RECIPES, recipe, recipe_config
+from folnerlab.runner import run_analyses
 
 
 def _base(**overrides):
@@ -242,6 +244,67 @@ class TestAnalyses:
     def test_fit_flag_type(self):
         with pytest.raises(ConfigError, match="dyadic_radii: expected a boolean"):
             validate_config(_base(analyses={"fit": {"dyadic_radii": "yes"}}))
+
+    @pytest.mark.parametrize(
+        "depth,analyses,message",
+        [
+            (7, {"doubling": {"r_max": 4}}, "analyses.doubling.r_max: must be at most half of config.depth 7, got 4"),
+            (16, {"doubling": {}}, None),  # r_max defaults to depth // 2
+            (
+                12,
+                {"shell": {"k_min": 10}},
+                "analyses.shell.n_max: n_max + k_min must be at most config.depth 12, got 6 + 10",
+            ),
+            (8, {"shell": {}}, "analyses.shell.n_max: n_max + k_min must be at most config.depth 8, got 4 + 5"),
+            (
+                2,
+                {"dyadic": {"i_max": 0}},
+                "analyses.dyadic: requires config.depth of at least 3 (the first dyadic window needs "
+                "the sphere at radius 2), got 2",
+            ),
+            (
+                12,
+                {"fit": {}},
+                "analyses.fit.min_points: must be at most the number of radii fitted at config.depth 12, got 8",
+            ),
+            (
+                15,
+                {"fit": {"dyadic_radii": True, "min_points": 2}},
+                "analyses.fit.min_points: must be at most the number of radii fitted at config.depth 15, got 2",
+            ),
+        ],
+    )
+    def test_depth_limits(self, depth, analyses, message):
+        raw = _base(depth=depth, analyses=analyses)
+        if message is None:
+            validate_config(raw)
+            return
+        with pytest.raises(ConfigError) as error:
+            validate_config(raw)
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize(
+        "name,options,limit",
+        [
+            ("doubling", {"r_max": 4}, 8),
+            ("shell", {"k_min": 5, "n_max": 6}, 11),
+            ("dyadic", {}, 3),
+            ("fit", {"min_points": 8}, 13),
+            ("fit", {"dyadic_radii": True, "min_points": 2}, 16),
+        ],
+    )
+    def test_depth_limits_are_the_run_time_limits(self, name, options, limit):
+        # At its limit the analysis validates and runs; one below, validation
+        # refuses it, naming the analysis, and the run-time check that
+        # library callers meet refuses it too.
+        raw = _base(depth=limit, analyses={name: options})
+        config = validate_config(raw)
+        run_analyses(config)
+        with pytest.raises(ConfigError, match=rf"^analyses\.{name}"):
+            validate_config({**raw, "depth": limit - 1})
+        with pytest.raises(ValueError) as error:
+            run_analyses(dataclasses.replace(config, depth=limit - 1))
+        assert not isinstance(error.value, ConfigError)
 
 
 class TestDigest:

@@ -7,8 +7,15 @@ Core claims:
     - every malformed input is rejected with the offending line number
     - a vertex count above the vertex budget is rejected at the header,
       before the rest of the text is split into lines
+    - against the earlier parser, kept below as the reference, on seeded
+      files with comments, blank lines and mixed line ends: a file with one
+      fault gives the same error text, and a valid shuffled file the same
+      adjacency and basepoints
+    - a file with several faults reports them in the documented order: text
+      faults, then edges in file order, then basepoints, then connectivity
 """
 
+import random
 import tracemalloc
 
 import pytest
@@ -99,3 +106,260 @@ class TestVertexBudget:
 
     def test_budget_is_inclusive(self):
         assert parse_graph(dump_graph(_triangle()), 3).vertex_count == 3
+
+
+# -- Differential tests against the earlier parser ----------------------------
+
+
+def _reference_records(text):
+    lineno = pos = 0
+    bulk = False
+    while pos < len(text):
+        end = len(text) if bulk else text.find("\n", pos) + 1 or len(text)
+        for line in text[pos:end].splitlines():
+            lineno += 1
+            line = line.strip()
+            if line and not line.startswith("#"):
+                bulk = True
+                yield lineno, line
+        pos = end
+
+
+def _reference_parse(text):
+    """The parser as it was when it checked every edge itself: returns
+    (adjacency, basepoints) or raises GraphFormatError."""
+    records = _reference_records(text)
+    lineno, header = next(records, (0, ""))
+    if not header:
+        raise GraphFormatError("empty graph file")
+    parts = header.split()
+    if len(parts) != 2 or parts[0] != "vertices":
+        raise GraphFormatError(f"line {lineno}: expected 'vertices N', got {header!r}")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: vertex count {parts[1]!r} is not an integer")
+    if n < 1:
+        raise GraphFormatError(f"line {lineno}: vertex count must be positive")
+    adjacency = [[] for _ in range(n)]
+    seen = set()
+    basepoints = {}
+    for lineno, line in records:
+        parts = line.split()
+        if parts[0] == "edge":
+            if len(parts) != 3:
+                raise GraphFormatError(f"line {lineno}: expected 'edge U V'")
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer vertex in {line!r}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range")
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: self-loop at {u}")
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
+            seen.add(key)
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        elif parts[0] == "basepoint":
+            if len(parts) != 3:
+                raise GraphFormatError(f"line {lineno}: expected 'basepoint LABEL V'")
+            label = parts[1]
+            try:
+                v = int(parts[2])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer vertex in {line!r}")
+            if not 0 <= v < n:
+                raise GraphFormatError(f"line {lineno}: basepoint {label!r} -> {v} out of range")
+            if label in basepoints:
+                raise GraphFormatError(f"line {lineno}: duplicate basepoint {label!r}")
+            basepoints[label] = v
+        else:
+            raise GraphFormatError(f"line {lineno}: unknown record {parts[0]!r}")
+    reached, stack = {0}, [0]
+    while stack:
+        for u in adjacency[stack.pop()]:
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+    if len(reached) != n:
+        raise GraphFormatError("graph is not connected")
+    return tuple(tuple(sorted(nbrs)) for nbrs in adjacency), basepoints
+
+
+def _outcome(parse, text):
+    try:
+        adjacency, basepoints = parse(text)
+    except GraphFormatError as exc:
+        return "error", str(exc)
+    return "graph", adjacency, dict(basepoints)
+
+
+def _parsed(text):
+    graph = parse_graph(text)
+    return graph.adjacency, graph.basepoints
+
+
+def _random_records(rng):
+    """The header, edge and basepoint records of a seeded connected graph:
+    a random spanning tree plus extra edges, shuffled in order and
+    orientation, with basepoints among the edges."""
+    n = rng.randint(2, 30)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    records = [f"edge {u} {v}" if rng.random() < 0.5 else f"edge {v} {u}" for u, v in sorted(edges)]
+    for label in rng.sample(["origin", "a", "r_2", "leaf_1"], rng.randint(1, 3)):
+        records.append(f"basepoint {label} {rng.randrange(n)}")
+    rng.shuffle(records)
+    return n, [f"vertices {n}", *records]
+
+
+def _render(rng, records):
+    """The records as a file with comments, blank lines, stray blanks and
+    mixed line ends; returns the text and the line number of each record."""
+    lines, at = [], []
+    for record in records:
+        while rng.random() < 0.3:
+            lines.append(rng.choice(["", "   ", "# a comment", "  # indented comment"]))
+        at.append(len(lines) + 1)
+        lines.append(rng.choice(["", " ", "\t"]) + record + rng.choice(["", "  "]))
+    return "".join(line + rng.choice(["\n", "\r\n"]) for line in lines), at
+
+
+def _insert_after(rng, records, index, record):
+    """Insert `record` at a random place after position `index`; returns its position."""
+    at = rng.randint(index + 1, len(records))
+    records.insert(at, record)
+    return at
+
+
+# One fault of each kind that TestRejections names, as a change to the
+# records of a valid file.
+def _one_fault(rng, kind, n, records):
+    if kind == "empty":
+        return []
+    if kind in ("header", "count", "zero"):
+        records[0] = {"header": f"edges {n}", "count": "vertices two", "zero": "vertices 0"}[kind]
+        return records
+    if kind == "disconnected":
+        records[0] = f"vertices {n + 1}"
+        return records
+    if kind == "duplicate edge":
+        i = rng.choice([i for i, r in enumerate(records) if r.startswith("edge")])
+        _, u, v = records[i].split()
+        _insert_after(rng, records, i, rng.choice([f"edge {u} {v}", f"edge {v} {u}"]))
+        return records
+    if kind == "duplicate basepoint":
+        i = rng.choice([i for i, r in enumerate(records) if r.startswith("basepoint")])
+        _insert_after(rng, records, i, f"basepoint {records[i].split()[1]} {rng.randrange(n)}")
+        return records
+    v = rng.randrange(n)
+    record = {
+        "edge arity": f"edge {v}",
+        "edge integer": f"edge {v} x",
+        "edge range": f"edge {v} {n + rng.randint(0, 9)}" if rng.random() < 0.5 else f"edge -1 {v}",
+        "self-loop": f"edge {v} {v}",
+        "basepoint arity": "basepoint stray",
+        "basepoint integer": "basepoint stray v",
+        "basepoint range": f"basepoint stray {n + rng.randint(0, 9)}",
+        "unknown": f"vertex {v}",
+    }[kind]
+    _insert_after(rng, records, 0, record)
+    return records
+
+
+FAULT_KINDS = [
+    "empty", "header", "count", "zero", "edge arity", "edge integer", "edge range", "self-loop",
+    "duplicate edge", "basepoint arity", "basepoint integer", "basepoint range",
+    "duplicate basepoint", "unknown", "disconnected",
+]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_fault_gives_the_same_error(self, kind, seed):
+        rng = random.Random(f"{kind}/{seed}")
+        n, records = _random_records(rng)
+        text, _ = _render(rng, _one_fault(rng, kind, n, records))
+        expected = _outcome(_reference_parse, text)
+        assert expected[0] == "error"
+        assert _outcome(_parsed, text) == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_valid_files_give_the_same_graph(self, seed):
+        rng = random.Random(seed)
+        _, records = _random_records(rng)
+        text, _ = _render(rng, records)
+        expected = _outcome(_reference_parse, text)
+        assert expected[0] == "graph"
+        assert _outcome(_parsed, text) == expected
+
+
+# Fault kinds for files with several, by their rank in the documented
+# order: text, edge, basepoint, connectivity.
+_RANKED = [
+    ["edge arity", "edge integer", "unknown", "duplicate basepoint"],
+    ["edge range", "self-loop", "duplicate edge"],
+    ["basepoint range"],
+    ["disconnected"],
+]
+
+
+def _several_faults(rng):
+    """A file with up to four faults, and the error it must give."""
+    n, records = _random_records(rng)
+    items = [(record, None) for record in records]  # (record, (rank, text) or None)
+    # The rank of the fault that must be reported is drawn first, so that
+    # each rank is the one reported about equally often.
+    lowest = rng.randrange(len(_RANKED))
+    pool = [kind for kinds in _RANKED[lowest:] for kind in kinds]
+    kinds = [rng.choice(_RANKED[lowest]), *rng.sample(pool, min(len(pool), rng.randint(1, 3)))]
+    count = n + 1 if "disconnected" in kinds else n
+    items[0] = (f"vertices {count}", None)
+    for number, kind in enumerate(kinds):
+        if kind == "disconnected":
+            continue
+        after = 0
+        v, big = rng.randrange(n), count + rng.randint(0, 9)
+        if kind in ("duplicate edge", "duplicate basepoint"):
+            prefix = kind.split()[1]
+            after = rng.choice([i for i, (r, fault) in enumerate(items[1:], 1)
+                                if fault is None and r.startswith(prefix)])
+            _, first, second = items[after][0].split()
+        if kind == "duplicate edge":
+            first, second = rng.choice([(first, second), (second, first)])
+            record, fault = f"edge {first} {second}", (1, f"duplicate edge ({first}, {second})")
+        elif kind == "duplicate basepoint":
+            record, fault = f"basepoint {first} {v}", (0, f"duplicate basepoint {first!r}")
+        else:
+            record, fault = {
+                "edge arity": (f"edge {v}", (0, "expected 'edge U V'")),
+                "edge integer": (f"edge {v} x", (0, f"non-integer vertex in 'edge {v} x'")),
+                "unknown": (f"vertex {v}", (0, "unknown record 'vertex'")),
+                "edge range": (f"edge {v} {big}", (1, f"edge ({v}, {big}) out of range")),
+                "self-loop": (f"edge {v} {v}", (1, f"self-loop at {v}")),
+                "basepoint range": (
+                    f"basepoint far{number} {big}", (2, f"basepoint 'far{number}' -> {big} out of range")
+                ),
+            }[kind]
+        items.insert(rng.randint(after + 1, len(items)), (record, fault))
+    text, at = _render(rng, [record for record, _ in items])
+    located = [(fault[0], line, fault[1]) for (_, fault), line in zip(items, at) if fault]
+    if not located:
+        return text, "graph is not connected"
+    rank, line, message = min(located)
+    return text, f"line {line}: {message}"
+
+
+class TestSeveralFaults:
+    @pytest.mark.parametrize("seed", range(120))
+    def test_faults_are_reported_in_the_documented_order(self, seed):
+        text, message = _several_faults(random.Random(seed))
+        with pytest.raises(GraphFormatError) as error:
+            parse_graph(text)
+        assert str(error.value) == message

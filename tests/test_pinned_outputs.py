@@ -6,15 +6,19 @@ compared with the value committed below.  Exact CSVs hold only integers,
 `Fraction`s and booleans (profile, shell, dyadic, annulus, abelian,
 claims), so their bytes cannot depend on the platform's libm; the float
 artifacts (verify, ergodic, summary.json) are left out for that reason.
-A refactor that changes a single count or ratio fails here.  Rewrite a
-pin only for an intended change of output, and say so where the change is
+A refactor that changes a single count or ratio fails here.  The bytes
+that `generate` writes for each family at its default size are pinned too,
+so a rebuilt adjacency cannot silently change graph files.  Rewrite a pin
+only for an intended change of output, and say so where the change is
 described.
 """
 
 import hashlib
 
 import pytest
+from click.testing import CliRunner
 
+from folnerlab.cli import main
 from folnerlab.recipes import RECIPES
 from folnerlab.runner import reproduce
 
@@ -72,3 +76,26 @@ def test_exact_artifacts_match_their_pins(tmp_path, name):
         if path.stem in EXACT
     }
     assert exact == PINS[name]
+
+
+# The symmetrized skew set of Z^2 is the diagonal set, so their graph files
+# coincide.
+GENERATE_PINS = {
+    ("lattice", "standard"): "c0c9b1bf7d806c6494f91893b083766252f14be2f47813722cfd0d181fdb07a0",
+    ("lattice", "diagonal"): "a6032a023912a81be9aeb82c61699ef0e7c23c3909e215860f5ba7aeb3367654",
+    ("lattice", "skew"): "a6032a023912a81be9aeb82c61699ef0e7c23c3909e215860f5ba7aeb3367654",
+    ("heisenberg", "standard"): "57b55d4f4d4da2d4ea453b215ee6f7bf7f294004591bc90983f2536f8e48e6f2",
+    ("tree-chain", None): "a2bfee94e87b868b198976666d093b3ee4dfa583b5b4029a21f83b6cabd24c98",
+    ("stairway", None): "dad98f452489d20e6d2451d6e4c2ec4e10c6a8429a41b6500b59f7ed425099d7",
+}
+
+
+@pytest.mark.parametrize("family,generating_set", sorted(GENERATE_PINS, key=str))
+def test_generate_output_matches_its_pin(family, generating_set):
+    args = ["generate", "--family", family]
+    if generating_set is not None:
+        args += ["--generating-set", generating_set]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    digest = hashlib.sha256(result.output.encode("ascii")).hexdigest()
+    assert digest == GENERATE_PINS[family, generating_set]

@@ -2,8 +2,10 @@
 Unit tests for the graph container and metric primitives.
 
 Core claims:
-    - Graph.from_edges normalizes adjacency; validate() rejects loops,
-      asymmetry, range errors, and disconnection
+    - Graph.from_edges normalizes adjacency and rejects the first bad edge
+      in list order (out of range, self-loop, repeat in either orientation),
+      naming its index; validate() rejects asymmetry, basepoints out of
+      range (naming the label) and disconnection
     - bfs_distances agrees with a dense min-plus oracle on seeded random
       connected graphs, with and without a cutoff
     - volume_profile is the cumulative distance histogram, nondecreasing,
@@ -23,6 +25,7 @@ import random
 import numpy as np
 import pytest
 
+from folnerlab.errors import GraphFormatError
 from folnerlab.space import (
     Graph,
     VolumeProfile,
@@ -104,6 +107,38 @@ class TestGraph:
     def test_rejects_bad_basepoint(self):
         with pytest.raises(ValueError, match="basepoint"):
             Graph.from_edges(2, [(0, 1)], {"x": 5})
+
+
+class TestEdgeChecks:
+    @pytest.mark.parametrize(
+        "edges,index,message",
+        [
+            ([(0, 1), (1, 2), (2, 1), (0, 5)], 2, "duplicate edge (2, 1)"),
+            ([(0, 1), (1, 2), (1, 0)], 2, "duplicate edge (1, 0)"),
+            ([(0, 1), (0, 5), (1, 1)], 1, "edge (0, 5) out of range"),
+            ([(0, 1), (1, 1), (0, 5)], 1, "self-loop at 1"),
+            ([(-1, 2), (0, 1)], 0, "edge (-1, 2) out of range"),
+            ([[0, 1], [1, 2], [2, 0], [0, 2]], 3, "duplicate edge (0, 2)"),
+        ],
+    )
+    def test_first_fault_in_list_order_names_its_index(self, edges, index, message):
+        with pytest.raises(GraphFormatError) as error:
+            Graph.from_edges(3, edges)
+        assert (str(error.value), error.value.where) == (message, index)
+
+    def test_basepoint_fault_names_its_label(self):
+        with pytest.raises(GraphFormatError) as error:
+            Graph.from_edges(2, [(0, 1)], {"a": 0, "b": 7, "c": -1})
+        assert (str(error.value), error.value.where) == ("basepoint 'b' -> 7 out of range", "b")
+
+    def test_faults_of_the_whole_graph_name_no_record(self):
+        for build in (
+            lambda: Graph.from_edges(3, [(0, 1)]),
+            lambda: Graph(adjacency=((1,), (), ()), basepoints={}).validate(),
+        ):
+            with pytest.raises(GraphFormatError) as error:
+                build()
+            assert error.value.where is None
 
 
 class TestVolumeProfileType:
