@@ -54,6 +54,7 @@ __all__ = [
     "dyadic_subsequence",
     "abelian_isop_check",
     "isoperimetric_ratios",
+    "fit_radii",
     "growth_exponent_fit",
     "least_squares_slope",
 ]
@@ -449,6 +450,14 @@ class GrowthFit:
     radii: tuple[int, ...]
 
 
+def fit_radii(depth: int, dyadic: bool = False) -> Sequence[int]:
+    """The radii a growth fit samples at `depth`: the top half of 1..depth,
+    or with `dyadic` the scales 8, 16, 32, ... up to the depth."""
+    if dyadic:
+        return [2**i for i in range(3, depth.bit_length())]
+    return range(max(1, depth // 2), depth + 1)
+
+
 def growth_exponent_fit(
     ball_sizes: Sequence[int],
     radii: Sequence[int] | None = None,
@@ -456,14 +465,11 @@ def growth_exponent_fit(
 ) -> GrowthFit:
     """Least-squares slope of log volume against log radius.
 
-    By default fits radii in the top half of [1, len(ball_sizes) - 1]; pass
-    explicit `radii` (e.g. dyadic scales) to control the sample.  Requires at
-    least `min_points` data points.
+    By default fits the `fit_radii` of the profile depth len(ball_sizes) - 1;
+    pass explicit `radii` (e.g. dyadic scales) to control the sample.
+    Requires at least `min_points` data points.
     """
-    if radii is None:
-        r_hi = len(ball_sizes) - 1
-        radii = range(max(1, r_hi // 2), r_hi + 1)
-    radii = tuple(radii)
+    radii = tuple(fit_radii(len(ball_sizes) - 1) if radii is None else radii)
     if len(radii) < min_points:
         raise ValueError(f"need at least {min_points} radii, got {len(radii)}")
     xs = np.log([float(r) for r in radii])

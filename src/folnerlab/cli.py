@@ -30,7 +30,7 @@ from typing import Any, Sequence
 
 import click
 
-from .config import load_config, validate_config, validate_sections, validate_space
+from .config import load_config, validate_config, validate_sections
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -47,7 +47,7 @@ from .products import (
     varying_products,
 )
 from .recipes import RECIPES
-from .registry import ANALYSES, FAMILIES, Table, write_csv
+from .registry import ANALYSES, FAMILIES, Table, parse_space, write_csv
 from .runner import reproduce as run_recipe, run_analyses, run_experiment
 
 __all__ = ["main"]
@@ -143,7 +143,7 @@ def _labels(tables: dict[str, Table]) -> list[str]:
 @click.option("--seed", type=int, default=0, show_default=True, help="PRNG seed for center sampling.")
 @click.option("--budget-vertices", type=int, default=DEFAULT_VERTEX_BUDGET, show_default=True, help="Hard cap on constructed vertices.")
 @click.option("--budget-elements", type=int, default=DEFAULT_ELEMENT_BUDGET, show_default=True, help="Hard cap on enumerated group elements.")
-@click.option("--out", type=str, default=None, help="Output file (or directory for reproduce/run).")
+@click.option("--out", type=str, default=None, help="Output file (or directory for reproduce).")
 @click.pass_context
 def main(ctx: click.Context, seed: int, budget_vertices: int, budget_elements: int, out: str | None) -> None:
     """Growth, shells, and ergodic averages on doubling graphs and groups."""
@@ -167,7 +167,7 @@ def generate(ctx, family, d, radius, generating_set, a, b, blocks, levels):
     params = dict(d=d, radius=radius, generating_set=generating_set,
                   a=a, b=b, blocks=blocks, levels=levels)
     spec = FAMILIES[family]
-    space = validate_space({"family": family, **{key: params[key] for key in spec.options}})
+    space = parse_space({"family": family, **{key: params[key] for key in spec.options}})
     built = spec.build(space, ctx.obj["budgets"]["vertices"])
     _emit(dump_graph(built.graph()), ctx.obj["out"])
 

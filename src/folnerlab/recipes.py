@@ -1,7 +1,8 @@
 """Bundled experiment configs, one per headline claim.
 
-Each recipe is a complete `ExperimentConfig` document plus a statement of
-the claim the run demonstrates.  `folnerlab reproduce NAME` runs one; the
+Each recipe is an `ExperimentConfig` document, less its `output_dir`
+(`out/NAME`, filled in by `recipe_config`), plus a statement of the claim
+the run demonstrates.  `folnerlab reproduce NAME` runs one; the
 `claim` text is what `folnerlab reproduce --list` prints.  All of them fit
 in a few minutes and well under 4 GiB.
 """
@@ -41,7 +42,6 @@ _RECIPE_LIST = [
                 "verify": {},
                 "dyadic": {"i_max": 5},
             },
-            "output_dir": "out/theorem-zd",
         },
     ),
     Recipe(
@@ -59,7 +59,6 @@ _RECIPE_LIST = [
                 "shell": {"n_max": 16},
                 "verify": {},
             },
-            "output_dir": "out/theorem-heisenberg",
         },
     ),
     Recipe(
@@ -75,7 +74,6 @@ _RECIPE_LIST = [
             "space": {"family": "tree-chain", "a": 2, "b": 3, "blocks": 8},
             "depth": 260,
             "analyses": {"annulus": {}, "doubling": {"r_max": 128}},
-            "output_dir": "out/counterexample-tree",
         },
     ),
     Recipe(
@@ -94,7 +92,6 @@ _RECIPE_LIST = [
                 "doubling": {"r_max": 729},
                 "shell": {"n_max": 700},
             },
-            "output_dir": "out/counterexample-remark-ab",
         },
     ),
     Recipe(
@@ -110,7 +107,6 @@ _RECIPE_LIST = [
             "space": {"family": "stairway", "levels": 10},
             "depth": 1025,
             "analyses": {"fit": {"dyadic_radii": True}},
-            "output_dir": "out/counterexample-stairway",
         },
     ),
     Recipe(
@@ -125,7 +121,6 @@ _RECIPE_LIST = [
             "space": {"family": "lattice", "d": 2, "radius": 260},
             "depth": 260,
             "analyses": {"doubling": {"r_max": 130}, "dyadic": {"i_max": 7}},
-            "output_dir": "out/dyadic",
         },
     ),
     Recipe(
@@ -139,7 +134,6 @@ _RECIPE_LIST = [
             "space": {"family": "lattice", "d": 2, "radius": 130},
             "depth": 130,
             "analyses": {"abelian": {"n_max": 128}},
-            "output_dir": "out/abelian",
         },
     ),
     Recipe(
@@ -160,7 +154,6 @@ _RECIPE_LIST = [
                     "preset": "golden",
                 }
             },
-            "output_dir": "out/ergodic",
         },
     ),
     Recipe(
@@ -175,7 +168,6 @@ _RECIPE_LIST = [
             "space": {"family": "lattice", "d": 2, "radius": 8},
             "depth": 8,
             "analyses": {"claims": {"n_max": 20, "widths": [4, 8, 12]}},
-            "output_dir": "out/claims-5-3",
         },
     ),
 ]
@@ -193,5 +185,5 @@ def recipe(name: str) -> Recipe:
 
 
 def recipe_config(name: str) -> ExperimentConfig:
-    """The validated config of a bundled recipe."""
-    return validate_config(recipe(name).raw)
+    """The validated config of a bundled recipe, written under out/NAME."""
+    return validate_config({**recipe(name).raw, "output_dir": f"out/{name}"})

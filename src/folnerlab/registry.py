@@ -9,13 +9,14 @@ maps each space family to its parameters, declared like analysis options
 (a parser and a default, or `REQUIRED`), and its builder, which returns the
 one space record, `BuiltSpace`.  What is special about a family lives in
 its builder, so the runner names no family, no analysis and no kind of
-space.  `config` validates through both tables, and `runner` builds and
-runs through them; the CLI's analysis commands go through `config` and
-`runner` too, reading only their option defaults here.  Adding an analysis
-or a family is one entry here.
+space.  `parse_options` reads every field of a config with the parsers
+here; `config` declares only its top level.  `runner` builds and runs
+through both tables, and the CLI's analysis commands go through `config`
+and `runner` too, reading only their option defaults here.  Adding an
+analysis or a family is one entry here.
 
 Analyses run in table order.  The order matters: `verify` reads the shell
-report that `shell` leaves in the context, and overrides its `fitted_C`.
+report that `shell` leaves in the context.
 
 Tables are formatted by `write_csv`: exact columns carry rationals as
 "p/q" strings and integers as plain decimals; fitted columns carry floats
@@ -34,6 +35,7 @@ from .analysis import (
     ShellReport,
     doubling_constant,
     dyadic_subsequence,
+    fit_radii,
     growth_exponent_fit,
     isoperimetric_ratios,
     shell_alpha,
@@ -58,22 +60,19 @@ __all__ = ["ANALYSES", "FAMILIES", "BuiltSpace", "Context", "Outcome", "graph_sp
 # -- option parsing ----------------------------------------------------------
 
 
-def check_keys(mapping: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-
-
-def int_value(value: Any, where: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{where}: must be at least {minimum}, got {value}")
-    return value
+def _integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def at_least(minimum: int) -> Callable[[Any, str], int]:
-    return lambda value, where: int_value(value, where, minimum)
+    def parse(value: Any, where: str) -> int:
+        if not _integer(value):
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{where}: must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def option_parser(test: Callable[[Any], bool], error: str, convert: Callable = lambda v: v):
@@ -94,6 +93,13 @@ def _real(value: Any) -> bool:
 
 _flag = option_parser(lambda v: isinstance(v, bool), "expected a boolean")
 _string = option_parser(lambda v: isinstance(v, str), "expected a string, got {value!r}")
+nonempty_string = option_parser(lambda v: isinstance(v, str) and v != "", "expected a nonempty string")
+center_labels = option_parser(
+    lambda v: v == "all" or isinstance(v, list) and all(isinstance(p, str) for p in v),
+    "expected 'all' or a list of labels",
+    lambda v: v if v == "all" else list(v),
+)
+seed_value = option_parser(lambda v: v is None or _integer(v), "expected an integer, got {value!r}")
 _number = option_parser(_real, "expected a number, got {value!r}", float)
 _observable = option_parser(
     lambda v: isinstance(v, str) and v in OBSERVABLES,
@@ -107,31 +113,48 @@ _point = option_parser(  # a point on the 2-torus
     lambda v: [float(c) for c in v],
 )
 _widths = option_parser(
-    lambda v: isinstance(v, list)
-    and all(isinstance(k, int) and not isinstance(k, bool) and k >= 4 and k % 4 == 0 for k in v),
+    lambda v: isinstance(v, list) and all(_integer(k) and k >= 4 and k % 4 == 0 for k in v),
     "expected a list of positive multiples of 4, got {value!r}",
 )
 
-HALF_DEPTH = object()  # an option default: the config's depth // 2
+HALF_DEPTH = object()  # an option default: the config's depth // 2, filled in by `config`
 REQUIRED = object()  # an option default: the key must be given
 # option name -> (parser, default); a None default leaves the option unset
 Options = Mapping[str, tuple[Callable[[Any, str], Any], Any]]
 
 
-def parse_options(raw: Mapping[str, Any], spec: Options, where: str, depth: int = 0) -> dict:
+def parse_options(raw: Mapping[str, Any], spec: Options, where: str) -> dict:
     """Check the options `raw` at `where` against `spec` and fill in defaults."""
-    check_keys(raw, set(spec), where)
+    unknown = sorted(set(raw) - set(spec))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
     out = {}
     for key, (parse, default) in spec.items():
         if key in raw:
             out[key] = parse(raw[key], f"{where}.{key}")
         elif default is REQUIRED:
             raise ConfigError(f"{where}: missing required key {key!r}")
-        elif default is HALF_DEPTH:
-            out[key] = depth // 2
-        elif default is not None:
+        elif default is not None and default is not HALF_DEPTH:
             out[key] = parse(default, f"{where}.{key}")
     return out
+
+
+def section(spec: Options | Callable[[Mapping[str, Any], str], Options],
+            shape: str = "an object") -> Callable[[Any, str], dict]:
+    """The parser of an object whose keys `spec` declares, or `spec(value,
+    where)` picks once the value is known to be an object."""
+
+    def parse(value: Any, where: str) -> dict:
+        if not isinstance(value, Mapping):
+            raise ConfigError(f"{where}: expected {shape}")
+        return parse_options(value, spec(value, where) if callable(spec) else spec, where)
+
+    return parse
+
+
+def named(parse: Callable[[Any, str], Any], name: str) -> Callable[[Any, str], Any]:
+    """`parse`, naming the value `name` in errors wherever it is read."""
+    return lambda value, where: parse(value, name)
 
 
 # -- tables ------------------------------------------------------------------
@@ -232,14 +255,12 @@ def _annulus(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
 
 
 def _verify(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
-    n_range = (1, min(ctx.shell.n_max, ctx.depth - 1))
+    # Over the radii 1..n_max of the shell sweep, whose `fitted_C` it keeps.
     report = verify_sphere_bound(
-        ctx.profiles, ctx.shell.delta, n_range=n_range, slope_tolerance=opts["slope_tolerance"]
+        ctx.profiles, ctx.shell.delta, n_range=(1, ctx.shell.n_max),
+        slope_tolerance=opts["slope_tolerance"],
     )
-    summary = {
-        "fitted_C": report.fitted_constant,
-        "verify": {"trend_slope": report.trend_slope, "passed": report.passed},
-    }
+    summary = {"verify": {"trend_slope": report.trend_slope, "passed": report.passed}}
     rows = list(zip(range(report.n_lo, report.n_hi + 1), report.constants))
     return Outcome(summary, (("n", "constant"), rows), report.passed)
 
@@ -269,16 +290,8 @@ def _abelian(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
     return Outcome({"abelian_max": cell(worst)}, (("center", "n", "isop"), rows))
 
 
-def _fit_radii(depth: int, dyadic: bool) -> Sequence[int]:
-    """The radii `fit` samples at `depth`: 8, 16, 32, ... up to the depth,
-    or the top half of 1..depth (the default of `growth_exponent_fit`)."""
-    if dyadic:
-        return [2**i for i in range(3, depth.bit_length())]
-    return range(max(1, depth // 2), depth + 1)
-
-
 def _fit(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
-    radii = _fit_radii(ctx.depth, opts["dyadic_radii"])
+    radii = fit_radii(ctx.depth, opts["dyadic_radii"])
     fits = {}
     for label, p in ctx.labeled:
         fit = growth_exponent_fit(p.ball, radii=radii, min_points=opts["min_points"])
@@ -345,7 +358,7 @@ def _tests_a_pair(analyses: Mapping[str, Any], space: Mapping[str, Any], depth: 
 
 def _enough_radii(analyses: Mapping[str, Any], space: Mapping[str, Any], depth: int) -> bool:
     opts = analyses["fit"]
-    return len(_fit_radii(depth, opts["dyadic_radii"])) >= opts["min_points"]
+    return len(fit_radii(depth, opts["dyadic_radii"])) >= opts["min_points"]
 
 
 Need = tuple[str, Callable[[Mapping[str, Any], Mapping[str, Any], int], bool], str]
@@ -493,3 +506,30 @@ FAMILIES: dict[str, Family] = {
                          _tree_chain),
     "stairway": Family({"levels": _required(2)}, _stairway),
 }
+
+
+_FAMILY = {"family": (option_parser(
+    lambda v: isinstance(v, str) and v in FAMILIES,
+    "unknown family {value!r}; known: " + ", ".join(sorted(FAMILIES)),
+), REQUIRED)}
+
+
+def _space_fields(raw: Mapping[str, Any], where: str) -> Options:
+    """The keys of a space: a graph file, or a family and its parameters.
+    The family is read first, so that an unknown one is named as such."""
+    if "graph_file" in raw:
+        return {"graph_file": (nonempty_string, REQUIRED)}
+    given = {key: raw[key] for key in _FAMILY if key in raw}
+    return {**_FAMILY, **FAMILIES[parse_options(given, _FAMILY, where)["family"]].options}
+
+
+def parse_space(value: Any, where: str = "space") -> dict[str, Any]:
+    """A space, read against the family table; a group's generating set must
+    be one its model names."""
+    space = section(_space_fields)(value, where)
+    model = FAMILIES[space["family"]].model if "family" in space else None
+    known = sorted(model(space).generating_sets) if model else []
+    if known and space["generating_set"] not in known:
+        raise ConfigError(f"{where}.generating_set: unknown generating set "
+                          f"{space['generating_set']!r}; known: {', '.join(known)}")
+    return space

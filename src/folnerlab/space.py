@@ -96,12 +96,14 @@ class Graph:
         return graph
 
     def validate(self) -> None:
-        """Raise GraphFormatError on an asymmetric adjacency (only a graph
-        built by hand can have one), a basepoint out of range (its label as
-        `where`) or a disconnected graph."""
+        """Raise GraphFormatError on a neighbor out of range or an asymmetric
+        adjacency (only a graph built by hand can have either), a basepoint out
+        of range (its label as `where`) or a disconnected graph."""
         adjacency, n = self.adjacency, self.vertex_count
         for v, nbrs in enumerate(adjacency):
             for u in nbrs:
+                if not 0 <= u < n:
+                    raise GraphFormatError(f"edge ({v}, {u}) out of range")
                 if v not in adjacency[u]:
                     raise GraphFormatError(f"asymmetric edge ({v}, {u})")
         for label, v in self.basepoints.items():

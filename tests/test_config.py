@@ -115,6 +115,14 @@ class TestSpace:
         raw = _base(space={"family": "stairway", "levels": 5}, depth=33)
         assert validate_config(raw).space["levels"] == 5
 
+    def test_generating_set_is_checked_against_the_model(self):
+        space = {"family": "lattice", "d": 2, "radius": 16, "generating_set": "diagonal"}
+        assert validate_config(_base(space=space)).space == space
+        raw = _base(space={**space, "d": 3})
+        with pytest.raises(ConfigError) as error:
+            validate_config(raw)
+        assert str(error.value) == "space.generating_set: unknown generating set 'diagonal'; known: standard"
+
     def test_unknown_space_key(self):
         raw = _base(space={"family": "lattice", "d": 2, "radius": 4, "q": 1})
         with pytest.raises(ConfigError, match="space: unknown key 'q'"):

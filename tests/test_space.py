@@ -100,6 +100,18 @@ class TestGraph:
         with pytest.raises(ValueError, match="asymmetric"):
             g.validate()
 
+    @pytest.mark.parametrize(
+        "adjacency,message",
+        [
+            (((1, 5), (0,)), "edge (0, 5) out of range"),  # would index past the end
+            (((1, -1), (0, 0)), "edge (0, -1) out of range"),  # would wrap around
+        ],
+    )
+    def test_rejects_neighbor_out_of_range(self, adjacency, message):
+        with pytest.raises(GraphFormatError) as error:
+            Graph(adjacency=adjacency, basepoints={}).validate()
+        assert str(error.value) == message
+
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError, match="not connected"):
             Graph.from_edges(4, [(0, 1), (2, 3)])
