@@ -44,15 +44,13 @@ from .generators import (
     stretched_tree_chain,
     word_ball,
 )
-from .graphio import dump_graph, load_graph, parse_graph, save_graph
+from .graphio import dump_graph, load_graph, parse_graph
 from .groups import GroupModel, check_generates, heisenberg_model, zd_model
 from .products import (
     ProductSequence,
     folner_ratios,
-    generating_containment,
     product_powers,
     product_with_powers,
-    regularity_constant,
     shell_inclusion_check,
     varying_products,
 )

@@ -30,7 +30,7 @@ from typing import Iterator
 from .errors import BudgetExceededError, GraphFormatError
 from .space import Graph
 
-__all__ = ["load_graph", "save_graph", "dump_graph", "parse_graph"]
+__all__ = ["load_graph", "dump_graph", "parse_graph"]
 
 _SHAPES = {"edge": "edge U V", "basepoint": "basepoint LABEL V"}
 
@@ -115,7 +115,3 @@ def dump_graph(graph: Graph) -> str:
         out.extend(f"edge {u} {v}" for v in nbrs if u < v)
     out.extend(f"basepoint {label} {v}" for label, v in sorted(graph.basepoints.items()))
     return "\n".join(out) + "\n"
-
-
-def save_graph(graph: Graph, path: str | Path) -> None:
-    Path(path).write_text(dump_graph(graph))

@@ -17,13 +17,13 @@ identity adjoined): elements are packed into int64 keys over a box that
 reached before.  A `KeySet` is a finite set in the same representation,
 sorted keys in one box, with a subset test across boxes.  Word balls
 (`generators.word_ball`), product sequences and set products (`products`)
-and the generation search below are all read off these layers; tuples are
-decoded only where a caller asks for elements.  Named generating sets are
-carried on the model; all contain the identity so that powers U^n are
-nondecreasing.  `check_generates` verifies that a finite set generates the
-whole group *as a semigroup* (inverses must be reachable as products), which
-is the right notion for one-sided product sets: exactly for Z^d, by a
-bounded search for H3.
+and the Heisenberg generation search below are all read off these layers;
+tuples are decoded only where a caller asks for elements.  Named generating
+sets are carried on the model; all contain the identity so that powers U^n
+are nondecreasing.  `check_generates` verifies that a finite set generates
+the whole group *as a semigroup* (inverses must be reachable as products),
+which is the right notion for one-sided product sets: exactly for Z^d, by
+integer row reduction, and by a bounded search for H3.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .errors import BudgetExceededError, NotGeneratingError
 __all__ = [
     "GroupModel",
     "zd_model",
+    "MAX_ZD_RANK",
     "heisenberg_model",
     "KeyBox",
     "Layer",
@@ -98,10 +99,22 @@ def _zd_reach(seed_max: Sequence[int], step_max: Sequence[int], n: int) -> tuple
     return tuple(s + n * m for s, m in zip(seed_max, step_max))
 
 
+_KEY_CELLS = 2**63  # the largest key box `expand` accepts, in cells
+# The largest rank whose radius-1 word ball has int64 keys: `word_ball` sizes
+# its box for radius + 1 = 2 unit steps, so each coordinate takes 5 values.
+MAX_ZD_RANK = max(d for d in range(64) if (2 * _zd_reach([0], [1], 2)[0] + 1) ** d <= _KEY_CELLS)
+
+
 def zd_model(d: int) -> GroupModel:
-    """The free abelian group Z^d with standard, diagonal and skew generating sets."""
+    """The free abelian group Z^d, 1 <= d <= MAX_ZD_RANK, with standard,
+    diagonal and skew generating sets."""
     if d < 1:
         raise ValueError("dimension must be positive")
+    if d > MAX_ZD_RANK:
+        raise ValueError(
+            f"dimension must be at most {MAX_ZD_RANK}, the largest whose radius-1 "
+            f"word ball has int64 keys, got {d}"
+        )
     zero = (0,) * d
     unit = lambda i: tuple(1 if j == i else 0 for j in range(d))
     standard = (zero,) + tuple(unit(i) for i in range(d)) + tuple(
@@ -317,7 +330,7 @@ def expand(
     offsets = model.reach(seed_max, maxima([s for f in steps for s in f]), len(steps))
     box = KeyBox(tuple(offsets), tuple(2 * b + 1 for b in offsets))
     cells = math.prod(box.widths)
-    if cells > 2**63:
+    if cells > _KEY_CELLS:
         raise ValueError(
             f"{stage}: the bounding box of {len(steps)} steps has {cells} "
             "cells, too many for int64 keys"
@@ -378,48 +391,59 @@ def _new_products(
     return keys, keys[np.argsort(first[unique][fresh])] if ordered else None
 
 
-def _integer_span_is_full(vectors: list[Element], d: int) -> bool:
-    """True iff the integer span of `vectors` is all of Z^d.
+def _row_reduce(rows: Iterable[Sequence[int]], columns: int) -> list[list[int]]:
+    """`rows` in integer echelon form on their first `columns` entries, by
+    unimodular row operations (swaps, adding a multiple of one row to
+    another), so their integer span is kept; later entries ride along.
+    Column by column, Euclid's algorithm on the rows below the pivots found
+    so far leaves one nonzero entry, the next pivot; zero rows come last."""
+    rows = [list(r) for r in rows]
+    top = 0  # the rows above `top` hold the pivots found so far
+    for c in range(columns):
+        while any(r[c] for r in rows[top:]):
+            p = min((i for i in range(top, len(rows)) if rows[i][c]), key=lambda i: abs(rows[i][c]))
+            rows[top], rows[p] = rows[p], rows[top]
+            pivot = rows[top]
+            for i in range(top + 1, len(rows)):
+                if q := rows[i][c] // pivot[c]:
+                    rows[i] = [a - q * b for a, b in zip(rows[i], pivot)]
+            if not any(r[c] for r in rows[top + 1 :]):
+                top += 1
+    return rows
 
-    The span is Z^d exactly when the gcd of all d x d minors of the matrix of
-    generators is 1.  Fine for the small d used here.
-    """
-    minors_gcd = 0
-    for rows in combinations(vectors, d):
-        minors_gcd = math.gcd(minors_gcd, _det([list(r) for r in rows]))
-        if minors_gcd == 1:
-            return True
-    return minors_gcd == 1
+
+def _spans(vectors: Sequence[Sequence[int]], d: int) -> bool:
+    """True iff the integer span of `vectors` is all of Z^d: their echelon
+    form then has d pivots, and their product, up to sign the index of the
+    span, is +-1."""
+    pivots = [next(x for x in row if x) for row in _row_reduce(vectors, d) if any(row)]
+    return len(pivots) == d and all(abs(x) == 1 for x in pivots)
 
 
-def _det(m: Sequence[Sequence[int]]) -> int:
-    """Integer determinant by cofactor expansion (d <= 3 in practice)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
+def _normal(vectors: Sequence[Element], d: int) -> Element | None:
+    """The primitive normal, up to sign, of d - 1 vectors in Z^d, or None if
+    they are linearly dependent.  Their transpose is reduced beside the
+    identity, which records the unimodular transform: the identity part of
+    the one row left zero on their columns is orthogonal to every vector,
+    and primitive as a row of a unimodular matrix."""
+    k = len(vectors)
+    stacked = [[g[j] for g in vectors] + [int(i == j) for i in range(d)] for j in range(d)]
+    kernel = [row[k:] for row in _row_reduce(stacked, k) if not any(row[:k])]
+    return tuple(kernel[0]) if len(kernel) == 1 else None
 
 
 def _half_space_normal(gens: list[Element], d: int) -> Element | None:
-    """A nonzero integer n with <g, n> >= 0 for every generator g, if one
+    """A primitive integer n with <g, n> >= 0 for every generator g, if one
     exists, for generators that span R^d.
 
     Their cone is then not all of R^d, so it has a facet, spanned by d - 1
-    linearly independent generators; the cofactor normal of those (or its
-    negative) is such an n.  So trying every (d - 1)-subset decides it.
+    linearly independent generators; their normal (or its negative) is
+    such an n.  So trying every (d - 1)-subset decides it.
     """
-    for rows in combinations(gens, d - 1):
-        normal = [(-1) ** j * _det([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)]
-        if not any(normal):
-            continue  # the subset is linearly dependent
+    for subset in combinations(gens, d - 1):
+        normal = _normal(subset, d)
+        if normal is None:
+            continue
         dots = [sum(a * b for a, b in zip(g, normal)) for g in gens]
         for sign in (1, -1):
             if min(sign * x for x in dots) >= 0:
@@ -458,13 +482,16 @@ def check_generates(
 ) -> None:
     """Raise NotGeneratingError unless `elements` generate the group as a semigroup.
 
-    For Z^d the test is exact: the generators must span Z^d as a group, and
-    no nonzero linear functional may be >= 0 on all of them.  Then each -g
-    is a nonnegative rational combination of them, so, times a common
-    denominator N, -g = (N - 1) g + (a nonnegative integer combination).  A
-    non-symmetric set like {0, e1, e2} spans Z^2 as a group but stays in
-    the half-plane x + y >= 0 and is rejected.  For the Heisenberg model
-    the (x, y) projections must span Z^2, and a search of `search_depth`
+    For Z^d the test is exact, by integer row reduction (`_row_reduce`).
+    The generators must span Z^d as a group; a set closed under inversion
+    then generates it as a semigroup too, and for any other set no nonzero
+    linear functional may be >= 0 on all of them.
+    Then each -g is a nonnegative rational combination of them, so, times a
+    common denominator N, -g = (N - 1) g + (a nonnegative integer
+    combination).  A one-sided set like {0, e1, e2} spans Z^2 as a group
+    but stays in the half-plane x + y >= 0 and is rejected, naming the
+    primitive normal of that half-space.  For the Heisenberg model the
+    (x, y) projections must span Z^2, and a search of `search_depth`
     factors must reach the central element (0, 0, 1), its inverse and every
     generator inverse; a failed search is no proof, and its error says so.
     """
@@ -477,11 +504,12 @@ def check_generates(
 
     if model.name.startswith("Z^"):
         d = model.rank
-        if len(gens) < d or not _integer_span_is_full(gens, d):
+        if not _spans(gens, d):
             raise NotGeneratingError(
                 f"{model.name}: integer span of {sorted(gens)} is a proper subgroup"
             )
-        normal = _half_space_normal(gens, d)
+        symmetric = set(map(model.invert, gens)) == set(gens)
+        normal = None if symmetric else _half_space_normal(gens, d)
         if normal is not None:
             raise NotGeneratingError(
                 f"{model.name}: <g, {normal}> >= 0 for every generator g, so no "
@@ -491,7 +519,7 @@ def check_generates(
 
     # Heisenberg: project to the abelianization, then search for the center.
     proj = [(g[0], g[1]) for g in gens]
-    if not _integer_span_is_full(proj, 2):
+    if not _spans(proj, 2):
         raise NotGeneratingError(
             f"{model.name}: projections {sorted(set(proj))} do not span Z^2"
         )

@@ -11,9 +11,9 @@ kernel's birth layers (sorted keys, discovery order, one key box) as the
 one record of the products: each N_n, each frontier N_n minus N_(n-1) and
 each shell N_b minus N_a is a run of consecutive layers.  Shells and set
 products are `KeySet`s, so the word-shell sandwich is tested on keys;
-`birth`, `element_set` and `frontier` decode tuples for callers that want
-elements.  Expanding only the newest elements of N_n is exhaustive when the
-next factor lies inside the one before it (always, for powers of one set);
+`birth` and `frontier` decode tuples for callers that want elements.
+Expanding only the newest elements of N_n is exhaustive when the next
+factor lies inside the one before it (always, for powers of one set);
 otherwise the kernel multiplies the whole of N_n.
 """
 
@@ -25,16 +25,13 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError
-from .groups import Element, GroupModel, KeySet, Layer, check_generates, expand, search_targets
+from .groups import Element, GroupModel, KeySet, Layer, check_generates, expand
 
 __all__ = [
     "ProductSequence",
     "product_powers",
     "varying_products",
     "folner_ratios",
-    "regularity_constant",
-    "generating_containment",
     "product_with_powers",
     "shell_inclusion_check",
     "DEFAULT_ELEMENT_BUDGET",
@@ -76,9 +73,6 @@ class ProductSequence:
         if not 0 <= b <= self.steps:
             raise ValueError(f"step {b} outside computed range 0..{self.steps}")
         return KeySet.union(self.layers[max(a + 1, 0) : b + 1], self.layers[0].box)
-
-    def element_set(self, n: int) -> frozenset[Element]:
-        return frozenset(self.shell(-1, n).elements())
 
     def frontier(self, n: int) -> frozenset[Element]:
         """Elements first reached at step n: N_n minus N_(n-1)."""
@@ -156,51 +150,6 @@ def folner_ratios(sequence: ProductSequence) -> tuple[Fraction, ...]:
     return tuple(
         Fraction(sizes[n + 1] - sizes[n], sizes[n]) for n in range(len(sizes) - 1)
     )
-
-
-def regularity_constant(
-    sequence: ProductSequence,
-    n: int,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> Fraction:
-    """Exact |N_n^-1 N_n| / |N_n|.
-
-    Quadratic in |N_n|; guarded by the element budget.  For symmetric powers
-    this equals |U^(2n)| / |U^n|, which unit tests use as an independent
-    cross-check.
-    """
-    model = sequence.model
-    elements = sequence.element_set(n)
-    if len(elements) ** 2 > element_budget:
-        raise BudgetExceededError(
-            "regularity product", len(elements) ** 2, element_budget
-        )
-    inverses = [model.invert(g) for g in elements]
-    layers = expand(model, inverses, [elements], None, "regularity product")
-    return Fraction(sum(len(layer.keys) for layer in layers), len(elements))
-
-
-def generating_containment(
-    model: GroupModel,
-    generating_set: Sequence[Element],
-    targets: Sequence[Element],
-    m_max: int = 64,
-    element_budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> int:
-    """Smallest m with targets contained in U^m (identity adjoined), else raise.
-
-    This is the effective version of "any finite set is swallowed by some
-    power of a generating set": a direct nested-ball search.
-    """
-    m, missing = search_targets(
-        model, generating_set, targets, m_max, element_budget, "containment search"
-    )
-    if missing:
-        raise ValueError(
-            f"targets {sorted(missing)} not contained in U^{m_max}; "
-            "increase m_max or check generation"
-        )
-    return m
 
 
 def product_with_powers(

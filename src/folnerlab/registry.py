@@ -50,7 +50,7 @@ from .generators import (
     stretched_tree_chain,
     word_ball,
 )
-from .groups import GroupModel, heisenberg_model, zd_model
+from .groups import MAX_ZD_RANK, GroupModel, heisenberg_model, zd_model
 from .products import product_powers, shell_inclusion_check
 from .space import Graph, VolumeProfile, volume_profile
 
@@ -115,6 +115,7 @@ _point = option_parser(  # a point on the 2-torus
 _widths = option_parser(
     lambda v: isinstance(v, list) and all(_integer(k) and k >= 4 and k % 4 == 0 for k in v),
     "expected a list of positive multiples of 4, got {value!r}",
+    list,
 )
 
 HALF_DEPTH = object()  # an option default: the config's depth // 2, filled in by `config`
@@ -496,9 +497,17 @@ def _required(minimum: int) -> tuple[Callable[[Any, str], int], Any]:
     return at_least(minimum), REQUIRED
 
 
+def _rank(value: Any, where: str) -> int:
+    d = at_least(1)(value, where)
+    if d > MAX_ZD_RANK:
+        raise ConfigError(f"{where}: must be at most {MAX_ZD_RANK} (the largest rank whose "
+                          f"radius-1 word ball has int64 keys), got {d}")
+    return d
+
+
 _GROUP_SET = {"generating_set": (_string, "standard")}
 FAMILIES: dict[str, Family] = {
-    "lattice": Family({"d": _required(1), "radius": _required(1), **_GROUP_SET}, _word_ball,
+    "lattice": Family({"d": (_rank, REQUIRED), "radius": _required(1), **_GROUP_SET}, _word_ball,
                       lambda s: zd_model(s["d"])),
     "heisenberg": Family({"radius": _required(1), **_GROUP_SET}, _word_ball,
                          lambda s: heisenberg_model()),

@@ -193,6 +193,18 @@ class TestPowers:
         result = runner.invoke(main, ["powers", "--n-max", "3", "--set", "[[2,0],[-2,0],[0,2],[0,-2]]"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("command", [
+        ["powers", "--n-max", "1"],
+        ["nprod", "--factors", "[]", "--inner", "[]", "--outer", "[]"],
+    ])
+    def test_rank_above_the_cap_fails_in_one_line(self, runner, command):
+        result = runner.invoke(main, [*command, "--d", "1000"])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: dimension must be at most 27, the largest whose radius-1 word ball "
+            "has int64 keys, got 1000\n"
+        )
+
 
 class TestNprod:
     def test_sandwich_run(self, runner):
@@ -323,6 +335,37 @@ class TestReproduce:
         result = runner.invoke(main, ["reproduce", "no-such-recipe"])
         assert result.exit_code != 0
         assert "known" in result.output
+
+
+class TestLatticeRank:
+    """A lattice rank above the cap fails at validation, in one line; a rank
+    below it runs."""
+
+    def _reproduce(self, tmp_path, child_env, d):
+        config = tmp_path / f"d{d}.json"
+        config.write_text(json.dumps({
+            "space": {"family": "lattice", "d": d, "radius": 1}, "depth": 2,
+            "analyses": {"annulus": {}},
+        }))
+        return subprocess.run(
+            [sys.executable, "-m", "folnerlab", "--out", str(tmp_path / f"out{d}"),
+             "reproduce", "--config", str(config)],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+
+    def test_rank_1000_exits_1_without_a_traceback(self, tmp_path, child_env):
+        result = self._reproduce(tmp_path, child_env, 1000)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "Error: space.d: must be at most 27 (the largest rank whose radius-1 word ball "
+            "has int64 keys), got 1000\n"
+        )
+
+    def test_rank_7_runs(self, tmp_path, child_env):
+        result = self._reproduce(tmp_path, child_env, 7)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["vertices"] == 15
 
 
 def _body(text):

@@ -93,6 +93,15 @@ class TestSpace:
         with pytest.raises(ConfigError, match="space: missing required key 'd'"):
             validate_config(raw)
 
+    def test_lattice_rank_is_capped(self):
+        assert validate_config(_base(space={"family": "lattice", "d": 27, "radius": 1})).space["d"] == 27
+        with pytest.raises(ConfigError) as error:
+            validate_config(_base(space={"family": "lattice", "d": 28, "radius": 1}))
+        assert str(error.value) == (
+            "space.d: must be at most 27 (the largest rank whose radius-1 word ball "
+            "has int64 keys), got 28"
+        )
+
     def test_generating_set_default(self):
         cfg = validate_config(_base())
         assert cfg.space["generating_set"] == "standard"
@@ -244,6 +253,11 @@ class TestAnalyses:
     def test_claims_that_test_no_pair_are_rejected(self, claims):
         with pytest.raises(ConfigError, match=r"^analyses\.claims\.widths: no width is at most n_max"):
             validate_config(_base(analyses={"claims": claims}))
+
+    def test_claims_default_widths_are_not_shared(self):
+        raw = _base(analyses={"claims": {}})
+        validate_config(raw).analyses["claims"]["widths"].append(16)
+        assert validate_config(raw).analyses["claims"]["widths"] == [4, 8, 12]
 
     def test_claims_width_equal_to_n_max_tests_a_pair(self):
         cfg = validate_config(_base(analyses={"claims": {"widths": [8, 12], "n_max": 8}}))

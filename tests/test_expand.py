@@ -13,8 +13,8 @@ H3, symmetric and one-sided, from the identity and from far-off seed sets:
       discovery order when asked for
     - `product_powers` and `varying_products` (nested and non-nested
       factors) reproduce the reference birth map, insertion order included
-    - `product_with_powers` and `generating_containment` agree with the
-      reference loop, and `regularity_constant` with a direct set product
+    - `product_with_powers` and `groups.search_targets` agree with the
+      reference loop
     - `check_generates` agrees with a reference search: for Z^d its exact
       criterion with a deep one, for H3 its bounded search at equal depth
     - budget errors carry the same stage, count and layer as the reference
@@ -23,21 +23,14 @@ H3, symmetric and one-sided, from the identity and from far-off seed sets:
 """
 
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from folnerlab import groups
 from folnerlab.errors import BudgetExceededError, NotGeneratingError
-from folnerlab.groups import check_generates, expand, heisenberg_model, zd_model
-from folnerlab.products import (
-    generating_containment,
-    product_powers,
-    product_with_powers,
-    regularity_constant,
-    varying_products,
-)
+from folnerlab.groups import check_generates, expand, heisenberg_model, search_targets, zd_model
+from folnerlab.products import product_powers, product_with_powers, varying_products
 from tuple_law import multiply
 
 
@@ -214,7 +207,7 @@ class TestProductSequences:
         expected = _reference_birth(model, factors)
         assert list(seq.birth.items()) == list(expected.items())
         brute = _brute_products(model, [model.identity], factors)
-        assert [seq.element_set(n) for n in range(len(factors) + 1)] == brute
+        assert [frozenset(seq.shell(-1, n).elements()) for n in range(len(factors) + 1)] == brute
         grows = any(not set(b) <= set(a) for a, b in zip(factors, factors[1:]))
         assert grows != nested
 
@@ -233,25 +226,16 @@ class TestSearchAndSetProducts:
         assert set(product_with_powers(model, base, gens, m).elements()) == expected
 
     @pytest.mark.parametrize("name,gens", _cases())
-    def test_regularity_matches_direct_set_product(self, name, gens):
-        model = MODELS[name][0]
-        seq = product_powers(model, gens, 3)
-        elements = seq.element_set(3)
-        direct = {multiply(model, model.invert(a), b) for a in elements for b in elements}
-        assert regularity_constant(seq, 3) == Fraction(len(direct), len(elements))
-
-    @pytest.mark.parametrize("name,gens", _cases())
     def test_containment_matches_reference(self, name, gens):
         model = MODELS[name][0]
         rng = random.Random(f"contain/{name}")
         ball = set().union(*_reference_layers(model, [model.identity], [gens] * 4))
         targets = rng.sample(sorted(ball), 3)
-        assert generating_containment(model, gens, targets, m_max=4) == _reference_search(
-            model, gens, targets, 4
+        assert search_targets(model, gens, targets, 4) == (
+            _reference_search(model, gens, targets, 4), set()
         )
         far = [tuple(40 for _ in range(model.rank))]
-        with pytest.raises(ValueError, match="not contained in U\\^3"):
-            generating_containment(model, gens, far, m_max=3)
+        assert search_targets(model, gens, far, 3) == (3, set(far))
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_generation_check_matches_reference(self, name):
@@ -299,9 +283,9 @@ class TestBudgets:
                 lambda: list(_reference_layers(model, [(10, 2, 0), (11, 0, 3)], [gens] * 8, budget, "set product")),
             ),
             (
-                "containment search",
-                lambda: generating_containment(model, gens, [(0, 0, 9)], 20, budget),
-                lambda: _reference_search(model, gens, [(0, 0, 9)], 20, budget, "containment search"),
+                "generation check",
+                lambda: search_targets(model, gens, [(0, 0, 9)], 20, budget),
+                lambda: _reference_search(model, gens, [(0, 0, 9)], 20, budget, "generation check"),
             ),
         ]
         for stage, kernel, reference in cases:

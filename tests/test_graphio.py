@@ -21,7 +21,7 @@ import tracemalloc
 import pytest
 
 from folnerlab.errors import BudgetExceededError, GraphFormatError
-from folnerlab.graphio import dump_graph, load_graph, parse_graph, save_graph
+from folnerlab.graphio import dump_graph, load_graph, parse_graph
 from folnerlab.space import Graph
 
 
@@ -39,7 +39,7 @@ class TestRoundTrip:
     def test_file_round_trip(self, tmp_path):
         g = _triangle()
         path = tmp_path / "t.graph"
-        save_graph(g, path)
+        path.write_text(dump_graph(g))
         h = load_graph(path)
         assert h.adjacency == g.adjacency
 

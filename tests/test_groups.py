@@ -10,13 +10,37 @@ Core claims:
     - check_generates accepts the named sets and rejects proper-subgroup
       spans and semigroup-incomplete sets with telling messages; for Z^d it
       is exact, so a set whose inverses need many factors is accepted
+    - for Z^d its verdicts equal those of the determinant-based check it
+      replaced (kept here as the reference: the gcd of all d x d minors
+      for the span, cofactor normals of (d - 1)-subsets for the half-space)
+      on seeded sets in Z^1 to Z^4, symmetric and one-sided; each
+      half-space normal it names is primitive and the reference's divided
+      by a positive integer; and it decides sets at ranks the reference
+      cannot reach
+    - zd_model takes ranks 1 to MAX_ZD_RANK = 27, the largest whose
+      radius-1 word ball has int64 keys
+    - search_targets finds the first power of U holding every target, and
+      reports the targets it misses
 """
+
+import ast
+import math
+import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from folnerlab.errors import NotGeneratingError
-from folnerlab.groups import check_generates, heisenberg_model, zd_model
+from folnerlab.generators import word_ball
+from folnerlab.groups import (
+    MAX_ZD_RANK,
+    _spans,
+    check_generates,
+    heisenberg_model,
+    search_targets,
+    zd_model,
+)
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -95,6 +119,14 @@ class TestModels:
         with pytest.raises(ValueError):
             zd_model(0)
 
+    def test_zd_rank_is_capped_where_unit_balls_leave_int64(self):
+        # A radius-1 word ball sizes its key box for 2 steps: 5^d cells.
+        assert MAX_ZD_RANK == 27 and 5**27 <= 2**63 < 5**28
+        ball = word_ball(zd_model(27), "standard", 1)
+        assert ball.vertex_count == 55
+        with pytest.raises(ValueError, match="dimension must be at most 27, .* got 28"):
+            zd_model(28)
+
 
 # -- Generation check --------------------------------------------------------
 
@@ -151,3 +183,162 @@ class TestCheckGenerates:
         m = heisenberg_model()
         with pytest.raises(NotGeneratingError, match="do not span"):
             check_generates(m, [(1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1)])
+
+    def test_roadmap_spans(self):
+        assert not _spans([(2, 0), (0, 1), (-2, 0), (0, -1)], 2)
+        assert _spans([(2, 1), (1, 1)], 2)
+        assert _spans([(1, 0), (0, 1), (-5, -7)], 2)
+        with pytest.raises(NotGeneratingError, match=r"<g, \(-1, 2\)> >= 0"):
+            check_generates(zd_model(2), [(2, 1), (1, 1)])
+
+    def test_standard_set_at_the_largest_rank(self):
+        m = zd_model(MAX_ZD_RANK)
+        check_generates(m, m.generating_set("standard"))
+
+    def test_one_sided_simplex_in_rank_20(self):
+        # -e_i is the sum of the other e_j and -(e_1 + ... + e_20).
+        m = zd_model(20)
+        units = [tuple(int(i == j) for j in range(20)) for i in range(20)]
+        check_generates(m, units + [(-1,) * 20])
+        with pytest.raises(NotGeneratingError, match="half-space"):
+            check_generates(m, units + [(-1,) * 19 + (0,)])
+
+
+# -- The determinant-based check, kept as the reference -------------------------
+
+
+def _det(m):
+    """Integer determinant by cofactor expansion."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = 0
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * _det(minor)
+    return total
+
+
+def _reference_span_is_full(vectors, d):
+    """The span is Z^d iff the gcd of all d x d minors is 1."""
+    minors_gcd = 0
+    for rows in combinations(vectors, d):
+        minors_gcd = math.gcd(minors_gcd, _det([list(r) for r in rows]))
+        if minors_gcd == 1:
+            return True
+    return minors_gcd == 1
+
+
+def _reference_half_space_normal(gens, d):
+    for rows in combinations(gens, d - 1):
+        normal = [(-1) ** j * _det([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)]
+        if not any(normal):
+            continue
+        dots = [sum(a * b for a, b in zip(g, normal)) for g in gens]
+        for sign in (1, -1):
+            if min(sign * x for x in dots) >= 0:
+                return tuple(sign * c for c in normal)
+    return None
+
+
+def _reference_verdict(model, elements):
+    """"span", "accepted", or the half-space normal that rejects the set."""
+    gens = [g for g in elements if g != model.identity]
+    d = model.rank
+    if len(gens) < d or not _reference_span_is_full(gens, d):
+        return "span"
+    normal = _reference_half_space_normal(gens, d)
+    return "accepted" if normal is None else normal
+
+
+def _verdict(model, elements):
+    try:
+        check_generates(model, elements)
+    except NotGeneratingError as exc:
+        text = str(exc)
+        if "proper subgroup" in text:
+            return "span"
+        return ast.literal_eval(text[text.index("<g, ") + 4 : text.index(">")])
+    return "accepted"
+
+
+def _seeded_sets(d, count, seed=0):
+    """Sets of 1 to d + 4 elements with coordinates in -2..2, every other
+    one closed under inversion."""
+    rng = random.Random(f"sets/{d}/{seed}")
+    model = zd_model(d)
+    for k in range(count):
+        gens = {tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(1, d + 4))}
+        gens.discard(model.identity)
+        if not gens:
+            continue
+        yield model.symmetrize(gens) if k % 2 else sorted(gens)
+
+
+class TestAgainstTheDeterminantCheck:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_verdicts_and_normals_match(self, d, seed):
+        model = zd_model(d)
+        kinds = {"span": 0, "accepted": 0, "normal": 0, "reduced": 0}
+        for gens in _seeded_sets(d, 100, seed):
+            expected, got = _reference_verdict(model, gens), _verdict(model, gens)
+            if isinstance(expected, str):
+                assert got == expected, gens
+                kinds[expected] += 1
+                continue
+            assert isinstance(got, tuple), gens
+            assert math.gcd(*got) == 1, gens
+            factor = math.gcd(*expected)
+            assert tuple(c // factor for c in expected) == got, gens
+            kinds["normal"] += 1
+            kinds["reduced"] += factor > 1
+        assert kinds["span"] and kinds["accepted"] and kinds["normal"]
+        if d > 1:
+            assert kinds["reduced"], "no reference normal here is divisible"
+
+    def test_heisenberg_projection_span_matches(self):
+        model = heisenberg_model()
+        rng = random.Random("heisenberg-projections")
+        for _ in range(200):
+            gens = [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(1, 4))]
+            gens = [g for g in gens if g != model.identity] or [(1, 0, 0)]
+            projections = [g[:2] for g in gens]
+            try:
+                check_generates(model, gens, search_depth=2)
+                spans = True
+            except NotGeneratingError as exc:
+                spans = "do not span" not in str(exc)
+            assert spans == _reference_span_is_full(projections, 2), gens
+
+
+# -- Target search ---------------------------------------------------------------
+
+
+class TestSearchTargets:
+    def test_central_element_needs_four_steps(self):
+        model = heisenberg_model()
+        assert search_targets(model, model.generating_set("standard"), [(0, 0, 1)], 64) == (4, set())
+
+    def test_already_contained(self):
+        model = zd_model(2)
+        gen = model.generating_set("standard")
+        assert search_targets(model, gen, [(0, 0)], 64) == (0, set())
+        assert search_targets(model, gen, [(1, 0)], 64) == (1, set())
+
+    def test_unreachable_targets_are_reported(self):
+        model = zd_model(2)
+        gen = model.generating_set("standard")
+        assert search_targets(model, gen, [(40, 0), (1, 1)], 8) == (8, {(40, 0)})
+        # (-1, 9) lies outside the key box of U^8, where its digits would
+        # spell (0, -8), an element of U^8.
+        assert search_targets(model, gen, [(-1, 9)], 8) == (8, {(-1, 9)})
+
+    def test_target_of_wrong_arity_is_named(self):
+        model = zd_model(2)
+        with pytest.raises(ValueError, match="generation check: every target needs 2 coordinates"):
+            search_targets(model, model.generating_set("standard"), [(1, 0, 0)], 8)

@@ -229,7 +229,7 @@ class TestProductLayers:
             assert list(seq.birth.items()) == list(birth.items())
             assert seq.sizes == sizes
             for n in range(seq.steps + 1):
-                assert seq.element_set(n) == _scan(birth, -1, n)
+                assert frozenset(seq.shell(-1, n).elements()) == _scan(birth, -1, n)
                 assert seq.frontier(n) == _scan(birth, n - 1, n)
                 for a in range(-1, n):
                     assert frozenset(seq.shell(a, n).elements()) == _scan(birth, a, n)

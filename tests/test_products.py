@@ -6,9 +6,6 @@ The guiding identities, each checked against independent enumeration:
       (2n^2 + 2n + 1 in rank two)
     - with the identity adjoined, N_n equals the union of the bare j-fold
       products for j <= n
-    - for symmetric U, the regularity constant |N_n^-1 N_n| / |N_n| equals
-      |U^2n| / |U^n|
-    - the central Heisenberg element first appears in U^4
     - shells N_(n+k) minus N_n are trapped between products of the middle
       set with small powers of U, and `shell_inclusion_check` gives the
       outcomes of the frozenset implementation it replaced (kept here as
@@ -27,10 +24,8 @@ from folnerlab.errors import BudgetExceededError, NotGeneratingError
 from folnerlab.groups import KeyBox, KeySet, expand, heisenberg_model, zd_model
 from folnerlab.products import (
     folner_ratios,
-    generating_containment,
     product_powers,
     product_with_powers,
-    regularity_constant,
     shell_inclusion_check,
     varying_products,
 )
@@ -92,14 +87,14 @@ class TestProductPowers:
 
     def test_birth_encodes_every_level(self):
         seq = product_powers(zd_model(1), "standard", 5)
-        assert seq.element_set(3) == frozenset((x,) for x in range(-3, 4))
+        assert frozenset(seq.shell(-1, 3).elements()) == frozenset((x,) for x in range(-3, 4))
         assert seq.frontier(3) == frozenset([(-3,), (3,)])
         assert seq.frontier(0) == frozenset([(0,)])
 
     def test_level_range_errors(self):
         seq = product_powers(zd_model(1), "standard", 3)
         with pytest.raises(ValueError, match="0..3"):
-            seq.element_set(4)
+            frozenset(seq.shell(-1, 4).elements())
         with pytest.raises(ValueError, match="0..3"):
             seq.frontier(-1)
 
@@ -113,7 +108,7 @@ class TestProductPowers:
         bare = _bare_products(model, factor, 6)
         for n in range(7):
             union = frozenset().union(*bare[: n + 1])
-            assert seq.element_set(n) == union
+            assert frozenset(seq.shell(-1, n).elements()) == union
 
     def test_symmetric_factor_not_flagged(self):
         assert not product_powers(zd_model(2), "standard", 3).identity_adjoined
@@ -148,51 +143,6 @@ class TestFolnerRatios:
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
 
-class TestRegularity:
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_symmetric_cross_check(self, n):
-        # |N_n^-1 N_n| = |U^2n| for symmetric U.
-        seq = product_powers(zd_model(2), "standard", 2 * n)
-        got = regularity_constant(seq, n)
-        assert got == Fraction(seq.sizes[2 * n], seq.sizes[n])
-
-    def test_heisenberg_value_is_modest(self):
-        seq = product_powers(heisenberg_model(), "standard", 8)
-        assert regularity_constant(seq, 4) <= 16
-
-    def test_budget_error(self):
-        seq = product_powers(zd_model(2), "standard", 12)
-        with pytest.raises(BudgetExceededError, match="regularity product"):
-            regularity_constant(seq, 12, element_budget=1000)
-
-
-class TestContainment:
-    def test_central_element_needs_four_steps(self):
-        model = heisenberg_model()
-        m = generating_containment(model, model.generating_set("standard"), [(0, 0, 1)])
-        assert m == 4
-
-    def test_already_contained(self):
-        model = zd_model(2)
-        gen = model.generating_set("standard")
-        assert generating_containment(model, gen, [(0, 0)]) == 0
-        assert generating_containment(model, gen, [(1, 0)]) == 1
-
-    def test_unreachable_raises(self):
-        model = zd_model(2)
-        with pytest.raises(ValueError, match="not contained"):
-            generating_containment(model, model.generating_set("standard"), [(40, 0)], m_max=8)
-        # (-1, 9) lies outside the key box of U^8, where its digits would
-        # spell (0, -8), an element of U^8.
-        with pytest.raises(ValueError, match="not contained"):
-            generating_containment(model, model.generating_set("standard"), [(-1, 9)], m_max=8)
-
-    def test_target_of_wrong_arity_is_named(self):
-        model = zd_model(2)
-        with pytest.raises(ValueError, match="containment search: every target needs 2 coordinates"):
-            generating_containment(model, model.generating_set("standard"), [(1, 0, 0)])
-
-
 class TestVaryingProducts:
     def _sets(self, model):
         inner = list(model.generating_set("standard"))
@@ -216,7 +166,7 @@ class TestVaryingProducts:
         inner, outer = [(1,), (-1,)], [(1,), (-1,), (5,)]
         seq = varying_products(model, [inner, inner, outer], inner, outer)
         assert seq.sizes == (1, 3, 5, 11)
-        assert seq.element_set(3) == frozenset((x,) for x in range(-3, 8))
+        assert frozenset(seq.shell(-1, 3).elements()) == frozenset((x,) for x in range(-3, 8))
 
     def test_missing_certified_element_names_factor(self):
         model = zd_model(2)
@@ -244,7 +194,7 @@ class TestProductWithPowers:
         gen = model.generating_set("standard")
         got = product_with_powers(model, [model.identity], gen, 5)
         seq = product_powers(model, "standard", 5)
-        assert frozenset(got.elements()) == seq.element_set(5)
+        assert frozenset(got.elements()) == frozenset(seq.shell(-1, 5).elements())
 
     def test_translate_of_ball(self):
         model = zd_model(2)

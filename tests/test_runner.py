@@ -23,7 +23,7 @@ from folnerlab.config import validate_config
 from folnerlab.errors import ConfigError
 from folnerlab.ergodic import GOLDEN_ANGLES, TorusAction, ergodic_trace
 from folnerlab.generators import TreeChainSpec, norm_profile, stairway_strip, stretched_tree_chain
-from folnerlab.graphio import save_graph
+from folnerlab.graphio import dump_graph
 from folnerlab.groups import zd_model
 from folnerlab.products import product_powers
 from folnerlab.registry import FAMILIES
@@ -80,7 +80,7 @@ SMALL_SPACES = {
 def _space_config(tmp_path, name, depth, **extra):
     if name == "graph_file":  # a tree chain written to disk
         path = tmp_path / "space.graph"
-        save_graph(stretched_tree_chain(TreeChainSpec(2, 3, 3)), path)
+        path.write_text(dump_graph(stretched_tree_chain(TreeChainSpec(2, 3, 3))))
         space = {"graph_file": str(path)}
     else:
         space = SMALL_SPACES[name]
