@@ -19,8 +19,10 @@ import folnerlab.runner
 from folnerlab.cli import main
 from folnerlab.config import validate_config
 from folnerlab.errors import ConfigError
+from folnerlab.groups import heisenberg_model
 from folnerlab.registry import ANALYSES
 from folnerlab.runner import run_experiment
+from tuple_law import multiply
 
 
 @pytest.fixture()
@@ -178,6 +180,25 @@ class TestPowers:
         assert result.exit_code == 0, result.output
         rows = [line.split(",") for line in result.output.splitlines()[2:]]
         assert [int(r[1]) for r in rows] == [1, 4, 10, 20]
+
+    @pytest.mark.parametrize("elements", [
+        # Both generate H3 as semigroups, as their (x, y) projections
+        # generate Z^2, though some inverses need many factors.
+        [[-1, -2, -1], [-1, 1, -1], [1, 0, -1]],
+        [[1, 0, 0], [0, 1, 0], [-1, -1, 5]],
+    ])
+    def test_one_sided_heisenberg_sets(self, runner, elements):
+        result = runner.invoke(main, ["powers", "--group", "heisenberg", "--n-max", "3",
+                                      "--set", json.dumps(elements)])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",") for line in result.output.splitlines()[2:]]
+        model = heisenberg_model()
+        steps = [model.identity] + [tuple(g) for g in elements]
+        ball, sizes = {model.identity}, [1]
+        for _ in range(3):
+            ball = {multiply(model, g, s) for g in ball for s in steps}
+            sizes.append(len(ball))
+        assert [int(r[1]) for r in rows] == sizes
 
     @pytest.mark.parametrize("elements,message", [
         ("[[1.5,0],[0,1],[-1,-1]]", "--set: coordinates must be integers, got 1.5"),

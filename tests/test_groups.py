@@ -19,26 +19,36 @@ Core claims:
       cannot reach
     - zd_model takes ranks 1 to MAX_ZD_RANK = 27, the largest whose
       radius-1 word ball has int64 keys
-    - search_targets finds the first power of U holding every target, and
-      reports the targets it misses
+    - the facet search of a one-sided set refuses more than
+      MAX_FACET_SUBSETS subsets, naming the count and the bound
+    - for H3 the check decides on the (x, y) projections: on seeded sets,
+      symmetric and one-sided, its verdict is the determinant check's on
+      the projections in Z^2, and for each accepted set an expansion of a
+      stated depth reaches (0, 0, +-1) and every generator inverse
+    - the check expands nothing: it passes with `groups.expand` replaced by
+      a function that raises
 """
 
 import ast
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from folnerlab import groups
 from folnerlab.errors import NotGeneratingError
 from folnerlab.generators import word_ball
 from folnerlab.groups import (
+    MAX_FACET_SUBSETS,
     MAX_ZD_RANK,
     _spans,
     check_generates,
+    expand,
     heisenberg_model,
-    search_targets,
+    lookup,
     zd_model,
 )
 
@@ -176,7 +186,7 @@ class TestCheckGenerates:
 
     def test_rejects_heisenberg_without_inverses(self):
         m = heisenberg_model()
-        with pytest.raises(NotGeneratingError, match="not found within 8 factors"):
+        with pytest.raises(NotGeneratingError, match=r"<g, \(0, 1\)> >= 0 .* projected to Z\^2"):
             check_generates(m, [(1, 0, 0), (0, 1, 0)])
 
     def test_rejects_heisenberg_bad_projection(self):
@@ -202,6 +212,29 @@ class TestCheckGenerates:
         check_generates(m, units + [(-1,) * 20])
         with pytest.raises(NotGeneratingError, match="half-space"):
             check_generates(m, units + [(-1,) * 19 + (0,)])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_facet_search_is_bounded(self, d):
+        # The unit vectors, minus their sum and nonnegative extras generate
+        # Z^d as a semigroup.  The search tries C(n, d - 1) subsets of n
+        # distinct generators: n of them in Z^2, C(n, 2) in Z^3.
+        m = zd_model(d)
+        base = [tuple(int(i == j) for j in range(d)) for i in range(d)] + [(-1,) * d]
+        gens = base + [g for g in np.ndindex((17,) * d) if sum(g) > 1]
+        n = max(n for n in range(d, 300) if math.comb(n, d - 1) <= MAX_FACET_SUBSETS)
+        check_generates(m, gens[:n] + gens[:n])  # repeats count once
+        count = math.comb(n + 1, d - 1)
+        with pytest.raises(ValueError, match=rf"C\({n + 1}, {d - 1}\) = {count} facets, more than its bound 256"):
+            check_generates(m, gens[: n + 1])
+        # A symmetric set never reaches the facet search.
+        check_generates(m, m.symmetrize(gens))
+
+    def test_heisenberg_facet_bound_counts_distinct_projections(self):
+        m = heisenberg_model()
+        plane = [(1, 0), (0, 1), (-1, -1)] + [(i, j) for i in range(17) for j in range(17) if i + j > 1]
+        check_generates(m, [(x, y, z) for x, y in plane[:MAX_FACET_SUBSETS] for z in (0, 1)])
+        with pytest.raises(ValueError, match=r"H3\(Z\): .* 257 one-sided generators projected to Z\^2 "):
+            check_generates(m, [(x, y, 0) for x, y in plane[: MAX_FACET_SUBSETS + 1]])
 
 
 # -- The determinant-based check, kept as the reference -------------------------
@@ -260,7 +293,7 @@ def _verdict(model, elements):
         check_generates(model, elements)
     except NotGeneratingError as exc:
         text = str(exc)
-        if "proper subgroup" in text:
+        if "proper subgroup" in text or "do not span" in text:
             return "span"
         return ast.literal_eval(text[text.index("<g, ") + 4 : text.index(">")])
     return "accepted"
@@ -309,36 +342,81 @@ class TestAgainstTheDeterminantCheck:
             gens = [g for g in gens if g != model.identity] or [(1, 0, 0)]
             projections = [g[:2] for g in gens]
             try:
-                check_generates(model, gens, search_depth=2)
+                check_generates(model, gens)
                 spans = True
             except NotGeneratingError as exc:
                 spans = "do not span" not in str(exc)
             assert spans == _reference_span_is_full(projections, 2), gens
 
 
-# -- Target search ---------------------------------------------------------------
+# -- Heisenberg sets, decided on their projections ----------------------------
 
 
-class TestSearchTargets:
-    def test_central_element_needs_four_steps(self):
+def _seeded_heisenberg_sets(count=300):
+    """Sets of 1 to 5 elements of [-2, 2]^3, every other one closed under
+    inversion."""
+    rng = random.Random("heisenberg-sets")
+    model = heisenberg_model()
+    for k in range(count):
+        gens = {tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(1, 5))}
+        gens.discard(model.identity)
+        if gens:
+            yield list(model.symmetrize(gens)) if k % 2 else sorted(gens)
+
+
+def _reaches(model, gens, targets, depth):
+    """True iff U^depth (identity adjoined) holds every target."""
+    rows = np.array(sorted(targets), dtype=np.int64)
+    missing = np.ones(len(rows), dtype=bool)
+    for n, layer in enumerate(expand(model, [model.identity], [gens] * depth, None, "test")):
+        if n == 0:
+            wanted = layer.box.keys_of(rows)
+        missing[lookup(layer.keys, wanted)[0]] = False
+        if not missing.any():
+            return True
+    return False
+
+
+class TestHeisenbergOnItsAbelianization:
+    # The deepest target of the accepted sets below needs 21 factors.
+    DEPTH = 24
+
+    def test_verdicts_are_those_of_the_projections(self):
+        model, plane = heisenberg_model(), zd_model(2)
+        kinds = Counter()
+        for gens in _seeded_heisenberg_sets():
+            expected = _reference_verdict(plane, [g[:2] for g in gens])
+            if isinstance(expected, tuple):
+                factor = math.gcd(*expected)
+                expected = tuple(c // factor for c in expected)
+            got = _verdict(model, gens)
+            assert got == expected, gens
+            one_sided = set(gens) != set(model.symmetrize(gens))
+            kinds[one_sided, got if isinstance(got, str) else "normal"] += 1
+        assert set(kinds) == {
+            (False, "span"), (False, "accepted"),
+            (True, "span"), (True, "accepted"), (True, "normal"),
+        }
+
+    def test_accepted_sets_reach_the_center_and_every_inverse(self):
         model = heisenberg_model()
-        assert search_targets(model, model.generating_set("standard"), [(0, 0, 1)], 64) == (4, set())
+        accepted = [g for g in _seeded_heisenberg_sets() if _verdict(model, g) == "accepted"]
+        assert any(set(g) != set(model.symmetrize(g)) for g in accepted)
+        shallow = 0
+        for gens in accepted:
+            targets = {(0, 0, 1), (0, 0, -1)} | {model.invert(g) for g in gens}
+            assert _reaches(model, gens, targets, self.DEPTH), gens
+            shallow += _reaches(model, gens, targets, 8)
+        # Some sets need more than 8 factors: no short search decides them.
+        assert 0 < shallow < len(accepted)
 
-    def test_already_contained(self):
-        model = zd_model(2)
-        gen = model.generating_set("standard")
-        assert search_targets(model, gen, [(0, 0)], 64) == (0, set())
-        assert search_targets(model, gen, [(1, 0)], 64) == (1, set())
+    def test_the_check_never_expands(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_generates expanded")
 
-    def test_unreachable_targets_are_reported(self):
-        model = zd_model(2)
-        gen = model.generating_set("standard")
-        assert search_targets(model, gen, [(40, 0), (1, 1)], 8) == (8, {(40, 0)})
-        # (-1, 9) lies outside the key box of U^8, where its digits would
-        # spell (0, -8), an element of U^8.
-        assert search_targets(model, gen, [(-1, 9)], 8) == (8, {(-1, 9)})
-
-    def test_target_of_wrong_arity_is_named(self):
-        model = zd_model(2)
-        with pytest.raises(ValueError, match="generation check: every target needs 2 coordinates"):
-            search_targets(model, model.generating_set("standard"), [(1, 0, 0)], 8)
+        monkeypatch.setattr(groups, "expand", refuse)
+        for model in [zd_model(d) for d in (1, 2, 3, MAX_ZD_RANK)] + [heisenberg_model()]:
+            for label in model.generating_sets:
+                check_generates(model, model.generating_set(label))
+        verdicts = {str(_verdict(heisenberg_model(), gens)) for gens in _seeded_heisenberg_sets()}
+        assert {"accepted", "span"} < verdicts
