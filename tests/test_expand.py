@@ -13,7 +13,9 @@ H3, symmetric and one-sided, from the identity and from far-off seed sets:
       discovery order when asked for
     - `product_powers` and `varying_products` (nested and non-nested
       factors) reproduce the reference birth map, insertion order included
-    - `product_with_powers` agrees with the reference loop
+    - `product_with_powers` agrees with the reference loop, and the first
+      ball U^m of `product_powers` that holds a set of targets is the
+      reference's
     - `check_generates`, exact for both models, agrees with a reference
       search deep enough for these small sets: it reaches every generator
       inverse (and, in H3, (0, 0, +-1)) exactly for the accepted ones
@@ -29,7 +31,7 @@ import pytest
 
 from folnerlab import groups
 from folnerlab.errors import BudgetExceededError, NotGeneratingError
-from folnerlab.groups import check_generates, expand, heisenberg_model, zd_model
+from folnerlab.groups import KeyBox, KeySet, check_generates, expand, heisenberg_model, zd_model
 from folnerlab.products import product_powers, product_with_powers, varying_products
 from tuple_law import multiply
 
@@ -224,6 +226,26 @@ class TestSearchAndSetProducts:
         m = 3
         expected = set().union(*_reference_layers(model, base, [gens] * m))
         assert set(product_with_powers(model, base, gens, m).elements()) == expected
+
+    @pytest.mark.parametrize("name,gens", _cases())
+    def test_containment_matches_reference(self, name, gens):
+        # Targets kept in a key box of their own, tested against the balls
+        # U^m of `product_powers` by the cross-box subset test.
+        model = MODELS[name][0]
+        rng = random.Random(f"contain/{name}")
+        ball = set().union(*_reference_layers(model, [model.identity], [gens] * 4))
+        targets = rng.sample(sorted(ball), 3)
+        far = [tuple(40 for _ in range(model.rank))]
+        seq = product_powers(model, gens, 4)
+
+        def first_ball_holding(elements):
+            offsets = tuple(max(abs(g[c]) for g in elements) for c in range(model.rank))
+            box = KeyBox(offsets, tuple(2 * o + 1 for o in offsets))
+            wanted = KeySet(np.sort(box.encode(np.array(elements))), box)
+            return next((m for m in range(seq.steps + 1) if wanted <= seq.shell(-1, m)), None)
+
+        assert first_ball_holding(targets) == _reference_search(model, gens, targets, 4)
+        assert first_ball_holding(far) is None
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_generation_check_matches_reference(self, name):
