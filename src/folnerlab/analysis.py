@@ -48,6 +48,7 @@ __all__ = [
     "GrowthFit",
     "doubling_constant",
     "shell_alpha",
+    "shell_pair_count",
     "delta_from_alpha",
     "lemma_recursion_audit",
     "verify_sphere_bound",
@@ -141,6 +142,69 @@ class ShellReport:
     records: tuple[ShellRecord, ...]
 
 
+SHELL_BLOCK = 2**15  # (n, k) pairs swept at a time by `shell_alpha`
+SHELL_WINDOW = 1e-12  # relative float window that screens shell candidates
+
+
+def _shell_rows(k_min: int, n_max: int, depth: int) -> np.ndarray:
+    """Per n = k_min..n_max, the number of admitted widths k_min <= k <= min(n, depth - n)."""
+    n = np.arange(k_min, n_max + 1, dtype=np.int64)
+    return np.minimum(n, depth - n) - k_min + 1
+
+
+def shell_pair_count(k_min: int, n_max: int, depth: int) -> int:
+    """The number of (n, k) pairs `shell_alpha` admits per center, with no sweep."""
+    return int(_shell_rows(k_min, n_max, depth).sum())
+
+
+def _shell_blocks(k_min: int, n_max: int, depth: int):
+    """The admitted (n, k) pairs in (n, k) order, as index arrays n, n - k and
+    n + k of at most SHELL_BLOCK pairs each; a block may split an n-row."""
+    rows = _shell_rows(k_min, n_max, depth)
+    ends = np.cumsum(rows)
+    offset = ends - rows - k_min  # pair index of (n, k) minus k, per n-row
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, SHELL_BLOCK):
+        k = np.arange(start, min(start + SHELL_BLOCK, total), dtype=np.int64)
+        n = np.searchsorted(ends, k, side="right")
+        k -= offset[n]
+        n += k_min
+        lo = n - k
+        k += n
+        yield n, lo, k
+
+
+def _block_least(c_lo: np.ndarray, c_hi: np.ndarray, bound: float) -> tuple[int, float] | None:
+    """Position and float ratio of the first pair of the block whose c_lo /
+    c_hi is exactly least among those that can match a best so far of float
+    ratio `bound`; None if no pair with c_hi > 0 can.
+
+    Only a pair within SHELL_WINDOW of min(block minimum, bound) can.  The
+    first float minimum among those, reduced to a / b, is matched in int64
+    (c_lo / c_hi equals it exactly when c_lo = t a and c_hi = t b for one t),
+    so only the pairs that differ from it meet Python ints and ties are free.
+    """
+    ratio = np.divide(c_lo, c_hi, out=np.full(len(c_lo), np.inf), where=c_hi > 0)
+    limit = min(float(ratio.min()), bound)
+    at = np.flatnonzero(ratio <= limit * (1 + SHELL_WINDOW))
+    if limit == math.inf or not at.size:
+        return None
+    first = int(at[np.argmin(ratio[at])])
+    g = math.gcd(int(c_lo[first]), int(c_hi[first]))
+    a, b = int(c_lo[first]) // g, int(c_hi[first]) // g
+    if a:  # else the ratio is 0, which no pair beats, and argmin found the first
+        lo, hi = c_lo[at], c_hi[at]
+        same = lo % a == 0
+        same &= hi % b == 0
+        same &= lo // a == hi // b
+        first = int(at[np.argmax(same)])
+        differ = ~same
+        for j, lo_j, hi_j in zip(at[differ].tolist(), lo[differ].tolist(), hi[differ].tolist()):
+            if lo_j * b < a * hi_j:
+                first, a, b = j, lo_j, hi_j
+    return first, float(ratio[first])
+
+
 def shell_alpha(
     profiles: VolumeProfile | Sequence[VolumeProfile],
     k_min: int = 5,
@@ -152,7 +216,15 @@ def shell_alpha(
     Admits pairs with k_min <= k <= n <= n_max and n + k within the profile
     depth; pairs whose outer shell is empty are excluded (they impose no
     constraint; by then the ball has stopped growing in that direction).
-    Raises if no pair is admitted at all.
+    Raises if no pair is admitted at all, and refuses a profile that counts
+    2^63 vertices or more within that depth.  The worst record is the first
+    strict minimum in (center, n, k) order.
+
+    Exact, and vectorised: each block of pairs takes its shells as int64
+    differences (exact below 2^63), screens them by float64 ratio (each
+    conversion and the division err by at most 2^-53 relative, so a true
+    minimum lies within SHELL_WINDOW of the block's float minimum), and
+    settles only the screened candidates exactly (`_block_least`).
     """
     profs = _as_profiles(profiles)
     if k_min < 1:
@@ -164,36 +236,46 @@ def shell_alpha(
         raise ValueError(
             f"profiles too shallow: depth {depth} < n_max + k_min = {n_max + k_min}"
         )
-    # The sweep is the hot path (quadratically many pairs per center), so the
-    # running minimum is tracked with integer cross-multiplication and only
-    # materialized as a Fraction at the end.
-    best: tuple[int, int] | None = None  # (c_lo, c_hi) of the current minimum
-    worst: ShellRecord | None = None
-    records: list[ShellRecord] = []
-    tested = 0
     for p in profs:
-        ball = p.ball
-        for n in range(k_min, n_max + 1):
-            for k in range(k_min, min(n, depth - n) + 1):
-                c_lo = ball[n] - ball[n - k]
-                c_hi = ball[n + k] - ball[n]
-                if c_hi == 0:
-                    if record_all:
-                        records.append(ShellRecord(p.center, n, k, c_lo, c_hi, None))
-                    continue
-                tested += 1
-                if record_all:
-                    records.append(
-                        ShellRecord(p.center, n, k, c_lo, c_hi, Fraction(c_lo, c_hi))
-                    )
-                if best is None or c_lo * best[1] < best[0] * c_hi:
-                    best = (c_lo, c_hi)
-                    worst = ShellRecord(
-                        p.center, n, k, c_lo, c_hi, Fraction(c_lo, c_hi)
-                    )
-    if best is None or worst is None:
+        if p.ball[depth] >= 2**63:
+            raise ValueError(
+                f"profile at center {p.center} counts {p.ball[depth]} vertices "
+                f"within depth {depth}; the shell sweep needs fewer than 2^63"
+            )
+    balls = [np.array(p.ball[: depth + 1], dtype=np.int64) for p in profs]
+    # Per center: (c_lo, c_hi, n, k, float ratio) of its first strict minimum.
+    bests: list[tuple | None] = [None] * len(profs)
+    tables: list[list[ShellRecord]] = [[] for _ in profs]
+    tested = 0
+    # The hot path: quadratically many pairs per center.  Blocks come first,
+    # so each block's index arrays serve every center.
+    for n, lo, hi in _shell_blocks(k_min, n_max, depth):
+        for i, ball in enumerate(balls):
+            at_n = ball[n]
+            c_lo = at_n - ball[lo]
+            c_hi = np.subtract(ball[hi], at_n, out=at_n)
+            tested += int(np.count_nonzero(c_hi))
+            if record_all:
+                center = profs[i].center
+                tables[i].extend(
+                    ShellRecord(center, *pair, Fraction(pair[2], pair[3]) if pair[3] else None)
+                    for pair in zip(n.tolist(), (n - lo).tolist(), c_lo.tolist(), c_hi.tolist())
+                )
+            best = bests[i]
+            least = _block_least(c_lo, c_hi, math.inf if best is None else best[4])
+            if least is None:
+                continue
+            j, ratio = least
+            pair = (int(c_lo[j]), int(c_hi[j]), int(n[j]), int(n[j] - lo[j]), ratio)
+            if best is None or pair[0] * best[1] < best[0] * pair[1]:
+                bests[i] = pair
+    worst: ShellRecord | None = None
+    for p, best in zip(profs, bests):
+        if best is not None and (worst is None or best[0] * worst.c_hi < worst.c_lo * best[1]):
+            worst = ShellRecord(p.center, best[2], best[3], best[0], best[1], Fraction(best[0], best[1]))
+    if worst is None:
         raise ValueError("no admissible shell pair in the requested range")
-    alpha = Fraction(best[0], best[1])
+    alpha = worst.ratio
     delta = delta_from_alpha(alpha)
     fitted = max(_sphere_constants(profs, delta, range(1, n_max + 1)))
     return ShellReport(
@@ -204,7 +286,7 @@ def shell_alpha(
         fitted_constant=fitted,
         pairs_tested=tested,
         worst=worst,
-        records=tuple(records) if record_all else (worst,),
+        records=tuple(r for table in tables for r in table) if record_all else (worst,),
     )
 
 

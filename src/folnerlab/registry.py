@@ -39,10 +39,11 @@ from .analysis import (
     growth_exponent_fit,
     isoperimetric_ratios,
     shell_alpha,
+    shell_pair_count,
     verify_sphere_bound,
 )
 from .ergodic import GOLDEN_ANGLES, OBSERVABLES, TorusAction, ergodic_trace
-from .errors import ConfigError
+from .errors import BudgetExceededError, ConfigError
 from .generators import (
     TreeChainSpec,
     norm_profile,
@@ -164,14 +165,22 @@ def named(parse: Callable[[Any, str], Any], name: str) -> Callable[[Any, str], A
 Table = tuple[Sequence[str], Sequence[Sequence[Any]]]  # (header, rows)
 
 
+# Formatters by exact type, in the order a subclass is matched: one dict
+# lookup per cell, where an `isinstance(v, Fraction)` goes through ABCMeta.
+_CELLS: dict[type, Callable[[Any], str]] = {
+    bool: lambda v: "true" if v else "false",
+    Fraction: lambda v: f"{v.numerator}/{v.denominator}",
+    float: repr,
+    int: str,
+    str: str,
+}
+
+
 def cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    fmt = _CELLS.get(type(value))
+    if fmt is None:
+        fmt = next((f for t, f in _CELLS.items() if isinstance(value, t)), str)
+    return fmt(value)
 
 
 def write_csv(fh: IO[str], digest: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -224,6 +233,11 @@ def _doubling(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
 
 
 def _shell(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
+    if opts["record_all"]:
+        # one row per center and admitted pair, counted before any is built
+        rows = len(ctx.labeled) * shell_pair_count(opts["k_min"], opts["n_max"], ctx.depth)
+        if rows > ctx.element_budget:
+            raise BudgetExceededError("analyses.shell.record_all", rows, ctx.element_budget)
     report = ctx.shell = shell_alpha(
         ctx.profiles, k_min=opts["k_min"], n_max=opts["n_max"], record_all=opts["record_all"]
     )

@@ -13,11 +13,18 @@ cases of the audit.
 """
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
+from folnerlab import analysis
 from folnerlab.analysis import (
+    ShellRecord,
+    ShellReport,
+    _sphere_constants,
     abelian_isop_check,
     delta_from_alpha,
     doubling_constant,
@@ -29,7 +36,7 @@ from folnerlab.analysis import (
     verify_sphere_bound,
 )
 from folnerlab.generators import TreeChainSpec, lattice_graph, stretched_tree_chain
-from folnerlab.space import volume_profile
+from folnerlab.space import VolumeProfile, volume_profile
 
 
 def _lattice_profile(d: int, depth: int):
@@ -108,6 +115,174 @@ class TestShellAlpha:
     def test_bad_k_min(self, z2_profile):
         with pytest.raises(ValueError, match="k_min"):
             shell_alpha(z2_profile, k_min=0)
+
+
+def _reference_shell_alpha(profiles, k_min=5, n_max=None, record_all=False):
+    """The pure-Python sweep `shell_alpha` replaced: every (center, n, k) in
+    order, the running minimum kept by integer cross-multiplication."""
+    profs = (profiles,) if isinstance(profiles, VolumeProfile) else tuple(profiles)
+    if k_min < 1:
+        raise ValueError("k_min must be positive")
+    depth = min(p.depth for p in profs)
+    if n_max is None:
+        n_max = depth // 2
+    if n_max + k_min > depth:
+        raise ValueError(
+            f"profiles too shallow: depth {depth} < n_max + k_min = {n_max + k_min}"
+        )
+    best = worst = None
+    records = []
+    tested = 0
+    for p in profs:
+        ball = p.ball
+        for n in range(k_min, n_max + 1):
+            for k in range(k_min, min(n, depth - n) + 1):
+                c_lo = ball[n] - ball[n - k]
+                c_hi = ball[n + k] - ball[n]
+                if c_hi == 0:
+                    if record_all:
+                        records.append(ShellRecord(p.center, n, k, c_lo, c_hi, None))
+                    continue
+                tested += 1
+                if record_all:
+                    records.append(
+                        ShellRecord(p.center, n, k, c_lo, c_hi, Fraction(c_lo, c_hi))
+                    )
+                if best is None or c_lo * best[1] < best[0] * c_hi:
+                    best = (c_lo, c_hi)
+                    worst = ShellRecord(p.center, n, k, c_lo, c_hi, Fraction(c_lo, c_hi))
+    if best is None:
+        raise ValueError("no admissible shell pair in the requested range")
+    alpha = Fraction(best[0], best[1])
+    delta = delta_from_alpha(alpha)
+    fitted = max(_sphere_constants(profs, delta, range(1, n_max + 1)))
+    return ShellReport(
+        k_min=k_min,
+        n_max=n_max,
+        alpha=alpha,
+        delta=delta,
+        fitted_constant=fitted,
+        pairs_tested=tested,
+        worst=worst,
+        records=tuple(records) if record_all else (worst,),
+    )
+
+
+_TOP = 2**63 - 1  # the largest count the sweep accepts
+
+
+def _random_ball(rng: random.Random, depth: int) -> tuple[int, ...]:
+    """A nondecreasing ball of depth `depth`: small steps with ties and a
+    saturated tail, steady steps (every ratio 1), or huge nearly equal steps
+    around 2^53 and up to just under 2^63."""
+    kind = rng.choice(("small", "saturated", "steady", "near-2^53", "huge"))
+    if kind == "small":
+        start, steps = rng.randint(1, 3), [rng.choice((0, 1, 1, 2, 3)) for _ in range(depth)]
+    elif kind == "saturated":
+        stop = rng.randint(0, depth)
+        start, steps = 1, [rng.randint(1, 4) if r < stop else 0 for r in range(depth)]
+    elif kind == "steady":
+        start, steps = rng.randint(1, 5), [rng.choice((2, 4))] * depth
+    elif kind == "near-2^53":  # counts cross 2^53
+        step = rng.randint(2**49 // depth, 2**50 // depth)
+        start = 2**53 - rng.randint(0, 2**50)
+        steps = [step + rng.randint(-2, 2) for _ in range(depth)]
+    else:
+        step = rng.randint(_TOP // (4 * depth), _TOP // (2 * depth) - 2)
+        start = rng.randint(1, _TOP // 4)
+        steps = [step + rng.randint(-2, 2) for _ in range(depth)]
+        if kind == "huge" and rng.random() < 0.5:
+            steps[-1] = 0  # leave room for the last count to be exactly _TOP
+            start = _TOP - sum(steps)
+    return tuple(accumulate([start] + steps))
+
+
+def _random_case(rng: random.Random):
+    depth = rng.randint(2, 24)
+    # 1 to 4 centers of depths at least `depth`; a repeated ball ties across centers
+    balls = [_random_ball(rng, depth + rng.choice((0, 0, 1, 3)))]
+    for _ in range(rng.randint(0, 3)):
+        balls.append(rng.choice(balls) if rng.random() < 0.3 else _random_ball(rng, depth + rng.randint(0, 3)))
+    profiles = [VolumeProfile(center=rng.randint(0, 99), ball=ball) for ball in balls]
+    k_min = rng.choice((1, 1, 2, 3, 5))
+    n_max = rng.choice((None, rng.randint(0, depth)))  # some admit no pair, some too many
+    return profiles, k_min, n_max, rng.random() < 0.5
+
+
+def _outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestShellSweepMatchesReference:
+    """`shell_alpha` against the loop it replaced: whole reports, and error
+    texts where both raise, on seeded random profiles, with blocks small
+    enough to split n-rows."""
+
+    @pytest.mark.parametrize("block", [1, 3, 50, analysis.SHELL_BLOCK])
+    def test_random_profiles(self, block, monkeypatch):
+        monkeypatch.setattr(analysis, "SHELL_BLOCK", block)
+        rng = random.Random(block)
+        for _ in range(150):
+            case = _random_case(rng)
+            assert _outcome(shell_alpha, *case) == _outcome(_reference_shell_alpha, *case), case
+
+    def test_ties_go_to_the_first_pair(self, monkeypatch):
+        monkeypatch.setattr(analysis, "SHELL_BLOCK", 3)
+        steady = tuple(range(1, 42, 2))  # every ratio is 1
+        report = shell_alpha([VolumeProfile(7, steady), VolumeProfile(3, steady)], k_min=2, n_max=9)
+        assert (report.worst.center, report.worst.n, report.worst.k) == (7, 2, 2)
+        assert report.pairs_tested == 2 * sum(min(n, 20 - n) - 1 for n in range(2, 10))
+
+    def test_ratios_apart_by_less_than_a_float_step(self):
+        # c_lo / c_hi = (s - 1) / s and s / (s + 1) for s near 2^60: equal as
+        # float64, and the exact minimum comes second
+        s = 2**60
+        ball = (1, 1 + s, 1 + 2 * s - 1, 1 + 3 * s - 1, 1 + 4 * s)
+        assert float(Fraction(s - 1, s)) == float(Fraction(s, s + 1))
+        report = shell_alpha(VolumeProfile(0, ball), k_min=1, n_max=2)
+        assert report == _reference_shell_alpha(VolumeProfile(0, ball), k_min=1, n_max=2)
+        assert report.alpha == Fraction(s - 1, s)
+
+    def test_equal_ratios_whose_floats_differ_go_to_the_first(self):
+        # shells a^2 m, a b m, b^2 m: c(1,1) and c(2,1) are both a / b
+        # exactly, but above 2^53 the second one's float is the smaller
+        a, b, m = 1981464, 1998071, 67434
+        shells = (a * a * m, a * b * m, b * b * m, 0)
+        ball = tuple(accumulate((1,) + shells))
+        assert float(shells[0]) / float(shells[1]) > float(shells[1]) / float(shells[2])
+        report = shell_alpha(VolumeProfile(0, ball), k_min=1, n_max=2)
+        assert report == _reference_shell_alpha(VolumeProfile(0, ball), k_min=1, n_max=2)
+        assert (report.worst.n, report.worst.k, report.alpha) == (1, 1, Fraction(a, b))
+
+    def test_counts_from_2_pow_63_are_refused(self):
+        ok = VolumeProfile(0, (1, 2, 3, 4))
+        big = VolumeProfile(5, (1, 2, 3, 2**63))
+        with pytest.raises(ValueError, match=r"center 5 counts 9223372036854775808 vertices within depth 3"):
+            shell_alpha([ok, big], k_min=1, n_max=1)
+        # only counts within the shared depth enter the sweep
+        deeper = VolumeProfile(5, (1, 2, 3, 4, 2**63))
+        assert shell_alpha([ok, deeper], k_min=1, n_max=1) == _reference_shell_alpha(
+            [ok, deeper], k_min=1, n_max=1
+        )
+
+    def test_sweep_memory_stays_within_its_blocks(self):
+        # 20 centers at depth 1460 with n_max 700, the size of the tree-chain
+        # batch: 4.85M pairs.  Steady balls tie every pair of a block; whole
+        # arrays of one center's pairs alone would take about 2 MiB each.
+        rng = random.Random(0)
+        steps = [[2] * 1460 if c % 2 else [rng.randint(1, 3) for _ in range(1460)] for c in range(20)]
+        profiles = [VolumeProfile(c, tuple(accumulate([1] + steps[c]))) for c in range(20)]
+        tracemalloc.start()
+        try:
+            report = shell_alpha(profiles, k_min=5, n_max=700)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.pairs_tested == 20 * analysis.shell_pair_count(5, 700, 1460) == 4_851_120
+        assert peak < 4 * 2**20, peak
 
 
 class TestDeltaFromAlpha:

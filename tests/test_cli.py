@@ -18,9 +18,11 @@ from click.testing import CliRunner
 import folnerlab.runner
 from folnerlab.cli import main
 from folnerlab.config import validate_config
-from folnerlab.errors import ConfigError
+from folnerlab.errors import BudgetExceededError, ConfigError
 from folnerlab.groups import heisenberg_model
-from folnerlab.registry import ANALYSES
+from folnerlab.recipes import RECIPES
+from folnerlab.registry import ANALYSES, Context
+from folnerlab.space import VolumeProfile
 from folnerlab.runner import run_experiment
 from tuple_law import multiply
 
@@ -387,6 +389,56 @@ class TestLatticeRank:
         result = self._reproduce(tmp_path, child_env, 7)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["vertices"] == 15
+
+
+class TestShellRecordAllBudget:
+    """`analyses.shell.record_all` builds one row per center and admitted
+    pair; a table above the element budget is refused before any is built."""
+
+    REMARK_AB_ROWS = 21 * 242_556  # 21 centers, depth 1460, n_max 700
+
+    def _context(self, centers, depth, budget):
+        labeled = [(str(c), VolumeProfile(c, tuple(range(1, depth + 2)))) for c in range(centers)]
+        return Context({}, budget, depth, labeled)
+
+    def test_refused_before_any_record(self):
+        ctx = self._context(21, 1460, 5_000_000)
+        opts = {"k_min": 5, "n_max": 700, "record_all": True}
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as caught:
+                ANALYSES["shell"].run(ctx, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == (
+            f"analyses.shell.record_all: size {self.REMARK_AB_ROWS} exceeds budget 5000000"
+        )
+        assert peak < 2**20
+
+    def test_a_table_at_the_budget_runs(self):
+        opts = {"k_min": 2, "n_max": 6, "record_all": True}
+        rows = 3 * sum(min(n, 12 - n) - 1 for n in range(2, 7))
+        outcome = ANALYSES["shell"].run(self._context(3, 12, rows), opts)
+        assert len(outcome.table[1]) == rows
+        with pytest.raises(BudgetExceededError, match=f"size {rows} exceeds budget {rows - 1}"):
+            ANALYSES["shell"].run(self._context(3, 12, rows - 1), opts)
+
+    def test_remark_ab_with_every_record_exits_1_in_one_line(self, tmp_path, child_env):
+        raw = json.loads(json.dumps(RECIPES["counterexample-remark-ab"].raw))
+        raw["analyses"]["shell"]["record_all"] = True
+        config = tmp_path / "remark-ab-all.json"
+        config.write_text(json.dumps(raw))
+        result = subprocess.run(
+            [sys.executable, "-m", "folnerlab", "--out", str(tmp_path / "out"),
+             "reproduce", "--config", str(config)],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"Error: analyses.shell.record_all: size {self.REMARK_AB_ROWS} exceeds budget 5000000\n"
+        )
 
 
 def _body(text):

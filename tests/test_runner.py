@@ -13,10 +13,15 @@ Core claims:
       origin in the ambient norm and refuses any other center
     - the ergodic analysis expands the configured generating set
     - an empty center list is a config error naming `centers`
+    - a CSV cell, looked up by exact type, is the same text as the
+      `isinstance` chain it replaced gives, for subclasses too
 """
 
 import csv
+import enum
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from folnerlab.config import validate_config
@@ -26,7 +31,7 @@ from folnerlab.generators import TreeChainSpec, norm_profile, stairway_strip, st
 from folnerlab.graphio import dump_graph
 from folnerlab.groups import zd_model
 from folnerlab.products import product_powers
-from folnerlab.registry import FAMILIES
+from folnerlab.registry import FAMILIES, cell
 from folnerlab.runner import build_space, run_experiment
 from folnerlab.space import Graph, sample_centers, volume_profile
 
@@ -160,3 +165,35 @@ def test_empty_center_list_names_centers(tmp_path):
     config = _config(NAMED_SETS[1][0], "standard", 3, 3, centers={"basepoints": []})
     with pytest.raises(ConfigError, match="^centers: no centers to profile"):
         run_experiment(config, tmp_path)
+
+
+def _reference_cell(value):
+    """The CSV cell formatter before the exact-type lookup."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+class _Half(Fraction):
+    pass
+
+
+class _Size(enum.IntEnum):
+    ONE = 1
+
+
+class _Label(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    True, False, 0, -7, 2**70, Fraction(3, 4), Fraction(-5), 0.1, -0.0, float("inf"), 1e300,
+    "", "origin", None, _Half(1, 2), _Size.ONE, _Label("x"), np.int64(9), np.float64(0.25),
+    np.bool_(True), (1, 2),
+])
+def test_cell_matches_the_isinstance_chain(value):
+    assert cell(value) == _reference_cell(value)
