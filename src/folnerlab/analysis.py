@@ -23,8 +23,10 @@ polynomial sphere-decay certificate with exponent delta = log2(1 + alpha):
 `lemma_recursion_audit` replays that telescoping step by step on a concrete
 profile; `verify_sphere_bound` fits the constant C and checks it stays flat;
 `dyadic_subsequence` certifies the cheaper radius-selection route that needs
-only the doubling constant; `abelian_isop_check` measures the stronger 1/n
-decay available on abelian groups.
+only the doubling constant; `isoperimetric_ratios` measures the stronger 1/n
+decay available on abelian groups.  The analyses over centers
+(`doubling_constant`, `shell_alpha`, `verify_sphere_bound`) take a sequence
+of profiles, one per center.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ __all__ = [
     "lemma_recursion_audit",
     "verify_sphere_bound",
     "dyadic_subsequence",
-    "abelian_isop_check",
     "isoperimetric_ratios",
     "fit_radii",
     "growth_exponent_fit",
@@ -77,29 +78,18 @@ def _shell(profile: VolumeProfile, n: int, k: int) -> int:
     return profile.ball[n] - profile.ball[n - k]
 
 
-def _as_profiles(
-    profiles: VolumeProfile | Sequence[VolumeProfile],
-) -> tuple[VolumeProfile, ...]:
-    if isinstance(profiles, VolumeProfile):
-        return (profiles,)
-    return tuple(profiles)
-
-
 # -- doubling ----------------------------------------------------------------
 
 
-def doubling_constant(
-    profiles: VolumeProfile | Sequence[VolumeProfile], r_max: int
-) -> Fraction:
+def doubling_constant(profiles: Sequence[VolumeProfile], r_max: int) -> Fraction:
     """Max of mu(B(x, 2r)) / mu(B(x, r)) over the given centers and 1 <= r <= r_max.
 
     Profiles must extend to depth 2 * r_max.  Exact.
     """
-    profs = _as_profiles(profiles)
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     best = Fraction(0)
-    for p in profs:
+    for p in profiles:
         if p.depth < 2 * r_max:
             raise ValueError(
                 f"profile at center {p.center} has depth {p.depth}, "
@@ -206,7 +196,7 @@ def _block_least(c_lo: np.ndarray, c_hi: np.ndarray, bound: float) -> tuple[int,
 
 
 def shell_alpha(
-    profiles: VolumeProfile | Sequence[VolumeProfile],
+    profiles: Sequence[VolumeProfile],
     k_min: int = 5,
     n_max: int | None = None,
     record_all: bool = False,
@@ -226,26 +216,25 @@ def shell_alpha(
     minimum lies within SHELL_WINDOW of the block's float minimum), and
     settles only the screened candidates exactly (`_block_least`).
     """
-    profs = _as_profiles(profiles)
     if k_min < 1:
         raise ValueError("k_min must be positive")
-    depth = min(p.depth for p in profs)
+    depth = min(p.depth for p in profiles)
     if n_max is None:
         n_max = depth // 2
     if n_max + k_min > depth:
         raise ValueError(
             f"profiles too shallow: depth {depth} < n_max + k_min = {n_max + k_min}"
         )
-    for p in profs:
+    for p in profiles:
         if p.ball[depth] >= 2**63:
             raise ValueError(
                 f"profile at center {p.center} counts {p.ball[depth]} vertices "
                 f"within depth {depth}; the shell sweep needs fewer than 2^63"
             )
-    balls = [np.array(p.ball[: depth + 1], dtype=np.int64) for p in profs]
+    balls = [np.array(p.ball[: depth + 1], dtype=np.int64) for p in profiles]
     # Per center: (c_lo, c_hi, n, k, float ratio) of its first strict minimum.
-    bests: list[tuple | None] = [None] * len(profs)
-    tables: list[list[ShellRecord]] = [[] for _ in profs]
+    bests: list[tuple | None] = [None] * len(profiles)
+    tables: list[list[ShellRecord]] = [[] for _ in profiles]
     tested = 0
     # The hot path: quadratically many pairs per center.  Blocks come first,
     # so each block's index arrays serve every center.
@@ -256,7 +245,7 @@ def shell_alpha(
             c_hi = np.subtract(ball[hi], at_n, out=at_n)
             tested += int(np.count_nonzero(c_hi))
             if record_all:
-                center = profs[i].center
+                center = profiles[i].center
                 tables[i].extend(
                     ShellRecord(center, *pair, Fraction(pair[2], pair[3]) if pair[3] else None)
                     for pair in zip(n.tolist(), (n - lo).tolist(), c_lo.tolist(), c_hi.tolist())
@@ -270,14 +259,14 @@ def shell_alpha(
             if best is None or pair[0] * best[1] < best[0] * pair[1]:
                 bests[i] = pair
     worst: ShellRecord | None = None
-    for p, best in zip(profs, bests):
+    for p, best in zip(profiles, bests):
         if best is not None and (worst is None or best[0] * worst.c_hi < worst.c_lo * best[1]):
             worst = ShellRecord(p.center, best[2], best[3], best[0], best[1], Fraction(best[0], best[1]))
     if worst is None:
         raise ValueError("no admissible shell pair in the requested range")
     alpha = worst.ratio
     delta = delta_from_alpha(alpha)
-    fitted = max(_sphere_constants(profs, delta, range(1, n_max + 1)))
+    fitted = max(_sphere_constants(profiles, delta, range(1, n_max + 1)))
     return ShellReport(
         k_min=k_min,
         n_max=n_max,
@@ -394,20 +383,19 @@ class SphereBoundReport:
 
 
 def verify_sphere_bound(
-    profiles: VolumeProfile | Sequence[VolumeProfile],
+    profiles: Sequence[VolumeProfile],
     delta: float,
     n_range: tuple[int, int] | None = None,
     slope_tolerance: float = 0.05,
 ) -> SphereBoundReport:
     """Measure the constant in mu(S) <= C n^(-delta) mu(B) and test its trend."""
-    profs = _as_profiles(profiles)
-    depth = min(p.depth for p in profs)
+    depth = min(p.depth for p in profiles)
     if n_range is None:
         n_range = (1, depth - 1)
     n_lo, n_hi = n_range
     if not 1 <= n_lo < n_hi <= depth - 1:
         raise ValueError(f"radius range {n_range} not within profile depth {depth}")
-    per_n = _sphere_constants(profs, delta, range(n_lo, n_hi + 1))
+    per_n = _sphere_constants(profiles, delta, range(n_lo, n_hi + 1))
     fitted = max(per_n)
     half_start = (n_lo + n_hi) // 2
     xs, ys = [], []
@@ -510,15 +498,6 @@ def isoperimetric_ratios(
         Fraction(n * (ball_sizes[n + 1] - ball_sizes[n]), ball_sizes[n])
         for n in range(1, top + 1)
     ]
-
-
-def abelian_isop_check(ball_sizes: Sequence[int], n_max: int | None = None) -> Fraction:
-    """Max over 1 <= n <= n_max of the `isoperimetric_ratios`.
-
-    A bounded result is the 1/n boundary decay characteristic of abelian
-    (and more generally polynomial, rank-one-commutator) situations.
-    """
-    return max(isoperimetric_ratios(ball_sizes, n_max), default=Fraction(0))
 
 
 # -- growth exponent ---------------------------------------------------------

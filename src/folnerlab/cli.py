@@ -31,12 +31,7 @@ from typing import Any, Sequence
 import click
 
 from .config import load_config, validate_config, validate_sections
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    GraphFormatError,
-    NotGeneratingError,
-)
+from .errors import BudgetExceededError
 from .generators import DEFAULT_VERTEX_BUDGET
 from .graphio import dump_graph
 from .groups import GroupModel
@@ -60,14 +55,7 @@ def _friendly(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (
-            ConfigError,
-            GraphFormatError,
-            BudgetExceededError,
-            NotGeneratingError,
-            ValueError,
-            KeyError,
-        ) as exc:
+        except (BudgetExceededError, ValueError, KeyError) as exc:
             message = exc.args[0] if exc.args else str(exc)
             raise click.ClickException(str(message))
 
@@ -134,6 +122,18 @@ def _graph_config(ctx: click.Context, graph_path: str, depth: int, center_labels
     }
 
 
+def _graph_options(sample: bool = True):
+    """The options of a command that reads a graph file, in this order:
+    --graph, --depth, --center and, if `sample`, --sample."""
+    options = [
+        click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), required=True),
+        click.option("--depth", type=int, required=True),
+        click.option("--center", "center_labels", multiple=True, help="Basepoint label (repeatable; default all)."),
+        click.option("--sample", type=int, default=0, show_default=True, help="Sample this many centers instead."),
+    ][: 4 if sample else 3]
+    return lambda fn: functools.reduce(lambda f, option: option(f), reversed(options), fn)
+
+
 def _labels(tables: dict[str, Table]) -> list[str]:
     """The profiled centers, in order: one profile row at r = 0 each."""
     return [label for label, r, *_ in tables["profile"][1] if r == 0]
@@ -173,10 +173,7 @@ def generate(ctx, family, d, radius, generating_set, a, b, blocks, levels):
 
 
 @main.command()
-@click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--depth", type=int, required=True)
-@click.option("--center", "center_labels", multiple=True, help="Basepoint label (repeatable; default all).")
-@click.option("--sample", type=int, default=0, show_default=True, help="Sample this many centers instead.")
+@_graph_options()
 @click.pass_context
 @_friendly
 def profile(ctx, graph_path, depth, center_labels, sample):
@@ -236,10 +233,7 @@ def nprod(ctx, group, d, factors_text, inner_text, outer_text):
 
 
 @main.command("shell-report")
-@click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--depth", type=int, required=True)
-@click.option("--center", "center_labels", multiple=True)
-@click.option("--sample", type=int, default=0, show_default=True)
+@_graph_options()
 @click.option("--k-min", type=int, default=_default("shell", "k_min"), show_default=True)
 @click.option("--n-max", type=int, default=None)
 @click.option("--record-all", is_flag=True, help="Emit every tested pair, not just the worst.")
@@ -258,10 +252,7 @@ def shell_report(ctx, graph_path, depth, center_labels, sample, k_min, n_max, re
 
 
 @main.command()
-@click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--depth", type=int, required=True)
-@click.option("--center", "center_labels", multiple=True)
-@click.option("--sample", type=int, default=0, show_default=True)
+@_graph_options()
 @click.option("--k-min", type=int, default=_default("shell", "k_min"), show_default=True)
 @click.option("--n-max", type=int, default=None)
 @click.option("--slope-tol", type=float, default=_default("verify", "slope_tolerance"), show_default=True)
@@ -280,10 +271,7 @@ def verify(ctx, graph_path, depth, center_labels, sample, k_min, n_max, slope_to
 
 
 @main.command()
-@click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--depth", type=int, required=True)
-@click.option("--center", "center_labels", multiple=True)
-@click.option("--sample", type=int, default=0, show_default=True)
+@_graph_options()
 @click.option("--i-max", type=int, default=None)
 @click.pass_context
 @_friendly
@@ -299,9 +287,7 @@ def dyadic(ctx, graph_path, depth, center_labels, sample, i_max):
 
 
 @main.command()
-@click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--depth", type=int, required=True)
-@click.option("--center", "center_labels", multiple=True)
+@_graph_options(sample=False)
 @click.option("--dyadic-radii", is_flag=True, help="Fit at radii 8, 16, 32, ... only.")
 @click.option("--min-points", type=int, default=_default("fit", "min_points"), show_default=True)
 @click.pass_context

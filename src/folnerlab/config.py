@@ -138,10 +138,14 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and validate a JSON config file, which is UTF-8 text."""
+    data = Path(path).read_bytes()
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config: byte {data[exc.start]:#04x} at offset {exc.start} is not UTF-8"
+        ) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON ({exc})") from None
     return validate_config(raw)

@@ -2,7 +2,7 @@
 
 Four families of unit-edge graphs with named basepoints:
 
-word_ball / lattice_graph / heisenberg_graph
+word_ball / cayley_ball
     The radius-R word ball in Z^d or H3(Z) with respect to a symmetrized
     generating set.  `word_ball` reads the birth layers off the expansion
     kernel `groups.expand` (layer r = the elements of word length exactly
@@ -57,10 +57,8 @@ from .groups import (
     KeyBox,
     check_generates,
     expand,
-    heisenberg_model,
     lookup,
     step_images,
-    zd_model,
 )
 from .space import Graph, VolumeProfile
 
@@ -69,8 +67,6 @@ __all__ = [
     "word_ball",
     "TreeChainSpec",
     "StairwayStrip",
-    "lattice_graph",
-    "heisenberg_graph",
     "cayley_ball",
     "stretched_tree_chain",
     "stairway_strip",
@@ -196,25 +192,6 @@ def cayley_ball(
     ball = word_ball(model, generating_set, radius, vertex_budget)
     ball.graph  # built here, so its time is spent inside this call
     return ball
-
-
-def lattice_graph(
-    d: int,
-    generating_set: Sequence[Element] | str = "standard",
-    radius: int = 8,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> WordBall:
-    """Word ball in Z^d.  `generating_set` is a named set or explicit tuples."""
-    return cayley_ball(zd_model(d), generating_set, radius, vertex_budget)
-
-
-def heisenberg_graph(
-    generating_set: Sequence[Element] | str = "standard",
-    radius: int = 8,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> WordBall:
-    """Word ball in the discrete Heisenberg group."""
-    return cayley_ball(heisenberg_model(), generating_set, radius, vertex_budget)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ Format, one record per line:
     basepoint LABEL V
     ...
 
-Vertices are 0-indexed.  `edge` lines are undirected and must appear once per
-edge; `basepoint` lines are optional and attach labels to vertices.  Blank
-lines and lines starting with '#' are ignored.
+A file is UTF-8 text.  Vertices are 0-indexed, and every integer is written
+in ASCII digits with an optional sign.  `edge` lines are undirected and must
+appear once per edge; `basepoint` lines are optional and attach labels to
+vertices.  Blank lines and lines starting with '#' are ignored.
 
 `parse_graph` only reads.  It rejects what the text gets wrong (the header,
 a vertex count above a given budget, before reading on, a record's shape, a
@@ -33,6 +34,15 @@ from .space import Graph
 __all__ = ["load_graph", "dump_graph", "parse_graph"]
 
 _SHAPES = {"edge": "edge U V", "basepoint": "basepoint LABEL V"}
+
+
+def _integer(token: str) -> int:
+    """`token` as an int if it is ASCII [+-]?[0-9]+.  `int` alone also reads
+    underscores and non-ASCII digits; on a token without either, which holds
+    no whitespace either, it reads exactly that form."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return int(token)
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:
@@ -62,7 +72,7 @@ def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
     if len(parts) != 2 or parts[0] != "vertices":
         raise GraphFormatError(f"line {lineno}: expected 'vertices N', got {header!r}")
     try:
-        n = int(parts[1])
+        n = _integer(parts[1])
     except ValueError:
         raise GraphFormatError(f"line {lineno}: vertex count {parts[1]!r} is not an integer")
     if n < 1:
@@ -79,8 +89,8 @@ def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
         if len(fields) != 2:
             raise GraphFormatError(f"line {lineno}: expected {_SHAPES[kind]!r}")
         try:  # an edge's first field is a vertex, a basepoint's its label
-            first = int(fields[0]) if kind == "edge" else fields[0]
-            v = int(fields[1])
+            first = _integer(fields[0]) if kind == "edge" else fields[0]
+            v = _integer(fields[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer vertex in {line!r}")
         if kind == "edge":
@@ -106,7 +116,17 @@ def _line_of(text: str, where: int | str) -> int:
 
 
 def load_graph(path: str | Path, vertex_budget: int | None = None) -> Graph:
-    return parse_graph(Path(path).read_text(), vertex_budget)
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The parser's line count: the lines of the text before the byte,
+        # and one more if that text ends a line.
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise GraphFormatError(
+            f"line {line}: byte {data[exc.start]:#04x} at offset {exc.start} is not UTF-8"
+        ) from None
+    return parse_graph(text, vertex_budget)
 
 
 def dump_graph(graph: Graph) -> str:

@@ -23,10 +23,10 @@ import numpy as np
 import pytest
 
 from folnerlab.analysis import (
-    abelian_isop_check,
     doubling_constant,
     dyadic_subsequence,
     growth_exponent_fit,
+    isoperimetric_ratios,
     least_squares_slope,
     lemma_recursion_audit,
     shell_alpha,
@@ -35,11 +35,10 @@ from folnerlab.analysis import (
 from folnerlab.ergodic import GOLDEN_ANGLES, TorusAction, ergodic_trace
 from folnerlab.generators import (
     TreeChainSpec,
-    heisenberg_graph,
-    lattice_graph,
     norm_profile,
     stairway_strip,
     stretched_tree_chain,
+    word_ball,
 )
 from folnerlab.groups import heisenberg_model, zd_model
 from folnerlab.products import (
@@ -66,13 +65,13 @@ def chain238():
 
 @pytest.fixture(scope="module")
 def z2_64_profile():
-    ball = lattice_graph(2, "standard", 64)
+    ball = word_ball(zd_model(2), "standard", 64)
     return volume_profile(ball.graph, 0, 64)
 
 
 @pytest.fixture(scope="module")
 def z2_260_profile():
-    ball = lattice_graph(2, "standard", 260)
+    ball = word_ball(zd_model(2), "standard", 260)
     return volume_profile(ball.graph, 0, 260)
 
 
@@ -80,7 +79,7 @@ def z2_260_profile():
 def h3_ball():
     # radius 35 so that dyadic windows up to (16, 32] close; radii <= 32
     # agree with any larger build, word balls being nested
-    return heisenberg_graph("standard", 35)
+    return word_ball(heisenberg_model(), "standard", 35)
 
 
 @pytest.fixture(scope="module")
@@ -155,17 +154,17 @@ def test_criterion_02_slow_stretch_regime():
 def test_criterion_03_decay_pipeline(request, z2_64_profile):
     start = time.monotonic()
 
-    z2 = shell_alpha(z2_64_profile, k_min=5, n_max=32)
+    z2 = shell_alpha([z2_64_profile], k_min=5, n_max=32)
     assert z2.alpha == Fraction(33, 97)
-    z2_verify = verify_sphere_bound(z2_64_profile, z2.delta, n_range=(1, 63))
+    z2_verify = verify_sphere_bound([z2_64_profile], z2.delta, n_range=(1, 63))
     assert z2_verify.passed
     z2_audit = lemma_recursion_audit(z2_64_profile, 32, z2.alpha)
     assert z2_audit.passed and not z2_audit.violations
 
     h3_profile = request.getfixturevalue("h3_profile")
-    h3 = shell_alpha(h3_profile, k_min=5, n_max=16)
+    h3 = shell_alpha([h3_profile], k_min=5, n_max=16)
     assert h3.alpha == Fraction(3488, 52383)
-    h3_verify = verify_sphere_bound(h3_profile, h3.delta, n_range=(1, 31))
+    h3_verify = verify_sphere_bound([h3_profile], h3.delta, n_range=(1, 31))
     assert h3_verify.passed
     h3_audit = lemma_recursion_audit(h3_profile, 16, h3.alpha)
     assert h3_audit.passed and not h3_audit.violations
@@ -183,7 +182,7 @@ def test_criterion_03_decay_pipeline(request, z2_64_profile):
 
 def test_criterion_04_exact_oracles(z2_64_profile):
     for d, r_max in ((1, 10), (2, 10), (3, 10)):
-        profile = volume_profile(lattice_graph(d, "standard", r_max).graph, 0, r_max)
+        profile = volume_profile(word_ball(zd_model(d), "standard", r_max).graph, 0, r_max)
         seq = product_powers(zd_model(d), "standard", r_max)
         for n in range(r_max + 1):
             count = sum(
@@ -211,7 +210,7 @@ def test_criterion_04_exact_oracles(z2_64_profile):
                     new.append(p)
         word_sizes.append(len(reached))
         frontier = new
-    h3 = volume_profile(heisenberg_graph("standard", 5).graph, 0, 5)
+    h3 = volume_profile(word_ball(heisenberg_model(), "standard", 5).graph, 0, 5)
     assert list(h3.ball) == word_sizes
 
     for n in range(65):
@@ -252,10 +251,10 @@ def test_criterion_06_varying_products():
 def test_criterion_07_dyadic_certificates(request, z2_260_profile):
     cases = []
 
-    z1 = volume_profile(lattice_graph(1, "standard", 260).graph, 0, 260)
+    z1 = volume_profile(word_ball(zd_model(1), "standard", 260).graph, 0, 260)
     cases.append(("Z^1", [z1], 7))
     cases.append(("Z^2", [z2_260_profile], 7))
-    z3 = volume_profile(lattice_graph(3, "standard", 66).graph, 0, 66)
+    z3 = volume_profile(word_ball(zd_model(3), "standard", 66).graph, 0, 66)
     cases.append(("Z^3", [z3], 5))
     h3 = request.getfixturevalue("h3_profile")
     cases.append(("H3", [h3], 4))
@@ -277,12 +276,12 @@ def test_criterion_07_dyadic_certificates(request, z2_260_profile):
 
 
 def test_criterion_08_abelian_boundary(z2_260_profile):
-    symmetric = abelian_isop_check(z2_260_profile.ball, n_max=128)
+    symmetric = max(isoperimetric_ratios(z2_260_profile.ball, n_max=128))
     assert symmetric <= 3
 
     model = zd_model(2)
     seq = product_powers(model, [(1, 0), (0, 1), (-1, -1)], 130)
-    skew = abelian_isop_check(seq.sizes, n_max=128)
+    skew = max(isoperimetric_ratios(seq.sizes, n_max=128))
     assert skew <= 3
     _report(
         8,
@@ -360,9 +359,10 @@ def test_criterion_11_determinism(tmp_path, child_env):
     assert artifacts[0] == artifacts[1]
 
     probe = (
-        "from folnerlab.generators import lattice_graph\n"
+        "from folnerlab.generators import word_ball\n"
+        "from folnerlab.groups import zd_model\n"
         "from folnerlab.space import separated_net, monotone_geodesic\n"
-        "g = lattice_graph(2, 'standard', 16).graph\n"
+        "g = word_ball(zd_model(2), 'standard', 16).graph\n"
         "net = separated_net(g, 0, 4, 12, 2)\n"
         "chain = monotone_geodesic(g, 0, g.vertex_count - 1)\n"
         "print(net)\n"

@@ -25,22 +25,23 @@ from folnerlab.analysis import (
     ShellRecord,
     ShellReport,
     _sphere_constants,
-    abelian_isop_check,
     delta_from_alpha,
     doubling_constant,
     dyadic_subsequence,
     growth_exponent_fit,
+    isoperimetric_ratios,
     least_squares_slope,
     lemma_recursion_audit,
     shell_alpha,
     verify_sphere_bound,
 )
-from folnerlab.generators import TreeChainSpec, lattice_graph, stretched_tree_chain
+from folnerlab.generators import TreeChainSpec, stretched_tree_chain, word_ball
+from folnerlab.groups import zd_model
 from folnerlab.space import VolumeProfile, volume_profile
 
 
 def _lattice_profile(d: int, depth: int):
-    return volume_profile(lattice_graph(d, "standard", depth).graph, 0, depth)
+    return volume_profile(word_ball(zd_model(d), "standard", depth).graph, 0, depth)
 
 
 @pytest.fixture(scope="module")
@@ -56,21 +57,21 @@ def z2_profile():
 class TestDoubling:
     def test_z2_exact_value(self, z2_profile):
         # max over r <= 8 of (8r^2 + 4r + 1) / (2r^2 + 2r + 1), at r = 8
-        assert doubling_constant(z2_profile, 8) == Fraction(545, 145)
+        assert doubling_constant([z2_profile], 8) == Fraction(545, 145)
 
     def test_z1_approaches_two(self, z1_profile):
-        c = doubling_constant(z1_profile, 32)
+        c = doubling_constant([z1_profile], 32)
         assert Fraction(129, 65) == c  # (2*64+1)/(2*32+1)
         assert 1 < c < 2
 
     def test_depth_guard(self, z2_profile):
         with pytest.raises(ValueError, match="depth"):
-            doubling_constant(z2_profile, 20)
+            doubling_constant([z2_profile], 20)
 
 
 class TestShellAlpha:
     def test_z2_ratios_match_closed_form(self, z2_profile):
-        report = shell_alpha(z2_profile, k_min=5, n_max=12, record_all=True)
+        report = shell_alpha([z2_profile], k_min=5, n_max=12, record_all=True)
         for rec in report.records:
             assert rec.c_lo == 2 * rec.k * (2 * rec.n - rec.k + 1)
             assert rec.c_hi == 2 * rec.k * (2 * rec.n + rec.k + 1)
@@ -78,13 +79,13 @@ class TestShellAlpha:
 
     def test_z2_worst_pair_is_the_largest(self):
         profile = _lattice_profile(2, 16)
-        report = shell_alpha(profile, k_min=5, n_max=8)
+        report = shell_alpha([profile], k_min=5, n_max=8)
         assert report.alpha == Fraction(9, 25)
         assert (report.worst.n, report.worst.k) == (8, 8)
         assert report.pairs_tested == 10  # (n-4) pairs for n = 5..8
 
     def test_delta_and_constant_are_consistent(self, z2_profile):
-        report = shell_alpha(z2_profile, k_min=5, n_max=16)
+        report = shell_alpha([z2_profile], k_min=5, n_max=16)
         assert report.delta == pytest.approx(math.log2(1 + float(report.alpha)))
         # the fitted constant makes the bound tight somewhere, valid everywhere
         sphere, ball = z2_profile.sphere, z2_profile.ball
@@ -93,7 +94,7 @@ class TestShellAlpha:
 
     def test_z1_alpha_is_one(self, z1_profile):
         # every shell has measure 2k, so all ratios are exactly 1
-        report = shell_alpha(z1_profile, k_min=5, n_max=32)
+        report = shell_alpha([z1_profile], k_min=5, n_max=32)
         assert report.alpha == 1
         assert report.delta == 1.0
 
@@ -104,17 +105,17 @@ class TestShellAlpha:
 
         path = Graph.from_edges(30, [(i, i + 1) for i in range(29)])
         profile = volume_profile(path, 0, 30)
-        report = shell_alpha(profile, k_min=3, n_max=15)
+        report = shell_alpha([profile], k_min=3, n_max=15)
         assert report.alpha > 0
 
     def test_shallow_profile_raises(self):
         profile = _lattice_profile(2, 8)
         with pytest.raises(ValueError, match="too shallow"):
-            shell_alpha(profile, k_min=5, n_max=8)
+            shell_alpha([profile], k_min=5, n_max=8)
 
     def test_bad_k_min(self, z2_profile):
         with pytest.raises(ValueError, match="k_min"):
-            shell_alpha(z2_profile, k_min=0)
+            shell_alpha([z2_profile], k_min=0)
 
 
 def _reference_shell_alpha(profiles, k_min=5, n_max=None, record_all=False):
@@ -242,7 +243,7 @@ class TestShellSweepMatchesReference:
         s = 2**60
         ball = (1, 1 + s, 1 + 2 * s - 1, 1 + 3 * s - 1, 1 + 4 * s)
         assert float(Fraction(s - 1, s)) == float(Fraction(s, s + 1))
-        report = shell_alpha(VolumeProfile(0, ball), k_min=1, n_max=2)
+        report = shell_alpha([VolumeProfile(0, ball)], k_min=1, n_max=2)
         assert report == _reference_shell_alpha(VolumeProfile(0, ball), k_min=1, n_max=2)
         assert report.alpha == Fraction(s - 1, s)
 
@@ -253,7 +254,7 @@ class TestShellSweepMatchesReference:
         shells = (a * a * m, a * b * m, b * b * m, 0)
         ball = tuple(accumulate((1,) + shells))
         assert float(shells[0]) / float(shells[1]) > float(shells[1]) / float(shells[2])
-        report = shell_alpha(VolumeProfile(0, ball), k_min=1, n_max=2)
+        report = shell_alpha([VolumeProfile(0, ball)], k_min=1, n_max=2)
         assert report == _reference_shell_alpha(VolumeProfile(0, ball), k_min=1, n_max=2)
         assert (report.worst.n, report.worst.k, report.alpha) == (1, 1, Fraction(a, b))
 
@@ -316,7 +317,7 @@ class TestRecursionAudit:
         assert not audit.final_bound_ok
 
     def test_z2_measured_alpha_passes(self, z2_profile):
-        report = shell_alpha(z2_profile, k_min=5, n_max=16)
+        report = shell_alpha([z2_profile], k_min=5, n_max=16)
         audit = lemma_recursion_audit(z2_profile, 16, report.alpha)
         assert audit.passed
 
@@ -330,8 +331,8 @@ class TestRecursionAudit:
 
 class TestVerifySphereBound:
     def test_z2_true_delta_passes(self, z2_profile):
-        report = shell_alpha(z2_profile, k_min=5, n_max=16)
-        check = verify_sphere_bound(z2_profile, report.delta, n_range=(1, 31))
+        report = shell_alpha([z2_profile], k_min=5, n_max=16)
+        check = verify_sphere_bound([z2_profile], report.delta, n_range=(1, 31))
         assert check.passed
         assert check.trend_slope < 0  # constants decay, bound is slack
         # per-n constants are sphere[n] n^delta / ball[n]
@@ -340,12 +341,12 @@ class TestVerifySphereBound:
         assert check.constants[3] == pytest.approx(expected)
 
     def test_overclaimed_delta_fails(self, z2_profile):
-        check = verify_sphere_bound(z2_profile, 1.5, n_range=(1, 31))
+        check = verify_sphere_bound([z2_profile], 1.5, n_range=(1, 31))
         assert not check.passed
         assert check.trend_slope > 0.05
 
     def test_fitted_constant_is_max(self, z2_profile):
-        check = verify_sphere_bound(z2_profile, 0.4, n_range=(1, 31))
+        check = verify_sphere_bound([z2_profile], 0.4, n_range=(1, 31))
         assert check.fitted_constant == pytest.approx(max(check.constants))
 
 
@@ -382,21 +383,21 @@ class TestDyadicSubsequence:
 class TestAbelianIsop:
     def test_z2_closed_form_max(self):
         sizes = [2 * n * n + 2 * n + 1 for n in range(17)]
-        got = abelian_isop_check(sizes)
+        got = max(isoperimetric_ratios(sizes))
         assert got == Fraction(15 * 64, 2 * 15**2 + 2 * 15 + 1)
         assert got < 2
 
     def test_n_max_restricts(self):
         sizes = [2 * n * n + 2 * n + 1 for n in range(17)]
-        assert abelian_isop_check(sizes, n_max=1) == Fraction(8, 5)
+        assert max(isoperimetric_ratios(sizes, n_max=1)) == Fraction(8, 5)
 
     def test_exponential_growth_is_unbounded(self):
         sizes = [3**n for n in range(12)]
-        assert abelian_isop_check(sizes) == Fraction(10 * (3**11 - 3**10), 3**10)
+        assert max(isoperimetric_ratios(sizes)) == Fraction(10 * (3**11 - 3**10), 3**10)
 
     def test_short_input_raises(self):
         with pytest.raises(ValueError):
-            abelian_isop_check([1, 5])
+            max(isoperimetric_ratios([1, 5]))
 
 
 class TestGrowthFit:

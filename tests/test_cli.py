@@ -391,6 +391,37 @@ class TestLatticeRank:
         assert json.loads(result.stdout)["vertices"] == 15
 
 
+class TestFilesThatAreNotUtf8:
+    """A config or graph file with a byte that is not UTF-8 exits 1 with one
+    error line naming where the byte is, and no traceback."""
+
+    def _run(self, tmp_path, child_env, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "folnerlab", "--out", str(tmp_path / "out"), *args],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+
+    def test_config_file(self, tmp_path, child_env):
+        data = b'{"space": {"family": "lattice", "d": 2, "radius": 1}, "depth": 2, "output_dir": "\xff"}'
+        config = tmp_path / "bad.json"
+        config.write_bytes(data)
+        result = self._run(tmp_path, child_env, "reproduce", "--config", str(config))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        offset = data.index(b"\xff")
+        assert result.stderr == f"Error: config: byte 0xff at offset {offset} is not UTF-8\n"
+
+    def test_graph_file(self, tmp_path, child_env):
+        data = b"vertices 2\nedge 0 1\nbasepoint caf\xe9 1\n"
+        graph = tmp_path / "bad.graph"
+        graph.write_bytes(data)
+        result = self._run(tmp_path, child_env, "profile", "--graph", str(graph), "--depth", "2")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        offset = data.index(b"\xe9")
+        assert result.stderr == f"Error: line 3: byte 0xe9 at offset {offset} is not UTF-8\n"
+
+
 class TestShellRecordAllBudget:
     """`analyses.shell.record_all` builds one row per center and admitted
     pair; a table above the element budget is refused before any is built."""

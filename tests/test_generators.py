@@ -2,9 +2,9 @@
 Tests for the graph generators.
 
 Core claims:
-    - lattice_graph ball volumes match brute-force l1 enumeration (d <= 3)
+    - Z^d word-ball volumes match brute-force l1 enumeration (d <= 3)
       and graph distance from the origin equals the l1 norm
-    - heisenberg_graph matches an independent set-expansion oracle over
+    - the H3 word ball matches an independent set-expansion oracle over
       unipotent matrices for R <= 5, with |B(1)| = 5, |B(2)| = 17 and the
       central element at word length 4
     - cayley_ball layers are word spheres and indexing is deterministic
@@ -36,8 +36,6 @@ from folnerlab.errors import BudgetExceededError, NotGeneratingError
 from folnerlab.generators import (
     TreeChainSpec,
     cayley_ball,
-    heisenberg_graph,
-    lattice_graph,
     norm_profile,
     stairway_strip,
     stretched_tree_chain,
@@ -223,7 +221,7 @@ class TestWordBallKernel:
 
     def test_budget_error_names_layer(self):
         with pytest.raises(BudgetExceededError, match="at layer 2") as exc:
-            lattice_graph(2, "standard", 10, vertex_budget=10)
+            word_ball(zd_model(2), "standard", 10, vertex_budget=10)
         assert (exc.value.stage, exc.value.reached, exc.value.layer) == (
             "cayley_ball",
             13,
@@ -245,80 +243,80 @@ class TestWordBallKernel:
 class TestLatticeGraph:
     @pytest.mark.parametrize("d,r", [(1, 10), (2, 10), (3, 7)])
     def test_ball_volumes_match_l1_enumeration(self, d, r):
-        ball = lattice_graph(d, "standard", r)
+        ball = word_ball(zd_model(d), "standard", r)
         profile = volume_profile(ball.graph, 0, r)
         for n in range(r + 1):
             assert profile.ball[n] == _l1_ball_size(d, n)
 
     def test_distance_is_l1_norm(self):
-        ball = lattice_graph(2, "standard", 6)
+        ball = word_ball(zd_model(2), "standard", 6)
         dist = bfs_distances(ball.graph, 0)
         for i, (x, y) in enumerate(ball.elements):
             assert dist[i] == abs(x) + abs(y)
 
     def test_z1_is_a_path(self):
-        ball = lattice_graph(1, "standard", 5)
+        ball = word_ball(zd_model(1), "standard", 5)
         g = ball.graph
         assert g.vertex_count == 11
         assert sorted(len(nbrs) for nbrs in g.adjacency) == [1, 1] + [2] * 9
 
     def test_z2_radius_2_has_13_vertices(self):
-        assert lattice_graph(2, "standard", 2).graph.vertex_count == 13
+        assert word_ball(zd_model(2), "standard", 2).graph.vertex_count == 13
 
     def test_layers_are_word_spheres(self):
-        ball = lattice_graph(2, "standard", 4)
+        ball = word_ball(zd_model(2), "standard", 4)
         dist = bfs_distances(ball.graph, 0)
         # indices are assigned layer by layer, so distance is nondecreasing
         distances = [dist[i] for i in range(ball.graph.vertex_count)]
         assert distances == sorted(distances)
 
     def test_deterministic_indexing(self):
-        a = lattice_graph(2, "standard", 4)
-        b = lattice_graph(2, "standard", 4)
+        a = word_ball(zd_model(2), "standard", 4)
+        b = word_ball(zd_model(2), "standard", 4)
         assert a.elements == b.elements
         assert a.graph.adjacency == b.graph.adjacency
 
     def test_diagonal_set_grows_faster(self):
-        std = volume_profile(lattice_graph(2, "standard", 5).graph, 0, 5)
-        diag = volume_profile(lattice_graph(2, "diagonal", 5).graph, 0, 5)
+        std = volume_profile(word_ball(zd_model(2), "standard", 5).graph, 0, 5)
+        diag = volume_profile(word_ball(zd_model(2), "diagonal", 5).graph, 0, 5)
         assert all(a <= b for a, b in zip(std.ball, diag.ball))
         assert diag.ball[5] > std.ball[5]
 
     def test_skew_set_symmetrizes_to_hexagonal(self):
-        ball = lattice_graph(2, "skew", 3)
+        ball = word_ball(zd_model(2), "skew", 3)
         # six neighbors of the origin
         assert len(ball.graph.adjacency[0]) == 6
 
     def test_net_on_z1_annulus(self):
         # Annulus 4 < |x| <= 8 with k = 1: ascending index order visits -5,
         # +5 first, then skips the 1-neighborhoods, keeping {-5, 5, -7, 7}.
-        ball = lattice_graph(1, "standard", 8)
+        ball = word_ball(zd_model(1), "standard", 8)
         net = separated_net(ball.graph, 0, 4, 8, 1)
         coords = sorted(ball.elements[v][0] for v in net)
         assert coords == [-7, -5, 5, 7]
 
     def test_budget_error_names_stage(self):
         with pytest.raises(BudgetExceededError, match="cayley_ball"):
-            lattice_graph(2, "standard", 10, vertex_budget=10)
+            word_ball(zd_model(2), "standard", 10, vertex_budget=10)
 
 
 class TestHeisenbergGraph:
     def test_ball_volumes_match_matrix_oracle(self):
-        ball = heisenberg_graph("standard", 5)
+        ball = word_ball(heisenberg_model(), "standard", 5)
         profile = volume_profile(ball.graph, 0, 5)
         assert list(profile.ball) == _heis_oracle_balls(5)
 
     def test_small_ball_sizes(self):
-        profile = volume_profile(heisenberg_graph("standard", 2).graph, 0, 2)
+        profile = volume_profile(word_ball(heisenberg_model(), "standard", 2).graph, 0, 2)
         assert profile.ball == (1, 5, 17)
 
     def test_central_element_at_distance_4(self):
-        ball = heisenberg_graph("standard", 4)
+        ball = word_ball(heisenberg_model(), "standard", 4)
         dist = bfs_distances(ball.graph, 0)
         assert dist[ball.elements.index((0, 0, 1))] == 4
 
     def test_monotone_geodesic_on_word_ball(self):
-        ball = heisenberg_graph("standard", 4)
+        ball = word_ball(heisenberg_model(), "standard", 4)
         target = ball.elements.index((0, 0, 1))
         chain = monotone_geodesic(ball.graph, 0, target)
         dist = bfs_distances(ball.graph, 0)
@@ -459,8 +457,8 @@ class TestGeneratorInvariants:
 
         rng = random.Random(seed)
         graphs = [
-            lattice_graph(2, "standard", 4).graph,
-            heisenberg_graph("standard", 3).graph,
+            word_ball(zd_model(2), "standard", 4).graph,
+            word_ball(heisenberg_model(), "standard", 3).graph,
             stretched_tree_chain(TreeChainSpec(2, 3, 2)),
             stairway_strip(3).graph,
         ]

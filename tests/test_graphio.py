@@ -5,6 +5,9 @@ Core claims:
     - dump/parse round-trips graphs including basepoints
     - comments and blank lines are ignored
     - every malformed input is rejected with the offending line number
+    - integers are ASCII digits with an optional sign: underscores and
+      non-ASCII digits, which `int` would read, are rejected at their line
+    - a file that is not UTF-8 is rejected naming the line and byte offset
     - a vertex count above the vertex budget is rejected at the header,
       before the rest of the text is split into lines
     - against the earlier parser, kept below as the reference, on seeded
@@ -74,6 +77,13 @@ class TestRejections:
             ),
             ("vertices 2\nedge 0 1\nvertex 1", "line 3: unknown record"),
             ("vertices 3\nedge 0 1", "not connected"),
+            ("vertices 1_0", "line 1: vertex count '1_0' is not an integer"),
+            ("vertices \u0662", "line 1: vertex count '\u0662' is not an integer"),
+            ("vertices 2\nedge 0 1_0", "line 2: non-integer vertex in 'edge 0 1_0'"),
+            ("vertices 2\nedge 0 \u0661", "line 2: non-integer vertex"),
+            ("vertices 2\nedge \uff10 1", "line 2: non-integer vertex"),
+            ("vertices 2\nedge 0 1\nbasepoint a_1 1_0", "line 3: non-integer vertex"),
+            ("vertices 2\nedge 0 1\nbasepoint a \u0661", "line 3: non-integer vertex"),
             # Line numbers count every line break that str.splitlines knows.
             ("# c\r\n\nvertices 2\r\nedge 0 1\redge 0 5\n", "line 5: edge \\(0, 5\\) out of range"),
         ],
@@ -81,6 +91,30 @@ class TestRejections:
     def test_malformed_inputs(self, text, message):
         with pytest.raises(GraphFormatError, match=message):
             parse_graph(text)
+
+
+class TestIntegers:
+    def test_signs_are_read(self):
+        g = parse_graph("vertices +2\nedge -0 +1\nbasepoint a_1 +1\n")
+        assert g.adjacency == ((1,), (0,))
+        assert dict(g.basepoints) == {"a_1": 1}
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe9t", b"\xe2\x82"])
+    def test_bytes_that_are_not_utf8(self, tmp_path, bad):
+        data = b"vertices 2\r\nedge 0 1\n# caf" + bad + b"\nbasepoint a 0\n"
+        offset = data.index(bad)
+        path = tmp_path / "bad.graph"
+        path.write_bytes(data)
+        message = f"line 3: byte 0x{bad[0]:02x} at offset {offset} is not UTF-8"
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+            load_graph(path)
+
+    def test_utf8_labels_are_read(self, tmp_path):
+        path = tmp_path / "label.graph"
+        path.write_bytes("vertices 2\nedge 0 1\nbasepoint caf\u00e9 1\n".encode("utf-8"))
+        assert dict(load_graph(path).basepoints) == {"caf\u00e9": 1}
 
 
 class TestVertexBudget:
