@@ -397,7 +397,7 @@ class TestAbelianIsop:
 
     def test_short_input_raises(self):
         with pytest.raises(ValueError):
-            max(isoperimetric_ratios([1, 5]))
+            isoperimetric_ratios([1, 5])
 
 
 class TestGrowthFit:
