@@ -71,7 +71,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="ascii")
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _emit_csv(ctx: click.Context, digest: str, table: Table) -> None:
@@ -82,6 +82,13 @@ def _emit_csv(ctx: click.Context, digest: str, table: Table) -> None:
 
 def _resolve_model(group: str, d: int) -> GroupModel:
     return FAMILIES["lattice" if group == "zd" else group].model({"d": d})
+
+
+def _json(text: str, option: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise click.ClickException(f"{option}: invalid JSON ({exc})") from None
 
 
 def _elements(raw: Any, option: str) -> tuple[tuple[int, ...], ...]:
@@ -98,7 +105,7 @@ def _parse_set(model: GroupModel, text: str, option: str) -> tuple[tuple[int, ..
     """A generating set given as a named label or a JSON array of tuples."""
     if not text.lstrip().startswith("["):
         return model.generating_set(text)
-    return _elements(json.loads(text), option)
+    return _elements(_json(text, option), option)
 
 
 def _default(analysis: str, option: str) -> Any:
@@ -220,7 +227,7 @@ def powers(ctx, group, d, set_text, n_max):
 def nprod(ctx, group, d, factors_text, inner_text, outer_text):
     """Exact sizes of products of varying factors N_n = U_1 ... U_n."""
     model = _resolve_model(group, d)
-    raw = json.loads(factors_text)
+    raw = _json(factors_text, "--factors")
     if not isinstance(raw, list):
         raise click.ClickException("--factors: expected a JSON array of factor sets")
     factors = [_elements(factor, "--factors") for factor in raw]

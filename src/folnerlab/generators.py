@@ -46,7 +46,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, takewhile
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .groups import (
     Element,
     GroupModel,
     KeyBox,
+    Repeat,
     check_generates,
     expand,
     lookup,
@@ -171,7 +172,7 @@ def word_ball(
     check_generates(model, steps)
     # One factor more than the radius, never expanded: it sizes the box for
     # the one-step neighbors that `edges` and `edge_count` encode.
-    layers = expand(model, [model.identity], [steps] * (radius + 1), vertex_budget, "cayley_ball")
+    layers = expand(model, [model.identity], Repeat(steps, radius + 1), vertex_budget, "cayley_ball")
     kept = list(takewhile(lambda layer: len(layer.keys), islice(layers, radius + 1)))
     return WordBall(model, steps, tuple(layer.keys for layer in kept), kept[0].box)
 
@@ -293,9 +294,9 @@ class StairwayStrip:
     points: tuple[tuple[int, int], ...]
 
 
-def _raster_half_circle(radius: int, upper: bool) -> list[tuple[int, int]]:
-    """Midpoint-circle raster of one half (y >= 0 or y <= 0) of a circle at 0."""
-    pts = set()
+def _raster_half_circle(radius: int, upper: bool) -> Iterator[tuple[int, int]]:
+    """Midpoint-circle raster of one half (y >= 0 or y <= 0) of a circle at 0,
+    point by point; a point on an octant boundary may come twice."""
     x, y, err = radius, 0, 1 - radius
     while x >= y:
         for px, py in (
@@ -303,14 +304,26 @@ def _raster_half_circle(radius: int, upper: bool) -> list[tuple[int, int]]:
             (-x, -y), (-y, -x), (y, -x), (x, -y),
         ):
             if (py >= 0) == upper or py == 0:
-                pts.add((px, py))
+                yield px, py
         y += 1
         if err < 0:
             err += 2 * y + 1
         else:
             x -= 1
             err += 2 * (y - x) + 1
-    return sorted(pts)
+
+
+def _stairway_curve(levels: int) -> Iterator[tuple[int, int]]:
+    """The rasterized curve of `stairway_strip`, from the origin outward."""
+    yield from ((t, 0) for t in range(0, 3))  # lead-in from the origin
+    for k in range(1, levels + 1):
+        r, upper = 2**k, k % 2 == 1
+        yield from _raster_half_circle(r, upper)
+        # Straight run from this half-circle's exit to the next one's entry.
+        # Odd k exits at (-r, 0) and the next (lower) circle starts at
+        # (-2r, 0); even k exits at (r, 0) heading for (2r, 0).
+        sign = -1 if upper else 1
+        yield from ((sign * t, 0) for t in range(r, 2 * r + 1))
 
 
 def stairway_strip(
@@ -323,28 +336,21 @@ def stairway_strip(
     odd k, lower for even k) followed by a straight run along the x-axis out
     to the next radius.  Vertices are all grid points at Chebyshev distance
     <= 1 from a rasterized curve point; edges join grid 4-neighbors.  The
-    basepoint "origin" is (0, 0).
+    basepoint "origin" is (0, 0).  The cells are counted as each curve
+    point adds its neighborhood, and the budget fires at the first point
+    that takes the count past it.
     """
     if levels < 2:
         raise ValueError("need at least two levels")
-    curve: set[tuple[int, int]] = set()
-    for k in range(1, levels + 1):
-        r, upper = 2**k, k % 2 == 1
-        curve.update(_raster_half_circle(r, upper))
-        # Straight run from this half-circle's exit to the next one's entry.
-        # Odd k exits at (-r, 0) and the next (lower) circle starts at
-        # (-2r, 0); even k exits at (r, 0) heading for (2r, 0).
-        sign = -1 if upper else 1
-        curve.update((sign * t, 0) for t in range(r, 2 * r + 1))
-    curve.update((t, 0) for t in range(0, 3))  # lead-in from the origin
-
-    cells = set()
-    for px, py in curve:
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cells.add((px + dx, py + dy))
-    if len(cells) > vertex_budget:
-        raise BudgetExceededError("stairway_strip", len(cells), vertex_budget)
+    cells: set[tuple[int, int]] = set()
+    for px, py in _stairway_curve(levels):
+        cells.update((
+            (px - 1, py - 1), (px - 1, py), (px - 1, py + 1),
+            (px, py - 1), (px, py), (px, py + 1),
+            (px + 1, py - 1), (px + 1, py), (px + 1, py + 1),
+        ))
+        if len(cells) > vertex_budget:
+            raise BudgetExceededError("stairway_strip", len(cells), vertex_budget)
     points = sorted(cells)
     index = {p: i for i, p in enumerate(points)}
     edges = []

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from collections.abc import Sequence
+from itertools import combinations, groupby, repeat
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ __all__ = [
     "KeyBox",
     "Layer",
     "KeySet",
+    "Repeat",
     "expand",
     "step_images",
     "lookup",
@@ -296,6 +298,24 @@ class Layer(KeySet):
         return self.box.elements(self.keys if self.order is None else self.order)
 
 
+class Repeat(Sequence):
+    """`count` copies of one item, held once: the factors of a power U^count,
+    for `expand`, without a list as long as the power."""
+
+    def __init__(self, item: Any, count: int):
+        self.item, self.count = item, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i: int | slice) -> Any:
+        picked = range(self.count)[i]  # IndexError and slices as for a list
+        return Repeat(self.item, len(picked)) if isinstance(picked, range) else self.item
+
+    def __iter__(self) -> Iterator[Any]:
+        return repeat(self.item, self.count)
+
+
 def expand(
     model: GroupModel,
     seeds: Iterable[Element] | KeySet,
@@ -317,12 +337,14 @@ def expand(
     discovery order, the order in which a loop over the sources (in their
     discovery order) and then the sorted factor first meets its elements.
 
-    The running total is checked against `budget` as each layer is added
-    (BudgetExceededError naming `stage` and the layer); a box too large
-    for int64 keys is rejected before any array is allocated.  The seeds
-    may come as tuples or as a `KeySet`.
+    Each run of equal consecutive factors is normalised once, and nothing
+    is built per step before its layer: the factors of a power can come as
+    a `Repeat`.  The running total is checked against `budget` as each
+    layer is added (BudgetExceededError naming `stage` and the layer); a
+    box too large for int64 keys is rejected before any array is
+    allocated.  The seeds may come as tuples or as a `KeySet`.
     """
-    steps = [tuple(sorted(set(f) - {model.identity})) for f in factors]
+    runs = [tuple(sorted(set(f) - {model.identity})) for f, _ in groupby(factors)]
 
     def maxima(elements: Sequence[Element]) -> list[int]:
         return [max((abs(g[c]) for g in elements), default=0) for c in range(model.rank)]
@@ -333,28 +355,28 @@ def expand(
     else:
         seeds = list(dict.fromkeys(seeds))
         seed_max = maxima(seeds)
-    offsets = model.reach(seed_max, maxima([s for f in steps for s in f]), len(steps))
+    offsets = model.reach(seed_max, maxima([s for f in runs for s in f]), len(factors))
     box = KeyBox(tuple(offsets), tuple(2 * b + 1 for b in offsets))
     cells = math.prod(box.widths)
     if cells > _KEY_CELLS:
         raise ValueError(
-            f"{stage}: the bounding box of {len(steps)} steps has {cells} "
+            f"{stage}: the bounding box of {len(factors)} steps has {cells} "
             "cells, too many for int64 keys"
         )
-    symmetric = len(set(steps)) == 1 and set(map(model.invert, steps[0])) == set(steps[0])
+    symmetric = len(set(runs)) == 1 and set(map(model.invert, runs[0])) == set(runs[0])
     order = box.encode(np.array(seeds, dtype=np.int64).reshape(len(seeds), model.rank))
     layers = [Layer(np.sort(order), box, order if ordered else None)]
     seen = layers[0].keys  # the union of all layers, unless `symmetric`
     total = len(seen)
-    # nested[n]: F_(n+1) lies inside F_n, so layer n alone is multiplied.
-    nested = [n == 0 or set(f) <= set(steps[n - 1]) for n, f in enumerate(steps)]
-    keep_all = not all(nested)
     yield layers[0]
+    steps = (run for run, (_, group) in zip(runs, groupby(factors)) for _ in group)
+    previous = runs[0] if runs else ()
     for n, factor in enumerate(steps, start=1):
-        if nested[n - 1]:
+        if factor is previous or set(factor) <= set(previous):  # the newest layer suffices
             sources = layers[-1].order if ordered else layers[-1].keys
         else:
             sources = np.concatenate([l.order if ordered else l.keys for l in layers])
+        previous = factor
         older = [l.keys for l in layers[-2:]] if symmetric else [seen]
         keys, order = _new_products(model, box, sources, factor, older, ordered)
         total += len(keys)
@@ -363,8 +385,6 @@ def expand(
         if not symmetric:
             seen = np.insert(seen, np.searchsorted(seen, keys), keys)
         layers.append(Layer(keys, box, order))
-        if not keep_all:
-            del layers[:-2]  # no later step reads older layers
         yield layers[-1]
 
 

@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .groups import Element, GroupModel, KeySet, Layer, check_generates, expand
+from .groups import Element, GroupModel, KeySet, Layer, Repeat, check_generates, expand
 
 __all__ = [
     "ProductSequence",
@@ -47,11 +47,12 @@ class ProductSequence:
     `layers[n]` is the kernel's layer N_n minus N_(n-1) (layer 0 the
     identity), with its discovery order; all layers share one key box, and
     N_n is the union of layers 0..n.  `sizes[n] = |N_n|`.  `factors[n - 1]`
-    is U_n, sorted, with the identity adjoined.
+    is U_n, sorted, with the identity adjoined; the powers of one set hold
+    it once, as a `Repeat`.
     """
 
     model: GroupModel
-    factors: tuple[tuple[Element, ...], ...]
+    factors: Sequence[tuple[Element, ...]]
     layers: tuple[Layer, ...]
     identity_adjoined: bool
 
@@ -79,21 +80,20 @@ class ProductSequence:
         return frozenset(self.shell(n - 1, n).elements())
 
 
+def _adjoin(model: GroupModel, factor: Iterable[Element]) -> tuple[Element, ...]:
+    return tuple(sorted(set(factor) | {model.identity}))
+
+
 def _expand(
     model: GroupModel,
-    factors: Sequence[Sequence[Element]],
+    factors: Sequence[tuple[Element, ...]],
+    identity_adjoined: bool,
     element_budget: int,
 ) -> ProductSequence:
-    steps = tuple(tuple(sorted(set(f) | {model.identity})) for f in factors)
     layers = expand(
-        model, [model.identity], steps, element_budget, "product expansion", ordered=True
+        model, [model.identity], factors, element_budget, "product expansion", ordered=True
     )
-    return ProductSequence(
-        model=model,
-        factors=steps,
-        layers=tuple(layers),
-        identity_adjoined=any(model.identity not in f for f in factors),
-    )
+    return ProductSequence(model, factors, tuple(layers), identity_adjoined)
 
 
 def product_powers(
@@ -108,7 +108,9 @@ def product_powers(
     if isinstance(generating_set, str):
         generating_set = model.generating_set(generating_set)
     check_generates(model, generating_set)
-    return _expand(model, [generating_set] * n_max, element_budget)
+    factors = Repeat(_adjoin(model, generating_set), n_max)
+    adjoined = n_max > 0 and model.identity not in generating_set
+    return _expand(model, factors, adjoined, element_budget)
 
 
 def varying_products(
@@ -141,7 +143,8 @@ def varying_products(
             raise ValueError(
                 f"factor {i} exceeds the outer certificate by {sorted(excess)}"
             )
-    return _expand(model, factors, element_budget)
+    adjoined = any(model.identity not in f for f in factors)
+    return _expand(model, tuple(_adjoin(model, f) for f in factors), adjoined, element_budget)
 
 
 def folner_ratios(sequence: ProductSequence) -> tuple[Fraction, ...]:
@@ -160,7 +163,7 @@ def product_with_powers(
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> KeySet:
     """The set base * U^m with the identity adjoined to U, via m expansions."""
-    layers = list(expand(model, base, [generating_set] * m, element_budget, "set product"))
+    layers = list(expand(model, base, Repeat(generating_set, m), element_budget, "set product"))
     return KeySet.union(layers, layers[0].box)
 
 

@@ -26,7 +26,7 @@ from typing import Any, Mapping
 
 from .analysis import shell_alpha  # noqa: F401  (kept importable from this module)
 from .config import ExperimentConfig
-from .errors import ConfigError
+from .errors import BudgetExceededError, ConfigError
 from .graphio import load_graph
 from .recipes import recipe_config
 from .registry import (
@@ -94,9 +94,11 @@ def run_analyses(config: ExperimentConfig) -> tuple[dict[str, Any], dict[str, Ta
     Returns the summary and each table by name, `profile` first.
     """
     built = build_space(config)
-    labeled = [
-        (label, built.profile(v, config.depth)) for label, v in _resolve_centers(built, config)
-    ]
+    centers = _resolve_centers(built, config)
+    rows = len(centers) * (config.depth + 1)  # of the profile table, counted before any profile
+    if rows > config.element_budget:
+        raise BudgetExceededError("centers", rows, config.element_budget)
+    labeled = [(label, built.profile(v, config.depth)) for label, v in centers]
     ctx = Context(config.space, config.element_budget, config.depth, labeled)
     summary: dict[str, Any] = {
         "config": config.digest,
@@ -132,7 +134,7 @@ def run_experiment(
     artifacts = []
     for name, (header, rows) in tables.items():
         path = out / f"{name}.csv"
-        with open(path, "w", encoding="ascii", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             write_csv(fh, summary["config"], header, rows)
         artifacts.append(path)
     summary_path = out / "summary.json"

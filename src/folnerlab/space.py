@@ -11,9 +11,7 @@ center, each layer in discovery order:
     - ball/sphere volume profiles around a center (the layer sizes, summed
       by `VolumeProfile.from_sizes`),
     - greedy maximal separated nets inside annuli,
-    - monotone geodesic chains (walked back through the layers),
-    - the monotone-geodesic constant (how far a point of B(x, r+1) can sit
-      from B(x, r)), with the ball grown one layer at a time.
+    - shortest paths (walked back through the layers).
 
 Balls are closed: B(x, r) = {y : d(x, y) <= r}.  The sphere at radius r is
 S(x, r) = B(x, r+1) \\ B(x, r), which on a unit-edge graph is the set of
@@ -37,13 +35,11 @@ from .errors import GraphFormatError
 __all__ = [
     "Graph",
     "VolumeProfile",
-    "GeodesicChain",
     "bfs_layers",
     "bfs_distances",
     "volume_profile",
     "separated_net",
     "monotone_geodesic",
-    "property_m_constant",
     "sample_centers",
 ]
 
@@ -150,15 +146,6 @@ class VolumeProfile:
             raise ValueError("ball volumes must be nondecreasing")
 
 
-@dataclass(frozen=True)
-class GeodesicChain:
-    """A chain of vertices whose distance from the start increases by >= 1
-    per step, with consecutive steps bounded by `step_bound`."""
-
-    vertices: tuple[Vertex, ...]
-    step_bound: int
-
-
 def bfs_layers(graph: Graph, center: Vertex, cutoff: int | None = None) -> Iterator[list[Vertex]]:
     """The vertices at distance 0, 1, 2, ... from `center`, one list per
     distance, up to `cutoff` (the whole component when cutoff is None).
@@ -233,20 +220,16 @@ def separated_net(
     return tuple(net)
 
 
-def monotone_geodesic(graph: Graph, start: Vertex, end: Vertex) -> GeodesicChain:
-    """A shortest path from `start` to `end` as a monotone chain.
+def monotone_geodesic(graph: Graph, start: Vertex, end: Vertex) -> tuple[Vertex, ...]:
+    """A shortest path from `start` to `end`, as its vertices.
 
-    On a unit-edge graph a shortest path already satisfies the monotone
-    chain conditions: d(x_i, start) = i increases by exactly 1 per step, so
-    step_bound = 1 (0 for the trivial chain).  The path is walked back from
-    `end` through the BFS layers of `start`; each step goes to the neighbor
-    in the layer before that was discovered first, making the output
-    deterministic.
+    On a unit-edge graph a shortest path is a monotone chain with step 1:
+    d(x_i, start) = i.  The path is walked back from `end` through the BFS
+    layers of `start`; each step goes to the neighbor in the layer before
+    that was discovered first, making the output deterministic.
     """
     if not 0 <= end < graph.vertex_count:
         raise ValueError(f"end {end} out of range")
-    if start == end:
-        return GeodesicChain(vertices=(start,), step_bound=0)
     layers = []
     for layer in bfs_layers(graph, start):
         layers.append(layer)
@@ -259,51 +242,7 @@ def monotone_geodesic(graph: Graph, start: Vertex, end: Vertex) -> GeodesicChain
         rank = {v: i for i, v in enumerate(layer)}
         path.append(min((u for u in graph.adjacency[path[-1]] if u in rank), key=rank.get))
     path.reverse()
-    return GeodesicChain(vertices=tuple(path), step_bound=1)
-
-
-def property_m_constant(
-    graph: Graph,
-    centers: Sequence[Vertex],
-    depth: int,
-    subspace: Iterable[Vertex] | None = None,
-) -> int:
-    """Largest distance from a sphere vertex back to the ball it bounds.
-
-    Computes max over sampled centers x, radii r <= depth and y in S(x, r) of
-    d(y, B(x, r)).  On any connected unit-edge graph with at least one edge
-    this is exactly 1.  Passing `subspace` restricts balls and spheres to a
-    vertex subset while keeping the ambient graph metric, which models spaces
-    whose distances are inherited from a larger graph (e.g. an even sublattice
-    of a subdivided line, where the constant is 2).  Returns 0 when every
-    tested sphere is empty.
-    """
-    space = set(subspace) if subspace is not None else None
-    if space is not None:
-        for v in space:
-            if not 0 <= v < graph.vertex_count:
-                raise ValueError(f"subspace vertex {v} out of range")
-    best = 0
-    for x in centers:
-        if space is not None and x not in space:
-            raise ValueError(f"center {x} not in subspace")
-        ball: set[Vertex] = set()  # B(x, r), grown one layer at a time
-        for layer in bfs_layers(graph, x, cutoff=depth + 1):
-            if space is not None:
-                layer = [v for v in layer if v in space]
-            if ball:  # the layer is the sphere S(x, r) around the ball so far
-                for y in layer:
-                    best = max(best, _distance_to_set(graph, y, ball))
-            ball.update(layer)
-    return best
-
-
-def _distance_to_set(graph: Graph, source: Vertex, targets: set[Vertex]) -> int:
-    """Distance from `source` to the first BFS layer that meets `targets`."""
-    for d, layer in enumerate(bfs_layers(graph, source)):
-        if not targets.isdisjoint(layer):
-            return d
-    raise ValueError("target set unreachable")
+    return tuple(path)
 
 
 def sample_centers(graph: Graph, count: int, seed: int) -> tuple[Vertex, ...]:

@@ -132,7 +132,7 @@ def test_criterion_02_slow_stretch_regime():
         chain = monotone_geodesic(
             g, g.basepoints[f"r_{n + 1}"], g.basepoints[f"leaf_{n + 1}"]
         )
-        x = chain.vertices[(3**n + 3) // 2]
+        x = chain[(3**n + 3) // 2]
         p = volume_profile(g, x, 3**n + 1)
         constants.append(p.sphere[3**n] / 2**n)
     assert min(constants) > 0
@@ -366,7 +366,7 @@ def test_criterion_11_determinism(tmp_path, child_env):
         "net = separated_net(g, 0, 4, 12, 2)\n"
         "chain = monotone_geodesic(g, 0, g.vertex_count - 1)\n"
         "print(net)\n"
-        "print(chain.vertices)\n"
+        "print(chain)\n"
     )
     outputs = []
     for hash_seed, threads in (("11", "1"), ("23", "8")):

@@ -1,0 +1,69 @@
+"""
+Budgets fire before the work they bound is done.
+
+Each case runs in-process at a small budget and checks the error text; the
+two constructions also check, under tracemalloc, that the error comes
+before the memory is spent.
+
+Core claims:
+    - stairway_strip counts its cells as each curve point adds them, so 12
+      levels at a vertex budget of 1,000 fail at the first cell past it
+    - product_powers builds nothing per step before a layer, so 10^5 steps
+      at an element budget of 1,000 fail at layer 22 in constant memory
+    - the profile table, one row per center and radius, is counted against
+      the element budget before any center is profiled
+"""
+
+import tracemalloc
+
+import pytest
+
+import folnerlab.registry
+from folnerlab.config import validate_config
+from folnerlab.errors import BudgetExceededError
+from folnerlab.generators import stairway_strip
+from folnerlab.groups import zd_model
+from folnerlab.products import product_powers
+from folnerlab.runner import run_analyses
+
+
+def _refused(build):
+    """The budget error of `build()` and the traced peak before it."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as error:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(error.value), peak
+
+
+def test_stairway_stops_at_the_first_cell_past_the_budget():
+    message, peak = _refused(lambda: stairway_strip(12, vertex_budget=1000))
+    assert message == "stairway_strip: size 1001 exceeds budget 1000"
+    assert peak < 2**20
+
+
+def test_powers_build_nothing_per_step_before_a_layer():
+    message, peak = _refused(lambda: product_powers(zd_model(2), "standard", 10**5, 1000))
+    assert message == "product expansion: size 1013 exceeds budget 1000 at layer 22"
+    assert peak < 2**20
+
+
+def test_profile_table_is_counted_before_any_profile(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a center was profiled")
+
+    monkeypatch.setattr(folnerlab.registry, "volume_profile", refuse)
+    config = validate_config({
+        "space": {"family": "tree-chain", "a": 3, "b": 2, "blocks": 7},
+        "depth": 1460,
+        "centers": {"sample": 1000},
+        "analyses": {"doubling": {"r_max": 729}},
+        "seed": 0,
+        "budgets": {"elements": 10_000},
+    })
+    with pytest.raises(BudgetExceededError) as error:
+        run_analyses(config)
+    assert str(error.value) == "centers: size 1461000 exceeds budget 10000"

@@ -422,6 +422,55 @@ class TestFilesThatAreNotUtf8:
         assert result.stderr == f"Error: line 3: byte 0xe9 at offset {offset} is not UTF-8\n"
 
 
+class TestNonAsciiLabels:
+    """A UTF-8 basepoint label reaches every CSV it names, written as UTF-8,
+    and two runs write the same bytes."""
+
+    @pytest.fixture()
+    def graph(self, tmp_path):
+        path = tmp_path / "labels.graph"
+        path.write_text("vertices 3\nedge 0 1\nedge 1 2\nbasepoint café 0\n", encoding="utf-8")
+        return path
+
+    def test_reproduce_config(self, tmp_path, runner, graph):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"space": {"graph_file": str(graph)}, "depth": 3,
+                                      "analyses": {"doubling": {"r_max": 1}}}))
+        artifacts = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            result = runner.invoke(main, ["--out", str(out), "reproduce", "--config", str(config)])
+            assert result.exit_code == 0, result.output
+            artifacts.append(sorted((p.name, p.read_bytes()) for p in out.iterdir()))
+        assert artifacts[0] == artifacts[1]
+        profile = (tmp_path / "a" / "profile.csv").read_text(encoding="utf-8").splitlines()
+        assert profile[2:] == ["café,0,1,1", "café,1,2,1", "café,2,3,0", "café,3,3,"]
+
+    def test_profile_out_file(self, tmp_path, runner, graph):
+        outputs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{run}.csv"
+            result = runner.invoke(main, ["--out", str(out), "profile", "--graph", str(graph), "--depth", "2"])
+            assert result.exit_code == 0, result.output
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].decode("utf-8").splitlines()[2:] == ["café,0,1,1", "café,1,2,1", "café,2,3,"]
+
+
+class TestJsonOptions:
+    @pytest.mark.parametrize("option", ["--set", "--factors", "--inner", "--outer"])
+    def test_invalid_json_names_its_option(self, runner, option):
+        args = {"--factors": "[[[1,0],[0,1]]]", "--inner": "standard", "--outer": "standard"}
+        args[option] = "[[1,0],"
+        if option == "--set":
+            command = ["powers", "--set", args.pop("--set"), "--n-max", "2"]
+        else:
+            command = ["nprod", *(word for pair in args.items() for word in pair)]
+        result = runner.invoke(main, command)
+        assert result.exit_code == 1
+        assert result.output == f"Error: {option}: invalid JSON (Expecting value: line 1 column 8 (char 7))\n"
+
+
 class TestShellRecordAllBudget:
     """`analyses.shell.record_all` builds one row per center and admitted
     pair; a table above the element budget is refused before any is built."""

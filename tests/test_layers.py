@@ -3,8 +3,7 @@ Differential tests of the layered primitives against the loops they replaced.
 
 The references kept here are the earlier implementations, written as
 separate loops: a deque BFS with a distance dict, a parent-pointer BFS for
-geodesics, a per-radius rebuild of balls and spheres for the
-monotone-geodesic constant, and a `ProductSequence` built as a birth map
+geodesics, and a `ProductSequence` built as a birth map
 (element -> first step) that every reader scans to recover its layers.
 
 Core claims, on seeded random connected graphs and seeded random product
@@ -12,8 +11,6 @@ sets in Z^2 and H3:
     - `bfs_distances` gives the reference's distances in the reference's
       dict order, for every cutoff; `volume_profile` is its histogram
     - `monotone_geodesic` returns the parent-BFS path, vertex for vertex
-    - `property_m_constant` equals the rebuild-every-ball reference, with
-      and without a subspace
     - a `ProductSequence`'s birth map, sizes, element sets, frontiers and
       shells equal the birth-map reference's, birth-map item order included
     - `ergodic_trace` averages equal the birth-map replay bit for bit, also
@@ -34,7 +31,6 @@ from folnerlab.space import (
     bfs_distances,
     bfs_layers,
     monotone_geodesic,
-    property_m_constant,
     volume_profile,
 )
 
@@ -74,22 +70,6 @@ def _parent_bfs_geodesic(graph, start, end):
     while path[-1] != start:
         path.append(parent[path[-1]])
     return tuple(reversed(path))
-
-
-def _reference_property_m(graph, centers, depth, subspace=None):
-    space = set(subspace) if subspace is not None else None
-    best = 0
-    for x in centers:
-        dist = _deque_bfs(graph, x, depth + 1)
-        for r in range(depth + 1):
-            ball = {v for v, d in dist.items() if d <= r}
-            sphere = [v for v, d in dist.items() if d == r + 1]
-            if space is not None:
-                ball &= space
-                sphere = [v for v in sphere if v in space]
-            for y in sphere:
-                best = max(best, min(d for v, d in _deque_bfs(graph, y).items() if v in ball))
-    return best
 
 
 def _random_graph(seed, n, extra):
@@ -185,18 +165,7 @@ class TestGraphLayers:
         rng = random.Random(seed)
         for _ in range(12):
             start, end = rng.randrange(n), rng.randrange(n)
-            assert monotone_geodesic(g, start, end).vertices == _parent_bfs_geodesic(g, start, end)
-
-    @pytest.mark.parametrize("seed,n,extra", GRAPHS[::4])
-    def test_property_m_matches_the_rebuild_reference(self, seed, n, extra):
-        g = _random_graph(seed, n, extra)
-        rng = random.Random(seed)
-        centers = rng.sample(range(n), 3)
-        assert property_m_constant(g, centers, 6) == _reference_property_m(g, centers, 6)
-        subspace = set(rng.sample(range(n), n // 2)) | set(centers)
-        assert property_m_constant(g, centers, 6, subspace) == _reference_property_m(
-            g, centers, 6, subspace
-        )
+            assert monotone_geodesic(g, start, end) == _parent_bfs_geodesic(g, start, end)
 
 
 # -- Product sequences -----------------------------------------------------------

@@ -14,8 +14,6 @@ Core claims:
       annulus, and deterministic
     - monotone_geodesic realizes graph distance with steps of exactly 1 and
       strictly increasing distance from the start
-    - property_m_constant is 1 on connected unit-edge graphs with an edge,
-      0 on a single vertex, and 2 on the even sublattice of a subdivided line
     - sample_centers always contains the basepoints and is seed-deterministic
 """
 
@@ -31,7 +29,6 @@ from folnerlab.space import (
     VolumeProfile,
     bfs_distances,
     monotone_geodesic,
-    property_m_constant,
     sample_centers,
     separated_net,
     volume_profile,
@@ -264,9 +261,7 @@ class TestMonotoneGeodesic:
         g = _random_connected(rng, 65, extra=15)
         oracle = _minplus_distances(g)
         for end in (1, 17, g.vertex_count - 1):
-            chain = monotone_geodesic(g, 0, end)
-            verts = chain.vertices
-            assert chain.step_bound == 1
+            verts = monotone_geodesic(g, 0, end)
             assert verts[0] == 0 and verts[-1] == end
             assert len(verts) == oracle[0, end] + 1
             for i, v in enumerate(verts):
@@ -280,14 +275,13 @@ class TestMonotoneGeodesic:
 
     def test_trivial_chain(self):
         chain = monotone_geodesic(_path(4), 2, 2)
-        assert chain.vertices == (2,)
-        assert chain.step_bound == 0
+        assert chain == (2,)
 
     def test_deterministic_tie_break(self):
         # Two shortest 0 -> 2 paths in a 4-cycle; the first-discovered
         # predecessor wins.
         g = _cycle(4)
-        assert monotone_geodesic(g, 0, 2).vertices == (0, 1, 2)
+        assert monotone_geodesic(g, 0, 2) == (0, 1, 2)
 
     def test_tie_goes_to_the_first_discovered_predecessor(self):
         # 7 has the predecessors 9 (via 2) and 3 (via 5).  9 is discovered
@@ -295,32 +289,7 @@ class TestMonotoneGeodesic:
         edges = [(0, 2), (0, 5), (2, 9), (5, 3), (9, 7), (3, 7)]
         edges += [(0, leaf) for leaf in (1, 4, 6, 8)]
         g = Graph.from_edges(10, edges)
-        assert monotone_geodesic(g, 0, 7).vertices == (0, 2, 9, 7)
-
-
-# -- Monotone-geodesic constant ----------------------------------------------
-
-
-class TestPropertyM:
-    def test_unit_edge_connected_is_one(self):
-        for g in (_path(9), _cycle(8)):
-            assert property_m_constant(g, [0], depth=4) == 1
-
-    def test_single_vertex_is_zero(self):
-        g = Graph(adjacency=((),), basepoints={})
-        assert property_m_constant(g, [0], depth=3) == 0
-
-    def test_even_sublattice_of_subdivided_line_is_two(self):
-        # Subdivide a path's edges once (vertices 0..12 in a line), then look
-        # only at even positions: ambient distances between them are even, so
-        # a "sphere" point of the subspace sits 2 away from the inner ball.
-        g = _path(13)
-        evens = range(0, 13, 2)
-        assert property_m_constant(g, [0], depth=5, subspace=evens) == 2
-
-    def test_subspace_center_checked(self):
-        with pytest.raises(ValueError, match="subspace"):
-            property_m_constant(_path(6), [1], depth=2, subspace=[0, 2, 4])
+        assert monotone_geodesic(g, 0, 7) == (0, 2, 9, 7)
 
 
 # -- Center sampling ---------------------------------------------------------
