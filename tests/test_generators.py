@@ -23,6 +23,8 @@ Core claims:
       profile has linear growth but sphere spikes at dyadic radii, while the
       graph metric sees no spikes
     - vertex budgets fail loudly with the construction stage named
+    - in every generated family each point near a center ends a monotone
+      chain with step 1
 """
 
 import itertools
@@ -444,3 +446,27 @@ class TestStairway:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             stairway_strip(1)
+
+
+# -- Shared randomized invariants --------------------------------------------
+
+
+class TestGeneratorInvariants:
+    @pytest.mark.parametrize("seed", [71, 72])
+    def test_every_family_is_unit_geodesic(self, seed):
+        """Each point near a center ends a step-1 monotone chain (constant 1)."""
+        rng = random.Random(seed)
+        graphs = [
+            word_ball(zd_model(2), "standard", 4).graph,
+            word_ball(heisenberg_model(), "standard", 3).graph,
+            stretched_tree_chain(TreeChainSpec(2, 3, 2)),
+            stairway_strip(3).graph,
+        ]
+        for g in graphs:
+            for x in (rng.randrange(g.vertex_count) for _ in range(3)):
+                dist = bfs_distances(g, x, 5)
+                for y in dist:
+                    chain = monotone_geodesic(g, x, y)
+                    assert [dist[v] for v in chain] == list(range(dist[y] + 1))
+                    for u, v in zip(chain, chain[1:]):
+                        assert v in g.adjacency[u]

@@ -14,6 +14,8 @@ Core claims:
       annulus, and deterministic
     - monotone_geodesic realizes graph distance with steps of exactly 1 and
       strictly increasing distance from the start
+    - on connected unit-edge graphs every sphere point has a neighbour in the
+      ball one smaller (the monotone-geodesic constant is 1)
     - sample_centers always contains the basepoints and is seed-deterministic
 """
 
@@ -290,6 +292,21 @@ class TestMonotoneGeodesic:
         edges += [(0, leaf) for leaf in (1, 4, 6, 8)]
         g = Graph.from_edges(10, edges)
         assert monotone_geodesic(g, 0, 7) == (0, 2, 9, 7)
+
+
+# -- Monotone-geodesic constant ----------------------------------------------
+
+
+class TestPropertyM:
+    def test_unit_edge_connected_is_one(self):
+        # Each point of the (r+1)-sphere has a neighbour in the r-ball: the
+        # one before it on its monotone geodesic.
+        for g in (_path(9), _cycle(8)):
+            dist = bfs_distances(g, 0, 5)
+            for y, d in dist.items():
+                if d > 0:
+                    before = monotone_geodesic(g, 0, y)[-2]
+                    assert before in g.adjacency[y] and dist[before] == d - 1
 
 
 # -- Center sampling ---------------------------------------------------------
