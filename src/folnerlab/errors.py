@@ -4,8 +4,8 @@ from __future__ import annotations
 
 
 class GraphFormatError(ValueError):
-    """A broken graph invariant: an edge's (range, loop, repeat) from
-    `Graph.from_edges`, the graph's (symmetry, basepoint range, connectivity)
+    """A broken graph invariant: an edge's (range, loop, repeat) or the
+    graph's (basepoint range, connectivity) from `Graph.from_edges`, symmetry
     from `Graph.validate`, a file's text from `graphio.parse_graph`.  `where`
     is the edge's list index or the basepoint's label, if one record shows it."""
 

@@ -144,9 +144,7 @@ class WordBall:
     @cached_property
     def graph(self) -> Graph:
         """The ball as a validated graph with basepoint "origin" = identity."""
-        return Graph.from_edges(
-            self.vertex_count, self.edges().tolist(), {"origin": 0}
-        )
+        return Graph.from_edges(self.vertex_count, self.edges(), {"origin": 0})
 
     def profile(self, depth: int) -> VolumeProfile:
         """Volume profile of the identity, equal to `volume_profile` of vertex

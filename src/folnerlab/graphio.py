@@ -17,16 +17,21 @@ vertices.  Blank lines and lines starting with '#' are ignored.
 a vertex count above a given budget, before reading on, a record's shape, a
 non-integer vertex, a repeated basepoint label) and hands the rest to
 `Graph.from_edges`, the one check of out-of-range, self-loop and duplicate
-edges, whose `validate` checks basepoint range and connectivity.  So a file
-with several faults reports its first text fault, else its first edge fault,
-else its first basepoint fault, else that it is disconnected.  The line of
-an edge or basepoint fault is looked up only once the fault is found.
+edges, basepoint range and connectivity.  So a file with several faults
+reports its first text fault, else its first edge fault, else its first
+basepoint fault, else that it is disconnected.  Edge vertices are read into
+integers a chunk at a time, and the pending chunk is checked before a later
+text fault is raised.  The line of a fault is looked up once it is found.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
+
+import numpy as np
 
 from .errors import BudgetExceededError, GraphFormatError
 from .space import Graph
@@ -34,26 +39,23 @@ from .space import Graph
 __all__ = ["load_graph", "dump_graph", "parse_graph"]
 
 _SHAPES = {"edge": "edge U V", "basepoint": "basepoint LABEL V"}
-
-
-def _integer(token: str) -> int:
-    """`token` as an int if it is ASCII [+-]?[0-9]+.  `int` alone also reads
-    underscores and non-ASCII digits; on a token without either, which holds
-    no whitespace either, it reads exactly that form."""
-    if "_" in token or not token.isascii():
-        raise ValueError(token)
-    return int(token)
+# ASCII integers with an optional sign, joined by blanks: `int` reads also
+# underscores and non-ASCII digits, so a token is read once it has matched.
+_integers = re.compile(r"(?:[+-]?[0-9]+(?: [+-]?[0-9]+)*)?").fullmatch
+_CHUNK = 4096  # edge fields read into integers at a time
+_BLOCK = 1 << 16  # characters of text split into lines at a time
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:
     """The number and stripped text of each line that is not blank or a
     comment.  Lines are split one at a time up to the first record (the
-    header) and all at once after it, so a caller that stops at the header
-    has not split the rest of the text."""
+    header) and in blocks of `_BLOCK` characters or a little more after it,
+    so a caller that stops at the header has not split the rest of the text
+    and no caller holds every line at once."""
     lineno = pos = 0
     bulk = False
     while pos < len(text):
-        end = len(text) if bulk else text.find("\n", pos) + 1 or len(text)
+        end = text.find("\n", pos + _BLOCK if bulk else pos) + 1 or len(text)
         for line in text[pos:end].splitlines():
             lineno += 1
             line = line.strip()
@@ -71,48 +73,61 @@ def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
     parts = header.split()
     if len(parts) != 2 or parts[0] != "vertices":
         raise GraphFormatError(f"line {lineno}: expected 'vertices N', got {header!r}")
-    try:
-        n = _integer(parts[1])
-    except ValueError:
+    if not _integers(parts[1]):
         raise GraphFormatError(f"line {lineno}: vertex count {parts[1]!r} is not an integer")
+    n = int(parts[1])
     if n < 1:
         raise GraphFormatError(f"line {lineno}: vertex count must be positive")
     if vertex_budget is not None and n > vertex_budget:
         raise BudgetExceededError(f"graph file header, line {lineno}", n, vertex_budget)
 
-    edges: list[tuple[int, int]] = []
+    chunks: list[np.ndarray] = []  # the edges read, as (k, 2) arrays
+    fields: list[str] = []  # the vertices of the edge records after them
     basepoints: dict[str, int] = {}
     for lineno, line in records:
-        kind, *fields = line.split()
-        if kind not in _SHAPES:
-            raise GraphFormatError(f"line {lineno}: unknown record {kind!r}")
-        if len(fields) != 2:
-            raise GraphFormatError(f"line {lineno}: expected {_SHAPES[kind]!r}")
-        try:  # an edge's first field is a vertex, a basepoint's its label
-            first = _integer(fields[0]) if kind == "edge" else fields[0]
-            v = _integer(fields[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex in {line!r}")
-        if kind == "edge":
-            edges.append((first, v))
-        elif first in basepoints:
-            raise GraphFormatError(f"line {lineno}: duplicate basepoint {first!r}")
+        kind, *rest = line.split()
+        if kind == "edge" and len(rest) == 2:
+            fields += rest
+            if len(fields) >= _CHUNK:
+                chunks.append(_vertices(text, fields, sum(map(len, chunks))))
+                fields = []
+        elif kind == "basepoint" and len(rest) == 2 and _integers(rest[1]) and rest[0] not in basepoints:
+            basepoints[rest[0]] = int(rest[1])
         else:
-            basepoints[first] = v
+            _vertices(text, fields, sum(map(len, chunks)))  # an edge's fault before this one
+            raise GraphFormatError(f"line {lineno}: " + (
+                f"unknown record {kind!r}" if kind not in _SHAPES
+                else f"expected {_SHAPES[kind]!r}" if len(rest) != 2
+                else f"non-integer vertex in {line!r}" if not _integers(rest[1])
+                else f"duplicate basepoint {rest[0]!r}"))
+    chunks.append(_vertices(text, fields, sum(map(len, chunks))))
     try:
-        return Graph.from_edges(n, edges, basepoints)
+        return Graph.from_edges(n, np.concatenate(chunks), basepoints)
     except GraphFormatError as exc:
         if exc.where is None:
             raise
-        raise GraphFormatError(f"line {_line_of(text, exc.where)}: {exc}") from exc
+        raise GraphFormatError(f"line {_record(text, exc.where)[0]}: {exc}") from exc
 
 
-def _line_of(text: str, where: int | str) -> int:
-    """The line of edge record number `where` (from 0), or of the basepoint
-    record labelled `where`."""
+def _vertices(text: str, fields: list[str], at: int) -> np.ndarray:
+    """The vertices `fields` of edge records `at`, `at` + 1, ... as a (k, 2)
+    array; GraphFormatError at the record of the first non-integer one."""
+    if not _integers(" ".join(fields)):
+        bad = next(i for i, f in enumerate(fields) if not _integers(f))
+        lineno, line = _record(text, at + bad // 2)
+        raise GraphFormatError(f"line {lineno}: non-integer vertex in {line!r}")
+    try:
+        return np.array(fields, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # a vertex past int64, which `from_edges` reports
+        return np.array([int(f) for f in fields], dtype=object).reshape(-1, 2)
+
+
+def _record(text: str, where: int | str) -> tuple[int, str]:
+    """The number and text of edge record number `where` (from 0), or of the
+    first basepoint record labelled `where`."""
     key = ["edge"] if isinstance(where, int) else ["basepoint", where]
-    lines = [lineno for lineno, line in _records(text) if line.split()[: len(key)] == key]
-    return lines[where if isinstance(where, int) else 0]
+    found = (record for record in _records(text) if record[1].split()[: len(key)] == key)
+    return next(islice(found, where if isinstance(where, int) else 0, None))
 
 
 def load_graph(path: str | Path, vertex_budget: int | None = None) -> Graph:

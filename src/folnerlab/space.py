@@ -28,7 +28,9 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import GraphFormatError
 
@@ -52,8 +54,9 @@ class Graph:
 
     `adjacency[v]` lists the neighbors of vertex v in ascending order.  The
     graph is immutable.  Every constructor here goes through `from_edges`,
-    which checks each edge and then calls `validate()`, which checks what no
-    single edge shows; each invariant is checked in exactly one of the two.
+    which checks each edge; the adjacency it builds is then symmetric and in
+    range by construction.  `validate()` checks those two on a graph built by
+    hand.  Both check the basepoints' range and connectivity.
     """
 
     adjacency: tuple[tuple[Vertex, ...], ...]
@@ -69,32 +72,40 @@ class Graph:
 
     @staticmethod
     def from_edges(
-        n: int, edges: Iterable[Sequence[Vertex]], basepoints: Mapping[str, Vertex] | None = None
+        n: int, edges: Sequence[Sequence[Vertex]] | np.ndarray,
+        basepoints: Mapping[str, Vertex] | None = None,
     ) -> "Graph":
-        """A validated graph on 0..n-1.  Each edge is checked once, in list
-        order, for range, self-loop and a repeat in either orientation; the
-        first fault raises GraphFormatError with the edge's index as `where`."""
-        adj: list[list[Vertex]] = [[] for _ in range(n)]
-        seen: set[int] = set()  # u * n + v for each edge {u, v} with u < v
-        for i, (u, v) in enumerate(edges):
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"edge ({u}, {v}) out of range", i)
-            if u == v:
-                raise GraphFormatError(f"self-loop at {u}", i)
-            key = u * n + v if u < v else v * n + u
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge ({u}, {v})", i)
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        graph = Graph(tuple(tuple(sorted(nbrs)) for nbrs in adj), dict(basepoints or {}))
-        graph.validate()
-        return graph
+        """A graph on 0..n-1 from an (m, 2) integer array of edges, or a list
+        that converts to one.  The edge with the smallest index that is out
+        of range, a self-loop or a repeat in either orientation (at one index,
+        in that order) raises GraphFormatError with its index as `where`."""
+        try:
+            given = np.asarray(edges, dtype=np.int64)
+        except OverflowError:  # a vertex past int64 is out of range; keep it for the message
+            given = np.asarray(edges, dtype=object)
+        given = given.reshape(len(given), 2)  # ValueError unless (m, 2) or empty
+        inrange = ((given >= 0) & (given < n)).all(axis=1)
+        u, v = np.where(inrange[:, None], given, -1).astype(np.int64).T
+        valid = np.flatnonzero(inrange & (u != v))
+        keys = (np.minimum(u, v) * n + np.maximum(u, v))[valid]
+        order = np.argsort(keys, kind="stable")  # the edges of one key in index order
+        repeats = valid[order[1:][keys[order[1:]] == keys[order[:-1]]]]
+        i = min([*np.flatnonzero(~inrange | (u == v)).tolist(), *repeats.tolist()], default=None)
+        if i is not None:
+            a, b = (int(x) for x in given[i])
+            raise GraphFormatError(
+                f"edge ({a}, {b}) out of range" if not inrange[i] else
+                f"self-loop at {a}" if a == b else f"duplicate edge ({a}, {b})", i)
+        # Both orientations as sorted keys src * n + dst, cut where each src ends.
+        keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+        flat, ends = (keys % n).tolist(), np.searchsorted(keys, np.arange(1, n + 1) * n).tolist()
+        adjacency = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
+        return Graph(adjacency, dict(basepoints or {}))._checked()
 
     def validate(self) -> None:
         """Raise GraphFormatError on a neighbor out of range or an asymmetric
-        adjacency (only a graph built by hand can have either), a basepoint out
-        of range (its label as `where`) or a disconnected graph."""
+        adjacency (only a graph built by hand can have either), then on a
+        basepoint out of range (its label as `where`) or a disconnected graph."""
         adjacency, n = self.adjacency, self.vertex_count
         for v, nbrs in enumerate(adjacency):
             for u in nbrs:
@@ -102,11 +113,17 @@ class Graph:
                     raise GraphFormatError(f"edge ({v}, {u}) out of range")
                 if v not in adjacency[u]:
                     raise GraphFormatError(f"asymmetric edge ({v}, {u})")
+        self._checked()
+
+    def _checked(self) -> "Graph":
+        """The graph, once its basepoints and connectivity are checked."""
+        n = self.vertex_count
         for label, v in self.basepoints.items():
             if not 0 <= v < n:
                 raise GraphFormatError(f"basepoint {label!r} -> {v} out of range", label)
         if n > 0 and sum(map(len, bfs_layers(self, 0))) != n:
             raise GraphFormatError("graph is not connected")
+        return self
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,11 @@ Core claims:
       adjacency and basepoints
     - a file with several faults reports them in the documented order: text
       faults, then edges in file order, then basepoints, then connectivity
+    - the same against the reference on files of several thousand edges,
+      whose faults sit past the first chunk of edge fields, in different
+      chunks, or in a pending chunk before a later text fault
+    - a vertex past int64 is out of range, with its exact value and line
+    - a 51,521-vertex Z^2 ball file parses within a 29 MiB tracemalloc peak
 """
 
 import random
@@ -397,3 +402,166 @@ class TestSeveralFaults:
         with pytest.raises(GraphFormatError) as error:
             parse_graph(text)
         assert str(error.value) == message
+
+
+# -- Files longer than one chunk of edge fields --------------------------------
+
+# Edge fields are read into integers a few thousand at a time; these files
+# hold several such chunks, so faults land past the first one, in different
+# chunks, and in a chunk that is still pending when a later fault is read.
+_TEXT_FAULTS = ["edge arity", "edge integer", "unknown", "basepoint arity", "basepoint integer",
+                "duplicate basepoint"]
+_EDGE_FAULTS = ["edge range", "self-loop", "duplicate edge"]
+_FIRST_CHUNK = 2048  # edge records in one chunk; the faults go after this many
+
+
+def _large_records(rng):
+    """The header, edge and basepoint records of a seeded connected graph of
+    a few thousand edges, shuffled, with a basepoint about every 300 records."""
+    n = rng.randint(2500, 4000)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n + n // 2:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    records = [f"edge {u} {v}" if rng.random() < 0.5 else f"edge {v} {u}" for u, v in sorted(edges)]
+    rng.shuffle(records)
+    for number in range(len(records) // 300):
+        records.insert(rng.randint(0, len(records)), f"basepoint b{number} {rng.randrange(n)}")
+    return n, [f"vertices {n}", *records]
+
+
+def _fault_record(rng, kind, n, records):
+    """A record with a fault of `kind`, made from the records of a file."""
+    v = rng.randrange(n)
+    if kind == "duplicate edge":
+        _, u, w = rng.choice([r for r in records if r.startswith("edge")]).split()
+        return rng.choice([f"edge {u} {w}", f"edge {w} {u}"])
+    if kind == "duplicate basepoint":
+        return f"basepoint {rng.choice([r for r in records if r.startswith('basepoint')]).split()[1]} {v}"
+    big = rng.choice([n, n + 7, -1, 10**23, -(10**23), 2**63])
+    return {
+        "edge arity": f"edge {v}",
+        "edge integer": f"edge {v} {rng.choice(['x', '1.5', '0x1', '--1', '+'])}",
+        "unknown": f"vertex {v}",
+        "basepoint arity": "basepoint stray",
+        "basepoint integer": "basepoint stray v",
+        "edge range": rng.choice([f"edge {v} {big}", f"edge {big} {v}"]),
+        "self-loop": f"edge {v} {v}",
+    }[kind]
+
+
+def _past_first_chunk(records):
+    """The position after the edge record that ends the first chunk."""
+    edges = [i for i, r in enumerate(records) if r.startswith("edge")]
+    return edges[_FIRST_CHUNK - 1] + 1
+
+
+class TestAcrossChunks:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_valid_files_give_the_same_graph(self, seed):
+        rng = random.Random(f"large/{seed}")
+        _, records = _large_records(rng)
+        text, _ = _render(rng, records)
+        expected = _outcome(_reference_parse, text)
+        assert expected[0] == "graph"
+        assert _outcome(_parsed, text) == expected
+
+    @pytest.mark.parametrize("kind", _TEXT_FAULTS + _EDGE_FAULTS + ["basepoint range"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_one_fault_past_the_first_chunk(self, kind, seed):
+        rng = random.Random(f"large/{kind}/{seed}")
+        n, records = _large_records(rng)
+        record = f"basepoint far {n + 3}" if kind == "basepoint range" else (
+            _fault_record(rng, kind, n, records))
+        records.insert(rng.randint(_past_first_chunk(records), len(records)), record)
+        text, _ = _render(rng, records)
+        expected = _outcome(_reference_parse, text)
+        assert expected[0] == "error"
+        assert _outcome(_parsed, text) == expected
+
+    # Faults of one rank are reported in file order by both parsers; the
+    # order across ranks is tested on small files in TestSeveralFaults.
+    @pytest.mark.parametrize("kinds", [_TEXT_FAULTS, _EDGE_FAULTS])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_several_faults_in_different_chunks(self, kinds, seed):
+        rng = random.Random(f"large/{kinds[0]}/{seed}")
+        n, records = _large_records(rng)
+        start = _past_first_chunk(records)
+        for kind in rng.choices(kinds, k=rng.randint(2, 4)):
+            records.insert(rng.randint(start, len(records)), _fault_record(rng, kind, n, records))
+        text, _ = _render(rng, records)
+        expected = _outcome(_reference_parse, text)
+        assert expected[0] == "error"
+        assert _outcome(_parsed, text) == expected
+
+    @pytest.mark.parametrize("later", ["edge 1", "vertex 1", "basepoint b0 1", "basepoint x y"])
+    def test_bad_vertex_in_a_pending_chunk_comes_before_a_later_fault(self, later):
+        rng = random.Random(f"large/pending/{later}")
+        n, records = _large_records(rng)
+        at = _past_first_chunk(records) + 5
+        records[at:at] = [f"edge {n - 1} 1_0", "edge 0 1", later]
+        text, lines = _render(rng, records)
+        message = f"line {lines[at]}: non-integer vertex in 'edge {n - 1} 1_0'"
+        with pytest.raises(GraphFormatError) as error:
+            parse_graph(text)
+        assert str(error.value) == message
+        records[at] = f"edge {n - 1} x"  # one the reference parser rejects too
+        text, _ = _render(random.Random(f"large/pending/{later}"), records)
+        assert _outcome(_parsed, text) == _outcome(_reference_parse, text)
+
+
+class TestLargeVertices:
+    @pytest.mark.parametrize("big", ["99999999999999999999999", "-99999999999999999999999",
+                                     "100000000000000000000000", "9223372036854775808"])
+    def test_out_of_range_past_int64(self, big):
+        text = f"vertices 2\nedge 0 1\nedge 0 {big}\n"
+        with pytest.raises(GraphFormatError) as error:
+            parse_graph(text)
+        assert str(error.value) == f"line 3: edge (0, {int(big)}) out of range"
+        assert type(error.value.__cause__.where) is int
+
+    def test_out_of_range_past_int64_in_a_later_chunk(self):
+        rng = random.Random("large/int64")
+        n, records = _large_records(rng)
+        at = _past_first_chunk(records) + 100
+        records.insert(at, f"edge {2**63} 0")
+        text, lines = _render(rng, records)
+        with pytest.raises(GraphFormatError) as error:
+            parse_graph(text)
+        assert str(error.value) == f"line {lines[at]}: edge ({2**63}, 0) out of range"
+
+
+def _z2_ball_text(radius, seed):
+    """The grid graph on the l1 ball of `radius` in Z^2 as a graph file with
+    shuffled vertex ids, edges in shuffled order and orientation, and the
+    basepoint `origin` at (0, 0)."""
+    rng = random.Random(seed)
+    points = [(x, y) for x in range(-radius, radius + 1)
+              for y in range(abs(x) - radius, radius - abs(x) + 1)]
+    rng.shuffle(points)
+    index = {p: v for v, p in enumerate(points)}
+    edges = []
+    for v, (x, y) in enumerate(points):
+        for q in ((x + 1, y), (x, y + 1)):
+            u = index.get(q)
+            if u is not None:
+                edges.append((v, u) if rng.random() < 0.5 else (u, v))
+    rng.shuffle(edges)
+    lines = [f"vertices {len(points)}", *(f"edge {u} {v}" for u, v in edges)]
+    lines.append(f"basepoint origin {index[(0, 0)]}")
+    return "\n".join(lines) + "\n"
+
+
+class TestParseMemory:
+    def test_z2_ball_parses_within_bound(self):
+        text = _z2_ball_text(160, 0)
+        tracemalloc.start()
+        try:
+            graph = parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.vertex_count == 51_521
+        assert graph.edge_count == 102_400
+        assert peak < 29 * 2**20
