@@ -42,7 +42,6 @@ edge list.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, takewhile
@@ -224,64 +223,57 @@ def stretched_tree_chain(
     Basepoints: r_n and rp_n are the two roots of block n (rp_n == r_(n+1)
     after gluing), and leaf_n is the shared last-generation vertex of block n
     with the all-zeros child address.
+
+    Ids are handed out block by block, tree by tree and level by level.  At
+    level k of a depth-n tree every child hangs on a path of length
+    per = stretch^(n-k): child i, in address order, takes id base + per * i
+    and its path's per - 1 inner vertices the ids right after it.  Each
+    level's ids are counted against the budget before its edges exist.
     """
     a, b, blocks = spec.stretch, spec.valence, spec.blocks
-    edges: list[tuple[int, int]] = []
+    pieces: list[np.ndarray] = []
     basepoints: dict[str, int] = {}
     count = 0
 
-    def new_vertex() -> int:
+    def take(k: int) -> int:
+        """The first of k fresh ids; past the budget, the error at its first id over."""
         nonlocal count
-        count += 1
-        if count > vertex_budget:
-            raise BudgetExceededError("stretched_tree_chain", count, vertex_budget)
-        return count - 1
+        if count + k > vertex_budget:
+            raise BudgetExceededError("stretched_tree_chain", vertex_budget + 1, vertex_budget)
+        count += k
+        return count - k
 
-    def add_path(u: int, v: int, length: int) -> None:
-        """Connect u to v through length-1 fresh intermediate vertices."""
-        prev = u
-        for _ in range(length - 1):
-            w = new_vertex()
-            edges.append((prev, w))
-            prev = w
-        edges.append((prev, v))
+    def grow_tree(root: int, n: int, leaves: np.ndarray | None = None) -> np.ndarray:
+        """Depth-n stretched tree below `root`; returns its last generation.
 
-    def grow_tree(root: int, n: int, leaves: dict[tuple[int, ...], int] | None):
-        """Depth-n stretched tree below `root`.
-
-        When `leaves` maps addresses to existing vertices (the mirror copy),
-        last-generation vertices are shared instead of created; otherwise the
-        address -> vertex map of the new leaves is returned.
+        With `leaves` (the mirror copy), the last generation is `leaves`
+        instead of new vertices; its paths have length 1, so it adds none.
         """
-        created: dict[tuple[int, ...], int] = {}
-        level = {(): root}
+        parents = np.array([root], dtype=np.int64)
         for k in range(1, n + 1):
-            next_level: dict[tuple[int, ...], int] = {}
-            for addr, parent in sorted(level.items()):
-                for c in range(b):
-                    child_addr = addr + (c,)
-                    if k == n and leaves is not None:
-                        child = leaves[child_addr]
-                    else:
-                        child = new_vertex()
-                    add_path(parent, child, a ** (n - k))
-                    next_level[child_addr] = child
-            level = next_level
-        created.update(level)
-        return created
+            per, m = a ** (n - k), b**k
+            children = leaves if k == n and leaves is not None else (
+                take(m * per) + per * np.arange(m, dtype=np.int64))
+            # Each child's path, parent first: parent, child + 1, ..., child + per - 1, child.
+            chain = np.empty((m, per + 1), dtype=np.int64)
+            chain[:, 0] = np.repeat(parents, b)
+            chain[:, 1:per] = children[:, None] + np.arange(1, per)
+            chain[:, per] = children
+            pieces.append(np.stack((chain[:, :-1], chain[:, 1:]), axis=2).reshape(-1, 2))
+            parents = children
+        return parents
 
-    prev_far_root: int | None = None
+    root = take(1)
     for n in range(1, blocks + 1):
-        root = prev_far_root if prev_far_root is not None else new_vertex()
-        leaves = grow_tree(root, n, None)
-        far_root = new_vertex()
+        leaves = grow_tree(root, n)
+        far_root = take(1)
         grow_tree(far_root, n, leaves)
         basepoints[f"r_{n}"] = root
         basepoints[f"rp_{n}"] = far_root
-        basepoints[f"leaf_{n}"] = leaves[(0,) * n]
-        prev_far_root = far_root
+        basepoints[f"leaf_{n}"] = int(leaves[0])
+        root = far_root
 
-    return Graph.from_edges(count, edges, basepoints)
+    return Graph.from_edges(count, np.concatenate(pieces), basepoints)
 
 
 @dataclass(frozen=True)
@@ -333,32 +325,51 @@ def stairway_strip(
     alternating half-circle of radius 2^k centered at the origin (upper for
     odd k, lower for even k) followed by a straight run along the x-axis out
     to the next radius.  Vertices are all grid points at Chebyshev distance
-    <= 1 from a rasterized curve point; edges join grid 4-neighbors.  The
-    basepoint "origin" is (0, 0).  The cells are counted as each curve
-    point adds its neighborhood, and the budget fires at the first point
-    that takes the count past it.
+    <= 1 from a rasterized curve point, in (x, y) order; edges join grid
+    4-neighbors.  The basepoint "origin" is (0, 0).  The cells are counted
+    as each curve point adds its neighborhood, and the budget fires at the
+    first point that takes the count past it.
+
+    Cells are int64 keys (x + reach) * width + (y + reach), sorted, so that
+    key order is (x, y) order and the x + 1 and y + 1 neighbors are the keys
+    `width` and 1 higher.  The curve is read in chunks that grow with the cell count, so
+    a curve far past the budget is never rasterized.
     """
     if levels < 2:
         raise ValueError("need at least two levels")
-    cells: set[tuple[int, int]] = set()
-    for px, py in _stairway_curve(levels):
-        cells.update((
-            (px - 1, py - 1), (px - 1, py), (px - 1, py + 1),
-            (px, py - 1), (px, py), (px, py + 1),
-            (px + 1, py - 1), (px + 1, py), (px + 1, py + 1),
-        ))
-        if len(cells) > vertex_budget:
-            raise BudgetExceededError("stairway_strip", len(cells), vertex_budget)
-    points = sorted(cells)
-    index = {p: i for i, p in enumerate(points)}
-    edges = []
-    for (px, py), i in index.items():
-        for q in ((px + 1, py), (px, py + 1)):
-            j = index.get(q)
-            if j is not None:
-                edges.append((i, j))
-    graph = Graph.from_edges(len(points), edges, {"origin": index[(0, 0)]})
-    return StairwayStrip(graph=graph, points=tuple(points))
+    # Every cell met before the budget fires lies within 2^(top+1) + 1 of
+    # the origin: the straight runs through level k hold 2^(k+1) - 2 + k
+    # cells, past any budget below 2^k.
+    top = min(levels, vertex_budget.bit_length())
+    if top > 29:
+        raise ValueError(f"stairway_strip: {levels} levels overflow int64 cell keys")
+    reach = 2 ** (top + 1) + 2
+    width = 2 * reach + 1
+    around = np.array([dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)])
+    curve = _stairway_curve(levels)
+    cells = np.empty(0, dtype=np.int64)
+    while chunk := list(islice(curve, 256 + len(cells) // 2)):
+        xy = np.array(chunk, dtype=np.int64) + reach
+        keys = (xy[:, 0] * width + xy[:, 1])[:, None] + around
+        met, first = np.unique(keys, return_index=True)
+        fresh = ~np.isin(met, cells, assume_unique=True)
+        total = len(cells) + np.cumsum(np.bincount(first[fresh] // 9, minlength=len(chunk)))
+        if total[-1] > vertex_budget:
+            over = int(total[np.argmax(total > vertex_budget)])
+            raise BudgetExceededError("stairway_strip", over, vertex_budget)
+        cells = np.sort(np.concatenate((cells, met[fresh])), kind="stable")
+
+    def steps(step: int) -> np.ndarray:
+        """The edges (i, j) with cell j = cell i + step."""
+        j = np.searchsorted(cells, cells + step)
+        found = np.flatnonzero(cells[np.minimum(j, len(cells) - 1)] == cells + step)
+        return np.stack((found, j[found]), axis=1)
+
+    x, y = np.divmod(cells, width)
+    points = tuple(zip((x - reach).tolist(), (y - reach).tolist()))
+    origin = int(np.searchsorted(cells, reach * width + reach))
+    edges = np.concatenate((steps(width), steps(1)))
+    return StairwayStrip(Graph.from_edges(len(cells), edges, {"origin": origin}), points)
 
 
 def norm_profile(strip: StairwayStrip, depth: int) -> VolumeProfile:
@@ -369,12 +380,16 @@ def norm_profile(strip: StairwayStrip, depth: int) -> VolumeProfile:
     half-circle of scale 2^k lands in the ring (2^k, 2^k + 1].  The graph
     metric would instead see a thick path here and no spikes.
     """
-    counts = [0] * (depth + 1)
-    for x, y in strip.points:
-        # smallest integer r with x^2 + y^2 <= r^2
-        r = math.isqrt(x * x + y * y)
-        if r * r < x * x + y * y:
-            r += 1
-        if r <= depth:
-            counts[r] += 1
-    return VolumeProfile.from_sizes(strip.graph.basepoints["origin"], counts, depth)
+    xy = np.array(strip.points, dtype=np.int64)
+    counts = np.bincount(_ceil_sqrt((xy * xy).sum(axis=1)), minlength=depth + 1)[: depth + 1]
+    return VolumeProfile.from_sizes(strip.graph.basepoints["origin"], counts.tolist(), depth)
+
+
+def _ceil_sqrt(s: np.ndarray) -> np.ndarray:
+    """The smallest integer r with s <= r^2, for each int64 0 <= s < 2^62.
+
+    The correctly rounded float root truncates to isqrt(s) or, when s is not
+    a square, to isqrt(s) + 1, so one integer step gives the ceiling.
+    """
+    r = np.sqrt(s).astype(np.int64)
+    return r + (r * r < s)

@@ -19,9 +19,16 @@ non-integer vertex, a repeated basepoint label) and hands the rest to
 `Graph.from_edges`, the one check of out-of-range, self-loop and duplicate
 edges, basepoint range and connectivity.  So a file with several faults
 reports its first text fault, else its first edge fault, else its first
-basepoint fault, else that it is disconnected.  Edge vertices are read into
-integers a chunk at a time, and the pending chunk is checked before a later
-text fault is raised.  The line of a fault is looked up once it is found.
+basepoint fault, else that it is disconnected.
+
+The text is split into lines in blocks of 64 KiB.  Inside a block, a run of
+canonical edge lines, `edge U V` and a newline with U and V of 1 to 18 ASCII
+digits, is found with one regular-expression search and read into int64
+pairs in one call.  Every other line (the header, comments, blanks,
+basepoints, other whitespace or line ends, signs, long integers, faults) is
+read as a record of its own, and its edge vertices are read into integers a
+chunk at a time; the pending chunk is checked before a later text fault is
+raised.  The line of a fault is looked up once it is found.
 """
 
 from __future__ import annotations
@@ -44,6 +51,9 @@ _SHAPES = {"edge": "edge U V", "basepoint": "basepoint LABEL V"}
 _integers = re.compile(r"(?:[+-]?[0-9]+(?: [+-]?[0-9]+)*)?").fullmatch
 _CHUNK = 4096  # edge fields read into integers at a time
 _BLOCK = 1 << 16  # characters of text split into lines at a time
+# Canonical edge lines: `edge U V` and a newline, U and V of 1 to 18 ASCII
+# digits, so that each fits in int64.  A run of them is read in one go.
+_run = re.compile(r"^(?:edge [0-9]{1,18} [0-9]{1,18}\n)+", re.MULTILINE).search
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:
@@ -51,18 +61,37 @@ def _records(text: str) -> Iterator[tuple[int, str]]:
     comment.  Lines are split one at a time up to the first record (the
     header) and in blocks of `_BLOCK` characters or a little more after it,
     so a caller that stops at the header has not split the rest of the text
-    and no caller holds every line at once."""
+    and no caller holds every line at once.  Inside a block, a run of
+    canonical edge lines comes as one item: the number of its first line
+    and its text, the only item that ends with a newline."""
     lineno = pos = 0
     bulk = False
     while pos < len(text):
         end = text.find("\n", pos + _BLOCK if bulk else pos) + 1 or len(text)
-        for line in text[pos:end].splitlines():
-            lineno += 1
-            line = line.strip()
-            if line and not line.startswith("#"):
-                bulk = True
-                yield lineno, line
-        pos = end
+        while pos < end:
+            # A run starts right after a newline, where splitting the text
+            # in two splits no line end, and it ends with one.
+            run = _run(text, pos, end) if bulk else None
+            stop = run.start() if run else end
+            for line in text[pos:stop].splitlines():
+                lineno += 1
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    bulk = True
+                    yield lineno, line
+            if run:
+                yield lineno + 1, run.group()
+                lineno += run.group().count("\n")
+            pos = run.end() if run else stop
+
+
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """The records of `_records`, a run's lines one by one."""
+    for lineno, line in _records(text):
+        if line.endswith("\n"):
+            yield from enumerate(line.splitlines(), lineno)
+        else:
+            yield lineno, line
 
 
 def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
@@ -83,24 +112,31 @@ def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
 
     chunks: list[np.ndarray] = []  # the edges read, as (k, 2) arrays
     fields: list[str] = []  # the vertices of the edge records after them
+    read = 0  # the edges in `chunks`
     basepoints: dict[str, int] = {}
     for lineno, line in records:
+        run = line.endswith("\n")  # a run of canonical edge lines
+        if fields and (run or len(fields) >= _CHUNK):  # the pending fields first
+            chunks.append(_vertices(text, fields, read))
+            read, fields = read + len(chunks[-1]), []
+        if run:
+            pairs = np.fromstring(line.replace("edge", ""), dtype=np.int64, sep=" ")
+            chunks.append(pairs.reshape(-1, 2))
+            read += len(chunks[-1])
+            continue
         kind, *rest = line.split()
         if kind == "edge" and len(rest) == 2:
             fields += rest
-            if len(fields) >= _CHUNK:
-                chunks.append(_vertices(text, fields, sum(map(len, chunks))))
-                fields = []
         elif kind == "basepoint" and len(rest) == 2 and _integers(rest[1]) and rest[0] not in basepoints:
             basepoints[rest[0]] = int(rest[1])
         else:
-            _vertices(text, fields, sum(map(len, chunks)))  # an edge's fault before this one
+            _vertices(text, fields, read)  # an edge's fault before this one
             raise GraphFormatError(f"line {lineno}: " + (
                 f"unknown record {kind!r}" if kind not in _SHAPES
                 else f"expected {_SHAPES[kind]!r}" if len(rest) != 2
                 else f"non-integer vertex in {line!r}" if not _integers(rest[1])
                 else f"duplicate basepoint {rest[0]!r}"))
-    chunks.append(_vertices(text, fields, sum(map(len, chunks))))
+    chunks.append(_vertices(text, fields, read))
     try:
         return Graph.from_edges(n, np.concatenate(chunks), basepoints)
     except GraphFormatError as exc:
@@ -126,7 +162,7 @@ def _record(text: str, where: int | str) -> tuple[int, str]:
     """The number and text of edge record number `where` (from 0), or of the
     first basepoint record labelled `where`."""
     key = ["edge"] if isinstance(where, int) else ["basepoint", where]
-    found = (record for record in _records(text) if record[1].split()[: len(key)] == key)
+    found = (record for record in _lines(text) if record[1].split()[: len(key)] == key)
     return next(islice(found, where if isinstance(where, int) else 0, None))
 
 

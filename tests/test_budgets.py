@@ -7,7 +7,11 @@ before the memory is spent.
 
 Core claims:
     - stairway_strip counts its cells as each curve point adds them, so 12
-      levels at a vertex budget of 1,000 fail at the first cell past it
+      levels at a vertex budget of 1,000 fail at the first cell past it;
+      it reads the curve in chunks that grow with the count, so 40 levels
+      fail the same way without rasterizing a half-circle of radius 2^40
+    - stretched_tree_chain counts each level's ids before building it, so
+      a stretch of 10^6 fails at the first level past the budget
     - product_powers builds nothing per step before a layer, so 10^5 steps
       at an element budget of 1,000 fail at layer 22 in constant memory
     - the profile table, one row per center and radius, is counted against
@@ -21,7 +25,7 @@ import pytest
 import folnerlab.registry
 from folnerlab.config import validate_config
 from folnerlab.errors import BudgetExceededError
-from folnerlab.generators import stairway_strip
+from folnerlab.generators import TreeChainSpec, stairway_strip, stretched_tree_chain
 from folnerlab.groups import zd_model
 from folnerlab.products import product_powers
 from folnerlab.runner import run_analyses
@@ -42,6 +46,18 @@ def _refused(build):
 def test_stairway_stops_at_the_first_cell_past_the_budget():
     message, peak = _refused(lambda: stairway_strip(12, vertex_budget=1000))
     assert message == "stairway_strip: size 1001 exceeds budget 1000"
+    assert peak < 2**20
+
+
+def test_stairway_reads_no_curve_past_the_budget():
+    message, peak = _refused(lambda: stairway_strip(40, vertex_budget=1000))
+    assert message == "stairway_strip: size 1001 exceeds budget 1000"
+    assert peak < 2**20
+
+
+def test_tree_chain_counts_a_level_before_building_it():
+    message, peak = _refused(lambda: stretched_tree_chain(TreeChainSpec(10**6, 2, 2)))
+    assert message == "stretched_tree_chain: size 2000001 exceeds budget 2000000"
     assert peak < 2**20
 
 

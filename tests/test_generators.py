@@ -23,11 +23,20 @@ Core claims:
       profile has linear growth but sphere spikes at dyadic radii, while the
       graph metric sees no spikes
     - vertex budgets fail loudly with the construction stage named
+    - the array builds of stretched_tree_chain, stairway_strip and
+      norm_profile match the loops kept here as references: the same
+      Graph (adjacency and basepoints) for tree chains of stretch and
+      valence 2-4 up to about 50k vertices, the same points and Graph for
+      stairways of 2-11 levels, the same profiles at depths below, at and
+      past 2^L + 1, and the same budget error texts; the ceiling square
+      root is exact past float precision, and a stairway whose cell keys
+      could pass int64 is refused before it is built
     - in every generated family each point near a center ends a monotone
       chain with step 1
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -44,7 +53,7 @@ from folnerlab.generators import (
     word_ball,
 )
 from folnerlab.groups import check_generates, heisenberg_model, zd_model
-from folnerlab.space import Graph
+from folnerlab.space import Graph, VolumeProfile
 from folnerlab.space import (
     bfs_distances,
     monotone_geodesic,
@@ -399,6 +408,11 @@ class TestTreeChain:
         with pytest.raises(BudgetExceededError, match="stretched_tree_chain"):
             stretched_tree_chain(TreeChainSpec(2, 3, 8), vertex_budget=100)
 
+    def test_budget_error_text(self):
+        with pytest.raises(BudgetExceededError) as error:
+            stretched_tree_chain(TreeChainSpec(2, 3, 8), vertex_budget=100)
+        assert str(error.value) == "stretched_tree_chain: size 101 exceeds budget 100"
+
     def test_rejects_degenerate_parameters(self):
         with pytest.raises(ValueError):
             TreeChainSpec(1, 3, 2)
@@ -446,6 +460,155 @@ class TestStairway:
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):
             stairway_strip(1)
+
+
+# -- Array builds against the loops they replaced ------------------------------
+
+
+def _reference_stretched_tree_chain(spec, vertex_budget=10**9):
+    """The vertex-by-vertex loop that built tree chains: ids in creation
+    order, each child before the inner vertices of its path."""
+    a, b, blocks = spec.stretch, spec.valence, spec.blocks
+    edges, basepoints, count = [], {}, 0
+
+    def new_vertex():
+        nonlocal count
+        count += 1
+        if count > vertex_budget:
+            raise BudgetExceededError("stretched_tree_chain", count, vertex_budget)
+        return count - 1
+
+    def add_path(u, v, length):
+        prev = u
+        for _ in range(length - 1):
+            w = new_vertex()
+            edges.append((prev, w))
+            prev = w
+        edges.append((prev, v))
+
+    def grow_tree(root, n, leaves):
+        level = {(): root}
+        for k in range(1, n + 1):
+            next_level = {}
+            for addr, parent in sorted(level.items()):
+                for c in range(b):
+                    child_addr = addr + (c,)
+                    child = leaves[child_addr] if k == n and leaves is not None else new_vertex()
+                    add_path(parent, child, a ** (n - k))
+                    next_level[child_addr] = child
+            level = next_level
+        return level
+
+    prev_far_root = None
+    for n in range(1, blocks + 1):
+        root = prev_far_root if prev_far_root is not None else new_vertex()
+        leaves = grow_tree(root, n, None)
+        far_root = new_vertex()
+        grow_tree(far_root, n, leaves)
+        basepoints[f"r_{n}"] = root
+        basepoints[f"rp_{n}"] = far_root
+        basepoints[f"leaf_{n}"] = leaves[(0,) * n]
+        prev_far_root = far_root
+    return Graph.from_edges(count, edges, basepoints)
+
+
+def _reference_stairway_strip(levels, vertex_budget=10**9):
+    """The tuple-set stairway: the cells of each curve point added one point
+    at a time, then sorted, and the x + 1 and y + 1 neighbours looked up."""
+    cells = set()
+    for px, py in generators._stairway_curve(levels):
+        cells.update((px + dx, py + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+        if len(cells) > vertex_budget:
+            raise BudgetExceededError("stairway_strip", len(cells), vertex_budget)
+    points = sorted(cells)
+    index = {p: i for i, p in enumerate(points)}
+    edges = [
+        (i, index[q]) for (px, py), i in index.items()
+        for q in ((px + 1, py), (px, py + 1)) if q in index
+    ]
+    graph = Graph.from_edges(len(points), edges, {"origin": index[(0, 0)]})
+    return points, graph
+
+
+def _reference_norm_profile(points, origin, depth):
+    """The per-point count of the points with ceil(|p|_2) = r, r <= depth."""
+    counts = [0] * (depth + 1)
+    for x, y in points:
+        r = math.isqrt(x * x + y * y)
+        r += r * r < x * x + y * y
+        if r <= depth:
+            counts[r] += 1
+    return VolumeProfile.from_sizes(origin, counts, depth)
+
+
+def _budget_text(build, budget):
+    try:
+        build(budget)
+    except BudgetExceededError as error:
+        return str(error)
+    return None
+
+
+class TestArrayBuilds:
+    # (stretch, valence, blocks): the most blocks with at most about 50k vertices
+    @pytest.mark.parametrize("a,b,blocks", [
+        (2, 2, 10), (2, 3, 8), (2, 4, 6), (3, 2, 8), (3, 3, 7), (3, 4, 6),
+        (4, 2, 7), (4, 3, 6), (4, 4, 5), (2, 3, 1), (4, 4, 1),
+    ])
+    def test_tree_chain_matches_the_loop(self, a, b, blocks):
+        spec = TreeChainSpec(a, b, blocks)
+        graph = stretched_tree_chain(spec)
+        assert graph == _reference_stretched_tree_chain(spec)
+        assert all(type(v) is int for v in graph.basepoints.values())
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 17, 100, 1000, 4938, 4939, 46148, 46149])
+    def test_tree_chain_budget_matches_the_loop(self, budget):
+        spec = TreeChainSpec(2, 3, 8)
+        assert _budget_text(lambda v: stretched_tree_chain(spec, v), budget) == (
+            _budget_text(lambda v: _reference_stretched_tree_chain(spec, v), budget))
+
+    @pytest.mark.parametrize("levels", range(2, 12))
+    def test_stairway_matches_the_set_build(self, levels):
+        strip = stairway_strip(levels)
+        points, graph = _reference_stairway_strip(levels)
+        assert strip.points == tuple(points)
+        assert strip.graph == graph
+        assert all(type(c) is int for p in strip.points[:3] for c in p)
+
+    def test_stairway_budget_matches_the_set_build(self):
+        # Budgets where one curve point takes the count several cells past.
+        texts = [(_budget_text(lambda v: stairway_strip(6, v), budget),
+                  _budget_text(lambda v: _reference_stairway_strip(6, v), budget))
+                 for budget in range(1, 1200, 7)]
+        assert all(new == old for new, old in texts)
+        assert any(not old.startswith(f"stairway_strip: size {budget + 1} ")
+                   for (_, old), budget in zip(texts, range(1, 1200, 7)) if old)
+
+    def test_ceil_sqrt_is_exact_past_float_precision(self):
+        rng = random.Random("ceil-sqrt")
+        roots = [2**k + d for k in (10, 26, 27, 30) for d in (-1, 0, 1)] + [2**31 - 1]
+        roots += [rng.randrange(2**26, 2**31) for _ in range(2000)]
+        values = [v for r in roots for v in (r * r - 2, r * r - 1, r * r, r * r + 1) if v < 2**62]
+        ceil = [math.isqrt(v) + (math.isqrt(v) ** 2 < v) for v in values]
+        assert generators._ceil_sqrt(np.array(values, dtype=np.int64)).tolist() == ceil
+
+    def test_stairway_keys_past_int64_are_refused(self, monkeypatch):
+        # 30 levels at a budget of 2^29 could reach cells whose keys pass
+        # int64; the refusal comes before the curve is read.
+        def refuse(levels):
+            raise AssertionError("the curve was read")
+
+        monkeypatch.setattr(generators, "_stairway_curve", refuse)
+        with pytest.raises(ValueError, match="30 levels overflow int64 cell keys"):
+            stairway_strip(30, vertex_budget=2**29)
+
+    @pytest.mark.parametrize("levels", [2, 3, 5, 8, 11])
+    def test_norm_profile_matches_the_point_loop(self, levels):
+        strip = stairway_strip(levels)
+        origin = strip.graph.basepoints["origin"]
+        edge = 2**levels + 1  # the last ring that holds stairway points: (2^L, 2^L + 1]
+        for depth in (0, 1, 2**levels - 1, edge - 1, edge, edge + 1, 2 * edge + 5):
+            assert norm_profile(strip, depth) == _reference_norm_profile(strip.points, origin, depth)
 
 
 # -- Shared randomized invariants --------------------------------------------

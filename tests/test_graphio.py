@@ -20,16 +20,23 @@ Core claims:
       whose faults sit past the first chunk of edge fields, in different
       chunks, or in a pending chunk before a later text fault
     - a vertex past int64 is out of range, with its exact value and line
+    - the same against the reference on files of canonical edge lines,
+      which the parser reads a run at a time, broken by CRLF, tabs, double
+      spaces, '+' signs, other line ends (\\x0b, \\x0c, \\x85, \\u2028),
+      comments, blanks, basepoints and a last line without a newline, and
+      with a fault right after a run or at the edge of a 64 KiB block
     - a 51,521-vertex Z^2 ball file parses within a 29 MiB tracemalloc peak
 """
 
+import bisect
+import itertools
 import random
 import tracemalloc
 
 import pytest
 
 from folnerlab.errors import BudgetExceededError, GraphFormatError
-from folnerlab.graphio import dump_graph, load_graph, parse_graph
+from folnerlab.graphio import _BLOCK, dump_graph, load_graph, parse_graph
 from folnerlab.space import Graph
 
 
@@ -509,6 +516,104 @@ class TestAcrossChunks:
         records[at] = f"edge {n - 1} x"  # one the reference parser rejects too
         text, _ = _render(random.Random(f"large/pending/{later}"), records)
         assert _outcome(_parsed, text) == _outcome(_reference_parse, text)
+
+
+# -- Runs of canonical edge lines ---------------------------------------------
+
+# Lines of `edge U V` and a newline are read a run at a time; each of these
+# breaks a run, and the line it breaks is read one record at a time.
+_BREAKS = {
+    "crlf": lambda record: record + "\r\n",
+    "tab": lambda record: "\t" + record + "\n",
+    "double space": lambda record: record.replace(" ", "  ", 1) + "\n",
+    "plus": lambda record: record.replace(" ", " +", 1) + "\n",
+    "vt": lambda record: record + "\x0b",
+    "ff": lambda record: record + "\x0c",
+    "nel": lambda record: record + "\x85",
+    "line separator": lambda record: record + "\u2028",
+    "comment": lambda record: "# between runs\n" + record + "\n",
+    "blank": lambda record: "\n" + record + "\n",
+}
+
+
+def _render_runs(rng, records, breaks):
+    """The records one to a line, canonical but for a break of a random kind
+    at a share `breaks` of the lines, and sometimes no newline at the end."""
+    text = "".join(
+        rng.choice(list(_BREAKS.values()))(record) if rng.random() < breaks else record + "\n"
+        for record in records
+    )
+    return text[:-1] if rng.random() < 0.3 else text
+
+
+def _same_as_reference(text, outcome):
+    expected = _outcome(_reference_parse, text)
+    assert expected[0] == outcome
+    assert _outcome(_parsed, text) == expected
+
+
+class TestCanonicalRuns:
+    @pytest.mark.parametrize("kind", list(_BREAKS))
+    def test_every_break_gives_the_same_graph(self, kind):
+        rng = random.Random(f"runs/{kind}")
+        _, records = _large_records(rng)
+        lines = [record + "\n" for record in records]
+        for i in rng.sample(range(1, len(lines)), 40):
+            lines[i] = _BREAKS[kind](records[i])
+        _same_as_reference("".join(lines), "graph")
+        _same_as_reference("".join(lines).rstrip("\n"), "graph")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_valid_small_files_give_the_same_graph(self, seed):
+        rng = random.Random(f"runs/{seed}")
+        _, records = _random_records(rng)
+        _same_as_reference(_render_runs(rng, records, 0.3), "graph")
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_fault_gives_the_same_error(self, kind, seed):
+        rng = random.Random(f"runs/{kind}/{seed}")
+        n, records = _random_records(rng)
+        _same_as_reference(_render_runs(rng, _one_fault(rng, kind, n, records), 0.2), "error")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_valid_large_files_give_the_same_graph(self, seed):
+        rng = random.Random(f"runs/large/{seed}")
+        _, records = _large_records(rng)
+        _same_as_reference(_render_runs(rng, records, 0.02), "graph")
+
+    @pytest.mark.parametrize("kinds", [_TEXT_FAULTS, _EDGE_FAULTS])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_several_faults_past_the_first_chunk(self, kinds, seed):
+        rng = random.Random(f"runs/large/{kinds[0]}/{seed}")
+        n, records = _large_records(rng)
+        start = _past_first_chunk(records)
+        for kind in rng.choices(kinds, k=rng.randint(1, 3)):
+            records.insert(rng.randint(start, len(records)), _fault_record(rng, kind, n, records))
+        _same_as_reference(_render_runs(rng, records, 0.02), "error")
+
+    @pytest.mark.parametrize("kind", _TEXT_FAULTS + _EDGE_FAULTS)
+    def test_fault_on_the_first_line_after_a_run(self, kind):
+        rng = random.Random(f"runs/after/{kind}")
+        n, records = _large_records(rng)
+        at = rng.randint(_past_first_chunk(records), len(records))
+        records.insert(at, _fault_record(rng, kind, n, records))
+        _same_as_reference("".join(record + "\n" for record in records), "error")
+
+    @pytest.mark.parametrize("kind", _TEXT_FAULTS + _EDGE_FAULTS)
+    def test_fault_at_a_block_edge(self, kind):
+        rng = random.Random(f"runs/edge/{kind}")
+        n, records = _large_records(rng)
+        # A long comment after the header puts the first block edge, _BLOCK
+        # characters past the header line, among the edge records.
+        records.insert(1, "# " + "x" * (_BLOCK // 2))
+        starts = list(itertools.accumulate((len(r) + 1 for r in records), initial=0))
+        edge = bisect.bisect_right(starts, starts[1] + _BLOCK) - 1  # the line across the edge
+        assert 2 < edge < len(records) - 3
+        fault = _fault_record(rng, kind, n, records)
+        for at in range(edge - 2, edge + 3):
+            lines = [*records[:at], fault, *records[at:]]
+            _same_as_reference("".join(line + "\n" for line in lines), "error")
 
 
 class TestLargeVertices:
