@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, takewhile
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -170,7 +170,8 @@ def word_ball(
     # One factor more than the radius, never expanded: it sizes the box for
     # the one-step neighbors that `edges` and `edge_count` encode.
     layers = expand(model, [model.identity], Repeat(steps, radius + 1), vertex_budget, "cayley_ball")
-    kept = list(takewhile(lambda layer: len(layer.keys), islice(layers, radius + 1)))
+    # The set generates Z^d or H3, both infinite, so no layer of the ball is empty.
+    kept = list(islice(layers, radius + 1))
     return WordBall(model, steps, tuple(layer.keys for layer in kept), kept[0].box)
 
 

@@ -15,20 +15,17 @@ vertices.  Blank lines and lines starting with '#' are ignored.
 
 `parse_graph` only reads.  It rejects what the text gets wrong (the header,
 a vertex count above a given budget, before reading on, a record's shape, a
-non-integer vertex, a repeated basepoint label) and hands the rest to
-`Graph.from_edges`, the one check of out-of-range, self-loop and duplicate
-edges, basepoint range and connectivity.  So a file with several faults
-reports its first text fault, else its first edge fault, else its first
-basepoint fault, else that it is disconnected.
+non-integer vertex, a repeated basepoint label) at the line that holds it,
+and hands the rest to `Graph.from_edges`, the one check of out-of-range,
+self-loop and duplicate edges, basepoint range and connectivity.  So a file
+with several faults reports its first text fault, else its first edge fault,
+else its first basepoint fault, else that it is disconnected.
 
 The text is split into lines in blocks of 64 KiB.  Inside a block, a run of
-canonical edge lines, `edge U V` and a newline with U and V of 1 to 18 ASCII
-digits, is found with one regular-expression search and read into int64
-pairs in one call.  Every other line (the header, comments, blanks,
-basepoints, other whitespace or line ends, signs, long integers, faults) is
-read as a record of its own, and its edge vertices are read into integers a
-chunk at a time; the pending chunk is checked before a later text fault is
-raised.  The line of a fault is looked up once it is found.
+edge lines in ASCII blanks is found with one regular-expression search; every
+other line is a record of its own.  The vertex text of every edge goes into
+one buffer, read into int64 pairs by `np.fromstring` each time it passes
+about 64 KiB and at the end; a vertex of over 18 characters is an exact `int`.
 """
 
 from __future__ import annotations
@@ -49,11 +46,11 @@ _SHAPES = {"edge": "edge U V", "basepoint": "basepoint LABEL V"}
 # ASCII integers with an optional sign, joined by blanks: `int` reads also
 # underscores and non-ASCII digits, so a token is read once it has matched.
 _integers = re.compile(r"(?:[+-]?[0-9]+(?: [+-]?[0-9]+)*)?").fullmatch
-_CHUNK = 4096  # edge fields read into integers at a time
 _BLOCK = 1 << 16  # characters of text split into lines at a time
-# Canonical edge lines: `edge U V` and a newline, U and V of 1 to 18 ASCII
-# digits, so that each fits in int64.  A run of them is read in one go.
-_run = re.compile(r"^(?:edge [0-9]{1,18} [0-9]{1,18}\n)+", re.MULTILINE).search
+# A run of edge lines in ASCII blanks; a vertex of 1 to 18 digits fits in int64.
+# The canonical line comes first: the search matches it several times faster.
+_run = re.compile(r"^(?:edge [0-9]{1,18} [0-9]{1,18}\n"
+                  r"|[ \t]*edge[ \t]+[+-]?[0-9]{1,18}[ \t]+[+-]?[0-9]{1,18}[ \t]*\r?\n)+", re.MULTILINE).search
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:
@@ -61,9 +58,9 @@ def _records(text: str) -> Iterator[tuple[int, str]]:
     comment.  Lines are split one at a time up to the first record (the
     header) and in blocks of `_BLOCK` characters or a little more after it,
     so a caller that stops at the header has not split the rest of the text
-    and no caller holds every line at once.  Inside a block, a run of
-    canonical edge lines comes as one item: the number of its first line
-    and its text, the only item that ends with a newline."""
+    and no caller holds every line at once.  Inside a block, a run of edge
+    lines comes as one item: the number of its first line and its text, the
+    only item that ends with a newline."""
     lineno = pos = 0
     bulk = False
     while pos < len(text):
@@ -88,10 +85,7 @@ def _records(text: str) -> Iterator[tuple[int, str]]:
 def _lines(text: str) -> Iterator[tuple[int, str]]:
     """The records of `_records`, a run's lines one by one."""
     for lineno, line in _records(text):
-        if line.endswith("\n"):
-            yield from enumerate(line.splitlines(), lineno)
-        else:
-            yield lineno, line
+        yield from enumerate(line.splitlines(), lineno)
 
 
 def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
@@ -111,58 +105,51 @@ def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
         raise BudgetExceededError(f"graph file header, line {lineno}", n, vertex_budget)
 
     chunks: list[np.ndarray] = []  # the edges read, as (k, 2) arrays
-    fields: list[str] = []  # the vertices of the edge records after them
-    read = 0  # the edges in `chunks`
+    pending, size = [], 0  # the vertex text of the edges after them, and its length
     basepoints: dict[str, int] = {}
     for lineno, line in records:
-        run = line.endswith("\n")  # a run of canonical edge lines
-        if fields and (run or len(fields) >= _CHUNK):  # the pending fields first
-            chunks.append(_vertices(text, fields, read))
-            read, fields = read + len(chunks[-1]), []
-        if run:
-            pairs = np.fromstring(line.replace("edge", ""), dtype=np.int64, sep=" ")
-            chunks.append(pairs.reshape(-1, 2))
-            read += len(chunks[-1])
-            continue
-        kind, *rest = line.split()
-        if kind == "edge" and len(rest) == 2:
-            fields += rest
-        elif kind == "basepoint" and len(rest) == 2 and _integers(rest[1]) and rest[0] not in basepoints:
-            basepoints[rest[0]] = int(rest[1])
+        if line.endswith("\n"):  # a run of edge lines
+            vertices = line.replace("edge", "")
         else:
-            _vertices(text, fields, read)  # an edge's fault before this one
-            raise GraphFormatError(f"line {lineno}: " + (
-                f"unknown record {kind!r}" if kind not in _SHAPES
-                else f"expected {_SHAPES[kind]!r}" if len(rest) != 2
-                else f"non-integer vertex in {line!r}" if not _integers(rest[1])
-                else f"duplicate basepoint {rest[0]!r}"))
-    chunks.append(_vertices(text, fields, read))
+            kind, *rest = line.split()
+            vertices = " ".join(rest if kind == "edge" else rest[1:])
+            if kind not in _SHAPES or len(rest) != 2 or not _integers(vertices) or (
+                    kind == "basepoint" and rest[0] in basepoints):
+                raise GraphFormatError(f"line {lineno}: " + (
+                    f"unknown record {kind!r}" if kind not in _SHAPES
+                    else f"expected {_SHAPES[kind]!r}" if len(rest) != 2
+                    else f"non-integer vertex in {line!r}" if not _integers(vertices)
+                    else f"duplicate basepoint {rest[0]!r}"))
+            if kind == "basepoint":
+                basepoints[rest[0]] = int(rest[1])
+                continue
+            if max(map(len, rest)) > 18:  # a vertex that may be past int64
+                chunks += [_pairs(pending), np.array([[int(v) for v in rest]], dtype=object)]
+                pending, size = [], 0
+                continue
+        pending.append(vertices)
+        size += len(vertices)
+        if size > _BLOCK:
+            chunks.append(_pairs(pending))
+            pending, size = [], 0
+    chunks.append(_pairs(pending))
     try:
         return Graph.from_edges(n, np.concatenate(chunks), basepoints)
     except GraphFormatError as exc:
         if exc.where is None:
             raise
-        raise GraphFormatError(f"line {_record(text, exc.where)[0]}: {exc}") from exc
+        raise GraphFormatError(f"line {_record(text, exc.where)}: {exc}") from exc
 
 
-def _vertices(text: str, fields: list[str], at: int) -> np.ndarray:
-    """The vertices `fields` of edge records `at`, `at` + 1, ... as a (k, 2)
-    array; GraphFormatError at the record of the first non-integer one."""
-    if not _integers(" ".join(fields)):
-        bad = next(i for i, f in enumerate(fields) if not _integers(f))
-        lineno, line = _record(text, at + bad // 2)
-        raise GraphFormatError(f"line {lineno}: non-integer vertex in {line!r}")
-    try:
-        return np.array(fields, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:  # a vertex past int64, which `from_edges` reports
-        return np.array([int(f) for f in fields], dtype=object).reshape(-1, 2)
+def _pairs(pending: list[str]) -> np.ndarray:
+    """The vertex text `pending`, checked or from a run, as (k, 2) int64 pairs."""
+    return np.fromstring(" ".join(pending), dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
-def _record(text: str, where: int | str) -> tuple[int, str]:
-    """The number and text of edge record number `where` (from 0), or of the
-    first basepoint record labelled `where`."""
+def _record(text: str, where: int | str) -> int:
+    """The line of edge record `where` (from 0), or of basepoint `where`."""
     key = ["edge"] if isinstance(where, int) else ["basepoint", where]
-    found = (record for record in _lines(text) if record[1].split()[: len(key)] == key)
+    found = (lineno for lineno, line in _lines(text) if line.split()[: len(key)] == key)
     return next(islice(found, where if isinstance(where, int) else 0, None))
 
 

@@ -69,7 +69,7 @@ def _resolve_centers(
     basepoints = built.basepoints
     if spec["sample"] > 0:
         by_vertex = {v: label for label, v in sorted(basepoints.items())}
-        vertices = sample_centers(built.graph(), spec["sample"], config.seed or 0)
+        vertices = sample_centers(built, spec["sample"], config.seed or 0)
         return [(by_vertex.get(v, f"v{v}"), v) for v in vertices]
     labels = spec["basepoints"]
     if labels == "all":

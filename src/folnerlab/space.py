@@ -28,11 +28,14 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import GraphFormatError
+
+if TYPE_CHECKING:
+    from .registry import BuiltSpace
 
 __all__ = [
     "Graph",
@@ -262,17 +265,19 @@ def monotone_geodesic(graph: Graph, start: Vertex, end: Vertex) -> tuple[Vertex,
     return tuple(path)
 
 
-def sample_centers(graph: Graph, count: int, seed: int) -> tuple[Vertex, ...]:
+def sample_centers(space: Graph | BuiltSpace, count: int, seed: int) -> tuple[Vertex, ...]:
     """Deterministic center sample: all basepoints plus a seeded random draw.
 
+    Only the vertex count and the basepoints of `space` are read, so a
+    family's space record samples its centers without building its graph.
     Basepoints are taken in label order; the remainder is filled from a seeded
     PRNG over the vertex range.  The result is sorted and duplicate-free, so
-    the same (graph, count, seed) always yields the same centers regardless of
+    the same (space, count, seed) always yields the same centers regardless of
     how the caller parallelizes downstream work.
     """
-    chosen = {graph.basepoints[label] for label in sorted(graph.basepoints)}
+    chosen = {space.basepoints[label] for label in sorted(space.basepoints)}
     rng = random.Random(seed)
-    n = graph.vertex_count
+    n = space.vertex_count
     while len(chosen) < min(count, n):
         chosen.add(rng.randrange(n))
     return tuple(sorted(chosen))

@@ -17,15 +17,18 @@ Core claims:
     - a file with several faults reports them in the documented order: text
       faults, then edges in file order, then basepoints, then connectivity
     - the same against the reference on files of several thousand edges,
-      whose faults sit past the first chunk of edge fields, in different
-      chunks, or in a pending chunk before a later text fault
+      with faults far into the file, several far apart, or a non-integer
+      vertex in an edge record before a later text fault
     - a vertex past int64 is out of range, with its exact value and line
     - the same against the reference on files of canonical edge lines,
       which the parser reads a run at a time, broken by CRLF, tabs, double
       spaces, '+' signs, other line ends (\\x0b, \\x0c, \\x85, \\u2028),
       comments, blanks, basepoints and a last line without a newline, and
       with a fault right after a run or at the edge of a 64 KiB block
-    - a 51,521-vertex Z^2 ball file parses within a 29 MiB tracemalloc peak
+    - the same on a Z^2 ball file, in runs and in records of its own, with a
+      fault past the first 128 KiB of edge text, which is read by then
+    - a 51,521-vertex Z^2 ball file parses within a 29 MiB tracemalloc peak,
+      also with CRLF line ends, or tabs or no-break spaces between fields
 """
 
 import bisect
@@ -411,15 +414,15 @@ class TestSeveralFaults:
         assert str(error.value) == message
 
 
-# -- Files longer than one chunk of edge fields --------------------------------
+# -- Files of several thousand edges ------------------------------------------
 
-# Edge fields are read into integers a few thousand at a time; these files
-# hold several such chunks, so faults land past the first one, in different
-# chunks, and in a chunk that is still pending when a later fault is read.
+# Files of several thousand edges, with faults past the first few thousand
+# edge records, several far apart, and a non-integer vertex before a later
+# fault.
 _TEXT_FAULTS = ["edge arity", "edge integer", "unknown", "basepoint arity", "basepoint integer",
                 "duplicate basepoint"]
 _EDGE_FAULTS = ["edge range", "self-loop", "duplicate edge"]
-_FIRST_CHUNK = 2048  # edge records in one chunk; the faults go after this many
+_FIRST_CHUNK = 2048  # edge records before the faults
 
 
 def _large_records(rng):
@@ -459,7 +462,7 @@ def _fault_record(rng, kind, n, records):
 
 
 def _past_first_chunk(records):
-    """The position after the edge record that ends the first chunk."""
+    """The position after the first `_FIRST_CHUNK` edge records."""
     edges = [i for i, r in enumerate(records) if r.startswith("edge")]
     return edges[_FIRST_CHUNK - 1] + 1
 
@@ -615,6 +618,21 @@ class TestCanonicalRuns:
             lines = [*records[:at], fault, *records[at:]]
             _same_as_reference("".join(line + "\n" for line in lines), "error")
 
+    @pytest.mark.parametrize("kind", _TEXT_FAULTS + _EDGE_FAULTS)
+    @pytest.mark.parametrize("blank", [" ", "\xa0"], ids=["space", "nbsp"])
+    def test_fault_after_the_edge_text_is_read(self, kind, blank):
+        # Edge lines in no-break spaces are records of their own, not runs.
+        rng = random.Random(f"runs/read/{kind}/{blank}")
+        records = _z2_ball_text(70, 1).splitlines()
+        n = int(records[0].split()[1])
+        # The edge text before each record, less `edge` and a blank per line:
+        # no more than the parser has taken into its buffer by then.
+        held = list(itertools.accumulate(len(r) - 5 if r.startswith("edge") else 0 for r in records))
+        at = rng.randint(bisect.bisect_right(held, 2 * _BLOCK) + 1, len(records) - 1)
+        assert held[at - 1] > 2 * _BLOCK  # the buffer is read once or more before the fault
+        records.insert(at, _fault_record(rng, kind, n, records))
+        _same_as_reference("".join(r.replace(" ", blank) + "\n" for r in records), "error")
+
 
 class TestLargeVertices:
     @pytest.mark.parametrize("big", ["99999999999999999999999", "-99999999999999999999999",
@@ -661,6 +679,20 @@ def _z2_ball_text(radius, seed):
 class TestParseMemory:
     def test_z2_ball_parses_within_bound(self):
         text = _z2_ball_text(160, 0)
+        tracemalloc.start()
+        try:
+            graph = parse_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.vertex_count == 51_521
+        assert graph.edge_count == 102_400
+        assert peak < 29 * 2**20
+
+    @pytest.mark.parametrize("old,new", [("\n", "\r\n"), (" ", "\t"), (" ", "\xa0")],
+                             ids=["crlf", "tab", "nbsp"])
+    def test_other_forms_parse_within_bound(self, old, new):
+        text = _z2_ball_text(160, 0).replace(old, new)
         tracemalloc.start()
         try:
             graph = parse_graph(text)

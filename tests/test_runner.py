@@ -5,8 +5,9 @@ Core claims:
     - group spaces profile the origin from the word ball's birth layers, and
       that profile equals the BFS profile on the built graph for every named
       generating set, also when the depth exceeds the radius
-    - an origin-only run on a group space never builds a graph, while
-      sampled centers do and agree with the graph-free origin profile
+    - an origin-only run on a group space never builds a graph, nor does a
+      sample that holds only the origin, while sampled centers past the
+      origin do and agree with the graph-free origin profile
     - every family's space record, and a graph file's, agrees with its own
       graph: counts, basepoints and, in the graph metric, the BFS profile
       at the basepoints and at sampled vertices; the stairway profiles its
@@ -124,6 +125,17 @@ def test_origin_only_run_builds_no_graph(tmp_path, monkeypatch):
     result = run_experiment(config, tmp_path)
     # Counts of the radius-6 ball from the pure-Python reference loop.
     assert (result.summary["vertices"], result.summary["edges"]) == (593, 816)
+
+
+def test_origin_only_sample_builds_no_graph(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(refuse))
+    config = _config({"family": "heisenberg"}, "standard", 6, 8, centers={"sample": 1}, seed=0)
+    run_experiment(config, tmp_path)
+    rows = _profile_rows(tmp_path / "profile.csv")
+    assert {row["center"] for row in rows} == {"origin"}
 
 
 def test_sampled_centers_use_the_graph(tmp_path):
