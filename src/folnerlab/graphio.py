@@ -48,9 +48,8 @@ _SHAPES = {"edge": "edge U V", "basepoint": "basepoint LABEL V"}
 _integers = re.compile(r"(?:[+-]?[0-9]+(?: [+-]?[0-9]+)*)?").fullmatch
 _BLOCK = 1 << 16  # characters of text split into lines at a time
 # A run of edge lines in ASCII blanks; a vertex of 1 to 18 digits fits in int64.
-# The canonical line comes first: the search matches it several times faster.
-_run = re.compile(r"^(?:edge [0-9]{1,18} [0-9]{1,18}\n"
-                  r"|[ \t]*edge[ \t]+[+-]?[0-9]{1,18}[ \t]+[+-]?[0-9]{1,18}[ \t]*\r?\n)+", re.MULTILINE).search
+_run = re.compile(r"^(?:[ \t]*edge[ \t]+[+-]?[0-9]{1,18}[ \t]+[+-]?[0-9]{1,18}[ \t]*\r?\n)+",
+                  re.MULTILINE).search
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:

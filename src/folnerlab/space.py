@@ -28,14 +28,11 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from .errors import GraphFormatError
-
-if TYPE_CHECKING:
-    from .registry import BuiltSpace
 
 __all__ = [
     "Graph",
@@ -265,7 +262,17 @@ def monotone_geodesic(graph: Graph, start: Vertex, end: Vertex) -> tuple[Vertex,
     return tuple(path)
 
 
-def sample_centers(space: Graph | BuiltSpace, count: int, seed: int) -> tuple[Vertex, ...]:
+class _Space(Protocol):
+    """What `sample_centers` reads: a `Graph` or a family's space record."""
+
+    @property
+    def vertex_count(self) -> int: ...
+
+    @property
+    def basepoints(self) -> Mapping[str, Vertex]: ...
+
+
+def sample_centers(space: _Space, count: int, seed: int) -> tuple[Vertex, ...]:
     """Deterministic center sample: all basepoints plus a seeded random draw.
 
     Only the vertex count and the basepoints of `space` are read, so a

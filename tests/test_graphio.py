@@ -32,6 +32,7 @@ Core claims:
 """
 
 import bisect
+import functools
 import itertools
 import random
 import tracemalloc
@@ -655,6 +656,7 @@ class TestLargeVertices:
         assert str(error.value) == f"line {lines[at]}: edge ({2**63}, 0) out of range"
 
 
+@functools.cache
 def _z2_ball_text(radius, seed):
     """The grid graph on the l1 ball of `radius` in Z^2 as a graph file with
     shuffled vertex ids, edges in shuffled order and orientation, and the
@@ -678,27 +680,22 @@ def _z2_ball_text(radius, seed):
 
 class TestParseMemory:
     def test_z2_ball_parses_within_bound(self):
-        text = _z2_ball_text(160, 0)
-        tracemalloc.start()
-        try:
-            graph = parse_graph(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert graph.vertex_count == 51_521
-        assert graph.edge_count == 102_400
-        assert peak < 29 * 2**20
+        _parses_within_bound(_z2_ball_text(160, 0))
 
     @pytest.mark.parametrize("old,new", [("\n", "\r\n"), (" ", "\t"), (" ", "\xa0")],
                              ids=["crlf", "tab", "nbsp"])
     def test_other_forms_parse_within_bound(self, old, new):
-        text = _z2_ball_text(160, 0).replace(old, new)
-        tracemalloc.start()
-        try:
-            graph = parse_graph(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert graph.vertex_count == 51_521
-        assert graph.edge_count == 102_400
-        assert peak < 29 * 2**20
+        _parses_within_bound(_z2_ball_text(160, 0).replace(old, new))
+
+
+def _parses_within_bound(text):
+    """Parse the radius-160 Z^2 ball file under tracemalloc."""
+    tracemalloc.start()
+    try:
+        graph = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.vertex_count == 51_521
+    assert graph.edge_count == 102_400
+    assert peak < 29 * 2**20
