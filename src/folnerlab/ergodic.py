@@ -134,6 +134,8 @@ def ergodic_trace(
         raise ValueError(
             f"n_max={n_max} exceeds the {sequence.steps} expanded steps"
         )
+    if sequence.layers[0].order is None:
+        raise ValueError("the sequence's layers carry no discovery order; build it with ordered=True")
     running = 0.0
     averages: list[float] = []
     for layer, count in zip(sequence.layers[: n_max + 1], sequence.sizes):

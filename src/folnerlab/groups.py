@@ -12,9 +12,12 @@ The law has one implementation per model, `multiply_rows`, on int64 arrays
 of elements; `invert` (on tuples) serves symmetrization and `expand`'s test
 for a factor closed under inversion, and `reach` bounds the coordinates of
 products.  With them, `expand` computes the birth layers of N_0 = seeds,
-N_n = N_(n-1) * (F_n with the identity adjoined): elements are packed into int64 keys over a box that
-`reach` bounds (`KeyBox`), and each layer is the sorted set of products not
-reached before.  A `KeySet` is a finite set in the same representation,
+N_n = N_(n-1) * (F_n with the identity adjoined): elements are packed into
+int64 keys over a box that `reach` bounds (`KeyBox`), and each layer is the
+sorted set of products not reached before.  The law also acts on keys:
+a key is affine in the coordinates and g -> g * s is affine in g, so
+`step_images` computes key(g * s) = key(g) + key(s) - key(1), plus
+s_y * x(g) in H3, with slopes read off `multiply_rows`.  A `KeySet` is a finite set in the same representation,
 sorted keys in one box, with a subset test across boxes.  Word balls
 (`generators.word_ball`), product sequences and set products (`products`)
 are all read off these layers; tuples are decoded only where a caller asks
@@ -235,14 +238,26 @@ def step_images(
     """Keys of g * s for the elements g of `keys`: row j holds the images
     under steps[j].
 
-    Right multiplication by a fixed element keeps the lexicographic order in
-    Z^d and H3, so sorted `keys` give sorted rows, which makes the sorts and
-    lookups that follow cheap.
+    Keys are affine in the coordinates, and so is g -> g * s (Z^d adds s;
+    H3 adds s, then z += x * s_y): key(g * s) = key(g) + key(s) - key(1) +
+    sum_c slope[s, c] * g_c, with the slopes read off `multiply_rows` at the
+    unit vectors.  Only coordinates with a nonzero slope (x in H3) are
+    decoded.  This is the key g * s encodes to, exact when g * s lies in the
+    box.  Right multiplication keeps the lexicographic order in Z^d and H3,
+    so sorted `keys` give sorted rows, which makes later sorts cheap.
     """
-    rows = box.decode(keys)
-    images = np.empty((len(steps), len(keys)), dtype=np.int64)
-    for j, s in enumerate(steps):
-        box.encode(model.multiply_rows(rows, np.array(s, dtype=np.int64)), images[j])
+    rank = len(box.widths)
+    strides = np.cumprod((1,) + box.widths[:0:-1])[::-1]
+    unit = np.eye(rank, dtype=np.int64)
+    shifts = np.array(steps, dtype=np.int64).reshape(len(steps), rank)
+    slopes = (model.multiply_rows(unit, shifts[:, None]) - unit - shifts[:, None]) @ strides
+    images = keys + (shifts @ strides)[:, None]
+    for c in np.flatnonzero(slopes.any(axis=0)):
+        coordinate = keys // strides[c]
+        if c:  # the leading digit needs no remainder
+            coordinate %= box.widths[c]
+        coordinate -= box.offsets[c]
+        images += slopes[:, c, None] * coordinate
     return images
 
 
@@ -274,12 +289,18 @@ class KeySet:
         return len(self.keys)
 
     def __le__(self, other: KeySet) -> bool:
-        """Subset test.  Keys in another box are re-encoded into `other`'s
+        """Subset test."""
+        return self.find(other) is not None
+
+    def find(self, other: KeySet) -> np.ndarray | None:
+        """The positions of the elements in `other`'s keys, or None if one is
+        not in `other`.  Keys in another box are re-encoded into `other`'s
         box; an element outside that box is outside `other`."""
         keys = self.keys
         if self.box != other.box:
             keys = other.box.keys_of(self.box.decode(keys))
-        return len(lookup(other.keys, keys)[0]) == len(keys)
+        hit, positions = lookup(other.keys, keys)
+        return positions if len(hit) == len(keys) else None
 
     def elements(self) -> list[Element]:
         """The elements as tuples, sorted."""

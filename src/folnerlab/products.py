@@ -7,11 +7,13 @@ products nondecreasing, and the flag `identity_adjoined` records whether
 any factor actually lacked it.
 
 Every expansion here is `groups.expand`.  A `ProductSequence` keeps the
-kernel's birth layers (sorted keys, discovery order, one key box) as the
-one record of the products: each N_n, each frontier N_n minus N_(n-1) and
-each shell N_b minus N_a is a run of consecutive layers.  Shells and set
-products are `KeySet`s, so the word-shell sandwich is tested on keys;
-`birth` and `frontier` decode tuples for callers that want elements.
+kernel's birth layers (sorted keys, one key box) as the one record of the
+products: each N_n, each frontier N_n minus N_(n-1) and each shell N_b
+minus N_a is a run of consecutive layers.  Discovery order is opt-in
+(`ordered`, default True): only `ergodic.ergodic_trace` reads it, so
+callers that read sizes and shells ask for sorted layers and skip its sorts.
+Shells and set products are `KeySet`s, so the word-shell sandwich is tested
+on keys; `birth` and `frontier` decode tuples for callers that want elements.
 Expanding only the newest elements of N_n is exhaustive when the next
 factor lies inside the one before it (always, for powers of one set);
 otherwise the kernel multiplies the whole of N_n.
@@ -24,6 +26,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .groups import Element, GroupModel, KeySet, Layer, Repeat, check_generates, expand
 
@@ -45,8 +49,8 @@ class ProductSequence:
     """Products N_0 = {1}, N_n = U_1 * ... * U_n (identity adjoined to factors).
 
     `layers[n]` is the kernel's layer N_n minus N_(n-1) (layer 0 the
-    identity), with its discovery order; all layers share one key box, and
-    N_n is the union of layers 0..n.  `sizes[n] = |N_n|`.  `factors[n - 1]`
+    identity), with its discovery order if asked for; all layers share one
+    key box, and N_n is the union of layers 0..n.  `sizes[n] = |N_n|`.  `factors[n - 1]`
     is U_n, sorted, with the identity adjoined; the powers of one set hold
     it once, as a `Repeat`.
     """
@@ -62,7 +66,8 @@ class ProductSequence:
 
     @cached_property
     def birth(self) -> dict[Element, int]:
-        """The first n with g in N_n, for each g, keys in discovery order."""
+        """The first n with g in N_n, for each g, keys in discovery order
+        (sorted within each layer if the layers carry none)."""
         return {g: n for n, layer in enumerate(self.layers) for g in layer.elements()}
 
     @property
@@ -89,9 +94,10 @@ def _expand(
     factors: Sequence[tuple[Element, ...]],
     identity_adjoined: bool,
     element_budget: int,
+    ordered: bool,
 ) -> ProductSequence:
     layers = expand(
-        model, [model.identity], factors, element_budget, "product expansion", ordered=True
+        model, [model.identity], factors, element_budget, "product expansion", ordered
     )
     return ProductSequence(model, factors, tuple(layers), identity_adjoined)
 
@@ -101,6 +107,7 @@ def product_powers(
     generating_set: Sequence[Element] | str,
     n_max: int,
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
+    ordered: bool = True,
 ) -> ProductSequence:
     """Powers U, U^2, ..., U^n_max of a single factor, exactly."""
     if n_max < 0:
@@ -110,7 +117,7 @@ def product_powers(
     check_generates(model, generating_set)
     factors = Repeat(_adjoin(model, generating_set), n_max)
     adjoined = n_max > 0 and model.identity not in generating_set
-    return _expand(model, factors, adjoined, element_budget)
+    return _expand(model, factors, adjoined, element_budget, ordered)
 
 
 def varying_products(
@@ -119,6 +126,7 @@ def varying_products(
     inner: Sequence[Element],
     outer: Sequence[Element],
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
+    ordered: bool = True,
 ) -> ProductSequence:
     """Products of varying factors pinched between two certified sets.
 
@@ -144,7 +152,8 @@ def varying_products(
                 f"factor {i} exceeds the outer certificate by {sorted(excess)}"
             )
     adjoined = any(model.identity not in f for f in factors)
-    return _expand(model, tuple(_adjoin(model, f) for f in factors), adjoined, element_budget)
+    factors = tuple(_adjoin(model, f) for f in factors)
+    return _expand(model, factors, adjoined, element_budget, ordered)
 
 
 def folner_ratios(sequence: ProductSequence) -> tuple[Fraction, ...]:
@@ -169,11 +178,11 @@ def product_with_powers(
 
 def shell_inclusion_check(
     sequence: ProductSequence,
-    n: int,
-    k: int,
+    pairs: Iterable[tuple[int, int]],
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
-) -> tuple[bool, bool]:
-    """Exact word-shell sandwich at width k around radius n.
+) -> list[tuple[bool, bool]]:
+    """Exact word-shell sandwich at width k around radius n, for each (n, k)
+    of `pairs`: (forward, backward) per pair, in their order.
 
     `sequence` holds the powers N_m of one (identity-adjoined) generating
     set U, at least up to m = n + k.  With C_{a,b} = N_b minus N_a and
@@ -183,23 +192,47 @@ def shell_inclusion_check(
         backward:  C_{h, h+1} * U^(k/4)  is contained in  C_{n-k, n}
 
     Both follow from cutting geodesic words at length h + 1; this function
-    checks them by enumeration.  Needs k divisible by 4 and k <= n.
+    checks them by enumeration.  Needs k divisible by 4 and k <= n.  Both
+    right sides are prefix unions of the birth layers of one expansion of
+    C_{h, h+1}, so each h is expanded once, to twice its largest k.
     """
-    if k < 4 or k % 4 != 0:
-        raise ValueError("width k must be a positive multiple of 4")
-    if k > n:
-        raise ValueError("width k must not exceed the radius n")
-    if n + k > sequence.steps:
-        raise ValueError(f"needs the powers up to n + k = {n + k}, got {sequence.steps}")
+    pairs = list(pairs)
+    middles: dict[int, set[int]] = {}  # h -> the widths k with n - k/2 = h
+    for n, k in pairs:
+        if k < 4 or k % 4 != 0:
+            raise ValueError("width k must be a positive multiple of 4")
+        if k > n:
+            raise ValueError("width k must not exceed the radius n")
+        if n + k > sequence.steps:
+            raise ValueError(f"needs the powers up to n + k = {n + k}, got {sequence.steps}")
+        middles.setdefault(n - k // 2, set()).add(k)
     if len(set(sequence.factors)) != 1:
         raise ValueError("needs the powers of one generating set")
-    model, generating_set = sequence.model, sequence.factors[0]
-    h = n - k // 2
-    middle = sequence.shell(h, h + 1)
-    forward = sequence.shell(n, n + k) <= product_with_powers(
-        model, middle, generating_set, 2 * k, element_budget
-    )
-    backward = product_with_powers(
-        model, middle, generating_set, k // 4, element_budget
-    ) <= sequence.shell(n - k, n)
-    return forward, backward
+    outcomes = {}
+    for h, ks in middles.items():
+        outcomes.update(_sandwich(sequence, h, ks, element_budget))
+    return [outcomes[pair] for pair in pairs]
+
+
+def _sandwich(
+    sequence: ProductSequence, h: int, ks: set[int], element_budget: int
+) -> dict[tuple[int, int], tuple[bool, bool]]:
+    """The outcomes at (h + k/2, k) for each k of `ks`, from one expansion of
+    the middle shell C_{h, h+1} to twice the largest k: C_{h, h+1} * U^m is
+    the part of it born by step m."""
+    steps = Repeat(sequence.factors[0], 2 * max(ks))
+    layers = list(expand(sequence.model, sequence.shell(h, h + 1), steps, element_budget, "set product"))
+    keys = np.concatenate([layer.keys for layer in layers])
+    order = np.argsort(keys, kind="stable")
+    grown = KeySet(keys[order], layers[0].box)
+    index = np.arange(len(layers), dtype=np.min_scalar_type(len(layers)))
+    born = np.repeat(index, [len(layer) for layer in layers])[order]
+    del layers, keys, order  # keep only the sorted union and its birth steps
+    outcomes = {}
+    for k in ks:
+        n = h + k // 2
+        found = sequence.shell(n, n + k).find(grown)
+        forward = found is not None and born[found].max(initial=0) <= 2 * k
+        backward = KeySet(grown.keys[born <= k // 4], grown.box) <= sequence.shell(n - k, n)
+        outcomes[n, k] = (bool(forward), backward)
+    return outcomes

@@ -338,12 +338,10 @@ def _claims(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
     widths, n_max = opts["widths"], opts["n_max"]
     # One expansion serves every (n, k): the largest pair needs N_(n_max + k).
     top = n_max + max((k for k in widths if k <= n_max), default=0)
-    sequence = product_powers(ctx.model, ctx.space["generating_set"], top, ctx.element_budget)
-    rows = [
-        (n, k, *shell_inclusion_check(sequence, n, k, ctx.element_budget))
-        for k in widths
-        for n in range(k, n_max + 1)
-    ]
+    sequence = product_powers(ctx.model, ctx.space["generating_set"], top, ctx.element_budget, ordered=False)
+    pairs = [(n, k) for k in widths for n in range(k, n_max + 1)]
+    outcomes = shell_inclusion_check(sequence, pairs, ctx.element_budget)
+    rows = [(n, k, *outcome) for (n, k), outcome in zip(pairs, outcomes)]
     all_ok = all(forward and backward for _, _, forward, backward in rows)
     header = ("n", "k", "forward", "backward")
     return Outcome({"claims": {"all_hold": all_ok}}, (header, rows), all_ok)

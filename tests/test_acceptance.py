@@ -223,8 +223,8 @@ def test_criterion_05_shell_factoring():
     checked = 0
     for k in (4, 8, 12):
         for n in range(k, 21):
-            forward, backward = shell_inclusion_check(
-                sequence, n, k, element_budget=5_000_000
+            [(forward, backward)] = shell_inclusion_check(
+                sequence, [(n, k)], element_budget=5_000_000
             )
             assert forward, (n, k)
             assert backward, (n, k)

@@ -9,7 +9,9 @@ coordinate, and collapses to a weighted cosine sum,
     W_n(t) = sum_{a=-n..n} (2(n - |a|) + 1) cos(2 pi a t),
 
 because exactly 2(n - |a|) + 1 ball points have first coordinate a.  The
-trace must reproduce this to addition-order rounding.
+trace must reproduce this to addition-order rounding.  A sequence whose
+layers carry no discovery order is refused with a ValueError that names
+`ordered=True`.
 """
 
 import math
@@ -131,3 +133,8 @@ class TestErgodicTrace:
     def test_n_max_beyond_sequence_raises(self, golden_action, ball_sequence):
         with pytest.raises(ValueError):
             ergodic_trace(golden_action, ball_sequence, "cos_x", (0.1, 0.2), n_max=200)
+
+    def test_unordered_sequence_is_refused(self, golden_action):
+        sequence = product_powers(zd_model(2), "standard", 3, ordered=False)
+        with pytest.raises(ValueError, match=r"no discovery order; build it with ordered=True"):
+            ergodic_trace(golden_action, sequence, "cos_x", (0.1, 0.2))

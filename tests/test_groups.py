@@ -6,6 +6,12 @@ Core claims:
       matches multiplication of unipotent 3 x 3 matrices in H3 (independent
       oracle), on seeded random int64 rows; invert really inverts
     - the laws are associative on random triples of rows
+    - `step_images`, which steps in key space, gives the keys of the tuple
+      law's products (`tests/tuple_law.py`) on decoded tuples: in Z^1 to
+      Z^5 and H3, for named and seeded step sets, on keys at the corners
+      of the box and unsorted keys, and for a law whose slope sits on a
+      later coordinate; a product outside the box gets the key its
+      coordinates encode to
     - symmetrize closes under inversion and drops the identity
     - check_generates accepts the named sets and rejects proper-subgroup
       spans and semigroup-incomplete sets with telling messages; for Z^d it
@@ -30,6 +36,8 @@ Core claims:
 """
 
 import ast
+import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -44,13 +52,16 @@ from folnerlab.generators import word_ball
 from folnerlab.groups import (
     MAX_FACET_SUBSETS,
     MAX_ZD_RANK,
+    KeyBox,
     _spans,
     check_generates,
     expand,
     heisenberg_model,
     lookup,
+    step_images,
     zd_model,
 )
+from tuple_law import multiply
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -136,6 +147,66 @@ class TestModels:
         assert ball.vertex_count == 55
         with pytest.raises(ValueError, match="dimension must be at most 27, .* got 28"):
             zd_model(28)
+
+
+# -- Steps in key space -------------------------------------------------------
+
+
+def _step_cases():
+    cases = []
+    for d in range(1, 6):
+        model, rng = zd_model(d), random.Random(f"steps/Z{d}")
+        seeded = sorted({tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(6)})
+        cases += [
+            pytest.param(model, model.generating_set(label), id=f"Z{d}-{label}")
+            for label in model.generating_sets
+        ]
+        cases.append(pytest.param(model, seeded, id=f"Z{d}-seeded"))
+    model, rng = heisenberg_model(), random.Random("steps/H3")
+    seeded = sorted({(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-5, 5)) for _ in range(6)})
+    cases.append(pytest.param(model, model.generating_set("standard"), id="H3-standard"))
+    cases.append(pytest.param(model, seeded, id="H3-seeded"))
+    return cases
+
+
+class TestStepImages:
+    @pytest.mark.parametrize("model,steps", _step_cases())
+    def test_matches_the_tuple_law(self, model, steps):
+        rng = np.random.default_rng(model.rank * 100 + len(steps))
+        offsets = tuple(int(o) for o in rng.integers(1, 5, size=model.rank))
+        box = KeyBox(offsets, tuple(2 * o + 1 for o in offsets))
+        corners = np.array(list(itertools.product(*[(-o, o) for o in offsets])), dtype=np.int64)
+        keys = np.concatenate([box.encode(corners), rng.integers(0, math.prod(box.widths), 60)])
+        rng.shuffle(keys)
+        images = step_images(model, box, keys, steps)
+        assert images.shape == (len(steps), len(keys))
+        elements = box.elements(keys)
+        for s, row in zip(steps, images):
+            products = [multiply(model, g, s) for g in elements]
+            assert row.tolist() == box.encode(np.array(products, dtype=np.int64)).tolist()
+            inside = [all(abs(c) <= o for c, o in zip(p, offsets)) for p in products]
+            assert box.elements(row[inside]) == [p for p, i in zip(products, inside) if i]
+
+    def test_a_slope_on_a_later_coordinate(self):
+        # H3 with its elements stored as (y, x, z): the coordinate that moves
+        # z is no longer the leading digit of a key.
+        h3 = heisenberg_model()
+
+        def swapped(g):
+            return (g[1], g[0], *g[2:])
+
+        def multiply_rows(a, b):
+            out = a + b
+            out[..., 2] += a[..., 1] * b[..., 0]
+            return out
+
+        model = dataclasses.replace(h3, name="H3 as (y, x, z)", multiply_rows=multiply_rows)
+        box = KeyBox((3, 4, 9), (7, 9, 19))
+        keys = np.random.default_rng(5).integers(0, math.prod(box.widths), 80)
+        steps = [(0, 1, 0), (-1, 2, 3), (2, -1, 0), (1, 1, -2)]
+        for s, row in zip(steps, step_images(model, box, keys, steps)):
+            products = [swapped(multiply(h3, swapped(g), swapped(s))) for g in box.elements(keys)]
+            assert row.tolist() == box.encode(np.array(products, dtype=np.int64)).tolist()
 
 
 # -- Generation check --------------------------------------------------------

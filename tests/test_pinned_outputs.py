@@ -8,12 +8,16 @@ claims), so their bytes cannot depend on the platform's libm; the float
 artifacts (verify, ergodic, summary.json) are left out for that reason.
 A refactor that changes a single count or ratio fails here.  The bytes
 that `generate` writes for each family at its default size are pinned too,
-so a rebuilt adjacency cannot silently change graph files.  Rewrite a pin
+so a rebuilt adjacency cannot silently change graph files, and so are the
+CSVs of the `powers` and `nprod` commands, which hold only integers and
+`Fraction`s: the powers of a one-sided six-element set in H3 and of the
+standard set of Z^3, and one product of varying factors in Z^2.  Rewrite a pin
 only for an intended change of output, and say so where the change is
 described.
 """
 
 import hashlib
+import json
 
 import pytest
 from click.testing import CliRunner
@@ -99,3 +103,35 @@ def test_generate_output_matches_its_pin(family, generating_set):
     assert result.exit_code == 0, result.output
     digest = hashlib.sha256(result.output.encode("ascii")).hexdigest()
     assert digest == GENERATE_PINS[family, generating_set]
+
+
+_H3_ONE_SIDED = [[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [1, 1, 0]]
+_INNER = [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]]
+_OUTER = _INNER + [[1, 1], [-1, -1], [1, -1], [-1, 1]]
+
+COMMAND_PINS = {
+    "powers-h3-one-sided": (
+        ["powers", "--group", "heisenberg", "--set", json.dumps(_H3_ONE_SIDED), "--n-max", "16"],
+        "947d7c13689d7ccfc5db1b428db334e69dc1b844b94aa714f480a517d9b32cdf",
+    ),
+    "powers-z3-standard": (
+        ["powers", "--group", "zd", "--d", "3", "--n-max", "20"],
+        "db73f449b2c99a60849957d8f9e9eaa320eb33424fcdb83dce7abad86dd1e19b",
+    ),
+    "nprod-z2": (
+        [
+            "nprod", "--group", "zd", "--d", "2",
+            "--factors", json.dumps([_INNER if n % 3 else _OUTER for n in range(12)]),
+            "--inner", json.dumps(_INNER), "--outer", json.dumps(_OUTER),
+        ],
+        "ee1e17f0c421b30a9319160bfe737703675f2b1915e6992129b1bfd92ce92296",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_PINS))
+def test_command_csv_matches_its_pin(name):
+    args, pin = COMMAND_PINS[name]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode("ascii")).hexdigest() == pin

@@ -9,26 +9,35 @@ The guiding identities, each checked against independent enumeration:
     - shells N_(n+k) minus N_n are trapped between products of the middle
       set with small powers of U, and `shell_inclusion_check` gives the
       outcomes of the frozenset implementation it replaced (kept here as
-      the reference), False ones included
+      the reference), False ones included, one pair at a time and for many
+      pairs that share middle shells at once; the `claims` analysis, which
+      expands each middle shell once, gives the reference's outcome at
+      every (n, k) in Z^2 and H3, keeps its row order, keeps the pair
+      checks' error texts and names the stage `set product` in a budget
+      error
     - the subset test of key sets re-encodes across key boxes, and an
       element outside the right side's box is outside the set
 """
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from folnerlab.config import validate_config
 from folnerlab.errors import BudgetExceededError, NotGeneratingError
 from folnerlab.groups import KeyBox, KeySet, expand, heisenberg_model, zd_model
 from folnerlab.products import (
+    ProductSequence,
     folner_ratios,
     product_powers,
     product_with_powers,
     shell_inclusion_check,
     varying_products,
 )
+from folnerlab.runner import run_analyses
 from tuple_law import multiply
 
 
@@ -234,15 +243,15 @@ class TestShellInclusions:
     @pytest.mark.parametrize("n,k", [(8, 4), (12, 4), (12, 8)])
     def test_lattice_shells(self, n, k):
         sequence = product_powers(zd_model(2), "standard", n + k)
-        forward, backward = shell_inclusion_check(
-            sequence, n, k, element_budget=2_000_000
+        [(forward, backward)] = shell_inclusion_check(
+            sequence, [(n, k)], element_budget=2_000_000
         )
         assert forward and backward
 
     def test_heisenberg_shells(self):
         sequence = product_powers(heisenberg_model(), "standard", 10 + 4)
-        forward, backward = shell_inclusion_check(
-            sequence, 10, 4, element_budget=2_000_000
+        [(forward, backward)] = shell_inclusion_check(
+            sequence, [(10, 4)], element_budget=2_000_000
         )
         assert forward and backward
 
@@ -251,7 +260,7 @@ class TestShellInclusions:
         sequence = product_powers(model, gens, n_max + 8)
         for k in (4, 8):
             for n in range(k, n_max + 1):
-                got = shell_inclusion_check(sequence, n, k)
+                [got] = shell_inclusion_check(sequence, [(n, k)])
                 assert got == _reference_shell_inclusion(sequence, n, k), (n, k)
 
     def test_a_one_sided_set_fails_backward(self):
@@ -261,12 +270,88 @@ class TestShellInclusions:
         model = zd_model(2)
         gens = [*model.generating_set("standard"), (3, 1)]
         sequence = product_powers(model, gens, 16)
-        outcomes = [shell_inclusion_check(sequence, n, 4) for n in range(4, 13)]
+        outcomes = shell_inclusion_check(sequence, [(n, 4) for n in range(4, 13)])
         assert all(forward for forward, _ in outcomes)
         assert not all(backward for _, backward in outcomes)
+
+    @pytest.mark.parametrize("model,gens,n_max", SANDWICH_CASES)
+    def test_shared_middle_shells_match_frozenset_reference(self, model, gens, n_max):
+        sequence = product_powers(model, gens, n_max + 8, ordered=False)
+        pairs = [(n, k) for k in (8, 4) for n in range(k, n_max + 1)]
+        got = shell_inclusion_check(sequence, pairs)
+        assert got == [_reference_shell_inclusion(sequence, n, k) for n, k in pairs]
+
+    def test_forward_reads_only_the_steps_it_needs(self):
+        # Forward holds for any powers of one set; here the shells are the
+        # diagonal set's and the factor the standard set's, so it fails.
+        # Pairs (n, 4) and (n + 2, 8) share a middle shell, expanded to 16
+        # steps: forward at (n, 4) may read only the first 8 of them.
+        diagonal = product_powers(_Z2, "diagonal", 20, ordered=False)
+        standard = product_powers(_Z2, "standard", 20, ordered=False)
+        sequence = ProductSequence(_Z2, standard.factors, diagonal.layers, False)
+        pairs = [(n, k) for k in (8, 4) for n in range(k, 12)]
+        expected = [_reference_shell_inclusion(sequence, n, k) for n, k in pairs]
+        assert not any(forward for forward, _ in expected)
+        assert shell_inclusion_check(sequence, pairs) == expected
 
     def test_width_validation(self):
         sequence = product_powers(zd_model(2), "standard", 20)
         for n, k in [(8, 3), (8, 6), (8, 12), (2, 4)]:
             with pytest.raises(ValueError):
-                shell_inclusion_check(sequence, n, k, element_budget=10**6)
+                shell_inclusion_check(sequence, [(n, k)], element_budget=10**6)
+
+    @pytest.mark.parametrize(
+        "pair,message",
+        [
+            ((8, 6), "width k must be a positive multiple of 4"),
+            ((8, 0), "width k must be a positive multiple of 4"),
+            ((8, 12), "width k must not exceed the radius n"),
+            ((16, 8), "needs the powers up to n + k = 24, got 20"),
+        ],
+    )
+    def test_pair_checks_keep_their_texts(self, pair, message):
+        sequence = product_powers(zd_model(2), "standard", 20, ordered=False)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            shell_inclusion_check(sequence, [(8, 4), pair])
+
+    def test_varying_factors_are_refused(self):
+        model = zd_model(2)
+        inner = list(model.generating_set("standard"))
+        sequence = varying_products(model, [inner] * 11 + [inner + [(1, 1)]], inner, inner + [(1, 1)])
+        with pytest.raises(ValueError, match="^needs the powers of one generating set$"):
+            shell_inclusion_check(sequence, [(8, 4)])
+
+
+def _claims_config(space, widths, n_max, budget=None):
+    raw = {"space": space, "depth": space["radius"], "analyses": {"claims": {"n_max": n_max, "widths": widths}}}
+    if budget is not None:
+        raw["budgets"] = {"elements": budget}
+    return validate_config(raw)
+
+
+class TestClaimsAnalysis:
+    @pytest.mark.parametrize(
+        "space,model,widths,n_max",
+        [
+            ({"family": "lattice", "d": 2, "radius": 8}, _Z2, [12, 4, 8], 20),
+            ({"family": "heisenberg", "radius": 4}, _H3, [8, 4], 9),
+        ],
+        ids=["Z2", "H3"],
+    )
+    def test_every_pair_matches_the_reference(self, space, model, widths, n_max):
+        _, tables = run_analyses(_claims_config(space, widths, n_max))
+        header, rows = tables["claims"]
+        assert header == ("n", "k", "forward", "backward")
+        sequence = product_powers(model, "standard", n_max + max(widths))
+        assert rows == [
+            (n, k, *_reference_shell_inclusion(sequence, n, k))
+            for k in widths
+            for n in range(k, n_max + 1)
+        ]
+
+    def test_budget_error_names_the_set_product(self):
+        # N_8 (145 elements) fits; C_{2,3} * U^8 reaches 221 at layer 7.
+        config = _claims_config({"family": "lattice", "d": 2, "radius": 4}, [4], 4, budget=200)
+        with pytest.raises(BudgetExceededError) as caught:
+            run_analyses(config)
+        assert str(caught.value) == "set product: size 221 exceeds budget 200 at layer 7"
