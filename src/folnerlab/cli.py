@@ -143,7 +143,8 @@ def _graph_options(sample: bool = True):
 
 def _labels(tables: dict[str, Table]) -> list[str]:
     """The profiled centers, in order: one profile row at r = 0 each."""
-    return [label for label, r, *_ in tables["profile"][1] if r == 0]
+    centers, radii, *_ = tables["profile"][1]
+    return [label for label, r in zip(centers, radii) if r == 0]
 
 
 @click.group()
@@ -190,13 +191,10 @@ def profile(ctx, graph_path, depth, center_labels, sample):
     _emit_csv(ctx, digest, tables["profile"])
 
 
-def _powers_rows(sizes: Sequence[int], ratios: Sequence[Fraction]) -> list[tuple]:
-    rows = []
-    for n, size in enumerate(sizes):
-        delta = size - sizes[n - 1] if n > 0 else size
-        ratio = ratios[n] if n < len(ratios) else ""
-        rows.append((n, size, delta, ratio))
-    return rows
+def _powers_table(sizes: Sequence[int], ratios: Sequence[Fraction]) -> Table:
+    """n, |N_n|, its growth over |N_(n-1)| and the ratio after it (blank at the last n)."""
+    deltas = [size - before for size, before in zip(sizes, [0, *sizes])]
+    return ("n", "size", "delta_size", "folner_ratio"), (range(len(sizes)), sizes, deltas, (*ratios, ""))
 
 
 @main.command()
@@ -212,8 +210,7 @@ def powers(ctx, group, d, set_text, n_max):
     gen = _parse_set(model, set_text, "--set")
     seq = product_powers(model, gen, n_max, ctx.obj["budgets"]["elements"], ordered=False)
     digest = _digest("powers", group=group, d=d, set=sorted(gen), n_max=n_max)
-    rows = _powers_rows(seq.sizes, folner_ratios(seq))
-    _emit_csv(ctx, digest, (("n", "size", "delta_size", "folner_ratio"), rows))
+    _emit_csv(ctx, digest, _powers_table(seq.sizes, folner_ratios(seq)))
 
 
 @main.command()
@@ -235,8 +232,7 @@ def nprod(ctx, group, d, factors_text, inner_text, outer_text):
     outer = _parse_set(model, outer_text, "--outer")
     seq = varying_products(model, factors, inner, outer, ctx.obj["budgets"]["elements"], ordered=False)
     digest = _digest("nprod", group=group, d=d, factors=[sorted(f) for f in factors])
-    rows = _powers_rows(seq.sizes, folner_ratios(seq))
-    _emit_csv(ctx, digest, (("n", "size", "delta_size", "folner_ratio"), rows))
+    _emit_csv(ctx, digest, _powers_table(seq.sizes, folner_ratios(seq)))
 
 
 @main.command("shell-report")

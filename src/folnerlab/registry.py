@@ -29,6 +29,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import IO, Any, Callable, Mapping, NamedTuple, Sequence
 
 from .analysis import (
@@ -162,11 +163,11 @@ def named(parse: Callable[[Any, str], Any], name: str) -> Callable[[Any, str], A
 # -- tables ------------------------------------------------------------------
 
 
-Table = tuple[Sequence[str], Sequence[Sequence[Any]]]  # (header, rows)
+Table = tuple[Sequence[str], Sequence[Sequence[Any]]]  # (header, columns; none if no rows)
 
 
 # Formatters by exact type, in the order a subclass is matched: one dict
-# lookup per cell, where an `isinstance(v, Fraction)` goes through ABCMeta.
+# lookup per type, where an `issubclass(t, Fraction)` goes through ABCMeta.
 _CELLS: dict[type, Callable[[Any], str]] = {
     bool: lambda v: "true" if v else "false",
     Fraction: lambda v: f"{v.numerator}/{v.denominator}",
@@ -176,26 +177,36 @@ _CELLS: dict[type, Callable[[Any], str]] = {
 }
 
 
+def _formatter(kind: type) -> Callable[[Any], str]:
+    fmt = _CELLS.get(kind)
+    return fmt if fmt is not None else next((f for t, f in _CELLS.items() if issubclass(kind, t)), str)
+
+
 def cell(value: Any) -> str:
-    fmt = _CELLS.get(type(value))
-    if fmt is None:
-        fmt = next((f for t, f in _CELLS.items() if isinstance(value, t)), str)
-    return fmt(value)
+    return _formatter(type(value))(value)
 
 
-def write_csv(fh: IO[str], digest: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _column(values: Sequence[Any]) -> list[str]:
+    """The cells of a column: its types' one formatter (ints and "" share `str`), else `cell`."""
+    formats = {_formatter(kind) for kind in set(map(type, values))}
+    return list(map(formats.pop() if len(formats) == 1 else cell, values))
+
+
+def write_csv(fh: IO[str], digest: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """The table under a `# config` line, each column formatted once."""
     fh.write(f"# config {digest}\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([cell(v) for v in row] for row in rows)
+    writer.writerows(zip(*map(_column, columns)))
 
 
 def profile_table(labeled: Sequence[tuple[str, VolumeProfile]]) -> Table:
-    rows = []
-    for label, p in labeled:
-        for r in range(p.depth + 1):
-            rows.append((label, r, p.ball[r], p.sphere[r] if r < p.depth else ""))
-    return ("center", "r", "ball", "sphere"), rows
+    return ("center", "r", "ball", "sphere"), (
+        [label for label, p in labeled for _ in p.ball],
+        [r for _, p in labeled for r in range(p.depth + 1)],
+        list(chain.from_iterable(p.ball for _, p in labeled)),
+        list(chain.from_iterable((*p.sphere, "") for _, p in labeled)),
+    )
 
 
 # -- analyses ----------------------------------------------------------------
@@ -257,7 +268,7 @@ def _shell(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
         (r.center, r.n, r.k, r.c_lo, r.c_hi, "" if r.ratio is None else r.ratio)
         for r in report.records
     ]
-    return Outcome(summary, (("center", "n", "k", "c_lo", "c_hi", "ratio"), rows))
+    return Outcome(summary, (("center", "n", "k", "c_lo", "c_hi", "ratio"), list(zip(*rows))))
 
 
 def _annulus(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
@@ -266,7 +277,7 @@ def _annulus(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
         for r in (2**i for i in range(1, p.depth.bit_length())):  # 2, 4, ... <= depth
             inner = p.ball[r] - p.ball[r // 2]
             rows.append((label, r, inner, p.ball[r], Fraction(inner, p.ball[r])))
-    return Outcome({}, (("center", "r", "annulus", "ball", "ratio"), rows))
+    return Outcome({}, (("center", "r", "annulus", "ball", "ratio"), list(zip(*rows))))
 
 
 def _verify(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
@@ -276,8 +287,8 @@ def _verify(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
         slope_tolerance=opts["slope_tolerance"],
     )
     summary = {"verify": {"trend_slope": report.trend_slope, "passed": report.passed}}
-    rows = list(zip(range(report.n_lo, report.n_hi + 1), report.constants))
-    return Outcome(summary, (("n", "constant"), rows), report.passed)
+    columns = (range(report.n_lo, report.n_hi + 1), report.constants)
+    return Outcome(summary, (("n", "constant"), columns), report.passed)
 
 
 def _dyadic(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
@@ -292,7 +303,7 @@ def _dyadic(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
         )
     summary = {"dyadic": {"certified": all_ok, "slack_doubling": cell(slack)}}
     header = ("center", "i", "radius", "sphere", "ball", "bound", "certified")
-    return Outcome(summary, (header, rows), all_ok)
+    return Outcome(summary, (header, list(zip(*rows))), all_ok)
 
 
 def _abelian(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
@@ -302,7 +313,7 @@ def _abelian(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
         for n, ratio in enumerate(isoperimetric_ratios(p.ball, opts.get("n_max")), 1)
     ]
     worst = max((ratio for _, _, ratio in rows), default=Fraction(0))
-    return Outcome({"abelian_max": cell(worst)}, (("center", "n", "isop"), rows))
+    return Outcome({"abelian_max": cell(worst)}, (("center", "n", "isop"), list(zip(*rows))))
 
 
 def _fit(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
@@ -330,8 +341,8 @@ def _ergodic(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
         "final_error": trace.final_error,
         "envelope": trace.envelope(),
     }
-    rows = list(zip(range(len(trace.averages)), trace.averages, trace.errors))
-    return Outcome({"ergodic": summary}, (("n", "average", "error"), rows))
+    columns = (range(len(trace.averages)), trace.averages, trace.errors)
+    return Outcome({"ergodic": summary}, (("n", "average", "error"), columns))
 
 
 def _claims(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
@@ -341,10 +352,10 @@ def _claims(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
     sequence = product_powers(ctx.model, ctx.space["generating_set"], top, ctx.element_budget, ordered=False)
     pairs = [(n, k) for k in widths for n in range(k, n_max + 1)]
     outcomes = shell_inclusion_check(sequence, pairs, ctx.element_budget)
-    rows = [(n, k, *outcome) for (n, k), outcome in zip(pairs, outcomes)]
-    all_ok = all(forward and backward for _, _, forward, backward in rows)
+    forward, backward = zip(*outcomes)
+    all_ok = all(forward) and all(backward)
     header = ("n", "k", "forward", "backward")
-    return Outcome({"claims": {"all_hold": all_ok}}, (header, rows), all_ok)
+    return Outcome({"claims": {"all_hold": all_ok}}, (header, (*zip(*pairs), forward, backward)), all_ok)
 
 
 def _on_group(analyses: Mapping[str, Any], space: Mapping[str, Any], depth: int) -> bool:

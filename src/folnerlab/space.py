@@ -3,7 +3,9 @@
 Every space in this package is a finite connected graph with unit edge
 lengths, carrying the shortest-path metric and the counting measure.  This
 module owns the graph container and the metric primitives everything else
-is built from.  Each of them is read off one breadth-first loop,
+is built from.  `Graph.from_edges` checks the edges and connectivity on
+int64 arrays, so the adjacency tuples are built only when read.  Each
+metric primitive is read off one breadth-first loop,
 `bfs_layers`, which yields the vertices at distance 0, 1, 2, ... from a
 center, each layer in discovery order:
 
@@ -25,9 +27,9 @@ lengths.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -48,27 +50,33 @@ __all__ = [
 Vertex = int
 
 
-@dataclass(frozen=True)
 class Graph:
     """Finite undirected graph with named basepoints.
 
-    `adjacency[v]` lists the neighbors of vertex v in ascending order.  The
-    graph is immutable.  Every constructor here goes through `from_edges`,
-    which checks each edge; the adjacency it builds is then symmetric and in
-    range by construction.  `validate()` checks those two on a graph built by
-    hand.  Both check the basepoints' range and connectivity.
+    `adjacency[v]` lists the neighbors of vertex v in ascending order.  A
+    graph is not changed once built.  Every constructor here goes through
+    `from_edges`, which checks each edge and keeps the sorted keys src·n +
+    dst of both orientations, from which the adjacency is built on first
+    read, symmetric and in range.  `validate()` checks those two on a graph
+    built by hand.  Both check the basepoints' range and, with `_connected`,
+    connectivity.  Graphs are equal when adjacency and basepoints are.
     """
 
-    adjacency: tuple[tuple[Vertex, ...], ...]
-    basepoints: Mapping[str, Vertex] = field(default_factory=dict)
+    def __init__(self, adjacency: Sequence[Sequence[Vertex]],
+                 basepoints: Mapping[str, Vertex] | None = None) -> None:
+        self.adjacency = adjacency  # hides the property that builds it from keys
+        self.basepoints = dict(basepoints or {})
+        self.vertex_count = len(adjacency)
+        self.edge_count = sum(map(len, adjacency)) // 2
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.adjacency)
+    @cached_property
+    def adjacency(self) -> Sequence[Sequence[Vertex]]:
+        return _adjacency(self.vertex_count, self._keys)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.adjacency, self.basepoints) == (other.adjacency, other.basepoints)
 
     @staticmethod
     def from_edges(
@@ -96,11 +104,10 @@ class Graph:
             raise GraphFormatError(
                 f"edge ({a}, {b}) out of range" if not inrange[i] else
                 f"self-loop at {a}" if a == b else f"duplicate edge ({a}, {b})", i)
-        # Both orientations as sorted keys src * n + dst, cut where each src ends.
-        keys = np.sort(np.concatenate((u * n + v, v * n + u)))
-        flat, ends = (keys % n).tolist(), np.searchsorted(keys, np.arange(1, n + 1) * n).tolist()
-        adjacency = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
-        return Graph(adjacency, dict(basepoints or {}))._checked()
+        graph = Graph.__new__(Graph)  # its adjacency is built from `_keys` when read
+        graph.basepoints, graph.vertex_count, graph.edge_count = dict(basepoints or {}), n, len(u)
+        graph._keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+        return graph._checked(u, v)
 
     def validate(self) -> None:
         """Raise GraphFormatError on a neighbor out of range or an asymmetric
@@ -113,17 +120,41 @@ class Graph:
                     raise GraphFormatError(f"edge ({v}, {u}) out of range")
                 if v not in adjacency[u]:
                     raise GraphFormatError(f"asymmetric edge ({v}, {u})")
-        self._checked()
+        src = np.repeat(np.arange(n), np.fromiter(map(len, adjacency), np.int64, n))
+        self._checked(src, np.fromiter(chain.from_iterable(adjacency), np.int64, len(src)))
 
-    def _checked(self) -> "Graph":
-        """The graph, once its basepoints and connectivity are checked."""
+    def _checked(self, src: np.ndarray, dst: np.ndarray) -> "Graph":
+        """The graph, once its basepoints are checked and its edges
+        (src[i], dst[i]) found to connect it."""
         n = self.vertex_count
         for label, v in self.basepoints.items():
             if not 0 <= v < n:
                 raise GraphFormatError(f"basepoint {label!r} -> {v} out of range", label)
-        if n > 0 and sum(map(len, bfs_layers(self, 0))) != n:
+        if not _connected(n, src, dst):
             raise GraphFormatError("graph is not connected")
         return self
+
+
+def _adjacency(n: int, keys: np.ndarray) -> tuple[tuple[Vertex, ...], ...]:
+    """The neighbor tuples of 0..n-1: slices of the sorted keys src·n + dst, cut where each src ends."""
+    flat, ends = tuple((keys % n).tolist()), np.searchsorted(keys, np.arange(1, n + 1) * n).tolist()
+    return tuple(map(flat.__getitem__, map(slice, [0, *ends], ends)))
+
+
+def _connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the edges (u[i], v[i]) connect 0..n-1: min-label hooking with
+    pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982).  While an
+    edge joins two trees, each root takes the smallest root across an edge
+    and every label then jumps to its root.  A label never exceeds its
+    vertex, so no tree has a cycle; connected means every label is 0.  Every
+    round reads all edges: arrays of one size reuse the heap that shrinking
+    ones would scatter."""
+    label = np.arange(n, dtype=np.int64)
+    while not np.array_equal(a := label[u], b := label[v]):
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    return not label.any()
 
 
 @dataclass(frozen=True)
@@ -174,7 +205,8 @@ def bfs_layers(graph: Graph, center: Vertex, cutoff: int | None = None) -> Itera
     if not 0 <= center < graph.vertex_count:
         raise ValueError(f"center {center} out of range")
     adjacency = graph.adjacency
-    seen = {center}
+    seen = bytearray(graph.vertex_count)
+    seen[center] = 1
     layer = [center]
     d = 0
     while layer:
@@ -185,8 +217,8 @@ def bfs_layers(graph: Graph, center: Vertex, cutoff: int | None = None) -> Itera
         nxt = []
         for v in layer:
             for u in adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
+                if not seen[u]:
+                    seen[u] = 1
                     nxt.append(u)
         layer = nxt
 

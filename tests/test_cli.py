@@ -500,7 +500,7 @@ class TestShellRecordAllBudget:
         opts = {"k_min": 2, "n_max": 6, "record_all": True}
         rows = 3 * sum(min(n, 12 - n) - 1 for n in range(2, 7))
         outcome = ANALYSES["shell"].run(self._context(3, 12, rows), opts)
-        assert len(outcome.table[1]) == rows
+        assert len(outcome.table[1][0]) == rows  # the center column: one cell per row
         with pytest.raises(BudgetExceededError, match=f"size {rows} exceeds budget {rows - 1}"):
             ANALYSES["shell"].run(self._context(3, 12, rows - 1), opts)
 

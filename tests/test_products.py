@@ -340,10 +340,10 @@ class TestClaimsAnalysis:
     )
     def test_every_pair_matches_the_reference(self, space, model, widths, n_max):
         _, tables = run_analyses(_claims_config(space, widths, n_max))
-        header, rows = tables["claims"]
+        header, columns = tables["claims"]
         assert header == ("n", "k", "forward", "backward")
         sequence = product_powers(model, "standard", n_max + max(widths))
-        assert rows == [
+        assert list(zip(*columns)) == [
             (n, k, *_reference_shell_inclusion(sequence, n, k))
             for k in widths
             for n in range(k, n_max + 1)

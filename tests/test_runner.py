@@ -8,6 +8,8 @@ Core claims:
     - an origin-only run on a group space never builds a graph, nor does a
       sample that holds only the origin, while sampled centers past the
       origin do and agree with the graph-free origin profile
+    - a stairway run builds no adjacency tuples: its edge count comes from
+      the edge keys and equals the count of the tuples' neighbors
     - every family's space record, and a graph file's, agrees with its own
       graph: counts, basepoints and, in the graph metric, the BFS profile
       at the basepoints and at sampled vertices; the stairway profiles its
@@ -34,6 +36,7 @@ from folnerlab.groups import zd_model
 from folnerlab.products import product_powers
 from folnerlab.registry import FAMILIES, cell
 from folnerlab.runner import build_space, run_experiment
+from folnerlab import space
 from folnerlab.space import Graph, sample_centers, volume_profile
 
 NAMED_SETS = [
@@ -136,6 +139,21 @@ def test_origin_only_sample_builds_no_graph(tmp_path, monkeypatch):
     run_experiment(config, tmp_path)
     rows = _profile_rows(tmp_path / "profile.csv")
     assert {row["center"] for row in rows} == {"origin"}
+
+
+def test_stairway_run_builds_no_adjacency(tmp_path, monkeypatch):
+    config = validate_config({"space": {"family": "stairway", "levels": 6}, "depth": 65,
+                              "analyses": {"fit": {"dyadic_radii": True, "min_points": 2}}})
+    edges = sum(len(nbrs) for nbrs in stairway_strip(6).graph.adjacency) // 2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("adjacency tuples were built")
+
+    monkeypatch.setattr(space, "_adjacency", refuse)
+    result = run_experiment(config, tmp_path)
+    assert result.summary["edges"] == edges
+    with pytest.raises(AssertionError, match="adjacency tuples were built"):
+        stairway_strip(6).graph.adjacency  # the patch is the step the run would take
 
 
 def test_sampled_centers_use_the_graph(tmp_path):

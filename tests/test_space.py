@@ -6,6 +6,9 @@ Core claims:
       in list order (out of range, self-loop, repeat in either orientation),
       naming its index; validate() rejects asymmetry, basepoints out of
       range (naming the label) and disconnection
+    - a graph from `from_edges` counts its vertices and edges without
+      building adjacency tuples, builds them once when they are read, and
+      equals another graph exactly when adjacency and basepoints agree
     - bfs_distances agrees with a dense min-plus oracle on seeded random
       connected graphs, with and without a cutoff
     - volume_profile is the cumulative distance histogram, nondecreasing,
@@ -25,6 +28,7 @@ import random
 import numpy as np
 import pytest
 
+from folnerlab import space
 from folnerlab.errors import GraphFormatError
 from folnerlab.space import (
     Graph,
@@ -85,6 +89,29 @@ class TestGraph:
         assert g.adjacency[0] == (1, 2, 3)
         assert g.vertex_count == 4
         assert g.edge_count == 3
+
+    def test_counts_read_no_adjacency(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("adjacency tuples were built")
+
+        monkeypatch.setattr(space, "_adjacency", refuse)
+        g = Graph.from_edges(5, [(2, 0), (0, 1), (3, 4), (4, 0)], {"o": 3})
+        assert (g.vertex_count, g.edge_count, g.basepoints) == (5, 4, {"o": 3})
+        with pytest.raises(AssertionError):
+            g.adjacency
+
+    def test_adjacency_is_built_once(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert g.adjacency is g.adjacency
+
+    def test_equal_by_adjacency_and_basepoints(self):
+        g = Graph.from_edges(4, [(2, 0), (0, 1), (3, 0)], {"o": 0})
+        assert g == Graph.from_edges(4, [(0, 3), (1, 0), (0, 2)], {"o": 0})
+        assert g == Graph(((1, 2, 3), (0,), (0,), (0,)), {"o": 0})
+        assert g != Graph.from_edges(4, [(2, 0), (0, 1), (3, 0)], {"o": 1})
+        assert g != Graph.from_edges(4, [(2, 0), (0, 1), (3, 1)], {"o": 0})
+        assert g != Graph.from_edges(4, [(2, 0), (0, 1), (3, 0)])
+        assert g != g.adjacency
 
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(ValueError, match="out of range"):
