@@ -20,8 +20,7 @@ polynomial sphere-decay certificate with exponent delta = log2(1 + alpha):
 
     mu(S(x, n)) <= C * n^(-delta) * mu(B(x, n)).
 
-`lemma_recursion_audit` replays that telescoping step by step on a concrete
-profile; `verify_sphere_bound` fits the constant C and checks it stays flat;
+`verify_sphere_bound` fits the constant C and checks it stays flat;
 `dyadic_subsequence` certifies the cheaper radius-selection route that needs
 only the doubling constant; `isoperimetric_ratios` measures the stronger 1/n
 decay available on abelian groups.  The analyses over centers
@@ -43,7 +42,6 @@ from .space import VolumeProfile
 __all__ = [
     "ShellRecord",
     "ShellReport",
-    "RecursionAudit",
     "DyadicRecord",
     "DyadicSelection",
     "SphereBoundReport",
@@ -52,7 +50,6 @@ __all__ = [
     "shell_alpha",
     "shell_pair_count",
     "delta_from_alpha",
-    "lemma_recursion_audit",
     "verify_sphere_bound",
     "dyadic_subsequence",
     "isoperimetric_ratios",
@@ -71,11 +68,6 @@ def least_squares_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("need at least two points")
     slope, _ = np.polyfit(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), 1)
     return float(slope)
-
-
-def _shell(profile: VolumeProfile, n: int, k: int) -> int:
-    """Exact c_{n-k,n} = mu(B(n)) - mu(B(n-k)); requires 0 <= n-k, n <= depth."""
-    return profile.ball[n] - profile.ball[n - k]
 
 
 # -- doubling ----------------------------------------------------------------
@@ -122,7 +114,6 @@ class ShellReport:
     sweep was run with record_all=True, otherwise just the worst record.
     """
 
-    k_min: int
     n_max: int
     alpha: Fraction
     delta: float
@@ -268,7 +259,6 @@ def shell_alpha(
     delta = delta_from_alpha(alpha)
     fitted = max(_sphere_constants(profiles, delta, range(1, n_max + 1)))
     return ShellReport(
-        k_min=k_min,
         n_max=n_max,
         alpha=alpha,
         delta=delta,
@@ -292,66 +282,6 @@ def _sphere_constants(
     """Per radius n, the smallest C with mu(S(x,n)) <= C n^(-delta) mu(B(x,n))
     at every center x: the max of mu(S(x,n)) n^delta / mu(B(x,n))."""
     return [max(p.sphere[n] * n**delta / p.ball[n] for p in profiles) for n in radii]
-
-
-# -- telescoping recursion audit ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class RecursionAudit:
-    """Replay of the dyadic telescoping that converts alpha into sphere decay.
-
-    With b_i = c_{n - 2^i, n} the chain asserts, for i = 1 .. floor(log2 n):
-
-        b_i >= (1 + alpha) * b_(i-1)
-
-    and then  mu(B(x,n)) >= b_top >= (1+alpha)^top * b_0  with
-    (1+alpha)^top >= n^log2(1+alpha) / (1+alpha).  `violations` lists the
-    indices i whose step inequality fails (empty on any space whose measured
-    alpha really is a lower shell bound at all dyadic widths).
-    `final_bound_ok` is the exact end-to-end inequality
-    mu(S(x,n)) * (1+alpha)^top <= mu(B(x,n)), with mu(S(x,n)) = b_0.
-    """
-
-    n: int
-    alpha: Fraction
-    b: tuple[int, ...]
-    violations: tuple[int, ...]
-    chain_ok: bool
-    final_bound_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations and self.chain_ok and self.final_bound_ok
-
-
-def lemma_recursion_audit(
-    profile: VolumeProfile, n: int, alpha: Fraction
-) -> RecursionAudit:
-    """Recompute the telescoping chain at radius n with a given alpha, exactly."""
-    if n < 1 or n > profile.depth:
-        raise ValueError(f"radius n={n} outside profile depth {profile.depth}")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    top = n.bit_length() - 1  # floor(log2 n)
-    b = tuple(_shell(profile, n, 2**i) for i in range(top + 1))
-    one_plus = Fraction(1) + alpha
-    violations = tuple(
-        i for i in range(1, top + 1) if Fraction(b[i]) < one_plus * b[i - 1]
-    )
-    chain_ok = profile.ball[n] >= b[top] and Fraction(b[top]) >= one_plus**top * b[0]
-    # The end-to-end bound the chain delivers, checked on the data itself.
-    final_bound_ok = one_plus**top * b[0] <= profile.ball[n]
-    if violations:
-        chain_ok = False
-    return RecursionAudit(
-        n=n,
-        alpha=Fraction(alpha),
-        b=b,
-        violations=violations,
-        chain_ok=chain_ok,
-        final_bound_ok=final_bound_ok,
-    )
 
 
 # -- sphere-decay verification ------------------------------------------------
@@ -430,8 +360,6 @@ class DyadicRecord:
 
 @dataclass(frozen=True)
 class DyadicSelection:
-    center: int
-    doubling: Fraction
     records: tuple[DyadicRecord, ...]
 
     @property
@@ -473,9 +401,7 @@ def dyadic_subsequence(
         )
     if not records:
         raise ValueError(f"profile depth {depth} admits no dyadic window")
-    return DyadicSelection(
-        center=profile.center, doubling=doubling, records=tuple(records)
-    )
+    return DyadicSelection(tuple(records))
 
 
 # -- abelian-style isoperimetry ----------------------------------------------
@@ -508,7 +434,6 @@ class GrowthFit:
     exponent: float
     intercept: float
     residual_rms: float
-    radii: tuple[int, ...]
 
 
 def fit_radii(depth: int, dyadic: bool = False) -> Sequence[int]:
@@ -541,5 +466,4 @@ def growth_exponent_fit(
         exponent=float(slope),
         intercept=float(intercept),
         residual_rms=float(np.sqrt(np.mean(residuals**2))),
-        radii=radii,
     )

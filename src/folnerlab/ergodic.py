@@ -90,8 +90,6 @@ def observable(name: str) -> tuple[Callable[[Point], float], float]:
 class ErgodicTrace:
     """Averages A_n = (1/|U^n|) sum over g in U^n of f(g . p), for n = 0..N."""
 
-    observable: str
-    start: Point
     space_mean: float
     averages: tuple[float, ...]
 
@@ -142,6 +140,4 @@ def ergodic_trace(
         for point in action.move(layer.box.decode(layer.order), start).tolist():
             running += f(point)
         averages.append(running / count)
-    return ErgodicTrace(
-        observable=name, start=start, space_mean=mean, averages=tuple(averages)
-    )
+    return ErgodicTrace(space_mean=mean, averages=tuple(averages))

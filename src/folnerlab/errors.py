@@ -5,9 +5,10 @@ from __future__ import annotations
 
 class GraphFormatError(ValueError):
     """A broken graph invariant: an edge's (range, loop, repeat) or the
-    graph's (basepoint range, connectivity) from `Graph.from_edges`, symmetry
-    from `Graph.validate`, a file's text from `graphio.parse_graph`.  `where`
-    is the edge's list index or the basepoint's label, if one record shows it."""
+    graph's (basepoint range, connectivity) from `Graph.from_edges`, which
+    `Graph.validate` checks again, or a file's text from
+    `graphio.parse_graph`.  `where` is the edge's list index or the
+    basepoint's label, if one record shows it."""
 
     def __init__(self, message: str, where: int | str | None = None):
         super().__init__(message)

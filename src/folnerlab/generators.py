@@ -115,10 +115,6 @@ class WordBall:
         )
         return (len(self.steps) * (self.vertex_count - len(last)) + inside) // 2
 
-    @cached_property
-    def elements(self) -> tuple[Element, ...]:
-        return tuple(self.box.elements(np.concatenate(self.layers)))
-
     def edges(self) -> np.ndarray:
         """Edges (i, j), i < j, sorted: the vertex pairs with g_i * s = g_j.
 
@@ -209,11 +205,6 @@ class TreeChainSpec:
     def __post_init__(self) -> None:
         if self.stretch < 2 or self.valence < 2 or self.blocks < 1:
             raise ValueError("need stretch >= 2, valence >= 2, blocks >= 1")
-
-    def block_depth(self, n: int) -> int:
-        """Root-to-leaf distance in block n: sum of stretch^(n-k), k = 1..n."""
-        a = self.stretch
-        return (a**n - 1) // (a - 1)
 
 
 def stretched_tree_chain(

@@ -167,8 +167,11 @@ def load_graph(path: str | Path, vertex_budget: int | None = None) -> Graph:
 
 
 def dump_graph(graph: Graph) -> str:
+    """The text of `graph`: its edges u < v in adjacency order, which is the
+    order of its sorted keys u·n + v, then its basepoints by label."""
+    src, dst = np.divmod(graph._keys, graph.vertex_count)
+    upper = src < dst
     out = [f"vertices {graph.vertex_count}"]
-    for u, nbrs in enumerate(graph.adjacency):
-        out.extend(f"edge {u} {v}" for v in nbrs if u < v)
+    out.extend(f"edge {u} {v}" for u, v in zip(src[upper].tolist(), dst[upper].tolist()))
     out.extend(f"basepoint {label} {v}" for label, v in sorted(graph.basepoints.items()))
     return "\n".join(out) + "\n"

@@ -95,6 +95,12 @@ class GroupModel:
         out.discard(self.identity)
         return tuple(sorted(out))
 
+    def check_arity(self, elements: Iterable[Element]) -> None:
+        """Raise NotGeneratingError at the first element whose length is not `rank`."""
+        for g in elements:
+            if len(g) != self.rank:
+                raise NotGeneratingError(f"{self.name}: element {g} has wrong arity")
+
 
 def _zd_invert(a: Element) -> Element:
     return tuple(-x for x in a)
@@ -535,9 +541,7 @@ def check_generates(model: GroupModel, elements: Iterable[Element]) -> None:
     gens = [g for g in elements if g != model.identity]
     if not gens:
         raise NotGeneratingError(f"{model.name}: no non-identity elements given")
-    for g in gens:
-        if len(g) != model.rank:
-            raise NotGeneratingError(f"{model.name}: element {g} has wrong arity")
+    model.check_arity(gens)
     k = model.abelian_rank
     # Distinct projections in the order given, which the facet search follows.
     proj = list(dict.fromkeys(g[:k] for g in gens))

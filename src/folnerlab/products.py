@@ -3,17 +3,16 @@
 All sizes and ratios here are exact.  Products are one-sided
 (N_{n+1} = N_n * U_{n+1}); sets are never symmetrized.  The identity is
 adjoined to every factor before multiplying; that makes the sequence of
-products nondecreasing, and the flag `identity_adjoined` records whether
-any factor actually lacked it.
+products nondecreasing.
 
 Every expansion here is `groups.expand`.  A `ProductSequence` keeps the
 kernel's birth layers (sorted keys, one key box) as the one record of the
-products: each N_n, each frontier N_n minus N_(n-1) and each shell N_b
-minus N_a is a run of consecutive layers.  Discovery order is opt-in
-(`ordered`, default True): only `ergodic.ergodic_trace` reads it, so
-callers that read sizes and shells ask for sorted layers and skip its sorts.
+products: each N_n and each shell N_b minus N_a is a run of consecutive
+layers.  Discovery order is opt-in (`ordered`, default True): only
+`ergodic.ergodic_trace` reads it, so callers that read sizes and shells ask
+for sorted layers and skip its sorts.
 Shells and set products are `KeySet`s, so the word-shell sandwich is tested
-on keys; `birth` and `frontier` decode tuples for callers that want elements.
+on keys; only `birth` decodes tuples, for callers that want elements.
 Expanding only the newest elements of N_n is exhaustive when the next
 factor lies inside the one before it (always, for powers of one set);
 otherwise the kernel multiplies the whole of N_n.
@@ -24,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,7 +57,6 @@ class ProductSequence:
     model: GroupModel
     factors: Sequence[tuple[Element, ...]]
     layers: tuple[Layer, ...]
-    identity_adjoined: bool
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
@@ -80,10 +78,6 @@ class ProductSequence:
             raise ValueError(f"step {b} outside computed range 0..{self.steps}")
         return KeySet.union(self.layers[max(a + 1, 0) : b + 1], self.layers[0].box)
 
-    def frontier(self, n: int) -> frozenset[Element]:
-        """Elements first reached at step n: N_n minus N_(n-1)."""
-        return frozenset(self.shell(n - 1, n).elements())
-
 
 def _adjoin(model: GroupModel, factor: Iterable[Element]) -> tuple[Element, ...]:
     return tuple(sorted(set(factor) | {model.identity}))
@@ -92,14 +86,13 @@ def _adjoin(model: GroupModel, factor: Iterable[Element]) -> tuple[Element, ...]
 def _expand(
     model: GroupModel,
     factors: Sequence[tuple[Element, ...]],
-    identity_adjoined: bool,
     element_budget: int,
     ordered: bool,
 ) -> ProductSequence:
     layers = expand(
         model, [model.identity], factors, element_budget, "product expansion", ordered
     )
-    return ProductSequence(model, factors, tuple(layers), identity_adjoined)
+    return ProductSequence(model, factors, tuple(layers))
 
 
 def product_powers(
@@ -116,8 +109,7 @@ def product_powers(
         generating_set = model.generating_set(generating_set)
     check_generates(model, generating_set)
     factors = Repeat(_adjoin(model, generating_set), n_max)
-    adjoined = n_max > 0 and model.identity not in generating_set
-    return _expand(model, factors, adjoined, element_budget, ordered)
+    return _expand(model, factors, element_budget, ordered)
 
 
 def varying_products(
@@ -133,9 +125,11 @@ def varying_products(
     Every factor must contain `inner` and be contained in `outer`
     (inner generates); violations name the offending factor.  This is the
     sandwich that makes the product sequence behave like powers of a fixed
-    set for growth purposes.
+    set for growth purposes.  An element of the wrong arity in `outer` or a
+    factor fails first, as in `inner`.
     """
     check_generates(model, inner)
+    model.check_arity(chain(outer, *factors))
     inner_set, outer_set = set(inner), set(outer)
     if not inner_set <= outer_set:
         raise ValueError("inner certificate set must lie inside the outer one")
@@ -151,9 +145,8 @@ def varying_products(
             raise ValueError(
                 f"factor {i} exceeds the outer certificate by {sorted(excess)}"
             )
-    adjoined = any(model.identity not in f for f in factors)
     factors = tuple(_adjoin(model, f) for f in factors)
-    return _expand(model, factors, adjoined, element_budget, ordered)
+    return _expand(model, factors, element_budget, ordered)
 
 
 def folner_ratios(sequence: ProductSequence) -> tuple[Fraction, ...]:

@@ -26,7 +26,7 @@ via repr (shortest round-trip form); booleans are "true"/"false".
 from __future__ import annotations
 
 import csv
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -89,8 +89,10 @@ def option_parser(test: Callable[[Any], bool], error: str, convert: Callable = l
     return parse
 
 
-def _real(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _finite(value: Any) -> bool:
+    """An int or float, not a boolean, inside the float range: not NaN,
+    ±inf or an int past the largest float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 _flag = option_parser(lambda v: isinstance(v, bool), "expected a boolean")
@@ -102,7 +104,7 @@ center_labels = option_parser(
     lambda v: v if v == "all" else list(v),
 )
 seed_value = option_parser(lambda v: v is None or _integer(v), "expected an integer, got {value!r}")
-_number = option_parser(_real, "expected a number, got {value!r}", float)
+_number = option_parser(_finite, "expected a finite number, got {value!r}", float)
 _observable = option_parser(
     lambda v: isinstance(v, str) and v in OBSERVABLES,
     "unknown observable {value!r}; known: " + ", ".join(sorted(OBSERVABLES)),
@@ -110,7 +112,7 @@ _observable = option_parser(
 _preset = option_parser(lambda v: v == "golden", "unknown preset {value!r}")
 _point = option_parser(  # a point on the 2-torus
     lambda v: isinstance(v, list) and len(v) == 2
-    and all(_real(c) and math.isfinite(c) for c in v),
+    and all(map(_finite, v)),
     "expected a list of two finite numbers, got {value!r}",
     lambda v: [float(c) for c in v],
 )

@@ -3,11 +3,12 @@
 Every space in this package is a finite connected graph with unit edge
 lengths, carrying the shortest-path metric and the counting measure.  This
 module owns the graph container and the metric primitives everything else
-is built from.  `Graph.from_edges` checks the edges and connectivity on
-int64 arrays, so the adjacency tuples are built only when read.  Each
-metric primitive is read off one breadth-first loop,
-`bfs_layers`, which yields the vertices at distance 0, 1, 2, ... from a
-center, each layer in discovery order:
+is built from.  `Graph.from_edges`, the one way to build a graph, checks
+the edges and connectivity on int64 arrays and keeps the edges as sorted
+int64 keys; the adjacency tuples are built from them only when read, as
+the view of the breadth-first loop.  Each metric primitive is read off that
+one loop, `bfs_layers`, which yields the vertices at distance 0, 1, 2, ...
+from a center, each layer in discovery order:
 
     - distances with a cutoff (`bfs_distances`, the layers as a dict),
     - ball/sphere volume profiles around a center (the layer sizes, summed
@@ -29,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -54,20 +55,17 @@ class Graph:
     """Finite undirected graph with named basepoints.
 
     `adjacency[v]` lists the neighbors of vertex v in ascending order.  A
-    graph is not changed once built.  Every constructor here goes through
-    `from_edges`, which checks each edge and keeps the sorted keys src·n +
-    dst of both orientations, from which the adjacency is built on first
-    read, symmetric and in range.  `validate()` checks those two on a graph
-    built by hand.  Both check the basepoints' range and, with `_connected`,
-    connectivity.  Graphs are equal when adjacency and basepoints are.
+    graph is not changed once built, and `from_edges` builds every graph: it
+    checks each edge, the basepoints' range and, with `_connected`,
+    connectivity, and keeps the sorted keys src·n + dst of both orientations.
+    The adjacency is built from them on first read, symmetric and in range.
+    Graphs are equal when vertex count, keys and basepoints are.
     """
 
-    def __init__(self, adjacency: Sequence[Sequence[Vertex]],
-                 basepoints: Mapping[str, Vertex] | None = None) -> None:
-        self.adjacency = adjacency  # hides the property that builds it from keys
-        self.basepoints = dict(basepoints or {})
-        self.vertex_count = len(adjacency)
-        self.edge_count = sum(map(len, adjacency)) // 2
+    def __init__(self, n: int, keys: np.ndarray, basepoints: Mapping[str, Vertex]) -> None:
+        """The graph on 0..n-1 of the sorted `keys`, unchecked: `from_edges` calls it."""
+        self.vertex_count, self._keys, self.basepoints = n, keys, dict(basepoints)
+        self.edge_count = len(keys) // 2
 
     @cached_property
     def adjacency(self) -> Sequence[Sequence[Vertex]]:
@@ -76,7 +74,8 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.adjacency, self.basepoints) == (other.adjacency, other.basepoints)
+        return (self.vertex_count == other.vertex_count and self.basepoints == other.basepoints
+                and np.array_equal(self._keys, other._keys))
 
     @staticmethod
     def from_edges(
@@ -104,24 +103,13 @@ class Graph:
             raise GraphFormatError(
                 f"edge ({a}, {b}) out of range" if not inrange[i] else
                 f"self-loop at {a}" if a == b else f"duplicate edge ({a}, {b})", i)
-        graph = Graph.__new__(Graph)  # its adjacency is built from `_keys` when read
-        graph.basepoints, graph.vertex_count, graph.edge_count = dict(basepoints or {}), n, len(u)
-        graph._keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+        graph = Graph(n, np.sort(np.concatenate((u * n + v, v * n + u))), basepoints or {})
         return graph._checked(u, v)
 
     def validate(self) -> None:
-        """Raise GraphFormatError on a neighbor out of range or an asymmetric
-        adjacency (only a graph built by hand can have either), then on a
-        basepoint out of range (its label as `where`) or a disconnected graph."""
-        adjacency, n = self.adjacency, self.vertex_count
-        for v, nbrs in enumerate(adjacency):
-            for u in nbrs:
-                if not 0 <= u < n:
-                    raise GraphFormatError(f"edge ({v}, {u}) out of range")
-                if v not in adjacency[u]:
-                    raise GraphFormatError(f"asymmetric edge ({v}, {u})")
-        src = np.repeat(np.arange(n), np.fromiter(map(len, adjacency), np.int64, n))
-        self._checked(src, np.fromiter(chain.from_iterable(adjacency), np.int64, len(src)))
+        """Raise GraphFormatError on a basepoint out of range (its label as
+        `where`) or a disconnected graph, as `from_edges` does."""
+        self._checked(*np.divmod(self._keys, self.vertex_count))
 
     def _checked(self, src: np.ndarray, dst: np.ndarray) -> "Graph":
         """The graph, once its basepoints are checked and its edges

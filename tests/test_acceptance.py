@@ -28,7 +28,6 @@ from folnerlab.analysis import (
     growth_exponent_fit,
     isoperimetric_ratios,
     least_squares_slope,
-    lemma_recursion_audit,
     shell_alpha,
     verify_sphere_bound,
 )
@@ -48,6 +47,7 @@ from folnerlab.products import (
     varying_products,
 )
 from folnerlab.space import monotone_geodesic, volume_profile
+from recursion_audit import lemma_recursion_audit
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -257,6 +257,17 @@ class TestNprod:
         assert result.exit_code == 1
         assert result.output == f"Error: {message}\n"
 
+    @pytest.mark.parametrize("factors,outer", [
+        ("[[[1],[-1],[2,0]]]", "[[1],[-1],[2,0]]"),
+        ("[[[1],[-1]],[[1],[-1],[2,0]]]", "[[1],[-1],[2]]"),
+        ("[[[1],[-1]]]", "[[1],[-1],[2,0]]"),
+    ])
+    def test_an_element_of_the_wrong_arity_fails_in_one_line(self, runner, factors, outer):
+        result = runner.invoke(main, ["nprod", "--group", "zd", "--d", "1", "--factors", factors,
+                                      "--inner", "[[1],[-1]]", "--outer", outer])
+        assert result.exit_code == 1
+        assert result.output == "Error: Z^1: element (2, 0) has wrong arity\n"
+
 
 class TestShellReport:
     def test_json_summary_line(self, runner, z2_graph):
@@ -283,6 +294,12 @@ class TestVerify:
         summary = json.loads(result.output.splitlines()[-1])
         assert summary["pass"] is True
         assert summary["trend_slope"] < 0
+
+    @pytest.mark.parametrize("tolerance", ["inf", "nan"])
+    def test_a_tolerance_that_is_not_finite_fails_in_one_line(self, runner, z2_graph, tolerance):
+        result = runner.invoke(main, ["verify", "--graph", str(z2_graph), "--depth", "12", "--slope-tol", tolerance])
+        assert result.exit_code == 1
+        assert result.output == f"Error: analyses.verify.slope_tolerance: expected a finite number, got {tolerance}\n"
 
 
 class TestDyadic:

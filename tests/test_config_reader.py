@@ -4,8 +4,10 @@ Tests for the config reader: every field is read by `parse_options`.
 Core claims:
     - each field of a config (top level, `space`, `centers`, each
       `analyses.<name>` and its options, `budgets`), given a list, an object,
-      a boolean, a float, null or a string it does not take, fails with a
-      ConfigError that names the field
+      a boolean, a float, null, a string, NaN or ±inf it does not take,
+      fails with a ConfigError that names the field; a number field takes no
+      NaN, ±inf or int past the float range, also from a config file's
+      `NaN` and `Infinity`
     - `space.family` that is not a string fails as an unknown family, and
       `reproduce --config` reports it in one line, with no traceback
     - against the hand-written reader it replaced, kept below as the
@@ -22,7 +24,7 @@ import sys
 
 import pytest
 
-from folnerlab.config import ExperimentConfig, validate_sections
+from folnerlab.config import ExperimentConfig, load_config, validate_sections
 from folnerlab.errors import ConfigError
 from folnerlab.generators import DEFAULT_VERTEX_BUDGET
 from folnerlab.products import DEFAULT_ELEMENT_BUDGET
@@ -177,7 +179,8 @@ _SPACES = {
     "stairway": {"family": "stairway", "levels": 3},
     "graph_file": {"graph_file": "z2.graph"},
 }
-_VALUES = {"list": [1], "object": {"x": 1}, "boolean": True, "float": 1.5, "null": None, "string": "x"}
+_VALUES = {"list": [1], "object": {"x": 1}, "boolean": True, "float": 1.5, "null": None, "string": "x",
+           "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}
 # (field, value) pairs a field takes
 _TAKEN = {
     ("seed", "null"),
@@ -247,6 +250,23 @@ class TestEveryFieldIsRead:
             validate_sections(raw)
         named = path if "." in path or isinstance(_BASE[path], dict) else f"config.{path}"
         assert str(error.value).startswith(named + ":") or str(error.value).startswith(named + ".")
+
+    @pytest.mark.parametrize("value,shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (float("-inf"), "-inf"), (10**400, str(10**400)),
+    ])
+    def test_a_number_must_be_finite(self, value, shown):
+        with pytest.raises(ConfigError) as error:
+            validate_sections(_set(_BASE, "analyses.verify.slope_tolerance", value))
+        assert str(error.value) == f"analyses.verify.slope_tolerance: expected a finite number, got {shown}"
+
+    @pytest.mark.parametrize("value,text", [(float("nan"), "NaN"), (float("inf"), "Infinity"), (float("-inf"), "-Infinity")])
+    def test_a_config_file_with_a_json_constant_fails(self, tmp_path, value, text):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_set(_BASE, "analyses.verify.slope_tolerance", value)))
+        assert f'"slope_tolerance": {text}' in path.read_text()
+        with pytest.raises(ConfigError) as error:
+            load_config(path)
+        assert str(error.value) == f"analyses.verify.slope_tolerance: expected a finite number, got {value!r}"
 
     @pytest.mark.parametrize("family", [["lattice"], {"lattice": 1}, 3])
     def test_a_family_that_is_no_name_exits_1_without_a_traceback(self, tmp_path, child_env, family):

@@ -1,7 +1,7 @@
 """
 Tests of the one connectivity check, `space._connected`, which
-`Graph.from_edges` runs on its edge arrays and `Graph.validate` on the
-edges of a hand-built adjacency.
+`Graph.from_edges` runs on its edge arrays and `Graph.validate` on a
+graph's keys.
 
 Core claims:
     - against a breadth-first component count, kept below as the
@@ -14,8 +14,8 @@ Core claims:
       vertex 0 or last vertex beside a connected rest
     - long paths and tree chains under identity, reversed and shuffled ids
       are connected, and not once the edges of one vertex are taken out
-    - a hand-built disconnected graph fails `validate()`, also when vertex 0
-      is the isolated one; a connected one passes
+    - a disconnected graph is not built, also when vertex 0 is the isolated
+      one, and the error names no record; a connected one passes `validate()`
     - through `parse_graph`, the faults of a disconnected graph file keep
       their order: a text fault first, then an edge fault, then a
       basepoint out of range, and only then "graph is not connected"
@@ -155,21 +155,21 @@ class TestLongChains:
         assert _outcome(n, renamed) == "graph is not connected"
 
 
-class TestHandBuilt:
-    @pytest.mark.parametrize("adjacency", [
-        ((1,), (0,), (3,), (2,)),
-        ((), (2,), (1,)),
-        ((1,), (0,), ()),
-        ((), ()),
+class TestValidate:
+    @pytest.mark.parametrize("n,edges", [
+        (4, [(0, 1), (2, 3)]),
+        (3, [(1, 2)]),  # vertex 0 alone
+        (3, [(0, 1)]),
+        (2, []),
     ])
-    def test_disconnected_graph_fails_validate(self, adjacency):
+    def test_disconnected_graph_is_not_built(self, n, edges):
         with pytest.raises(GraphFormatError) as error:
-            Graph(adjacency=adjacency, basepoints={}).validate()
+            Graph.from_edges(n, edges)
         assert (str(error.value), error.value.where) == ("graph is not connected", None)
 
-    @pytest.mark.parametrize("adjacency", [(), ((),), ((1, 2), (0,), (0,)), ((2,), (2,), (0, 1))])
-    def test_connected_graph_passes_validate(self, adjacency):
-        Graph(adjacency=adjacency, basepoints={}).validate()
+    @pytest.mark.parametrize("n,edges", [(0, []), (1, []), (3, [(0, 1), (0, 2)]), (3, [(0, 2), (1, 2)])])
+    def test_connected_graph_passes_validate(self, n, edges):
+        Graph.from_edges(n, edges).validate()
 
 
 class TestFaultOrder:

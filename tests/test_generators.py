@@ -66,6 +66,17 @@ from tuple_law import multiply
 # -- Oracles -----------------------------------------------------------------
 
 
+def _elements(ball) -> tuple:
+    """The elements of a word ball in vertex order: layer by layer, each by key."""
+    return tuple(ball.box.elements(np.concatenate(ball.layers)))
+
+
+def _block_depth(spec: TreeChainSpec, n: int) -> int:
+    """Root-to-leaf distance in block n: sum of stretch^(n-k), k = 1..n."""
+    a = spec.stretch
+    return (a**n - 1) // (a - 1)
+
+
 def _l1_ball_size(d: int, n: int) -> int:
     """Count lattice points with |x|_1 <= n by direct enumeration."""
     return sum(
@@ -181,10 +192,10 @@ class TestWordBallKernel:
         layers, elements, graph = _reference_cayley_ball(model, gens, radius)
         kernel = word_ball(model, gens, radius)
         assert kernel.sizes == tuple(len(layer) for layer in layers)
-        assert kernel.elements == elements
+        assert _elements(kernel) == elements
         assert kernel.edge_count == graph.edge_count
         ball = cayley_ball(model, gens, radius)
-        assert ball.elements == elements
+        assert _elements(ball) == elements
         assert ball.graph.adjacency == graph.adjacency
 
     def test_random_cases_include_one_sided_sets(self):
@@ -213,7 +224,7 @@ class TestWordBallKernel:
     def test_radius_zero_is_the_identity(self):
         model = heisenberg_model()
         ball = word_ball(model, model.generating_set("standard"), 0)
-        assert ball.elements == ((0, 0, 0),)
+        assert _elements(ball) == ((0, 0, 0),)
         assert ball.edge_count == 0
         assert ball.graph.vertex_count == 1
 
@@ -262,7 +273,7 @@ class TestLatticeGraph:
     def test_distance_is_l1_norm(self):
         ball = word_ball(zd_model(2), "standard", 6)
         dist = bfs_distances(ball.graph, 0)
-        for i, (x, y) in enumerate(ball.elements):
+        for i, (x, y) in enumerate(_elements(ball)):
             assert dist[i] == abs(x) + abs(y)
 
     def test_z1_is_a_path(self):
@@ -284,7 +295,7 @@ class TestLatticeGraph:
     def test_deterministic_indexing(self):
         a = word_ball(zd_model(2), "standard", 4)
         b = word_ball(zd_model(2), "standard", 4)
-        assert a.elements == b.elements
+        assert _elements(a) == _elements(b)
         assert a.graph.adjacency == b.graph.adjacency
 
     def test_diagonal_set_grows_faster(self):
@@ -303,7 +314,7 @@ class TestLatticeGraph:
         # +5 first, then skips the 1-neighborhoods, keeping {-5, 5, -7, 7}.
         ball = word_ball(zd_model(1), "standard", 8)
         net = separated_net(ball.graph, 0, 4, 8, 1)
-        coords = sorted(ball.elements[v][0] for v in net)
+        coords = sorted(_elements(ball)[v][0] for v in net)
         assert coords == [-7, -5, 5, 7]
 
     def test_budget_error_names_stage(self):
@@ -324,11 +335,11 @@ class TestHeisenbergGraph:
     def test_central_element_at_distance_4(self):
         ball = word_ball(heisenberg_model(), "standard", 4)
         dist = bfs_distances(ball.graph, 0)
-        assert dist[ball.elements.index((0, 0, 1))] == 4
+        assert dist[_elements(ball).index((0, 0, 1))] == 4
 
     def test_monotone_geodesic_on_word_ball(self):
         ball = word_ball(heisenberg_model(), "standard", 4)
-        target = ball.elements.index((0, 0, 1))
+        target = _elements(ball).index((0, 0, 1))
         chain = monotone_geodesic(ball.graph, 0, target)
         dist = bfs_distances(ball.graph, 0)
         assert [dist[v] for v in chain] == list(range(len(chain)))
@@ -339,8 +350,11 @@ class TestHeisenbergGraph:
 
 class TestTreeChain:
     def test_block_depth_formulas(self):
-        assert [TreeChainSpec(2, 3, 8).block_depth(n) for n in (1, 2, 3)] == [1, 3, 7]
-        assert [TreeChainSpec(3, 2, 8).block_depth(n) for n in (1, 2, 3)] == [1, 4, 13]
+        assert [_block_depth(TreeChainSpec(2, 3, 8), n) for n in (1, 2, 3)] == [1, 3, 7]
+        assert [_block_depth(TreeChainSpec(3, 2, 8), n) for n in (1, 2, 3)] == [1, 4, 13]
+        for a in range(2, 6):
+            for n in range(1, 9):
+                assert _block_depth(TreeChainSpec(a, 2, 8), n) == sum(a ** (n - k) for k in range(1, n + 1))
 
     def test_single_block_hand_count(self):
         # Two tripods with their three leaves glued: 5 vertices, 6 edges.
@@ -355,7 +369,7 @@ class TestTreeChain:
         g = stretched_tree_chain(spec)
         for n in range(1, 5):
             dist = bfs_distances(g, g.basepoints[f"r_{n}"])
-            depth = spec.block_depth(n)
+            depth = _block_depth(spec, n)
             assert dist[g.basepoints[f"leaf_{n}"]] == depth
             assert dist[g.basepoints[f"rp_{n}"]] == 2 * depth
 
@@ -370,8 +384,8 @@ class TestTreeChain:
         spec = TreeChainSpec(2, 3, 3)
         g = stretched_tree_chain(spec)
         n = 3
-        dist = bfs_distances(g, g.basepoints[f"r_{n}"], cutoff=spec.block_depth(n))
-        leaves = [v for v, d in dist.items() if d == spec.block_depth(n)]
+        dist = bfs_distances(g, g.basepoints[f"r_{n}"], cutoff=_block_depth(spec, n))
+        leaves = [v for v, d in dist.items() if d == _block_depth(spec, n)]
         assert len(leaves) >= 3**n
         assert len(g.adjacency[g.basepoints[f"leaf_{n}"]]) == 2
 

@@ -3,6 +3,10 @@ Tests for the plain-text graph format.
 
 Core claims:
     - dump/parse round-trips graphs including basepoints
+    - `dump_graph` writes from the graph's keys the bytes of the adjacency
+      writer, kept below as the reference, on `generate` for every family
+      and named set and on parsed shuffled files; `generate` builds no
+      adjacency tuples
     - comments and blank lines are ignored
     - every malformed input is rejected with the offending line number
     - integers are ASCII digits with an optional sign: underscores and
@@ -38,9 +42,13 @@ import random
 import tracemalloc
 
 import pytest
+from click.testing import CliRunner
 
+from folnerlab import space
+from folnerlab.cli import main
 from folnerlab.errors import BudgetExceededError, GraphFormatError
 from folnerlab.graphio import _BLOCK, dump_graph, load_graph, parse_graph
+from folnerlab.registry import FAMILIES, parse_space
 from folnerlab.space import Graph
 
 
@@ -70,6 +78,53 @@ class TestRoundTrip:
         text = "# hello\n\nvertices 2\n  # indented comment\nedge 0 1\n"
         g = parse_graph(text)
         assert g.vertex_count == 2
+
+
+def _reference_dump(graph):
+    """The earlier writer: the neighbors v > u of each vertex u, read off
+    the adjacency tuples, then the basepoints by label."""
+    out = [f"vertices {graph.vertex_count}"]
+    for u, nbrs in enumerate(graph.adjacency):
+        out.extend(f"edge {u} {v}" for v in nbrs if u < v)
+    out.extend(f"basepoint {label} {v}" for label, v in sorted(graph.basepoints.items()))
+    return "\n".join(out) + "\n"
+
+
+# The spaces of `generate`: every family, Z^d for d = 1, 2, 3 and every named set.
+_GENERATED = [
+    {"family": "lattice", "d": 1, "radius": 40},
+    {"family": "lattice", "d": 2, "radius": 9},
+    {"family": "lattice", "d": 2, "radius": 9, "generating_set": "diagonal"},
+    {"family": "lattice", "d": 2, "radius": 9, "generating_set": "skew"},
+    {"family": "lattice", "d": 3, "radius": 5},
+    {"family": "heisenberg", "radius": 5},
+    {"family": "tree-chain", "a": 3, "b": 2, "blocks": 4},
+    {"family": "stairway", "levels": 6},
+]
+
+
+class TestDumpReference:
+    @pytest.mark.parametrize("raw", _GENERATED, ids=lambda raw: "-".join(map(str, raw.values())))
+    def test_generate_writes_the_reference_bytes_without_adjacency(self, raw, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("adjacency tuples were built")
+
+        options = [f"--{key.replace('_', '-')}={value}" for key, value in raw.items()]
+        with monkeypatch.context() as patch:
+            patch.setattr(space, "_adjacency", refuse)
+            result = CliRunner().invoke(main, ["generate", *options])
+        assert result.exit_code == 0, result.output
+        graph = FAMILIES[raw["family"]].build(parse_space(raw), 10**6).graph()
+        assert result.output == _reference_dump(graph)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_a_parsed_shuffled_file_dumps_the_reference_bytes(self, seed):
+        graph = parse_graph(_render(random.Random(seed), _random_records(random.Random(seed))[1])[0])
+        assert dump_graph(graph) == _reference_dump(graph)
+
+    def test_a_parsed_shuffled_z2_ball_dumps_the_reference_bytes(self):
+        graph = parse_graph(_z2_ball_text(30, 1))
+        assert dump_graph(graph) == _reference_dump(graph)
 
 
 class TestRejections:

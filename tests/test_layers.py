@@ -11,7 +11,7 @@ sets in Z^2 and H3:
     - `bfs_distances` gives the reference's distances in the reference's
       dict order, for every cutoff; `volume_profile` is its histogram
     - `monotone_geodesic` returns the parent-BFS path, vertex for vertex
-    - a `ProductSequence`'s birth map, sizes, element sets, frontiers and
+    - a `ProductSequence`'s birth map, sizes, element sets and
       shells equal the birth-map reference's, birth-map item order included
     - `ergodic_trace` averages equal the birth-map replay bit for bit, also
       from starts outside [0, 1), where the sign rule of `%` matters
@@ -199,7 +199,6 @@ class TestProductLayers:
             assert seq.sizes == sizes
             for n in range(seq.steps + 1):
                 assert frozenset(seq.shell(-1, n).elements()) == _scan(birth, -1, n)
-                assert seq.frontier(n) == _scan(birth, n - 1, n)
                 for a in range(-1, n):
                     assert frozenset(seq.shell(a, n).elements()) == _scan(birth, a, n)
 

@@ -97,15 +97,15 @@ class TestProductPowers:
     def test_birth_encodes_every_level(self):
         seq = product_powers(zd_model(1), "standard", 5)
         assert frozenset(seq.shell(-1, 3).elements()) == frozenset((x,) for x in range(-3, 4))
-        assert seq.frontier(3) == frozenset([(-3,), (3,)])
-        assert seq.frontier(0) == frozenset([(0,)])
+        assert frozenset(seq.shell(2, 3).elements()) == frozenset([(-3,), (3,)])
+        assert frozenset(seq.shell(-1, 0).elements()) == frozenset([(0,)])
 
     def test_level_range_errors(self):
         seq = product_powers(zd_model(1), "standard", 3)
         with pytest.raises(ValueError, match="0..3"):
             frozenset(seq.shell(-1, 4).elements())
         with pytest.raises(ValueError, match="0..3"):
-            seq.frontier(-1)
+            seq.shell(-2, -1)
 
     def test_identity_adjunction_gives_union_of_bare_products(self):
         # A factor without the identity; the computed N_n must equal the
@@ -113,14 +113,10 @@ class TestProductPowers:
         model = zd_model(2)
         factor = [(1, 0), (0, 1), (-1, -1)]
         seq = product_powers(model, factor, 6)
-        assert seq.identity_adjoined
         bare = _bare_products(model, factor, 6)
         for n in range(7):
             union = frozenset().union(*bare[: n + 1])
             assert frozenset(seq.shell(-1, n).elements()) == union
-
-    def test_symmetric_factor_not_flagged(self):
-        assert not product_powers(zd_model(2), "standard", 3).identity_adjoined
 
     def test_rejects_non_generating_set(self):
         with pytest.raises(NotGeneratingError):
@@ -288,7 +284,7 @@ class TestShellInclusions:
         # steps: forward at (n, 4) may read only the first 8 of them.
         diagonal = product_powers(_Z2, "diagonal", 20, ordered=False)
         standard = product_powers(_Z2, "standard", 20, ordered=False)
-        sequence = ProductSequence(_Z2, standard.factors, diagonal.layers, False)
+        sequence = ProductSequence(_Z2, standard.factors, diagonal.layers)
         pairs = [(n, k) for k in (8, 4) for n in range(k, 12)]
         expected = [_reference_shell_inclusion(sequence, n, k) for n, k in pairs]
         assert not any(forward for forward, _ in expected)

@@ -4,11 +4,12 @@ Unit tests for the graph container and metric primitives.
 Core claims:
     - Graph.from_edges normalizes adjacency and rejects the first bad edge
       in list order (out of range, self-loop, repeat in either orientation),
-      naming its index; validate() rejects asymmetry, basepoints out of
-      range (naming the label) and disconnection
+      naming its index; it and validate() reject basepoints out of range
+      (naming the label) and disconnection
     - a graph from `from_edges` counts its vertices and edges without
       building adjacency tuples, builds them once when they are read, and
-      equals another graph exactly when adjacency and basepoints agree
+      equals another graph exactly when vertex count, edges and basepoints
+      agree
     - bfs_distances agrees with a dense min-plus oracle on seeded random
       connected graphs, with and without a cutoff
     - volume_profile is the cumulative distance histogram, nondecreasing,
@@ -71,6 +72,13 @@ def _random_connected(rng: random.Random, n: int, extra: int) -> Graph:
     return Graph.from_edges(n, sorted(edges), {"root": 0})
 
 
+def _unchecked(n: int, edges, basepoints) -> Graph:
+    """The graph of `edges` as `Graph.from_edges` keeps it, but unchecked:
+    the only kind of graph that `validate` can reject."""
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return Graph(n, np.sort(np.concatenate((u * n + v, v * n + u))), basepoints)
+
+
 def _path(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], {"left": 0})
 
@@ -107,7 +115,8 @@ class TestGraph:
     def test_equal_by_adjacency_and_basepoints(self):
         g = Graph.from_edges(4, [(2, 0), (0, 1), (3, 0)], {"o": 0})
         assert g == Graph.from_edges(4, [(0, 3), (1, 0), (0, 2)], {"o": 0})
-        assert g == Graph(((1, 2, 3), (0,), (0,), (0,)), {"o": 0})
+        assert g == Graph.from_edges(4, np.array([[3, 0], [0, 2], [1, 0]]), {"o": 0})
+        assert g != Graph.from_edges(5, [(2, 0), (0, 1), (3, 0), (4, 3)], {"o": 0})
         assert g != Graph.from_edges(4, [(2, 0), (0, 1), (3, 0)], {"o": 1})
         assert g != Graph.from_edges(4, [(2, 0), (0, 1), (3, 1)], {"o": 0})
         assert g != Graph.from_edges(4, [(2, 0), (0, 1), (3, 0)])
@@ -121,23 +130,6 @@ class TestGraph:
         with pytest.raises(ValueError, match="self-loop"):
             Graph.from_edges(3, [(0, 1), (1, 2), (1, 1)])
 
-    def test_rejects_asymmetric_adjacency(self):
-        g = Graph(adjacency=((1,), (), ()), basepoints={})
-        with pytest.raises(ValueError, match="asymmetric"):
-            g.validate()
-
-    @pytest.mark.parametrize(
-        "adjacency,message",
-        [
-            (((1, 5), (0,)), "edge (0, 5) out of range"),  # would index past the end
-            (((1, -1), (0, 0)), "edge (0, -1) out of range"),  # would wrap around
-        ],
-    )
-    def test_rejects_neighbor_out_of_range(self, adjacency, message):
-        with pytest.raises(GraphFormatError) as error:
-            Graph(adjacency=adjacency, basepoints={}).validate()
-        assert str(error.value) == message
-
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError, match="not connected"):
             Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -145,6 +137,16 @@ class TestGraph:
     def test_rejects_bad_basepoint(self):
         with pytest.raises(ValueError, match="basepoint"):
             Graph.from_edges(2, [(0, 1)], {"x": 5})
+
+    @pytest.mark.parametrize("n,edges,basepoints,fault", [
+        (3, [(0, 1)], {"o": 0}, ("graph is not connected", None)),
+        (2, [(0, 1)], {"a": 0, "b": 7}, ("basepoint 'b' -> 7 out of range", "b")),
+        (2, [(0, 1)], {"c": -1}, ("basepoint 'c' -> -1 out of range", "c")),
+    ])
+    def test_validate_checks_the_whole_graph_again(self, n, edges, basepoints, fault):
+        with pytest.raises(GraphFormatError) as error:
+            _unchecked(n, edges, basepoints).validate()
+        assert (str(error.value), error.value.where) == fault
 
 
 class TestEdgeChecks:
@@ -172,7 +174,7 @@ class TestEdgeChecks:
     def test_faults_of_the_whole_graph_name_no_record(self):
         for build in (
             lambda: Graph.from_edges(3, [(0, 1)]),
-            lambda: Graph(adjacency=((1,), (), ()), basepoints={}).validate(),
+            lambda: _unchecked(3, [(0, 1)], {}).validate(),
         ):
             with pytest.raises(GraphFormatError) as error:
                 build()
