@@ -25,7 +25,10 @@ polynomial sphere-decay certificate with exponent delta = log2(1 + alpha):
 only the doubling constant; `isoperimetric_ratios` measures the stronger 1/n
 decay available on abelian groups.  The analyses over centers
 (`doubling_constant`, `shell_alpha`, `verify_sphere_bound`) take a sequence
-of profiles, one per center.
+of profiles, one per center.  Each option default lives once, in the
+analysis table `registry.ANALYSES`, the shell sweep's n_max = depth // 2
+included: `shell_alpha`, `verify_sphere_bound`, `fit_radii` and
+`growth_exponent_fit` take every option from their caller.
 """
 
 from __future__ import annotations
@@ -187,10 +190,7 @@ def _block_least(c_lo: np.ndarray, c_hi: np.ndarray, bound: float) -> tuple[int,
 
 
 def shell_alpha(
-    profiles: Sequence[VolumeProfile],
-    k_min: int = 5,
-    n_max: int | None = None,
-    record_all: bool = False,
+    profiles: Sequence[VolumeProfile], k_min: int, n_max: int, record_all: bool
 ) -> ShellReport:
     """Sweep inner/outer shell ratios c_{n-k,n} / c_{n,n+k} and take the infimum.
 
@@ -210,8 +210,6 @@ def shell_alpha(
     if k_min < 1:
         raise ValueError("k_min must be positive")
     depth = min(p.depth for p in profiles)
-    if n_max is None:
-        n_max = depth // 2
     if n_max + k_min > depth:
         raise ValueError(
             f"profiles too shallow: depth {depth} < n_max + k_min = {n_max + k_min}"
@@ -315,13 +313,11 @@ class SphereBoundReport:
 def verify_sphere_bound(
     profiles: Sequence[VolumeProfile],
     delta: float,
-    n_range: tuple[int, int] | None = None,
-    slope_tolerance: float = 0.05,
+    n_range: tuple[int, int],
+    slope_tolerance: float,
 ) -> SphereBoundReport:
     """Measure the constant in mu(S) <= C n^(-delta) mu(B) and test its trend."""
     depth = min(p.depth for p in profiles)
-    if n_range is None:
-        n_range = (1, depth - 1)
     n_lo, n_hi = n_range
     if not 1 <= n_lo < n_hi <= depth - 1:
         raise ValueError(f"radius range {n_range} not within profile depth {depth}")
@@ -436,7 +432,7 @@ class GrowthFit:
     residual_rms: float
 
 
-def fit_radii(depth: int, dyadic: bool = False) -> Sequence[int]:
+def fit_radii(depth: int, dyadic: bool) -> Sequence[int]:
     """The radii a growth fit samples at `depth`: the top half of 1..depth,
     or with `dyadic` the scales 8, 16, 32, ... up to the depth."""
     if dyadic:
@@ -445,17 +441,10 @@ def fit_radii(depth: int, dyadic: bool = False) -> Sequence[int]:
 
 
 def growth_exponent_fit(
-    ball_sizes: Sequence[int],
-    radii: Sequence[int] | None = None,
-    min_points: int = 8,
+    ball_sizes: Sequence[int], radii: Sequence[int], min_points: int
 ) -> GrowthFit:
-    """Least-squares slope of log volume against log radius.
-
-    By default fits the `fit_radii` of the profile depth len(ball_sizes) - 1;
-    pass explicit `radii` (e.g. dyadic scales) to control the sample.
-    Requires at least `min_points` data points.
-    """
-    radii = tuple(fit_radii(len(ball_sizes) - 1) if radii is None else radii)
+    """Least-squares slope of log volume against log radius, over `radii`
+    (such as the `fit_radii` of the profile depth); at least `min_points`."""
     if len(radii) < min_points:
         raise ValueError(f"need at least {min_points} radii, got {len(radii)}")
     xs = np.log([float(r) for r in radii])

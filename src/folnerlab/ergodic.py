@@ -9,7 +9,8 @@ times the sup norm, so the whole sequence converges rather than just a
 subsequence.
 
 `ergodic_trace` computes the averages incrementally from a
-`ProductSequence`'s birth layers, touching every group element exactly once:
+`ProductSequence`'s birth layers, one per step it expanded, touching every
+group element exactly once:
 each layer is moved as one int64 array, in discovery order, by numpy float
 arithmetic, which rounds like Python's and follows its sign rule for `%`,
 and the observable is then summed over the points in that order.
@@ -51,13 +52,11 @@ class TorusAction:
     def dimension(self) -> int:
         return len(self.angles)
 
-    def move(self, elements: tuple[int, ...] | np.ndarray, point: Point) -> Point | np.ndarray:
-        """g . point for one element g, or for each row g of an array."""
-        rows = np.asarray(elements)
+    def move(self, rows: np.ndarray, point: Point) -> np.ndarray:
+        """g . point for each row g of `rows`."""
         if rows.shape[-1:] != (self.dimension,) or len(point) != self.dimension:
             raise ValueError("element and point must match the action dimension")
-        moved = (np.asarray(point) + rows * np.asarray(self.angles)) % 1.0
-        return tuple(moved.tolist()) if rows.ndim == 1 else moved
+        return (np.asarray(point) + rows * np.asarray(self.angles)) % 1.0
 
 
 def _box_sixteenth(point: Point) -> float:
@@ -105,38 +104,28 @@ class ErgodicTrace:
     def final_error(self) -> float:
         return self.errors[-1]
 
-    def envelope(self, tail: int = 10) -> float:
-        """Worst deviation from the space mean over the last `tail` averages."""
-        if tail < 1:
-            raise ValueError("tail must be positive")
-        return max(self.errors[-tail:])
+    @property
+    def envelope(self) -> float:
+        """Worst deviation from the space mean over the last 10 averages."""
+        return max(self.errors[-10:])
 
 
 def ergodic_trace(
-    action: TorusAction,
-    sequence: ProductSequence,
-    name: str,
-    start: Point,
-    n_max: int | None = None,
+    action: TorusAction, sequence: ProductSequence, name: str, start: Point
 ) -> ErgodicTrace:
-    """Average a named observable over the element sets of a product sequence.
+    """Average a named observable over the element sets of a product
+    sequence, one average per step it expanded.
 
     The sequence's birth layers are replayed in order, each in discovery
     order, so the total work is one observable evaluation per distinct
     group element.
     """
     f, mean = observable(name)
-    if n_max is None:
-        n_max = sequence.steps
-    if n_max > sequence.steps:
-        raise ValueError(
-            f"n_max={n_max} exceeds the {sequence.steps} expanded steps"
-        )
     if sequence.layers[0].order is None:
         raise ValueError("the sequence's layers carry no discovery order; build it with ordered=True")
     running = 0.0
     averages: list[float] = []
-    for layer, count in zip(sequence.layers[: n_max + 1], sequence.sizes):
+    for layer, count in zip(sequence.layers, sequence.sizes):
         for point in action.move(layer.box.decode(layer.order), start).tolist():
             running += f(point)
         averages.append(running / count)

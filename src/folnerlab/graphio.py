@@ -13,19 +13,23 @@ in ASCII digits with an optional sign.  `edge` lines are undirected and must
 appear once per edge; `basepoint` lines are optional and attach labels to
 vertices.  Blank lines and lines starting with '#' are ignored.
 
-`parse_graph` only reads.  It rejects what the text gets wrong (the header,
-a vertex count above a given budget, before reading on, a record's shape, a
-non-integer vertex, a repeated basepoint label) at the line that holds it,
-and hands the rest to `Graph.from_edges`, the one check of out-of-range,
-self-loop and duplicate edges, basepoint range and connectivity.  So a file
-with several faults reports its first text fault, else its first edge fault,
-else its first basepoint fault, else that it is disconnected.
+`parse_graph` only reads, and always within a vertex budget.  It rejects
+what the text gets wrong (the header, a vertex count above the budget,
+before reading on, a record's shape, a non-integer vertex, a repeated
+basepoint label) at the line that holds it, and hands the rest to
+`Graph.from_edges`, the one check of out-of-range, self-loop and duplicate
+edges, basepoint range and connectivity.  So a file with several faults
+reports its first text fault, else its first edge fault, else its first
+basepoint fault, else that it is disconnected.
 
 The text is split into lines in blocks of 64 KiB.  Inside a block, a run of
-edge lines in ASCII blanks is found with one regular-expression search; every
-other line is a record of its own.  The vertex text of every edge goes into
-one buffer, read into int64 pairs by `np.fromstring` each time it passes
-about 64 KiB and at the end; a vertex of over 18 characters is an exact `int`.
+edge lines is found with one regular-expression search: lines that end in
+`\n` or `\r\n`, have vertices of at most 18 digits, and any blank that
+`str.split` splits at between fields.  Every other line (another line end,
+a longer vertex) is a record of its own.  The vertex text of every edge
+goes into one buffer, read into int64 pairs by `np.fromstring` each time
+it passes about 64 KiB and at the end; a vertex of over 18 characters is
+an exact `int`.
 """
 
 from __future__ import annotations
@@ -47,9 +51,16 @@ _SHAPES = {"edge": "edge U V", "basepoint": "basepoint LABEL V"}
 # underscores and non-ASCII digits, so a token is read once it has matched.
 _integers = re.compile(r"(?:[+-]?[0-9]+(?: [+-]?[0-9]+)*)?").fullmatch
 _BLOCK = 1 << 16  # characters of text split into lines at a time
-# A run of edge lines in ASCII blanks; a vertex of 1 to 18 digits fits in int64.
-_run = re.compile(r"^(?:[ \t]*edge[ \t]+[+-]?[0-9]{1,18}[ \t]+[+-]?[0-9]{1,18}[ \t]*\r?\n)+",
-                  re.MULTILINE).search
+# The blanks `str.split` splits a line at: the `isspace` characters that
+# are not a `splitlines` break.  `np.fromstring` skips ASCII whitespace
+# only, which \x1f is not, so a run's vertex text with a blank other than
+# space or tab is split and joined by spaces.
+_BLANKS = "\t\x1f \xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u202f\u205f\u3000"
+# A run of edge lines; a vertex of 1 to 18 digits fits in int64.
+_run = re.compile(
+    r"^(?:{0}*edge{0}+[+-]?[0-9]{{1,18}}{0}+[+-]?[0-9]{{1,18}}{0}*\r?\n)+".format(f"[{_BLANKS}]"),
+    re.MULTILINE,
+).search
 
 
 def _records(text: str) -> Iterator[tuple[int, str]]:
@@ -87,7 +98,7 @@ def _lines(text: str) -> Iterator[tuple[int, str]]:
         yield from enumerate(line.splitlines(), lineno)
 
 
-def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
+def parse_graph(text: str, vertex_budget: int) -> Graph:
     records = _records(text)
     lineno, header = next(records, (0, ""))
     if not header:
@@ -100,7 +111,7 @@ def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
     n = int(parts[1])
     if n < 1:
         raise GraphFormatError(f"line {lineno}: vertex count must be positive")
-    if vertex_budget is not None and n > vertex_budget:
+    if n > vertex_budget:
         raise BudgetExceededError(f"graph file header, line {lineno}", n, vertex_budget)
 
     chunks: list[np.ndarray] = []  # the edges read, as (k, 2) arrays
@@ -109,6 +120,8 @@ def parse_graph(text: str, vertex_budget: int | None = None) -> Graph:
     for lineno, line in records:
         if line.endswith("\n"):  # a run of edge lines
             vertices = line.replace("edge", "")
+            if not vertices.isascii() or "\x1f" in vertices:
+                vertices = " ".join(vertices.split())
         else:
             kind, *rest = line.split()
             vertices = " ".join(rest if kind == "edge" else rest[1:])
@@ -152,7 +165,7 @@ def _record(text: str, where: int | str) -> int:
     return next(islice(found, where if isinstance(where, int) else 0, None))
 
 
-def load_graph(path: str | Path, vertex_budget: int | None = None) -> Graph:
+def load_graph(path: str | Path, vertex_budget: int) -> Graph:
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")

@@ -208,10 +208,9 @@ class KeyBox(NamedTuple):
     offsets: tuple[int, ...]
     widths: tuple[int, ...]
 
-    def encode(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Keys of the elements along the last axis of `rows`, in `out` if given."""
-        keys = np.zeros(rows.shape[:-1], dtype=np.int64) if out is None else out
-        keys[...] = 0
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """Keys of the elements along the last axis of `rows`."""
+        keys = np.zeros(rows.shape[:-1], dtype=np.int64)
         for c, (offset, width) in enumerate(zip(self.offsets, self.widths)):
             keys *= width
             keys += rows[..., c] + offset
@@ -347,7 +346,7 @@ def expand(
     model: GroupModel,
     seeds: Iterable[Element] | KeySet,
     factors: Sequence[Iterable[Element]],
-    budget: int | None,
+    budget: int,
     stage: str,
     ordered: bool = False,
 ) -> Iterator[Layer]:
@@ -407,7 +406,7 @@ def expand(
         older = [l.keys for l in layers[-2:]] if symmetric else [seen]
         keys, order = _new_products(model, box, sources, factor, older, ordered)
         total += len(keys)
-        if budget is not None and total > budget:
+        if total > budget:
             raise BudgetExceededError(stage, total, budget, layer=n)
         if not symmetric:
             seen = np.insert(seen, np.searchsorted(seen, keys), keys)

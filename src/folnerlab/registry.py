@@ -341,7 +341,7 @@ def _ergodic(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
     summary = {
         "observable": opts["observable"],
         "final_error": trace.final_error,
-        "envelope": trace.envelope(),
+        "envelope": trace.envelope,
     }
     columns = (range(len(trace.averages)), trace.averages, trace.errors)
     return Outcome({"ergodic": summary}, (("n", "average", "error"), columns))

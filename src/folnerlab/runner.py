@@ -65,26 +65,30 @@ def _resolve_centers(
     built: BuiltSpace, config: ExperimentConfig
 ) -> list[tuple[str, int]]:
     """(label, vertex) pairs for the configured centers, in label order."""
-    spec = config.centers
-    basepoints = built.basepoints
-    if spec["sample"] > 0:
-        by_vertex = {v: label for label, v in sorted(basepoints.items())}
-        vertices = sample_centers(built, spec["sample"], config.seed or 0)
-        return [(by_vertex.get(v, f"v{v}"), v) for v in vertices]
-    labels = spec["basepoints"]
-    if labels == "all":
-        labels = sorted(basepoints)
-    if not labels:
-        raise ConfigError(
-            "centers: no centers to profile (the space has no basepoints "
-            "or centers.basepoints is empty, and centers.sample is 0)"
-        )
-    for label in labels:
-        if label not in basepoints:
+    spec, basepoints = config.centers, built.basepoints
+    sample = spec["sample"]
+    labels = sorted(basepoints) if spec["basepoints"] == "all" else spec["basepoints"]
+    if not sample:
+        if not labels:
             raise ConfigError(
-                f"centers.basepoints: unknown basepoint label {label!r}"
+                "centers: no centers to profile (the space has no basepoints "
+                "or centers.basepoints is empty, and centers.sample is 0)"
             )
-    return [(label, basepoints[label]) for label in labels]
+        for label in labels:
+            if label not in basepoints:
+                raise ConfigError(
+                    f"centers.basepoints: unknown basepoint label {label!r}"
+                )
+    # A sample holds every basepoint and is drawn up to `sample` vertices.
+    count = max(len(set(basepoints.values())), min(sample, built.vertex_count)) if sample else len(labels)
+    rows = count * (config.depth + 1)  # of the profile table, counted before any center is drawn
+    if rows > config.element_budget:
+        raise BudgetExceededError("centers", rows, config.element_budget)
+    if not sample:
+        return [(label, basepoints[label]) for label in labels]
+    by_vertex = {v: label for label, v in sorted(basepoints.items())}
+    vertices = sample_centers(built.vertex_count, basepoints, sample, config.seed or 0)
+    return [(by_vertex.get(v, f"v{v}"), v) for v in vertices]
 
 
 def run_analyses(config: ExperimentConfig) -> tuple[dict[str, Any], dict[str, Table]]:
@@ -95,9 +99,6 @@ def run_analyses(config: ExperimentConfig) -> tuple[dict[str, Any], dict[str, Ta
     """
     built = build_space(config)
     centers = _resolve_centers(built, config)
-    rows = len(centers) * (config.depth + 1)  # of the profile table, counted before any profile
-    if rows > config.element_budget:
-        raise BudgetExceededError("centers", rows, config.element_budget)
     labeled = [(label, built.profile(v, config.depth)) for label, v in centers]
     ctx = Context(config.space, config.element_budget, config.depth, labeled)
     summary: dict[str, Any] = {

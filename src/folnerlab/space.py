@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Mapping, Protocol, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -282,29 +282,24 @@ def monotone_geodesic(graph: Graph, start: Vertex, end: Vertex) -> tuple[Vertex,
     return tuple(path)
 
 
-class _Space(Protocol):
-    """What `sample_centers` reads: a `Graph` or a family's space record."""
+def sample_centers(
+    n: int, basepoints: Mapping[str, Vertex], count: int, seed: int
+) -> tuple[Vertex, ...]:
+    """Deterministic center sample of the vertices 0..n-1: all basepoints
+    plus a seeded random draw.
 
-    @property
-    def vertex_count(self) -> int: ...
-
-    @property
-    def basepoints(self) -> Mapping[str, Vertex]: ...
-
-
-def sample_centers(space: _Space, count: int, seed: int) -> tuple[Vertex, ...]:
-    """Deterministic center sample: all basepoints plus a seeded random draw.
-
-    Only the vertex count and the basepoints of `space` are read, so a
-    family's space record samples its centers without building its graph.
-    Basepoints are taken in label order; the remainder is filled from a seeded
-    PRNG over the vertex range.  The result is sorted and duplicate-free, so
-    the same (space, count, seed) always yields the same centers regardless of
-    how the caller parallelizes downstream work.
+    Only the vertex count and the basepoints are read, so a family's space
+    record samples its centers without building its graph.  The remainder
+    is filled from a seeded PRNG over the vertex range; a count of n or
+    more takes every vertex and draws nothing.  The result is sorted and
+    duplicate-free, so the same (n, basepoints, count, seed) always yields
+    the same centers regardless of how the caller parallelizes downstream
+    work.
     """
-    chosen = {space.basepoints[label] for label in sorted(space.basepoints)}
+    if count >= n:
+        return tuple(range(n))
+    chosen = set(basepoints.values())
     rng = random.Random(seed)
-    n = space.vertex_count
-    while len(chosen) < min(count, n):
+    while len(chosen) < count:
         chosen.add(rng.randrange(n))
     return tuple(sorted(chosen))

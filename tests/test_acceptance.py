@@ -138,7 +138,7 @@ def test_criterion_02_slow_stretch_regime():
     assert min(constants) > 0
     assert max(constants) / min(constants) <= 1.25
 
-    report = shell_alpha(profiles, k_min=5, n_max=730)
+    report = shell_alpha(profiles, k_min=5, n_max=730, record_all=False)
     threshold = 1 - math.log(2) / math.log(3) + 0.1
     assert report.alpha > 0
     assert report.delta <= threshold
@@ -154,17 +154,17 @@ def test_criterion_02_slow_stretch_regime():
 def test_criterion_03_decay_pipeline(request, z2_64_profile):
     start = time.monotonic()
 
-    z2 = shell_alpha([z2_64_profile], k_min=5, n_max=32)
+    z2 = shell_alpha([z2_64_profile], k_min=5, n_max=32, record_all=False)
     assert z2.alpha == Fraction(33, 97)
-    z2_verify = verify_sphere_bound([z2_64_profile], z2.delta, n_range=(1, 63))
+    z2_verify = verify_sphere_bound([z2_64_profile], z2.delta, n_range=(1, 63), slope_tolerance=0.05)
     assert z2_verify.passed
     z2_audit = lemma_recursion_audit(z2_64_profile, 32, z2.alpha)
     assert z2_audit.passed and not z2_audit.violations
 
     h3_profile = request.getfixturevalue("h3_profile")
-    h3 = shell_alpha([h3_profile], k_min=5, n_max=16)
+    h3 = shell_alpha([h3_profile], k_min=5, n_max=16, record_all=False)
     assert h3.alpha == Fraction(3488, 52383)
-    h3_verify = verify_sphere_bound([h3_profile], h3.delta, n_range=(1, 31))
+    h3_verify = verify_sphere_bound([h3_profile], h3.delta, n_range=(1, 31), slope_tolerance=0.05)
     assert h3_verify.passed
     h3_audit = lemma_recursion_audit(h3_profile, 16, h3.alpha)
     assert h3_audit.passed and not h3_audit.violations
@@ -294,7 +294,7 @@ def test_criterion_08_abelian_boundary(z2_260_profile):
 def test_criterion_09_stairway():
     strip = stairway_strip(10)
     profile = norm_profile(strip, 1025)
-    fit = growth_exponent_fit(profile.ball, radii=[2**i for i in range(3, 11)])
+    fit = growth_exponent_fit(profile.ball, radii=[2**i for i in range(3, 11)], min_points=8)
     assert abs(fit.exponent - 1.0) <= 0.15
     spikes = [profile.sphere[2**k] for k in range(4, 10)]
     for k, spike in zip(range(4, 10), spikes):

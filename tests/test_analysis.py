@@ -28,6 +28,7 @@ from folnerlab.analysis import (
     delta_from_alpha,
     doubling_constant,
     dyadic_subsequence,
+    fit_radii,
     growth_exponent_fit,
     isoperimetric_ratios,
     least_squares_slope,
@@ -79,13 +80,13 @@ class TestShellAlpha:
 
     def test_z2_worst_pair_is_the_largest(self):
         profile = _lattice_profile(2, 16)
-        report = shell_alpha([profile], k_min=5, n_max=8)
+        report = shell_alpha([profile], k_min=5, n_max=8, record_all=False)
         assert report.alpha == Fraction(9, 25)
         assert (report.worst.n, report.worst.k) == (8, 8)
         assert report.pairs_tested == 10  # (n-4) pairs for n = 5..8
 
     def test_delta_and_constant_are_consistent(self, z2_profile):
-        report = shell_alpha([z2_profile], k_min=5, n_max=16)
+        report = shell_alpha([z2_profile], k_min=5, n_max=16, record_all=False)
         assert report.delta == pytest.approx(math.log2(1 + float(report.alpha)))
         # the fitted constant makes the bound tight somewhere, valid everywhere
         sphere, ball = z2_profile.sphere, z2_profile.ball
@@ -94,7 +95,7 @@ class TestShellAlpha:
 
     def test_z1_alpha_is_one(self, z1_profile):
         # every shell has measure 2k, so all ratios are exactly 1
-        report = shell_alpha([z1_profile], k_min=5, n_max=32)
+        report = shell_alpha([z1_profile], k_min=5, n_max=32, record_all=False)
         assert report.alpha == 1
         assert report.delta == 1.0
 
@@ -105,28 +106,26 @@ class TestShellAlpha:
 
         path = Graph.from_edges(30, [(i, i + 1) for i in range(29)])
         profile = volume_profile(path, 0, 30)
-        report = shell_alpha([profile], k_min=3, n_max=15)
+        report = shell_alpha([profile], k_min=3, n_max=15, record_all=False)
         assert report.alpha > 0
 
     def test_shallow_profile_raises(self):
         profile = _lattice_profile(2, 8)
         with pytest.raises(ValueError, match="too shallow"):
-            shell_alpha([profile], k_min=5, n_max=8)
+            shell_alpha([profile], k_min=5, n_max=8, record_all=False)
 
     def test_bad_k_min(self, z2_profile):
         with pytest.raises(ValueError, match="k_min"):
-            shell_alpha([z2_profile], k_min=0)
+            shell_alpha([z2_profile], k_min=0, n_max=16, record_all=False)
 
 
-def _reference_shell_alpha(profiles, k_min=5, n_max=None, record_all=False):
+def _reference_shell_alpha(profiles, k_min, n_max, record_all):
     """The pure-Python sweep `shell_alpha` replaced: every (center, n, k) in
     order, the running minimum kept by integer cross-multiplication."""
     profs = (profiles,) if isinstance(profiles, VolumeProfile) else tuple(profiles)
     if k_min < 1:
         raise ValueError("k_min must be positive")
     depth = min(p.depth for p in profs)
-    if n_max is None:
-        n_max = depth // 2
     if n_max + k_min > depth:
         raise ValueError(
             f"profiles too shallow: depth {depth} < n_max + k_min = {n_max + k_min}"
@@ -205,7 +204,8 @@ def _random_case(rng: random.Random):
         balls.append(rng.choice(balls) if rng.random() < 0.3 else _random_ball(rng, depth + rng.randint(0, 3)))
     profiles = [VolumeProfile(center=rng.randint(0, 99), ball=ball) for ball in balls]
     k_min = rng.choice((1, 1, 2, 3, 5))
-    n_max = rng.choice((None, rng.randint(0, depth)))  # some admit no pair, some too many
+    half = min(p.depth for p in profiles) // 2  # the analysis table's default
+    n_max = rng.choice((half, rng.randint(0, depth)))  # some admit no pair, some too many
     return profiles, k_min, n_max, rng.random() < 0.5
 
 
@@ -232,7 +232,7 @@ class TestShellSweepMatchesReference:
     def test_ties_go_to_the_first_pair(self, monkeypatch):
         monkeypatch.setattr(analysis, "SHELL_BLOCK", 3)
         steady = tuple(range(1, 42, 2))  # every ratio is 1
-        report = shell_alpha([VolumeProfile(7, steady), VolumeProfile(3, steady)], k_min=2, n_max=9)
+        report = shell_alpha([VolumeProfile(7, steady), VolumeProfile(3, steady)], k_min=2, n_max=9, record_all=False)
         assert (report.worst.center, report.worst.n, report.worst.k) == (7, 2, 2)
         assert report.pairs_tested == 2 * sum(min(n, 20 - n) - 1 for n in range(2, 10))
 
@@ -242,8 +242,8 @@ class TestShellSweepMatchesReference:
         s = 2**60
         ball = (1, 1 + s, 1 + 2 * s - 1, 1 + 3 * s - 1, 1 + 4 * s)
         assert float(Fraction(s - 1, s)) == float(Fraction(s, s + 1))
-        report = shell_alpha([VolumeProfile(0, ball)], k_min=1, n_max=2)
-        assert report == _reference_shell_alpha(VolumeProfile(0, ball), k_min=1, n_max=2)
+        report = shell_alpha([VolumeProfile(0, ball)], k_min=1, n_max=2, record_all=False)
+        assert report == _reference_shell_alpha(VolumeProfile(0, ball), k_min=1, n_max=2, record_all=False)
         assert report.alpha == Fraction(s - 1, s)
 
     def test_equal_ratios_whose_floats_differ_go_to_the_first(self):
@@ -253,19 +253,19 @@ class TestShellSweepMatchesReference:
         shells = (a * a * m, a * b * m, b * b * m, 0)
         ball = tuple(accumulate((1,) + shells))
         assert float(shells[0]) / float(shells[1]) > float(shells[1]) / float(shells[2])
-        report = shell_alpha([VolumeProfile(0, ball)], k_min=1, n_max=2)
-        assert report == _reference_shell_alpha(VolumeProfile(0, ball), k_min=1, n_max=2)
+        report = shell_alpha([VolumeProfile(0, ball)], k_min=1, n_max=2, record_all=False)
+        assert report == _reference_shell_alpha(VolumeProfile(0, ball), k_min=1, n_max=2, record_all=False)
         assert (report.worst.n, report.worst.k, report.alpha) == (1, 1, Fraction(a, b))
 
     def test_counts_from_2_pow_63_are_refused(self):
         ok = VolumeProfile(0, (1, 2, 3, 4))
         big = VolumeProfile(5, (1, 2, 3, 2**63))
         with pytest.raises(ValueError, match=r"center 5 counts 9223372036854775808 vertices within depth 3"):
-            shell_alpha([ok, big], k_min=1, n_max=1)
+            shell_alpha([ok, big], k_min=1, n_max=1, record_all=False)
         # only counts within the shared depth enter the sweep
         deeper = VolumeProfile(5, (1, 2, 3, 4, 2**63))
-        assert shell_alpha([ok, deeper], k_min=1, n_max=1) == _reference_shell_alpha(
-            [ok, deeper], k_min=1, n_max=1
+        assert shell_alpha([ok, deeper], k_min=1, n_max=1, record_all=False) == _reference_shell_alpha(
+            [ok, deeper], k_min=1, n_max=1, record_all=False
         )
 
     def test_sweep_memory_stays_within_its_blocks(self):
@@ -277,7 +277,7 @@ class TestShellSweepMatchesReference:
         profiles = [VolumeProfile(c, tuple(accumulate([1] + steps[c]))) for c in range(20)]
         tracemalloc.start()
         try:
-            report = shell_alpha(profiles, k_min=5, n_max=700)
+            report = shell_alpha(profiles, k_min=5, n_max=700, record_all=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -316,7 +316,7 @@ class TestRecursionAudit:
         assert not audit.final_bound_ok
 
     def test_z2_measured_alpha_passes(self, z2_profile):
-        report = shell_alpha([z2_profile], k_min=5, n_max=16)
+        report = shell_alpha([z2_profile], k_min=5, n_max=16, record_all=False)
         audit = lemma_recursion_audit(z2_profile, 16, report.alpha)
         assert audit.passed
 
@@ -330,8 +330,8 @@ class TestRecursionAudit:
 
 class TestVerifySphereBound:
     def test_z2_true_delta_passes(self, z2_profile):
-        report = shell_alpha([z2_profile], k_min=5, n_max=16)
-        check = verify_sphere_bound([z2_profile], report.delta, n_range=(1, 31))
+        report = shell_alpha([z2_profile], k_min=5, n_max=16, record_all=False)
+        check = verify_sphere_bound([z2_profile], report.delta, n_range=(1, 31), slope_tolerance=0.05)
         assert check.passed
         assert check.trend_slope < 0  # constants decay, bound is slack
         # per-n constants are sphere[n] n^delta / ball[n]
@@ -340,12 +340,12 @@ class TestVerifySphereBound:
         assert check.constants[3] == pytest.approx(expected)
 
     def test_overclaimed_delta_fails(self, z2_profile):
-        check = verify_sphere_bound([z2_profile], 1.5, n_range=(1, 31))
+        check = verify_sphere_bound([z2_profile], 1.5, n_range=(1, 31), slope_tolerance=0.05)
         assert not check.passed
         assert check.trend_slope > 0.05
 
     def test_fitted_constant_is_max(self, z2_profile):
-        check = verify_sphere_bound([z2_profile], 0.4, n_range=(1, 31))
+        check = verify_sphere_bound([z2_profile], 0.4, n_range=(1, 31), slope_tolerance=0.05)
         assert check.fitted_constant == pytest.approx(max(check.constants))
 
 
@@ -402,7 +402,7 @@ class TestAbelianIsop:
 class TestGrowthFit:
     def test_exact_power_law(self):
         sizes = [0] + [n**2 for n in range(1, 65)]
-        fit = growth_exponent_fit(sizes)
+        fit = growth_exponent_fit(sizes, fit_radii(64, False), 8)
         assert fit.exponent == pytest.approx(2.0, abs=1e-9)
         assert fit.residual_rms == pytest.approx(0.0, abs=1e-9)
 
@@ -414,11 +414,11 @@ class TestGrowthFit:
         fit = growth_exponent_fit(sizes, radii=radii, min_points=6)
         assert fit.exponent == pytest.approx(1.0, abs=1e-9)
         assert fit.residual_rms == pytest.approx(0.0, abs=1e-9)
-        assert growth_exponent_fit(sizes, min_points=6).residual_rms > 0.1
+        assert growth_exponent_fit(sizes, fit_radii(299, False), 6).residual_rms > 0.1
 
     def test_min_points_guard(self):
         with pytest.raises(ValueError, match="at least 8"):
-            growth_exponent_fit([1, 3, 5, 7, 9])
+            growth_exponent_fit([1, 3, 5, 7, 9], fit_radii(4, False), 8)
 
 
 class TestLeastSquaresSlope:

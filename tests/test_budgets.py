@@ -15,7 +15,8 @@ Core claims:
     - product_powers builds nothing per step before a layer, so 10^5 steps
       at an element budget of 1,000 fail at layer 22 in constant memory
     - the profile table, one row per center and radius, is counted against
-      the element budget before any center is profiled
+      the element budget before any center is profiled, and before any is
+      drawn: a sample of 10^9 centers fails at once
 """
 
 import tracemalloc
@@ -23,6 +24,7 @@ import tracemalloc
 import pytest
 
 import folnerlab.registry
+import folnerlab.runner
 from folnerlab.config import validate_config
 from folnerlab.errors import BudgetExceededError
 from folnerlab.generators import TreeChainSpec, stairway_strip, stretched_tree_chain
@@ -83,3 +85,20 @@ def test_profile_table_is_counted_before_any_profile(monkeypatch):
     with pytest.raises(BudgetExceededError) as error:
         run_analyses(config)
     assert str(error.value) == "centers: size 1461000 exceeds budget 10000"
+
+
+def test_sampled_centers_are_counted_before_any_is_drawn(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a center was drawn")
+
+    monkeypatch.setattr(folnerlab.runner, "sample_centers", refuse)
+    config = validate_config({
+        "space": {"family": "lattice", "d": 2, "radius": 300},
+        "depth": 30,
+        "centers": {"sample": 10**9},
+        "analyses": {"annulus": {}},
+        "seed": 0,
+    })
+    with pytest.raises(BudgetExceededError) as error:
+        run_analyses(config)
+    assert str(error.value) == "centers: size 5598631 exceeds budget 5000000"

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from folnerlab.errors import GraphFormatError
-from folnerlab.generators import TreeChainSpec, stretched_tree_chain
+from folnerlab.generators import DEFAULT_VERTEX_BUDGET, TreeChainSpec, stretched_tree_chain
 from folnerlab.graphio import parse_graph
 from folnerlab.space import Graph, _connected
 
@@ -188,5 +188,5 @@ class TestFaultOrder:
         gone = {record for record, _ in self.FAULTS[:fixed]}
         text = "\n".join(line for line in self.FILE if line not in gone) + "\n"
         with pytest.raises(GraphFormatError) as error:
-            parse_graph(text)
+            parse_graph(text, DEFAULT_VERTEX_BUDGET)
         assert str(error.value) == self.FAULTS[fixed][1]

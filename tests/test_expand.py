@@ -1,7 +1,7 @@
 """
 Differential tests of the layered expansion kernel `groups.expand`.
 
-The pure-Python frontier loop kept here is the reference: it walks the
+The pure-Python frontier loop of `tuple_law` is the reference: it walks the
 sources in discovery order and the sorted factor (identity adjoined), and
 records every product not seen before.  It expands only the newest layer
 when a factor lies inside the one before it, and all of N_n otherwise.
@@ -32,47 +32,17 @@ import pytest
 from folnerlab import groups
 from folnerlab.errors import BudgetExceededError, NotGeneratingError
 from folnerlab.groups import KeyBox, KeySet, check_generates, expand, heisenberg_model, zd_model
-from folnerlab.products import product_powers, product_with_powers, varying_products
-from tuple_law import multiply
+from folnerlab.products import DEFAULT_ELEMENT_BUDGET, product_powers, product_with_powers, varying_products
+from tuple_law import multiply, reference_birth, reference_layers
 
 
 # -- Oracles -----------------------------------------------------------------
 
 
-def _reference_layers(model, seeds, factors, budget=None, stage="reference"):
-    """Birth layers of seeds * F_1 * ... (identity adjoined), each in
-    discovery order, by the pure-Python frontier loop."""
-    birth = dict.fromkeys(seeds, 0)
-    layer = list(birth)
-    yield layer
-    previous = None
-    for n, factor in enumerate(factors, start=1):
-        steps = sorted(set(factor) | {model.identity})
-        sources = layer if previous is None or set(steps) <= previous else list(birth)
-        layer = []
-        for g in sources:
-            for s in steps:
-                h = multiply(model, g, s)
-                if h not in birth:
-                    birth[h] = n
-                    layer.append(h)
-        if budget is not None and len(birth) > budget:
-            raise BudgetExceededError(stage, len(birth), budget, layer=n)
-        previous = set(steps)
-        yield layer
-
-
-def _reference_birth(model, factors, budget=None, stage="reference"):
-    birth = {}
-    for n, layer in enumerate(_reference_layers(model, [model.identity], factors, budget, stage)):
-        birth.update(dict.fromkeys(layer, n))
-    return birth
-
-
 def _reference_search(model, gens, targets, depth):
     """(smallest m <= depth with targets in U^m, or None)."""
     missing = set(targets)
-    for m, layer in enumerate(_reference_layers(model, [model.identity], [gens] * depth)):
+    for m, layer in enumerate(reference_layers(model, [model.identity], [gens] * depth)):
         missing -= set(layer)
         if not missing:
             return m
@@ -146,8 +116,8 @@ class TestKernelLayers:
     def test_layers_match_reference(self, name, gens, ordered):
         model = MODELS[name][0]
         factors = [gens] * STEPS[name]
-        expected = list(_reference_layers(model, [model.identity], factors))
-        got = list(expand(model, [model.identity], factors, None, "test", ordered))
+        expected = list(reference_layers(model, [model.identity], factors))
+        got = list(expand(model, [model.identity], factors, DEFAULT_ELEMENT_BUDGET, "test", ordered))
         assert len(got) == len(expected)
         for layer, reference in zip(got, expected):
             assert layer.box.elements(layer.keys) == sorted(reference)
@@ -163,8 +133,8 @@ class TestKernelLayers:
         ]
         seeds.append(seeds[0])  # a repeated seed is one element
         factors = [gens] * 3
-        expected = list(_reference_layers(model, seeds, factors))
-        got = [layer.elements() for layer in expand(model, seeds, factors, None, "test", True)]
+        expected = list(reference_layers(model, seeds, factors))
+        got = [layer.elements() for layer in expand(model, seeds, factors, DEFAULT_ELEMENT_BUDGET, "test", True)]
         assert got == expected
         brute = _brute_products(model, seeds, factors)
         assert [set().union(*got[: n + 1]) for n in range(4)] == brute
@@ -183,7 +153,7 @@ class TestProductSequences:
         model = MODELS[name][0]
         n = STEPS[name]
         seq = product_powers(model, gens, n)
-        expected = _reference_birth(model, [gens] * n)
+        expected = reference_birth(model, [gens] * n)
         assert list(seq.birth.items()) == list(expected.items())
         brute = _brute_products(model, [model.identity], [gens] * n)
         assert seq.sizes == tuple(len(s) for s in brute)
@@ -206,7 +176,7 @@ class TestProductSequences:
             kept[0] = extras[:1]
         factors = [inner + extra for extra in kept][: STEPS[name]]
         seq = varying_products(model, factors, inner, outer)
-        expected = _reference_birth(model, factors)
+        expected = reference_birth(model, factors)
         assert list(seq.birth.items()) == list(expected.items())
         brute = _brute_products(model, [model.identity], factors)
         assert [frozenset(seq.shell(-1, n).elements()) for n in range(len(factors) + 1)] == brute
@@ -224,7 +194,7 @@ class TestSearchAndSetProducts:
             for _ in range(4)
         ]
         m = 3
-        expected = set().union(*_reference_layers(model, base, [gens] * m))
+        expected = set().union(*reference_layers(model, base, [gens] * m))
         assert set(product_with_powers(model, base, gens, m).elements()) == expected
 
     @pytest.mark.parametrize("name,gens", _cases())
@@ -233,7 +203,7 @@ class TestSearchAndSetProducts:
         # U^m of `product_powers` by the cross-box subset test.
         model = MODELS[name][0]
         rng = random.Random(f"contain/{name}")
-        ball = set().union(*_reference_layers(model, [model.identity], [gens] * 4))
+        ball = set().union(*reference_layers(model, [model.identity], [gens] * 4))
         targets = rng.sample(sorted(ball), 3)
         far = [tuple(40 for _ in range(model.rank))]
         seq = product_powers(model, gens, 4)
@@ -284,12 +254,12 @@ class TestBudgets:
             (
                 "product expansion",
                 lambda: product_powers(model, gens, 8, element_budget=budget),
-                lambda: _reference_birth(model, [gens] * 8, budget, "product expansion"),
+                lambda: reference_birth(model, [gens] * 8, budget, "product expansion"),
             ),
             (
                 "set product",
                 lambda: product_with_powers(model, [(10, 2, 0), (11, 0, 3)], gens, 8, budget),
-                lambda: list(_reference_layers(model, [(10, 2, 0), (11, 0, 3)], [gens] * 8, budget, "set product")),
+                lambda: list(reference_layers(model, [(10, 2, 0), (11, 0, 3)], [gens] * 8, budget, "set product")),
             ),
         ]
         for stage, kernel, reference in cases:
@@ -313,7 +283,7 @@ class TestKeyBox:
         with pytest.raises(ValueError, match="set product: .* too many for int64 keys"):
             product_with_powers(model, [(0, 0)], huge, 2**12)
         with pytest.raises(ValueError, match="test: .* too many for int64 keys"):
-            next(expand(model, [(2**62, 0)], [[(1, 0)]], None, "test"))
+            next(expand(model, [(2**62, 0)], [[(1, 0)]], DEFAULT_ELEMENT_BUDGET, "test"))
 
     def test_the_largest_box_that_fits_is_exact(self):
         # Offsets 2^30 and 2^31 - 2, so 2^63 - 2^31 - 3 cells: the corner
@@ -321,7 +291,7 @@ class TestKeyBox:
         model = zd_model(2)
         a, b = 2**30 - 1, 2**31 - 3
         seeds = [(a, b), (-a, -b)]
-        layers = list(expand(model, seeds, [[(1, 0), (0, 1)]], None, "test", True))
+        layers = list(expand(model, seeds, [[(1, 0), (0, 1)]], DEFAULT_ELEMENT_BUDGET, "test", True))
         assert layers[0].elements() == seeds
         assert layers[1].elements() == [(a, b + 1), (a + 1, b), (-a, 1 - b), (1 - a, -b)]
         assert layers[1].keys[-1] > 2**63 - 2**33

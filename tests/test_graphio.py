@@ -29,10 +29,15 @@ Core claims:
       spaces, '+' signs, other line ends (\\x0b, \\x0c, \\x85, \\u2028),
       comments, blanks, basepoints and a last line without a newline, and
       with a fault right after a run or at the edge of a 64 KiB block
-    - the same on a Z^2 ball file, in runs and in records of its own, with a
-      fault past the first 128 KiB of edge text, which is read by then
+    - the same with any of the 19 blanks `str.split` splits a line at
+      (white space that is not a line break) between and around fields,
+      and every edge line still comes in a run
+    - the same on a Z^2 ball file, in runs (also in no-break spaces) and in
+      records of its own (bare \r line ends), with a fault past the first
+      128 KiB of edge text, which is read by then
     - a 51,521-vertex Z^2 ball file parses within a 29 MiB tracemalloc peak,
-      also with CRLF line ends, or tabs or no-break spaces between fields
+      also with CRLF or bare CR line ends, or tabs or no-break spaces
+      between fields
 """
 
 import bisect
@@ -44,9 +49,10 @@ import tracemalloc
 import pytest
 from click.testing import CliRunner
 
-from folnerlab import space
+from folnerlab import graphio, space
 from folnerlab.cli import main
 from folnerlab.errors import BudgetExceededError, GraphFormatError
+from folnerlab.generators import DEFAULT_VERTEX_BUDGET as BUDGET
 from folnerlab.graphio import _BLOCK, dump_graph, load_graph, parse_graph
 from folnerlab.registry import FAMILIES, parse_space
 from folnerlab.space import Graph
@@ -59,7 +65,7 @@ def _triangle() -> Graph:
 class TestRoundTrip:
     def test_dump_parse_identity(self):
         g = _triangle()
-        h = parse_graph(dump_graph(g))
+        h = parse_graph(dump_graph(g), BUDGET)
         assert h.adjacency == g.adjacency
         assert dict(h.basepoints) == dict(g.basepoints)
 
@@ -67,16 +73,16 @@ class TestRoundTrip:
         g = _triangle()
         path = tmp_path / "t.graph"
         path.write_text(dump_graph(g))
-        h = load_graph(path)
+        h = load_graph(path, BUDGET)
         assert h.adjacency == g.adjacency
 
     def test_dump_is_stable(self):
         g = _triangle()
-        assert dump_graph(g) == dump_graph(parse_graph(dump_graph(g)))
+        assert dump_graph(g) == dump_graph(parse_graph(dump_graph(g), BUDGET))
 
     def test_comments_and_blanks_ignored(self):
         text = "# hello\n\nvertices 2\n  # indented comment\nedge 0 1\n"
-        g = parse_graph(text)
+        g = parse_graph(text, BUDGET)
         assert g.vertex_count == 2
 
 
@@ -119,11 +125,11 @@ class TestDumpReference:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_a_parsed_shuffled_file_dumps_the_reference_bytes(self, seed):
-        graph = parse_graph(_render(random.Random(seed), _random_records(random.Random(seed))[1])[0])
+        graph = parse_graph(_render(random.Random(seed), _random_records(random.Random(seed))[1])[0], BUDGET)
         assert dump_graph(graph) == _reference_dump(graph)
 
     def test_a_parsed_shuffled_z2_ball_dumps_the_reference_bytes(self):
-        graph = parse_graph(_z2_ball_text(30, 1))
+        graph = parse_graph(_z2_ball_text(30, 1), BUDGET)
         assert dump_graph(graph) == _reference_dump(graph)
 
 
@@ -161,12 +167,12 @@ class TestRejections:
     )
     def test_malformed_inputs(self, text, message):
         with pytest.raises(GraphFormatError, match=message):
-            parse_graph(text)
+            parse_graph(text, BUDGET)
 
 
 class TestIntegers:
     def test_signs_are_read(self):
-        g = parse_graph("vertices +2\nedge -0 +1\nbasepoint a_1 +1\n")
+        g = parse_graph("vertices +2\nedge -0 +1\nbasepoint a_1 +1\n", BUDGET)
         assert g.adjacency == ((1,), (0,))
         assert dict(g.basepoints) == {"a_1": 1}
 
@@ -180,12 +186,12 @@ class TestEncoding:
         path.write_bytes(data)
         message = f"line 3: byte 0x{bad[0]:02x} at offset {offset} is not UTF-8"
         with pytest.raises(GraphFormatError, match=f"^{message}$"):
-            load_graph(path)
+            load_graph(path, BUDGET)
 
     def test_utf8_labels_are_read(self, tmp_path):
         path = tmp_path / "label.graph"
         path.write_bytes("vertices 2\nedge 0 1\nbasepoint caf\u00e9 1\n".encode("utf-8"))
-        assert dict(load_graph(path).basepoints) == {"caf\u00e9": 1}
+        assert dict(load_graph(path, BUDGET).basepoints) == {"caf\u00e9": 1}
 
 
 class TestVertexBudget:
@@ -303,7 +309,7 @@ def _outcome(parse, text):
 
 
 def _parsed(text):
-    graph = parse_graph(text)
+    graph = parse_graph(text, BUDGET)
     return graph.adjacency, graph.basepoints
 
 
@@ -466,7 +472,7 @@ class TestSeveralFaults:
     def test_faults_are_reported_in_the_documented_order(self, seed):
         text, message = _several_faults(random.Random(seed))
         with pytest.raises(GraphFormatError) as error:
-            parse_graph(text)
+            parse_graph(text, BUDGET)
         assert str(error.value) == message
 
 
@@ -570,7 +576,7 @@ class TestAcrossChunks:
         text, lines = _render(rng, records)
         message = f"line {lines[at]}: non-integer vertex in 'edge {n - 1} 1_0'"
         with pytest.raises(GraphFormatError) as error:
-            parse_graph(text)
+            parse_graph(text, BUDGET)
         assert str(error.value) == message
         records[at] = f"edge {n - 1} x"  # one the reference parser rejects too
         text, _ = _render(random.Random(f"large/pending/{later}"), records)
@@ -593,6 +599,10 @@ _BREAKS = {
     "comment": lambda record: "# between runs\n" + record + "\n",
     "blank": lambda record: "\n" + record + "\n",
 }
+
+
+# The blanks `str.split` splits a line at: not a line break, but white space.
+_INLINE_BLANKS = [c for c in map(chr, range(0x110000)) if c.isspace() and len(f"a{c}b".splitlines()) == 1]
 
 
 def _render_runs(rng, records, breaks):
@@ -675,10 +685,12 @@ class TestCanonicalRuns:
             _same_as_reference("".join(line + "\n" for line in lines), "error")
 
     @pytest.mark.parametrize("kind", _TEXT_FAULTS + _EDGE_FAULTS)
-    @pytest.mark.parametrize("blank", [" ", "\xa0"], ids=["space", "nbsp"])
-    def test_fault_after_the_edge_text_is_read(self, kind, blank):
-        # Edge lines in no-break spaces are records of their own, not runs.
-        rng = random.Random(f"runs/read/{kind}/{blank}")
+    @pytest.mark.parametrize("blank,end", [(" ", "\n"), ("\xa0", "\n"), (" ", "\r")],
+                             ids=["space", "nbsp", "cr"])
+    def test_fault_after_the_edge_text_is_read(self, kind, blank, end):
+        # Edge lines in no-break spaces come in runs too; lines that end in
+        # a bare \r are records of their own.
+        rng = random.Random(f"runs/read/{kind}/{blank}" + ("" if end == "\n" else "/cr"))
         records = _z2_ball_text(70, 1).splitlines()
         n = int(records[0].split()[1])
         # The edge text before each record, less `edge` and a blank per line:
@@ -687,7 +699,18 @@ class TestCanonicalRuns:
         at = rng.randint(bisect.bisect_right(held, 2 * _BLOCK) + 1, len(records) - 1)
         assert held[at - 1] > 2 * _BLOCK  # the buffer is read once or more before the fault
         records.insert(at, _fault_record(rng, kind, n, records))
-        _same_as_reference("".join(r.replace(" ", blank) + "\n" for r in records), "error")
+        _same_as_reference("".join(r.replace(" ", blank) + end for r in records), "error")
+
+    @pytest.mark.parametrize("blank", _INLINE_BLANKS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_every_blank_gives_the_same_graph_in_runs(self, blank):
+        rng = random.Random(f"runs/blank/{ord(blank)}")
+        _, records = _large_records(rng)
+        lines = [record + "\n" for record in records]
+        for i in rng.sample(range(1, len(lines)), 40):
+            lines[i] = blank + records[i].replace(" ", 2 * blank) + blank + "\n"
+        text = "".join(lines)
+        _same_as_reference(text, "graph")
+        assert all(line.endswith("\n") for _, line in graphio._records(text) if line.startswith("edge"))
 
 
 class TestLargeVertices:
@@ -696,7 +719,7 @@ class TestLargeVertices:
     def test_out_of_range_past_int64(self, big):
         text = f"vertices 2\nedge 0 1\nedge 0 {big}\n"
         with pytest.raises(GraphFormatError) as error:
-            parse_graph(text)
+            parse_graph(text, BUDGET)
         assert str(error.value) == f"line 3: edge (0, {int(big)}) out of range"
         assert type(error.value.__cause__.where) is int
 
@@ -707,7 +730,7 @@ class TestLargeVertices:
         records.insert(at, f"edge {2**63} 0")
         text, lines = _render(rng, records)
         with pytest.raises(GraphFormatError) as error:
-            parse_graph(text)
+            parse_graph(text, BUDGET)
         assert str(error.value) == f"line {lines[at]}: edge ({2**63}, 0) out of range"
 
 
@@ -737,8 +760,8 @@ class TestParseMemory:
     def test_z2_ball_parses_within_bound(self):
         _parses_within_bound(_z2_ball_text(160, 0))
 
-    @pytest.mark.parametrize("old,new", [("\n", "\r\n"), (" ", "\t"), (" ", "\xa0")],
-                             ids=["crlf", "tab", "nbsp"])
+    @pytest.mark.parametrize("old,new", [("\n", "\r\n"), (" ", "\t"), (" ", "\xa0"), ("\n", "\r")],
+                             ids=["crlf", "tab", "nbsp", "cr"])
     def test_other_forms_parse_within_bound(self, old, new):
         _parses_within_bound(_z2_ball_text(160, 0).replace(old, new))
 
@@ -747,7 +770,7 @@ def _parses_within_bound(text):
     """Parse the radius-160 Z^2 ball file under tracemalloc."""
     tracemalloc.start()
     try:
-        graph = parse_graph(text)
+        graph = parse_graph(text, BUDGET)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

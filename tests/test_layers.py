@@ -4,7 +4,8 @@ Differential tests of the layered primitives against the loops they replaced.
 The references kept here are the earlier implementations, written as
 separate loops: a deque BFS with a distance dict, a parent-pointer BFS for
 geodesics, and a `ProductSequence` built as a birth map
-(element -> first step) that every reader scans to recover its layers.
+(element -> first step) that every reader scans to recover its layers,
+filled by the pure-Python frontier loop of `tuple_law`, not by the kernel.
 
 Core claims, on seeded random connected graphs and seeded random product
 sets in Z^2 and H3:
@@ -14,7 +15,8 @@ sets in Z^2 and H3:
     - a `ProductSequence`'s birth map, sizes, element sets and
       shells equal the birth-map reference's, birth-map item order included
     - `ergodic_trace` averages equal the birth-map replay bit for bit, also
-      from starts outside [0, 1), where the sign rule of `%` matters
+      from starts outside [0, 1), where the sign rule of `%` matters; a
+      trace to step n comes from the sequence expanded n steps
 """
 
 import random
@@ -24,7 +26,7 @@ from itertools import repeat
 import pytest
 
 from folnerlab.ergodic import GOLDEN_ANGLES, OBSERVABLES, TorusAction, ergodic_trace, observable
-from folnerlab.groups import expand, heisenberg_model, zd_model
+from folnerlab.groups import heisenberg_model, zd_model
 from folnerlab.products import product_powers, varying_products
 from folnerlab.space import (
     Graph,
@@ -33,6 +35,7 @@ from folnerlab.space import (
     monotone_geodesic,
     volume_profile,
 )
+from tuple_law import reference_layers
 
 
 # -- References: graphs --------------------------------------------------------
@@ -91,12 +94,11 @@ GRAPHS = [(seed, n, extra) for seed in range(6) for n, extra in ((40, 0), (60, 1
 
 
 def _birth_map(model, factors):
-    """The birth map of N_0 = {1}, N_n = N_(n-1) * U_n, and the sizes |N_n|."""
-    steps = [sorted(set(f) | {model.identity}) for f in factors]
+    """The birth map of N_0 = {1}, N_n = N_(n-1) * U_n, and the sizes |N_n|,
+    by the pure-Python frontier loop."""
     birth, sizes = {}, []
-    layers = expand(model, [model.identity], steps, None, "reference", ordered=True)
-    for n, layer in enumerate(layers):
-        birth.update(zip(layer.elements(), repeat(n)))
+    for n, layer in enumerate(reference_layers(model, [model.identity], factors)):
+        birth.update(zip(layer, repeat(n)))
         sizes.append(len(birth))
     return birth, tuple(sizes)
 
@@ -174,16 +176,17 @@ class TestGraphLayers:
 MODELS = {"Z2": (zd_model(2), 9), "H3": (heisenberg_model(), 5)}
 
 
-def _sequences(name, seed):
-    """A powers sequence and a varying-factor sequence with their references."""
-    model, steps = MODELS[name]
+def _sequences(name, seed, steps=None):
+    """A powers sequence and a varying-factor sequence with their factors,
+    expanded the model's number of steps, or only their first `steps`."""
+    model, count = MODELS[name]
     gens, *_ = _random_sets(model, seed, 1)
     outer = sorted(set().union(*_random_sets(model, seed + 100, 3)) | set(gens))
     rng = random.Random(seed)
-    factors = [sorted(set(gens) | set(rng.sample(outer, 3))) for _ in range(steps)]
+    factors = [sorted(set(gens) | set(rng.sample(outer, 3))) for _ in range(count)][:steps]
     inner = model.generating_set("standard")
     return [
-        (product_powers(model, gens, steps), [gens] * steps),
+        (product_powers(model, gens, len(factors)), [gens] * len(factors)),
         (varying_products(model, factors, inner, outer), factors),
     ]
 
@@ -207,13 +210,15 @@ class TestProductLayers:
         model = zd_model(2)
         rng = random.Random(seed)
         action = TorusAction(GOLDEN_ANGLES)
-        for seq, factors in _sequences("Z2", seed):
+        for i, (seq, factors) in enumerate(_sequences("Z2", seed)):
             birth, sizes = _birth_map(model, factors)
             starts = [(rng.random(), rng.random()), (-0.3, 1.7), (1.7, -0.3)]
             starts.append((rng.uniform(-5, 5), rng.uniform(-5, 5)))
             for name in sorted(OBSERVABLES):
                 for start in starts:
+                    # A trace to n_max comes from the sequence expanded n_max steps.
                     n_max = rng.randint(0, seq.steps)
-                    trace = ergodic_trace(action, seq, name, start, n_max)
+                    short, _ = _sequences("Z2", seed, n_max)[i]
+                    trace = ergodic_trace(action, short, name, start)
                     expected = _replay(action, birth, sizes, name, start, n_max)
                     assert trace.averages == expected

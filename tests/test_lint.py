@@ -9,6 +9,10 @@ Core claims, for every module of src/folnerlab:
       package (`cli.main`, `runner.run_experiment`, `runner.reproduce`)
       through the module-level names that each one reads, or is kept for a
       reason that `KEPT` states; a name in `KEPT` that is reached is stale
+    - every defaulted parameter of a function that src calls by name (a
+      class's `__init__` by the class name) is passed by some call of that
+      name in src, by position or keyword, or is kept for a reason that
+      `UNPASSED` states; one in `UNPASSED` that a call passes is stale
 """
 
 import ast
@@ -141,3 +145,56 @@ def test_every_public_name_is_reached_or_kept():
     assert not unreached, f"public names that no entry point reaches: {unreached}"
     stale = sorted(key for key in KEPT if key in reached or key not in public)
     assert not stale, f"KEPT names that are reached or not public: {stale}"
+
+
+# Defaulted parameters that no call in src passes, each kept for a stated reason.
+UNPASSED = {
+    ("registry", "parse_space", "where"): "config passes it through `registry.named(parse_space, ...)`",
+}
+
+
+def _defaulted(node: ast.FunctionDef, method: bool):
+    """(name, positional index or None) of each defaulted parameter, the
+    index counted without a method's `self` or `cls`."""
+    positional = [*node.args.posonlyargs, *node.args.args][1 if method else 0:]
+    first = len(positional) - len(node.args.defaults)
+    yield from ((a.arg, i) for i, a in enumerate(positional) if i >= first)
+    yield from ((a.arg, None) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d)
+
+
+def _functions():
+    """(module, name it is called by, function node, whether it is a
+    method) for every function in src; a class's `__init__` is called by
+    the class name."""
+    for path in MODULES:
+        tree = _tree(path)
+        classes = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                name = classes[id(node)] if node.name == "__init__" else node.name
+                yield path.stem, name, node, id(node) in classes and not static
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    calls = {}  # called name -> [(positional count, keywords, whether it splats)]
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append((len(node.args), keywords, starred or None in keywords))
+    unpassed = {
+        (module, called, name)
+        for module, called, node, method in _functions()
+        for name, index in _defaulted(node, method)
+        if called in calls and not any(
+            splat or name in keywords or index is not None and index < count
+            for count, keywords, splat in calls[called]
+        )
+    }
+    unlisted = sorted(unpassed - set(UNPASSED))
+    assert not unlisted, f"defaulted parameters that no call in src passes: {unlisted}"
+    stale = sorted(set(UNPASSED) - unpassed)
+    assert not stale, f"UNPASSED parameters that a call passes: {stale}"

@@ -30,6 +30,7 @@ from folnerlab.config import validate_config
 from folnerlab.errors import BudgetExceededError, NotGeneratingError
 from folnerlab.groups import KeyBox, KeySet, expand, heisenberg_model, zd_model
 from folnerlab.products import (
+    DEFAULT_ELEMENT_BUDGET,
     ProductSequence,
     folner_ratios,
     product_powers,
@@ -60,7 +61,7 @@ def _reference_shell_inclusion(sequence, n, k):
         return frozenset().union(*layers[max(a + 1, 0) : b + 1])
 
     def product(base, m):
-        grown = expand(model, base, [gens] * m, None, "reference")
+        grown = expand(model, base, [gens] * m, DEFAULT_ELEMENT_BUDGET, "reference")
         return frozenset(g for layer in grown for g in layer.elements())
 
     h = n - k // 2

@@ -108,7 +108,7 @@ def test_space_record_agrees_with_its_graph(tmp_path, name):
         strip = stairway_strip(SMALL_SPACES["stairway"]["levels"])
         assert built.profile(built.basepoints["origin"], depth) == norm_profile(strip, depth)
         return
-    for v in [*built.basepoints.values(), *sample_centers(graph, 2, 5)]:
+    for v in [*built.basepoints.values(), *sample_centers(built.vertex_count, built.basepoints, 2, 5)]:
         assert built.profile(v, depth) == volume_profile(graph, v, depth)
 
 

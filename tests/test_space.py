@@ -345,7 +345,7 @@ class TestSampleCenters:
     def test_contains_basepoints_and_is_sorted(self):
         rng = random.Random(31)
         g = _random_connected(rng, 40, extra=5)
-        centers = sample_centers(g, 8, seed=7)
+        centers = sample_centers(g.vertex_count, g.basepoints, 8, seed=7)
         assert g.basepoints["root"] in centers
         assert list(centers) == sorted(centers)
         assert len(centers) == 8
@@ -353,9 +353,18 @@ class TestSampleCenters:
     def test_seed_determinism(self):
         rng = random.Random(32)
         g = _random_connected(rng, 45, extra=5)
-        assert sample_centers(g, 10, seed=3) == sample_centers(g, 10, seed=3)
-        assert sample_centers(g, 10, seed=3) != sample_centers(g, 10, seed=4)
+        sample = lambda seed: sample_centers(g.vertex_count, g.basepoints, 10, seed)
+        assert sample(3) == sample(3)
+        assert sample(3) != sample(4)
 
     def test_count_capped_at_vertex_count(self):
         g = _path(4)
-        assert len(sample_centers(g, 99, seed=0)) == 4
+        assert len(sample_centers(g.vertex_count, g.basepoints, 99, seed=0)) == 4
+
+    def test_a_count_of_every_vertex_draws_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a vertex was drawn")
+
+        monkeypatch.setattr(space.random, "Random", refuse)
+        for count in (5, 6, 10**9):
+            assert sample_centers(5, {"a": 3}, count, seed=0) == (0, 1, 2, 3, 4)
