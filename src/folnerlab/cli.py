@@ -136,7 +136,7 @@ def _graph_options(sample: bool = True):
         click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), required=True),
         click.option("--depth", type=int, required=True),
         click.option("--center", "center_labels", multiple=True, help="Basepoint label (repeatable; default all)."),
-        click.option("--sample", type=int, default=0, show_default=True, help="Sample this many centers instead."),
+        click.option("--sample", type=int, default=0, show_default=True, help="Sample this many centers, the --center basepoints among them."),
     ][: 4 if sample else 3]
     return lambda fn: functools.reduce(lambda f, option: option(f), reversed(options), fn)
 

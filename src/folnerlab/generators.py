@@ -3,14 +3,14 @@
 Four families of unit-edge graphs with named basepoints:
 
 word_ball / cayley_ball
-    The radius-R word ball in Z^d or H3(Z) with respect to a symmetrized
-    generating set.  `word_ball` reads the birth layers off the expansion
-    kernel `groups.expand` (layer r = the elements of word length exactly
-    r), each sorted, so indexing is deterministic.  Because every geodesic
-    word keeps its prefixes inside the ball, graph distance from the
-    basepoint "origin" equals word length for every vertex, and the BFS
-    profile of the origin is the running sum of the layer sizes: group
-    spaces profile the origin from the layers and build the graph only on
+    The radius-R word ball in Z^d or H3(Z) for a symmetrized generating
+    set S is the powers U^r = B(r), r <= R, of U = S with the identity
+    adjoined: a `WordBall` is their `ProductSequence` (layer r = the
+    elements of word length exactly r, sorted, so indexing is
+    deterministic) plus the graph.  Every geodesic word keeps its prefixes
+    inside the ball, so graph distance from the basepoint "origin" is word
+    length, and the origin's BFS profile is `ProductSequence.profile`:
+    group spaces profile the origin without a graph and build it only on
     demand.  When it is built (`WordBall.graph`, at most once per ball;
     `cayley_ball` builds it at once), edges join elements differing by one
     generator and are found by key lookup.
@@ -50,16 +50,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .groups import (
-    Element,
-    GroupModel,
-    KeyBox,
-    Repeat,
-    check_generates,
-    expand,
-    lookup,
-    step_images,
-)
+from .groups import Element, GroupModel, Repeat, check_generates, expand, lookup, step_images
+from .products import ProductSequence
 from .space import Graph, VolumeProfile
 
 __all__ = [
@@ -78,27 +70,12 @@ DEFAULT_VERTEX_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True, eq=False)
-class WordBall:
-    """Birth layers of a word ball, elements packed into int64 keys.
-
-    `layers[r]` holds the sorted keys in `box` of the elements of word
-    length exactly r.  The box covers the ball and its one-step neighbors.
-    Vertex i of the ball is the i-th key in (layer, key) order, the identity
-    being vertex 0.
-    """
-
-    model: GroupModel
-    steps: tuple[Element, ...]
-    layers: tuple[np.ndarray, ...]
-    box: KeyBox
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.layers)
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(self.sizes)
+class WordBall(ProductSequence):
+    """The word ball B(r) = U^r, r <= radius, U the symmetrized set with
+    the identity adjoined, as a `ProductSequence`, with its graph.  Vertex
+    i is the i-th key in (layer, key) order, the identity being vertex 0,
+    and `sizes[-1]` is the vertex count.  The layers' key box covers the
+    ball and its one-step neighbors."""
 
     @cached_property
     def edge_count(self) -> int:
@@ -108,12 +85,13 @@ class WordBall:
         before the last lies in the ball, and a product of the last layer
         does exactly when it lands in the last two layers.
         """
-        last = self.layers[-1]
-        images = step_images(self.model, self.box, last, self.steps)
+        steps = self.model.symmetrize(next(iter(self.factors), ()))  # radius 0 has none
+        last = self.layers[-1].keys
+        images = step_images(self.model, self.layers[0].box, last, steps)
         inside = sum(
-            len(lookup(layer, image)[0]) for layer in self.layers[-2:] for image in images
+            len(lookup(layer.keys, image)[0]) for layer in self.layers[-2:] for image in images
         )
-        return (len(self.steps) * (self.vertex_count - len(last)) + inside) // 2
+        return (len(steps) * (self.sizes[-1] - len(last)) + inside) // 2
 
     def edges(self) -> np.ndarray:
         """Edges (i, j), i < j, sorted: the vertex pairs with g_i * s = g_j.
@@ -122,13 +100,14 @@ class WordBall:
         the steps are closed under inversion, so every edge is found exactly
         once by looking up g * s in layers r and r + 1 and keeping i < j.
         """
-        starts = np.cumsum((0,) + self.sizes)
+        steps = self.model.symmetrize(next(iter(self.factors), ()))
+        starts = (0, *self.sizes)
         pieces = [np.empty((0, 2), dtype=np.intp)]
-        for r, keys in enumerate(self.layers):
-            images = step_images(self.model, self.box, keys, self.steps)
+        for r, layer in enumerate(self.layers):
+            images = step_images(self.model, layer.box, layer.keys, steps)
             for t in range(r, min(r + 2, len(self.layers))):
                 for image in images:
-                    i, j = lookup(self.layers[t], image)
+                    i, j = lookup(self.layers[t].keys, image)
                     i += starts[r]
                     j += starts[t]
                     keep = i < j
@@ -139,13 +118,7 @@ class WordBall:
     @cached_property
     def graph(self) -> Graph:
         """The ball as a validated graph with basepoint "origin" = identity."""
-        return Graph.from_edges(self.vertex_count, self.edges(), {"origin": 0})
-
-    def profile(self, depth: int) -> VolumeProfile:
-        """Volume profile of the identity, equal to `volume_profile` of vertex
-        0 on `graph`: ball[r] sums layers 0..r and saturates past the
-        radius."""
-        return VolumeProfile.from_sizes(0, self.sizes, depth)
+        return Graph.from_edges(self.sizes[-1], self.edges(), {"origin": 0})
 
 
 def word_ball(
@@ -154,21 +127,21 @@ def word_ball(
     radius: int,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> WordBall:
-    """Birth layers of the word ball of `radius` for the symmetrized set
-    (a named set of `model` or explicit tuples): those of `groups.expand`
-    from the identity, with the vertex budget as its budget."""
+    """The word ball of `radius` for the symmetrized set (a named set of
+    `model` or explicit tuples) as the powers of U, the set with the identity
+    adjoined, from `groups.expand` with the vertex budget as its budget."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if isinstance(generating_set, str):
         generating_set = model.generating_set(generating_set)
     steps = model.symmetrize(generating_set)
     check_generates(model, steps)
+    unit = tuple(sorted((model.identity, *steps)))
     # One factor more than the radius, never expanded: it sizes the box for
     # the one-step neighbors that `edges` and `edge_count` encode.
-    layers = expand(model, [model.identity], Repeat(steps, radius + 1), vertex_budget, "cayley_ball")
+    layers = expand(model, [model.identity], Repeat(unit, radius + 1), vertex_budget, "cayley_ball")
     # The set generates Z^d or H3, both infinite, so no layer of the ball is empty.
-    kept = list(islice(layers, radius + 1))
-    return WordBall(model, steps, tuple(layer.keys for layer in kept), kept[0].box)
+    return WordBall(model, Repeat(unit, radius), tuple(islice(layers, radius + 1)))
 
 
 def cayley_ball(
@@ -351,16 +324,11 @@ def stairway_strip(
             raise BudgetExceededError("stairway_strip", over, vertex_budget)
         cells = np.sort(np.concatenate((cells, met[fresh])), kind="stable")
 
-    def steps(step: int) -> np.ndarray:
-        """The edges (i, j) with cell j = cell i + step."""
-        j = np.searchsorted(cells, cells + step)
-        found = np.flatnonzero(cells[np.minimum(j, len(cells) - 1)] == cells + step)
-        return np.stack((found, j[found]), axis=1)
-
     x, y = np.divmod(cells, width)
     points = tuple(zip((x - reach).tolist(), (y - reach).tolist()))
     origin = int(np.searchsorted(cells, reach * width + reach))
-    edges = np.concatenate((steps(width), steps(1)))
+    # The edges (i, j) with cell j = cell i + step, for the x and y steps.
+    edges = np.concatenate([np.stack(lookup(cells, cells + step), axis=1) for step in (width, 1)])
     return StairwayStrip(Graph.from_edges(len(cells), edges, {"origin": origin}), points)
 
 

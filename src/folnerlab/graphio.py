@@ -22,14 +22,14 @@ edges, basepoint range and connectivity.  So a file with several faults
 reports its first text fault, else its first edge fault, else its first
 basepoint fault, else that it is disconnected.
 
-The text is split into lines in blocks of 64 KiB.  Inside a block, a run of
-edge lines is found with one regular-expression search: lines that end in
-`\n` or `\r\n`, have vertices of at most 18 digits, and any blank that
-`str.split` splits at between fields.  Every other line (another line end,
-a longer vertex) is a record of its own.  The vertex text of every edge
-goes into one buffer, read into int64 pairs by `np.fromstring` each time
-it passes about 64 KiB and at the end; a vertex of over 18 characters is
-an exact `int`.
+The text is split into lines, at every line break of `str.splitlines`, in
+blocks of 64 KiB.  Inside a block, a run of edge lines is found with one
+regular-expression search: lines that end in any of those breaks, have
+vertices of at most 18 digits, and any blank that `str.split` splits at
+between fields.  Every other line (a longer vertex, a last line without a
+break) is a record of its own.  The vertex text of every edge goes into one
+buffer, read into int64 pairs by `np.fromstring` each time it passes about
+64 KiB and at the end; a vertex of over 18 characters is an exact `int`.
 """
 
 from __future__ import annotations
@@ -52,14 +52,18 @@ _SHAPES = {"edge": "edge U V", "basepoint": "basepoint LABEL V"}
 _integers = re.compile(r"(?:[+-]?[0-9]+(?: [+-]?[0-9]+)*)?").fullmatch
 _BLOCK = 1 << 16  # characters of text split into lines at a time
 # The blanks `str.split` splits a line at: the `isspace` characters that
-# are not a `splitlines` break.  `np.fromstring` skips ASCII whitespace
-# only, which \x1f is not, so a run's vertex text with a blank other than
-# space or tab is split and joined by spaces.
+# are not a `splitlines` break.
 _BLANKS = "\t\x1f \xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u202f\u205f\u3000"
-# A run of edge lines; a vertex of 1 to 18 digits fits in int64.
+# The line breaks of `str.splitlines` but \r, which also starts \r\n.
+_BREAKS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_break = re.compile(f"\r\n?|[{_BREAKS}]").search
+# `np.fromstring` skips ASCII whitespace only, and not \x1c to \x1f, so a
+# run's vertex text with any other blank or break is split and joined by spaces.
+_UNSKIPPED = "\x1c\x1d\x1e\x1f"
+# A run of edge lines from a line start; a vertex of 1 to 18 digits fits in int64.
 _run = re.compile(
-    r"^(?:{0}*edge{0}+[+-]?[0-9]{{1,18}}{0}+[+-]?[0-9]{{1,18}}{0}*\r?\n)+".format(f"[{_BLANKS}]"),
-    re.MULTILINE,
+    r"(?:\A|(?<=[\r{1}]))(?:{0}*edge{0}+[+-]?[0-9]{{1,18}}{0}+[+-]?[0-9]{{1,18}}{0}*(?:\r\n?|[{1}]))+"
+    .format(f"[{_BLANKS}]", _BREAKS)
 ).search
 
 
@@ -70,14 +74,15 @@ def _records(text: str) -> Iterator[tuple[int, str]]:
     so a caller that stops at the header has not split the rest of the text
     and no caller holds every line at once.  Inside a block, a run of edge
     lines comes as one item: the number of its first line and its text, the
-    only item that ends with a newline."""
+    only item that ends with a line break."""
     lineno = pos = 0
     bulk = False
     while pos < len(text):
-        end = text.find("\n", pos + _BLOCK if bulk else pos) + 1 or len(text)
+        found = _break(text, pos + _BLOCK if bulk else pos)
+        end = found.end() if found else len(text)
         while pos < end:
-            # A run starts right after a newline, where splitting the text
-            # in two splits no line end, and it ends with one.
+            # A run starts right after a line break, where splitting the
+            # text in two splits no line end, and it ends with one.
             run = _run(text, pos, end) if bulk else None
             stop = run.start() if run else end
             for line in text[pos:stop].splitlines():
@@ -88,7 +93,7 @@ def _records(text: str) -> Iterator[tuple[int, str]]:
                     yield lineno, line
             if run:
                 yield lineno + 1, run.group()
-                lineno += run.group().count("\n")
+                lineno += run.group().count("edge")  # one per line
             pos = run.end() if run else stop
 
 
@@ -118,9 +123,9 @@ def parse_graph(text: str, vertex_budget: int) -> Graph:
     pending, size = [], 0  # the vertex text of the edges after them, and its length
     basepoints: dict[str, int] = {}
     for lineno, line in records:
-        if line.endswith("\n"):  # a run of edge lines
+        if line[-1].isspace():  # a run of edge lines
             vertices = line.replace("edge", "")
-            if not vertices.isascii() or "\x1f" in vertices:
+            if not vertices.isascii() or any(c in vertices for c in _UNSKIPPED):
                 vertices = " ".join(vertices.split())
         else:
             kind, *rest = line.split()

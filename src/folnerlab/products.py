@@ -13,6 +13,8 @@ layers.  Discovery order is opt-in (`ordered`, default True): only
 for sorted layers and skip its sorts.
 Shells and set products are `KeySet`s, so the word-shell sandwich is tested
 on keys; only `birth` decodes tuples, for callers that want elements.
+`profile` is the identity's volume profile, read off the sizes; a word ball
+(`generators.WordBall`) is the `ProductSequence` of its powers.
 Expanding only the newest elements of N_n is exhaustive when the next
 factor lies inside the one before it (always, for powers of one set);
 otherwise the kernel multiplies the whole of N_n.
@@ -29,6 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .groups import Element, GroupModel, KeySet, Layer, Repeat, check_generates, expand
+from .space import VolumeProfile
 
 __all__ = [
     "ProductSequence",
@@ -77,6 +80,11 @@ class ProductSequence:
         if not 0 <= b <= self.steps:
             raise ValueError(f"step {b} outside computed range 0..{self.steps}")
         return KeySet.union(self.layers[max(a + 1, 0) : b + 1], self.layers[0].box)
+
+    def profile(self, depth: int) -> VolumeProfile:
+        """The identity's volume profile: ball[r] = |N_r|, saturating past the
+        last step (for a word ball, `volume_profile` of vertex 0 on its graph)."""
+        return VolumeProfile.from_sizes(0, [len(layer) for layer in self.layers], depth)
 
 
 def _adjoin(model: GroupModel, factor: Iterable[Element]) -> tuple[Element, ...]:

@@ -494,7 +494,7 @@ def _word_ball(space: Mapping[str, Any], budget: int) -> BuiltSpace:
             return ball.profile(depth)  # the identity: no graph needed
         return volume_profile(ball.graph, v, depth)
 
-    return BuiltSpace(ball.vertex_count, ball.edge_count, {"origin": 0}, lambda: ball.graph, profile)
+    return BuiltSpace(ball.sizes[-1], ball.edge_count, {"origin": 0}, lambda: ball.graph, profile)
 
 
 def _tree_chain(space: Mapping[str, Any], budget: int) -> BuiltSpace:

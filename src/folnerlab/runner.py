@@ -64,30 +64,29 @@ def build_space(config: ExperimentConfig) -> BuiltSpace:
 def _resolve_centers(
     built: BuiltSpace, config: ExperimentConfig
 ) -> list[tuple[str, int]]:
-    """(label, vertex) pairs for the configured centers, in label order."""
+    """(label, vertex) pairs for the configured centers: the listed
+    basepoints in their order, or a sample that holds them, in vertex order."""
     spec, basepoints = config.centers, built.basepoints
     sample = spec["sample"]
     labels = sorted(basepoints) if spec["basepoints"] == "all" else spec["basepoints"]
-    if not sample:
-        if not labels:
-            raise ConfigError(
-                "centers: no centers to profile (the space has no basepoints "
-                "or centers.basepoints is empty, and centers.sample is 0)"
-            )
-        for label in labels:
-            if label not in basepoints:
-                raise ConfigError(
-                    f"centers.basepoints: unknown basepoint label {label!r}"
-                )
-    # A sample holds every basepoint and is drawn up to `sample` vertices.
-    count = max(len(set(basepoints.values())), min(sample, built.vertex_count)) if sample else len(labels)
+    if not sample and not labels:
+        raise ConfigError(
+            "centers: no centers to profile (the space has no basepoints "
+            "or centers.basepoints is empty, and centers.sample is 0)"
+        )
+    for label in labels:
+        if label not in basepoints:
+            raise ConfigError(f"centers.basepoints: unknown basepoint label {label!r}")
+    listed = {label: basepoints[label] for label in labels}
+    # A sample holds the listed basepoints and is drawn up to `sample` vertices.
+    count = max(len(set(listed.values())), min(sample, built.vertex_count)) if sample else len(labels)
     rows = count * (config.depth + 1)  # of the profile table, counted before any center is drawn
     if rows > config.element_budget:
         raise BudgetExceededError("centers", rows, config.element_budget)
     if not sample:
         return [(label, basepoints[label]) for label in labels]
-    by_vertex = {v: label for label, v in sorted(basepoints.items())}
-    vertices = sample_centers(built.vertex_count, basepoints, sample, config.seed or 0)
+    by_vertex = {v: label for label, v in sorted(listed.items())}
+    vertices = sample_centers(built.vertex_count, listed, sample, config.seed or 0)
     return [(by_vertex.get(v, f"v{v}"), v) for v in vertices]
 
 

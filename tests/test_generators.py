@@ -46,6 +46,7 @@ from folnerlab import generators
 from folnerlab.errors import BudgetExceededError, NotGeneratingError
 from folnerlab.generators import (
     TreeChainSpec,
+    WordBall,
     cayley_ball,
     norm_profile,
     stairway_strip,
@@ -53,6 +54,7 @@ from folnerlab.generators import (
     word_ball,
 )
 from folnerlab.groups import check_generates, heisenberg_model, zd_model
+from folnerlab.products import ProductSequence
 from folnerlab.space import Graph, VolumeProfile
 from folnerlab.space import (
     bfs_distances,
@@ -68,7 +70,7 @@ from tuple_law import multiply
 
 def _elements(ball) -> tuple:
     """The elements of a word ball in vertex order: layer by layer, each by key."""
-    return tuple(ball.box.elements(np.concatenate(ball.layers)))
+    return tuple(ball.layers[0].box.elements(np.concatenate([layer.keys for layer in ball.layers])))
 
 
 def _block_depth(spec: TreeChainSpec, n: int) -> int:
@@ -191,12 +193,27 @@ class TestWordBallKernel:
             gens = model.generating_set(gens)
         layers, elements, graph = _reference_cayley_ball(model, gens, radius)
         kernel = word_ball(model, gens, radius)
-        assert kernel.sizes == tuple(len(layer) for layer in layers)
+        assert kernel.sizes == tuple(itertools.accumulate(len(layer) for layer in layers))
         assert _elements(kernel) == elements
         assert kernel.edge_count == graph.edge_count
         ball = cayley_ball(model, gens, radius)
         assert _elements(ball) == elements
         assert ball.graph.adjacency == graph.adjacency
+
+    @pytest.mark.parametrize("model,gens,radius", _kernel_cases()[:6])
+    def test_a_word_ball_is_the_powers_of_its_unit(self, model, gens, radius):
+        """The ball's shells are the reference word spheres, its factors are
+        the symmetrized set with the identity adjoined, and the record adds
+        only the graph to `ProductSequence`."""
+        layers, _, _ = _reference_cayley_ball(model, model.generating_set(gens), radius)
+        ball = word_ball(model, gens, radius)
+        assert isinstance(ball, ProductSequence) and ball.steps == radius
+        assert [ball.shell(r - 1, r).elements() for r in range(radius + 1)] == layers
+        unit = {model.identity, *model.symmetrize(model.generating_set(gens))}
+        assert len(ball.factors) == radius and all(set(f) == unit for f in ball.factors)
+        assert ball.profile(radius + 3) == volume_profile(ball.graph, 0, radius + 3)
+        added = {name for name in vars(WordBall) if not name.startswith("__")}
+        assert added == {"edge_count", "edges", "graph"}
 
     def test_random_cases_include_one_sided_sets(self):
         one_sided = [

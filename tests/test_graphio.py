@@ -204,8 +204,9 @@ class TestVertexBudget:
         with pytest.raises(BudgetExceededError, match="line 1"):
             load_graph(path, 100)
 
-    def test_header_is_read_before_the_rest_is_split(self):
-        text = "vertices 1000000\n" + "".join(f"edge {i} {i + 1}\n" for i in range(300_000))
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\u2028"], ids=["lf", "crlf", "cr", "ls"])
+    def test_header_is_read_before_the_rest_is_split(self, end):
+        text = f"vertices 1000000{end}" + "".join(f"edge {i} {i + 1}{end}" for i in range(300_000))
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError, match="line 1: size 1000000 exceeds budget 100"):
@@ -603,6 +604,8 @@ _BREAKS = {
 
 # The blanks `str.split` splits a line at: not a line break, but white space.
 _INLINE_BLANKS = [c for c in map(chr, range(0x110000)) if c.isspace() and len(f"a{c}b".splitlines()) == 1]
+# The line breaks of `str.splitlines`, \r\n among them.
+_LINE_BREAKS = ["\r\n", *(c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2)]
 
 
 def _render_runs(rng, records, breaks):
@@ -688,8 +691,8 @@ class TestCanonicalRuns:
     @pytest.mark.parametrize("blank,end", [(" ", "\n"), ("\xa0", "\n"), (" ", "\r")],
                              ids=["space", "nbsp", "cr"])
     def test_fault_after_the_edge_text_is_read(self, kind, blank, end):
-        # Edge lines in no-break spaces come in runs too; lines that end in
-        # a bare \r are records of their own.
+        # Edge lines in no-break spaces come in runs too, and so do lines
+        # that end in a bare \r.
         rng = random.Random(f"runs/read/{kind}/{blank}" + ("" if end == "\n" else "/cr"))
         records = _z2_ball_text(70, 1).splitlines()
         n = int(records[0].split()[1])
@@ -711,6 +714,14 @@ class TestCanonicalRuns:
         text = "".join(lines)
         _same_as_reference(text, "graph")
         assert all(line.endswith("\n") for _, line in graphio._records(text) if line.startswith("edge"))
+
+    @pytest.mark.parametrize("end", _LINE_BREAKS, ids=lambda end: "+".join(f"U+{ord(c):04X}" for c in end))
+    def test_every_line_break_ends_a_run(self, end):
+        rng = random.Random(f"runs/end/{end!r}")
+        _, records = _large_records(rng)
+        text = "".join(record + end for record in records)
+        _same_as_reference(text, "graph")
+        assert all(line.endswith(end) for _, line in graphio._records(text) if line.startswith("edge"))
 
 
 class TestLargeVertices:

@@ -145,7 +145,7 @@ class TestModels:
         # A radius-1 word ball sizes its key box for 2 steps: 5^d cells.
         assert MAX_ZD_RANK == 27 and 5**27 <= 2**63 < 5**28
         ball = word_ball(zd_model(27), "standard", 1)
-        assert ball.vertex_count == 55
+        assert ball.sizes[-1] == 55
         with pytest.raises(ValueError, match="dimension must be at most 27, .* got 28"):
             zd_model(28)
 

@@ -8,7 +8,9 @@ Core claims, for every module of src/folnerlab:
     - every name listed in `__all__` is reached from an entry point of the
       package (`cli.main`, `runner.run_experiment`, `runner.reproduce`)
       through the module-level names that each one reads, or is kept for a
-      reason that `KEPT` states; a name in `KEPT` that is reached is stale
+      reason that `KEPT` states; a name in `KEPT` that is reached is stale,
+      and so is one kept for the benchmark that no `Layer(...)` of
+      bench/layers.py (read with `ast` too) names
     - every defaulted parameter of a function that src calls by name (a
       class's `__init__` by the class name) is passed by some call of that
       name in src, by position or keyword, or is kept for a reason that
@@ -98,6 +100,7 @@ KEPT = {
     ("space", "bfs_distances"): "the acceptance suite computes its distances",
 }
 ENTRY_POINTS = [("cli", "main"), ("runner", "run_experiment"), ("runner", "reproduce")]
+BENCH_LAYERS = SOURCE.parents[1] / "bench" / "layers.py"
 
 
 def _definitions():
@@ -145,6 +148,25 @@ def test_every_public_name_is_reached_or_kept():
     assert not unreached, f"public names that no entry point reaches: {unreached}"
     stale = sorted(key for key in KEPT if key in reached or key not in public)
     assert not stale, f"KEPT names that are reached or not public: {stale}"
+
+
+def _traced_layers() -> set[str]:
+    """The names that the `Layer(...)` calls of the benchmark's layer table
+    give, read with `ast`, never imported."""
+    return {
+        node.args[0].value
+        for node in ast.walk(_tree(BENCH_LAYERS))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Layer"
+        and node.args and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def test_names_kept_for_the_benchmark_are_traced_layers():
+    layers = _traced_layers()
+    assert layers, f"no Layer(...) found in {BENCH_LAYERS}"
+    stale = sorted(key for key, reason in KEPT.items()
+                   if "benchmark" in reason and ".".join(key) not in layers)
+    assert not stale, f"KEPT for the benchmark, but no traced layer: {stale}"
 
 
 # Defaulted parameters that no call in src passes, each kept for a stated reason.

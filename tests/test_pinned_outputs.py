@@ -5,7 +5,10 @@ Each recipe runs in-process and the SHA-256 of each of its exact CSVs is
 compared with the value committed below.  Exact CSVs hold only integers,
 `Fraction`s and booleans (profile, shell, dyadic, annulus, abelian,
 claims), so their bytes cannot depend on the platform's libm; the float
-artifacts (verify, ergodic, summary.json) are left out for that reason.
+artifacts (verify, ergodic) are left out for that reason.  Of each
+`summary.json` the exact part is pinned: its sorted-key JSON with every
+float leaf removed, which keeps the vertex and edge counts, `alpha`,
+`doubling`, `pass`, the config digest and the shell counters.
 A refactor that changes a single count or ratio fails here.  The bytes
 that `generate` writes for each family at its default size are pinned too,
 so a rebuilt adjacency cannot silently change graph files, and so are the
@@ -80,6 +83,37 @@ def test_exact_artifacts_match_their_pins(tmp_path, name):
         if path.stem in EXACT
     }
     assert exact == PINS[name]
+
+
+SUMMARY_PINS = {
+    "abelian": "67833dd82c4c10fa180fc5f9ce900e2e96a19c6ec6969a3d141c6b9616f884c1",
+    "claims-5-3": "099d3c3315d3bb017e90ae13526a221150d5e5db0d9fcaecc997c54429b9cc4a",
+    "counterexample-remark-ab": "d59723939237182296fd052be122a21cff5125f67029c37ed9be9f29080c8dd9",
+    "counterexample-stairway": "304b20ee34f9d9fdc406c12b487423367835d6e9490bc130dbfdd23cc2eda2ed",
+    "counterexample-tree": "439ac5c71146f1bf8ffd6c25b8dac20bd27aae385b53e925314fb3796a661796",
+    "dyadic": "52ad2a8f7e30fc056c73d5441452611edf7524a8acfa2d12bdb6ef9e0fdc1863",
+    "ergodic": "3a66c612b8a1918c1f9d768b8edb89e8f023e10c50ec0e92cd458a8a4f366eed",
+    "theorem-heisenberg": "9160721dd0c54989d69f9a2b697db07f9a708fa771bcbbd89ec22a8373651431",
+    "theorem-zd": "b6c1db8ab120f627d424a5179c0a6dffb115b0970f7233ba33e6aa938e686d15",
+}
+
+
+def _exact_part(value):
+    """`value` without its float leaves, at any depth."""
+    if isinstance(value, dict):
+        return {key: _exact_part(v) for key, v in value.items() if not isinstance(v, float)}
+    if isinstance(value, list):
+        return [_exact_part(v) for v in value if not isinstance(v, float)]
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_PINS))
+def test_exact_part_of_the_summary_matches_its_pin(tmp_path, name):
+    assert sorted(SUMMARY_PINS) == sorted(RECIPES)
+    reproduce(name, out_dir=tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="ascii"))
+    text = json.dumps(_exact_part(summary), sort_keys=True)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == SUMMARY_PINS[name]
 
 
 # The symmetrized skew set of Z^2 is the diagonal set, so their graph files

@@ -15,7 +15,9 @@ Core claims:
       at the basepoints and at sampled vertices; the stairway profiles its
       origin in the ambient norm and refuses any other center
     - the ergodic analysis expands the configured generating set
-    - an empty center list is a config error naming `centers`
+    - an empty center list is a config error naming `centers`; an unknown
+      basepoint label is one naming `centers.basepoints`, with a sample or
+      without, and a sample holds the listed basepoints, not every one
     - a CSV cell, looked up by exact type, is the same text as the
       `isinstance` chain it replaced gives, for subclasses too
 """
@@ -195,6 +197,30 @@ def test_empty_center_list_names_centers(tmp_path):
     config = _config(NAMED_SETS[1][0], "standard", 3, 3, centers={"basepoints": []})
     with pytest.raises(ConfigError, match="^centers: no centers to profile"):
         run_experiment(config, tmp_path)
+
+
+_CHAIN = {"family": "tree-chain", "a": 2, "b": 2, "blocks": 2}
+
+
+@pytest.mark.parametrize("sample", [0, 3])
+def test_an_unknown_label_fails_with_or_without_a_sample(tmp_path, sample):
+    config = validate_config({"space": _CHAIN, "depth": 4, "analyses": {"annulus": {}},
+                              "centers": {"basepoints": ["nope"], "sample": sample}, "seed": 0})
+    with pytest.raises(ConfigError, match="^centers.basepoints: unknown basepoint label 'nope'$"):
+        run_experiment(config, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sample_holds_the_listed_basepoints_only(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a center was drawn")
+
+    monkeypatch.setattr(space.random.Random, "randrange", refuse)
+    config = validate_config({"space": _CHAIN, "depth": 4, "analyses": {"annulus": {}},
+                              "centers": {"basepoints": ["r_1"], "sample": 1}, "seed": 0})
+    run_experiment(config, tmp_path)
+    rows = _profile_rows(tmp_path / "profile.csv")
+    assert {row["center"] for row in rows} == {"r_1"}
 
 
 def _reference_cell(value):
