@@ -50,7 +50,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .groups import Element, GroupModel, Repeat, check_generates, expand, lookup, step_images
+from .groups import Element, GroupModel, Repeat, check_generates, common, expand, lookup, step_images
 from .products import ProductSequence
 from .space import Graph, VolumeProfile
 
@@ -87,10 +87,8 @@ class WordBall(ProductSequence):
         """
         steps = self.model.symmetrize(next(iter(self.factors), ()))  # radius 0 has none
         last = self.layers[-1].keys
-        images = step_images(self.model, self.layers[0].box, last, steps)
-        inside = sum(
-            len(lookup(layer.keys, image)[0]) for layer in self.layers[-2:] for image in images
-        )
+        images = step_images(self.model, self.layers[0].box, steps)(last)
+        inside = sum(len(common(row, layer.keys)[0]) for layer in self.layers[-2:] for row in images)
         return (len(steps) * (self.sizes[-1] - len(last)) + inside) // 2
 
     def edges(self) -> np.ndarray:
@@ -101,13 +99,14 @@ class WordBall(ProductSequence):
         once by looking up g * s in layers r and r + 1 and keeping i < j.
         """
         steps = self.model.symmetrize(next(iter(self.factors), ()))
+        plan = step_images(self.model, self.layers[0].box, steps)
         starts = (0, *self.sizes)
         pieces = [np.empty((0, 2), dtype=np.intp)]
         for r, layer in enumerate(self.layers):
-            images = step_images(self.model, layer.box, layer.keys, steps)
+            images = plan(layer.keys)
             for t in range(r, min(r + 2, len(self.layers))):
                 for image in images:
-                    i, j = lookup(self.layers[t].keys, image)
+                    i, j = common(image, self.layers[t].keys)
                     i += starts[r]
                     j += starts[t]
                     keep = i < j

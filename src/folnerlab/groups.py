@@ -16,9 +16,13 @@ N_n = N_(n-1) * (F_n with the identity adjoined): elements are packed into
 int64 keys over a box that `reach` bounds (`KeyBox`), and each layer is the
 sorted set of products not reached before.  The law also acts on keys:
 a key is affine in the coordinates and g -> g * s is affine in g, so
-`step_images` computes key(g * s) = key(g) + key(s) - key(1), plus
-s_y * x(g) in H3, with slopes read off `multiply_rows`.  A `KeySet` is a finite set in the same representation,
-sorted keys in one box, with a subset test across boxes.  Word balls
+key(g * s) = key(g) + key(s) - key(1), plus s_y * x(g) in H3, with slopes
+read off `multiply_rows`; `step_images` computes the shifts and slopes of
+a factor once, as a step plan, and `expand` builds one plan per distinct
+factor.  A product is new unless a sorted older array holds it, which
+`common` tests by searching the shorter of the two into the longer.  A
+`KeySet` is a finite set in the same representation, sorted keys in one
+box, with a subset test across boxes.  Word balls
 (`generators.word_ball`), product sequences and set products (`products`)
 are all read off these layers; tuples are decoded only where a caller asks
 for elements.  Named generating sets are carried on the model; all contain
@@ -55,6 +59,7 @@ __all__ = [
     "expand",
     "step_images",
     "lookup",
+    "common",
     "check_generates",
 ]
 
@@ -238,31 +243,38 @@ class KeyBox(NamedTuple):
 
 
 def step_images(
-    model: GroupModel, box: KeyBox, keys: np.ndarray, steps: Sequence[Element]
-) -> np.ndarray:
-    """Keys of g * s for the elements g of `keys`: row j holds the images
-    under steps[j].
+    model: GroupModel, box: KeyBox, steps: Sequence[Element]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The step plan of `steps`: a function of keys whose row j holds the
+    keys of g * steps[j] for the elements g of the keys.
 
     Keys are affine in the coordinates, and so is g -> g * s (Z^d adds s;
     H3 adds s, then z += x * s_y): key(g * s) = key(g) + key(s) - key(1) +
     sum_c slope[s, c] * g_c, with the slopes read off `multiply_rows` at the
-    unit vectors.  Only coordinates with a nonzero slope (x in H3) are
-    decoded.  This is the key g * s encodes to, exact when g * s lies in the
+    unit vectors.  The plan holds the shifts key(s) - key(1) and the nonzero
+    slope columns, so a call decodes only coordinates with a slope (x in
+    H3).  This is the key g * s encodes to, exact when g * s lies in the
     box.  Right multiplication keeps the lexicographic order in Z^d and H3,
-    so sorted `keys` give sorted rows, which makes later sorts cheap.
+    so sorted keys give sorted rows, which makes later sorts cheap.
     """
     rank = len(box.widths)
     strides = np.cumprod((1,) + box.widths[:0:-1])[::-1]
     unit = np.eye(rank, dtype=np.int64)
     shifts = np.array(steps, dtype=np.int64).reshape(len(steps), rank)
     slopes = (model.multiply_rows(unit, shifts[:, None]) - unit - shifts[:, None]) @ strides
-    images = keys + (shifts @ strides)[:, None]
-    for c in np.flatnonzero(slopes.any(axis=0)):
-        coordinate = keys // strides[c]
-        if c:  # the leading digit needs no remainder
-            coordinate %= box.widths[c]
-        coordinate -= box.offsets[c]
-        images += slopes[:, c, None] * coordinate
+    moved = [(c, slopes[:, c, None]) for c in np.flatnonzero(slopes.any(axis=0))]
+    shifts = (shifts @ strides)[:, None]
+
+    def images(keys: np.ndarray) -> np.ndarray:
+        out = keys + shifts
+        for c, slope in moved:
+            coordinate = keys // strides[c]
+            if c:  # the leading digit needs no remainder
+                coordinate %= box.widths[c]
+            coordinate -= box.offsets[c]
+            out += slope * coordinate
+        return out
+
     return images
 
 
@@ -270,10 +282,17 @@ def lookup(ranked: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndar
     """(indices of the queries found in the sorted keys `ranked`, their positions)."""
     if not len(ranked):
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    pos = np.searchsorted(ranked, queries)
+    pos = ranked.searchsorted(queries)
     np.minimum(pos, len(ranked) - 1, out=pos)
-    hit = np.flatnonzero(ranked[pos] == queries)
+    hit = (ranked[pos] == queries).nonzero()[0]
     return hit, pos[hit]
+
+
+def common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(positions in a, positions in b) of the keys that the sorted, unique
+    arrays `a` and `b` share, in increasing order, found by searching the
+    shorter array into the longer, whichever it is."""
+    return lookup(a, b)[::-1] if len(b) < len(a) else lookup(b, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,12 +382,13 @@ def expand(
     discovery order, the order in which a loop over the sources (in their
     discovery order) and then the sorted factor first meets its elements.
 
-    Each run of equal consecutive factors is normalised once, and nothing
-    is built per step before its layer: the factors of a power can come as
-    a `Repeat`.  The running total is checked against `budget` as each
-    layer is added (BudgetExceededError naming `stage` and the layer); a
-    box too large for int64 keys is rejected before any array is
-    allocated.  The seeds may come as tuples or as a `KeySet`.
+    Each run of equal consecutive factors is normalised once, each distinct
+    factor's step plan is built once, and nothing is built per step before
+    its layer: the factors of a power can come as a `Repeat`.  The running
+    total is checked against `budget` as each layer is added
+    (BudgetExceededError naming `stage` and the layer); a box too large for
+    int64 keys is rejected before any array is allocated.  The seeds may
+    come as tuples or as a `KeySet`.
     """
     runs = [tuple(sorted(set(f) - {model.identity})) for f, _ in groupby(factors)]
 
@@ -397,6 +417,7 @@ def expand(
     yield layers[0]
     steps = (run for run, (_, group) in zip(runs, groupby(factors)) for _ in group)
     previous = runs[0] if runs else ()
+    plans = {run: step_images(model, box, run) for run in set(runs)}  # one per distinct factor
     for n, factor in enumerate(steps, start=1):
         if factor is previous or set(factor) <= set(previous):  # the newest layer suffices
             sources = layers[-1].order if ordered else layers[-1].keys
@@ -404,7 +425,7 @@ def expand(
             sources = np.concatenate([l.order if ordered else l.keys for l in layers])
         previous = factor
         older = [l.keys for l in layers[-2:]] if symmetric else [seen]
-        keys, order = _new_products(model, box, sources, factor, older, ordered)
+        keys, order = _new_products(plans[factor](sources), older, ordered)
         total += len(keys)
         if total > budget:
             raise BudgetExceededError(stage, total, budget, layer=n)
@@ -415,16 +436,10 @@ def expand(
 
 
 def _new_products(
-    model: GroupModel,
-    box: KeyBox,
-    sources: np.ndarray,
-    factor: Sequence[Element],
-    older: Sequence[np.ndarray],
-    ordered: bool,
+    grown: np.ndarray, older: Sequence[np.ndarray], ordered: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The products g * s, g in `sources`, s in `factor`, that no sorted
+    """The keys of `grown` (row j the sources times step j) that no sorted
     array of `older` holds: sorted, and in discovery order if `ordered`."""
-    grown = step_images(model, box, sources, factor)
     if ordered:
         grown = grown.T.ravel()  # (source, step) order
         first = np.argsort(grown, kind="stable")
@@ -437,7 +452,7 @@ def _new_products(
     grown = grown[unique]
     fresh = np.ones(len(grown), dtype=bool)
     for keys in older:
-        fresh[lookup(keys, grown)[0]] = False
+        fresh[common(grown, keys)[0]] = False
     keys = grown[fresh]
     # A stable sort puts each key's first occurrence first among its copies.
     return keys, keys[np.argsort(first[unique][fresh])] if ordered else None

@@ -20,6 +20,15 @@ H3, symmetric and one-sided, from the identity and from far-off seed sets:
       search deep enough for these small sets: it reaches every generator
       inverse (and, in H3, (0, 0, +-1)) exactly for the accepted ones
     - budget errors carry the same stage, count and layer as the reference
+    - the fresh test searches the shorter of the candidates and an older
+      array into the longer: symmetric sets in H3 and Z^d search the older
+      layers into the candidates at every step, and one-sided sets, whose
+      union of layers outgrows the candidates, take both directions; the
+      layers are the reference's either way, ordered and unordered
+    - `expand` builds one step plan per distinct factor, and alternating
+      factors A, B, A, B are each stepped by their own plan
+    - `common` finds the positions `np.intersect1d` finds, and a word ball's
+      `edge_count` is the number of its `edges()` for every named set
     - a key box too large for int64 raises ValueError before any array
       is allocated
 """
@@ -31,7 +40,8 @@ import pytest
 
 from folnerlab import groups
 from folnerlab.errors import BudgetExceededError, NotGeneratingError
-from folnerlab.groups import KeyBox, KeySet, check_generates, expand, heisenberg_model, zd_model
+from folnerlab.generators import word_ball
+from folnerlab.groups import KeyBox, KeySet, Repeat, check_generates, common, expand, heisenberg_model, zd_model
 from folnerlab.products import DEFAULT_ELEMENT_BUDGET, product_powers, product_with_powers, varying_products
 from tuple_law import multiply, reference_birth, reference_layers
 
@@ -296,3 +306,120 @@ class TestKeyBox:
         assert layers[1].elements() == [(a, b + 1), (a + 1, b), (-a, 1 - b), (1 - a, -b)]
         assert layers[1].keys[-1] > 2**63 - 2**33
         assert np.all(np.diff(layers[1].keys) > 0)
+
+
+# -- Step plans and the membership direction ---------------------------------
+
+H3_ONE_SIDED = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0)]
+OLDER_SEARCHED = {"older into candidates"}
+BOTH = {"older into candidates", "candidates into older"}
+
+
+def _directions(model, factors, ordered, monkeypatch):
+    """The kernel's layers from the identity, and the directions of the
+    fresh test's searches: for each `lookup` made while layer n >= 1 is
+    computed, whether the candidates (which hold every key of layer n) were
+    searched into an older array, or an older array into the candidates."""
+    calls, real = [], groups.lookup
+
+    def spy(ranked, queries):
+        calls.append((ranked.copy(), queries.copy()))
+        return real(ranked, queries)
+
+    monkeypatch.setattr(groups, "lookup", spy)
+    layers, marks = [], []
+    for layer in expand(model, [model.identity], factors, DEFAULT_ELEMENT_BUDGET, "test", ordered):
+        layers.append(layer)
+        marks.append(len(calls))
+    taken = set()
+    for n in range(1, len(layers)):
+        new = layers[n].keys
+        for ranked, queries in calls[marks[n - 1] : marks[n]]:
+            assert len(queries) <= len(ranked)  # the shorter is searched
+            candidates_searched = bool(np.isin(new, queries).all())
+            assert candidates_searched != bool(np.isin(new, ranked).all())
+            taken.add("candidates into older" if candidates_searched else "older into candidates")
+    return layers, taken
+
+
+class TestStepPlansAndMembership:
+    @pytest.mark.parametrize(
+        "model,gens,steps,directions",
+        [
+            pytest.param(heisenberg_model(), "standard", 9, OLDER_SEARCHED, id="H3-standard"),
+            pytest.param(zd_model(2), "diagonal", 12, OLDER_SEARCHED, id="Z2-diagonal"),
+            pytest.param(zd_model(3), "standard", 7, OLDER_SEARCHED, id="Z3-standard"),
+            pytest.param(heisenberg_model(), H3_ONE_SIDED, 9, BOTH, id="H3-one-sided"),
+            pytest.param(zd_model(2), "skew", 12, BOTH, id="Z2-skew"),
+        ],
+    )
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_both_search_directions_give_the_reference_layers(
+        self, model, gens, steps, directions, ordered, monkeypatch
+    ):
+        if isinstance(gens, str):
+            gens = model.generating_set(gens)
+        factors = [gens] * steps
+        layers, taken = _directions(model, factors, ordered, monkeypatch)
+        expected = list(reference_layers(model, [model.identity], factors))
+        assert [layer.box.elements(layer.keys) for layer in layers] == [sorted(e) for e in expected]
+        assert [layer.elements() for layer in layers] == (expected if ordered else [sorted(e) for e in expected])
+        assert taken == directions
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_alternating_factors_each_use_their_own_plan(self, name, ordered, monkeypatch):
+        # A and B differ in one element and are not nested, so every step
+        # multiplies all of N_(n-1); a plan cached under the wrong factor
+        # would step by the other set.
+        model, span, z_span = MODELS[name]
+        inner = _generating_sets(name, 3, 1)[0]
+        rng = random.Random(f"alternate/{name}")
+        extras = [g for g in _random_set(model, rng, 8, span + 1, z_span) if g not in inner]
+        x, y = [g for g in extras if g != model.identity][:2]
+        factors = [inner + [x], inner + [y]] * 3
+        plans, real = [], groups.step_images
+        monkeypatch.setattr(groups, "step_images", lambda *args: plans.append(args[2]) or real(*args))
+        layers = expand(model, [model.identity], factors, DEFAULT_ELEMENT_BUDGET, "test", ordered)
+        got = [layer.elements() for layer in layers]
+        expected = list(reference_layers(model, [model.identity], factors))
+        assert got == (expected if ordered else [sorted(e) for e in expected])
+        assert len(plans) == 2
+        seq = varying_products(model, factors, inner, inner + [x, y], ordered=ordered)
+        assert seq.birth == reference_birth(model, factors)
+
+    def test_one_plan_per_distinct_factor(self, monkeypatch):
+        plans, real = [], groups.step_images
+        monkeypatch.setattr(groups, "step_images", lambda *args: plans.append(args[2]) or real(*args))
+        model = zd_model(2)
+        unit = model.generating_set("standard")
+        layers = list(expand(model, [model.identity], Repeat(unit, 180), DEFAULT_ELEMENT_BUDGET, "test"))
+        assert len(layers) == 181 and len(plans) == 1
+        a, b = unit, model.generating_set("skew")
+        plans.clear()
+        list(expand(model, [model.identity], [a, b] * 20, DEFAULT_ELEMENT_BUDGET, "test"))
+        assert sorted(plans) == sorted(tuple(sorted(set(f) - {model.identity})) for f in (a, b))
+
+    @pytest.mark.parametrize("lengths", [(0, 5), (5, 0), (1, 40), (40, 1), (30, 30), (7, 300), (300, 7)])
+    def test_common_matches_intersect1d(self, lengths):
+        rng = np.random.default_rng(sum(lengths))
+        a, b = (np.sort(rng.choice(600, size=k, replace=False)).astype(np.int64) for k in lengths)
+        _, in_a, in_b = np.intersect1d(a, b, assume_unique=True, return_indices=True)
+        got = common(a, b)
+        assert [got[0].tolist(), got[1].tolist()] == [in_a.tolist(), in_b.tolist()]
+
+
+def _named_sets():
+    models = [zd_model(d) for d in (1, 2, 3, 4)] + [heisenberg_model()]
+    return [
+        pytest.param(model, label, id=f"{model.name}-{label}")
+        for model in models
+        for label in model.generating_sets
+    ]
+
+
+@pytest.mark.parametrize("model,label", _named_sets())
+@pytest.mark.parametrize("radius", [0, 1, 2, 7])
+def test_edge_count_is_the_number_of_edges(model, label, radius):
+    ball = word_ball(model, label, radius)
+    assert ball.edge_count == len(ball.edges())

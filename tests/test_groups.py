@@ -6,8 +6,8 @@ Core claims:
       matches multiplication of unipotent 3 x 3 matrices in H3 (independent
       oracle), on seeded random int64 rows; invert really inverts
     - the laws are associative on random triples of rows
-    - `step_images`, which steps in key space, gives the keys of the tuple
-      law's products (`tests/tuple_law.py`) on decoded tuples: in Z^1 to
+    - the step plan of `step_images`, which steps in key space, gives the
+      keys of the tuple law's products (`tests/tuple_law.py`) on decoded tuples: in Z^1 to
       Z^5 and H3, for named and seeded step sets, on keys at the corners
       of the box and unsorted keys, and for a law whose slope sits on a
       later coordinate; a product outside the box gets the key its
@@ -179,7 +179,7 @@ class TestStepImages:
         corners = np.array(list(itertools.product(*[(-o, o) for o in offsets])), dtype=np.int64)
         keys = np.concatenate([box.encode(corners), rng.integers(0, math.prod(box.widths), 60)])
         rng.shuffle(keys)
-        images = step_images(model, box, keys, steps)
+        images = step_images(model, box, steps)(keys)
         assert images.shape == (len(steps), len(keys))
         elements = box.elements(keys)
         for s, row in zip(steps, images):
@@ -205,7 +205,7 @@ class TestStepImages:
         box = KeyBox((3, 4, 9), (7, 9, 19))
         keys = np.random.default_rng(5).integers(0, math.prod(box.widths), 80)
         steps = [(0, 1, 0), (-1, 2, 3), (2, -1, 0), (1, 1, -2)]
-        for s, row in zip(steps, step_images(model, box, keys, steps)):
+        for s, row in zip(steps, step_images(model, box, steps)(keys)):
             products = [swapped(multiply(h3, swapped(g), swapped(s))) for g in box.elements(keys)]
             assert row.tolist() == box.encode(np.array(products, dtype=np.int64)).tolist()
 

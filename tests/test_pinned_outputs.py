@@ -16,7 +16,8 @@ CSVs of the `powers` and `nprod` commands, which hold only integers and
 `Fraction`s: the powers of a one-sided six-element set in H3 and of the
 standard set of Z^3, and one product of varying factors in Z^2.  Rewrite a pin
 only for an intended change of output, and say so where the change is
-described.
+described.  Each recipe runs once per module (`reproduced`), and both its
+artifact pins and its summary pin are read from that one run.
 """
 
 import hashlib
@@ -74,9 +75,24 @@ def test_every_recipe_is_pinned():
     assert sorted(PINS) == sorted(RECIPES)
 
 
+@pytest.fixture(scope="module")
+def reproduced(tmp_path_factory):
+    """name -> (result, artifact directory) of the recipe, each run once,
+    on first use, into a directory of its own."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            out = tmp_path_factory.mktemp(name)
+            runs[name] = (reproduce(name, out_dir=out), out)
+        return runs[name]
+
+    return run
+
+
 @pytest.mark.parametrize("name", sorted(PINS))
-def test_exact_artifacts_match_their_pins(tmp_path, name):
-    result = reproduce(name, out_dir=tmp_path)
+def test_exact_artifacts_match_their_pins(reproduced, name):
+    result, _ = reproduced(name)
     exact = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in result.artifacts
@@ -108,10 +124,10 @@ def _exact_part(value):
 
 
 @pytest.mark.parametrize("name", sorted(SUMMARY_PINS))
-def test_exact_part_of_the_summary_matches_its_pin(tmp_path, name):
+def test_exact_part_of_the_summary_matches_its_pin(reproduced, name):
     assert sorted(SUMMARY_PINS) == sorted(RECIPES)
-    reproduce(name, out_dir=tmp_path)
-    summary = json.loads((tmp_path / "summary.json").read_text(encoding="ascii"))
+    _, out = reproduced(name)
+    summary = json.loads((out / "summary.json").read_text(encoding="ascii"))
     text = json.dumps(_exact_part(summary), sort_keys=True)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == SUMMARY_PINS[name]
 
