@@ -12,14 +12,20 @@ subsequence.
 `ProductSequence`'s birth layers, one per step it expanded, touching every
 group element exactly once:
 each layer is moved as one int64 array, in discovery order, by numpy float
-arithmetic, which rounds like Python's and follows its sign rule for `%`,
-and the observable is then summed over the points in that order.
+arithmetic, which rounds like Python's and follows its sign rule for `%`.
+An observable gives a layer's values at once, each the float of its
+per-point formula (`math.cos`, not `np.cos`, whose last bit may differ).
+`ergodic_trace` keeps the sum order: it adds the values one at a time, in
+that order, not by `sum` (compensated from Python 3.12), `math.fsum` or
+`np.sum` (pairwise).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Mapping
 
 import numpy as np
@@ -59,24 +65,23 @@ class TorusAction:
         return (np.asarray(point) + rows * np.asarray(self.angles)) % 1.0
 
 
-def _box_sixteenth(point: Point) -> float:
-    return 1.0 if point[0] < 0.25 and point[1] < 0.25 else 0.0
+def _cos(t: np.ndarray) -> list[float]:
+    """cos(2 pi t) for each entry of `t`, by `math.cos`."""
+    return list(map(math.cos, ((2.0 * math.pi) * t).tolist()))
 
 
-# name -> (observable on the 2-torus, its integral against Lebesgue measure)
-OBSERVABLES: Mapping[str, tuple[Callable[[Point], float], float]] = {
-    "one": (lambda p: 1.0, 1.0),
-    "cos_x": (lambda p: math.cos(2.0 * math.pi * p[0]), 0.0),
-    "cos_y": (lambda p: math.cos(2.0 * math.pi * p[1]), 0.0),
-    "cos_mix": (
-        lambda p: math.cos(2.0 * math.pi * p[0]) * math.cos(2.0 * math.pi * p[1]),
-        0.0,
-    ),
-    "box": (_box_sixteenth, 1.0 / 16.0),
+# name -> (observable on points of the 2-torus, the rows of an array, giving
+# the list of their values; its integral against Lebesgue measure)
+OBSERVABLES: Mapping[str, tuple[Callable[[np.ndarray], list[float]], float]] = {
+    "one": (lambda p: [1.0] * len(p), 1.0),
+    "cos_x": (lambda p: _cos(p[:, 0]), 0.0),
+    "cos_y": (lambda p: _cos(p[:, 1]), 0.0),
+    "cos_mix": (lambda p: list(map(operator.mul, _cos(p[:, 0]), _cos(p[:, 1]))), 0.0),
+    "box": (lambda p: ((p[:, 0] < 0.25) & (p[:, 1] < 0.25)).astype(float).tolist(), 1.0 / 16.0),
 }
 
 
-def observable(name: str) -> tuple[Callable[[Point], float], float]:
+def observable(name: str) -> tuple[Callable[[np.ndarray], list[float]], float]:
     """Look up a named observable and its exact space mean."""
     try:
         return OBSERVABLES[name]
@@ -117,8 +122,8 @@ def ergodic_trace(
     sequence, one average per step it expanded.
 
     The sequence's birth layers are replayed in order, each in discovery
-    order, so the total work is one observable evaluation per distinct
-    group element.
+    order, so the total work is one observable value per distinct group
+    element; the values are added one at a time, in that order.
     """
     f, mean = observable(name)
     if sequence.layers[0].order is None:
@@ -126,7 +131,7 @@ def ergodic_trace(
     running = 0.0
     averages: list[float] = []
     for layer, count in zip(sequence.layers, sequence.sizes):
-        for point in action.move(layer.box.decode(layer.order), start).tolist():
-            running += f(point)
+        points = action.move(layer.box.decode(layer.order), start)
+        running = reduce(operator.add, f(points), running)
         averages.append(running / count)
     return ErgodicTrace(space_mean=mean, averages=tuple(averages))

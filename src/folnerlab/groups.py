@@ -19,17 +19,20 @@ a key is affine in the coordinates and g -> g * s is affine in g, so
 key(g * s) = key(g) + key(s) - key(1), plus s_y * x(g) in H3, with slopes
 read off `multiply_rows`; `step_images` computes the shifts and slopes of
 a factor once, as a step plan, and `expand` builds one plan per distinct
-factor.  A product is new unless a sorted older array holds it, which
-`common` tests by searching the shorter of the two into the longer.  A
-`KeySet` is a finite set in the same representation, sorted keys in one
-box, with a subset test across boxes.  Word balls
-(`generators.word_ball`), product sequences and set products (`products`)
-are all read off these layers; tuples are decoded only where a caller asks
-for elements.  Named generating sets are carried on the model; all contain
-the identity so that powers U^n are nondecreasing.  `check_generates`
-verifies that a finite set generates the whole group *as a semigroup*
-(inverses must be reachable as products), which is the right notion for
-one-sided product sets.  It is exact for both models and expands nothing:
+factor.  A product is new unless the seen map, a bool map over the box
+that marks every key born so far, holds it; a box of more than 8 cells per
+key of the budget gets no map, and there a product is new unless a sorted
+older array holds it (the last two layers for a symmetric factor, else
+the union of all layers), which `common` tests by searching the shorter of
+the two into the longer.  A `KeySet` is a finite set in the same
+representation, sorted keys in one box, with a subset test across boxes.
+Word balls (`generators.word_ball`), product sequences and set products
+(`products`) are all read off these layers; tuples are decoded only where
+a caller asks for elements.  Named generating sets are carried on the
+model; all contain the identity so that powers U^n are nondecreasing.
+`check_generates` verifies that a finite set generates the whole group *as
+a semigroup* (inverses must be reachable as products), which is the right
+notion for one-sided product sets.  It is exact for both models and expands nothing:
 it decides on the abelianization, the first `abelian_rank` coordinates, by
 integer row reduction.
 """
@@ -120,6 +123,9 @@ def _zd_reach(seed_max: Sequence[int], step_max: Sequence[int], n: int) -> tuple
 
 
 _KEY_CELLS = 2**63  # the largest key box `expand` accepts, in cells
+# A seen map takes one byte per cell of a key box, and a key eight, so a box
+# of at most 8 cells per key of the budget gets one (`expand`).
+_MAP_CELLS_PER_KEY = 8
 # The largest rank whose radius-1 word ball has int64 keys: `word_ball` sizes
 # its box for radius + 1 = 2 unit steps, so each coordinate takes 5 values.
 MAX_ZD_RANK = max(d for d in range(64) if (2 * _zd_reach([0], [1], 2)[0] + 1) ** d <= _KEY_CELLS)
@@ -375,12 +381,19 @@ def expand(
     Layer 0 holds the seeds and layer n holds N_n minus N_(n-1).  Products
     of the newest layer suffice when F_n lies inside F_(n-1), since then
     N_(n-2) * F_n lies in N_(n-1); otherwise all of N_(n-1) is multiplied.
-    A product is new unless an earlier layer holds it.  With one fixed
-    factor closed under inversion only the last two layers can: if
-    g * s were born before layer n - 1, then g = (g * s) * s^-1 would be
-    born before layer n.  With `ordered`, each layer also comes in
-    discovery order, the order in which a loop over the sources (in their
-    discovery order) and then the sorted factor first meets its elements.
+    A product is new unless an earlier layer holds it.  Every key lies in
+    [0, cells) of the run's `KeyBox`, so when the box has at most 8 cells
+    per key of `budget` (its bool map then takes no more bytes than the
+    int64 keys the budget allows), one map marks every key born so far:
+    the fresh test is one gather before the candidates are sorted, for any
+    factors.  A larger box (Z^d at high rank, far-off seeds) keeps sorted
+    arrays instead, searched after the sort: with one fixed factor closed
+    under inversion only the last two layers can hold a product (if g * s
+    were born before layer n - 1, then g = (g * s) * s^-1 would be born
+    before layer n), and otherwise the union of all layers is kept.  With
+    `ordered`, each layer also comes in discovery order, the order in which
+    a loop over the sources (in their discovery order) and then the sorted
+    factor first meets its elements.
 
     Each run of equal consecutive factors is normalised once, each distinct
     factor's step plan is built once, and nothing is built per step before
@@ -412,8 +425,13 @@ def expand(
     symmetric = len(set(runs)) == 1 and set(map(model.invert, runs[0])) == set(runs[0])
     order = box.encode(np.array(seeds, dtype=np.int64).reshape(len(seeds), model.rank))
     layers = [Layer(np.sort(order), box, order if ordered else None)]
-    seen = layers[0].keys  # the union of all layers, unless `symmetric`
-    total = len(seen)
+    mapped = cells <= _MAP_CELLS_PER_KEY * budget
+    if mapped:  # the seen map
+        seen = np.zeros(cells, dtype=bool)
+        seen[layers[0].keys] = True
+    else:
+        seen = layers[0].keys  # the union of all layers, unless `symmetric`
+    total = len(layers[0])
     yield layers[0]
     steps = (run for run, (_, group) in zip(runs, groupby(factors)) for _ in group)
     previous = runs[0] if runs else ()
@@ -424,38 +442,56 @@ def expand(
         else:
             sources = np.concatenate([l.order if ordered else l.keys for l in layers])
         previous = factor
-        older = [l.keys for l in layers[-2:]] if symmetric else [seen]
+        if mapped:
+            older = seen
+        elif symmetric:
+            older = [l.keys for l in layers[-2:]]
+        else:
+            older = [seen]
         keys, order = _new_products(plans[factor](sources), older, ordered)
         total += len(keys)
         if total > budget:
             raise BudgetExceededError(stage, total, budget, layer=n)
-        if not symmetric:
+        if mapped:
+            seen[keys] = True
+        elif not symmetric:
             seen = np.insert(seen, np.searchsorted(seen, keys), keys)
         layers.append(Layer(keys, box, order))
         yield layers[-1]
 
 
 def _new_products(
-    grown: np.ndarray, older: Sequence[np.ndarray], ordered: bool
+    grown: np.ndarray, older: np.ndarray | list[np.ndarray], ordered: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The keys of `grown` (row j the sources times step j) that no sorted
-    array of `older` holds: sorted, and in discovery order if `ordered`."""
-    if ordered:
-        grown = grown.T.ravel()  # (source, step) order
-        first = np.argsort(grown, kind="stable")
-        grown = grown[first]
+    """The keys of `grown` (row j the sources times step j) that no earlier
+    layer holds: sorted, and in discovery order if `ordered`.  `older` is
+    the seen map of the key box, read before the candidates are sorted, or
+    sorted arrays holding every earlier key that `grown` can meet, searched
+    after the candidates are sorted and unique."""
+    grown = grown.T if ordered else grown  # (source, step) order
+    if isinstance(older, np.ndarray):
+        grown, older = grown[~older[grown]], []
     else:
         grown = grown.ravel()
-        grown.sort(kind="stable")
-    unique = np.ones(len(grown), dtype=bool)
-    unique[1:] = grown[1:] != grown[:-1]
-    grown = grown[unique]
-    fresh = np.ones(len(grown), dtype=bool)
-    for keys in older:
-        fresh[common(grown, keys)[0]] = False
-    keys = grown[fresh]
-    # A stable sort puts each key's first occurrence first among its copies.
-    return keys, keys[np.argsort(first[unique][fresh])] if ordered else None
+    if ordered:
+        position = np.argsort(grown)  # copies in any order: their least is kept
+        candidates, grown = grown, grown[position]
+    else:
+        grown.sort(kind="stable")  # the rows are sorted runs
+    starts = np.ones(len(grown), dtype=bool)
+    starts[1:] = grown[1:] != grown[:-1]
+    starts = starts.nonzero()[0]  # the first of each run of equal keys
+    keys = grown[starts]
+    if ordered:  # each key's first position among the candidates
+        first = np.minimum.reduceat(position, starts)
+    if older:
+        fresh = np.ones(len(keys), dtype=bool)
+        for old in older:
+            fresh[common(keys, old)[0]] = False
+        keys = keys[fresh]
+        if ordered:
+            first = first[fresh]
+    return keys, candidates[np.sort(first)] if ordered else None
 
 
 def _row_reduce(rows: Iterable[Sequence[int]], columns: int) -> list[list[int]]:

@@ -14,11 +14,16 @@ Core claims:
       a stretch of 10^6 fails at the first level past the budget
     - product_powers builds nothing per step before a layer, so 10^5 steps
       at an element budget of 1,000 fail at layer 22 in constant memory
+    - an expansion keeps a seen map of its key box only when the box has at
+      most 8 cells per key of the budget: the Z^8 radius-3 ball (833
+      elements in 9^8 cells) at a budget of 1,000 allocates none, and a run
+      with a map peaks at the map's cells plus a few bytes per key
     - the profile table, one row per center and radius, is counted against
       the element budget before any center is profiled, and before any is
       drawn: a sample of 10^9 centers fails at once
 """
 
+import math
 import tracemalloc
 
 import pytest
@@ -27,8 +32,8 @@ import folnerlab.registry
 import folnerlab.runner
 from folnerlab.config import validate_config
 from folnerlab.errors import BudgetExceededError
-from folnerlab.generators import TreeChainSpec, stairway_strip, stretched_tree_chain
-from folnerlab.groups import zd_model
+from folnerlab.generators import TreeChainSpec, stairway_strip, stretched_tree_chain, word_ball
+from folnerlab.groups import heisenberg_model, zd_model
 from folnerlab.products import product_powers
 from folnerlab.runner import run_analyses
 
@@ -43,6 +48,21 @@ def _refused(build):
     finally:
         tracemalloc.stop()
     return str(error.value), peak
+
+
+def _traced(build):
+    """The result of `build()` and the traced peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _cells(sequence):
+    return math.prod(sequence.layers[0].box.widths)
 
 
 def test_stairway_stops_at_the_first_cell_past_the_budget():
@@ -67,6 +87,29 @@ def test_powers_build_nothing_per_step_before_a_layer():
     message, peak = _refused(lambda: product_powers(zd_model(2), "standard", 10**5, 1000))
     assert message == "product expansion: size 1013 exceeds budget 1000 at layer 22"
     assert peak < 2**20
+
+
+def test_a_box_past_eight_cells_per_key_gets_no_map():
+    ball, peak = _traced(lambda: word_ball(zd_model(8), "standard", 3, vertex_budget=1000))
+    assert ball.sizes[-1] == 833
+    assert _cells(ball) == 9**8 > 8 * 1000
+    assert peak < 2**20 < _cells(ball)
+
+
+ONE_SIDED_H3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: word_ball(heisenberg_model(), "standard", 16), id="H3-ball-r16"),
+        pytest.param(lambda: product_powers(heisenberg_model(), ONE_SIDED_H3, 20), id="H3-one-sided-n20-ordered"),
+        pytest.param(lambda: product_powers(zd_model(2), "skew", 150), id="Z2-skew-n150-ordered"),
+    ],
+)
+def test_a_map_costs_its_cells_and_a_few_bytes_per_key(build):
+    sequence, peak = _traced(build)
+    assert _cells(sequence) <= peak <= _cells(sequence) + 6 * 8 * sequence.sizes[-1]
 
 
 def test_profile_table_is_counted_before_any_profile(monkeypatch):

@@ -12,6 +12,9 @@ because exactly 2(n - |a|) + 1 ball points have first coordinate a.  The
 trace must reproduce this to addition-order rounding.  A sequence whose
 layers carry no discovery order is refused with a ValueError that names
 `ordered=True`.
+
+The observables take a layer's points at once; their per-point reference
+is in `tests/test_layers.py`.
 """
 
 import math
@@ -89,8 +92,8 @@ class TestObservables:
 
     def test_box_indicator(self):
         f = observable("box")[0]
-        assert f((0.1, 0.2)) == 1.0
-        assert f((0.3, 0.2)) == 0.0
+        assert f(np.array([[0.1, 0.2]])) == [1.0]
+        assert f(np.array([[0.3, 0.2]])) == [0.0]
 
 
 class TestErgodicTrace:

@@ -20,11 +20,18 @@ H3, symmetric and one-sided, from the identity and from far-off seed sets:
       search deep enough for these small sets: it reaches every generator
       inverse (and, in H3, (0, 0, +-1)) exactly for the accepted ones
     - budget errors carry the same stage, count and layer as the reference
-    - the fresh test searches the shorter of the candidates and an older
-      array into the longer: symmetric sets in H3 and Z^d search the older
-      layers into the candidates at every step, and one-sided sets, whose
-      union of layers outgrows the candidates, take both directions; the
-      layers are the reference's either way, ordered and unordered
+    - the fresh test reads a seen map of the key box when the box has at
+      most 8 cells per key of the budget, and searches sorted arrays
+      otherwise; the two paths give the reference's layers and discovery
+      orders for symmetric and one-sided sets, far-off seeds and
+      alternating factors, the budget alone picks the path, and the map
+      path makes no `lookup`
+    - on the sorted path, the fresh test searches the shorter of the
+      candidates and an older array into the longer: symmetric sets in H3
+      and Z^d search the older layers into the candidates at every step,
+      and one-sided sets, whose union of layers outgrows the candidates,
+      take both directions; the layers are the reference's either way,
+      ordered and unordered
     - `expand` builds one step plan per distinct factor, and alternating
       factors A, B, A, B are each stepped by their own plan
     - `common` finds the positions `np.intersect1d` finds, and a word ball's
@@ -33,6 +40,7 @@ H3, symmetric and one-sided, from the identity and from far-off seed sets:
       is allocated
 """
 
+import math
 import random
 
 import numpy as np
@@ -308,6 +316,84 @@ class TestKeyBox:
         assert np.all(np.diff(layers[1].keys) > 0)
 
 
+# -- The seen map against the sorted path -------------------------------------
+
+PATHS = ["map", "sorted"]
+
+
+def _take(path, monkeypatch):
+    """Make `expand` take `path`, and return the list its `lookup` calls
+    are recorded in: a box gets no seen map when none is allowed per key."""
+    if path == "sorted":
+        monkeypatch.setattr(groups, "_MAP_CELLS_PER_KEY", 0)
+    calls, real = [], groups.lookup
+    monkeypatch.setattr(groups, "lookup", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestSeenMapAgainstSortedPath:
+    @pytest.mark.parametrize("name,gens", _cases())
+    @pytest.mark.parametrize("ordered", [False, True])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_layers_match_reference(self, name, gens, ordered, path, monkeypatch):
+        model = MODELS[name][0]
+        factors = [gens] * STEPS[name]
+        calls = _take(path, monkeypatch)
+        got = list(expand(model, [model.identity], factors, DEFAULT_ELEMENT_BUDGET, "test", ordered))
+        assert bool(calls) == (path == "sorted")  # the map path searches nothing
+        expected = list(reference_layers(model, [model.identity], factors))
+        assert [layer.box.elements(layer.keys) for layer in got] == [sorted(e) for e in expected]
+        assert [layer.elements() for layer in got] == (expected if ordered else [sorted(e) for e in expected])
+
+    @pytest.mark.parametrize("name,gens", _cases(2))
+    @pytest.mark.parametrize("path", PATHS)
+    def test_far_off_seed_sets(self, name, gens, path, monkeypatch):
+        model = MODELS[name][0]
+        rng = random.Random(f"far/{name}")
+        seeds = [tuple(rng.randint(-14, 14) for _ in range(model.rank)) for _ in range(6)]
+        factors = [gens] * 3
+        calls = _take(path, monkeypatch)
+        got = [layer.elements() for layer in expand(model, seeds, factors, DEFAULT_ELEMENT_BUDGET, "test", True)]
+        assert bool(calls) == (path == "sorted")
+        assert got == list(reference_layers(model, seeds, factors))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("ordered", [False, True])
+    @pytest.mark.parametrize("path", PATHS)
+    def test_alternating_and_nested_factors(self, name, ordered, path, monkeypatch):
+        # A, B, A, B multiply all of N_(n-1) at every step; the nested
+        # factors that follow multiply only the newest layer.
+        model, span, z_span = MODELS[name]
+        inner = _generating_sets(name, 4, 1)[0]
+        rng = random.Random(f"paths/{name}")
+        extras = [g for g in _random_set(model, rng, 8, span + 1, z_span) if g not in inner]
+        x, y = [g for g in extras if g != model.identity][:2]
+        factors = [inner + [x], inner + [y]] * 2 + [inner + [x, y], inner + [x], inner]
+        calls = _take(path, monkeypatch)
+        got = [layer.elements() for layer in expand(model, [model.identity], factors, DEFAULT_ELEMENT_BUDGET, "test", ordered)]
+        assert bool(calls) == (path == "sorted")
+        expected = list(reference_layers(model, [model.identity], factors))
+        assert got == (expected if ordered else [sorted(e) for e in expected])
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_the_budget_picks_the_path(self, ordered, monkeypatch):
+        # Far-off seeds make a box of many cells for few keys, so a budget
+        # that admits the run can lie on either side of cells / 8.
+        model = zd_model(3)
+        seeds = [(14, -13, 12), (-12, 14, -14), (0, 0, 0)]
+        factors = [model.generating_set("standard")] * 3
+        expected = list(reference_layers(model, seeds, factors))
+        box = next(expand(model, seeds, factors, DEFAULT_ELEMENT_BUDGET, "test")).box
+        least = -(-math.prod(box.widths) // 8)  # the least budget with a map
+        calls = _take("map", monkeypatch)
+        for budget, searched in [(least, False), (least - 1, True)]:
+            assert budget >= sum(map(len, expected))
+            calls.clear()
+            got = [layer.elements() for layer in expand(model, seeds, factors, budget, "test", ordered)]
+            assert bool(calls) == searched
+            assert got == (expected if ordered else [sorted(e) for e in expected])
+
+
 # -- Step plans and the membership direction ---------------------------------
 
 H3_ONE_SIDED = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0)]
@@ -316,10 +402,12 @@ BOTH = {"older into candidates", "candidates into older"}
 
 
 def _directions(model, factors, ordered, monkeypatch):
-    """The kernel's layers from the identity, and the directions of the
-    fresh test's searches: for each `lookup` made while layer n >= 1 is
-    computed, whether the candidates (which hold every key of layer n) were
-    searched into an older array, or an older array into the candidates."""
+    """The kernel's layers from the identity on the sorted path, the only
+    one that searches, and the directions of the fresh test's searches: for
+    each `lookup` made while layer n >= 1 is computed, whether the
+    candidates (which hold every key of layer n) were searched into an
+    older array, or an older array into the candidates."""
+    monkeypatch.setattr(groups, "_MAP_CELLS_PER_KEY", 0)
     calls, real = [], groups.lookup
 
     def spy(ranked, queries):

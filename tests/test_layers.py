@@ -14,18 +14,21 @@ sets in Z^2 and H3:
     - `monotone_geodesic` returns the parent-BFS path, vertex for vertex
     - a `ProductSequence`'s birth map, sizes, element sets and
       shells equal the birth-map reference's, birth-map item order included
-    - `ergodic_trace` averages equal the birth-map replay bit for bit, also
-      from starts outside [0, 1), where the sign rule of `%` matters; a
-      trace to step n comes from the sequence expanded n steps
+    - `ergodic_trace` averages equal the birth-map replay bit for bit, for
+      every observable, also from starts outside [0, 1), where the sign
+      rule of `%` matters; the replay evaluates each observable by its
+      formula on one point at a time and adds the values in discovery
+      order; a trace to step n comes from the sequence expanded n steps
 """
 
+import math
 import random
 from collections import deque
 from itertools import repeat
 
 import pytest
 
-from folnerlab.ergodic import GOLDEN_ANGLES, OBSERVABLES, TorusAction, ergodic_trace, observable
+from folnerlab.ergodic import GOLDEN_ANGLES, OBSERVABLES, TorusAction, ergodic_trace
 from folnerlab.groups import heisenberg_model, zd_model
 from folnerlab.products import product_powers, varying_products
 from folnerlab.space import (
@@ -108,10 +111,22 @@ def _scan(birth, a, b):
     return frozenset(g for g, born in birth.items() if a < born <= b)
 
 
+# The observables as formulas on one point, the reference of `OBSERVABLES`,
+# which take a layer's points at once.
+POINT_OBSERVABLES = {
+    "one": lambda p: 1.0,
+    "cos_x": lambda p: math.cos(2.0 * math.pi * p[0]),
+    "cos_y": lambda p: math.cos(2.0 * math.pi * p[1]),
+    "cos_mix": lambda p: math.cos(2.0 * math.pi * p[0]) * math.cos(2.0 * math.pi * p[1]),
+    "box": lambda p: 1.0 if p[0] < 0.25 and p[1] < 0.25 else 0.0,
+}
+
+
 def _replay(action, birth, sizes, name, start, n_max):
     """The averages by a birth-map replay that moves each point with
-    Python floats, one element at a time."""
-    f, _ = observable(name)
+    Python floats and evaluates the observable on it, one element at a
+    time."""
+    f = POINT_OBSERVABLES[name]
     by_level = [[] for _ in range(n_max + 1)]
     for element, born in birth.items():
         if born <= n_max:
@@ -214,6 +229,7 @@ class TestProductLayers:
             birth, sizes = _birth_map(model, factors)
             starts = [(rng.random(), rng.random()), (-0.3, 1.7), (1.7, -0.3)]
             starts.append((rng.uniform(-5, 5), rng.uniform(-5, 5)))
+            assert set(POINT_OBSERVABLES) == set(OBSERVABLES)
             for name in sorted(OBSERVABLES):
                 for start in starts:
                     # A trace to n_max comes from the sequence expanded n_max steps.
