@@ -42,7 +42,7 @@ from .products import (
     varying_products,
 )
 from .recipes import RECIPES
-from .registry import ANALYSES, FAMILIES, Table, parse_space, write_csv
+from .registry import ANALYSES, FAMILIES, Table, at_least, parse_space, write_csv
 from .runner import reproduce as run_recipe, run_analyses, run_experiment
 
 __all__ = ["main"]
@@ -153,9 +153,12 @@ def _labels(tables: dict[str, Table]) -> list[str]:
 @click.option("--budget-elements", type=int, default=DEFAULT_ELEMENT_BUDGET, show_default=True, help="Hard cap on enumerated group elements.")
 @click.option("--out", type=str, default=None, help="Output file (or directory for reproduce).")
 @click.pass_context
+@_friendly
 def main(ctx: click.Context, seed: int, budget_vertices: int, budget_elements: int, out: str | None) -> None:
     """Growth, shells, and ergodic averages on doubling graphs and groups."""
     budgets = {"vertices": budget_vertices, "elements": budget_elements}
+    for key, value in budgets.items():  # the config's rule for its `budgets` section
+        at_least(1)(value, f"budgets.{key}")
     ctx.obj = {"seed": seed, "budgets": budgets, "out": out}
 
 

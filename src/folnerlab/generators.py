@@ -13,7 +13,8 @@ word_ball / cayley_ball
     group spaces profile the origin without a graph and build it only on
     demand.  When it is built (`WordBall.graph`, at most once per ball;
     `cayley_ball` builds it at once), edges join elements differing by one
-    generator and are found by key lookup.
+    generator and are found by one key lookup of every image g * s among
+    the ball's sorted keys.
 
 stretched_tree_chain
     Blocks G'_1 .. G'_N glued in a row.  Block n is a depth-n tree with
@@ -94,24 +95,20 @@ class WordBall(ProductSequence):
     def edges(self) -> np.ndarray:
         """Edges (i, j), i < j, sorted: the vertex pairs with g_i * s = g_j.
 
-        A step moves an element of layer r into layer r - 1, r or r + 1, and
-        the steps are closed under inversion, so every edge is found exactly
-        once by looking up g * s in layers r and r + 1 and keeping i < j.
+        Every g_i * s is looked up among the ball's sorted keys at once; the
+        box covers the one-step neighbors, so each image's key is exact and
+        a miss lies outside the ball.  The steps are closed under inversion,
+        so keeping i < j finds every edge exactly once.
         """
         steps = self.model.symmetrize(next(iter(self.factors), ()))
+        keys = np.concatenate([layer.keys for layer in self.layers])
+        rank = np.argsort(keys)
         plan = step_images(self.model, self.layers[0].box, steps)
-        starts = (0, *self.sizes)
-        pieces = [np.empty((0, 2), dtype=np.intp)]
-        for r, layer in enumerate(self.layers):
-            images = plan(layer.keys)
-            for t in range(r, min(r + 2, len(self.layers))):
-                for image in images:
-                    i, j = common(image, self.layers[t].keys)
-                    i += starts[r]
-                    j += starts[t]
-                    keep = i < j
-                    pieces.append(np.stack((i[keep], j[keep]), axis=1))
-        edges = np.concatenate(pieces)
+        # Query s * V + i is g_i * steps[s]; a hit at sorted position p is vertex rank[p].
+        i, j = lookup(keys[rank], plan(keys).ravel())
+        i %= len(keys)
+        j = rank[j]
+        edges = np.stack((i, j), axis=1)[i < j]
         return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
     @cached_property

@@ -319,18 +319,12 @@ class KeySet:
         return len(self.keys)
 
     def __le__(self, other: KeySet) -> bool:
-        """Subset test."""
-        return self.find(other) is not None
-
-    def find(self, other: KeySet) -> np.ndarray | None:
-        """The positions of the elements in `other`'s keys, or None if one is
-        not in `other`.  Keys in another box are re-encoded into `other`'s
+        """Subset test.  Keys in another box are re-encoded into `other`'s
         box; an element outside that box is outside `other`."""
         keys = self.keys
         if self.box != other.box:
             keys = other.box.keys_of(self.box.decode(keys))
-        hit, positions = lookup(other.keys, keys)
-        return positions if len(hit) == len(keys) else None
+        return len(lookup(other.keys, keys)[0]) == len(keys)
 
     def elements(self) -> list[Element]:
         """The elements as tuples, sorted."""

@@ -7,14 +7,15 @@ products nondecreasing.
 
 Every expansion here is `groups.expand`.  A `ProductSequence` keeps the
 kernel's birth layers (sorted keys, one key box) as the one record of the
-products: each N_n and each shell N_b minus N_a is a run of consecutive
-layers.  Discovery order is opt-in (`ordered`, default True): only
+products of its seeds N_0 ({1}, or a middle shell of the claims sandwich):
+each N_n and each shell N_b minus N_a is a run of consecutive layers.
+Discovery order is opt-in (`ordered`, default True): only
 `ergodic.ergodic_trace` reads it, so callers that read sizes and shells ask
 for sorted layers and skip its sorts.
 Shells and set products are `KeySet`s, so the word-shell sandwich is tested
 on keys; only `birth` decodes tuples, for callers that want elements.
-`profile` is the identity's volume profile, read off the sizes; a word ball
-(`generators.WordBall`) is the `ProductSequence` of its powers.
+When N_0 = {1}, `profile` is the identity's volume profile, read off the
+sizes; a word ball (`generators.WordBall`) is the record of its powers.
 Expanding only the newest elements of N_n is exhaustive when the next
 factor lies inside the one before it (always, for powers of one set);
 otherwise the kernel multiplies the whole of N_n.
@@ -27,8 +28,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .groups import Element, GroupModel, KeySet, Layer, Repeat, check_generates, expand
 from .space import VolumeProfile
@@ -48,13 +47,14 @@ DEFAULT_ELEMENT_BUDGET = 5_000_000
 
 @dataclass(frozen=True, eq=False)
 class ProductSequence:
-    """Products N_0 = {1}, N_n = U_1 * ... * U_n (identity adjoined to factors).
+    """Products N_n = N_0 * U_1 * ... * U_n (identity adjoined to factors)
+    of the seeds N_0: {1}, or a shell whose set products are read as prefixes.
 
     `layers[n]` is the kernel's layer N_n minus N_(n-1) (layer 0 the
-    identity), with its discovery order if asked for; all layers share one
+    seeds), with its discovery order if asked for; all layers share one
     key box, and N_n is the union of layers 0..n.  `sizes[n] = |N_n|`.  `factors[n - 1]`
     is U_n, sorted, with the identity adjoined; the powers of one set hold
-    it once, as a `Repeat`.
+    it once, as a `Repeat`.  `profile` applies only when N_0 = {1}.
     """
 
     model: GroupModel
@@ -91,18 +91,6 @@ def _adjoin(model: GroupModel, factor: Iterable[Element]) -> tuple[Element, ...]
     return tuple(sorted(set(factor) | {model.identity}))
 
 
-def _expand(
-    model: GroupModel,
-    factors: Sequence[tuple[Element, ...]],
-    element_budget: int,
-    ordered: bool,
-) -> ProductSequence:
-    layers = expand(
-        model, [model.identity], factors, element_budget, "product expansion", ordered
-    )
-    return ProductSequence(model, factors, tuple(layers))
-
-
 def product_powers(
     model: GroupModel,
     generating_set: Sequence[Element] | str,
@@ -117,7 +105,8 @@ def product_powers(
         generating_set = model.generating_set(generating_set)
     check_generates(model, generating_set)
     factors = Repeat(_adjoin(model, generating_set), n_max)
-    return _expand(model, factors, element_budget, ordered)
+    layers = expand(model, [model.identity], factors, element_budget, "product expansion", ordered)
+    return ProductSequence(model, factors, tuple(layers))
 
 
 def varying_products(
@@ -154,7 +143,8 @@ def varying_products(
                 f"factor {i} exceeds the outer certificate by {sorted(excess)}"
             )
     factors = tuple(_adjoin(model, f) for f in factors)
-    return _expand(model, factors, element_budget, ordered)
+    layers = expand(model, [model.identity], factors, element_budget, "product expansion", ordered)
+    return ProductSequence(model, factors, tuple(layers))
 
 
 def folner_ratios(sequence: ProductSequence) -> tuple[Fraction, ...]:
@@ -192,10 +182,14 @@ def shell_inclusion_check(
         forward:   C_{n, n+k}  is contained in  C_{h, h+1} * U^(2k)
         backward:  C_{h, h+1} * U^(k/4)  is contained in  C_{n-k, n}
 
-    Both follow from cutting geodesic words at length h + 1; this function
-    checks them by enumeration.  Needs k divisible by 4 and k <= n.  Both
-    right sides are prefix unions of the birth layers of one expansion of
-    C_{h, h+1}, so each h is expanded once, to twice its largest k.
+    Both follow from cutting geodesic words at length h + 1.  Forward holds
+    for powers of any U: g in C_{n, n+k} has a shortest word of length at
+    most n + k; its prefix of length h + 1 lies in C_{h, h+1} and the rest
+    has length at most 3k/2 - 1 < 2k.  Both are still enumerated, so a
+    forward failure means the sequence's shells and its factor disagree.
+    Needs k divisible by 4 and k <= n.  Both right sides are prefix shells
+    of one expansion of C_{h, h+1}, so each h is expanded once, to twice
+    its largest k, one h at a time.
     """
     pairs = list(pairs)
     middles: dict[int, set[int]] = {}  # h -> the widths k with n - k/2 = h
@@ -219,21 +213,15 @@ def _sandwich(
     sequence: ProductSequence, h: int, ks: set[int], element_budget: int
 ) -> dict[tuple[int, int], tuple[bool, bool]]:
     """The outcomes at (h + k/2, k) for each k of `ks`, from one expansion of
-    the middle shell C_{h, h+1} to twice the largest k: C_{h, h+1} * U^m is
-    the part of it born by step m."""
+    the middle shell C_{h, h+1} to twice the largest k, the record `grown`
+    with N_0 = C_{h, h+1}: C_{h, h+1} * U^m is its prefix `grown.shell(-1, m)`."""
     steps = Repeat(sequence.factors[0], 2 * max(ks))
-    layers = list(expand(sequence.model, sequence.shell(h, h + 1), steps, element_budget, "set product"))
-    keys = np.concatenate([layer.keys for layer in layers])
-    order = np.argsort(keys, kind="stable")
-    grown = KeySet(keys[order], layers[0].box)
-    index = np.arange(len(layers), dtype=np.min_scalar_type(len(layers)))
-    born = np.repeat(index, [len(layer) for layer in layers])[order]
-    del layers, keys, order  # keep only the sorted union and its birth steps
+    layers = expand(sequence.model, sequence.shell(h, h + 1), steps, element_budget, "set product")
+    grown = ProductSequence(sequence.model, steps, tuple(layers))
     outcomes = {}
     for k in ks:
         n = h + k // 2
-        found = sequence.shell(n, n + k).find(grown)
-        forward = found is not None and born[found].max(initial=0) <= 2 * k
-        backward = KeySet(grown.keys[born <= k // 4], grown.box) <= sequence.shell(n - k, n)
-        outcomes[n, k] = (bool(forward), backward)
+        forward = sequence.shell(n, n + k) <= grown.shell(-1, 2 * k)
+        backward = grown.shell(-1, k // 4) <= sequence.shell(n - k, n)
+        outcomes[n, k] = (forward, backward)
     return outcomes

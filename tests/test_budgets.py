@@ -18,6 +18,9 @@ Core claims:
       most 8 cells per key of the budget: the Z^8 radius-3 ball (833
       elements in 9^8 cells) at a budget of 1,000 allocates none, and a run
       with a map peaks at the map's cells plus a few bytes per key
+    - a word ball's graph is built with at most 128 traced bytes per edge
+      (H3 radius 16, Z^3 radius 20): `WordBall.edges` holds no more than
+      about one image array beyond the peak of `Graph.from_edges`
     - the profile table, one row per center and radius, is counted against
       the element budget before any center is profiled, and before any is
       drawn: a sample of 10^9 centers fails at once
@@ -110,6 +113,15 @@ ONE_SIDED_H3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0)]
 def test_a_map_costs_its_cells_and_a_few_bytes_per_key(build):
     sequence, peak = _traced(build)
     assert _cells(sequence) <= peak <= _cells(sequence) + 6 * 8 * sequence.sizes[-1]
+
+
+@pytest.mark.parametrize(
+    "model,radius", [(heisenberg_model(), 16), (zd_model(3), 20)], ids=["H3-r16", "Z3-r20"]
+)
+def test_a_word_ball_graph_costs_at_most_128_bytes_per_edge(model, radius):
+    ball = word_ball(model, "standard", radius)
+    graph, peak = _traced(lambda: ball.graph)
+    assert peak <= 128 * graph.edge_count
 
 
 def test_profile_table_is_counted_before_any_profile(monkeypatch):

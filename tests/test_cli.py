@@ -671,6 +671,34 @@ class TestOptionsAreValidatedAsConfigs:
         assert result.output == f"Error: {error.value}\n"
 
 
+BUDGETED_COMMANDS = {
+    "generate": ["generate", "--family", "lattice", "--radius", "1"],
+    "powers": ["powers", "--n-max", "0"],
+    "nprod": ["nprod", "--factors", "[]", "--inner", "standard", "--outer", "standard"],
+}
+
+
+class TestBudgetOptionsAreValidatedAsConfigs:
+    """--budget-vertices and --budget-elements obey the rule of the config's
+    `budgets` section for every command, and fail with its error text."""
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("option,key", [("--budget-vertices", "vertices"), ("--budget-elements", "elements")])
+    @pytest.mark.parametrize("command", sorted(BUDGETED_COMMANDS))
+    def test_a_budget_below_one_is_refused(self, runner, command, option, key, value):
+        with pytest.raises(ConfigError) as error:
+            validate_config({"space": {"family": "lattice", "d": 2, "radius": 1}, "depth": 2,
+                             "analyses": {"annulus": {}}, "budgets": {key: value}})
+        result = runner.invoke(main, [option, str(value), *BUDGETED_COMMANDS[command]])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {error.value}\n"
+
+    def test_profile_keeps_its_text(self, runner, z2_graph):
+        result = runner.invoke(main, ["--budget-elements", "0", "profile", "--graph", str(z2_graph), "--depth", "3"])
+        assert result.exit_code == 1
+        assert result.output == "Error: budgets.elements: must be at least 1, got 0\n"
+
+
 def _run_cli(args, env, cwd):
     return subprocess.run(
         [sys.executable, "-m", "folnerlab", *args],

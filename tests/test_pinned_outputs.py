@@ -155,6 +155,21 @@ def test_generate_output_matches_its_pin(family, generating_set):
     assert digest == GENERATE_PINS[family, generating_set]
 
 
+# Word balls of other ranks and radii: Z^1, Z^3 and a larger H3 ball.
+GENERATE_ARGS_PINS = {
+    ("--family", "lattice", "--d", "1"): "54ba25ff902ac2920bfa486d90051e47ae6643aafa77975806a4c520c159c390",
+    ("--family", "lattice", "--d", "3", "--radius", "6"): "add261e8d50f250e0769fd2a60f6e1587935c1f92a98906293461f1ccfaf7e88",
+    ("--family", "heisenberg", "--radius", "12"): "b56e3987b7474210ea923159b69d4b6fab603c03e1a13b82a7815a26f6316874",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GENERATE_ARGS_PINS))
+def test_generate_word_ball_matches_its_pin(args):
+    result = CliRunner().invoke(main, ["generate", *args])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode("ascii")).hexdigest() == GENERATE_ARGS_PINS[args]
+
+
 _H3_ONE_SIDED = [[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [1, 1, 0]]
 _INNER = [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]]
 _OUTER = _INNER + [[1, 1], [-1, -1], [1, -1], [-1, 1]]

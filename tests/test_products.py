@@ -291,6 +291,19 @@ class TestShellInclusions:
         assert not any(forward for forward, _ in expected)
         assert shell_inclusion_check(sequence, pairs) == expected
 
+    def test_forward_reads_all_of_its_steps(self):
+        # Shells of Z^1's {0, +-1, +-2, +-3} with the factor {0, +-1, +-2}:
+        # at (n, 4) the far end of C_(n, n+4), 3n + 12, lies 15 past the
+        # middle shell's 3n - 3, so forward needs all 8 of its steps.
+        z1 = zd_model(1)
+        wide = product_powers(z1, [(s,) for s in range(-3, 4)], 16, ordered=False)
+        narrow = product_powers(z1, [(s,) for s in range(-2, 3)], 16, ordered=False)
+        sequence = ProductSequence(z1, narrow.factors, wide.layers)
+        pairs = [(n, 4) for n in range(4, 13)]
+        expected = [_reference_shell_inclusion(sequence, n, k) for n, k in pairs]
+        assert all(forward for forward, _ in expected)
+        assert shell_inclusion_check(sequence, pairs) == expected
+
     def test_width_validation(self):
         sequence = product_powers(zd_model(2), "standard", 20)
         for n, k in [(8, 3), (8, 6), (8, 12), (2, 4)]:
