@@ -12,13 +12,15 @@ command turn their options into a raw config, validate it as a config file
 is validated (so a bad option fails naming the config field, such as
 `analyses.fit.min_points`), and run it through the runner's
 `run_analyses`, adding only their own digest stamp, stdout line and exit
-code.  Their option defaults are read from the analysis table, and
-`generate` builds through the family table.  No command computes an
-analysis itself.
+code.  Every option that sets a config field takes its default and rule
+from the config's tables, the global options set their fields in every
+command that runs a config, `reproduce` included, `generate` builds through
+the family table, and no command computes an analysis itself.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import io
@@ -29,21 +31,16 @@ from pathlib import Path
 from typing import Any, Sequence
 
 import click
+from click.core import ParameterSource
 
-from .config import load_config, validate_config, validate_sections
+from .config import BUDGETS, CENTERS, ExperimentConfig, load_config, validate_config, validate_sections
 from .errors import BudgetExceededError
-from .generators import DEFAULT_VERTEX_BUDGET
 from .graphio import dump_graph
 from .groups import GroupModel
-from .products import (
-    DEFAULT_ELEMENT_BUDGET,
-    folner_ratios,
-    product_powers,
-    varying_products,
-)
-from .recipes import RECIPES
-from .registry import ANALYSES, FAMILIES, Table, at_least, parse_space, write_csv
-from .runner import reproduce as run_recipe, run_analyses, run_experiment
+from .products import folner_ratios, product_powers, varying_products
+from .recipes import RECIPES, recipe_config
+from .registry import ANALYSES, FAMILIES, Table, parse_options, parse_space, write_csv
+from .runner import run_analyses, run_experiment
 
 __all__ = ["main"]
 
@@ -112,18 +109,19 @@ def _default(analysis: str, option: str) -> Any:
     return ANALYSES[analysis].options[option][1]
 
 
+def _set(options: dict[str, Any]) -> dict[str, Any]:
+    """The options not given as None, which are left for the config to fill in."""
+    return {key: value for key, value in options.items() if value is not None}
+
+
 def _graph_config(ctx: click.Context, graph_path: str, depth: int, center_labels: Sequence[str],
-                  sample: int, **analyses: dict[str, Any]) -> dict[str, Any]:
-    """The raw config of a graph-file command; an option given as None is
-    left unset, for the config to fill in."""
+                  sample: int | None, **analyses: dict[str, Any]) -> dict[str, Any]:
+    """The raw config of a graph-file command."""
     return {
         "space": {"graph_file": str(graph_path)},
         "depth": depth,
-        "centers": {"basepoints": list(center_labels) or "all", "sample": sample},
-        "analyses": {
-            name: {key: value for key, value in opts.items() if value is not None}
-            for name, opts in analyses.items()
-        },
+        "centers": _set({"basepoints": list(center_labels) or None, "sample": sample}),
+        "analyses": {name: _set(opts) for name, opts in analyses.items()},
         "seed": ctx.obj["seed"],
         "budgets": ctx.obj["budgets"],
     }
@@ -136,7 +134,7 @@ def _graph_options(sample: bool = True):
         click.option("--graph", "graph_path", type=click.Path(exists=True, dir_okay=False), required=True),
         click.option("--depth", type=int, required=True),
         click.option("--center", "center_labels", multiple=True, help="Basepoint label (repeatable; default all)."),
-        click.option("--sample", type=int, default=0, show_default=True, help="Sample this many centers, the --center basepoints among them."),
+        click.option("--sample", type=int, default=CENTERS["sample"][1], show_default=True, help="Sample this many centers, the --center basepoints among them."),
     ][: 4 if sample else 3]
     return lambda fn: functools.reduce(lambda f, option: option(f), reversed(options), fn)
 
@@ -147,18 +145,28 @@ def _labels(tables: dict[str, Table]) -> list[str]:
     return [label for label, r in zip(centers, radii) if r == 0]
 
 
+def _with_global_options(ctx: click.Context, config: ExperimentConfig) -> ExperimentConfig:
+    """`config` with the fields that the global options given on the command
+    line set, validated again as a config; `config` itself if none is given."""
+    group = ctx.find_root()
+    given = lambda name: group.get_parameter_source(name) is ParameterSource.COMMANDLINE
+    overrides = {"seed": ctx.obj["seed"]} if given("seed") else {}
+    budgets = {key: value for key, value in ctx.obj["budgets"].items() if given(f"budget_{key}")}
+    if budgets:
+        overrides["budgets"] = {**config.budgets, **budgets}
+    return validate_config({**dataclasses.asdict(config), **overrides}) if overrides else config
+
+
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True, help="PRNG seed for center sampling.")
-@click.option("--budget-vertices", type=int, default=DEFAULT_VERTEX_BUDGET, show_default=True, help="Hard cap on constructed vertices.")
-@click.option("--budget-elements", type=int, default=DEFAULT_ELEMENT_BUDGET, show_default=True, help="Hard cap on enumerated group elements.")
+@click.option("--budget-vertices", type=int, default=BUDGETS["vertices"][1], show_default=True, help="Hard cap on constructed vertices.")
+@click.option("--budget-elements", type=int, default=BUDGETS["elements"][1], show_default=True, help="Hard cap on enumerated group elements.")
 @click.option("--out", type=str, default=None, help="Output file (or directory for reproduce).")
 @click.pass_context
 @_friendly
 def main(ctx: click.Context, seed: int, budget_vertices: int, budget_elements: int, out: str | None) -> None:
     """Growth, shells, and ergodic averages on doubling graphs and groups."""
-    budgets = {"vertices": budget_vertices, "elements": budget_elements}
-    for key, value in budgets.items():  # the config's rule for its `budgets` section
-        at_least(1)(value, f"budgets.{key}")
+    budgets = parse_options({"vertices": budget_vertices, "elements": budget_elements}, BUDGETS, "budgets")
     ctx.obj = {"seed": seed, "budgets": budgets, "out": out}
 
 
@@ -173,14 +181,11 @@ def main(ctx: click.Context, seed: int, budget_vertices: int, budget_elements: i
 @click.option("--levels", type=int, default=8, show_default=True, help="Stairway dyadic levels.")
 @click.pass_context
 @_friendly
-def generate(ctx, family, d, radius, generating_set, a, b, blocks, levels):
+def generate(ctx, family, **params):
     """Build a space and emit it in the graph file format."""
-    params = dict(d=d, radius=radius, generating_set=generating_set,
-                  a=a, b=b, blocks=blocks, levels=levels)
     spec = FAMILIES[family]
     space = parse_space({"family": family, **{key: params[key] for key in spec.options}})
-    built = spec.build(space, ctx.obj["budgets"]["vertices"])
-    _emit(dump_graph(built.graph()), ctx.obj["out"])
+    _emit(dump_graph(spec.build(space, ctx.obj["budgets"]["vertices"]).graph()), ctx.obj["out"])
 
 
 @main.command()
@@ -301,29 +306,29 @@ def dyadic(ctx, graph_path, depth, center_labels, sample, i_max):
 def fit(ctx, graph_path, depth, center_labels, dyadic_radii, min_points):
     """Growth exponent: least-squares slope of log volume vs log radius."""
     fit = {"dyadic_radii": dyadic_radii, "min_points": min_points}
-    summary, _ = run_analyses(validate_config(_graph_config(ctx, graph_path, depth, center_labels, 0, fit=fit)))
+    summary, _ = run_analyses(validate_config(_graph_config(ctx, graph_path, depth, center_labels, None, fit=fit)))
     click.echo(json.dumps(summary["fit"], sort_keys=True))
 
 
 @main.command()
 @click.option("--observable", default=_default("ergodic", "observable"), show_default=True)
-@click.option("--start", default="0.1,0.2", show_default=True, help="Start point on the 2-torus, comma separated.")
+@click.option("--start", default=",".join(map(str, _default("ergodic", "start"))), show_default=True, help="Start point on the 2-torus, comma separated.")
 @click.option("--n-max", type=int, default=_default("ergodic", "n_max"), show_default=True)
-@click.option("--preset", type=click.Choice(["golden"]), default=_default("ergodic", "preset"), show_default=True)
 @click.pass_context
 @_friendly
-def ergodic(ctx, observable, start, n_max, preset):
+def ergodic(ctx, observable, start, n_max):
     """Ball averages of a torus rotation along word-ball powers of Z^2."""
     try:
         point = [float(v) for v in start.split(",")]
     except ValueError:  # left as text, for the config check to reject naming its field
         point = start.split(",")
-    opts = {"observable": observable, "start": point, "n_max": n_max, "preset": preset}
+    opts = {"observable": observable, "start": point, "n_max": n_max}
     # The analysis expands its own powers; the space is the smallest valid one.
     raw = {"space": {"family": "lattice", "d": 2, "radius": 1}, "depth": 2,
-           "analyses": {"ergodic": opts}, "budgets": ctx.obj["budgets"]}
+           "analyses": {"ergodic": opts}, "seed": ctx.obj["seed"], "budgets": ctx.obj["budgets"]}
     summary, tables = run_analyses(validate_config(raw))
-    digest = _digest("ergodic", observable=observable, start=point, n_max=n_max, preset=preset)
+    # `preset`, once an option with the one value "golden", stays in the stamp: bench/digests.json pins ergodic.csv.
+    digest = _digest("ergodic", observable=observable, start=point, n_max=n_max, preset="golden")
     _emit_csv(ctx, digest, tables["ergodic"])
     line = {key: summary["ergodic"][key] for key in ("final_error", "envelope")}
     click.echo(json.dumps(line, sort_keys=True))
@@ -341,11 +346,9 @@ def reproduce(ctx, name, list_recipes, config_path):
         for recipe_name in sorted(RECIPES):
             click.echo(f"{recipe_name}: {RECIPES[recipe_name].claim}")
         return
-    if config_path is not None:
-        result = run_experiment(load_config(config_path), out_dir=ctx.obj["out"])
-    elif name is not None:
-        result = run_recipe(name, out_dir=ctx.obj["out"])
-    else:
+    if config_path is None and name is None:
         raise click.ClickException("give a recipe name, --config FILE, or --list")
+    config = load_config(config_path) if config_path is not None else recipe_config(name)
+    result = run_experiment(_with_global_options(ctx, config), out_dir=ctx.obj["out"])
     click.echo(json.dumps(result.summary, sort_keys=True))
     ctx.exit(0 if result.passed else 1)

@@ -11,11 +11,11 @@ whose default is half the depth gets it, `seed` is required with
 `centers.sample`, `depth` is at most `budgets.vertices`, and each analysis
 gets what it `needs` of the rest of the config.
 
-Config files and the CLI's analysis commands share this one way in: each
-command turns its options into a raw config, so a bad option fails here
-with the same error, naming the same field, as the config would.  Only
-`validate_sections` admits a config that enables no analysis, which is
-what the `profile` command runs.
+Config files and the CLI share this one way in: each analysis command turns
+its options into a raw config, and `reproduce` reads a config's fields again
+with the global options given, so a bad option fails here with the same
+error, naming the same field, as the config would.  Only `validate_sections`
+admits a config that enables no analysis, which is what `profile` runs.
 
 A validated config is normalized (defaults filled in) before hashing, so two
 spellings of the same experiment share one hash, and every artifact written
@@ -46,13 +46,13 @@ from .registry import (
     seed_value,
 )
 
-__all__ = ["ExperimentConfig", "validate_config", "validate_sections", "load_config"]
+__all__ = ["BUDGETS", "CENTERS", "ExperimentConfig", "validate_config", "validate_sections", "load_config"]
 
-_CENTERS = {
+CENTERS = {
     "basepoints": (center_labels, "all"),
     "sample": (at_least(0), 0),
 }
-_BUDGETS = {
+BUDGETS = {
     "vertices": (at_least(1), DEFAULT_VERTEX_BUDGET),
     "elements": (at_least(1), DEFAULT_ELEMENT_BUDGET),
 }
@@ -60,11 +60,11 @@ _ANALYSES = {name: (section(analysis.options), None) for name, analysis in ANALY
 _CONFIG = {
     "space": (named(parse_space, "space"), REQUIRED),
     "depth": (at_least(2), REQUIRED),
-    "centers": (named(section(_CENTERS), "centers"), {}),
+    "centers": (named(section(CENTERS), "centers"), {}),
     "analyses": (named(section(_ANALYSES), "analyses"), REQUIRED),
     "output_dir": (nonempty_string, "out"),
     "seed": (seed_value, None),
-    "budgets": (named(section(_BUDGETS), "budgets"), {}),
+    "budgets": (named(section(BUDGETS), "budgets"), {}),
 }
 
 

@@ -154,7 +154,6 @@ _RECIPE_LIST = [
                     "observable": "cos_x",
                     "start": [0.1, 0.2],
                     "n_max": 200,
-                    "preset": "golden",
                 }
             },
         },

@@ -12,7 +12,7 @@ its builder, so the runner names no family, no analysis and no kind of
 space.  `parse_options` reads every field of a config with the parsers
 here; `config` declares only its top level.  `runner` builds and runs
 through both tables, and the CLI's analysis commands go through `config`
-and `runner` too, reading only their option defaults here.  Adding an
+and `runner` too, reading their option defaults here.  Adding an
 analysis or a family is one entry here.
 
 Analyses run in table order.  The order matters: `verify` reads the shell
@@ -109,7 +109,6 @@ _observable = option_parser(
     lambda v: isinstance(v, str) and v in OBSERVABLES,
     "unknown observable {value!r}; known: " + ", ".join(sorted(OBSERVABLES)),
 )
-_preset = option_parser(lambda v: v == "golden", "unknown preset {value!r}")
 _point = option_parser(  # a point on the 2-torus
     lambda v: isinstance(v, list) and len(v) == 2
     and all(map(_finite, v)),
@@ -432,14 +431,13 @@ ANALYSES: dict[str, Analysis] = {
         "must be at most the number of radii fitted at config.depth {depth}, got {min_points}",
     ),)),
     "ergodic": Analysis(_ergodic, {
-        "start": (_point, [0.0, 0.0]),
-        "preset": (_preset, "golden"),
+        "start": (_point, [0.1, 0.2]),
         "observable": (_observable, "cos_x"),
         "n_max": (at_least(1), 200),
     }, ((
         "",
         lambda analyses, space, depth: space.get("family") == "lattice" and space.get("d") == 2,
-        "requires a lattice space with d = 2 (the rotation presets live on the 2-torus)",
+        "requires a lattice space with d = 2 (the golden rotation acts on the 2-torus)",
     ),)),
     "claims": Analysis(_claims, {"widths": (_widths, [4, 8, 12]), "n_max": (at_least(4), 20)}, (
         ("", _on_group,

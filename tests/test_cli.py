@@ -7,6 +7,7 @@ dict iteration order leaks into output.  Everything written to disk must be
 byte-identical across runs.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -15,12 +16,13 @@ import tracemalloc
 import pytest
 from click.testing import CliRunner
 
+import folnerlab.cli
 import folnerlab.runner
 from folnerlab.cli import main
 from folnerlab.config import validate_config
 from folnerlab.errors import BudgetExceededError, ConfigError
 from folnerlab.groups import heisenberg_model
-from folnerlab.recipes import RECIPES
+from folnerlab.recipes import RECIPES, recipe_config
 from folnerlab.registry import ANALYSES, Context
 from folnerlab.space import VolumeProfile
 from folnerlab.runner import run_experiment
@@ -697,6 +699,107 @@ class TestBudgetOptionsAreValidatedAsConfigs:
         result = runner.invoke(main, ["--budget-elements", "0", "profile", "--graph", str(z2_graph), "--depth", "3"])
         assert result.exit_code == 1
         assert result.output == "Error: budgets.elements: must be at least 1, got 0\n"
+
+
+class TestReproduceTakesTheGlobalOptions:
+    """--seed, --budget-vertices and --budget-elements, given on the command
+    line, set their fields of the recipe's or config file's config, which is
+    validated again; not given, they leave it as it is."""
+
+    def test_a_vertex_budget_below_the_depth_is_refused_before_any_output(self, tmp_path, runner):
+        out = tmp_path / "D"
+        result = runner.invoke(main, ["--budget-vertices", "10", "--out", str(out), "reproduce", "theorem-zd"])
+        assert result.exit_code == 1
+        assert result.output == (
+            "Error: config.depth: must be at most the vertex budget 10 (budgets.vertices, --budget-vertices), got 128\n"
+        )
+        assert not out.exists()
+
+    def test_an_element_budget_stops_the_expansion(self, tmp_path, runner):
+        result = runner.invoke(main, ["--budget-elements", "50", "--out", str(tmp_path / "run"), "reproduce", "claims-5-3"])
+        assert result.exit_code == 1
+        assert result.output == "Error: product expansion: size 61 exceeds budget 50 at layer 5\n"
+
+    SAMPLED = {
+        "space": {"family": "lattice", "d": 2, "radius": 12},
+        "depth": 6,
+        "centers": {"sample": 4},
+        "seed": 3,
+        "analyses": {"annulus": {}},
+    }
+
+    def _reproduce(self, tmp_path, runner, name, raw, *options):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / name
+        result = runner.invoke(main, [*options, "--out", str(out), "reproduce", "--config", str(path)])
+        assert result.exit_code == 0, result.output
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_seed_is_the_config_seed(self, tmp_path, runner):
+        given = self._reproduce(tmp_path, runner, "given", self.SAMPLED, "--seed", "9")
+        assert given == self._reproduce(tmp_path, runner, "written", {**self.SAMPLED, "seed": 9})
+        own = self._reproduce(tmp_path, runner, "own", self.SAMPLED)
+        assert _body(given["profile.csv"].decode()) != _body(own["profile.csv"].decode())
+
+    def test_a_budget_given_keeps_the_other_budget_of_the_file(self, tmp_path, runner):
+        raw = {**self.SAMPLED, "budgets": {"vertices": 500, "elements": 1000}}
+        artifacts = self._reproduce(tmp_path, runner, "run", raw, "--budget-vertices", "400")
+        expected = validate_config({**raw, "budgets": {"vertices": 400, "elements": 1000}})
+        assert json.loads(artifacts["summary.json"])["config"] == expected.digest
+
+    def test_ergodic_takes_no_preset_option(self, runner):
+        result = runner.invoke(main, ["ergodic", "--preset", "golden"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
+    def test_a_config_with_a_preset_is_refused(self, tmp_path, runner):
+        path = tmp_path / "erg.json"
+        raw = {"space": {"family": "lattice", "d": 2, "radius": 1}, "depth": 2,
+               "analyses": {"ergodic": {"preset": "golden"}}}
+        path.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["--out", str(tmp_path / "run"), "reproduce", "--config", str(path)])
+        assert result.exit_code == 1
+        assert result.output == "Error: analyses.ergodic: unknown key 'preset'\n"
+
+    @pytest.mark.parametrize("name", sorted(RECIPES))
+    def test_a_validated_config_reads_back_as_itself(self, name):
+        # What the options override: a config's own fields, read again.
+        config = recipe_config(name)
+        again = validate_config(dataclasses.asdict(config))
+        assert again == config
+        assert again.digest == config.digest
+
+
+# (command line, the config fields it sets but for the defaulted options);
+# the space is the graph file unless the fields name one
+DEFAULTED = [
+    (["shell-report", *G, "--depth", "14"], {"depth": 14, "analyses": {"shell": {}}}),
+    (["verify", *G, "--depth", "14"], {"depth": 14, "analyses": {"shell": {}, "verify": {}}}),
+    (["dyadic", *G, "--depth", "14"], {"depth": 14, "analyses": {"dyadic": {}}}),
+    (["fit", *G, "--depth", "14"], {"depth": 14, "analyses": {"fit": {}}}),
+    (["ergodic"], {"space": Z2_R1, "depth": 2, "analyses": {"ergodic": {}}}),
+]
+
+
+class TestOptionDefaultsAreTheConfigDefaults:
+    """An option left out gives the config the table's default: every
+    analysis option, --sample and the budget flags, read as the CLI parses
+    its default."""
+
+    @pytest.mark.parametrize("cli_args,fields", DEFAULTED)
+    def test_an_option_left_out_is_the_table_default(self, runner, z2_graph, monkeypatch, cli_args, fields):
+        run = folnerlab.cli.run_analyses
+        configs = []
+        monkeypatch.setattr(folnerlab.cli, "run_analyses", lambda config: configs.append(config) or run(config))
+        argv = [str(z2_graph) if a == "<graph>" else a for a in cli_args]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        expected = validate_config({"space": {"graph_file": str(z2_graph)}, **fields})
+        (config,) = configs
+        assert config.analyses == expected.analyses
+        assert config.centers == expected.centers
+        assert config.budgets == expected.budgets
 
 
 def _run_cli(args, env, cwd):

@@ -195,9 +195,9 @@ class TestAnalyses:
         cfg = validate_config(_base(analyses={"ergodic": {}}))
         erg = cfg.analyses["ergodic"]
         assert erg["observable"] == "cos_x"
-        assert erg["start"] == [0.0, 0.0]
+        assert erg["start"] == [0.1, 0.2]
         assert erg["n_max"] == 200
-        assert erg["preset"] == "golden"
+        assert sorted(erg) == ["n_max", "observable", "start"]
 
     def test_verify_needs_two_radii(self):
         # The shell sweep's default n_max is depth // 2 = 1: one radius.
@@ -229,8 +229,9 @@ class TestAnalyses:
             validate_config(_base(analyses={"ergodic": {"observable": observable}}))
 
     def test_ergodic_unknown_preset(self):
-        with pytest.raises(ConfigError, match="unknown preset"):
-            validate_config(_base(analyses={"ergodic": {"preset": "pi"}}))
+        # No `preset` key: even "golden", once its only value, is refused.
+        with pytest.raises(ConfigError, match=r"^analyses\.ergodic: unknown key 'preset'$"):
+            validate_config(_base(analyses={"ergodic": {"preset": "golden"}}))
 
     def test_claims_needs_group_model(self):
         raw = _base(

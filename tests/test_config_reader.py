@@ -314,7 +314,6 @@ _OPTIONS = {  # a few values each option takes, or may take at the depth
     "dyadic_radii": lambda rng, depth: rng.random() < 0.5,
     "min_points": lambda rng, depth: rng.randint(2, 8),
     "start": lambda rng, depth: [rng.random(), rng.randint(0, 1)],
-    "preset": lambda rng, depth: "golden",
     "observable": lambda rng, depth: rng.choice(["cos_x", "box", "one"]),
     "widths": lambda rng, depth: rng.choice([[4], [4, 8], [8, 12]]),
 }

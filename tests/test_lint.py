@@ -15,6 +15,9 @@ Core claims, for every module of src/folnerlab:
       class's `__init__` by the class name) is passed by some call of that
       name in src, by position or keyword, or is kept for a reason that
       `UNPASSED` states; one in `UNPASSED` that a call passes is stale
+    - every option of the tables of registry.py is read: each option of an
+      `ANALYSES` entry as `opts["key"]` or `opts.get("key")` by its `run`,
+      and each parameter of a `FAMILIES` entry by its builder or its `model`
 """
 
 import ast
@@ -220,3 +223,61 @@ def test_every_defaulted_parameter_is_passed_or_kept():
     assert not unlisted, f"defaulted parameters that no call in src passes: {unlisted}"
     stale = sorted(set(UNPASSED) - unpassed)
     assert not stale, f"UNPASSED parameters that a call passes: {stale}"
+
+
+REGISTRY = SOURCE / "registry.py"
+
+
+def _table(tree: ast.Module, name: str) -> ast.Dict:
+    """The dict literal that a module-level statement assigns to `name`."""
+    return next(node.value for node in tree.body if name in _bound(node))
+
+
+def _option_keys(node: ast.Dict, tree: ast.Module) -> set[str]:
+    """The keys of an options dict literal, a `**NAME` spread resolved."""
+    keys = set()
+    for key, value in zip(node.keys, node.values):
+        keys |= _option_keys(_table(tree, value.id), tree) if key is None else {key.value}
+    return keys
+
+
+def _keys_read(tree: ast.Module, function: ast.expr, position: int) -> set[str]:
+    """The keys that a function (named at module level, or a lambda) reads
+    off its parameter at `position`, as `p["key"]` or `p.get("key")`."""
+    if isinstance(function, ast.Name):
+        function = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function.id)
+    param = function.args.args[position].arg
+    read = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == param:
+            read.add(getattr(node.slice, "value", None))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get" \
+                and getattr(node.func.value, "id", None) == param and node.args:
+            read.add(getattr(node.args[0], "value", None))
+    return read
+
+
+def _entries(tree: ast.Module, name: str):
+    """(entry name, the arguments of its constructor call) of a table."""
+    table = _table(tree, name)
+    return [(key.value, call.args) for key, call in zip(table.keys, table.values)]
+
+
+def test_every_analysis_option_is_read_by_its_run():
+    tree = _tree(REGISTRY)
+    unread = sorted(
+        f"{name}.{key}"
+        for name, (run, options, *_) in _entries(tree, "ANALYSES")
+        for key in _option_keys(options, tree) - _keys_read(tree, run, 1)
+    )
+    assert not unread, f"analysis options that no run reads: {unread}"
+
+
+def test_every_family_option_is_read_by_its_builder_or_model():
+    tree = _tree(REGISTRY)
+    unread = sorted(
+        f"{name}.{key}"
+        for name, (options, build, *model) in _entries(tree, "FAMILIES")
+        for key in _option_keys(options, tree) - _keys_read(tree, build, 0).union(*(_keys_read(tree, m, 0) for m in model))
+    )
+    assert not unread, f"family options that neither builder nor model reads: {unread}"

@@ -57,7 +57,7 @@ PINS = {
         "dyadic.csv": "b6f2d7ed9a931d0cc8ec008a4423b61d91456f1b5feffc0983b0f61a4344f63b",
     },
     "ergodic": {
-        "profile.csv": "c2499715687b3e5f95b48d612eff4a5e906ce4c35e5e5e6d0400c0f67f7ef81a",
+        "profile.csv": "0cb8c7f8085c3ca5dba0391d37fed7b81091ad6fbfd08a76d319a94bde4c31db",
     },
     "theorem-heisenberg": {
         "profile.csv": "4c1d1e12f678dadef9e9ebd4ce2c29e4f61f44796059d96163b63052f4ce8b38",
@@ -108,7 +108,7 @@ SUMMARY_PINS = {
     "counterexample-stairway": "304b20ee34f9d9fdc406c12b487423367835d6e9490bc130dbfdd23cc2eda2ed",
     "counterexample-tree": "439ac5c71146f1bf8ffd6c25b8dac20bd27aae385b53e925314fb3796a661796",
     "dyadic": "52ad2a8f7e30fc056c73d5441452611edf7524a8acfa2d12bdb6ef9e0fdc1863",
-    "ergodic": "3a66c612b8a1918c1f9d768b8edb89e8f023e10c50ec0e92cd458a8a4f366eed",
+    "ergodic": "d358e94c37f6d0f9eb8f56aff4faa3befbb2bdc47bdd7bd678d6428558aa20a1",
     "theorem-heisenberg": "9160721dd0c54989d69f9a2b697db07f9a708fa771bcbbd89ec22a8373651431",
     "theorem-zd": "b6c1db8ab120f627d424a5179c0a6dffb115b0970f7233ba33e6aa938e686d15",
 }
