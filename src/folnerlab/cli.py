@@ -13,14 +13,14 @@ is validated (so a bad option fails naming the config field, such as
 `analyses.fit.min_points`), and run it through the runner's
 `run_analyses`, adding only their own digest stamp, stdout line and exit
 code.  Every option that sets a config field takes its default and rule
-from the config's tables, the global options set their fields in every
-command that runs a config, `reproduce` included, `generate` builds through
-the family table, and no command computes an analysis itself.
+from the config's tables, the global options given set their fields before
+the one validation of every command that runs a config, `reproduce` too,
+`generate` builds through the family table, and no command computes an
+analysis itself.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import io
@@ -33,12 +33,12 @@ from typing import Any, Sequence
 import click
 from click.core import ParameterSource
 
-from .config import BUDGETS, CENTERS, ExperimentConfig, load_config, validate_config, validate_sections
+from .config import BUDGETS, CENTERS, read_config, validate_config, validate_sections
 from .errors import BudgetExceededError
 from .graphio import dump_graph
 from .groups import GroupModel
 from .products import folner_ratios, product_powers, varying_products
-from .recipes import RECIPES, recipe_config
+from .recipes import RECIPES, recipe_document
 from .registry import ANALYSES, FAMILIES, Table, parse_options, parse_space, write_csv
 from .runner import run_analyses, run_experiment
 
@@ -55,6 +55,8 @@ def _friendly(fn):
         except (BudgetExceededError, ValueError, KeyError) as exc:
             message = exc.args[0] if exc.args else str(exc)
             raise click.ClickException(str(message))
+        except OSError as exc:  # an --out that cannot be written; args[0] is the errno
+            raise click.ClickException(str(exc))
 
     return wrapper
 
@@ -114,17 +116,31 @@ def _set(options: dict[str, Any]) -> dict[str, Any]:
     return {key: value for key, value in options.items() if value is not None}
 
 
+def _with_global_options(ctx: click.Context, raw: Any) -> Any:
+    """The config document `raw` with `seed` set if --seed is given on the
+    command line and each budget flag given merged into `budgets`; a document
+    or `budgets` that is no object is left for the validation to refuse."""
+    if not isinstance(raw, dict):
+        return raw
+    given = lambda name: ctx.find_root().get_parameter_source(name) is ParameterSource.COMMANDLINE
+    if given("seed"):
+        raw = {**raw, "seed": ctx.obj["seed"]}
+    budgets = {key: value for key, value in ctx.obj["budgets"].items() if given(f"budget_{key}")}
+    if budgets and isinstance(raw.get("budgets", {}), dict):
+        raw = {**raw, "budgets": {**raw.get("budgets", {}), **budgets}}
+    return raw
+
+
 def _graph_config(ctx: click.Context, graph_path: str, depth: int, center_labels: Sequence[str],
                   sample: int | None, **analyses: dict[str, Any]) -> dict[str, Any]:
-    """The raw config of a graph-file command."""
-    return {
+    """The raw config of a graph-file command, with the global options given."""
+    return _with_global_options(ctx, {
         "space": {"graph_file": str(graph_path)},
         "depth": depth,
         "centers": _set({"basepoints": list(center_labels) or None, "sample": sample}),
         "analyses": {name: _set(opts) for name, opts in analyses.items()},
         "seed": ctx.obj["seed"],
-        "budgets": ctx.obj["budgets"],
-    }
+    })
 
 
 def _graph_options(sample: bool = True):
@@ -143,18 +159,6 @@ def _labels(tables: dict[str, Table]) -> list[str]:
     """The profiled centers, in order: one profile row at r = 0 each."""
     centers, radii, *_ = tables["profile"][1]
     return [label for label, r in zip(centers, radii) if r == 0]
-
-
-def _with_global_options(ctx: click.Context, config: ExperimentConfig) -> ExperimentConfig:
-    """`config` with the fields that the global options given on the command
-    line set, validated again as a config; `config` itself if none is given."""
-    group = ctx.find_root()
-    given = lambda name: group.get_parameter_source(name) is ParameterSource.COMMANDLINE
-    overrides = {"seed": ctx.obj["seed"]} if given("seed") else {}
-    budgets = {key: value for key, value in ctx.obj["budgets"].items() if given(f"budget_{key}")}
-    if budgets:
-        overrides["budgets"] = {**config.budgets, **budgets}
-    return validate_config({**dataclasses.asdict(config), **overrides}) if overrides else config
 
 
 @click.group()
@@ -325,8 +329,8 @@ def ergodic(ctx, observable, start, n_max):
     opts = {"observable": observable, "start": point, "n_max": n_max}
     # The analysis expands its own powers; the space is the smallest valid one.
     raw = {"space": {"family": "lattice", "d": 2, "radius": 1}, "depth": 2,
-           "analyses": {"ergodic": opts}, "seed": ctx.obj["seed"], "budgets": ctx.obj["budgets"]}
-    summary, tables = run_analyses(validate_config(raw))
+           "analyses": {"ergodic": opts}, "seed": ctx.obj["seed"]}
+    summary, tables = run_analyses(validate_config(_with_global_options(ctx, raw)))
     # `preset`, once an option with the one value "golden", stays in the stamp: bench/digests.json pins ergodic.csv.
     digest = _digest("ergodic", observable=observable, start=point, n_max=n_max, preset="golden")
     _emit_csv(ctx, digest, tables["ergodic"])
@@ -348,7 +352,7 @@ def reproduce(ctx, name, list_recipes, config_path):
         return
     if config_path is None and name is None:
         raise click.ClickException("give a recipe name, --config FILE, or --list")
-    config = load_config(config_path) if config_path is not None else recipe_config(name)
-    result = run_experiment(_with_global_options(ctx, config), out_dir=ctx.obj["out"])
+    document = read_config(config_path) if config_path is not None else recipe_document(name)
+    result = run_experiment(validate_config(_with_global_options(ctx, document)), out_dir=ctx.obj["out"])
     click.echo(json.dumps(result.summary, sort_keys=True))
     ctx.exit(0 if result.passed else 1)

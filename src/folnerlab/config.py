@@ -11,11 +11,12 @@ whose default is half the depth gets it, `seed` is required with
 `centers.sample`, `depth` is at most `budgets.vertices`, and each analysis
 gets what it `needs` of the rest of the config.
 
-Config files and the CLI share this one way in: each analysis command turns
-its options into a raw config, and `reproduce` reads a config's fields again
-with the global options given, so a bad option fails here with the same
-error, naming the same field, as the config would.  Only `validate_sections`
-admits a config that enables no analysis, which is what `profile` runs.
+Config files and the CLI share this one way in: a command validates its
+document (a file's from `read_config`, or its options') once, after the
+global options given set their fields, so a bad option fails here with the
+same error, naming the same field, as the config would.  Only
+`validate_sections` admits a config that enables no analysis, which is what
+`profile` runs.
 
 A validated config is normalized (defaults filled in) before hashing, so two
 spellings of the same experiment share one hash, and every artifact written
@@ -46,7 +47,7 @@ from .registry import (
     seed_value,
 )
 
-__all__ = ["BUDGETS", "CENTERS", "ExperimentConfig", "validate_config", "validate_sections", "load_config"]
+__all__ = ["BUDGETS", "CENTERS", "ExperimentConfig", "validate_config", "validate_sections", "read_config"]
 
 CENTERS = {
     "basepoints": (center_labels, "all"),
@@ -137,15 +138,14 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     return config
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Read and validate a JSON config file, which is UTF-8 text."""
+def read_config(path: str | Path) -> Any:
+    """The JSON document of a config file, which is UTF-8 text, not yet validated."""
     data = Path(path).read_bytes()
     try:
-        raw = json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(
             f"config: byte {data[exc.start]:#04x} at offset {exc.start} is not UTF-8"
         ) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON ({exc})") from None
-    return validate_config(raw)

@@ -1,7 +1,7 @@
 """Bundled experiment configs, one per headline claim.
 
 Each recipe is an `ExperimentConfig` document, less its `output_dir`
-(`out/NAME`, filled in by `recipe_config`), plus a statement of the claim
+(`out/NAME`, filled in by `recipe_document`), plus a statement of the claim
 the run demonstrates.  `folnerlab reproduce NAME` runs one; the
 `claim` text is what `folnerlab reproduce --list` prints.  All of them fit
 in a few minutes and well under 4 GiB.
@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .config import ExperimentConfig, validate_config
-
-__all__ = ["Recipe", "RECIPES", "recipe", "recipe_config"]
+__all__ = ["Recipe", "RECIPES", "recipe", "recipe_document"]
 
 
 @dataclass(frozen=True)
@@ -186,6 +184,6 @@ def recipe(name: str) -> Recipe:
         raise KeyError(f"unknown recipe {name!r}; known: {known}") from None
 
 
-def recipe_config(name: str) -> ExperimentConfig:
-    """The validated config of a bundled recipe, written under out/NAME."""
-    return validate_config({**recipe(name).raw, "output_dir": f"out/{name}"})
+def recipe_document(name: str) -> dict[str, Any]:
+    """The config document of a bundled recipe, written under out/NAME."""
+    return {**recipe(name).raw, "output_dir": f"out/{name}"}

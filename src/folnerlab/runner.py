@@ -12,9 +12,10 @@ through the family table of `registry` (a graph file through
 `registry.graph_space`), profiles every center with the record's one
 `profile` call, and runs the enabled entries of the analysis table in table
 order, merging each entry's summary part and keeping its table.
-`run_experiment` writes what it returns, each table as `<name>.csv`; the
-CLI's analysis commands call it with the config their options make, and
-print their own part of it.
+`run_experiment` writes what it returns, each table as `<name>.csv`, and
+makes the output directory only then, so a run that fails writes nothing;
+`reproduce` calls it, and the CLI's analysis commands call `run_analyses`
+with the config their options make and print their own part of it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .analysis import shell_alpha  # noqa: F401  (kept importable from this modu
 from .config import ExperimentConfig
 from .errors import BudgetExceededError, ConfigError
 from .graphio import load_graph
-from .recipes import recipe_config
 from .registry import (
     ANALYSES,
     FAMILIES,
@@ -41,7 +41,7 @@ from .registry import (
 )
 from .space import sample_centers
 
-__all__ = ["ExperimentResult", "BuiltSpace", "build_space", "run_analyses", "run_experiment", "reproduce"]
+__all__ = ["ExperimentResult", "BuiltSpace", "build_space", "run_analyses", "run_experiment"]
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,10 @@ def run_analyses(config: ExperimentConfig) -> tuple[dict[str, Any], dict[str, Ta
 def run_experiment(
     config: ExperimentConfig, out_dir: str | Path | None = None
 ) -> ExperimentResult:
-    """Run every enabled analysis and write artifacts under the output dir."""
+    """Run every enabled analysis, then write artifacts under the output dir."""
+    summary, tables = run_analyses(config)
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary, tables = run_analyses(config)
     artifacts = []
     for name, (header, rows) in tables.items():
         path = out / f"{name}.csv"
@@ -144,7 +144,3 @@ def run_experiment(
     artifacts.append(summary_path)
     return ExperimentResult(summary=summary, artifacts=tuple(artifacts))
 
-
-def reproduce(name: str, out_dir: str | Path | None = None) -> ExperimentResult:
-    """Run a bundled recipe."""
-    return run_experiment(recipe_config(name), out_dir=out_dir)

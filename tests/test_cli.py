@@ -22,7 +22,7 @@ from folnerlab.cli import main
 from folnerlab.config import validate_config
 from folnerlab.errors import BudgetExceededError, ConfigError
 from folnerlab.groups import heisenberg_model
-from folnerlab.recipes import RECIPES, recipe_config
+from folnerlab.recipes import RECIPES, recipe_document
 from folnerlab.registry import ANALYSES, Context
 from folnerlab.space import VolumeProfile
 from folnerlab.runner import run_experiment
@@ -703,8 +703,10 @@ class TestBudgetOptionsAreValidatedAsConfigs:
 
 class TestReproduceTakesTheGlobalOptions:
     """--seed, --budget-vertices and --budget-elements, given on the command
-    line, set their fields of the recipe's or config file's config, which is
-    validated again; not given, they leave it as it is."""
+    line, set their fields of the recipe's or config file's document before
+    its one validation, so the file's own value of such a field is never
+    read; not given, they leave it as it is.  A run that fails writes
+    nothing."""
 
     def test_a_vertex_budget_below_the_depth_is_refused_before_any_output(self, tmp_path, runner):
         out = tmp_path / "D"
@@ -742,6 +744,46 @@ class TestReproduceTakesTheGlobalOptions:
         own = self._reproduce(tmp_path, runner, "own", self.SAMPLED)
         assert _body(given["profile.csv"].decode()) != _body(own["profile.csv"].decode())
 
+    def test_a_seed_given_completes_a_file_that_has_none(self, tmp_path, runner):
+        raw = {key: value for key, value in self.SAMPLED.items() if key != "seed"}
+        given = self._reproduce(tmp_path, runner, "given", raw, "--seed", "9")
+        assert given == self._reproduce(tmp_path, runner, "written", {**raw, "seed": 9})
+
+    def test_a_field_given_as_an_option_is_read_from_the_option(self, tmp_path, runner):
+        raw = {**self.SAMPLED, "seed": "x"}
+        given = self._reproduce(tmp_path, runner, "given", raw, "--seed", "9")
+        assert given == self._reproduce(tmp_path, runner, "written", {**raw, "seed": 9})
+        path = tmp_path / "own.json"
+        path.write_text(json.dumps(raw))
+        result = runner.invoke(main, ["--out", str(tmp_path / "own"), "reproduce", "--config", str(path)])
+        assert result.exit_code == 1
+        assert result.output == "Error: config.seed: expected an integer, got 'x'\n"
+
+    # global options, recipe name or config document, and the run-time error
+    FAILED_RUNS = {
+        "expansion": (["--budget-elements", "50"], "claims-5-3",
+                      "product expansion: size 61 exceeds budget 50 at layer 5"),
+        "centers": ([], {**SAMPLED, "budgets": {"elements": 20}}, "centers: size 28 exceeds budget 20"),
+        "shell-records": ([], {"space": {"family": "lattice", "d": 2, "radius": 12}, "depth": 12,
+                               "analyses": {"shell": {"k_min": 1, "n_max": 6, "record_all": True}},
+                               "budgets": {"elements": 20}},
+                          "analyses.shell.record_all: size 21 exceeds budget 20"),
+    }
+
+    @pytest.mark.parametrize("options,target,error", FAILED_RUNS.values(), ids=FAILED_RUNS)
+    def test_a_run_that_fails_leaves_no_output_directory(self, tmp_path, runner, options, target, error):
+        if isinstance(target, dict):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(target))
+            target = ["--config", str(path)]
+        else:
+            target = [target]
+        out = tmp_path / "run"
+        result = runner.invoke(main, [*options, "--out", str(out), "reproduce", *target])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {error}\n"
+        assert not out.exists()
+
     def test_a_budget_given_keeps_the_other_budget_of_the_file(self, tmp_path, runner):
         raw = {**self.SAMPLED, "budgets": {"vertices": 500, "elements": 1000}}
         artifacts = self._reproduce(tmp_path, runner, "run", raw, "--budget-vertices", "400")
@@ -764,11 +806,32 @@ class TestReproduceTakesTheGlobalOptions:
 
     @pytest.mark.parametrize("name", sorted(RECIPES))
     def test_a_validated_config_reads_back_as_itself(self, name):
-        # What the options override: a config's own fields, read again.
-        config = recipe_config(name)
+        # A normalized config is a fixed point of the validation.
+        config = validate_config(recipe_document(name))
         again = validate_config(dataclasses.asdict(config))
         assert again == config
         assert again.digest == config.digest
+
+
+class TestAnOutThatCannotBeWritten:
+    """An --out that cannot be written exits 1 with one error line that
+    names it, and no traceback."""
+
+    @pytest.mark.parametrize("out,command", [
+        ("afile", ["reproduce", "abelian"]),
+        ("nodir/x.csv", ["powers", "--n-max", "3"]),
+    ], ids=["a-file-as-the-directory", "a-missing-directory"])
+    def test_one_error_line(self, tmp_path, child_env, out, command):
+        (tmp_path / "afile").write_text("")
+        result = subprocess.run(
+            [sys.executable, "-m", "folnerlab", "--out", out, *command],
+            capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=120,
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("Error: ")
+        assert repr(out) in line
 
 
 # (command line, the config fields it sets but for the defaulted options);

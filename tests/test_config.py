@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from folnerlab.config import ExperimentConfig, load_config, validate_config, validate_sections
+from folnerlab.config import ExperimentConfig, read_config, validate_config, validate_sections
 from folnerlab.errors import ConfigError
-from folnerlab.recipes import RECIPES, recipe, recipe_config
+from folnerlab.recipes import RECIPES, recipe, recipe_document
 from folnerlab.runner import run_analyses
 
 
@@ -217,7 +217,7 @@ class TestAnalyses:
         path.write_text(json.dumps(_base(analyses={"ergodic": {"start": [float("nan"), 0.2]}})))
         assert "NaN" in path.read_text()
         with pytest.raises(ConfigError, match="start: expected a list of two finite numbers"):
-            load_config(path)
+            validate_config(read_config(path))
 
     @pytest.mark.parametrize("observable", ["bogus", ["cos_x"], 3])
     def test_ergodic_unknown_observable(self, observable):
@@ -354,7 +354,7 @@ class TestLoadConfig:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(_base()))
-        cfg = load_config(path)
+        cfg = validate_config(read_config(path))
         assert isinstance(cfg, ExperimentConfig)
         assert cfg.depth == 16
 
@@ -362,7 +362,7 @@ class TestLoadConfig:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="invalid JSON"):
-            load_config(path)
+            validate_config(read_config(path))
 
 
 class TestRecipes:
@@ -381,7 +381,7 @@ class TestRecipes:
 
     def test_every_recipe_validates(self):
         for name in RECIPES:
-            cfg = recipe_config(name)
+            cfg = validate_config(recipe_document(name))
             assert cfg.depth >= 1
 
     def test_unknown_recipe(self):

@@ -24,7 +24,7 @@ import sys
 
 import pytest
 
-from folnerlab.config import ExperimentConfig, load_config, validate_sections
+from folnerlab.config import ExperimentConfig, read_config, validate_config, validate_sections
 from folnerlab.errors import ConfigError
 from folnerlab.generators import DEFAULT_VERTEX_BUDGET
 from folnerlab.products import DEFAULT_ELEMENT_BUDGET
@@ -265,7 +265,7 @@ class TestEveryFieldIsRead:
         path.write_text(json.dumps(_set(_BASE, "analyses.verify.slope_tolerance", value)))
         assert f'"slope_tolerance": {text}' in path.read_text()
         with pytest.raises(ConfigError) as error:
-            load_config(path)
+            validate_config(read_config(path))
         assert str(error.value) == f"analyses.verify.slope_tolerance: expected a finite number, got {value!r}"
 
     @pytest.mark.parametrize("family", [["lattice"], {"lattice": 1}, 3])

@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 
 from folnerlab import runner
-from folnerlab.recipes import RECIPES, recipe_config
+from folnerlab.config import validate_config
+from folnerlab.recipes import RECIPES, recipe_document
 from folnerlab.registry import profile_table, write_csv
 from folnerlab.runner import run_analyses
 
@@ -82,7 +83,7 @@ def test_recipe_tables_match_the_reference(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "profile_table", profile)
     monkeypatch.setattr(runner, "run_analyses", analyses)
-    result = runner.run_experiment(recipe_config(name), tmp_path)
+    result = runner.run_experiment(validate_config(recipe_document(name)), tmp_path)
     [(summary, tables)] = ran
     digest = summary["config"]
     for table, (header, columns) in tables.items():

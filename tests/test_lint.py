@@ -6,11 +6,14 @@ Core claims, for every module of src/folnerlab:
       carries `# noqa` (a name kept importable on purpose)
     - every name listed in `__all__` is defined in the module
     - every name listed in `__all__` is reached from an entry point of the
-      package (`cli.main`, `runner.run_experiment`, `runner.reproduce`)
-      through the module-level names that each one reads, or is kept for a
+      package (`cli.main`, `runner.run_experiment`) through the
+      module-level names that each one reads, or is kept for a
       reason that `KEPT` states; a name in `KEPT` that is reached is stale,
       and so is one kept for the benchmark that no `Layer(...)` of
       bench/layers.py (read with `ast` too) names
+    - every `Layer(...)` of bench/layers.py names a module-level function,
+      or a method of a module-level class, of src, and the second parameter
+      of `ergodic.ergodic_trace` is `sequence`, as the benchmark reads it
     - every defaulted parameter of a function that src calls by name (a
       class's `__init__` by the class name) is passed by some call of that
       name in src, by position or keyword, or is kept for a reason that
@@ -102,7 +105,7 @@ KEPT = {
     ("space", "monotone_geodesic"): "the acceptance suite computes its geodesics",
     ("space", "bfs_distances"): "the acceptance suite computes its distances",
 }
-ENTRY_POINTS = [("cli", "main"), ("runner", "run_experiment"), ("runner", "reproduce")]
+ENTRY_POINTS = [("cli", "main"), ("runner", "run_experiment")]
 BENCH_LAYERS = SOURCE.parents[1] / "bench" / "layers.py"
 
 
@@ -170,6 +173,29 @@ def test_names_kept_for_the_benchmark_are_traced_layers():
     stale = sorted(key for key, reason in KEPT.items()
                    if "benchmark" in reason and ".".join(key) not in layers)
     assert not stale, f"KEPT for the benchmark, but no traced layer: {stale}"
+
+
+def test_the_traced_layers_exist():
+    """Each `Layer("m.f")` or `Layer("m.C.f")` of the benchmark names a
+    module-level function of src/folnerlab/m.py, or a method of a
+    module-level class there."""
+    missing = []
+    for layer in sorted(_traced_layers()):
+        module, *path = layer.split(".")
+        source = SOURCE / f"{module}.py"
+        scope = _tree(source).body if source.exists() and len(path) in (1, 2) else []
+        for kind, name in zip([ast.ClassDef] * (len(path) - 1) + [ast.FunctionDef], path):
+            scope = next((node.body for node in scope if isinstance(node, kind) and node.name == name), [])
+        if not scope:
+            missing.append(layer)
+    assert not missing, f"traced layers of {BENCH_LAYERS} not found in src: {missing}"
+
+
+def test_the_ergodic_trace_takes_the_sequence_that_the_benchmark_reads():
+    # bench/layers.py `_evaluations` reads `args[1]`, or `kwargs["sequence"]`
+    (trace,) = [node for node in _tree(SOURCE / "ergodic.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "ergodic_trace"]
+    assert [*trace.args.posonlyargs, *trace.args.args][1].arg == "sequence"
 
 
 # Defaulted parameters that no call in src passes, each kept for a stated reason.

@@ -27,8 +27,9 @@ import pytest
 from click.testing import CliRunner
 
 from folnerlab.cli import main
-from folnerlab.recipes import RECIPES
-from folnerlab.runner import reproduce
+from folnerlab.config import validate_config
+from folnerlab.recipes import RECIPES, recipe_document
+from folnerlab.runner import run_experiment
 
 EXACT = ("profile", "shell", "dyadic", "annulus", "abelian", "claims")
 
@@ -84,7 +85,7 @@ def reproduced(tmp_path_factory):
     def run(name):
         if name not in runs:
             out = tmp_path_factory.mktemp(name)
-            runs[name] = (reproduce(name, out_dir=out), out)
+            runs[name] = (run_experiment(validate_config(recipe_document(name)), out), out)
         return runs[name]
 
     return run
