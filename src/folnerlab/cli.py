@@ -346,12 +346,12 @@ def ergodic(ctx, observable, start, n_max):
 @_friendly
 def reproduce(ctx, name, list_recipes, config_path):
     """Run a bundled recipe (or a config file) and write its artifacts."""
+    if [name is not None, config_path is not None, list_recipes].count(True) != 1:
+        raise click.ClickException("give a recipe name, --config FILE, or --list")
     if list_recipes:
         for recipe_name in sorted(RECIPES):
             click.echo(f"{recipe_name}: {RECIPES[recipe_name].claim}")
         return
-    if config_path is None and name is None:
-        raise click.ClickException("give a recipe name, --config FILE, or --list")
     document = read_config(config_path) if config_path is not None else recipe_document(name)
     result = run_experiment(validate_config(_with_global_options(ctx, document)), out_dir=ctx.obj["out"])
     click.echo(json.dumps(result.summary, sort_keys=True))

@@ -5,7 +5,9 @@ Four families of unit-edge graphs with named basepoints:
 word_ball / cayley_ball
     The radius-R word ball in Z^d or H3(Z) for a symmetrized generating
     set S is the powers U^r = B(r), r <= R, of U = S with the identity
-    adjoined: a `WordBall` is their `ProductSequence` (layer r = the
+    adjoined: a `WordBall` is their `ProductSequence`, whose factors are
+    the one run (U, R), so a radius far past the budget costs nothing
+    before the layer that exceeds it (layer r = the
     elements of word length exactly r, sorted, so indexing is
     deterministic) plus the graph.  Every geodesic word keeps its prefixes
     inside the ball, so graph distance from the basepoint "origin" is word
@@ -51,7 +53,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .groups import Element, GroupModel, Repeat, check_generates, common, expand, lookup, step_images
+from .groups import Element, GroupModel, check_generates, common, expand, lookup, step_images
 from .products import ProductSequence
 from .space import Graph, VolumeProfile
 
@@ -86,7 +88,7 @@ class WordBall(ProductSequence):
         before the last lies in the ball, and a product of the last layer
         does exactly when it lands in the last two layers.
         """
-        steps = self.model.symmetrize(next(iter(self.factors), ()))  # radius 0 has none
+        steps = self.model.symmetrize(self.factors[0][0])
         last = self.layers[-1].keys
         images = step_images(self.model, self.layers[0].box, steps)(last)
         inside = sum(len(common(row, layer.keys)[0]) for layer in self.layers[-2:] for row in images)
@@ -100,7 +102,7 @@ class WordBall(ProductSequence):
         a miss lies outside the ball.  The steps are closed under inversion,
         so keeping i < j finds every edge exactly once.
         """
-        steps = self.model.symmetrize(next(iter(self.factors), ()))
+        steps = self.model.symmetrize(self.factors[0][0])
         keys = np.concatenate([layer.keys for layer in self.layers])
         rank = np.argsort(keys)
         plan = step_images(self.model, self.layers[0].box, steps)
@@ -135,9 +137,9 @@ def word_ball(
     unit = tuple(sorted((model.identity, *steps)))
     # One factor more than the radius, never expanded: it sizes the box for
     # the one-step neighbors that `edges` and `edge_count` encode.
-    layers = expand(model, [model.identity], Repeat(unit, radius + 1), vertex_budget, "cayley_ball")
+    layers = expand(model, [model.identity], [(unit, radius + 1)], vertex_budget, "cayley_ball")
     # The set generates Z^d or H3, both infinite, so no layer of the ball is empty.
-    return WordBall(model, Repeat(unit, radius), tuple(islice(layers, radius + 1)))
+    return WordBall(model, ((unit, radius),), tuple(islice(layers, radius + 1)))
 
 
 def cayley_ball(

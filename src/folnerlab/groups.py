@@ -12,8 +12,10 @@ The law has one implementation per model, `multiply_rows`, on int64 arrays
 of elements; `invert` (on tuples) serves symmetrization and `expand`'s test
 for a factor closed under inversion, and `reach` bounds the coordinates of
 products.  With them, `expand` computes the birth layers of N_0 = seeds,
-N_n = N_(n-1) * (F_n with the identity adjoined): elements are packed into
-int64 keys over a box that `reach` bounds (`KeyBox`), and each layer is the
+N_n = N_(n-1) * (F_n with the identity adjoined).  Its factors come as runs
+(F, count), so the powers U^n of one set are the one run (U, n) and the
+step count enters only through `reach`.  Elements are packed into int64
+keys over a box that `reach` bounds (`KeyBox`), and each layer is the
 sorted set of products not reached before.  The law also acts on keys:
 a key is affine in the coordinates and g -> g * s is affine in g, so
 key(g * s) = key(g) + key(s) - key(1), plus s_y * x(g) in H3, with slopes
@@ -42,8 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from itertools import combinations, groupby, repeat
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -58,7 +60,6 @@ __all__ = [
     "KeyBox",
     "Layer",
     "KeySet",
-    "Repeat",
     "expand",
     "step_images",
     "lookup",
@@ -343,28 +344,10 @@ class Layer(KeySet):
         return self.box.elements(self.keys if self.order is None else self.order)
 
 
-class Repeat(Sequence):
-    """`count` copies of one item, held once: the factors of a power U^count,
-    for `expand`, without a list as long as the power."""
-
-    def __init__(self, item: Any, count: int):
-        self.item, self.count = item, count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, i: int | slice) -> Any:
-        picked = range(self.count)[i]  # IndexError and slices as for a list
-        return Repeat(self.item, len(picked)) if isinstance(picked, range) else self.item
-
-    def __iter__(self) -> Iterator[Any]:
-        return repeat(self.item, self.count)
-
-
 def expand(
     model: GroupModel,
     seeds: Iterable[Element] | KeySet,
-    factors: Sequence[Iterable[Element]],
+    factors: Sequence[tuple[Iterable[Element], int]],
     budget: int,
     stage: str,
     ordered: bool = False,
@@ -372,32 +355,35 @@ def expand(
     """Birth layers of N_0 = seeds, N_n = N_(n-1) * (F_n with the identity
     adjoined), one per step, computed only as they are consumed.
 
-    Layer 0 holds the seeds and layer n holds N_n minus N_(n-1).  Products
-    of the newest layer suffice when F_n lies inside F_(n-1), since then
-    N_(n-2) * F_n lies in N_(n-1); otherwise all of N_(n-1) is multiplied.
-    A product is new unless an earlier layer holds it.  Every key lies in
-    [0, cells) of the run's `KeyBox`, so when the box has at most 8 cells
-    per key of `budget` (its bool map then takes no more bytes than the
-    int64 keys the budget allows), one map marks every key born so far:
-    the fresh test is one gather before the candidates are sorted, for any
-    factors.  A larger box (Z^d at high rank, far-off seeds) keeps sorted
-    arrays instead, searched after the sort: with one fixed factor closed
-    under inversion only the last two layers can hold a product (if g * s
-    were born before layer n - 1, then g = (g * s) * s^-1 would be born
-    before layer n), and otherwise the union of all layers is kept.  With
-    `ordered`, each layer also comes in discovery order, the order in which
-    a loop over the sources (in their discovery order) and then the sorted
-    factor first meets its elements.
+    `factors` are runs (F, count), count steps by the factor F: the powers
+    of one set U are [(U, n)].  Layer 0 holds the seeds and layer n holds
+    N_n minus N_(n-1).  Products of the newest layer suffice when F_n lies
+    inside F_(n-1), since then N_(n-2) * F_n lies in N_(n-1); otherwise all
+    of N_(n-1) is multiplied.  A product is new unless an earlier layer
+    holds it.  Every key lies in [0, cells) of the expansion's `KeyBox`, so
+    when the box has at most 8 cells per key of `budget` (its bool map then
+    takes no more bytes than the int64 keys the budget allows), one map
+    marks every key born so far: the fresh test is one gather before the
+    candidates are sorted, for any factors.  A larger box (Z^d at high
+    rank, far-off seeds) keeps sorted arrays instead, searched after the
+    sort: with one fixed factor closed under inversion only the last two
+    layers can hold a product (if g * s were born before layer n - 1, then
+    g = (g * s) * s^-1 would be born before layer n), and otherwise the
+    union of all layers is kept.  With `ordered`, each layer also comes in
+    discovery order, the order in which a loop over the sources (in their
+    discovery order) and then the sorted factor first meets its elements.
 
-    Each run of equal consecutive factors is normalised once, each distinct
-    factor's step plan is built once, and nothing is built per step before
-    its layer: the factors of a power can come as a `Repeat`.  The running
+    Each run is normalised once and each distinct factor's step plan built
+    once; the step count enters only as the sum of the counts, which sizes
+    the key box, so nothing is done per step before its layer.  The running
     total is checked against `budget` as each layer is added
     (BudgetExceededError naming `stage` and the layer); a box too large for
     int64 keys is rejected before any array is allocated.  The seeds may
     come as tuples or as a `KeySet`.
     """
-    runs = [tuple(sorted(set(f) - {model.identity})) for f, _ in groupby(factors)]
+    runs = [(tuple(sorted(set(f) - {model.identity})), count) for f, count in factors if count]
+    distinct = {f for f, _ in runs}
+    steps = sum(count for _, count in runs)
 
     def maxima(elements: Sequence[Element]) -> list[int]:
         return [max((abs(g[c]) for g in elements), default=0) for c in range(model.rank)]
@@ -408,15 +394,15 @@ def expand(
     else:
         seeds = list(dict.fromkeys(seeds))
         seed_max = maxima(seeds)
-    offsets = model.reach(seed_max, maxima([s for f in runs for s in f]), len(factors))
+    offsets = model.reach(seed_max, maxima([s for f in distinct for s in f]), steps)
     box = KeyBox(tuple(offsets), tuple(2 * b + 1 for b in offsets))
     cells = math.prod(box.widths)
     if cells > _KEY_CELLS:
         raise ValueError(
-            f"{stage}: the bounding box of {len(factors)} steps has {cells} "
+            f"{stage}: the bounding box of {steps} steps has {cells} "
             "cells, too many for int64 keys"
         )
-    symmetric = len(set(runs)) == 1 and set(map(model.invert, runs[0])) == set(runs[0])
+    symmetric = len(distinct) == 1 and set(map(model.invert, runs[0][0])) == set(runs[0][0])
     order = box.encode(np.array(seeds, dtype=np.int64).reshape(len(seeds), model.rank))
     layers = [Layer(np.sort(order), box, order if ordered else None)]
     mapped = cells <= _MAP_CELLS_PER_KEY * budget
@@ -427,10 +413,9 @@ def expand(
         seen = layers[0].keys  # the union of all layers, unless `symmetric`
     total = len(layers[0])
     yield layers[0]
-    steps = (run for run, (_, group) in zip(runs, groupby(factors)) for _ in group)
-    previous = runs[0] if runs else ()
-    plans = {run: step_images(model, box, run) for run in set(runs)}  # one per distinct factor
-    for n, factor in enumerate(steps, start=1):
+    plans = {f: step_images(model, box, f) for f in distinct}  # one per distinct factor
+    previous = runs[0][0] if runs else ()
+    for n, factor in enumerate((f for f, count in runs for _ in range(count)), start=1):
         if factor is previous or set(factor) <= set(previous):  # the newest layer suffices
             sources = layers[-1].order if ordered else layers[-1].keys
         else:

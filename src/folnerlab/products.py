@@ -5,13 +5,15 @@ All sizes and ratios here are exact.  Products are one-sided
 adjoined to every factor before multiplying; that makes the sequence of
 products nondecreasing.
 
-Every expansion here is `groups.expand`.  A `ProductSequence` keeps the
+Every expansion here is `groups.expand`, and its factors are runs
+(U, count): the powers of one set are [(U, n)], varying factors one run
+each.  A `ProductSequence` keeps the
 kernel's birth layers (sorted keys, one key box) as the one record of the
 products of its seeds N_0 ({1}, or a middle shell of the claims sandwich):
 each N_n and each shell N_b minus N_a is a run of consecutive layers.
-Discovery order is opt-in (`ordered`, default True): only
-`ergodic.ergodic_trace` reads it, so callers that read sizes and shells ask
-for sorted layers and skip its sorts.
+Layers come in discovery order by default (`ordered=True`); only
+`ergodic.ergodic_trace` reads that order, so callers that read sizes and
+shells pass `ordered=False` and skip its sorts.
 Shells and set products are `KeySet`s, so the word-shell sandwich is tested
 on keys; only `birth` decodes tuples, for callers that want elements.
 When N_0 = {1}, `profile` is the identity's volume profile, read off the
@@ -29,7 +31,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
-from .groups import Element, GroupModel, KeySet, Layer, Repeat, check_generates, expand
+from .groups import Element, GroupModel, KeySet, Layer, check_generates, expand
 from .space import VolumeProfile
 
 __all__ = [
@@ -52,13 +54,15 @@ class ProductSequence:
 
     `layers[n]` is the kernel's layer N_n minus N_(n-1) (layer 0 the
     seeds), with its discovery order if asked for; all layers share one
-    key box, and N_n is the union of layers 0..n.  `sizes[n] = |N_n|`.  `factors[n - 1]`
-    is U_n, sorted, with the identity adjoined; the powers of one set hold
-    it once, as a `Repeat`.  `profile` applies only when N_0 = {1}.
+    key box, and N_n is the union of layers 0..n.  `sizes[n] = |N_n|`.
+    `factors` holds the runs (U, count) of `groups.expand`, each U sorted
+    with the identity adjoined: the powers of one set are [(U, n)], so the
+    set is held once however many steps there are.  `profile` applies only
+    when N_0 = {1}.
     """
 
     model: GroupModel
-    factors: Sequence[tuple[Element, ...]]
+    factors: Sequence[tuple[tuple[Element, ...], int]]
     layers: tuple[Layer, ...]
 
     @cached_property
@@ -104,7 +108,7 @@ def product_powers(
     if isinstance(generating_set, str):
         generating_set = model.generating_set(generating_set)
     check_generates(model, generating_set)
-    factors = Repeat(_adjoin(model, generating_set), n_max)
+    factors = ((_adjoin(model, generating_set), n_max),)
     layers = expand(model, [model.identity], factors, element_budget, "product expansion", ordered)
     return ProductSequence(model, factors, tuple(layers))
 
@@ -142,7 +146,7 @@ def varying_products(
             raise ValueError(
                 f"factor {i} exceeds the outer certificate by {sorted(excess)}"
             )
-    factors = tuple(_adjoin(model, f) for f in factors)
+    factors = tuple((_adjoin(model, f), 1) for f in factors)
     layers = expand(model, [model.identity], factors, element_budget, "product expansion", ordered)
     return ProductSequence(model, factors, tuple(layers))
 
@@ -163,7 +167,7 @@ def product_with_powers(
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
 ) -> KeySet:
     """The set base * U^m with the identity adjoined to U, via m expansions."""
-    layers = list(expand(model, base, Repeat(generating_set, m), element_budget, "set product"))
+    layers = list(expand(model, base, [(generating_set, m)], element_budget, "set product"))
     return KeySet.union(layers, layers[0].box)
 
 
@@ -201,21 +205,23 @@ def shell_inclusion_check(
         if n + k > sequence.steps:
             raise ValueError(f"needs the powers up to n + k = {n + k}, got {sequence.steps}")
         middles.setdefault(n - k // 2, set()).add(k)
-    if len(set(sequence.factors)) != 1:
+    distinct = {factor for factor, count in sequence.factors if count}
+    if len(distinct) != 1:
         raise ValueError("needs the powers of one generating set")
     outcomes = {}
     for h, ks in middles.items():
-        outcomes.update(_sandwich(sequence, h, ks, element_budget))
+        outcomes.update(_sandwich(sequence, *distinct, h, ks, element_budget))
     return [outcomes[pair] for pair in pairs]
 
 
 def _sandwich(
-    sequence: ProductSequence, h: int, ks: set[int], element_budget: int
+    sequence: ProductSequence, unit: tuple[Element, ...], h: int, ks: set[int], element_budget: int
 ) -> dict[tuple[int, int], tuple[bool, bool]]:
     """The outcomes at (h + k/2, k) for each k of `ks`, from one expansion of
-    the middle shell C_{h, h+1} to twice the largest k, the record `grown`
-    with N_0 = C_{h, h+1}: C_{h, h+1} * U^m is its prefix `grown.shell(-1, m)`."""
-    steps = Repeat(sequence.factors[0], 2 * max(ks))
+    the middle shell C_{h, h+1} by the factor `unit` to twice the largest k,
+    the record `grown` with N_0 = C_{h, h+1}: C_{h, h+1} * U^m is its prefix
+    `grown.shell(-1, m)`."""
+    steps = ((unit, 2 * max(ks)),)
     layers = expand(sequence.model, sequence.shell(h, h + 1), steps, element_budget, "set product")
     grown = ProductSequence(sequence.model, steps, tuple(layers))
     outcomes = {}

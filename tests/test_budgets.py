@@ -14,6 +14,12 @@ Core claims:
       a stretch of 10^6 fails at the first level past the budget
     - product_powers builds nothing per step before a layer, so 10^5 steps
       at an element budget of 1,000 fail at layer 22 in constant memory
+    - a step count enters an expansion only as the sum of its runs' counts,
+      so 10^18 steps of Z^1 and a Z^2 word ball of radius 10^9 fail at the
+      budget's layer at once, and 10^9 steps in H3 fail on the int64 key
+      box; from the command line, `powers --n-max 10^18` and a lattice
+      config of radius 10^9 or 10^18 exit 1 with one error line, well
+      inside a timeout
     - an expansion keeps a seen map of its key box only when the box has at
       most 8 cells per key of the budget: the Z^8 radius-3 ball (833
       elements in 9^8 cells) at a budget of 1,000 allocates none, and a run
@@ -26,7 +32,10 @@ Core claims:
       drawn: a sample of 10^9 centers fails at once
 """
 
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -90,6 +99,64 @@ def test_powers_build_nothing_per_step_before_a_layer():
     message, peak = _refused(lambda: product_powers(zd_model(2), "standard", 10**5, 1000))
     assert message == "product expansion: size 1013 exceeds budget 1000 at layer 22"
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        pytest.param(
+            lambda: product_powers(zd_model(1), [(1,), (-1,)], 10**18, 1000),
+            "product expansion: size 1001 exceeds budget 1000 at layer 500",
+            id="Z1-powers-n1e18",
+        ),
+        pytest.param(
+            lambda: word_ball(zd_model(2), "standard", 10**9, 1000),
+            "cayley_ball: size 1013 exceeds budget 1000 at layer 22",
+            id="Z2-ball-r1e9",
+        ),
+    ],
+)
+def test_a_step_count_far_past_the_budget_costs_nothing(build, message):
+    got, peak = _refused(build)
+    assert got == message
+    assert peak < 2**20
+
+
+def test_a_step_count_past_the_key_box_fails_before_a_layer():
+    message = "product expansion: the bounding box of 1000000000 steps has [0-9]+ cells, too many for int64 keys"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        product_powers(heisenberg_model(), "standard", 10**9)
+
+
+def _cli(tmp_path, child_env, *args):
+    return subprocess.run(
+        [sys.executable, "-m", "folnerlab", "--out", str(tmp_path / "out"), *args],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+
+
+def test_powers_of_10_18_steps_exit_1_at_the_budget(tmp_path, child_env):
+    result = _cli(
+        tmp_path, child_env, "--budget-elements", "1000", "powers", "--group", "zd", "--d", "1",
+        "--set", "[[1],[-1]]", "--n-max", str(10**18),
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "Error: product expansion: size 1001 exceeds budget 1000 at layer 500\n"
+
+
+@pytest.mark.parametrize("d,radius,size,layer", [(2, 10**9, 1013, 22), (1, 10**18, 1001, 500)])
+def test_a_lattice_radius_far_past_the_budget_exits_1(tmp_path, child_env, d, radius, size, layer):
+    config = tmp_path / "far.json"
+    config.write_text(json.dumps({
+        "space": {"family": "lattice", "d": d, "radius": radius}, "depth": 2,
+        "analyses": {"annulus": {}}, "budgets": {"vertices": 1000},
+    }))
+    result = _cli(tmp_path, child_env, "reproduce", "--config", str(config))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"Error: cayley_ball: size {size} exceeds budget 1000 at layer {layer}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_box_past_eight_cells_per_key_gets_no_map():

@@ -354,6 +354,26 @@ class TestReproduce:
         result = runner.invoke(main, ["reproduce"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            ["theorem-heisenberg", "--config", "{config}"],
+            ["no-such-recipe", "--list"],
+            ["--config", "{config}", "--list"],
+            ["theorem-heisenberg", "--config", "{config}", "--list"],
+        ],
+        ids=["name-config", "name-list", "config-list", "all-three"],
+    )
+    def test_refuses_more_than_one_target(self, tmp_path, runner, target):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"space": {"family": "lattice", "d": 2, "radius": 1}, "depth": 2}))
+        out = tmp_path / "run"
+        args = [arg.format(config=config) for arg in target]
+        result = runner.invoke(main, ["--out", str(out), "reproduce", *args])
+        assert result.exit_code == 1
+        assert result.output == "Error: give a recipe name, --config FILE, or --list\n"
+        assert not out.exists()
+
     def test_config_file_run(self, tmp_path, runner):
         cfg = {
             "space": {"family": "lattice", "d": 2, "radius": 12},

@@ -49,7 +49,7 @@ import pytest
 from folnerlab import groups
 from folnerlab.errors import BudgetExceededError, NotGeneratingError
 from folnerlab.generators import word_ball
-from folnerlab.groups import KeyBox, KeySet, Repeat, check_generates, common, expand, heisenberg_model, zd_model
+from folnerlab.groups import KeyBox, KeySet, check_generates, common, expand, heisenberg_model, zd_model
 from folnerlab.products import DEFAULT_ELEMENT_BUDGET, product_powers, product_with_powers, varying_products
 from tuple_law import multiply, reference_birth, reference_layers
 
@@ -135,7 +135,7 @@ class TestKernelLayers:
         model = MODELS[name][0]
         factors = [gens] * STEPS[name]
         expected = list(reference_layers(model, [model.identity], factors))
-        got = list(expand(model, [model.identity], factors, DEFAULT_ELEMENT_BUDGET, "test", ordered))
+        got = list(expand(model, [model.identity], [(gens, STEPS[name])], DEFAULT_ELEMENT_BUDGET, "test", ordered))
         assert len(got) == len(expected)
         for layer, reference in zip(got, expected):
             assert layer.box.elements(layer.keys) == sorted(reference)
@@ -152,10 +152,31 @@ class TestKernelLayers:
         seeds.append(seeds[0])  # a repeated seed is one element
         factors = [gens] * 3
         expected = list(reference_layers(model, seeds, factors))
-        got = [layer.elements() for layer in expand(model, seeds, factors, DEFAULT_ELEMENT_BUDGET, "test", True)]
+        got = [layer.elements() for layer in expand(model, seeds, [(gens, 3)], DEFAULT_ELEMENT_BUDGET, "test", True)]
         assert got == expected
         brute = _brute_products(model, seeds, factors)
         assert [set().union(*got[: n + 1]) for n in range(4)] == brute
+
+    @pytest.mark.parametrize("name,gens", _cases())
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_a_run_is_its_steps_one_by_one(self, name, gens, ordered):
+        model = MODELS[name][0]
+        n = STEPS[name]
+        run = list(expand(model, [model.identity], [(gens, n)], DEFAULT_ELEMENT_BUDGET, "test", ordered))
+        steps = list(expand(model, [model.identity], [(gens, 1)] * n, DEFAULT_ELEMENT_BUDGET, "test", ordered))
+        assert len(run) == len(steps) == n + 1
+        for a, b in zip(run, steps):
+            assert a.box == b.box
+            assert a.keys.tolist() == b.keys.tolist()
+            assert a.elements() == b.elements()
+
+    @pytest.mark.parametrize("name,gens", _cases(1))
+    def test_a_run_of_count_zero_adds_no_layer(self, name, gens):
+        model = MODELS[name][0]
+        other = model.generating_set("standard")
+        for runs, steps in [([(gens, 0)], 0), ([(other, 0), (gens, 2), (other, 0)], 2)]:
+            got = [layer.elements() for layer in expand(model, [model.identity], runs, DEFAULT_ELEMENT_BUDGET, "test", True)]
+            assert got == list(reference_layers(model, [model.identity], [gens] * steps))
 
     def test_the_cases_include_both_kinds_of_sets(self):
         kinds = set()
@@ -301,7 +322,7 @@ class TestKeyBox:
         with pytest.raises(ValueError, match="set product: .* too many for int64 keys"):
             product_with_powers(model, [(0, 0)], huge, 2**12)
         with pytest.raises(ValueError, match="test: .* too many for int64 keys"):
-            next(expand(model, [(2**62, 0)], [[(1, 0)]], DEFAULT_ELEMENT_BUDGET, "test"))
+            next(expand(model, [(2**62, 0)], [([(1, 0)], 1)], DEFAULT_ELEMENT_BUDGET, "test"))
 
     def test_the_largest_box_that_fits_is_exact(self):
         # Offsets 2^30 and 2^31 - 2, so 2^63 - 2^31 - 3 cells: the corner
@@ -309,7 +330,7 @@ class TestKeyBox:
         model = zd_model(2)
         a, b = 2**30 - 1, 2**31 - 3
         seeds = [(a, b), (-a, -b)]
-        layers = list(expand(model, seeds, [[(1, 0), (0, 1)]], DEFAULT_ELEMENT_BUDGET, "test", True))
+        layers = list(expand(model, seeds, [([(1, 0), (0, 1)], 1)], DEFAULT_ELEMENT_BUDGET, "test", True))
         assert layers[0].elements() == seeds
         assert layers[1].elements() == [(a, b + 1), (a + 1, b), (-a, 1 - b), (1 - a, -b)]
         assert layers[1].keys[-1] > 2**63 - 2**33
@@ -339,7 +360,7 @@ class TestSeenMapAgainstSortedPath:
         model = MODELS[name][0]
         factors = [gens] * STEPS[name]
         calls = _take(path, monkeypatch)
-        got = list(expand(model, [model.identity], factors, DEFAULT_ELEMENT_BUDGET, "test", ordered))
+        got = list(expand(model, [model.identity], [(gens, STEPS[name])], DEFAULT_ELEMENT_BUDGET, "test", ordered))
         assert bool(calls) == (path == "sorted")  # the map path searches nothing
         expected = list(reference_layers(model, [model.identity], factors))
         assert [layer.box.elements(layer.keys) for layer in got] == [sorted(e) for e in expected]
@@ -353,7 +374,7 @@ class TestSeenMapAgainstSortedPath:
         seeds = [tuple(rng.randint(-14, 14) for _ in range(model.rank)) for _ in range(6)]
         factors = [gens] * 3
         calls = _take(path, monkeypatch)
-        got = [layer.elements() for layer in expand(model, seeds, factors, DEFAULT_ELEMENT_BUDGET, "test", True)]
+        got = [layer.elements() for layer in expand(model, seeds, [(gens, 3)], DEFAULT_ELEMENT_BUDGET, "test", True)]
         assert bool(calls) == (path == "sorted")
         assert got == list(reference_layers(model, seeds, factors))
 
@@ -370,7 +391,8 @@ class TestSeenMapAgainstSortedPath:
         x, y = [g for g in extras if g != model.identity][:2]
         factors = [inner + [x], inner + [y]] * 2 + [inner + [x, y], inner + [x], inner]
         calls = _take(path, monkeypatch)
-        got = [layer.elements() for layer in expand(model, [model.identity], factors, DEFAULT_ELEMENT_BUDGET, "test", ordered)]
+        runs = [(factor, 1) for factor in factors]
+        got = [layer.elements() for layer in expand(model, [model.identity], runs, DEFAULT_ELEMENT_BUDGET, "test", ordered)]
         assert bool(calls) == (path == "sorted")
         expected = list(reference_layers(model, [model.identity], factors))
         assert got == (expected if ordered else [sorted(e) for e in expected])
@@ -383,13 +405,14 @@ class TestSeenMapAgainstSortedPath:
         seeds = [(14, -13, 12), (-12, 14, -14), (0, 0, 0)]
         factors = [model.generating_set("standard")] * 3
         expected = list(reference_layers(model, seeds, factors))
-        box = next(expand(model, seeds, factors, DEFAULT_ELEMENT_BUDGET, "test")).box
+        runs = [(factors[0], 3)]
+        box = next(expand(model, seeds, runs, DEFAULT_ELEMENT_BUDGET, "test")).box
         least = -(-math.prod(box.widths) // 8)  # the least budget with a map
         calls = _take("map", monkeypatch)
         for budget, searched in [(least, False), (least - 1, True)]:
             assert budget >= sum(map(len, expected))
             calls.clear()
-            got = [layer.elements() for layer in expand(model, seeds, factors, budget, "test", ordered)]
+            got = [layer.elements() for layer in expand(model, seeds, runs, budget, "test", ordered)]
             assert bool(calls) == searched
             assert got == (expected if ordered else [sorted(e) for e in expected])
 
@@ -401,7 +424,7 @@ OLDER_SEARCHED = {"older into candidates"}
 BOTH = {"older into candidates", "candidates into older"}
 
 
-def _directions(model, factors, ordered, monkeypatch):
+def _directions(model, runs, ordered, monkeypatch):
     """The kernel's layers from the identity on the sorted path, the only
     one that searches, and the directions of the fresh test's searches: for
     each `lookup` made while layer n >= 1 is computed, whether the
@@ -416,7 +439,7 @@ def _directions(model, factors, ordered, monkeypatch):
 
     monkeypatch.setattr(groups, "lookup", spy)
     layers, marks = [], []
-    for layer in expand(model, [model.identity], factors, DEFAULT_ELEMENT_BUDGET, "test", ordered):
+    for layer in expand(model, [model.identity], runs, DEFAULT_ELEMENT_BUDGET, "test", ordered):
         layers.append(layer)
         marks.append(len(calls))
     taken = set()
@@ -448,7 +471,7 @@ class TestStepPlansAndMembership:
         if isinstance(gens, str):
             gens = model.generating_set(gens)
         factors = [gens] * steps
-        layers, taken = _directions(model, factors, ordered, monkeypatch)
+        layers, taken = _directions(model, [(gens, steps)], ordered, monkeypatch)
         expected = list(reference_layers(model, [model.identity], factors))
         assert [layer.box.elements(layer.keys) for layer in layers] == [sorted(e) for e in expected]
         assert [layer.elements() for layer in layers] == (expected if ordered else [sorted(e) for e in expected])
@@ -468,7 +491,8 @@ class TestStepPlansAndMembership:
         factors = [inner + [x], inner + [y]] * 3
         plans, real = [], groups.step_images
         monkeypatch.setattr(groups, "step_images", lambda *args: plans.append(args[2]) or real(*args))
-        layers = expand(model, [model.identity], factors, DEFAULT_ELEMENT_BUDGET, "test", ordered)
+        runs = [(factor, 1) for factor in factors]
+        layers = expand(model, [model.identity], runs, DEFAULT_ELEMENT_BUDGET, "test", ordered)
         got = [layer.elements() for layer in layers]
         expected = list(reference_layers(model, [model.identity], factors))
         assert got == (expected if ordered else [sorted(e) for e in expected])
@@ -480,13 +504,15 @@ class TestStepPlansAndMembership:
         plans, real = [], groups.step_images
         monkeypatch.setattr(groups, "step_images", lambda *args: plans.append(args[2]) or real(*args))
         model = zd_model(2)
-        unit = model.generating_set("standard")
-        layers = list(expand(model, [model.identity], Repeat(unit, 180), DEFAULT_ELEMENT_BUDGET, "test"))
+        a, b = model.generating_set("standard"), model.generating_set("skew")
+        distinct = sorted(tuple(sorted(set(f) - {model.identity})) for f in (a, b))
+        layers = list(expand(model, [model.identity], [(a, 180)], DEFAULT_ELEMENT_BUDGET, "test"))
         assert len(layers) == 181 and len(plans) == 1
-        a, b = unit, model.generating_set("skew")
-        plans.clear()
-        list(expand(model, [model.identity], [a, b] * 20, DEFAULT_ELEMENT_BUDGET, "test"))
-        assert sorted(plans) == sorted(tuple(sorted(set(f) - {model.identity})) for f in (a, b))
+        for runs in ([(a, 1), (b, 1)] * 20, [(a, 2), (b, 1), (a, 3)]):
+            plans.clear()
+            layers = list(expand(model, [model.identity], runs, DEFAULT_ELEMENT_BUDGET, "test"))
+            assert len(layers) == 1 + sum(count for _, count in runs)
+            assert sorted(plans) == distinct
 
     @pytest.mark.parametrize("lengths", [(0, 5), (5, 0), (1, 40), (40, 1), (30, 30), (7, 300), (300, 7)])
     def test_common_matches_intersect1d(self, lengths):

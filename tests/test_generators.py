@@ -203,14 +203,15 @@ class TestWordBallKernel:
     @pytest.mark.parametrize("model,gens,radius", _kernel_cases()[:6])
     def test_a_word_ball_is_the_powers_of_its_unit(self, model, gens, radius):
         """The ball's shells are the reference word spheres, its factors are
-        the symmetrized set with the identity adjoined, and the record adds
+        one run of the symmetrized set with the identity adjoined, one step
+        per unit of radius, and the record adds
         only the graph to `ProductSequence`."""
         layers, _, _ = _reference_cayley_ball(model, model.generating_set(gens), radius)
         ball = word_ball(model, gens, radius)
         assert isinstance(ball, ProductSequence) and ball.steps == radius
         assert [ball.shell(r - 1, r).elements() for r in range(radius + 1)] == layers
         unit = {model.identity, *model.symmetrize(model.generating_set(gens))}
-        assert len(ball.factors) == radius and all(set(f) == unit for f in ball.factors)
+        assert [(set(f), count) for f, count in ball.factors] == [(unit, radius)]
         assert ball.profile(radius + 3) == volume_profile(ball.graph, 0, radius + 3)
         added = {name for name in vars(WordBall) if not name.startswith("__")}
         assert added == {"edge_count", "edges", "graph"}

@@ -440,7 +440,7 @@ def _reaches(model, gens, targets, depth):
     """True iff U^depth (identity adjoined) holds every target."""
     rows = np.array(sorted(targets), dtype=np.int64)
     missing = np.ones(len(rows), dtype=bool)
-    for n, layer in enumerate(expand(model, [model.identity], [gens] * depth, DEFAULT_ELEMENT_BUDGET, "test")):
+    for n, layer in enumerate(expand(model, [model.identity], [(gens, depth)], DEFAULT_ELEMENT_BUDGET, "test")):
         if n == 0:
             wanted = layer.box.keys_of(rows)
         missing[lookup(layer.keys, wanted)[0]] = False

@@ -54,14 +54,14 @@ def _bare_products(model, factor, n):
 
 def _reference_shell_inclusion(sequence, n, k):
     """`shell_inclusion_check` on frozensets of tuples."""
-    model, gens = sequence.model, sequence.factors[0]
+    model, gens = sequence.model, sequence.factors[0][0]
     layers = [frozenset(layer.elements()) for layer in sequence.layers]
 
     def shell(a, b):
         return frozenset().union(*layers[max(a + 1, 0) : b + 1])
 
     def product(base, m):
-        grown = expand(model, base, [gens] * m, DEFAULT_ELEMENT_BUDGET, "reference")
+        grown = expand(model, base, [(gens, m)], DEFAULT_ELEMENT_BUDGET, "reference")
         return frozenset(g for layer in grown for g in layer.elements())
 
     h = n - k // 2
