@@ -21,9 +21,10 @@ polynomial sphere-decay certificate with exponent delta = log2(1 + alpha):
     mu(S(x, n)) <= C * n^(-delta) * mu(B(x, n)).
 
 `verify_sphere_bound` fits the constant C and checks it stays flat;
-`dyadic_subsequence` certifies the cheaper radius-selection route that needs
-only the doubling constant; `isoperimetric_ratios` measures the stronger 1/n
-decay available on abelian groups.  The analyses over centers
+`dyadic_subsequence` certifies, one `DyadicRecord` per window, the cheaper
+radius-selection route that needs only the doubling constant;
+`isoperimetric_ratios` measures the stronger 1/n decay of abelian groups.
+`growth_exponent_fit` gives a run's `fit` entry.  The analyses over centers
 (`doubling_constant`, `shell_alpha`, `verify_sphere_bound`) take a sequence
 of profiles, one per center.  Each option default lives once, in the
 analysis table `registry.ANALYSES`, the shell sweep's n_max = depth // 2
@@ -46,9 +47,7 @@ __all__ = [
     "ShellRecord",
     "ShellReport",
     "DyadicRecord",
-    "DyadicSelection",
     "SphereBoundReport",
-    "GrowthFit",
     "doubling_constant",
     "shell_alpha",
     "shell_pair_count",
@@ -354,20 +353,11 @@ class DyadicRecord:
     certified: bool
 
 
-@dataclass(frozen=True)
-class DyadicSelection:
-    records: tuple[DyadicRecord, ...]
-
-    @property
-    def all_certified(self) -> bool:
-        return all(rec.certified for rec in self.records)
-
-
 def dyadic_subsequence(
     profile: VolumeProfile,
     doubling: Fraction,
     i_max: int | None = None,
-) -> DyadicSelection:
+) -> tuple[DyadicRecord, ...]:
     """Pick, per dyadic window (2^i, 2^(i+1)], the radius with the smallest sphere.
 
     Ties break toward the smaller radius.  Each selected r_i is certified
@@ -397,7 +387,7 @@ def dyadic_subsequence(
         )
     if not records:
         raise ValueError(f"profile depth {depth} admits no dyadic window")
-    return DyadicSelection(tuple(records))
+    return tuple(records)
 
 
 # -- abelian-style isoperimetry ----------------------------------------------
@@ -425,13 +415,6 @@ def isoperimetric_ratios(
 # -- growth exponent ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthFit:
-    exponent: float
-    intercept: float
-    residual_rms: float
-
-
 def fit_radii(depth: int, dyadic: bool) -> Sequence[int]:
     """The radii a growth fit samples at `depth`: the top half of 1..depth,
     or with `dyadic` the scales 8, 16, 32, ... up to the depth."""
@@ -442,17 +425,18 @@ def fit_radii(depth: int, dyadic: bool) -> Sequence[int]:
 
 def growth_exponent_fit(
     ball_sizes: Sequence[int], radii: Sequence[int], min_points: int
-) -> GrowthFit:
+) -> dict[str, float]:
     """Least-squares slope of log volume against log radius, over `radii`
-    (such as the `fit_radii` of the profile depth); at least `min_points`."""
+    (such as the `fit_radii` of the profile depth); at least `min_points`.
+    Returns the `exponent` (the slope), `intercept` and `residual_rms`."""
     if len(radii) < min_points:
         raise ValueError(f"need at least {min_points} radii, got {len(radii)}")
     xs = np.log([float(r) for r in radii])
     ys = np.log([float(ball_sizes[r]) for r in radii])
     slope, intercept = np.polyfit(xs, ys, 1)
     residuals = ys - (slope * xs + intercept)
-    return GrowthFit(
-        exponent=float(slope),
-        intercept=float(intercept),
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
-    )
+    return {
+        "exponent": float(slope),
+        "intercept": float(intercept),
+        "residual_rms": float(np.sqrt(np.mean(residuals**2))),
+    }

@@ -220,7 +220,7 @@ def powers(ctx, group, d, set_text, n_max):
     """Exact sizes of the powers U^n of one generating set."""
     model = _resolve_model(group, d)
     gen = _parse_set(model, set_text, "--set")
-    seq = product_powers(model, gen, n_max, ctx.obj["budgets"]["elements"], ordered=False)
+    seq = product_powers(model, gen, n_max, ctx.obj["budgets"]["elements"])
     digest = _digest("powers", group=group, d=d, set=sorted(gen), n_max=n_max)
     _emit_csv(ctx, digest, _powers_table(seq.sizes, folner_ratios(seq)))
 
@@ -242,7 +242,7 @@ def nprod(ctx, group, d, factors_text, inner_text, outer_text):
     factors = [_elements(factor, "--factors") for factor in raw]
     inner = _parse_set(model, inner_text, "--inner")
     outer = _parse_set(model, outer_text, "--outer")
-    seq = varying_products(model, factors, inner, outer, ctx.obj["budgets"]["elements"], ordered=False)
+    seq = varying_products(model, factors, inner, outer, ctx.obj["budgets"]["elements"])
     digest = _digest("nprod", group=group, d=d, factors=[sorted(f) for f in factors])
     _emit_csv(ctx, digest, _powers_table(seq.sizes, folner_ratios(seq)))
 

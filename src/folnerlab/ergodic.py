@@ -8,9 +8,9 @@ sphere decay, consecutive averages A_n and A_(n+1) differ by O(n^-delta)
 times the sup norm, so the whole sequence converges rather than just a
 subsequence.
 
-`ergodic_trace` computes the averages incrementally from a
-`ProductSequence`'s birth layers, one per step it expanded, touching every
-group element exactly once:
+`ergodic_trace` rotates by the tuple (t_1, ..., t_d), `GOLDEN_ANGLES` in
+the analysis, and computes the averages incrementally from a
+`ProductSequence`'s birth layers, one per step, touching each element once:
 each layer is moved as one int64 array, in discovery order, by numpy float
 arithmetic, which rounds like Python's and follows its sign rule for `%`.
 An observable gives a layer's values at once, each the float of its
@@ -33,7 +33,6 @@ import numpy as np
 from .products import ProductSequence
 
 __all__ = [
-    "TorusAction",
     "GOLDEN_ANGLES",
     "OBSERVABLES",
     "observable",
@@ -46,23 +45,6 @@ Point = tuple[float, ...]
 # Rotation numbers with well-behaved continued fractions, so the empirical
 # averages settle at a visible rate: (sqrt(5)-1)/2 and sqrt(2)-1.
 GOLDEN_ANGLES: Point = ((math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(2.0) - 1.0)
-
-
-@dataclass(frozen=True)
-class TorusAction:
-    """Coordinatewise rotation action of Z^d on the d-torus [0,1)^d."""
-
-    angles: Point
-
-    @property
-    def dimension(self) -> int:
-        return len(self.angles)
-
-    def move(self, rows: np.ndarray, point: Point) -> np.ndarray:
-        """g . point for each row g of `rows`."""
-        if rows.shape[-1:] != (self.dimension,) or len(point) != self.dimension:
-            raise ValueError("element and point must match the action dimension")
-        return (np.asarray(point) + rows * np.asarray(self.angles)) % 1.0
 
 
 def _cos(t: np.ndarray) -> list[float]:
@@ -116,10 +98,11 @@ class ErgodicTrace:
 
 
 def ergodic_trace(
-    action: TorusAction, sequence: ProductSequence, name: str, start: Point
+    angles: Point, sequence: ProductSequence, name: str, start: Point
 ) -> ErgodicTrace:
     """Average a named observable over the element sets of a product
-    sequence, one average per step it expanded.
+    sequence, one average per step it expanded, along the orbit of `start`
+    under the rotation of the torus by `angles`.
 
     The sequence's birth layers are replayed in order, each in discovery
     order, so the total work is one observable value per distinct group
@@ -128,10 +111,13 @@ def ergodic_trace(
     f, mean = observable(name)
     if sequence.layers[0].order is None:
         raise ValueError("the sequence's layers carry no discovery order; build it with ordered=True")
+    if sequence.model.rank != len(angles) or len(start) != len(angles):
+        raise ValueError("element and point must match the action dimension")
     running = 0.0
     averages: list[float] = []
     for layer, count in zip(sequence.layers, sequence.sizes):
-        points = action.move(layer.box.decode(layer.order), start)
+        rows = layer.box.decode(layer.order)
+        points = (np.asarray(start) + rows * np.asarray(angles)) % 1.0
         running = reduce(operator.add, f(points), running)
         averages.append(running / count)
     return ErgodicTrace(space_mean=mean, averages=tuple(averages))

@@ -18,8 +18,8 @@ word_ball / cayley_ball
     generator and are found by one key lookup of every image g * s among
     the ball's sorted keys.
 
-stretched_tree_chain
-    Blocks G'_1 .. G'_N glued in a row.  Block n is a depth-n tree with
+stretched_tree_chain(stretch, valence, blocks)
+    Blocks G'_1 .. G'_N, N = blocks, glued in a row.  Block n is a depth-n tree with
     branching `valence` whose generation-k edges are subdivided into
     stretch^(n-k) unit edges, doubled by gluing a mirror copy along the last
     generation.  The two roots of block n are basepoints r_n and rp_n, and
@@ -60,7 +60,6 @@ from .space import Graph, VolumeProfile
 __all__ = [
     "WordBall",
     "word_ball",
-    "TreeChainSpec",
     "StairwayStrip",
     "cayley_ball",
     "stretched_tree_chain",
@@ -136,7 +135,8 @@ def word_ball(
     check_generates(model, steps)
     unit = tuple(sorted((model.identity, *steps)))
     # One factor more than the radius, never expanded: it sizes the box for
-    # the one-step neighbors that `edges` and `edge_count` encode.
+    # the one-step neighbors that `edges` and `edge_count` encode (`expand`'s
+    # cap binds only at radius >= budget, past which no ball completes).
     layers = expand(model, [model.identity], [(unit, radius + 1)], vertex_budget, "cayley_ball")
     # The set generates Z^d or H3, both infinite, so no layer of the ball is empty.
     return WordBall(model, ((unit, radius),), tuple(islice(layers, radius + 1)))
@@ -160,28 +160,13 @@ def cayley_ball(
     return ball
 
 
-@dataclass(frozen=True)
-class TreeChainSpec:
-    """Parameters of a stretched tree chain.
-
-    stretch >= 2 scales edge lengths (generation-k edges of block n have
-    length stretch^(n-k)), valence >= 2 is the branching, blocks >= 1 the
-    number of doubled blocks glued in a row.
-    """
-
-    stretch: int
-    valence: int
-    blocks: int
-
-    def __post_init__(self) -> None:
-        if self.stretch < 2 or self.valence < 2 or self.blocks < 1:
-            raise ValueError("need stretch >= 2, valence >= 2, blocks >= 1")
-
-
 def stretched_tree_chain(
-    spec: TreeChainSpec, vertex_budget: int = DEFAULT_VERTEX_BUDGET
+    stretch: int, valence: int, blocks: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> Graph:
-    """Build the chained, doubled, stretched trees described in the module docs.
+    """Build the chained, doubled, stretched trees described in the module
+    docs: stretch >= 2 scales edge lengths (generation-k edges of block n
+    have length stretch^(n-k)), valence >= 2 is the branching, blocks >= 1
+    the number of doubled blocks glued in a row.
 
     Basepoints: r_n and rp_n are the two roots of block n (rp_n == r_(n+1)
     after gluing), and leaf_n is the shared last-generation vertex of block n
@@ -193,7 +178,9 @@ def stretched_tree_chain(
     and its path's per - 1 inner vertices the ids right after it.  Each
     level's ids are counted against the budget before its edges exist.
     """
-    a, b, blocks = spec.stretch, spec.valence, spec.blocks
+    if stretch < 2 or valence < 2 or blocks < 1:
+        raise ValueError("need stretch >= 2, valence >= 2, blocks >= 1")
+    a, b = stretch, valence
     pieces: list[np.ndarray] = []
     basepoints: dict[str, int] = {}
     count = 0

@@ -374,12 +374,19 @@ def expand(
     discovery order) and then the sorted factor first meets its elements.
 
     Each run is normalised once and each distinct factor's step plan built
-    once; the step count enters only as the sum of the counts, which sizes
-    the key box, so nothing is done per step before its layer.  The running
-    total is checked against `budget` as each layer is added
-    (BudgetExceededError naming `stage` and the layer); a box too large for
-    int64 keys is rejected before any array is allocated.  The seeds may
-    come as tuples or as a `KeySet`.
+    once, so nothing is done per step before its layer.  The running total
+    is checked against `budget` as each layer is added (BudgetExceededError
+    naming `stage` and the layer).  The key box holds every product of
+    min(steps, max(1, budget - |seeds| + 1)) factors, steps the sum of the
+    counts, and no layer forms one of more.  By induction, every element of
+    N_n is a seed times at most m factors, m the number of nonempty layers
+    among 1..n (an empty layer adds no product, so no factor).  Layer n > 1
+    is computed only while the total after layer n - 1, at least
+    |seeds| + m, is within the budget, so its products take at most
+    m + 1 <= budget - |seeds| + 1 factors; layer 1's take one.  The factors
+    need not generate.  A box too large for int64 keys is rejected, naming
+    that step count, before any array is allocated.  The seeds may come as
+    tuples or as a `KeySet`.
     """
     runs = [(tuple(sorted(set(f) - {model.identity})), count) for f, count in factors if count]
     distinct = {f for f, _ in runs}
@@ -394,6 +401,7 @@ def expand(
     else:
         seeds = list(dict.fromkeys(seeds))
         seed_max = maxima(seeds)
+    steps = min(steps, max(1, budget - len(seeds) + 1))
     offsets = model.reach(seed_max, maxima([s for f in distinct for s in f]), steps)
     box = KeyBox(tuple(offsets), tuple(2 * b + 1 for b in offsets))
     cells = math.prod(box.widths)

@@ -11,9 +11,9 @@ each.  A `ProductSequence` keeps the
 kernel's birth layers (sorted keys, one key box) as the one record of the
 products of its seeds N_0 ({1}, or a middle shell of the claims sandwich):
 each N_n and each shell N_b minus N_a is a run of consecutive layers.
-Layers come in discovery order by default (`ordered=True`); only
-`ergodic.ergodic_trace` reads that order, so callers that read sizes and
-shells pass `ordered=False` and skip its sorts.
+Layers carry their discovery order only when `product_powers` is asked
+(`ordered=True`): only `ergodic.ergodic_trace` reads it, and every other
+caller reads sizes and shells and skips its sorts.
 Shells and set products are `KeySet`s, so the word-shell sandwich is tested
 on keys; only `birth` decodes tuples, for callers that want elements.
 When N_0 = {1}, `profile` is the identity's volume profile, read off the
@@ -100,9 +100,10 @@ def product_powers(
     generating_set: Sequence[Element] | str,
     n_max: int,
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
-    ordered: bool = True,
+    ordered: bool = False,
 ) -> ProductSequence:
-    """Powers U, U^2, ..., U^n_max of a single factor, exactly."""
+    """Powers U, U^2, ..., U^n_max of a single factor, exactly; with
+    `ordered`, each layer also in discovery order."""
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if isinstance(generating_set, str):
@@ -119,7 +120,6 @@ def varying_products(
     inner: Sequence[Element],
     outer: Sequence[Element],
     element_budget: int = DEFAULT_ELEMENT_BUDGET,
-    ordered: bool = True,
 ) -> ProductSequence:
     """Products of varying factors pinched between two certified sets.
 
@@ -147,7 +147,7 @@ def varying_products(
                 f"factor {i} exceeds the outer certificate by {sorted(excess)}"
             )
     factors = tuple((_adjoin(model, f), 1) for f in factors)
-    layers = expand(model, [model.identity], factors, element_budget, "product expansion", ordered)
+    layers = expand(model, [model.identity], factors, element_budget, "product expansion")
     return ProductSequence(model, factors, tuple(layers))
 
 

@@ -43,10 +43,9 @@ from .analysis import (
     shell_pair_count,
     verify_sphere_bound,
 )
-from .ergodic import GOLDEN_ANGLES, OBSERVABLES, TorusAction, ergodic_trace
+from .ergodic import GOLDEN_ANGLES, OBSERVABLES, ergodic_trace
 from .errors import BudgetExceededError, ConfigError
 from .generators import (
-    TreeChainSpec,
     norm_profile,
     stairway_strip,
     stretched_tree_chain,
@@ -296,12 +295,9 @@ def _dyadic(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
     slack = 2 * doubling_constant(ctx.profiles, ctx.depth // 2)
     rows, all_ok = [], True
     for label, p in ctx.labeled:
-        selection = dyadic_subsequence(p, slack, opts.get("i_max"))
-        all_ok = all_ok and selection.all_certified
-        rows.extend(
-            (label, rec.i, rec.radius, rec.sphere, rec.ball, rec.bound, rec.certified)
-            for rec in selection.records
-        )
+        for rec in dyadic_subsequence(p, slack, opts.get("i_max")):
+            all_ok = all_ok and rec.certified
+            rows.append((label, rec.i, rec.radius, rec.sphere, rec.ball, rec.bound, rec.certified))
     summary = {"dyadic": {"certified": all_ok, "slack_doubling": cell(slack)}}
     header = ("center", "i", "radius", "sphere", "ball", "bound", "certified")
     return Outcome(summary, (header, list(zip(*rows))), all_ok)
@@ -319,24 +315,18 @@ def _abelian(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
 
 def _fit(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
     radii = fit_radii(ctx.depth, opts["dyadic_radii"])
-    fits = {}
-    for label, p in ctx.labeled:
-        fit = growth_exponent_fit(p.ball, radii=radii, min_points=opts["min_points"])
-        fits[label] = {
-            "exponent": fit.exponent,
-            "intercept": fit.intercept,
-            "residual_rms": fit.residual_rms,
-        }
+    fits = {
+        label: growth_exponent_fit(p.ball, radii=radii, min_points=opts["min_points"])
+        for label, p in ctx.labeled
+    }
     return Outcome({"fit": fits})
 
 
 def _ergodic(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
     sequence = product_powers(
-        ctx.model, ctx.space["generating_set"], opts["n_max"], ctx.element_budget
+        ctx.model, ctx.space["generating_set"], opts["n_max"], ctx.element_budget, ordered=True
     )
-    trace = ergodic_trace(
-        TorusAction(GOLDEN_ANGLES), sequence, opts["observable"], tuple(opts["start"])
-    )
+    trace = ergodic_trace(GOLDEN_ANGLES, sequence, opts["observable"], tuple(opts["start"]))
     summary = {
         "observable": opts["observable"],
         "final_error": trace.final_error,
@@ -350,7 +340,7 @@ def _claims(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
     widths, n_max = opts["widths"], opts["n_max"]
     # One expansion serves every (n, k): the largest pair needs N_(n_max + k).
     top = n_max + max((k for k in widths if k <= n_max), default=0)
-    sequence = product_powers(ctx.model, ctx.space["generating_set"], top, ctx.element_budget, ordered=False)
+    sequence = product_powers(ctx.model, ctx.space["generating_set"], top, ctx.element_budget)
     pairs = [(n, k) for k in widths for n in range(k, n_max + 1)]
     outcomes = shell_inclusion_check(sequence, pairs, ctx.element_budget)
     forward, backward = zip(*outcomes)
@@ -496,8 +486,7 @@ def _word_ball(space: Mapping[str, Any], budget: int) -> BuiltSpace:
 
 
 def _tree_chain(space: Mapping[str, Any], budget: int) -> BuiltSpace:
-    spec = TreeChainSpec(stretch=space["a"], valence=space["b"], blocks=space["blocks"])
-    return graph_space(stretched_tree_chain(spec, budget))
+    return graph_space(stretched_tree_chain(space["a"], space["b"], space["blocks"], budget))
 
 
 def _stairway(space: Mapping[str, Any], budget: int) -> BuiltSpace:

@@ -31,9 +31,8 @@ from folnerlab.analysis import (
     shell_alpha,
     verify_sphere_bound,
 )
-from folnerlab.ergodic import GOLDEN_ANGLES, TorusAction, ergodic_trace
+from folnerlab.ergodic import GOLDEN_ANGLES, ergodic_trace
 from folnerlab.generators import (
-    TreeChainSpec,
     norm_profile,
     stairway_strip,
     stretched_tree_chain,
@@ -60,7 +59,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def chain238():
-    return stretched_tree_chain(TreeChainSpec(2, 3, 8))
+    return stretched_tree_chain(2, 3, 8)
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +115,7 @@ def test_criterion_01_tree_sphere_spike(request):
 
 
 def test_criterion_02_slow_stretch_regime():
-    spec = TreeChainSpec(3, 2, 7)
-    g = stretched_tree_chain(spec)
+    g = stretched_tree_chain(3, 2, 7)
     roots = sorted({g.basepoints[f"r_{n}"] for n in range(1, 8)} | {g.basepoints["rp_7"]})
     leaves = [g.basepoints[f"leaf_{n}"] for n in range(1, 8)]
     centers = sorted(set(roots) | set(leaves))
@@ -268,9 +266,9 @@ def test_criterion_07_dyadic_certificates(request, z2_260_profile):
     for name, profiles, i_top in cases:
         slack = 2 * doubling_constant(profiles, min(p.depth for p in profiles) // 2)
         for p in profiles:
-            selection = dyadic_subsequence(p, slack, i_max=i_top)
-            assert selection.all_certified, (name, p.center)
-            assert selection.records[-1].i == i_top, (name, p.center)
+            records = dyadic_subsequence(p, slack, i_max=i_top)
+            assert all(rec.certified for rec in records), (name, p.center)
+            assert records[-1].i == i_top, (name, p.center)
         details.append(f"{name} i<={i_top}")
     _report(7, True, "2*C_D certificates hold: " + ", ".join(details))
 
@@ -295,23 +293,22 @@ def test_criterion_09_stairway():
     strip = stairway_strip(10)
     profile = norm_profile(strip, 1025)
     fit = growth_exponent_fit(profile.ball, radii=[2**i for i in range(3, 11)], min_points=8)
-    assert abs(fit.exponent - 1.0) <= 0.15
+    assert abs(fit["exponent"] - 1.0) <= 0.15
     spikes = [profile.sphere[2**k] for k in range(4, 10)]
     for k, spike in zip(range(4, 10), spikes):
         assert spike >= 2**k
     _report(
         9,
         True,
-        f"stairway growth exponent {fit.exponent:.3f}, spikes {spikes} >= 2^k",
+        f"stairway growth exponent {fit['exponent']:.3f}, spikes {spikes} >= 2^k",
     )
 
 
 def test_criterion_10_ergodic():
     start = time.monotonic()
-    action = TorusAction(GOLDEN_ANGLES)
-    seq = product_powers(zd_model(2), "standard", 200)
+    seq = product_powers(zd_model(2), "standard", 200, ordered=True)
 
-    trace = ergodic_trace(action, seq, "cos_x", (0.1, 0.2))
+    trace = ergodic_trace(GOLDEN_ANGLES, seq, "cos_x", (0.1, 0.2))
     assert trace.final_error < 0.05
 
     theta = GOLDEN_ANGLES[0]
@@ -323,7 +320,7 @@ def test_criterion_10_ergodic():
         oracle = math.cos(2 * math.pi * 0.1) * kernel / (2 * n * n + 2 * n + 1)
         assert abs(trace.averages[n] - oracle) <= 1e-8
 
-    flat = ergodic_trace(action, seq, "one", (0.3, 0.4))
+    flat = ergodic_trace(GOLDEN_ANGLES, seq, "one", (0.3, 0.4))
     assert set(flat.errors) == {0.0}
 
     elapsed = time.monotonic() - start

@@ -35,7 +35,7 @@ from folnerlab.analysis import (
     shell_alpha,
     verify_sphere_bound,
 )
-from folnerlab.generators import TreeChainSpec, stretched_tree_chain, word_ball
+from folnerlab.generators import stretched_tree_chain, word_ball
 from folnerlab.groups import zd_model
 from folnerlab.space import VolumeProfile, volume_profile
 from recursion_audit import lemma_recursion_audit
@@ -322,7 +322,7 @@ class TestRecursionAudit:
 
     def test_tree_chain_alpha_zero_still_chains(self):
         # alpha = 0 only asserts monotonicity of the b_i, true everywhere
-        g = stretched_tree_chain(TreeChainSpec(2, 3, 5))
+        g = stretched_tree_chain(2, 3, 5)
         profile = volume_profile(g, g.basepoints["r_5"], 32)
         audit = lemma_recursion_audit(profile, 32, Fraction(0))
         assert audit.passed
@@ -351,9 +351,9 @@ class TestVerifySphereBound:
 
 class TestDyadicSubsequence:
     def test_z1_every_window_certified(self, z1_profile):
-        selection = dyadic_subsequence(z1_profile, Fraction(2))
-        assert selection.all_certified
-        for rec in selection.records:
+        records = dyadic_subsequence(z1_profile, Fraction(2))
+        assert all(rec.certified for rec in records)
+        for rec in records:
             assert 2**rec.i < rec.radius <= 2 ** (rec.i + 1)
             assert rec.sphere == 2
             assert rec.radius == 2**rec.i + 1  # ties break small
@@ -361,12 +361,12 @@ class TestDyadicSubsequence:
 
     def test_window_count_respects_depth(self, z1_profile):
         # depth 64 admits windows up to (32, 64], needing ball[65]: excluded
-        selection = dyadic_subsequence(z1_profile, Fraction(2))
-        assert selection.records[-1].i == 4
+        records = dyadic_subsequence(z1_profile, Fraction(2))
+        assert records[-1].i == 4
 
     def test_i_max_truncates(self, z1_profile):
-        selection = dyadic_subsequence(z1_profile, Fraction(2), i_max=2)
-        assert [rec.i for rec in selection.records] == [0, 1, 2]
+        records = dyadic_subsequence(z1_profile, Fraction(2), i_max=2)
+        assert [rec.i for rec in records] == [0, 1, 2]
 
     def test_too_shallow_raises(self):
         profile = _lattice_profile(1, 2)
@@ -375,8 +375,8 @@ class TestDyadicSubsequence:
 
     def test_false_doubling_fails_certification(self, z2_profile):
         # with a deliberately tiny doubling constant the bound must break
-        selection = dyadic_subsequence(z2_profile, Fraction(1, 100))
-        assert not selection.all_certified
+        records = dyadic_subsequence(z2_profile, Fraction(1, 100))
+        assert not all(rec.certified for rec in records)
 
 
 class TestAbelianIsop:
@@ -403,8 +403,8 @@ class TestGrowthFit:
     def test_exact_power_law(self):
         sizes = [0] + [n**2 for n in range(1, 65)]
         fit = growth_exponent_fit(sizes, fit_radii(64, False), 8)
-        assert fit.exponent == pytest.approx(2.0, abs=1e-9)
-        assert fit.residual_rms == pytest.approx(0.0, abs=1e-9)
+        assert fit["exponent"] == pytest.approx(2.0, abs=1e-9)
+        assert fit["residual_rms"] == pytest.approx(0.0, abs=1e-9)
 
     def test_explicit_dyadic_radii(self):
         # Linear at the powers of 2 only, so only a fit at exactly those
@@ -412,9 +412,9 @@ class TestGrowthFit:
         sizes = [0] + [5 * n if n & (n - 1) == 0 else n**3 for n in range(1, 300)]
         radii = [2**i for i in range(3, 9)]
         fit = growth_exponent_fit(sizes, radii=radii, min_points=6)
-        assert fit.exponent == pytest.approx(1.0, abs=1e-9)
-        assert fit.residual_rms == pytest.approx(0.0, abs=1e-9)
-        assert growth_exponent_fit(sizes, fit_radii(299, False), 6).residual_rms > 0.1
+        assert fit["exponent"] == pytest.approx(1.0, abs=1e-9)
+        assert fit["residual_rms"] == pytest.approx(0.0, abs=1e-9)
+        assert growth_exponent_fit(sizes, fit_radii(299, False), 6)["residual_rms"] > 0.1
 
     def test_min_points_guard(self):
         with pytest.raises(ValueError, match="at least 8"):

@@ -16,10 +16,16 @@ Core claims:
       at an element budget of 1,000 fail at layer 22 in constant memory
     - a step count enters an expansion only as the sum of its runs' counts,
       so 10^18 steps of Z^1 and a Z^2 word ball of radius 10^9 fail at the
-      budget's layer at once, and 10^9 steps in H3 fail on the int64 key
-      box; from the command line, `powers --n-max 10^18` and a lattice
-      config of radius 10^9 or 10^18 exit 1 with one error line, well
-      inside a timeout
+      budget's layer at once; from the command line, `powers --n-max 10^18`
+      and a lattice config of radius 10^9, 10^12 or 10^18 exit 1 with one
+      error line, well inside a timeout
+    - the key box is sized for no more steps than the budget lets a run
+      take: a Z^2 word ball of radius 10^12 fails at the budget's layer,
+      not on the box, while 10^9 steps in H3 fail on the int64 key box at
+      the default budget's 5,000,000 steps; empty layers (an identity-only
+      run) count no step against that cap, so a run of more of them than
+      the budget, then a generating run, gives the reference layers up to
+      the budget error
     - an expansion keeps a seen map of its key box only when the box has at
       most 8 cells per key of the budget: the Z^8 radius-3 ball (833
       elements in 9^8 cells) at a budget of 1,000 allocates none, and a run
@@ -44,10 +50,11 @@ import folnerlab.registry
 import folnerlab.runner
 from folnerlab.config import validate_config
 from folnerlab.errors import BudgetExceededError
-from folnerlab.generators import TreeChainSpec, stairway_strip, stretched_tree_chain, word_ball
-from folnerlab.groups import heisenberg_model, zd_model
+from folnerlab.generators import stairway_strip, stretched_tree_chain, word_ball
+from folnerlab.groups import expand, heisenberg_model, zd_model
 from folnerlab.products import product_powers
 from folnerlab.runner import run_analyses
+from tuple_law import reference_layers
 
 
 def _refused(build):
@@ -90,7 +97,7 @@ def test_stairway_reads_no_curve_past_the_budget():
 
 
 def test_tree_chain_counts_a_level_before_building_it():
-    message, peak = _refused(lambda: stretched_tree_chain(TreeChainSpec(10**6, 2, 2)))
+    message, peak = _refused(lambda: stretched_tree_chain(10**6, 2, 2))
     assert message == "stretched_tree_chain: size 2000001 exceeds budget 2000000"
     assert peak < 2**20
 
@@ -114,6 +121,11 @@ def test_powers_build_nothing_per_step_before_a_layer():
             "cayley_ball: size 1013 exceeds budget 1000 at layer 22",
             id="Z2-ball-r1e9",
         ),
+        pytest.param(
+            lambda: word_ball(zd_model(2), "standard", 10**12, 1000),
+            "cayley_ball: size 1013 exceeds budget 1000 at layer 22",
+            id="Z2-ball-r1e12",
+        ),
     ],
 )
 def test_a_step_count_far_past_the_budget_costs_nothing(build, message):
@@ -123,9 +135,25 @@ def test_a_step_count_far_past_the_budget_costs_nothing(build, message):
 
 
 def test_a_step_count_past_the_key_box_fails_before_a_layer():
-    message = "product expansion: the bounding box of 1000000000 steps has [0-9]+ cells, too many for int64 keys"
+    message = "product expansion: the bounding box of 5000000 steps has [0-9]+ cells, too many for int64 keys"
     with pytest.raises(ValueError, match=f"^{message}$"):
         product_powers(heisenberg_model(), "standard", 10**9)
+
+
+def test_empty_layers_take_no_step_of_the_key_box():
+    # 200 identity-only steps leave 200 empty layers, more than the budget
+    # of 60; the generating run after them still reaches the budget error.
+    model = zd_model(2)
+    unit = model.generating_set("standard")
+    factors = [[model.identity]] * 200 + [unit] * 100
+    expected, got = [], []
+    with pytest.raises(BudgetExceededError) as reference:
+        expected.extend(reference_layers(model, [model.identity], factors, 60, "test"))
+    with pytest.raises(BudgetExceededError) as error:
+        runs = [([model.identity], 200), (unit, 100)]
+        got.extend(layer.elements() for layer in expand(model, [model.identity], runs, 60, "test", ordered=True))
+    assert str(error.value) == str(reference.value) == "test: size 61 exceeds budget 60 at layer 205"
+    assert got == expected and len(got) == 205
 
 
 def _cli(tmp_path, child_env, *args):
@@ -145,7 +173,9 @@ def test_powers_of_10_18_steps_exit_1_at_the_budget(tmp_path, child_env):
     assert result.stderr == "Error: product expansion: size 1001 exceeds budget 1000 at layer 500\n"
 
 
-@pytest.mark.parametrize("d,radius,size,layer", [(2, 10**9, 1013, 22), (1, 10**18, 1001, 500)])
+@pytest.mark.parametrize(
+    "d,radius,size,layer", [(2, 10**9, 1013, 22), (2, 10**12, 1013, 22), (1, 10**18, 1001, 500)]
+)
 def test_a_lattice_radius_far_past_the_budget_exits_1(tmp_path, child_env, d, radius, size, layer):
     config = tmp_path / "far.json"
     config.write_text(json.dumps({
@@ -173,8 +203,8 @@ ONE_SIDED_H3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 0)]
     "build",
     [
         pytest.param(lambda: word_ball(heisenberg_model(), "standard", 16), id="H3-ball-r16"),
-        pytest.param(lambda: product_powers(heisenberg_model(), ONE_SIDED_H3, 20), id="H3-one-sided-n20-ordered"),
-        pytest.param(lambda: product_powers(zd_model(2), "skew", 150), id="Z2-skew-n150-ordered"),
+        pytest.param(lambda: product_powers(heisenberg_model(), ONE_SIDED_H3, 20, ordered=True), id="H3-one-sided-n20-ordered"),
+        pytest.param(lambda: product_powers(zd_model(2), "skew", 150, ordered=True), id="Z2-skew-n150-ordered"),
     ],
 )
 def test_a_map_costs_its_cells_and_a_few_bytes_per_key(build):

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from folnerlab.errors import GraphFormatError
-from folnerlab.generators import DEFAULT_VERTEX_BUDGET, TreeChainSpec, stretched_tree_chain
+from folnerlab.generators import DEFAULT_VERTEX_BUDGET, stretched_tree_chain
 from folnerlab.graphio import parse_graph
 from folnerlab.space import Graph, _connected
 
@@ -132,7 +132,7 @@ def _path(n):
 
 
 def _tree_chain(a, b, blocks):
-    graph = stretched_tree_chain(TreeChainSpec(a, b, blocks))
+    graph = stretched_tree_chain(a, b, blocks)
     return graph.vertex_count, [(u, v) for u, nbrs in enumerate(graph.adjacency) for v in nbrs if u < v]
 
 

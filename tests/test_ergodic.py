@@ -24,7 +24,7 @@ import pytest
 
 from folnerlab.ergodic import (
     GOLDEN_ANGLES,
-    TorusAction,
+    OBSERVABLES,
     ergodic_trace,
     observable,
 )
@@ -33,17 +33,12 @@ from folnerlab.products import product_powers
 
 
 def _powers(steps):
-    return product_powers(zd_model(2), "standard", steps)
+    return product_powers(zd_model(2), "standard", steps, ordered=True)
 
 
 @pytest.fixture(scope="module")
 def ball_sequence():
     return _powers(80)
-
-
-@pytest.fixture(scope="module")
-def golden_action():
-    return TorusAction(GOLDEN_ANGLES)
 
 
 def _cosine_oracle(n: int, theta: float, x: float) -> float:
@@ -54,30 +49,37 @@ def _cosine_oracle(n: int, theta: float, x: float) -> float:
     return math.cos(2 * math.pi * x) * w / (2 * n * n + 2 * n + 1)
 
 
-class TestTorusAction:
-    def test_move_wraps(self, golden_action):
-        (p,) = golden_action.move(np.array([[1, -2]]), (0.9, 0.1))
+def _moved_points(sequence, start, monkeypatch):
+    """The points `ergodic_trace` evaluates its observable at, in order."""
+    seen = []
+    record = (lambda p: seen.extend(map(tuple, p.tolist())) or [0.0] * len(p), 0.0)
+    monkeypatch.setitem(OBSERVABLES, "record", record)
+    ergodic_trace(GOLDEN_ANGLES, sequence, "record", start)
+    return seen
+
+
+class TestRotation:
+    def test_move_wraps(self, monkeypatch):
+        sequence = _powers(3)
+        moved = dict(zip(sequence.birth, _moved_points(sequence, (0.9, 0.1), monkeypatch)))
+        p = moved[1, -2]
         assert 0 <= p[0] < 1 and 0 <= p[1] < 1
         assert p[0] == pytest.approx((0.9 + GOLDEN_ANGLES[0]) % 1)
         assert p[1] == pytest.approx((0.1 - 2 * GOLDEN_ANGLES[1]) % 1)
 
-    def test_rows_move_like_single_points(self, golden_action):
-        rows = np.array([[1, -2], [0, 0], [-7, 3], [40, -41]])
+    def test_rows_move_like_single_points(self, monkeypatch):
+        sequence = _powers(6)
         for start in [(0.9, 0.1), (-0.3, 1.7)]:
-            moved = golden_action.move(rows, start)
-            assert moved.shape == rows.shape
-            for g, point in zip(rows.tolist(), moved.tolist()):
+            moved = _moved_points(sequence, start, monkeypatch)
+            assert len(moved) == sequence.sizes[-1]
+            for g, point in zip(sequence.birth, moved):
                 expected = tuple((p + x * t) % 1.0 for p, x, t in zip(start, g, GOLDEN_ANGLES))
-                assert tuple(point) == expected
+                assert point == expected
 
-    def test_dimension(self, golden_action):
-        assert golden_action.dimension == 2
-
-    def test_arity_mismatch(self, golden_action):
-        with pytest.raises(ValueError):
-            golden_action.move(np.array([[1, 2, 3]]), (0.0, 0.0))
-        with pytest.raises(ValueError):
-            golden_action.move(np.array([[1, 2]]), (0.0,))
+    def test_arity_mismatch(self, ball_sequence):
+        for angles, start in [((0.1, 0.2, 0.3), (0.0, 0.0, 0.0)), (GOLDEN_ANGLES, (0.0,))]:
+            with pytest.raises(ValueError, match="^element and point must match the action dimension$"):
+                ergodic_trace(angles, ball_sequence, "cos_x", start)
 
 
 class TestObservables:
@@ -97,46 +99,46 @@ class TestObservables:
 
 
 class TestErgodicTrace:
-    def test_matches_cosine_oracle(self, golden_action, ball_sequence):
-        trace = ergodic_trace(golden_action, ball_sequence, "cos_x", (0.1, 0.2))
+    def test_matches_cosine_oracle(self, ball_sequence):
+        trace = ergodic_trace(GOLDEN_ANGLES, ball_sequence, "cos_x", (0.1, 0.2))
         for n in range(1, 81):
             oracle = _cosine_oracle(n, GOLDEN_ANGLES[0], 0.1)
             assert trace.averages[n] == pytest.approx(oracle, abs=1e-12)
 
-    def test_errors_shrink(self, golden_action, ball_sequence):
-        trace = ergodic_trace(golden_action, ball_sequence, "cos_x", (0.1, 0.2))
+    def test_errors_shrink(self, ball_sequence):
+        trace = ergodic_trace(GOLDEN_ANGLES, ball_sequence, "cos_x", (0.1, 0.2))
         assert trace.errors[5] > 1e-3
         assert trace.final_error < 1e-4
         assert trace.envelope == max(trace.errors[-10:]) < 1e-3
 
-    def test_constant_observable_is_exact(self, golden_action, ball_sequence):
-        trace = ergodic_trace(golden_action, _powers(10), "one", (0.5, 0.5))
+    def test_constant_observable_is_exact(self, ball_sequence):
+        trace = ergodic_trace(GOLDEN_ANGLES, _powers(10), "one", (0.5, 0.5))
         assert set(trace.errors) == {0.0}
         assert trace.final_error == 0.0
 
-    def test_product_observable_converges(self, golden_action, ball_sequence):
-        trace = ergodic_trace(golden_action, _powers(60), "cos_mix", (0.3, 0.7))
+    def test_product_observable_converges(self, ball_sequence):
+        trace = ergodic_trace(GOLDEN_ANGLES, _powers(60), "cos_mix", (0.3, 0.7))
         assert trace.space_mean == 0.0
         assert trace.final_error < 1e-4
 
-    def test_box_converges_to_area(self, golden_action, ball_sequence):
-        trace = ergodic_trace(golden_action, _powers(60), "box", (0.0, 0.0))
+    def test_box_converges_to_area(self, ball_sequence):
+        trace = ergodic_trace(GOLDEN_ANGLES, _powers(60), "box", (0.0, 0.0))
         assert trace.space_mean == 1 / 16
         assert trace.final_error < 0.01
 
     def test_rational_angles_miss_the_mean(self):
         # a period-two rotation keeps the box average near 1/4, not 1/16
-        trace = ergodic_trace(TorusAction((0.5, 0.5)), _powers(40), "box", (0.0, 0.0))
+        trace = ergodic_trace((0.5, 0.5), _powers(40), "box", (0.0, 0.0))
         assert trace.final_error > 0.1
 
-    def test_a_shorter_sequence_gives_the_first_averages(self, golden_action, ball_sequence):
-        full = ergodic_trace(golden_action, ball_sequence, "cos_x", (0.1, 0.2))
-        trace = ergodic_trace(golden_action, _powers(7), "cos_x", (0.1, 0.2))
+    def test_a_shorter_sequence_gives_the_first_averages(self, ball_sequence):
+        full = ergodic_trace(GOLDEN_ANGLES, ball_sequence, "cos_x", (0.1, 0.2))
+        trace = ergodic_trace(GOLDEN_ANGLES, _powers(7), "cos_x", (0.1, 0.2))
         assert trace.steps == 7
         assert len(trace.errors) == 8
         assert trace.averages == full.averages[:8]
 
-    def test_unordered_sequence_is_refused(self, golden_action):
+    def test_unordered_sequence_is_refused(self):
         sequence = product_powers(zd_model(2), "standard", 3, ordered=False)
         with pytest.raises(ValueError, match=r"no discovery order; build it with ordered=True"):
-            ergodic_trace(golden_action, sequence, "cos_x", (0.1, 0.2))
+            ergodic_trace(GOLDEN_ANGLES, sequence, "cos_x", (0.1, 0.2))

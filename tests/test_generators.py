@@ -45,7 +45,6 @@ import pytest
 from folnerlab import generators
 from folnerlab.errors import BudgetExceededError, NotGeneratingError
 from folnerlab.generators import (
-    TreeChainSpec,
     WordBall,
     cayley_ball,
     norm_profile,
@@ -73,9 +72,8 @@ def _elements(ball) -> tuple:
     return tuple(ball.layers[0].box.elements(np.concatenate([layer.keys for layer in ball.layers])))
 
 
-def _block_depth(spec: TreeChainSpec, n: int) -> int:
-    """Root-to-leaf distance in block n: sum of stretch^(n-k), k = 1..n."""
-    a = spec.stretch
+def _block_depth(a: int, n: int) -> int:
+    """Root-to-leaf distance in block n: sum of a^(n-k), k = 1..n, a the stretch."""
     return (a**n - 1) // (a - 1)
 
 
@@ -368,49 +366,47 @@ class TestHeisenbergGraph:
 
 class TestTreeChain:
     def test_block_depth_formulas(self):
-        assert [_block_depth(TreeChainSpec(2, 3, 8), n) for n in (1, 2, 3)] == [1, 3, 7]
-        assert [_block_depth(TreeChainSpec(3, 2, 8), n) for n in (1, 2, 3)] == [1, 4, 13]
+        assert [_block_depth(2, n) for n in (1, 2, 3)] == [1, 3, 7]
+        assert [_block_depth(3, n) for n in (1, 2, 3)] == [1, 4, 13]
         for a in range(2, 6):
             for n in range(1, 9):
-                assert _block_depth(TreeChainSpec(a, 2, 8), n) == sum(a ** (n - k) for k in range(1, n + 1))
+                assert _block_depth(a, n) == sum(a ** (n - k) for k in range(1, n + 1))
 
     def test_single_block_hand_count(self):
         # Two tripods with their three leaves glued: 5 vertices, 6 edges.
-        g = stretched_tree_chain(TreeChainSpec(2, 3, 1))
+        g = stretched_tree_chain(2, 3, 1)
         assert g.vertex_count == 5
         assert g.edge_count == 6
         assert len(g.adjacency[g.basepoints["r_1"]]) == 3
         assert len(g.adjacency[g.basepoints["leaf_1"]]) == 2
 
     def test_root_to_leaf_and_root_to_root_distances(self):
-        spec = TreeChainSpec(2, 3, 4)
-        g = stretched_tree_chain(spec)
+        g = stretched_tree_chain(2, 3, 4)
         for n in range(1, 5):
             dist = bfs_distances(g, g.basepoints[f"r_{n}"])
-            depth = _block_depth(spec, n)
+            depth = _block_depth(2, n)
             assert dist[g.basepoints[f"leaf_{n}"]] == depth
             assert dist[g.basepoints[f"rp_{n}"]] == 2 * depth
 
     def test_blocks_share_roots(self):
-        g = stretched_tree_chain(TreeChainSpec(2, 3, 3))
+        g = stretched_tree_chain(2, 3, 3)
         assert g.basepoints["rp_1"] == g.basepoints["r_2"]
         assert g.basepoints["rp_2"] == g.basepoints["r_3"]
 
     def test_last_generation_is_shared(self):
         # Block n has exactly valence^n last-generation vertices, each of
         # degree 2 (one path toward each root).
-        spec = TreeChainSpec(2, 3, 3)
-        g = stretched_tree_chain(spec)
+        g = stretched_tree_chain(2, 3, 3)
         n = 3
-        dist = bfs_distances(g, g.basepoints[f"r_{n}"], cutoff=_block_depth(spec, n))
-        leaves = [v for v, d in dist.items() if d == _block_depth(spec, n)]
+        dist = bfs_distances(g, g.basepoints[f"r_{n}"], cutoff=_block_depth(2, n))
+        leaves = [v for v, d in dist.items() if d == _block_depth(2, n)]
         assert len(leaves) >= 3**n
         assert len(g.adjacency[g.basepoints[f"leaf_{n}"]]) == 2
 
     def test_sphere_burst_at_root(self):
         # All 3^k leaves of block k sit at distance 2^k - 1 from its root, so
         # the 1-sphere at radius 2^k - 2 is at least that large.
-        g = stretched_tree_chain(TreeChainSpec(2, 3, 6))
+        g = stretched_tree_chain(2, 3, 6)
         for k in (4, 5, 6):
             p = volume_profile(g, g.basepoints[f"r_{k}"], 2**k)
             assert p.sphere[2**k - 2] >= 3**k
@@ -418,7 +414,7 @@ class TestTreeChain:
     def test_annulus_burst_at_root(self):
         # The annulus between radii 2^(k-1) and 2^k at the block-k root holds
         # at least 1/8 of the ball.
-        g = stretched_tree_chain(TreeChainSpec(2, 3, 6))
+        g = stretched_tree_chain(2, 3, 6)
         for k in (3, 4, 5, 6):
             p = volume_profile(g, g.basepoints[f"r_{k}"], 2**k)
             annulus = p.ball[2**k] - p.ball[2 ** (k - 1)]
@@ -427,7 +423,7 @@ class TestTreeChain:
     def test_exact_spike_at_positioned_center(self):
         # Walking (3^n + 3)/2 steps from r_(n+1) toward leaf_(n+1) puts all
         # 2^n shared leaves of block n at distance exactly 3^n + 1.
-        g = stretched_tree_chain(TreeChainSpec(3, 2, 5))
+        g = stretched_tree_chain(3, 2, 5)
         for n in (2, 3, 4):
             chain = monotone_geodesic(
                 g, g.basepoints[f"r_{n + 1}"], g.basepoints[f"leaf_{n + 1}"]
@@ -438,20 +434,17 @@ class TestTreeChain:
 
     def test_budget_error(self):
         with pytest.raises(BudgetExceededError, match="stretched_tree_chain"):
-            stretched_tree_chain(TreeChainSpec(2, 3, 8), vertex_budget=100)
+            stretched_tree_chain(2, 3, 8, vertex_budget=100)
 
     def test_budget_error_text(self):
         with pytest.raises(BudgetExceededError) as error:
-            stretched_tree_chain(TreeChainSpec(2, 3, 8), vertex_budget=100)
+            stretched_tree_chain(2, 3, 8, vertex_budget=100)
         assert str(error.value) == "stretched_tree_chain: size 101 exceeds budget 100"
 
     def test_rejects_degenerate_parameters(self):
-        with pytest.raises(ValueError):
-            TreeChainSpec(1, 3, 2)
-        with pytest.raises(ValueError):
-            TreeChainSpec(2, 1, 2)
-        with pytest.raises(ValueError):
-            TreeChainSpec(2, 3, 0)
+        for a, b, blocks in [(1, 3, 2), (2, 1, 2), (2, 3, 0)]:
+            with pytest.raises(ValueError, match="^need stretch >= 2, valence >= 2, blocks >= 1$"):
+                stretched_tree_chain(a, b, blocks)
 
 
 # -- Stairway strip ----------------------------------------------------------
@@ -497,10 +490,9 @@ class TestStairway:
 # -- Array builds against the loops they replaced ------------------------------
 
 
-def _reference_stretched_tree_chain(spec, vertex_budget=10**9):
+def _reference_stretched_tree_chain(a, b, blocks, vertex_budget=10**9):
     """The vertex-by-vertex loop that built tree chains: ids in creation
     order, each child before the inner vertices of its path."""
-    a, b, blocks = spec.stretch, spec.valence, spec.blocks
     edges, basepoints, count = [], {}, 0
 
     def new_vertex():
@@ -588,16 +580,14 @@ class TestArrayBuilds:
         (4, 2, 7), (4, 3, 6), (4, 4, 5), (2, 3, 1), (4, 4, 1),
     ])
     def test_tree_chain_matches_the_loop(self, a, b, blocks):
-        spec = TreeChainSpec(a, b, blocks)
-        graph = stretched_tree_chain(spec)
-        assert graph == _reference_stretched_tree_chain(spec)
+        graph = stretched_tree_chain(a, b, blocks)
+        assert graph == _reference_stretched_tree_chain(a, b, blocks)
         assert all(type(v) is int for v in graph.basepoints.values())
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 17, 100, 1000, 4938, 4939, 46148, 46149])
     def test_tree_chain_budget_matches_the_loop(self, budget):
-        spec = TreeChainSpec(2, 3, 8)
-        assert _budget_text(lambda v: stretched_tree_chain(spec, v), budget) == (
-            _budget_text(lambda v: _reference_stretched_tree_chain(spec, v), budget))
+        assert _budget_text(lambda v: stretched_tree_chain(2, 3, 8, v), budget) == (
+            _budget_text(lambda v: _reference_stretched_tree_chain(2, 3, 8, v), budget))
 
     @pytest.mark.parametrize("levels", range(2, 12))
     def test_stairway_matches_the_set_build(self, levels):
@@ -654,7 +644,7 @@ class TestGeneratorInvariants:
         graphs = [
             word_ball(zd_model(2), "standard", 4).graph,
             word_ball(heisenberg_model(), "standard", 3).graph,
-            stretched_tree_chain(TreeChainSpec(2, 3, 2)),
+            stretched_tree_chain(2, 3, 2),
             stairway_strip(3).graph,
         ]
         for g in graphs:

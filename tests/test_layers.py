@@ -28,9 +28,9 @@ from itertools import repeat
 
 import pytest
 
-from folnerlab.ergodic import GOLDEN_ANGLES, OBSERVABLES, TorusAction, ergodic_trace
-from folnerlab.groups import heisenberg_model, zd_model
-from folnerlab.products import product_powers, varying_products
+from folnerlab.ergodic import GOLDEN_ANGLES, OBSERVABLES, ergodic_trace
+from folnerlab.groups import expand, heisenberg_model, zd_model
+from folnerlab.products import DEFAULT_ELEMENT_BUDGET, ProductSequence, product_powers, varying_products
 from folnerlab.space import (
     Graph,
     bfs_distances,
@@ -122,7 +122,7 @@ POINT_OBSERVABLES = {
 }
 
 
-def _replay(action, birth, sizes, name, start, n_max):
+def _replay(angles, birth, sizes, name, start, n_max):
     """The averages by a birth-map replay that moves each point with
     Python floats and evaluates the observable on it, one element at a
     time."""
@@ -134,7 +134,7 @@ def _replay(action, birth, sizes, name, start, n_max):
     running, averages = 0.0, []
     for n in range(n_max + 1):
         for element in by_level[n]:
-            point = tuple((p + g * t) % 1.0 for p, g, t in zip(start, element, action.angles))
+            point = tuple((p + g * t) % 1.0 for p, g, t in zip(start, element, angles))
             running += f(point)
         averages.append(running / sizes[n])
     return tuple(averages)
@@ -200,9 +200,12 @@ def _sequences(name, seed, steps=None):
     rng = random.Random(seed)
     factors = [sorted(set(gens) | set(rng.sample(outer, 3))) for _ in range(count)][:steps]
     inner = model.generating_set("standard")
+    varying = varying_products(model, factors, inner, outer).factors
+    # Both in discovery order, which `birth` and `ergodic_trace` read.
+    layers = expand(model, [model.identity], varying, DEFAULT_ELEMENT_BUDGET, "test", ordered=True)
     return [
-        (product_powers(model, gens, len(factors)), [gens] * len(factors)),
-        (varying_products(model, factors, inner, outer), factors),
+        (product_powers(model, gens, len(factors), ordered=True), [gens] * len(factors)),
+        (ProductSequence(model, varying, tuple(layers)), factors),
     ]
 
 
@@ -224,7 +227,6 @@ class TestProductLayers:
     def test_ergodic_averages_bit_for_bit(self, seed):
         model = zd_model(2)
         rng = random.Random(seed)
-        action = TorusAction(GOLDEN_ANGLES)
         for i, (seq, factors) in enumerate(_sequences("Z2", seed)):
             birth, sizes = _birth_map(model, factors)
             starts = [(rng.random(), rng.random()), (-0.3, 1.7), (1.7, -0.3)]
@@ -235,6 +237,6 @@ class TestProductLayers:
                     # A trace to n_max comes from the sequence expanded n_max steps.
                     n_max = rng.randint(0, seq.steps)
                     short, _ = _sequences("Z2", seed, n_max)[i]
-                    trace = ergodic_trace(action, short, name, start)
-                    expected = _replay(action, birth, sizes, name, start, n_max)
+                    trace = ergodic_trace(GOLDEN_ANGLES, short, name, start)
+                    expected = _replay(GOLDEN_ANGLES, birth, sizes, name, start, n_max)
                     assert trace.averages == expected

@@ -31,8 +31,8 @@ import pytest
 
 from folnerlab.config import validate_config
 from folnerlab.errors import ConfigError
-from folnerlab.ergodic import GOLDEN_ANGLES, TorusAction, ergodic_trace
-from folnerlab.generators import TreeChainSpec, norm_profile, stairway_strip, stretched_tree_chain
+from folnerlab.ergodic import GOLDEN_ANGLES, ergodic_trace
+from folnerlab.generators import norm_profile, stairway_strip, stretched_tree_chain
 from folnerlab.graphio import dump_graph
 from folnerlab.groups import zd_model
 from folnerlab.products import product_powers
@@ -91,7 +91,7 @@ SMALL_SPACES = {
 def _space_config(tmp_path, name, depth, **extra):
     if name == "graph_file":  # a tree chain written to disk
         path = tmp_path / "space.graph"
-        path.write_text(dump_graph(stretched_tree_chain(TreeChainSpec(2, 3, 3))))
+        path.write_text(dump_graph(stretched_tree_chain(2, 3, 3)))
         space = {"graph_file": str(path)}
     else:
         space = SMALL_SPACES[name]
@@ -186,8 +186,8 @@ def test_ergodic_uses_the_configured_generating_set(tmp_path, generating_set):
         analyses={"ergodic": opts},
     )
     result = run_experiment(config, tmp_path)
-    sequence = product_powers(zd_model(2), generating_set, 12)
-    trace = ergodic_trace(TorusAction(GOLDEN_ANGLES), sequence, "cos_x", (0.1, 0.2))
+    sequence = product_powers(zd_model(2), generating_set, 12, ordered=True)
+    trace = ergodic_trace(GOLDEN_ANGLES, sequence, "cos_x", (0.1, 0.2))
     assert result.summary["ergodic"]["final_error"] == trace.final_error
     lines = (tmp_path / "ergodic.csv").read_text().splitlines()[2:]
     assert [float(line.split(",")[1]) for line in lines] == list(trace.averages)
