@@ -1,41 +1,42 @@
 """Concrete group models with exact integer-tuple elements, and the one
 layered expansion kernel every product and ball in folnerlab uses.
 
-A `GroupModel` packages the group law for a finitely generated group whose
-elements are encoded as integer tuples: Z^d under addition, and the discrete
-Heisenberg group H3(Z) of upper-triangular integer matrices encoded as
-(x, y, z) with
+A `GroupModel` is a pattern group: the unitriangular integer matrices
+I + sum a_ij E_ij over a closed pattern of positions i < j, encoded as the
+tuples of their entries.  Z^d is the first row of UT_(d+1)(Z) and the
+discrete Heisenberg group H3(Z) is UT_3(Z), encoded as (x, y, z) with
 
     (x, y, z) * (x', y', z') = (x + x', y + y', z + z' + x * y').
 
-The law has one implementation per model, `multiply_rows`, on int64 arrays
-of elements; `invert` (on tuples) serves symmetrization and `expand`'s test
-for a factor closed under inversion, and `reach` bounds the coordinates of
-products.  With them, `expand` computes the birth layers of N_0 = seeds,
-N_n = N_(n-1) * (F_n with the identity adjoined).  Its factors come as runs
-(F, count), so the powers U^n of one set are the one run (U, n) and the
-step count enters only through `reach`.  Elements are packed into int64
-keys over a box that `reach` bounds (`KeyBox`), and each layer is the
-sorted set of products not reached before.  The law also acts on keys:
-a key is affine in the coordinates and g -> g * s is affine in g, so
-key(g * s) = key(g) + key(s) - key(1), plus s_y * x(g) in H3, with slopes
-read off `multiply_rows`; `step_images` computes the shifts and slopes of
-a factor once, as a step plan, and `expand` builds one plan per distinct
-factor.  A product is new unless the seen map, a bool map over the box
-that marks every key born so far, holds it; a box of more than 8 cells per
-key of the budget gets no map, and there a product is new unless a sorted
-older array holds it (the last two layers for a symmetric factor, else
-the union of all layers), which `common` tests by searching the shorter of
-the two into the longer.  A `KeySet` is a finite set in the same
-representation, sorted keys in one box, with a subset test across boxes.
-Word balls (`generators.word_ball`), product sequences and set products
-(`products`) are all read off these layers; tuples are decoded only where
-a caller asks for elements.  Named generating sets are carried on the
-model; all contain the identity so that powers U^n are nondecreasing.
-`check_generates` verifies that a finite set generates the whole group *as
-a semigroup* (inverses must be reachable as products), which is the right
-notion for one-sided product sets.  It is exact for both models and expands nothing:
-it decides on the abelianization, the first `abelian_rank` coordinates, by
+One law, the matrix product, serves every model: `multiply_rows` on int64
+arrays of elements; `invert` (on tuples) serves symmetrization and
+`expand`'s test for a factor closed under inversion, and `reach` bounds
+the coordinates of products.  With them, `expand` computes the birth
+layers of N_0 = seeds, N_n = N_(n-1) * (F_n with the identity adjoined).
+Its factors come as runs (F, count), so the powers U^n of one set are the
+one run (U, n) and the step count enters only through `reach`.  Elements
+are packed into int64 keys over a box that `reach` bounds (`KeyBox`), and
+each layer is the sorted set of products not reached before.  The law
+also acts on keys: a key is affine in the coordinates and g -> g * s is
+affine in g, so key(g * s) = key(g) + key(s) - key(1) plus slopes times
+coordinates of g, read off `multiply_rows`; `step_images` computes the
+shifts and slopes of a factor once, as a step plan, and `expand` builds
+one plan per distinct factor.  A product is new unless the seen map, a
+bool map over the box that marks every key born so far, holds it; a box
+of more than 8 cells per key of the budget gets no map, and there a
+product is new unless a sorted older array holds it (the last two layers
+for a symmetric factor, else the union of all layers), which `common`
+tests by searching the shorter of the two into the longer.  A `KeySet` is
+a finite set in the same representation, sorted keys in one box, with a
+subset test across boxes.  Word balls (`generators.word_ball`), product
+sequences and set products (`products`) are all read off these layers;
+tuples are decoded only where a caller asks for elements.  Named
+generating sets are carried on the model; all contain the identity so
+that powers U^n are nondecreasing.  `check_generates` verifies that a
+finite set generates the whole group *as a semigroup* (inverses must be
+reachable as products), which is the right notion for one-sided product
+sets.  It is exact for Z^d and H3 and expands nothing: it decides on the
+abelianization, the first `abelian_rank` coordinates, by
 integer row reduction.
 """
 
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from collections.abc import Sequence
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -72,21 +74,75 @@ Element = tuple[int, ...]
 
 @dataclass(frozen=True)
 class GroupModel:
+    """The pattern group I + sum a_ij E_ij, its elements the tuples of
+    entries at `pattern`'s positions (i, j), i < j, which are closed under
+    (i, k), (k, j) => (i, j) and list first those that are no such product.
+    Z^d is ((0, 1), ..., (0, d)) and H3 ((0, 1), (1, 2), (0, 2)), (x, y, z)."""
+
     name: str
-    rank: int  # tuple length of encoded elements
-    # The rank k of the abelianization, which the first k coordinates
-    # encode: d for Z^d, 2 for H3.
-    abelian_rank: int
-    identity: Element
-    invert: Callable[[Element], Element]
-    # The group law, on int64 arrays whose last axis holds coordinates,
-    # broadcasting over the other axes.
-    multiply_rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    # reach(seed_max, step_max, n): per coordinate, a bound on |coordinate|
-    # over all products s * g_1 * ... * g_m, m <= n, where s and every g_i
-    # are bounded coordinatewise by seed_max and step_max.
-    reach: Callable[[Sequence[int], Sequence[int], int], tuple[int, ...]]
+    pattern: tuple[tuple[int, int], ...]
     generating_sets: Mapping[str, tuple[Element, ...]] = field(default_factory=dict)
+
+    @cached_property
+    def _terms(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per coordinate (i, j), the coordinates ((i, k), (k, j)) of each
+        product term, found once per model."""
+        index = {p: c for c, p in enumerate(self.pattern)}
+        return tuple(
+            tuple((index[i, k], index[k, j]) for k in range(i + 1, j) if {(i, k), (k, j)} <= index.keys())
+            for i, j in self.pattern
+        )
+
+    @property
+    def rank(self) -> int:  # tuple length of encoded elements
+        return len(self.pattern)
+
+    @property
+    def identity(self) -> Element:
+        return (0,) * self.rank
+
+    @property
+    def abelian_rank(self) -> int:
+        """The rank k of the abelianization, the first k coordinates: d for Z^d, 2 for H3."""
+        return sum(not terms for terms in self._terms)
+
+    def multiply_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The group law, c_ij = a_ij + b_ij + sum_k a_ik * b_kj, on arrays
+        whose last axis holds coordinates, broadcasting over the others."""
+        out = a + b
+        for c, terms in enumerate(self._terms):
+            for left, right in terms:
+                out[..., c] += a[..., left] * b[..., right]
+        return out
+
+    def _multiply(self, a: Sequence[int], b: Sequence[int]) -> Element:
+        """The law on tuples of Python ints."""
+        return tuple(x + y + sum(a[p] * b[q] for p, q in terms) for x, y, terms in zip(a, b, self._terms))
+
+    def invert(self, g: Element) -> Element:
+        """The h with g * h = 1, solved by increasing j - i: each product
+        term g_ik * h_kj of coordinate (i, j) has j - k < j - i."""
+        h = [0] * self.rank
+        for c in sorted(range(self.rank), key=lambda c: self.pattern[c][1] - self.pattern[c][0]):
+            h[c] = -g[c] - sum(g[left] * h[right] for left, right in self._terms[c])
+        return tuple(h)
+
+    def reach(self, seed_max: Sequence[int], step_max: Sequence[int], n: int) -> Element:
+        """Per coordinate, a bound on |coordinate| over all products
+        s * g_1 * ... * g_m, m <= n, where s and every g_i are bounded
+        coordinatewise by seed_max and step_max: the entries of
+        (I + |S|) (I + |N|)^n, |S| and |N| the matrices of the bounds.  By
+        the triangle inequality they bound the m = n product, and they grow
+        with n.  Binary powering on Python ints, which allocates no array,
+        gives s + n * m on Z^d, and z <= s_z + n * m_z + n * s_x * m_y +
+        C(n, 2) * m_x * m_y on H3.
+        """
+        power, square = self.identity, tuple(step_max)
+        while n:
+            if n & 1:
+                power = self._multiply(power, square)
+            square, n = self._multiply(square, square), n >> 1
+        return self._multiply(seed_max, power)
 
     def generating_set(self, label: str) -> tuple[Element, ...]:
         try:
@@ -111,25 +167,14 @@ class GroupModel:
                 raise NotGeneratingError(f"{self.name}: element {g} has wrong arity")
 
 
-def _zd_invert(a: Element) -> Element:
-    return tuple(-x for x in a)
-
-
-def _zd_multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a + b
-
-
-def _zd_reach(seed_max: Sequence[int], step_max: Sequence[int], n: int) -> tuple[int, ...]:
-    return tuple(s + n * m for s, m in zip(seed_max, step_max))
-
-
 _KEY_CELLS = 2**63  # the largest key box `expand` accepts, in cells
 # A seen map takes one byte per cell of a key box, and a key eight, so a box
 # of at most 8 cells per key of the budget gets one (`expand`).
 _MAP_CELLS_PER_KEY = 8
 # The largest rank whose radius-1 word ball has int64 keys: `word_ball` sizes
 # its box for radius + 1 = 2 unit steps, so each coordinate takes 5 values.
-MAX_ZD_RANK = max(d for d in range(64) if (2 * _zd_reach([0], [1], 2)[0] + 1) ** d <= _KEY_CELLS)
+_UNIT_WIDTH = 2 * GroupModel("Z^1", ((0, 1),)).reach((0,), (1,), 2)[0] + 1
+MAX_ZD_RANK = max(d for d in range(64) if _UNIT_WIDTH**d <= _KEY_CELLS)
 
 
 def zd_model(d: int) -> GroupModel:
@@ -143,10 +188,8 @@ def zd_model(d: int) -> GroupModel:
             f"word ball has int64 keys, got {d}"
         )
     zero = (0,) * d
-    unit = lambda i: tuple(1 if j == i else 0 for j in range(d))
-    standard = (zero,) + tuple(unit(i) for i in range(d)) + tuple(
-        _zd_invert(unit(i)) for i in range(d)
-    )
+    unit = lambda i, sign: tuple(sign if j == i else 0 for j in range(d))
+    standard = (zero,) + tuple(unit(i, sign) for sign in (1, -1) for i in range(d))
     sets: dict[str, tuple[Element, ...]] = {"standard": tuple(sorted(standard))}
     if d == 2:
         # "diagonal" extends the standard set by the two diagonal steps;
@@ -154,59 +197,13 @@ def zd_model(d: int) -> GroupModel:
         diag = standard + ((1, 1), (-1, -1))
         sets["diagonal"] = tuple(sorted(diag))
         sets["skew"] = ((0, 0), (1, 0), (0, 1), (-1, -1))
-    return GroupModel(
-        name=f"Z^{d}",
-        rank=d,
-        abelian_rank=d,
-        identity=zero,
-        invert=_zd_invert,
-        multiply_rows=_zd_multiply_rows,
-        reach=_zd_reach,
-        generating_sets=sets,
-    )
-
-
-def _heis_invert(a: Element) -> Element:
-    return (-a[0], -a[1], -a[2] + a[0] * a[1])
-
-
-def _heis_multiply_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = a + b
-    out[..., 2] += a[..., 0] * b[..., 1]
-    return out
-
-
-def _heis_reach(seed_max: Sequence[int], step_max: Sequence[int], n: int) -> tuple[int, ...]:
-    # After the seed and k steps |x| <= sx + k * mx, so step k + 1 moves z
-    # by at most mz + (sx + k * mx) * my; summing over k < n gives the z bound.
-    sx, sy, sz = seed_max
-    mx, my, mz = step_max
-    return (
-        sx + n * mx,
-        sy + n * my,
-        sz + n * mz + n * sx * my + mx * my * n * (n - 1) // 2,
-    )
+    return GroupModel(f"Z^{d}", tuple((0, j) for j in range(1, d + 1)), sets)
 
 
 def heisenberg_model() -> GroupModel:
     """Discrete Heisenberg group; the standard set is {1, x^(+-1), y^(+-1)}."""
-    standard = (
-        (0, 0, 0),
-        (1, 0, 0),
-        (-1, 0, 0),
-        (0, 1, 0),
-        (0, -1, 0),
-    )
-    return GroupModel(
-        name="H3(Z)",
-        rank=3,
-        abelian_rank=2,
-        identity=(0, 0, 0),
-        invert=_heis_invert,
-        multiply_rows=_heis_multiply_rows,
-        reach=_heis_reach,
-        generating_sets={"standard": tuple(sorted(standard))},
-    )
+    standard = ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+    return GroupModel("H3(Z)", ((0, 1), (1, 2), (0, 2)), {"standard": tuple(sorted(standard))})
 
 
 class KeyBox(NamedTuple):
@@ -255,14 +252,17 @@ def step_images(
     """The step plan of `steps`: a function of keys whose row j holds the
     keys of g * steps[j] for the elements g of the keys.
 
-    Keys are affine in the coordinates, and so is g -> g * s (Z^d adds s;
-    H3 adds s, then z += x * s_y): key(g * s) = key(g) + key(s) - key(1) +
-    sum_c slope[s, c] * g_c, with the slopes read off `multiply_rows` at the
-    unit vectors.  The plan holds the shifts key(s) - key(1) and the nonzero
-    slope columns, so a call decodes only coordinates with a slope (x in
-    H3).  This is the key g * s encodes to, exact when g * s lies in the
-    box.  Right multiplication keeps the lexicographic order in Z^d and H3,
-    so sorted keys give sorted rows, which makes later sorts cheap.
+    Keys are affine in the coordinates, and so is g -> g * s in any
+    pattern group: (g * s)_ij = g_ij + s_ij + sum_k g_ik * s_kj.  So
+    key(g * s) = key(g) + key(s) - key(1) + sum_c slope[s, c] * g_c, with
+    the slopes read off `multiply_rows` at the unit vectors.  The plan
+    holds the shifts key(s) - key(1) and the nonzero slope columns, so a
+    call decodes only coordinates with a slope (x in H3).  This is the key
+    g * s encodes to, exact when g * s lies in the box.  A product term
+    g_ik of coordinate (i, j) has k - i < j - i, so where a pattern lists
+    its positions by increasing j - i, as in Z^d and H3, each slope sits on
+    an earlier coordinate, right multiplication keeps the lexicographic
+    order, and sorted keys give sorted rows, which makes later sorts cheap.
     """
     rank = len(box.widths)
     strides = np.cumprod((1,) + box.widths[:0:-1])[::-1]

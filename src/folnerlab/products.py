@@ -123,30 +123,24 @@ def varying_products(
 ) -> ProductSequence:
     """Products of varying factors pinched between two certified sets.
 
-    Every factor must contain `inner` and be contained in `outer`
-    (inner generates); violations name the offending factor.  This is the
+    Every factor must contain `inner` and be contained in `outer` (inner
+    generates), all three with the identity adjoined, as the products
+    take them; violations name the offending factor.  This is the
     sandwich that makes the product sequence behave like powers of a fixed
     set for growth purposes.  An element of the wrong arity in `outer` or a
     factor fails first, as in `inner`.
     """
     check_generates(model, inner)
     model.check_arity(chain(outer, *factors))
-    inner_set, outer_set = set(inner), set(outer)
+    factors = tuple((_adjoin(model, f), 1) for f in factors)
+    inner_set, outer_set = set(_adjoin(model, inner)), set(_adjoin(model, outer))
     if not inner_set <= outer_set:
         raise ValueError("inner certificate set must lie inside the outer one")
-    for i, factor in enumerate(factors):
-        fset = set(factor)
-        missing = inner_set - fset
-        if missing:
-            raise ValueError(
-                f"factor {i} is missing certified elements {sorted(missing)}"
-            )
-        excess = fset - outer_set
-        if excess:
-            raise ValueError(
-                f"factor {i} exceeds the outer certificate by {sorted(excess)}"
-            )
-    factors = tuple((_adjoin(model, f), 1) for f in factors)
+    for i, (factor, _) in enumerate(factors):
+        if missing := inner_set.difference(factor):
+            raise ValueError(f"factor {i} is missing certified elements {sorted(missing)}")
+        if excess := set(factor) - outer_set:
+            raise ValueError(f"factor {i} exceeds the outer certificate by {sorted(excess)}")
     layers = expand(model, [model.identity], factors, element_budget, "product expansion")
     return ProductSequence(model, factors, tuple(layers))
 

@@ -22,10 +22,11 @@ Core claims:
     - the key box is sized for no more steps than the budget lets a run
       take: a Z^2 word ball of radius 10^12 fails at the budget's layer,
       not on the box, while 10^9 steps in H3 fail on the int64 key box at
-      the default budget's 5,000,000 steps; empty layers (an identity-only
-      run) count no step against that cap, so a run of more of them than
-      the budget, then a generating run, gives the reference layers up to
-      the budget error
+      the default budget's 5,000,000 steps, naming the exact cell count
+      that `reach` gives (as does a Z^27 ball of radius 2); empty layers
+      (an identity-only run) count no step against that cap, so a run of
+      more of them than the budget, then a generating run, gives the
+      reference layers up to the budget error
     - an expansion keeps a seen map of its key box only when the box has at
       most 8 cells per key of the budget: the Z^8 radius-3 ball (833
       elements in 9^8 cells) at a budget of 1,000 allocates none, and a run
@@ -138,6 +139,26 @@ def test_a_step_count_past_the_key_box_fails_before_a_layer():
     message = "product expansion: the bounding box of 5000000 steps has [0-9]+ cells, too many for int64 keys"
     with pytest.raises(ValueError, match=f"^{message}$"):
         product_powers(heisenberg_model(), "standard", 10**9)
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(
+        lambda: product_powers(heisenberg_model(), "standard", 10**9),
+        "product expansion: the bounding box of 5000000 steps has 2500000000000025000015000001 cells, "
+        "too many for int64 keys",
+        id="H3-powers-1e9",
+    ),
+    pytest.param(
+        lambda: word_ball(zd_model(27), "standard", 2),
+        "cayley_ball: the bounding box of 3 steps has 65712362363534280139543 cells, too many for int64 keys",
+        id="Z27-ball-r2",
+    ),
+])
+def test_the_key_box_refusal_counts_the_reach_of_its_steps(build, message):
+    # (2 * 5000000 + 1)^2 * (2 * C(5000000, 2) + 1) cells in H3, 7^27 in Z^27.
+    with pytest.raises(ValueError) as error:
+        build()
+    assert str(error.value) == message
 
 
 def test_empty_layers_take_no_step_of_the_key_box():

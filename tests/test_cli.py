@@ -249,6 +249,18 @@ class TestNprod:
         assert result.exit_code != 0
         assert "factor 0 is missing" in result.output
 
+    def test_the_identity_need_not_be_written(self, runner):
+        # The products adjoin the identity, so a factor without it still
+        # holds the standard certificate, which lists it.
+        units = "[[1,0],[-1,0],[0,1],[0,-1]]"
+        results = [
+            runner.invoke(main, ["nprod", "--factors", f"[{factor}]", "--inner", "standard", "--outer", "standard"])
+            for factor in (units, "[[0,0]," + units[1:])
+        ]
+        assert [r.exit_code for r in results] == [0, 0], results[0].output
+        assert results[0].output.splitlines()[1:] == results[1].output.splitlines()[1:]
+        assert results[0].output.splitlines()[1:] == ["n,size,delta_size,folner_ratio", "0,1,1,4/1", "1,5,4,"]
+
     @pytest.mark.parametrize("factors,message", [
         ("[[[1.5,0],[-1,0],[0,1],[0,-1]]]", "--factors: coordinates must be integers, got 1.5"),
         ("[1]", "--factors: expected a JSON array of integer arrays"),

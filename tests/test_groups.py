@@ -2,16 +2,27 @@
 Tests for the group models and the generation check.
 
 Core claims:
-    - the one group law of each model, `multiply_rows`, adds in Z^d and
-      matches multiplication of unipotent 3 x 3 matrices in H3 (independent
+    - every model is one pattern group: its pattern holds positions
+      i < j, is closed under (i, k), (k, j) => (i, j), and lists the
+      abelianization's positions first; rank, identity and abelian_rank
+      are d, 0 and d for Z^d and 3, 0 and 2 for H3
+    - the one group law, `multiply_rows`, adds in Z^d and matches
+      multiplication of unipotent 3 x 3 matrices in H3 (independent
       oracle), on seeded random int64 rows; invert really inverts
-    - the laws are associative on random triples of rows
+    - the law is associative on random triples of rows
+    - the one `reach` equals the per-model closed forms it replaced (kept
+      here as the reference) term for term on seeded bounds with n up to
+      10^12, in Z^1, Z^2, Z^3, Z^27 and H3; it is nondecreasing in n; and
+      every coordinate of every product of a seed and at most n <= 6
+      factors (`tests/tuple_law.py`'s reference layers) lies within it,
+      for named and seeded sets of Z^1 to Z^3 and H3 and a nonzero seed set
     - the step plan of `step_images`, which steps in key space, gives the
       keys of the tuple law's products (`tests/tuple_law.py`) on decoded tuples: in Z^1 to
       Z^5 and H3, for named and seeded step sets, on keys at the corners
-      of the box and unsorted keys, and for a law whose slope sits on a
-      later coordinate; a product outside the box gets the key its
-      coordinates encode to
+      of the box and unsorted keys, and for H3 stored as (y, x, z), the
+      pattern ((1, 2), (0, 1), (0, 2)), whose slope sits on a later
+      coordinate; a product outside the box gets the key its coordinates
+      encode to
     - symmetrize closes under inversion and drops the identity
     - check_generates accepts the named sets and rejects proper-subgroup
       spans and semigroup-incomplete sets with telling messages; for Z^d it
@@ -36,7 +47,6 @@ Core claims:
 """
 
 import ast
-import dataclasses
 import itertools
 import math
 import random
@@ -53,6 +63,7 @@ from folnerlab.products import DEFAULT_ELEMENT_BUDGET
 from folnerlab.groups import (
     MAX_FACET_SUBSETS,
     MAX_ZD_RANK,
+    GroupModel,
     KeyBox,
     _spans,
     check_generates,
@@ -62,7 +73,7 @@ from folnerlab.groups import (
     step_images,
     zd_model,
 )
-from tuple_law import multiply
+from tuple_law import multiply, reference_layers
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -149,6 +160,90 @@ class TestModels:
         with pytest.raises(ValueError, match="dimension must be at most 27, .* got 28"):
             zd_model(28)
 
+    @pytest.mark.parametrize("model,rank,abelian_rank", [
+        *[pytest.param(zd_model(d), d, d, id=f"Z{d}") for d in (1, 2, 3, MAX_ZD_RANK)],
+        pytest.param(heisenberg_model(), 3, 2, id="H3"),
+    ])
+    def test_models_are_closed_patterns(self, model, rank, abelian_rank):
+        pattern = model.pattern
+        assert all(i < j for i, j in pattern) and len(set(pattern)) == len(pattern)
+        products = {(i, j) for i, k in pattern for k2, j in pattern if k == k2}
+        assert products <= set(pattern)
+        # The positions that are no product, the abelianization's, come first.
+        assert [p in products for p in pattern] == [False] * abelian_rank + [True] * (rank - abelian_rank)
+        assert (model.rank, model.identity, model.abelian_rank) == (rank, (0,) * rank, abelian_rank)
+
+
+# -- The one reach -------------------------------------------------------------
+
+
+def _closed_form_reach(model, seed_max, step_max, n):
+    """The per-model bounds the one `reach` replaced, kept as its reference.
+    In H3, after the seed and k steps |x| <= s_x + k * m_x, so step k + 1
+    moves z by at most m_z + (s_x + k * m_x) * m_y; summing over k < n gives
+    the z bound."""
+    if model.name == "H3(Z)":
+        (sx, sy, sz), (mx, my, mz) = seed_max, step_max
+        return (sx + n * mx, sy + n * my, sz + n * mz + n * sx * my + mx * my * n * (n - 1) // 2)
+    return tuple(s + n * m for s, m in zip(seed_max, step_max))
+
+
+REACH_MODELS = [
+    *[pytest.param(zd_model(d), id=f"Z{d}") for d in (1, 2, 3, MAX_ZD_RANK)],
+    pytest.param(heisenberg_model(), id="H3"),
+]
+
+
+def _maxima(elements, rank):
+    return [max((abs(g[c]) for g in elements), default=0) for c in range(rank)]
+
+
+def _reach_sets():
+    """(model, seeds, step set): the named sets from the identity, and
+    seeded sets from the identity and from a seeded nonzero seed set."""
+    models = [zd_model(d) for d in (1, 2, 3)] + [heisenberg_model()]
+    for model in models:
+        for label in model.generating_sets:
+            yield pytest.param(model, [model.identity], model.generating_set(label), id=f"{model.name}-{label}")
+        rng = random.Random(f"reach-sets/{model.name}")
+        for k in range(2):
+            gens = sorted({tuple(rng.randint(-3, 3) for _ in range(model.rank)) for _ in range(4)})
+            seeds = [model.identity]
+            if k:
+                seeds = sorted({tuple(rng.randint(-4, 4) for _ in range(model.rank)) for _ in range(3)})
+            yield pytest.param(model, seeds, gens, id=f"{model.name}-seeded-{k}")
+
+
+class TestReach:
+    @pytest.mark.parametrize("model", REACH_MODELS)
+    def test_equals_the_closed_forms(self, model):
+        rng = random.Random(f"reach/{model.name}")
+        for k in range(400):
+            seed_max = [rng.randint(0, 10 ** rng.randint(0, 6)) for _ in range(model.rank)]
+            step_max = [rng.randint(0, 10 ** rng.randint(0, 6)) for _ in range(model.rank)]
+            n = 10**12 if k == 0 else rng.randint(0, 10 ** rng.randint(0, 12))
+            assert model.reach(seed_max, step_max, n) == _closed_form_reach(model, seed_max, step_max, n)
+
+    @pytest.mark.parametrize("model", REACH_MODELS)
+    def test_nondecreasing_in_n(self, model):
+        rng = random.Random(f"reach-monotone/{model.name}")
+        for _ in range(20):
+            seed_max = [rng.randint(0, 9) for _ in range(model.rank)]
+            step_max = [rng.randint(0, 9) for _ in range(model.rank)]
+            ns = sorted({rng.randint(0, 10 ** rng.randint(0, 12)) for _ in range(10)} | set(range(40)))
+            bounds = [model.reach(seed_max, step_max, n) for n in ns]
+            for lower, upper in zip(bounds, bounds[1:]):
+                assert all(a <= b for a, b in zip(lower, upper))
+
+    @pytest.mark.parametrize("model,seeds,gens", _reach_sets())
+    def test_bounds_every_product(self, model, seeds, gens):
+        seed_max, step_max = _maxima(seeds, model.rank), _maxima(gens, model.rank)
+        reached = []
+        for n, layer in enumerate(reference_layers(model, seeds, [gens] * 6)):
+            reached += layer
+            bound = model.reach(seed_max, step_max, n)
+            assert all(m <= b for m, b in zip(_maxima(reached, model.rank), bound)), n
+
 
 # -- Steps in key space -------------------------------------------------------
 
@@ -196,12 +291,7 @@ class TestStepImages:
         def swapped(g):
             return (g[1], g[0], *g[2:])
 
-        def multiply_rows(a, b):
-            out = a + b
-            out[..., 2] += a[..., 1] * b[..., 0]
-            return out
-
-        model = dataclasses.replace(h3, name="H3 as (y, x, z)", multiply_rows=multiply_rows)
+        model = GroupModel("H3 as (y, x, z)", ((1, 2), (0, 1), (0, 2)))
         box = KeyBox((3, 4, 9), (7, 9, 19))
         keys = np.random.default_rng(5).integers(0, math.prod(box.widths), 80)
         steps = [(0, 1, 0), (-1, 2, 3), (2, -1, 0), (1, 1, -2)]

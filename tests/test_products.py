@@ -17,6 +17,10 @@ The guiding identities, each checked against independent enumeration:
       error
     - the subset test of key sets re-encodes across key boxes, and an
       element outside the right side's box is outside the set
+    - varying products compare each factor with the inner and outer
+      certificates with the identity adjoined to all three, so writing it
+      out or not changes no verdict, and a real violation names its factor
+      and its elements
 """
 
 import itertools
@@ -192,6 +196,27 @@ class TestVaryingProducts:
         inner, _ = self._sets(model)
         with pytest.raises(ValueError, match="inside the outer"):
             varying_products(model, [inner], inner, [(1, 0), (-1, 0)])
+
+    @pytest.mark.parametrize("in_factors,in_inner,in_outer", itertools.product([False, True], repeat=3))
+    def test_the_identity_need_not_be_written(self, in_factors, in_inner, in_outer):
+        # Factors and certificates are compared with the identity adjoined,
+        # as the products take them, so writing it out changes no verdict;
+        # a real violation fails either way, naming only real elements.
+        model = zd_model(2)
+        units = [g for g in model.generating_set("standard") if g != model.identity]
+
+        def written(elements, identity):
+            return elements + [model.identity] if identity else elements
+
+        inner, outer = written(units, in_inner), written(units, in_outer)
+        seq = varying_products(model, [written(units, in_factors)] * 3, inner, outer)
+        assert seq.sizes == (1, 5, 13, 25)
+        short = written([g for g in units if g != (1, 0)], in_factors)
+        with pytest.raises(ValueError, match=r"^factor 1 is missing certified elements \[\(1, 0\)\]$"):
+            varying_products(model, [written(units, in_factors), short], inner, outer)
+        wide = written(units + [(1, 1)], in_factors)
+        with pytest.raises(ValueError, match=r"^factor 1 exceeds the outer certificate by \[\(1, 1\)\]$"):
+            varying_products(model, [written(units, in_factors), wide], inner, outer)
 
 
 class TestProductWithPowers:
