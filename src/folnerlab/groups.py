@@ -8,11 +8,12 @@ discrete Heisenberg group H3(Z) is UT_3(Z), encoded as (x, y, z) with
 
     (x, y, z) * (x', y', z') = (x + x', y + y', z + z' + x * y').
 
-One law, the matrix product, serves every model: `multiply_rows` on int64
-arrays of elements; `invert` (on tuples) serves symmetrization and
-`expand`'s test for a factor closed under inversion, and `reach` bounds
-the coordinates of products.  With them, `expand` computes the birth
-layers of N_0 = seeds, N_n = N_(n-1) * (F_n with the identity adjoined).
+One law, the matrix product, written once, serves every model:
+`multiply_rows` applies it to int64 arrays of elements; `invert` (on
+tuples) serves symmetrization and `expand`'s test for a factor closed
+under inversion, and `reach` bounds the coordinates of products.  With
+them, `expand` computes the birth layers of N_0 = seeds,
+N_n = N_(n-1) * (F_n with the identity adjoined).
 Its factors come as runs (F, count), so the powers U^n of one set are the
 one run (U, n) and the step count enters only through `reach`.  Elements
 are packed into int64 keys over a box that `reach` bounds (`KeyBox`), and
@@ -107,16 +108,13 @@ class GroupModel:
         return sum(not terms for terms in self._terms)
 
     def multiply_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The group law, c_ij = a_ij + b_ij + sum_k a_ik * b_kj, on arrays
-        whose last axis holds coordinates, broadcasting over the others."""
-        out = a + b
-        for c, terms in enumerate(self._terms):
-            for left, right in terms:
-                out[..., c] += a[..., left] * b[..., right]
-        return out
+        """`_multiply` on arrays whose last axis holds coordinates,
+        broadcasting over the others."""
+        return np.stack(self._multiply(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)), axis=-1)
 
-    def _multiply(self, a: Sequence[int], b: Sequence[int]) -> Element:
-        """The law on tuples of Python ints."""
+    def _multiply(self, a: Sequence, b: Sequence) -> tuple:
+        """The group law, c_ij = a_ij + b_ij + sum_k a_ik * b_kj, on tuples
+        of Python ints (exact, as `reach` needs) or of per-coordinate arrays."""
         return tuple(x + y + sum(a[p] * b[q] for p, q in terms) for x, y, terms in zip(a, b, self._terms))
 
     def invert(self, g: Element) -> Element:

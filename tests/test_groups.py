@@ -12,7 +12,8 @@ Core claims:
     - the law is associative on random triples of rows
     - the one `reach` equals the per-model closed forms it replaced (kept
       here as the reference) term for term on seeded bounds with n up to
-      10^12, in Z^1, Z^2, Z^3, Z^27 and H3; it is nondecreasing in n; and
+      10^12, in Z^1, Z^2, Z^3, Z^27 and H3; it is nondecreasing in n in
+      Z^1 to Z^3 and H3; and
       every coordinate of every product of a seed and at most n <= 6
       factors (`tests/tuple_law.py`'s reference layers) lies within it,
       for named and seeded sets of Z^1 to Z^3 and H3 and a nonzero seed set
@@ -224,7 +225,8 @@ class TestReach:
             n = 10**12 if k == 0 else rng.randint(0, 10 ** rng.randint(0, 12))
             assert model.reach(seed_max, step_max, n) == _closed_form_reach(model, seed_max, step_max, n)
 
-    @pytest.mark.parametrize("model", REACH_MODELS)
+    # Z^27 is left to the closed form above, s + n * m, which plainly grows with n.
+    @pytest.mark.parametrize("model", [p for p in REACH_MODELS if p.id != "Z27"])
     def test_nondecreasing_in_n(self, model):
         rng = random.Random(f"reach-monotone/{model.name}")
         for _ in range(20):

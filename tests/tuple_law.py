@@ -1,8 +1,9 @@
 """The group laws of Z^d and H3 on integer tuples, and the pure-Python
 frontier loop the tests take as the reference for the expansion kernel.
 
-The library keeps one law per model, `multiply_rows` on int64 arrays; this
-one is written out separately so the references do not share its code.
+The library keeps one law for every model, the product of unitriangular
+matrices over a pattern; this one is written out per model so the
+references do not share its code.
 """
 
 from folnerlab.errors import BudgetExceededError
