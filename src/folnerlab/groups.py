@@ -38,16 +38,16 @@ finite set generates the whole group *as a semigroup* (inverses must be
 reachable as products), which is the right notion for one-sided product
 sets.  It is exact for Z^d and H3 and expands nothing: it decides on the
 abelianization, the first `abelian_rank` coordinates, by
-integer row reduction.
+integer row reduction and, for a one-sided set, one exact linear program.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from collections.abc import Sequence
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -58,7 +58,6 @@ __all__ = [
     "GroupModel",
     "zd_model",
     "MAX_ZD_RANK",
-    "MAX_FACET_SUBSETS",
     "heisenberg_model",
     "KeyBox",
     "Layer",
@@ -479,15 +478,15 @@ def _new_products(
     return keys, candidates[np.sort(first)] if ordered else None
 
 
-def _row_reduce(rows: Iterable[Sequence[int]], columns: int) -> list[list[int]]:
-    """`rows` in integer echelon form on their first `columns` entries, by
-    unimodular row operations (swaps, adding a multiple of one row to
-    another), so their integer span is kept; later entries ride along.
-    Column by column, Euclid's algorithm on the rows below the pivots found
-    so far leaves one nonzero entry, the next pivot; zero rows come last."""
+def _row_reduce(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """`rows` in integer echelon form, by unimodular row operations (swaps,
+    adding a multiple of one row to another), so their integer span is
+    kept.  Column by column, Euclid's algorithm on the rows below the pivots
+    found so far leaves one nonzero entry, the next pivot; zero rows come
+    last."""
     rows = [list(r) for r in rows]
     top = 0  # the rows above `top` hold the pivots found so far
-    for c in range(columns):
+    for c in range(len(rows[0]) if rows else 0):
         while any(r[c] for r in rows[top:]):
             p = min((i for i in range(top, len(rows)) if rows[i][c]), key=lambda i: abs(rows[i][c]))
             rows[top], rows[p] = rows[p], rows[top]
@@ -504,46 +503,47 @@ def _spans(vectors: Sequence[Sequence[int]], d: int) -> bool:
     """True iff the integer span of `vectors` is all of Z^d: their echelon
     form then has d pivots, and their product, up to sign the index of the
     span, is +-1."""
-    pivots = [next(x for x in row if x) for row in _row_reduce(vectors, d) if any(row)]
+    pivots = [next(x for x in row if x) for row in _row_reduce(vectors) if any(row)]
     return len(pivots) == d and all(abs(x) == 1 for x in pivots)
 
 
-def _normal(vectors: Sequence[Element], d: int) -> Element | None:
-    """The primitive normal, up to sign, of d - 1 vectors in Z^d, or None if
-    they are linearly dependent.  Their transpose is reduced beside the
-    identity, which records the unimodular transform: the identity part of
-    the one row left zero on their columns is orthogonal to every vector,
-    and primitive as a row of a unimodular matrix."""
-    k = len(vectors)
-    stacked = [[g[j] for g in vectors] + [int(i == j) for i in range(d)] for j in range(d)]
-    kernel = [row[k:] for row in _row_reduce(stacked, k) if not any(row[:k])]
-    return tuple(kernel[0]) if len(kernel) == 1 else None
-
-
-# The most (d - 1)-subsets `check_generates` lets `_half_space_normal` try,
-# each a row reduction.
-# At d = 22, the 253 subsets of 23 one-sided generators with entries 0 to 3
-# take about 0.8 s on a 2-vCPU Xeon; larger entries take longer.
-MAX_FACET_SUBSETS = 256
-
-
 def _half_space_normal(gens: list[Element], d: int) -> Element | None:
-    """A primitive integer n with <g, n> >= 0 for every generator g, if one
-    exists, for generators that span R^d.
-
-    Their cone is then not all of R^d, so it has a facet, spanned by d - 1
-    linearly independent generators; their normal (or its negative) is
-    such an n.  So trying every (d - 1)-subset decides it.
+    """None if some z >= 0 has sum z_g g = -sum g over `gens`, else a
+    primitive n with <g, n> >= 0 for every g (Gordan's alternative), by
+    phase 1 of the simplex method on `Fraction`s with Bland's rule, which
+    ends.  Row i is equation i, negated if its right side is negative; the
+    artificials start as the basis and their columns hold its inverse.  At
+    the end the dual w, the sum of that inverse's rows whose basic variable
+    is an artificial with the negated rows' signs put back, has
+    <g, w> <= 0 for every g, and <-sum g, w> is the artificials' sum: if it
+    is positive (Farkas) no z exists, and n is -w.
     """
-    for subset in combinations(gens, d - 1):
-        normal = _normal(subset, d)
-        if normal is None:
-            continue
-        dots = [sum(a * b for a, b in zip(g, normal)) for g in gens]
-        for sign in (1, -1):
-            if min(sign * x for x in dots) >= 0:
-                return tuple(sign * c for c in normal)
-    return None
+    m = len(gens)
+    target = [-sum(g[i] for g in gens) for i in range(d)]
+    signs = [-1 if t < 0 else 1 for t in target]
+    rows = [
+        [Fraction(s * g[i]) for g in gens] + [Fraction(int(i == j)) for j in range(d)] + [Fraction(s * t)]
+        for i, (s, t) in enumerate(zip(signs, target))
+    ]
+    basis = list(range(m, m + d))
+    while True:
+        artificial = [r for r, b in zip(rows, basis) if b >= m]
+        entering = next((j for j in range(m) if sum(r[j] for r in artificial) > 0), None)
+        if entering is None:
+            break
+        _, _, p = min((r[-1] / r[entering], basis[i], i) for i, r in enumerate(rows) if r[entering] > 0)
+        rows[p] = pivot = [x / rows[p][entering] for x in rows[p]]
+        for i, r in enumerate(rows):
+            if i != p and r[entering]:
+                rows[i] = [a - r[entering] * b for a, b in zip(r, pivot)]
+        basis[p] = entering
+    if not any(r[-1] for r in artificial):
+        return None
+    normal = [-s * sum(r[m + i] for r in artificial) for i, s in enumerate(signs)]
+    scale = math.lcm(*(x.denominator for x in normal))
+    scaled = [int(x * scale) for x in normal]
+    divisor = math.gcd(*scaled)
+    return tuple(x // divisor for x in scaled)
 
 
 def check_generates(model: GroupModel, elements: Iterable[Element]) -> None:
@@ -551,13 +551,16 @@ def check_generates(model: GroupModel, elements: Iterable[Element]) -> None:
 
     The test is exact and runs on the abelianization Z^k, the first
     k = `model.abelian_rank` coordinates: a finite set S generates Z^d or H3
-    as a semigroup exactly when its projections generate Z^k as one.  One
-    integer row reduction (`_row_reduce`) decides that.  The projections
-    must span Z^k as a group; if they are closed under negation they then
-    generate Z^k as a semigroup too, and otherwise no nonzero linear
-    functional may be >= 0 on all of them (`_half_space_normal`).  Then each
-    -g is a nonnegative rational combination of them, so, times a common
-    denominator N, -g = (N - 1) g + (a nonnegative integer combination).  A
+    as a semigroup exactly when its projections generate Z^k as one.  The
+    projections must span Z^k as a group, which one integer row reduction
+    (`_row_reduce`) decides; if they are closed under negation they then
+    generate Z^k as a semigroup too.  Otherwise one exact LP
+    (`_half_space_normal`) decides Gordan's alternative: either some z >= 0
+    has sum z_g g = -sum g, or some nonzero n has <g, n> >= 0 for every g.
+    In the first case y_g = 1 + z_g >= 1 gives sum y_g g = 0, so each -g is
+    a nonnegative rational combination of the others and, times a common
+    denominator N, -g = (N - 1) g + (a nonnegative integer combination).  In
+    the second no product leaves the half-space <x, n> >= 0.  A
     one-sided set like {0, e1, e2} spans Z^2 as a group but stays in the
     half-plane x + y >= 0 and is rejected, naming the primitive normal of
     that half-space.
@@ -578,7 +581,7 @@ def check_generates(model: GroupModel, elements: Iterable[Element]) -> None:
         raise NotGeneratingError(f"{model.name}: no non-identity elements given")
     model.check_arity(gens)
     k = model.abelian_rank
-    # Distinct projections in the order given, which the facet search follows.
+    # Distinct projections in the order given, the LP's columns.
     proj = list(dict.fromkeys(g[:k] for g in gens))
     if not _spans(proj, k):
         raise NotGeneratingError(
@@ -589,13 +592,6 @@ def check_generates(model: GroupModel, elements: Iterable[Element]) -> None:
     if {tuple(-x for x in p) for p in proj} == set(proj):
         return
     projected = "" if k == model.rank else f" projected to Z^{k}"
-    subsets = math.comb(len(proj), k - 1)
-    if subsets > MAX_FACET_SUBSETS:
-        raise ValueError(
-            f"{model.name}: the half-space test of {len(proj)} one-sided generators"
-            f"{projected} would try C({len(proj)}, {k - 1}) = {subsets} facets, more "
-            f"than its bound {MAX_FACET_SUBSETS}"
-        )
     normal = _half_space_normal(proj, k)
     if normal is not None:
         raise NotGeneratingError(

@@ -9,6 +9,9 @@ Core claims:
     - the one group law, `multiply_rows`, adds in Z^d and matches
       multiplication of unipotent 3 x 3 matrices in H3 (independent
       oracle), on seeded random int64 rows; invert really inverts
+    - the tests' reference law (`tests/tuple_law.py`), the product of a
+      pattern's unitriangular matrices, is the H3 law and Z^d addition
+      written out, on seeded tuples
     - the law is associative on random triples of rows
     - the one `reach` equals the per-model closed forms it replaced (kept
       here as the reference) term for term on seeded bounds with n up to
@@ -22,26 +25,32 @@ Core claims:
       Z^5 and H3, for named and seeded step sets, on keys at the corners
       of the box and unsorted keys, and for H3 stored as (y, x, z), the
       pattern ((1, 2), (0, 1), (0, 2)), whose slope sits on a later
-      coordinate; a product outside the box gets the key its coordinates
+      coordinate, against the reference law on that model; a product outside the box gets the key its coordinates
       encode to
     - symmetrize closes under inversion and drops the identity
     - check_generates accepts the named sets and rejects proper-subgroup
       spans and semigroup-incomplete sets with telling messages; for Z^d it
       is exact, so a set whose inverses need many factors is accepted
-    - for Z^d its verdicts equal those of the determinant-based check it
-      replaced (kept here as the reference: the gcd of all d x d minors
-      for the span, cofactor normals of (d - 1)-subsets for the half-space)
-      on seeded sets in Z^1 to Z^4, symmetric and one-sided; each
-      half-space normal it names is primitive and the reference's divided
-      by a positive integer; and it decides sets at ranks the reference
-      cannot reach
+    - for Z^d its verdicts equal those of the determinant-based check
+      (kept here as the reference: the gcd of all d x d minors for the
+      span, cofactor normals of (d - 1)-subsets for the half-space) on
+      seeded sets in Z^1 to Z^4, symmetric and one-sided; each half-space
+      normal it names is a certificate: nonzero, primitive and >= 0 on
+      every generator
+    - it decides sets the reference cannot reach: the one-sided simplex
+      e_1, ..., e_d, -(e_1 + ... + e_d) is accepted, and rejected without
+      one direction, at ranks 20, 23 and MAX_ZD_RANK; one-sided sets of
+      257 generators in Z^2, 24 and 2,000 in Z^3 and 257 H3 projections
+      are accepted, and rejected with a certificate without minus the sum
+      of the units
+    - a set closed under inversion stops at the span test and never
+      reaches the LP
     - zd_model takes ranks 1 to MAX_ZD_RANK = 27, the largest whose
       radius-1 word ball has int64 keys
-    - the facet search of a one-sided set refuses more than
-      MAX_FACET_SUBSETS subsets, naming the count and the bound
     - for H3 the check decides on the (x, y) projections: on seeded sets,
       symmetric and one-sided, its verdict is the determinant check's on
-      the projections in Z^2, and for each accepted set an expansion of a
+      the projections in Z^2, each normal it names is a certificate on the
+      projections, and for each accepted set an expansion of a
       stated depth reaches (0, 0, +-1) and every generator inverse
     - the check expands nothing: it passes with `groups.expand` replaced by
       a function that raises
@@ -62,7 +71,6 @@ from folnerlab.errors import NotGeneratingError
 from folnerlab.generators import word_ball
 from folnerlab.products import DEFAULT_ELEMENT_BUDGET
 from folnerlab.groups import (
-    MAX_FACET_SUBSETS,
     MAX_ZD_RANK,
     GroupModel,
     KeyBox,
@@ -116,6 +124,17 @@ class TestModels:
         a, b = _random_rows(m, 41), _random_rows(m, 141)
         for g, h, prod in zip(a.tolist(), b.tolist(), m.multiply_rows(a, b).tolist()):
             assert np.array_equal(_heis_matrix(prod), _heis_matrix(g) @ _heis_matrix(h))
+
+    def test_the_reference_law_is_written_out(self):
+        rng = random.Random("tuple-law")
+        big = lambda: rng.randint(-(10**12), 10**12)
+        for _ in range(200):
+            (x, y, z), (u, v, w) = (big(), big(), big()), (big(), big(), big())
+            assert multiply(heisenberg_model(), (x, y, z), (u, v, w)) == (x + u, y + v, z + w + x * v)
+        for d in (1, 2, 3, MAX_ZD_RANK):
+            for _ in range(20):
+                a, b = tuple(big() for _ in range(d)), tuple(big() for _ in range(d))
+                assert multiply(zd_model(d), a, b) == tuple(p + q for p, q in zip(a, b))
 
     def test_heisenberg_invert(self):
         m = heisenberg_model()
@@ -288,17 +307,12 @@ class TestStepImages:
     def test_a_slope_on_a_later_coordinate(self):
         # H3 with its elements stored as (y, x, z): the coordinate that moves
         # z is no longer the leading digit of a key.
-        h3 = heisenberg_model()
-
-        def swapped(g):
-            return (g[1], g[0], *g[2:])
-
         model = GroupModel("H3 as (y, x, z)", ((1, 2), (0, 1), (0, 2)))
         box = KeyBox((3, 4, 9), (7, 9, 19))
         keys = np.random.default_rng(5).integers(0, math.prod(box.widths), 80)
         steps = [(0, 1, 0), (-1, 2, 3), (2, -1, 0), (1, 1, -2)]
         for s, row in zip(steps, step_images(model, box, steps)(keys)):
-            products = [swapped(multiply(h3, swapped(g), swapped(s))) for g in box.elements(keys)]
+            products = [multiply(model, g, s) for g in box.elements(keys)]
             assert row.tolist() == box.encode(np.array(products, dtype=np.int64)).tolist()
 
 
@@ -350,7 +364,7 @@ class TestCheckGenerates:
 
     def test_rejects_heisenberg_without_inverses(self):
         m = heisenberg_model()
-        with pytest.raises(NotGeneratingError, match=r"<g, \(0, 1\)> >= 0 .* projected to Z\^2"):
+        with pytest.raises(NotGeneratingError, match=r"<g, \(1, 1\)> >= 0 .* projected to Z\^2"):
             check_generates(m, [(1, 0, 0), (0, 1, 0)])
 
     def test_rejects_heisenberg_bad_projection(self):
@@ -362,43 +376,58 @@ class TestCheckGenerates:
         assert not _spans([(2, 0), (0, 1), (-2, 0), (0, -1)], 2)
         assert _spans([(2, 1), (1, 1)], 2)
         assert _spans([(1, 0), (0, 1), (-5, -7)], 2)
-        with pytest.raises(NotGeneratingError, match=r"<g, \(-1, 2\)> >= 0"):
+        with pytest.raises(NotGeneratingError, match=r"<g, \(1, 1\)> >= 0"):
             check_generates(zd_model(2), [(2, 1), (1, 1)])
 
     def test_standard_set_at_the_largest_rank(self):
         m = zd_model(MAX_ZD_RANK)
         check_generates(m, m.generating_set("standard"))
 
-    def test_one_sided_simplex_in_rank_20(self):
-        # -e_i is the sum of the other e_j and -(e_1 + ... + e_20).
-        m = zd_model(20)
-        units = [tuple(int(i == j) for j in range(20)) for i in range(20)]
-        check_generates(m, units + [(-1,) * 20])
-        with pytest.raises(NotGeneratingError, match="half-space"):
-            check_generates(m, units + [(-1,) * 19 + (0,)])
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_facet_search_is_bounded(self, d):
-        # The unit vectors, minus their sum and nonnegative extras generate
-        # Z^d as a semigroup.  The search tries C(n, d - 1) subsets of n
-        # distinct generators: n of them in Z^2, C(n, 2) in Z^3.
+    @pytest.mark.parametrize("d", [20, 23, MAX_ZD_RANK])
+    def test_one_sided_simplex(self, d):
+        # -e_i is the sum of the other e_j and -(e_1 + ... + e_d).
         m = zd_model(d)
-        base = [tuple(int(i == j) for j in range(d)) for i in range(d)] + [(-1,) * d]
-        gens = base + [g for g in np.ndindex((17,) * d) if sum(g) > 1]
-        n = max(n for n in range(d, 300) if math.comb(n, d - 1) <= MAX_FACET_SUBSETS)
-        check_generates(m, gens[:n] + gens[:n])  # repeats count once
-        count = math.comb(n + 1, d - 1)
-        with pytest.raises(ValueError, match=rf"C\({n + 1}, {d - 1}\) = {count} facets, more than its bound 256"):
-            check_generates(m, gens[: n + 1])
-        # A symmetric set never reaches the facet search.
-        check_generates(m, m.symmetrize(gens))
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        check_generates(m, units + [(-1,) * d])
+        without = units + [(-1,) * (d - 1) + (0,)]
+        _assert_certificate(_verdict(m, without), without)
 
-    def test_heisenberg_facet_bound_counts_distinct_projections(self):
+    @pytest.mark.parametrize("d,count", [(2, 257), (3, 24), (3, 2000)])
+    def test_sets_past_the_old_facet_bound_are_decided(self, d, count):
+        # The unit vectors, minus their sum and nonnegative extras generate
+        # Z^d as a semigroup; without minus their sum they lie in the
+        # nonnegative orthant.  A facet search capped at 256 subsets refused
+        # 257 generators in Z^2 and 24 in Z^3.
+        m = zd_model(d)
+        gens = [tuple(int(i == j) for j in range(d)) for i in range(d)] + [(-1,) * d]
+        gens += [g for g in np.ndindex((17,) * d) if sum(g) > 1][: count - d - 1]
+        check_generates(m, gens + gens)  # repeats count once
+        without = gens[:d] + gens[d + 1 :]
+        _assert_certificate(_verdict(m, without), without)
+
+    def test_heisenberg_sets_past_the_old_facet_bound_are_decided(self):
         m = heisenberg_model()
         plane = [(1, 0), (0, 1), (-1, -1)] + [(i, j) for i in range(17) for j in range(17) if i + j > 1]
-        check_generates(m, [(x, y, z) for x, y in plane[:MAX_FACET_SUBSETS] for z in (0, 1)])
-        with pytest.raises(ValueError, match=r"H3\(Z\): .* 257 one-sided generators projected to Z\^2 "):
-            check_generates(m, [(x, y, 0) for x, y in plane[: MAX_FACET_SUBSETS + 1]])
+        check_generates(m, [(x, y, z) for x, y in plane[:257] for z in (0, 1)])
+        without = [(x, y, 0) for x, y in plane[:2] + plane[3:258]]
+        _assert_certificate(_verdict(m, without), [g[:2] for g in without])
+
+    def test_symmetric_sets_never_reach_the_lp(self, monkeypatch):
+        calls = []
+        lp = groups._half_space_normal
+        monkeypatch.setattr(groups, "_half_space_normal", lambda gens, d: calls.append(gens) or lp(gens, d))
+        for d in (1, 2, 3, MAX_ZD_RANK):
+            m = zd_model(d)
+            check_generates(m, m.generating_set("standard"))
+            check_generates(m, m.symmetrize([*m.generating_set("standard"), (1,) * d, (-3,) + (2,) * (d - 1)]))
+        m = zd_model(3)
+        check_generates(m, m.symmetrize(np.ndindex((13,) * 3)))
+        for gens in _seeded_heisenberg_sets():
+            if set(gens) == set(heisenberg_model().symmetrize(gens)):
+                _verdict(heisenberg_model(), gens)
+        assert calls == []
+        check_generates(zd_model(2), zd_model(2).generating_set("skew"))
+        assert calls == [[(1, 0), (0, 1), (-1, -1)]]
 
 
 # -- The determinant-based check, kept as the reference -------------------------
@@ -463,6 +492,14 @@ def _verdict(model, elements):
     return "accepted"
 
 
+def _assert_certificate(normal, gens):
+    """`normal` is a nonzero primitive integer vector with <g, normal> >= 0
+    for every g in `gens`."""
+    assert isinstance(normal, tuple) and any(normal), (normal, gens)
+    assert math.gcd(*normal) == 1, normal
+    assert all(sum(a * b for a, b in zip(g, normal)) >= 0 for g in gens), (normal, gens)
+
+
 def _seeded_sets(d, count, seed=0):
     """Sets of 1 to d + 4 elements with coordinates in -2..2, every other
     one closed under inversion."""
@@ -481,22 +518,16 @@ class TestAgainstTheDeterminantCheck:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_verdicts_and_normals_match(self, d, seed):
         model = zd_model(d)
-        kinds = {"span": 0, "accepted": 0, "normal": 0, "reduced": 0}
+        kinds = {"span": 0, "accepted": 0, "normal": 0}
         for gens in _seeded_sets(d, 100, seed):
             expected, got = _reference_verdict(model, gens), _verdict(model, gens)
             if isinstance(expected, str):
                 assert got == expected, gens
                 kinds[expected] += 1
                 continue
-            assert isinstance(got, tuple), gens
-            assert math.gcd(*got) == 1, gens
-            factor = math.gcd(*expected)
-            assert tuple(c // factor for c in expected) == got, gens
+            _assert_certificate(got, gens)
             kinds["normal"] += 1
-            kinds["reduced"] += factor > 1
         assert kinds["span"] and kinds["accepted"] and kinds["normal"]
-        if d > 1:
-            assert kinds["reduced"], "no reference normal here is divisible"
 
     def test_heisenberg_projection_span_matches(self):
         model = heisenberg_model()
@@ -550,11 +581,11 @@ class TestHeisenbergOnItsAbelianization:
         kinds = Counter()
         for gens in _seeded_heisenberg_sets():
             expected = _reference_verdict(plane, [g[:2] for g in gens])
-            if isinstance(expected, tuple):
-                factor = math.gcd(*expected)
-                expected = tuple(c // factor for c in expected)
             got = _verdict(model, gens)
-            assert got == expected, gens
+            if isinstance(expected, tuple):
+                _assert_certificate(got, [g[:2] for g in gens])
+            else:
+                assert got == expected, gens
             one_sided = set(gens) != set(model.symmetrize(gens))
             kinds[one_sided, got if isinstance(got, str) else "normal"] += 1
         assert set(kinds) == {
