@@ -20,9 +20,13 @@ polynomial sphere-decay certificate with exponent delta = log2(1 + alpha):
 
     mu(S(x, n)) <= C * n^(-delta) * mu(B(x, n)).
 
-`verify_sphere_bound` fits the constant C and checks it stays flat;
-`dyadic_subsequence` certifies, one `DyadicRecord` per window, the cheaper
-radius-selection route that needs only the doubling constant;
+`shell_alpha` finds alpha exactly without scoring every pair: monotone
+shells bound the ratios of a block of widths from below, and only the
+blocks whose bound reaches the least sampled ratio are settled pair by
+pair.  `verify_sphere_bound` fits the constant C and checks it stays flat
+(the `verify` analysis fits the per-radius constants that the shell report
+carries); `dyadic_subsequence` certifies, one `DyadicRecord` per window,
+the cheaper radius-selection route that needs only the doubling constant;
 `isoperimetric_ratios` measures the stronger 1/n decay of abelian groups.
 `growth_exponent_fit` gives a run's `fit` entry.  The analyses over centers
 (`doubling_constant`, `shell_alpha`, `verify_sphere_bound`) take a sequence
@@ -35,11 +39,12 @@ included: `shell_alpha`, `verify_sphere_bound`, `fit_radii` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .space import VolumeProfile
 
@@ -114,6 +119,9 @@ class ShellReport:
     alpha is the infimum of admitted ratios (outer shell nonempty); worst is
     the record attaining it.  records holds the full table only when the
     sweep was run with record_all=True, otherwise just the worst record.
+    constants holds, per radius n = 1..n_max, the max over centers of
+    mu(S(x,n)) n^delta / mu(B(x,n)); fitted_constant is their max.  They
+    follow from the profiles and delta, so equality leaves them out.
     """
 
     n_max: int
@@ -123,9 +131,11 @@ class ShellReport:
     pairs_tested: int
     worst: ShellRecord
     records: tuple[ShellRecord, ...]
+    constants: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
 
-SHELL_BLOCK = 2**15  # (n, k) pairs swept at a time by `shell_alpha`
+SHELL_WIDTH = 16  # widths k per cell of `shell_alpha`'s bound pass
+SHELL_CHUNK = 2**15  # pairs `shell_alpha` settles at a time (at least one cell)
 SHELL_WINDOW = 1e-12  # relative float window that screens shell candidates
 
 
@@ -140,21 +150,16 @@ def shell_pair_count(k_min: int, n_max: int, depth: int) -> int:
     return int(_shell_rows(k_min, n_max, depth).sum())
 
 
-def _shell_blocks(k_min: int, n_max: int, depth: int):
-    """The admitted (n, k) pairs in (n, k) order, as index arrays n, n - k and
-    n + k of at most SHELL_BLOCK pairs each; a block may split an n-row."""
+def _shell_cells(k_min: int, n_max: int, depth: int, width: int):
+    """The admitted (n, k) pairs in (n, k) order, cut into cells: each n's
+    widths k_min..min(n, depth - n) in runs of at most `width`.  Returns the
+    n, the first k and the last k of every cell; with width 1, the pairs."""
     rows = _shell_rows(k_min, n_max, depth)
-    ends = np.cumsum(rows)
-    offset = ends - rows - k_min  # pair index of (n, k) minus k, per n-row
-    total = int(ends[-1]) if len(ends) else 0
-    for start in range(0, total, SHELL_BLOCK):
-        k = np.arange(start, min(start + SHELL_BLOCK, total), dtype=np.int64)
-        n = np.searchsorted(ends, k, side="right")
-        k -= offset[n]
-        n += k_min
-        lo = n - k
-        k += n
-        yield n, lo, k
+    runs = -(-rows // width)
+    n = np.repeat(np.arange(k_min, n_max + 1, dtype=np.int64), runs)
+    first = np.arange(len(n), dtype=np.int64) - np.repeat(np.cumsum(runs) - runs, runs)
+    first = k_min + width * first
+    return n, first, np.minimum(first + width - 1, np.repeat(rows + k_min - 1, runs))
 
 
 def _block_least(c_lo: np.ndarray, c_hi: np.ndarray, bound: float) -> tuple[int, float] | None:
@@ -164,11 +169,13 @@ def _block_least(c_lo: np.ndarray, c_hi: np.ndarray, bound: float) -> tuple[int,
 
     Only a pair within SHELL_WINDOW of min(block minimum, bound) can.  The
     first float minimum among those, reduced to a / b, is matched in int64
-    (c_lo / c_hi equals it exactly when c_lo = t a and c_hi = t b for one t),
+    (c_lo / c_hi equals it exactly when c_lo b = c_hi a or, where those
+    products could leave int64, when c_lo = t a and c_hi = t b for one t),
     so only the pairs that differ from it meet Python ints and ties are free.
     """
-    ratio = np.divide(c_lo, c_hi, out=np.full(len(c_lo), np.inf), where=c_hi > 0)
-    limit = min(float(ratio.min()), bound)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = c_lo / c_hi  # inf or nan (never within the window) where c_hi = 0
+    limit = min(float(np.fmin.reduce(ratio, initial=math.inf)), bound)
     at = np.flatnonzero(ratio <= limit * (1 + SHELL_WINDOW))
     if limit == math.inf or not at.size:
         return None
@@ -177,15 +184,102 @@ def _block_least(c_lo: np.ndarray, c_hi: np.ndarray, bound: float) -> tuple[int,
     a, b = int(c_lo[first]) // g, int(c_hi[first]) // g
     if a:  # else the ratio is 0, which no pair beats, and argmin found the first
         lo, hi = c_lo[at], c_hi[at]
-        same = lo % a == 0
-        same &= hi % b == 0
-        same &= lo // a == hi // b
+        if int(lo.max()) * b < 2**63 and int(hi.max()) * a < 2**63:  # no product leaves int64
+            lo *= b
+            hi *= a
+            same = lo == hi
+        else:
+            same = lo % a == 0
+            same &= hi % b == 0
+            same &= lo // a == hi // b
         first = int(at[np.argmax(same)])
-        differ = ~same
-        for j, lo_j, hi_j in zip(at[differ].tolist(), lo[differ].tolist(), hi[differ].tolist()):
+        differ = at[~same]
+        for j, lo_j, hi_j in zip(differ.tolist(), c_lo[differ].tolist(), c_hi[differ].tolist()):
             if lo_j * b < a * hi_j:
                 first, a, b = j, lo_j, hi_j
     return first, float(ratio[first])
+
+
+def _cells_bound(balls: np.ndarray, n: np.ndarray, first: np.ndarray) -> float:
+    """The float least ratio at the cells' first pairs (n, first) over every
+    center: an admitted ratio, so alpha is at most it; inf if none of those
+    pairs is admitted."""
+    bound = math.inf
+    lo_first, hi_first = n - first, n + first  # the ball radii of those pairs' shells
+    with np.errstate(divide="ignore", invalid="ignore"):  # an empty c_hi gives inf or nan
+        for ball in balls:
+            at_n = ball[n]
+            ratio = (at_n - ball[lo_first]) / (ball[hi_first] - at_n)
+            bound = min(bound, float(np.fmin.reduce(ratio, initial=math.inf)))
+    return bound
+
+
+def _settle_cells(
+    balls: np.ndarray, n: np.ndarray, first: np.ndarray, last: np.ndarray, bound: float
+) -> tuple[int, int, int, int, int] | None:
+    """(c_lo, c_hi, center index, n, k) of the first exact least ratio, over
+    the cells whose bound c_lo(n, first) / c_hi(n, last) lies within
+    SHELL_WINDOW of `bound` or of the best so far; None if none is admitted.
+
+    Center by center, the kept cells are listed in (n, k) order, SHELL_CHUNK
+    pairs at a time, as rows of SHELL_WIDTH widths read off sliding windows
+    of the ball; a column past its cell's last k is padding, masked out by
+    an empty c_hi.  Chunks come in (center, n, k) order, so a strict `<`
+    keeps the first least ratio.
+    """
+    depth = balls.shape[1] - 1
+    pad = SHELL_WIDTH - 1
+    # Per center, row j of `outer` is B(j .. j + pad) and row j of `inner` is
+    # B(depth - j) down to B(depth - j - pad), over copies padded past the end.
+    outer = np.concatenate((balls, np.repeat(balls[:, -1:], pad, axis=1)), axis=1)
+    inner = np.concatenate((balls[:, ::-1], np.repeat(balls[:, :1], pad, axis=1)), axis=1)
+    outer, inner = (
+        as_strided(a, (len(a), depth + 1, SHELL_WIDTH), a.strides + a.strides[1:], writeable=False)
+        for a in (outer, inner)
+    )
+    width = np.arange(SHELL_WIDTH)
+    step = max(1, SHELL_CHUNK // SHELL_WIDTH)  # cells per chunk
+    lo_first, hi_last = n - first, n + last  # the ball radii of the cells' bounds
+    best = None
+    for i, ball in enumerate(balls):
+        at_n = ball[n]
+        with np.errstate(divide="ignore", invalid="ignore"):  # an all-empty cell gives inf or nan
+            lower = (at_n - ball[lo_first]) / (ball[hi_last] - at_n)
+        keep = np.flatnonzero(lower <= bound * (1 + SHELL_WINDOW))
+        del lower
+        for start in range(0, len(keep), step):
+            at = keep[start : start + step]
+            base = at_n[at, None]
+            c_lo = inner[i, depth - lo_first[at]]
+            np.subtract(base, c_lo, out=c_lo)
+            c_hi = outer[i, n[at] + first[at]]
+            c_hi -= base
+            span = last[at] - first[at]
+            short = np.flatnonzero(span < pad)
+            c_hi[short] *= width <= span[short, None]
+            least = _block_least(c_lo.ravel(), c_hi.ravel(), bound)
+            if least is None:
+                continue
+            j, ratio = least
+            pair = (int(c_lo.flat[j]), int(c_hi.flat[j]))
+            if best is None or pair[0] * best[1] < best[0] * pair[1]:
+                row, col = divmod(j, SHELL_WIDTH)
+                best = (*pair, i, int(n[at[row]]), int(first[at[row]]) + col)
+                bound = min(bound, ratio)
+    return best
+
+
+def _tested_pairs(balls: np.ndarray, k_min: int, n_max: int) -> int:
+    """The number of admitted pairs with a nonempty outer shell, over every
+    center: per n, the k from the least one with B(n+k) > B(n) up to min(n, depth - n)."""
+    depth = balls.shape[1] - 1
+    n = np.arange(k_min, n_max + 1, dtype=np.int64)
+    top = np.minimum(n, depth - n)
+    tested = 0
+    for ball in balls:
+        grows = np.searchsorted(ball, ball[n], side="right") - n
+        tested += int(np.maximum(top - np.maximum(grows, k_min) + 1, 0).sum())
+    return tested
 
 
 def shell_alpha(
@@ -200,11 +294,33 @@ def shell_alpha(
     2^63 vertices or more within that depth.  The worst record is the first
     strict minimum in (center, n, k) order.
 
-    Exact, and vectorised: each block of pairs takes its shells as int64
-    differences (exact below 2^63), screens them by float64 ratio (each
-    conversion and the division err by at most 2^-53 relative, so a true
-    minimum lies within SHELL_WINDOW of the block's float minimum), and
-    settles only the screened candidates exactly (`_block_least`).
+    Exact, by bounds over cells.  Each n's admitted widths are cut into
+    cells of at most SHELL_WIDTH consecutive k, k1..k2.  The ball B is
+    nondecreasing, so for fixed n both shells c_lo(n, k) = B(n) - B(n-k)
+    and c_hi(n, k) = B(n+k) - B(n) are nondecreasing in k.  Hence every
+    admitted pair (c_hi(n, k) > 0) of a cell has
+
+        c_lo(n, k) / c_hi(n, k) >= c_lo(n, k1) / c_hi(n, k) >= c_lo(n, k1) / c_hi(n, k2),
+
+    the first step by c_lo(n, k) >= c_lo(n, k1), the second by c_hi(n, k2)
+    >= c_hi(n, k) > 0; and a cell with c_hi(n, k2) = 0 admits no pair.
+
+    Pass 1 (`_cells_bound`) takes the ratio at every cell's first pair
+    (n, k1) at every center; the least, U, is an admitted ratio, so alpha
+    <= U (U is inf if none of those pairs is admitted).  Pass 2
+    (`_settle_cells`) goes center by center and lists only the pairs of the
+    cells whose bound is within SHELL_WINDOW of U, or of the best so far,
+    and settles them exactly, SHELL_CHUNK pairs at a time
+    (`_block_least`).  Shells are int64 differences, exact below 2^63; each
+    float64 conversion and division errs by at most 2^-53 relative, so no
+    cell that holds a least ratio falls outside the window.  Chunks come in
+    (center, n, k) order, so a strict `<` keeps the first least ratio.
+
+    pairs_tested is counted per n in closed form: the admitted k from the
+    least one with B(n+k) > B(n) on.  With record_all the records list
+    every pair, with no second search.  constants are the per-radius
+    maxima of mu(S(x,n)) n^delta / mu(B(x,n)) for n = 1..n_max, computed
+    once on the ball matrix for `fitted_constant` and for `verify`.
     """
     if k_min < 1:
         raise ValueError("k_min must be positive")
@@ -219,50 +335,33 @@ def shell_alpha(
                 f"profile at center {p.center} counts {p.ball[depth]} vertices "
                 f"within depth {depth}; the shell sweep needs fewer than 2^63"
             )
-    balls = [np.array(p.ball[: depth + 1], dtype=np.int64) for p in profiles]
-    # Per center: (c_lo, c_hi, n, k, float ratio) of its first strict minimum.
-    bests: list[tuple | None] = [None] * len(profiles)
-    tables: list[list[ShellRecord]] = [[] for _ in profiles]
-    tested = 0
-    # The hot path: quadratically many pairs per center.  Blocks come first,
-    # so each block's index arrays serve every center.
-    for n, lo, hi in _shell_blocks(k_min, n_max, depth):
-        for i, ball in enumerate(balls):
-            at_n = ball[n]
-            c_lo = at_n - ball[lo]
-            c_hi = np.subtract(ball[hi], at_n, out=at_n)
-            tested += int(np.count_nonzero(c_hi))
-            if record_all:
-                center = profiles[i].center
-                tables[i].extend(
-                    ShellRecord(center, *pair, Fraction(pair[2], pair[3]) if pair[3] else None)
-                    for pair in zip(n.tolist(), (n - lo).tolist(), c_lo.tolist(), c_hi.tolist())
-                )
-            best = bests[i]
-            least = _block_least(c_lo, c_hi, math.inf if best is None else best[4])
-            if least is None:
-                continue
-            j, ratio = least
-            pair = (int(c_lo[j]), int(c_hi[j]), int(n[j]), int(n[j] - lo[j]), ratio)
-            if best is None or pair[0] * best[1] < best[0] * pair[1]:
-                bests[i] = pair
-    worst: ShellRecord | None = None
-    for p, best in zip(profiles, bests):
-        if best is not None and (worst is None or best[0] * worst.c_hi < worst.c_lo * best[1]):
-            worst = ShellRecord(p.center, best[2], best[3], best[0], best[1], Fraction(best[0], best[1]))
-    if worst is None:
+    balls = np.array([p.ball[: depth + 1] for p in profiles], dtype=np.int64)
+    n, first, last = _shell_cells(k_min, n_max, depth, SHELL_WIDTH)
+    least = _settle_cells(balls, n, first, last, _cells_bound(balls, n, first))
+    if least is None:
         raise ValueError("no admissible shell pair in the requested range")
-    alpha = worst.ratio
-    delta = delta_from_alpha(alpha)
-    fitted = max(_sphere_constants(profiles, delta, range(1, n_max + 1)))
+    c_lo, c_hi, i, n, k = least
+    worst = ShellRecord(profiles[i].center, n, k, c_lo, c_hi, Fraction(c_lo, c_hi))
+    records: tuple[ShellRecord, ...] = (worst,)
+    if record_all:
+        n, k, _ = _shell_cells(k_min, n_max, depth, 1)
+        n_list, k_list = n.tolist(), k.tolist()
+        records = tuple(
+            ShellRecord(p.center, *pair, Fraction(pair[2], pair[3]) if pair[3] else None)
+            for p, ball in zip(profiles, balls)
+            for pair in zip(n_list, k_list, (ball[n] - ball[n - k]).tolist(), (ball[n + k] - ball[n]).tolist())
+        )
+    delta = delta_from_alpha(worst.ratio)
+    constants = _shell_sphere_constants(balls, delta, n_max)
     return ShellReport(
         n_max=n_max,
-        alpha=alpha,
+        alpha=worst.ratio,
         delta=delta,
-        fitted_constant=fitted,
-        pairs_tested=tested,
+        fitted_constant=max(constants),
+        pairs_tested=_tested_pairs(balls, k_min, n_max),
         worst=worst,
-        records=tuple(r for table in tables for r in table) if record_all else (worst,),
+        records=records,
+        constants=constants,
     )
 
 
@@ -279,6 +378,16 @@ def _sphere_constants(
     """Per radius n, the smallest C with mu(S(x,n)) <= C n^(-delta) mu(B(x,n))
     at every center x: the max of mu(S(x,n)) n^delta / mu(B(x,n))."""
     return [max(p.sphere[n] * n**delta / p.ball[n] for p in profiles) for n in radii]
+
+
+def _shell_sphere_constants(balls: np.ndarray, delta: float, n_max: int) -> tuple[float, ...]:
+    """`_sphere_constants` over the radii 1..n_max, on the int64 ball matrix
+    (one row per center).  Each n^delta is Python's pow and each product and
+    quotient one float64 operation on the same operands, so every value is
+    the one `_sphere_constants` gives."""
+    ball = balls[:, 1 : n_max + 1]
+    powers = np.array([n**delta for n in range(1, n_max + 1)])
+    return tuple(((balls[:, 2 : n_max + 2] - ball) * powers / ball).max(axis=0).tolist())
 
 
 # -- sphere-decay verification ------------------------------------------------
@@ -308,6 +417,28 @@ class SphereBoundReport:
             self.trend_slope <= self.slope_tolerance
         )
 
+    @classmethod
+    def from_constants(
+        cls, delta: float, n_lo: int, constants: Sequence[float], slope_tolerance: float
+    ) -> "SphereBoundReport":
+        """The report on the per-n maxima `constants` of n = n_lo, n_lo + 1, ..."""
+        n_hi = n_lo + len(constants) - 1
+        half_start = (n_lo + n_hi) // 2
+        xs, ys = [], []
+        for n, value in zip(range(n_lo, n_hi + 1), constants):
+            if n >= half_start and value > 0:
+                xs.append(math.log(n))
+                ys.append(math.log(value))
+        return cls(
+            delta=delta,
+            n_lo=n_lo,
+            n_hi=n_hi,
+            fitted_constant=max(constants),
+            trend_slope=least_squares_slope(xs, ys) if len(xs) >= 2 else 0.0,
+            slope_tolerance=slope_tolerance,
+            constants=tuple(constants),
+        )
+
 
 def verify_sphere_bound(
     profiles: Sequence[VolumeProfile],
@@ -321,23 +452,7 @@ def verify_sphere_bound(
     if not 1 <= n_lo < n_hi <= depth - 1:
         raise ValueError(f"radius range {n_range} not within profile depth {depth}")
     per_n = _sphere_constants(profiles, delta, range(n_lo, n_hi + 1))
-    fitted = max(per_n)
-    half_start = (n_lo + n_hi) // 2
-    xs, ys = [], []
-    for n, value in zip(range(n_lo, n_hi + 1), per_n):
-        if n >= half_start and value > 0:
-            xs.append(math.log(n))
-            ys.append(math.log(value))
-    slope = least_squares_slope(xs, ys) if len(xs) >= 2 else 0.0
-    return SphereBoundReport(
-        delta=delta,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        fitted_constant=fitted,
-        trend_slope=slope,
-        slope_tolerance=slope_tolerance,
-        constants=tuple(per_n),
-    )
+    return SphereBoundReport.from_constants(delta, n_lo, per_n, slope_tolerance)
 
 
 # -- dyadic radius selection --------------------------------------------------

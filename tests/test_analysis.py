@@ -24,6 +24,7 @@ from folnerlab import analysis
 from folnerlab.analysis import (
     ShellRecord,
     ShellReport,
+    SphereBoundReport,
     _sphere_constants,
     delta_from_alpha,
     doubling_constant,
@@ -37,7 +38,7 @@ from folnerlab.analysis import (
 )
 from folnerlab.generators import stretched_tree_chain, word_ball
 from folnerlab.groups import zd_model
-from folnerlab.space import VolumeProfile, volume_profile
+from folnerlab.space import VolumeProfile, sample_centers, volume_profile
 from recursion_audit import lemma_recursion_audit
 
 
@@ -218,23 +219,60 @@ def _outcome(sweep, *args):
 
 class TestShellSweepMatchesReference:
     """`shell_alpha` against the loop it replaced: whole reports, and error
-    texts where both raise, on seeded random profiles, with blocks small
-    enough to split n-rows."""
+    texts where both raise, on seeded random profiles, with cells narrow
+    enough to split n-rows and chunks of one cell or a few."""
 
-    @pytest.mark.parametrize("block", [1, 3, 50, analysis.SHELL_BLOCK])
-    def test_random_profiles(self, block, monkeypatch):
-        monkeypatch.setattr(analysis, "SHELL_BLOCK", block)
-        rng = random.Random(block)
+    # (cell width, chunk size): a chunk is at least one cell, so a chunk
+    # size below the width settles one cell at a time
+    @pytest.mark.parametrize(
+        "width, chunk", [(1, 1), (1, 50), (3, 2), (3, 7), (5, 50), (analysis.SHELL_WIDTH, analysis.SHELL_CHUNK)]
+    )
+    def test_random_profiles(self, width, chunk, monkeypatch):
+        monkeypatch.setattr(analysis, "SHELL_WIDTH", width)
+        monkeypatch.setattr(analysis, "SHELL_CHUNK", chunk)
+        rng = random.Random(width * 1000 + chunk)
         for _ in range(150):
             case = _random_case(rng)
             assert _outcome(shell_alpha, *case) == _outcome(_reference_shell_alpha, *case), case
 
     def test_ties_go_to_the_first_pair(self, monkeypatch):
-        monkeypatch.setattr(analysis, "SHELL_BLOCK", 3)
+        monkeypatch.setattr(analysis, "SHELL_WIDTH", 3)
+        monkeypatch.setattr(analysis, "SHELL_CHUNK", 3)
         steady = tuple(range(1, 42, 2))  # every ratio is 1
         report = shell_alpha([VolumeProfile(7, steady), VolumeProfile(3, steady)], k_min=2, n_max=9, record_all=False)
         assert (report.worst.center, report.worst.n, report.worst.k) == (7, 2, 2)
         assert report.pairs_tested == 2 * sum(min(n, 20 - n) - 1 for n in range(2, 10))
+
+    @pytest.mark.parametrize("chunk", [2, 64])
+    def test_a_first_tie_in_a_later_cell_beats_a_later_n(self, chunk, monkeypatch):
+        # with cells of two widths, (5, 5) lies in the third cell of n = 5
+        # and (6, 2) in the first of n = 6; both ratios are 3/8, the least
+        monkeypatch.setattr(analysis, "SHELL_WIDTH", 2)
+        monkeypatch.setattr(analysis, "SHELL_CHUNK", chunk)
+        ball = (1, 2, 3, 4, 6, 7, 9, 13, 17, 19, 23, 26, 29)
+        assert Fraction(ball[5] - ball[0], ball[10] - ball[5]) == Fraction(ball[6] - ball[4], ball[8] - ball[6]) == Fraction(3, 8)
+        profiles = [VolumeProfile(4, ball), VolumeProfile(9, ball)]
+        report = shell_alpha(profiles, k_min=1, n_max=6, record_all=False)
+        assert report == _reference_shell_alpha(profiles, k_min=1, n_max=6, record_all=False)
+        assert (report.worst.center, report.worst.n, report.worst.k, report.alpha) == (4, 5, 5, Fraction(3, 8))
+
+    def test_sphere_constants_are_those_of_the_profiles(self):
+        # bit for bit, the per-radius maxima that `verify` reads
+        rng = random.Random(7)
+        checked = 0
+        while checked < 100:
+            profiles, k_min, n_max, _ = _random_case(rng)
+            report = _outcome(shell_alpha, profiles, k_min, n_max, False)
+            if isinstance(report, str):
+                continue
+            expected = _sphere_constants(profiles, report.delta, range(1, n_max + 1))
+            assert report.constants == tuple(expected), (profiles, k_min, n_max)
+            assert report.fitted_constant == max(expected)
+            if n_max >= 2:
+                assert SphereBoundReport.from_constants(report.delta, 1, report.constants, 0.05) == verify_sphere_bound(
+                    profiles, report.delta, (1, n_max), 0.05
+                )
+            checked += 1
 
     def test_ratios_apart_by_less_than_a_float_step(self):
         # c_lo / c_hi = (s - 1) / s and s / (s + 1) for s near 2^60: equal as
@@ -283,6 +321,37 @@ class TestShellSweepMatchesReference:
             tracemalloc.stop()
         assert report.pairs_tested == 20 * analysis.shell_pair_count(5, 700, 1460) == 4_851_120
         assert peak < 4 * 2**20, peak
+
+    def test_memory_stays_within_its_chunks_when_every_cell_is_kept(self):
+        # every ratio is 1 and no cell's bound rules it out: every pair is
+        # settled, one chunk at a time
+        profiles = [VolumeProfile(c, tuple(range(1, 2 * 1461, 2))) for c in range(20)]
+        tracemalloc.start()
+        try:
+            report = shell_alpha(profiles, k_min=5, n_max=700, record_all=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.alpha, report.worst.center, report.worst.n, report.worst.k) == (1, 0, 5, 5)
+        assert report.pairs_tested == 4_851_120
+        assert peak < 4 * 2**20, peak
+
+    def test_the_bound_settles_few_pairs_of_a_tree_chain(self, monkeypatch):
+        # the tree chain of the benchmark's sampled job: 20 seeded centers,
+        # depth 1460, n_max 700; count the pairs that reach `_block_least`
+        graph = stretched_tree_chain(3, 2, 7)
+        centers = sample_centers(graph.vertex_count, graph.basepoints, 20, 0)
+        profiles = [volume_profile(graph, v, 1460) for v in centers]
+        settled = []
+        block_least = analysis._block_least
+        monkeypatch.setattr(
+            analysis, "_block_least", lambda c_lo, c_hi, bound: settled.append(len(c_lo)) or block_least(c_lo, c_hi, bound)
+        )
+        report = shell_alpha(profiles, k_min=5, n_max=700, record_all=False)
+        monkeypatch.setattr(analysis, "_block_least", block_least)
+        assert report == _reference_shell_alpha(profiles, k_min=5, n_max=700, record_all=False)
+        assert report.pairs_tested == 4_851_120
+        assert sum(settled) < 0.02 * report.pairs_tested, sum(settled)
 
 
 class TestDeltaFromAlpha:
