@@ -23,9 +23,8 @@ polynomial sphere-decay certificate with exponent delta = log2(1 + alpha):
 `shell_alpha` finds alpha exactly without scoring every pair: monotone
 shells bound the ratios of a block of widths from below, and only the
 blocks whose bound reaches the least sampled ratio are settled pair by
-pair.  `verify_sphere_bound` fits the constant C and checks it stays flat
-(the `verify` analysis fits the per-radius constants that the shell report
-carries); `dyadic_subsequence` certifies, one `DyadicRecord` per window,
+pair.  `verify_sphere_bound` fits the constant C and checks it stays flat;
+`dyadic_subsequence` certifies, one `DyadicRecord` per window,
 the cheaper radius-selection route that needs only the doubling constant;
 `isoperimetric_ratios` measures the stronger 1/n decay of abelian groups.
 `growth_exponent_fit` gives a run's `fit` entry.  The analyses over centers
@@ -39,12 +38,11 @@ included: `shell_alpha`, `verify_sphere_bound`, `fit_radii` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .space import VolumeProfile
 
@@ -119,9 +117,6 @@ class ShellReport:
     alpha is the infimum of admitted ratios (outer shell nonempty); worst is
     the record attaining it.  records holds the full table only when the
     sweep was run with record_all=True, otherwise just the worst record.
-    constants holds, per radius n = 1..n_max, the max over centers of
-    mu(S(x,n)) n^delta / mu(B(x,n)); fitted_constant is their max.  They
-    follow from the profiles and delta, so equality leaves them out.
     """
 
     n_max: int
@@ -131,10 +126,10 @@ class ShellReport:
     pairs_tested: int
     worst: ShellRecord
     records: tuple[ShellRecord, ...]
-    constants: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
 
-SHELL_WIDTH = 16  # widths k per cell of `shell_alpha`'s bound pass
+SHELL_WIDTH = 16  # widths k per cell of `shell_alpha`'s bound
+SHELL_CELLS = 2**13  # cells `shell_alpha` lays out at a time
 SHELL_CHUNK = 2**15  # pairs `shell_alpha` settles at a time (at least one cell)
 SHELL_WINDOW = 1e-12  # relative float window that screens shell candidates
 
@@ -150,16 +145,22 @@ def shell_pair_count(k_min: int, n_max: int, depth: int) -> int:
     return int(_shell_rows(k_min, n_max, depth).sum())
 
 
-def _shell_cells(k_min: int, n_max: int, depth: int, width: int):
+def _shell_cells(k_min: int, n_max: int, depth: int, width: int, size: int):
     """The admitted (n, k) pairs in (n, k) order, cut into cells: each n's
-    widths k_min..min(n, depth - n) in runs of at most `width`.  Returns the
-    n, the first k and the last k of every cell; with width 1, the pairs."""
-    rows = _shell_rows(k_min, n_max, depth)
-    runs = -(-rows // width)
-    n = np.repeat(np.arange(k_min, n_max + 1, dtype=np.int64), runs)
-    first = np.arange(len(n), dtype=np.int64) - np.repeat(np.cumsum(runs) - runs, runs)
-    first = k_min + width * first
-    return n, first, np.minimum(first + width - 1, np.repeat(rows + k_min - 1, runs))
+    widths k_min..min(n, depth - n) in runs of at most `width`.  Yields the
+    n, the first k and the last k of `size` cells at a time (a group may
+    split an n-row); with width 1, the pairs."""
+    n = np.arange(k_min, n_max + 1, dtype=np.int64)
+    top = np.minimum(n, depth - n)  # the last admitted k per n
+    runs = (top - k_min + width) // width  # cells per n
+    ends = np.cumsum(runs)
+    offset = k_min - width * (ends - runs)  # first k of cell c is width c + offset[n-row]
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, size):
+        cell = np.arange(start, min(start + size, total), dtype=np.int64)
+        row = np.searchsorted(ends, cell, side="right")
+        first = width * cell + offset[row]
+        yield n[row], first, np.minimum(first + (width - 1), top[row])
 
 
 def _block_least(c_lo: np.ndarray, c_hi: np.ndarray, bound: float) -> tuple[int, float] | None:
@@ -168,10 +169,12 @@ def _block_least(c_lo: np.ndarray, c_hi: np.ndarray, bound: float) -> tuple[int,
     ratio `bound`; None if no pair with c_hi > 0 can.
 
     Only a pair within SHELL_WINDOW of min(block minimum, bound) can.  The
-    first float minimum among those, reduced to a / b, is matched in int64
-    (c_lo / c_hi equals it exactly when c_lo b = c_hi a or, where those
-    products could leave int64, when c_lo = t a and c_hi = t b for one t),
-    so only the pairs that differ from it meet Python ints and ties are free.
+    first float minimum among those, reduced to a / b, is matched in int64:
+    c_lo / c_hi equals it exactly when c_lo = t a and c_hi = t b for t =
+    c_lo // a.  t a <= c_lo, and within the window c_lo / c_hi <= (a / b)
+    (1 + 2^-39), so t b < 2^63 (1 + 2^-39): a product that wraps is negative
+    and matches no c_hi.  So only the pairs that differ from the minimum
+    meet Python ints, and ties are free.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = c_lo / c_hi  # inf or nan (never within the window) where c_hi = 0
@@ -184,14 +187,9 @@ def _block_least(c_lo: np.ndarray, c_hi: np.ndarray, bound: float) -> tuple[int,
     a, b = int(c_lo[first]) // g, int(c_hi[first]) // g
     if a:  # else the ratio is 0, which no pair beats, and argmin found the first
         lo, hi = c_lo[at], c_hi[at]
-        if int(lo.max()) * b < 2**63 and int(hi.max()) * a < 2**63:  # no product leaves int64
-            lo *= b
-            hi *= a
-            same = lo == hi
-        else:
-            same = lo % a == 0
-            same &= hi % b == 0
-            same &= lo // a == hi // b
+        t = lo // a
+        same = t * a == lo
+        same &= t * b == hi
         first = int(at[np.argmax(same)])
         differ = at[~same]
         for j, lo_j, hi_j in zip(differ.tolist(), c_lo[differ].tolist(), c_hi[differ].tolist()):
@@ -200,71 +198,75 @@ def _block_least(c_lo: np.ndarray, c_hi: np.ndarray, bound: float) -> tuple[int,
     return first, float(ratio[first])
 
 
-def _cells_bound(balls: np.ndarray, n: np.ndarray, first: np.ndarray) -> float:
-    """The float least ratio at the cells' first pairs (n, first) over every
+def _cells_bound(balls: np.ndarray, k_min: int, n_max: int) -> float:
+    """The float least ratio at the cells' first pairs (n, k1) over every
     center: an admitted ratio, so alpha is at most it; inf if none of those
     pairs is admitted."""
     bound = math.inf
-    lo_first, hi_first = n - first, n + first  # the ball radii of those pairs' shells
     with np.errstate(divide="ignore", invalid="ignore"):  # an empty c_hi gives inf or nan
-        for ball in balls:
-            at_n = ball[n]
-            ratio = (at_n - ball[lo_first]) / (ball[hi_first] - at_n)
-            bound = min(bound, float(np.fmin.reduce(ratio, initial=math.inf)))
+        for n, first, _ in _shell_cells(k_min, n_max, balls.shape[1] - 1, SHELL_WIDTH, SHELL_CELLS):
+            lo_first, hi_first = n - first, n + first  # the ball radii of those pairs' shells
+            for ball in balls:
+                at_n = ball[n]
+                ratio = (at_n - ball[lo_first]) / (ball[hi_first] - at_n)
+                bound = min(bound, float(np.fmin.reduce(ratio, initial=math.inf)))
     return bound
 
 
-def _settle_cells(
-    balls: np.ndarray, n: np.ndarray, first: np.ndarray, last: np.ndarray, bound: float
-) -> tuple[int, int, int, int, int] | None:
-    """(c_lo, c_hi, center index, n, k) of the first exact least ratio, over
-    the cells whose bound c_lo(n, first) / c_hi(n, last) lies within
-    SHELL_WINDOW of `bound` or of the best so far; None if none is admitted.
+def _settle_cells(balls: np.ndarray, k_min: int, n_max: int, bound: float) -> tuple[int, int, int, int, int] | None:
+    """(c_lo, c_hi, center index, n, k) of the first exact least ratio in
+    (center, n, k) order, over the cells whose bound c_lo(n, k1) / c_hi(n,
+    k2) lies within SHELL_WINDOW of `bound` or of the best so far; None if
+    none is admitted.
 
-    Center by center, the kept cells are listed in (n, k) order, SHELL_CHUNK
-    pairs at a time, as rows of SHELL_WIDTH widths read off sliding windows
-    of the ball; a column past its cell's last k is padding, masked out by
-    an empty c_hi.  Chunks come in (center, n, k) order, so a strict `<`
-    keeps the first least ratio.
+    For each group of cells and each center, the kept cells are listed in
+    (n, k) order, SHELL_CHUNK pairs at a time, as rows of SHELL_WIDTH
+    widths read off sliding windows of the ball; a column past its cell's
+    last k is padding, masked out by an empty c_hi.  A chunk's first least
+    pair replaces the best so far if its ratio is less, or equal and its
+    (center, n, k) comes first.
     """
     depth = balls.shape[1] - 1
     pad = SHELL_WIDTH - 1
-    # Per center, row j of `outer` is B(j .. j + pad) and row j of `inner` is
-    # B(depth - j) down to B(depth - j - pad), over copies padded past the end.
-    outer = np.concatenate((balls, np.repeat(balls[:, -1:], pad, axis=1)), axis=1)
-    inner = np.concatenate((balls[:, ::-1], np.repeat(balls[:, :1], pad, axis=1)), axis=1)
-    outer, inner = (
-        as_strided(a, (len(a), depth + 1, SHELL_WIDTH), a.strides + a.strides[1:], writeable=False)
-        for a in (outer, inner)
-    )
+    # Per center, row j of `window` is B(j - pad .. j), over a copy of the
+    # ball padded with B(0) before it and B(depth) after it.
+    edges = np.repeat(balls[:, [0, -1]], pad, axis=1)
+    padded = np.concatenate((edges[:, :pad], balls, edges[:, pad:]), axis=1)
+    shape = (len(balls), depth + 1 + pad, SHELL_WIDTH)
+    window = np.ndarray(shape, balls.dtype, padded, 0, padded.strides + padded.strides[1:])
+    window.flags.writeable = False
     width = np.arange(SHELL_WIDTH)
     step = max(1, SHELL_CHUNK // SHELL_WIDTH)  # cells per chunk
-    lo_first, hi_last = n - first, n + last  # the ball radii of the cells' bounds
     best = None
-    for i, ball in enumerate(balls):
-        at_n = ball[n]
-        with np.errstate(divide="ignore", invalid="ignore"):  # an all-empty cell gives inf or nan
-            lower = (at_n - ball[lo_first]) / (ball[hi_last] - at_n)
-        keep = np.flatnonzero(lower <= bound * (1 + SHELL_WINDOW))
-        del lower
-        for start in range(0, len(keep), step):
-            at = keep[start : start + step]
-            base = at_n[at, None]
-            c_lo = inner[i, depth - lo_first[at]]
-            np.subtract(base, c_lo, out=c_lo)
-            c_hi = outer[i, n[at] + first[at]]
-            c_hi -= base
-            span = last[at] - first[at]
-            short = np.flatnonzero(span < pad)
-            c_hi[short] *= width <= span[short, None]
-            least = _block_least(c_lo.ravel(), c_hi.ravel(), bound)
-            if least is None:
-                continue
-            j, ratio = least
-            pair = (int(c_lo.flat[j]), int(c_hi.flat[j]))
-            if best is None or pair[0] * best[1] < best[0] * pair[1]:
+    for n, first, last in _shell_cells(k_min, n_max, depth, SHELL_WIDTH, SHELL_CELLS):
+        lo_first, hi_last = n - first, n + last  # the ball radii of the cells' bounds
+        for i, ball in enumerate(balls):
+            at_n = ball[n]
+            with np.errstate(divide="ignore", invalid="ignore"):  # an all-empty cell gives inf or nan
+                lower = (at_n - ball[lo_first]) / (ball[hi_last] - at_n)
+            keep = np.flatnonzero(lower <= bound * (1 + SHELL_WINDOW))
+            del lower
+            for start in range(0, len(keep), step):
+                at = keep[start : start + step]
+                base = at_n[at, None]
+                c_lo = window[i, lo_first[at], ::-1]
+                np.subtract(base, c_lo, out=c_lo)
+                c_hi = window[i, n[at] + first[at] + pad]
+                c_hi -= base
+                span = last[at] - first[at]
+                short = np.flatnonzero(span < pad)
+                c_hi[short] *= width <= span[short, None]
+                least = _block_least(c_lo.ravel(), c_hi.ravel(), bound)
+                if least is None:
+                    continue
+                j, ratio = least
                 row, col = divmod(j, SHELL_WIDTH)
-                best = (*pair, i, int(n[at[row]]), int(first[at[row]]) + col)
+                found = (int(c_lo.flat[j]), int(c_hi.flat[j]), i, int(n[at[row]]), int(first[at[row]]) + col)
+                if best is not None:
+                    lhs, rhs = found[0] * best[1], best[0] * found[1]
+                    if lhs > rhs or lhs == rhs and found[2:] > best[2:]:
+                        continue
+                best = found
                 bound = min(bound, ratio)
     return best
 
@@ -308,19 +310,23 @@ def shell_alpha(
     Pass 1 (`_cells_bound`) takes the ratio at every cell's first pair
     (n, k1) at every center; the least, U, is an admitted ratio, so alpha
     <= U (U is inf if none of those pairs is admitted).  Pass 2
-    (`_settle_cells`) goes center by center and lists only the pairs of the
-    cells whose bound is within SHELL_WINDOW of U, or of the best so far,
-    and settles them exactly, SHELL_CHUNK pairs at a time
-    (`_block_least`).  Shells are int64 differences, exact below 2^63; each
-    float64 conversion and division errs by at most 2^-53 relative, so no
-    cell that holds a least ratio falls outside the window.  Chunks come in
-    (center, n, k) order, so a strict `<` keeps the first least ratio.
+    (`_settle_cells`) lists only the pairs of the cells whose bound is
+    within SHELL_WINDOW of U, or of the best so far, and settles them
+    exactly, SHELL_CHUNK pairs at a time (`_block_least`).  Shells are
+    int64 differences, exact below 2^63; each float64 conversion and
+    division errs by at most 2^-53 relative, so no cell that holds a least
+    ratio falls outside the window.
+
+    Both passes lay the cells out SHELL_CELLS at a time and take every
+    center on each group, so beyond arrays as long as the depth (the ball
+    matrix and its padded copy) the sweep's memory does not grow with
+    the depth.  Pass 2 thus meets the pairs out of (center, n, k) order: a
+    chunk's least pair replaces the best so far only if its ratio is less,
+    or equal and its (center, n, k) comes first.
 
     pairs_tested is counted per n in closed form: the admitted k from the
     least one with B(n+k) > B(n) on.  With record_all the records list
-    every pair, with no second search.  constants are the per-radius
-    maxima of mu(S(x,n)) n^delta / mu(B(x,n)) for n = 1..n_max, computed
-    once on the ball matrix for `fitted_constant` and for `verify`.
+    every pair, with no second search.
     """
     if k_min < 1:
         raise ValueError("k_min must be positive")
@@ -336,32 +342,28 @@ def shell_alpha(
                 f"within depth {depth}; the shell sweep needs fewer than 2^63"
             )
     balls = np.array([p.ball[: depth + 1] for p in profiles], dtype=np.int64)
-    n, first, last = _shell_cells(k_min, n_max, depth, SHELL_WIDTH)
-    least = _settle_cells(balls, n, first, last, _cells_bound(balls, n, first))
+    least = _settle_cells(balls, k_min, n_max, _cells_bound(balls, k_min, n_max))
     if least is None:
         raise ValueError("no admissible shell pair in the requested range")
     c_lo, c_hi, i, n, k = least
     worst = ShellRecord(profiles[i].center, n, k, c_lo, c_hi, Fraction(c_lo, c_hi))
     records: tuple[ShellRecord, ...] = (worst,)
     if record_all:
-        n, k, _ = _shell_cells(k_min, n_max, depth, 1)
-        n_list, k_list = n.tolist(), k.tolist()
         records = tuple(
             ShellRecord(p.center, *pair, Fraction(pair[2], pair[3]) if pair[3] else None)
             for p, ball in zip(profiles, balls)
-            for pair in zip(n_list, k_list, (ball[n] - ball[n - k]).tolist(), (ball[n + k] - ball[n]).tolist())
+            for n, k, _ in _shell_cells(k_min, n_max, depth, 1, SHELL_CHUNK)
+            for pair in zip(n.tolist(), k.tolist(), (ball[n] - ball[n - k]).tolist(), (ball[n + k] - ball[n]).tolist())
         )
     delta = delta_from_alpha(worst.ratio)
-    constants = _shell_sphere_constants(balls, delta, n_max)
     return ShellReport(
         n_max=n_max,
         alpha=worst.ratio,
         delta=delta,
-        fitted_constant=max(constants),
+        fitted_constant=max(_sphere_constants(balls, delta, 1, n_max)),
         pairs_tested=_tested_pairs(balls, k_min, n_max),
         worst=worst,
         records=records,
-        constants=constants,
     )
 
 
@@ -372,22 +374,15 @@ def delta_from_alpha(alpha: Fraction | float) -> float:
     return math.log2(1 + alpha)
 
 
-def _sphere_constants(
-    profiles: Sequence[VolumeProfile], delta: float, radii: Iterable[int]
-) -> list[float]:
-    """Per radius n, the smallest C with mu(S(x,n)) <= C n^(-delta) mu(B(x,n))
-    at every center x: the max of mu(S(x,n)) n^delta / mu(B(x,n))."""
-    return [max(p.sphere[n] * n**delta / p.ball[n] for p in profiles) for n in radii]
-
-
-def _shell_sphere_constants(balls: np.ndarray, delta: float, n_max: int) -> tuple[float, ...]:
-    """`_sphere_constants` over the radii 1..n_max, on the int64 ball matrix
-    (one row per center).  Each n^delta is Python's pow and each product and
-    quotient one float64 operation on the same operands, so every value is
-    the one `_sphere_constants` gives."""
-    ball = balls[:, 1 : n_max + 1]
-    powers = np.array([n**delta for n in range(1, n_max + 1)])
-    return tuple(((balls[:, 2 : n_max + 2] - ball) * powers / ball).max(axis=0).tolist())
+def _sphere_constants(balls: np.ndarray, delta: float, n_lo: int, n_hi: int) -> list[float]:
+    """Per radius n = n_lo..n_hi, the smallest C with mu(S(x,n)) <= C
+    n^(-delta) mu(B(x,n)) at every center x: the max of mu(S(x,n)) n^delta
+    / mu(B(x,n)), over an int64 ball matrix with one row per center.  Each
+    n^delta is Python's pow, and each product and quotient one float64
+    operation on correctly rounded operands, as on Python ints."""
+    ball = balls[:, n_lo : n_hi + 1]
+    powers = np.array([n**delta for n in range(n_lo, n_hi + 1)])
+    return ((balls[:, n_lo + 1 : n_hi + 2] - ball) * powers / ball).max(axis=0).tolist()
 
 
 # -- sphere-decay verification ------------------------------------------------
@@ -417,28 +412,6 @@ class SphereBoundReport:
             self.trend_slope <= self.slope_tolerance
         )
 
-    @classmethod
-    def from_constants(
-        cls, delta: float, n_lo: int, constants: Sequence[float], slope_tolerance: float
-    ) -> "SphereBoundReport":
-        """The report on the per-n maxima `constants` of n = n_lo, n_lo + 1, ..."""
-        n_hi = n_lo + len(constants) - 1
-        half_start = (n_lo + n_hi) // 2
-        xs, ys = [], []
-        for n, value in zip(range(n_lo, n_hi + 1), constants):
-            if n >= half_start and value > 0:
-                xs.append(math.log(n))
-                ys.append(math.log(value))
-        return cls(
-            delta=delta,
-            n_lo=n_lo,
-            n_hi=n_hi,
-            fitted_constant=max(constants),
-            trend_slope=least_squares_slope(xs, ys) if len(xs) >= 2 else 0.0,
-            slope_tolerance=slope_tolerance,
-            constants=tuple(constants),
-        )
-
 
 def verify_sphere_bound(
     profiles: Sequence[VolumeProfile],
@@ -446,13 +419,33 @@ def verify_sphere_bound(
     n_range: tuple[int, int],
     slope_tolerance: float,
 ) -> SphereBoundReport:
-    """Measure the constant in mu(S) <= C n^(-delta) mu(B) and test its trend."""
+    """Measure the constant in mu(S) <= C n^(-delta) mu(B) and test its trend.
+
+    Ball counts up to radius n_hi + 1 must be below 2^63, as the shell
+    sweep that gives delta requires."""
     depth = min(p.depth for p in profiles)
     n_lo, n_hi = n_range
     if not 1 <= n_lo < n_hi <= depth - 1:
         raise ValueError(f"radius range {n_range} not within profile depth {depth}")
-    per_n = _sphere_constants(profiles, delta, range(n_lo, n_hi + 1))
-    return SphereBoundReport.from_constants(delta, n_lo, per_n, slope_tolerance)
+    balls = np.array([p.ball[: n_hi + 2] for p in profiles], dtype=np.int64)
+    per_n = _sphere_constants(balls, delta, n_lo, n_hi)
+    fitted = max(per_n)
+    half_start = (n_lo + n_hi) // 2
+    xs, ys = [], []
+    for n, value in zip(range(n_lo, n_hi + 1), per_n):
+        if n >= half_start and value > 0:
+            xs.append(math.log(n))
+            ys.append(math.log(value))
+    slope = least_squares_slope(xs, ys) if len(xs) >= 2 else 0.0
+    return SphereBoundReport(
+        delta=delta,
+        n_lo=n_lo,
+        n_hi=n_hi,
+        fitted_constant=fitted,
+        trend_slope=slope,
+        slope_tolerance=slope_tolerance,
+        constants=tuple(per_n),
+    )
 
 
 # -- dyadic radius selection --------------------------------------------------

@@ -34,7 +34,6 @@ from typing import IO, Any, Callable, Mapping, NamedTuple, Sequence
 
 from .analysis import (
     ShellReport,
-    SphereBoundReport,
     doubling_constant,
     dyadic_subsequence,
     fit_radii,
@@ -42,6 +41,7 @@ from .analysis import (
     isoperimetric_ratios,
     shell_alpha,
     shell_pair_count,
+    verify_sphere_bound,
 )
 from .ergodic import GOLDEN_ANGLES, OBSERVABLES, ergodic_trace
 from .errors import BudgetExceededError, ConfigError
@@ -281,10 +281,11 @@ def _annulus(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
 
 
 def _verify(ctx: Context, opts: Mapping[str, Any]) -> Outcome:
-    # Over the radii 1..n_max of the shell sweep, whose per-radius constants
-    # (and so `fitted_C`) it keeps.
-    shell = ctx.shell
-    report = SphereBoundReport.from_constants(shell.delta, 1, shell.constants, opts["slope_tolerance"])
+    # Over the radii 1..n_max of the shell sweep, whose `fitted_C` it keeps.
+    report = verify_sphere_bound(
+        ctx.profiles, ctx.shell.delta, n_range=(1, ctx.shell.n_max),
+        slope_tolerance=opts["slope_tolerance"],
+    )
     summary = {"verify": {"trend_slope": report.trend_slope, "passed": report.passed}}
     columns = (range(report.n_lo, report.n_hi + 1), report.constants)
     return Outcome(summary, (("n", "constant"), columns), report.passed)

@@ -24,8 +24,6 @@ from folnerlab import analysis
 from folnerlab.analysis import (
     ShellRecord,
     ShellReport,
-    SphereBoundReport,
-    _sphere_constants,
     delta_from_alpha,
     doubling_constant,
     dyadic_subsequence,
@@ -118,6 +116,12 @@ class TestShellAlpha:
     def test_bad_k_min(self, z2_profile):
         with pytest.raises(ValueError, match="k_min"):
             shell_alpha([z2_profile], k_min=0, n_max=16, record_all=False)
+
+
+def _sphere_constants(profiles, delta, radii):
+    """The pure-Python per-radius constants `analysis._sphere_constants`
+    replaced: the max over centers of mu(S(x,n)) n^delta / mu(B(x,n))."""
+    return [max(p.sphere[n] * n**delta / p.ball[n] for p in profiles) for n in radii]
 
 
 def _reference_shell_alpha(profiles, k_min, n_max, record_all):
@@ -220,35 +224,42 @@ def _outcome(sweep, *args):
 class TestShellSweepMatchesReference:
     """`shell_alpha` against the loop it replaced: whole reports, and error
     texts where both raise, on seeded random profiles, with cells narrow
-    enough to split n-rows and chunks of one cell or a few."""
+    enough to split n-rows, chunks of one cell or a few and groups of cells
+    that split n-rows."""
 
-    # (cell width, chunk size): a chunk is at least one cell, so a chunk
-    # size below the width settles one cell at a time
+    # (cell width, chunk size, cells per group): a chunk is at least one
+    # cell, so a chunk size below the width settles one cell at a time
     @pytest.mark.parametrize(
-        "width, chunk", [(1, 1), (1, 50), (3, 2), (3, 7), (5, 50), (analysis.SHELL_WIDTH, analysis.SHELL_CHUNK)]
+        "width, chunk, cells",
+        [(1, 1, 1), (1, 50, 3), (3, 2, 1), (3, 7, 2), (5, 50, 4), (analysis.SHELL_WIDTH, analysis.SHELL_CHUNK, analysis.SHELL_CELLS)],
     )
-    def test_random_profiles(self, width, chunk, monkeypatch):
+    @pytest.mark.parametrize("seed", [1, 3, 50, 32768])
+    def test_random_profiles(self, seed, width, chunk, cells, monkeypatch):
         monkeypatch.setattr(analysis, "SHELL_WIDTH", width)
         monkeypatch.setattr(analysis, "SHELL_CHUNK", chunk)
-        rng = random.Random(width * 1000 + chunk)
+        monkeypatch.setattr(analysis, "SHELL_CELLS", cells)
+        rng = random.Random(seed)
         for _ in range(150):
             case = _random_case(rng)
             assert _outcome(shell_alpha, *case) == _outcome(_reference_shell_alpha, *case), case
 
-    def test_ties_go_to_the_first_pair(self, monkeypatch):
+    @pytest.mark.parametrize("cells", [1, 64])
+    def test_ties_go_to_the_first_pair(self, cells, monkeypatch):
         monkeypatch.setattr(analysis, "SHELL_WIDTH", 3)
         monkeypatch.setattr(analysis, "SHELL_CHUNK", 3)
+        monkeypatch.setattr(analysis, "SHELL_CELLS", cells)
         steady = tuple(range(1, 42, 2))  # every ratio is 1
         report = shell_alpha([VolumeProfile(7, steady), VolumeProfile(3, steady)], k_min=2, n_max=9, record_all=False)
         assert (report.worst.center, report.worst.n, report.worst.k) == (7, 2, 2)
         assert report.pairs_tested == 2 * sum(min(n, 20 - n) - 1 for n in range(2, 10))
 
-    @pytest.mark.parametrize("chunk", [2, 64])
-    def test_a_first_tie_in_a_later_cell_beats_a_later_n(self, chunk, monkeypatch):
+    @pytest.mark.parametrize("chunk, cells", [(2, 1), (64, 1), (64, 64)])
+    def test_a_first_tie_in_a_later_cell_beats_a_later_n(self, chunk, cells, monkeypatch):
         # with cells of two widths, (5, 5) lies in the third cell of n = 5
         # and (6, 2) in the first of n = 6; both ratios are 3/8, the least
         monkeypatch.setattr(analysis, "SHELL_WIDTH", 2)
         monkeypatch.setattr(analysis, "SHELL_CHUNK", chunk)
+        monkeypatch.setattr(analysis, "SHELL_CELLS", cells)
         ball = (1, 2, 3, 4, 6, 7, 9, 13, 17, 19, 23, 26, 29)
         assert Fraction(ball[5] - ball[0], ball[10] - ball[5]) == Fraction(ball[6] - ball[4], ball[8] - ball[6]) == Fraction(3, 8)
         profiles = [VolumeProfile(4, ball), VolumeProfile(9, ball)]
@@ -256,22 +267,34 @@ class TestShellSweepMatchesReference:
         assert report == _reference_shell_alpha(profiles, k_min=1, n_max=6, record_all=False)
         assert (report.worst.center, report.worst.n, report.worst.k, report.alpha) == (4, 5, 5, Fraction(3, 8))
 
+    @pytest.mark.parametrize("cells", [1, 2, 64])
+    def test_a_tie_at_a_smaller_n_of_a_later_center_loses(self, cells, monkeypatch):
+        # both balls' least ratio is 1/4: the first center's at (5, 1), the
+        # second's at (1, 1), which a group of cells meets first
+        monkeypatch.setattr(analysis, "SHELL_WIDTH", 1)
+        monkeypatch.setattr(analysis, "SHELL_CELLS", cells)
+        first = VolumeProfile(4, (1, 5, 9, 13, 17, 18, 22, 23, 26, 30, 31))
+        later = VolumeProfile(9, (1, 2, 6, 7, 8, 9, 10, 11, 12, 15, 18))
+        assert _reference_shell_alpha(later, k_min=1, n_max=5, record_all=False).worst.n == 1
+        report = shell_alpha([first, later], k_min=1, n_max=5, record_all=False)
+        assert report == _reference_shell_alpha([first, later], k_min=1, n_max=5, record_all=False)
+        assert (report.worst.center, report.worst.n, report.worst.k, report.alpha) == (4, 5, 1, Fraction(1, 4))
+
     def test_sphere_constants_are_those_of_the_profiles(self):
-        # bit for bit, the per-radius maxima that `verify` reads
+        # bit for bit, the pure-Python constants, through the sweep's
+        # fitted constant and through `verify_sphere_bound`
         rng = random.Random(7)
         checked = 0
         while checked < 100:
             profiles, k_min, n_max, _ = _random_case(rng)
             report = _outcome(shell_alpha, profiles, k_min, n_max, False)
-            if isinstance(report, str):
+            if isinstance(report, str) or n_max < 2:
                 continue
             expected = _sphere_constants(profiles, report.delta, range(1, n_max + 1))
-            assert report.constants == tuple(expected), (profiles, k_min, n_max)
-            assert report.fitted_constant == max(expected)
-            if n_max >= 2:
-                assert SphereBoundReport.from_constants(report.delta, 1, report.constants, 0.05) == verify_sphere_bound(
-                    profiles, report.delta, (1, n_max), 0.05
-                )
+            assert report.fitted_constant == max(expected), (profiles, k_min, n_max)
+            check = verify_sphere_bound(profiles, report.delta, (1, n_max), 0.05)
+            assert check.constants == tuple(expected), (profiles, k_min, n_max)
+            assert check.fitted_constant == max(expected)
             checked += 1
 
     def test_ratios_apart_by_less_than_a_float_step(self):
@@ -334,6 +357,21 @@ class TestShellSweepMatchesReference:
             tracemalloc.stop()
         assert (report.alpha, report.worst.center, report.worst.n, report.worst.k) == (1, 0, 5, 5)
         assert report.pairs_tested == 4_851_120
+        assert peak < 4 * 2**20, peak
+
+    def test_memory_does_not_grow_with_the_depth(self):
+        # one steady center at depth 8000 and n_max 4000: 501,000 cells and
+        # 7,986,006 pairs, every one settled; whole arrays of the cells alone
+        # would take about 4 MiB each
+        profiles = [VolumeProfile(0, tuple(range(1, 2 * 8001, 2)))]
+        tracemalloc.start()
+        try:
+            report = shell_alpha(profiles, k_min=5, n_max=4000, record_all=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.alpha, report.worst.n, report.worst.k) == (1, 5, 5)
+        assert report.pairs_tested == analysis.shell_pair_count(5, 4000, 8000)
         assert peak < 4 * 2**20, peak
 
     def test_the_bound_settles_few_pairs_of_a_tree_chain(self, monkeypatch):

@@ -101,7 +101,6 @@ def test_all_names_are_defined(path):
 KEPT = {
     ("generators", "cayley_ball"): "a traced layer of the benchmark (bench/layers.py)",
     ("products", "product_with_powers"): "a traced layer of the benchmark (bench/layers.py)",
-    ("analysis", "verify_sphere_bound"): "a traced layer of the benchmark (bench/layers.py)",
     ("space", "separated_net"): "the acceptance suite computes its nets",
     ("space", "monotone_geodesic"): "the acceptance suite computes its geodesics",
     ("space", "bfs_distances"): "the acceptance suite computes its distances",
