@@ -26,7 +26,10 @@ The text is split into lines, at every line break of `str.splitlines`, in
 blocks of 64 KiB.  Inside a block, a run of edge lines is found with one
 regular-expression search: lines that end in any of those breaks, have
 vertices of at most 18 digits, and any blank that `str.split` splits at
-between fields.  Every other line (a longer vertex, a last line without a
+between fields.  Every quantifier of that pattern is possessive (`*+`,
+`++`): a blank starts no `edge`, sign, digit or line break, so the spans
+are those of a backtracking pattern, and the search time grows only with
+the text.  Every other line (a longer vertex, a last line without a
 break) is a record of its own.  The vertex text of every edge goes into one
 buffer, read into int64 pairs by `np.fromstring` each time it passes about
 64 KiB and at the end; a vertex of over 18 characters is an exact `int`.
@@ -61,8 +64,9 @@ _break = re.compile(f"\r\n?|[{_BREAKS}]").search
 # run's vertex text with any other blank or break is split and joined by spaces.
 _UNSKIPPED = "\x1c\x1d\x1e\x1f"
 # A run of edge lines from a line start; a vertex of 1 to 18 digits fits in int64.
+# Possessive: giving a character back would never let a match go on.
 _run = re.compile(
-    r"(?:\A|(?<=[\r{1}]))(?:{0}*edge{0}+[+-]?[0-9]{{1,18}}{0}+[+-]?[0-9]{{1,18}}{0}*(?:\r\n?|[{1}]))+"
+    r"(?:\A|(?<=[\r{1}]))(?:{0}*+edge{0}++[+-]?+[0-9]{{1,18}}+{0}++[+-]?+[0-9]{{1,18}}+{0}*+(?:\r\n?+|[{1}]))++"
     .format(f"[{_BLANKS}]", _BREAKS)
 ).search
 

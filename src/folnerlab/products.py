@@ -9,8 +9,10 @@ Every expansion here is `groups.expand`, and its factors are runs
 (U, count): the powers of one set are [(U, n)], varying factors one run
 each.  A `ProductSequence` keeps the
 kernel's birth layers (sorted keys, one key box) as the one record of the
-products of its seeds N_0 ({1}, or a middle shell of the claims sandwich):
-each N_n and each shell N_b minus N_a is a run of consecutive layers.
+products of its seeds N_0 = {1}: each N_n and each shell N_b minus N_a is
+a run of consecutive layers.  The claims sandwich reads the expansion of a
+middle shell the same way, as unions of its first layers, taken from the
+kernel only as far as its tests read.
 Layers carry their discovery order only when `product_powers` is asked
 (`ordered=True`): only `ergodic.ergodic_trace` reads it, and every other
 caller reads sizes and shells and skips its sorts.
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import Iterable, Sequence
 
 from .groups import Element, GroupModel, KeySet, Layer, check_generates, expand
@@ -50,7 +52,7 @@ DEFAULT_ELEMENT_BUDGET = 5_000_000
 @dataclass(frozen=True, eq=False)
 class ProductSequence:
     """Products N_n = N_0 * U_1 * ... * U_n (identity adjoined to factors)
-    of the seeds N_0: {1}, or a shell whose set products are read as prefixes.
+    of the seeds N_0 ({1} from `product_powers` and `varying_products`).
 
     `layers[n]` is the kernel's layer N_n minus N_(n-1) (layer 0 the
     seeds), with its discovery order if asked for; all layers share one
@@ -183,11 +185,11 @@ def shell_inclusion_check(
     Both follow from cutting geodesic words at length h + 1.  Forward holds
     for powers of any U: g in C_{n, n+k} has a shortest word of length at
     most n + k; its prefix of length h + 1 lies in C_{h, h+1} and the rest
-    has length at most 3k/2 - 1 < 2k.  Both are still enumerated, so a
-    forward failure means the sequence's shells and its factor disagree.
-    Needs k divisible by 4 and k <= n.  Both right sides are prefix shells
-    of one expansion of C_{h, h+1}, so each h is expanded once, to twice
-    its largest k, one h at a time.
+    has length at most 3k/2 - 1 < 2k.  So forward is tested at 3k/2 - 1
+    steps first, and at 2k only if that fails, which means the sequence's
+    shells and its factor disagree.  Needs k divisible by 4 and k <= n.  Both
+    right sides are prefix shells of one expansion of C_{h, h+1}, so each h
+    is expanded once, as far as its tests read, one h at a time.
     """
     pairs = list(pairs)
     middles: dict[int, set[int]] = {}  # h -> the widths k with n - k/2 = h
@@ -212,16 +214,26 @@ def _sandwich(
     sequence: ProductSequence, unit: tuple[Element, ...], h: int, ks: set[int], element_budget: int
 ) -> dict[tuple[int, int], tuple[bool, bool]]:
     """The outcomes at (h + k/2, k) for each k of `ks`, from one expansion of
-    the middle shell C_{h, h+1} by the factor `unit` to twice the largest k,
-    the record `grown` with N_0 = C_{h, h+1}: C_{h, h+1} * U^m is its prefix
-    `grown.shell(-1, m)`."""
+    the middle shell C_{h, h+1} by the factor `unit`, its key box sized for
+    twice the largest k: C_{h, h+1} * U^m is the union of its layers 0..m.
+    Layers are read only as a test needs them.  Forward is tested first at
+    m = 3k/2 - 1, where it holds for powers of one set; U^m lies in U^(2k)
+    once the identity is adjoined, so a pass there is a pass at 2k, and only
+    a failure reads on to 2k.  For powers of one set, C_{h, h+1} * U^(3k/2-1)
+    lies in N_(n+k), which the powers already hold within the budget."""
     steps = ((unit, 2 * max(ks)),)
     layers = expand(sequence.model, sequence.shell(h, h + 1), steps, element_budget, "set product")
-    grown = ProductSequence(sequence.model, steps, tuple(layers))
+    grown: list[Layer] = []
+
+    def product(m: int) -> KeySet:  # C_{h, h+1} * U^m
+        grown.extend(islice(layers, max(m + 1 - len(grown), 0)))
+        return KeySet.union(grown[: m + 1], grown[0].box)
+
     outcomes = {}
     for k in ks:
         n = h + k // 2
-        forward = sequence.shell(n, n + k) <= grown.shell(-1, 2 * k)
-        backward = grown.shell(-1, k // 4) <= sequence.shell(n - k, n)
+        shell = sequence.shell(n, n + k)
+        forward = shell <= product(3 * k // 2 - 1) or shell <= product(2 * k)
+        backward = product(k // 4) <= sequence.shell(n - k, n)
         outcomes[n, k] = (forward, backward)
     return outcomes

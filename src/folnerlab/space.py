@@ -85,7 +85,13 @@ class Graph:
         """A graph on 0..n-1 from an (m, 2) integer array of edges, or a list
         that converts to one.  The edge with the smallest index that is out
         of range, a self-loop or a repeat in either orientation (at one index,
-        in that order) raises GraphFormatError with its index as `where`."""
+        in that order) raises GraphFormatError with its index as `where`.
+
+        The keys of both orientations are sorted once, for the graph.  An
+        edge in range that is no self-loop has two distinct keys, so two
+        equal neighbours in that sorted array exist exactly when some edge
+        repeats, in either orientation; only when an edge is out of range, a
+        self-loop or such a repeat is the first faulty edge searched for."""
         try:
             given = np.asarray(edges, dtype=np.int64)
         except OverflowError:  # a vertex past int64 is out of range; keep it for the message
@@ -93,18 +99,10 @@ class Graph:
         given = given.reshape(len(given), 2)  # ValueError unless (m, 2) or empty
         inrange = ((given >= 0) & (given < n)).all(axis=1)
         u, v = np.where(inrange[:, None], given, -1).astype(np.int64).T
-        valid = np.flatnonzero(inrange & (u != v))
-        keys = (np.minimum(u, v) * n + np.maximum(u, v))[valid]
-        order = np.argsort(keys, kind="stable")  # the edges of one key in index order
-        repeats = valid[order[1:][keys[order[1:]] == keys[order[:-1]]]]
-        i = min([*np.flatnonzero(~inrange | (u == v)).tolist(), *repeats.tolist()], default=None)
-        if i is not None:
-            a, b = (int(x) for x in given[i])
-            raise GraphFormatError(
-                f"edge ({a}, {b}) out of range" if not inrange[i] else
-                f"self-loop at {a}" if a == b else f"duplicate edge ({a}, {b})", i)
-        graph = Graph(n, np.sort(np.concatenate((u * n + v, v * n + u))), basepoints or {})
-        return graph._checked(u, v)
+        keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+        if not inrange.all() or (u == v).any() or (keys[1:] == keys[:-1]).any():
+            raise _first_fault(n, given, inrange, u, v)
+        return Graph(n, keys, basepoints or {})._checked(u, v)
 
     def validate(self) -> None:
         """Raise GraphFormatError on a basepoint out of range (its label as
@@ -123,10 +121,42 @@ class Graph:
         return self
 
 
+def _first_fault(n: int, given: np.ndarray, inrange: np.ndarray, u: np.ndarray, v: np.ndarray
+                 ) -> GraphFormatError:
+    """The error of the faulty edge of `from_edges` with the smallest index:
+    out of range, a self-loop, or a repeat of an earlier edge (u, v are the
+    edges, -1 where out of range)."""
+    valid = np.flatnonzero(inrange & (u != v))
+    keys = (np.minimum(u, v) * n + np.maximum(u, v))[valid]
+    order = np.argsort(keys, kind="stable")  # the edges of one key in index order
+    repeats = valid[order[1:][keys[order[1:]] == keys[order[:-1]]]]
+    i = min([*np.flatnonzero(~inrange | (u == v)).tolist(), *repeats.tolist()])
+    a, b = (int(x) for x in given[i])
+    return GraphFormatError(
+        f"edge ({a}, {b}) out of range" if not inrange[i] else
+        f"self-loop at {a}" if a == b else f"duplicate edge ({a}, {b})", i)
+
+
 def _adjacency(n: int, keys: np.ndarray) -> tuple[tuple[Vertex, ...], ...]:
-    """The neighbor tuples of 0..n-1: slices of the sorted keys src·n + dst, cut where each src ends."""
-    flat, ends = tuple((keys % n).tolist()), np.searchsorted(keys, np.arange(1, n + 1) * n).tolist()
-    return tuple(map(flat.__getitem__, map(slice, [0, *ends], ends)))
+    """The neighbor tuples of 0..n-1 from the sorted keys src·n + dst, built
+    per degree class: the vertices of one degree d, in ascending order,
+    have their neighbors gathered into one row-major list, grouped d at a
+    time into tuples, and the rows are put back in vertex order.  Row-major,
+    so the ints of each tuple are allocated together, close in memory for
+    the breadth-first loop that reads them."""
+    src, dst = np.divmod(keys, n)
+    degree = np.bincount(src, minlength=n)
+    start = np.cumsum(degree) - degree  # where each vertex's neighbors begin in dst
+    order = np.argsort(degree, kind="stable")  # by degree, then vertex
+    rows: list[tuple[Vertex, ...]] = []
+    for d, count in enumerate(np.bincount(degree).tolist()):
+        if count:
+            members = order[len(rows) : len(rows) + count]
+            flat = dst[(start[members, None] + np.arange(d)).ravel()].tolist()
+            rows += zip(*[iter(flat)] * d) if d else [()] * count
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return tuple(map(rows.__getitem__, rank.tolist()))
 
 
 def _connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:

@@ -10,6 +10,11 @@ Core claims:
     - a vertex past int64 is out of range, with its exact value in the text
     - `where` is a Python int, which `graphio` tells from a basepoint label
     - edges that do not form an (m, 2) array raise instead of being reshaped
+    - each kind of fault alone at a random index (out of range, a self-loop,
+      a repeat as given or reversed, a vertex past int64) and several at
+      once give the reference's error text and `where`
+    - valid input is built without `np.argsort`: the first faulty edge is
+      searched for only when the sorted keys show a fault
 """
 
 import random
@@ -17,6 +22,7 @@ import random
 import numpy as np
 import pytest
 
+from folnerlab import space
 from folnerlab.errors import GraphFormatError
 from folnerlab.space import Graph
 
@@ -114,6 +120,60 @@ class TestAgainstReference:
             # The first word of the error text: "graph" is the one of "graph is not connected".
             seen.add("valid" if outcome[0] == "graph" else outcome[1].split()[0])
         assert seen == {"valid", "edge", "self-loop", "duplicate", "basepoint", "graph"}
+
+
+def _valid_case(rng):
+    """A seeded connected graph as an edge list in random order and orientation."""
+    n = rng.randint(2, 300)
+    keys = {min(u, v) * n + max(u, v) for v in range(1, n) for u in [rng.randrange(v)]}
+    while len(keys) < n - 1 + n // 3:
+        u, v = rng.sample(range(n), 2)
+        keys.add(min(u, v) * n + max(u, v))
+    edges = [divmod(key, n) for key in sorted(keys)]
+    rng.shuffle(edges)
+    return n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+
+
+def _fault(rng, kind, n, edges):
+    """One faulty edge of `kind` for the edge list `edges` on n vertices."""
+    u, v = rng.choice(edges)
+    return {
+        "range": (u, n + rng.randint(0, 9)) if rng.random() < 0.5 else (-rng.randint(1, 9), v),
+        "self-loop": (u, u),
+        "repeat": (u, v),
+        "reversed": (v, u),
+        "past-int64": (rng.choice([2**63, -(2**63) - 1, 10**30]), v),
+    }[kind]
+
+
+_KINDS = ["range", "self-loop", "repeat", "reversed", "past-int64"]
+
+
+class TestEachFault:
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("kind", [*_KINDS, "several"])
+    def test_same_error_as_the_reference(self, kind, seed):
+        rng = random.Random(f"fault/{kind}/{seed}")
+        n, edges = _valid_case(rng)
+        for k in rng.choices(_KINDS, k=rng.randint(2, 5)) if kind == "several" else [kind]:
+            edges.insert(rng.randint(0, len(edges)), _fault(rng, k, n, edges))
+        expected = _outcome(_reference_from_edges, n, edges, {})
+        assert expected[0] == "error"
+        assert _outcome(_built, n, edges, {}) == expected
+        if kind not in ("past-int64", "several"):  # also as an int64 array
+            assert _outcome(_built, n, np.array(edges, dtype=np.int64), {}) == expected
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_valid_input_is_built_without_argsort(self, seed, monkeypatch):
+        n, edges = _valid_case(random.Random(f"valid/{seed}"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.argsort called on valid input")
+
+        monkeypatch.setattr(space.np, "argsort", refuse)
+        graph = Graph.from_edges(n, edges, {"o": 0})
+        monkeypatch.undo()
+        assert graph.adjacency == _reference_from_edges(n, edges, {"o": 0})
 
 
 class TestVerticesPastInt64:

@@ -38,12 +38,17 @@ Core claims:
     - a 51,521-vertex Z^2 ball file parses within a 29 MiB tracemalloc peak,
       also with CRLF or bare CR line ends, or tabs or no-break spaces
       between fields
+    - the possessive edge-run pattern finds the spans of the backtracking
+      one, kept below as the reference, on seeded texts of `edge`, every
+      blank and line break, CRLF, signs and vertices of 18 and 19 digits,
+      from several start offsets, and on runs across a 64 KiB block edge
 """
 
 import bisect
 import functools
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -788,3 +793,78 @@ def _parses_within_bound(text):
     assert graph.vertex_count == 51_521
     assert graph.edge_count == 102_400
     assert peak < 29 * 2**20
+
+
+# The edge-run pattern before its quantifiers were possessive.
+_reference_run = re.compile(
+    r"(?:\A|(?<=[\r{1}]))(?:{0}*edge{0}+[+-]?[0-9]{{1,18}}{0}+[+-]?[0-9]{{1,18}}{0}*(?:\r\n?|[{1}]))+"
+    .format(f"[{graphio._BLANKS}]", graphio._BREAKS)
+).search
+_RUN_BREAKS = [*graphio._BREAKS, "\r", "\r\n"]
+
+
+def _span(search, text, pos, end):
+    found = search(text, pos, end)
+    return found.span() if found else None
+
+
+def _fuzz_vertex(rng):
+    return rng.choice(["", "", "+", "-"]) + str(rng.randrange(10 ** rng.choice([1, 3, 18, 19])))
+
+
+def _fuzz_line(rng):
+    """An edge line of random blanks, signs and vertex lengths and a random
+    break, now and then with a token dropped, doubled or thrown in."""
+    blanks = lambda low: "".join(rng.choice(graphio._BLANKS) for _ in range(rng.randint(low, 2)))
+    tokens = [blanks(0), "edge", blanks(1), _fuzz_vertex(rng), blanks(1), _fuzz_vertex(rng),
+              blanks(0), rng.choice(_RUN_BREAKS)]
+    if rng.random() < 0.3:
+        i = rng.randrange(len(tokens))
+        tokens[i : i + 1] = rng.choice([[], [tokens[i]] * 2, [tokens[i], rng.choice(
+            ["edge", "+", "-", "\r", "\r\n", "9" * 19, *graphio._BLANKS, *graphio._BREAKS])]])
+    return "".join(tokens)
+
+
+def _fuzz_spans(seed):
+    """The spans the possessive edge-run pattern finds in a seeded fuzz text
+    from several start offsets (any position, or right after a break) to
+    the end or a random end, each checked against the reference pattern's."""
+    rng = random.Random(f"run/{seed}")
+    text = "".join(_fuzz_line(rng) for _ in range(rng.randint(1, 60)))
+    breaks = [m.end() for m in re.finditer(f"\r\n?|[{graphio._BREAKS}]", text)]
+    starts = {0, len(text), *rng.sample(range(len(text) + 1), min(10, len(text) + 1)),
+              *rng.sample(breaks, min(10, len(breaks)))}
+    spans = []
+    for pos in sorted(starts):
+        for end in (len(text), rng.randint(pos, len(text))):
+            span = _span(graphio._run, text, pos, end)
+            assert span == _span(_reference_run, text, pos, end), (pos, end)
+            spans.append(span)
+    return spans
+
+
+class TestPossessiveRun:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_spans_as_the_backtracking_pattern(self, seed):
+        _fuzz_spans(seed)
+
+    def test_fuzz_texts_hold_runs_and_misses(self):
+        spans = [span for seed in range(40) for span in _fuzz_spans(seed)]
+        assert sum(span is None for span in spans) > 100
+        assert sum(span is not None and span[1] - span[0] > 60 for span in spans) > 100  # several lines
+
+    def test_runs_across_a_block_edge(self):
+        rng = random.Random("run/block")
+        lines = [f"edge {rng.randrange(10**6)} {rng.randrange(10**6)}" + rng.choice(_RUN_BREAKS)
+                 for _ in range(7000)]
+        lines[rng.randrange(len(lines))] = _fuzz_line(rng)  # may end a run
+        text = "".join(lines)
+        assert len(text) > 2 * _BLOCK
+        ends = list(itertools.accumulate(map(len, lines)))
+        crossed = 0
+        for pos in [0, *rng.sample(ends[: bisect.bisect(ends, _BLOCK)], 8)]:
+            end = ends[bisect.bisect(ends, pos + _BLOCK)]  # the first break past pos + _BLOCK
+            span = _span(graphio._run, text, pos, end)
+            assert span == _span(_reference_run, text, pos, end)
+            crossed += span is not None and span[0] < _BLOCK < span[1]
+        assert crossed

@@ -384,9 +384,25 @@ class TestClaimsAnalysis:
             for n in range(k, n_max + 1)
         ]
 
+    def test_a_run_within_the_budget_of_its_powers_completes(self):
+        # N_8 (145 elements) fits; C_{2,3} * U^8 would reach 221 at layer 7,
+        # but forward holds by step 5, and C_{2,3} * U^5 lies inside N_8.
+        space = {"family": "lattice", "d": 2, "radius": 4}
+        summary, tables = run_analyses(_claims_config(space, [4], 4, budget=200))
+        unbudgeted, expected = run_analyses(_claims_config(space, [4], 4))
+        assert tables == expected and tables["claims"][1][2] == (True,)
+        assert summary["claims"] == unbudgeted["claims"] == {"all_hold": True}
+
     def test_budget_error_names_the_set_product(self):
-        # N_8 (145 elements) fits; C_{2,3} * U^8 reaches 221 at layer 7.
-        config = _claims_config({"family": "lattice", "d": 2, "radius": 4}, [4], 4, budget=200)
+        # The shells of Z^1's {0, +-1, +-2, +-3} with the factor {0, +-1, +-2}:
+        # at (8, 4) forward fails at step 5 (C_{6,7} * U^5 has 46 elements)
+        # and reads on to step 8, past the budget at layer 6.
+        z1 = zd_model(1)
+        wide = product_powers(z1, [(s,) for s in range(-3, 4)], 16, ordered=False)
+        narrow = product_powers(z1, [(s,) for s in range(-2, 3)], 16, ordered=False)
+        sequence = ProductSequence(z1, narrow.factors, wide.layers)
+        assert shell_inclusion_check(sequence, [(8, 4)], element_budget=70) == [
+            _reference_shell_inclusion(sequence, 8, 4)]
         with pytest.raises(BudgetExceededError) as caught:
-            run_analyses(config)
-        assert str(caught.value) == "set product: size 221 exceeds budget 200 at layer 7"
+            shell_inclusion_check(sequence, [(8, 4)], element_budget=50)
+        assert str(caught.value) == "set product: size 54 exceeds budget 50 at layer 6"

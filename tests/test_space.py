@@ -21,6 +21,11 @@ Core claims:
     - on connected unit-edge graphs every sphere point has a neighbour in the
       ball one smaller (the monotone-geodesic constant is 1)
     - sample_centers always contains the basepoints and is seed-deterministic
+    - the adjacency tuples, built per degree class, equal those of the
+      earlier builder (one slice of the sorted keys per vertex, kept below as
+      the oracle) on seeded graphs of mixed degrees, a star, a path, one
+      vertex and small forms of the benchmark's graphs (tree chains, the
+      stairway, a shuffled Z^2 ball), and give the same BFS layers
 """
 
 import math
@@ -29,7 +34,7 @@ import random
 import numpy as np
 import pytest
 
-from folnerlab import space
+from folnerlab import generators, space
 from folnerlab.errors import GraphFormatError
 from folnerlab.space import (
     Graph,
@@ -86,6 +91,27 @@ def _path(n: int) -> Graph:
 def _cycle(n: int) -> Graph:
     edges = [(i, (i + 1) % n) for i in range(n)]
     return Graph.from_edges(n, edges, {"o": 0})
+
+
+def _slice_adjacency(n: int, keys: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The earlier adjacency builder: one slice of the sorted keys src·n + dst
+    per vertex, cut where each src ends."""
+    flat, ends = tuple((keys % n).tolist()), np.searchsorted(keys, np.arange(1, n + 1) * n).tolist()
+    return tuple(map(flat.__getitem__, map(slice, [0, *ends], ends)))
+
+
+def _shuffled_z2_ball(radius: int, seed: int) -> Graph:
+    """The grid graph on the l1 ball of `radius`, vertex ids and edge order
+    and orientation shuffled."""
+    rng = random.Random(seed)
+    points = [(x, y) for x in range(-radius, radius + 1)
+              for y in range(abs(x) - radius, radius - abs(x) + 1)]
+    rng.shuffle(points)
+    index = {p: v for v, p in enumerate(points)}
+    edges = [(v, index[q]) if rng.random() < 0.5 else (index[q], v)
+             for v, (x, y) in enumerate(points) for q in ((x + 1, y), (x, y + 1)) if q in index]
+    rng.shuffle(edges)
+    return Graph.from_edges(len(points), edges, {"origin": index[0, 0]})
 
 
 # -- Graph container ---------------------------------------------------------
@@ -179,6 +205,42 @@ class TestEdgeChecks:
             with pytest.raises(GraphFormatError) as error:
                 build()
             assert error.value.where is None
+
+
+_ADJACENCY_CASES = {
+    **{f"mixed-{seed}": (lambda seed=seed: _random_connected(random.Random(seed), 40 + 30 * seed, 5 + 40 * seed))
+       for seed in range(6)},
+    "star": lambda: Graph.from_edges(50, [(0, v) for v in range(1, 50)], {"hub": 0}),
+    "path": lambda: _path(30),
+    "one-vertex": lambda: Graph.from_edges(1, []),
+    "tree-chain-3-2-4": lambda: generators.stretched_tree_chain(3, 2, 4),
+    "tree-chain-2-3-3": lambda: generators.stretched_tree_chain(2, 3, 3),
+    "stairway-4": lambda: generators.stairway_strip(4).graph,
+    "z2-ball-12": lambda: _shuffled_z2_ball(12, 7),
+}
+
+
+class TestAdjacencyByDegree:
+    @pytest.mark.parametrize("case", list(_ADJACENCY_CASES))
+    def test_equals_the_slice_builder(self, case):
+        graph = _ADJACENCY_CASES[case]()
+        expected = _slice_adjacency(graph.vertex_count, graph._keys)
+        got = space._adjacency(graph.vertex_count, graph._keys)
+        assert type(got) is tuple and all(type(row) is tuple for row in got)
+        assert got == expected
+        assert {type(v) for row in got for v in row} <= {int}
+
+    def test_cases_mix_degrees(self):
+        degrees = {len(row) for case in _ADJACENCY_CASES.values() for row in case().adjacency}
+        assert {0, 1, 2, 3, 4, 49} <= degrees
+
+    @pytest.mark.parametrize("case", list(_ADJACENCY_CASES))
+    def test_bfs_layers_are_equal_on_both(self, case):
+        graph = _ADJACENCY_CASES[case]()
+        oracle = Graph(graph.vertex_count, graph._keys, graph.basepoints)
+        oracle.__dict__["adjacency"] = _slice_adjacency(graph.vertex_count, graph._keys)
+        for center in sample_centers(graph.vertex_count, graph.basepoints, 5, 0):
+            assert list(space.bfs_layers(graph, center)) == list(space.bfs_layers(oracle, center))
 
 
 class TestVolumeProfileType:
