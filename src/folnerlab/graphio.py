@@ -27,9 +27,9 @@ blocks of 64 KiB.  Inside a block, a run of edge lines is found with one
 regular-expression search: lines that end in any of those breaks, have
 vertices of at most 18 digits, and any blank that `str.split` splits at
 between fields.  Every quantifier of that pattern is possessive (`*+`,
-`++`): a blank starts no `edge`, sign, digit or line break, so the spans
-are those of a backtracking pattern, and the search time grows only with
-the text.  Every other line (a longer vertex, a last line without a
+`++`, which `re` reads from Python 3.11 on): a blank starts no `edge`,
+sign, digit or line break, so the spans are those of a backtracking
+pattern, and the search time grows only with the text.  Every other line (a longer vertex, a last line without a
 break) is a record of its own.  The vertex text of every edge goes into one
 buffer, read into int64 pairs by `np.fromstring` each time it passes about
 64 KiB and at the end; a vertex of over 18 characters is an exact `int`.

@@ -18,8 +18,8 @@ Layers carry their discovery order only when `product_powers` is asked
 caller reads sizes and shells and skips its sorts.
 Shells and set products are `KeySet`s, so the word-shell sandwich is tested
 on keys; only `birth` decodes tuples, for callers that want elements.
-When N_0 = {1}, `profile` is the identity's volume profile, read off the
-sizes; a word ball (`generators.WordBall`) is the record of its powers.
+`profile` is the identity's volume profile, read off the sizes; a word
+ball (`generators.WordBall`) is the record of its powers.
 Expanding only the newest elements of N_n is exhaustive when the next
 factor lies inside the one before it (always, for powers of one set);
 otherwise the kernel multiplies the whole of N_n.
@@ -59,8 +59,7 @@ class ProductSequence:
     key box, and N_n is the union of layers 0..n.  `sizes[n] = |N_n|`.
     `factors` holds the runs (U, count) of `groups.expand`, each U sorted
     with the identity adjoined: the powers of one set are [(U, n)], so the
-    set is held once however many steps there are.  `profile` applies only
-    when N_0 = {1}.
+    set is held once however many steps there are.
     """
 
     model: GroupModel
