@@ -226,12 +226,14 @@ def stretched_tree_chain(
     return Graph.from_edges(count, np.concatenate(pieces), basepoints)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StairwayStrip:
-    """Discretized strip: graph plus integer coordinates per vertex."""
+    """Discretized strip: the graph, and `xy`, the grid coordinates of its
+    vertices as a read-only (n, 2) int64 array, row v = (x, y) of vertex v.
+    Strips compare by identity: an array has no one truth value."""
 
     graph: Graph
-    points: tuple[tuple[int, int], ...]
+    xy: np.ndarray
 
 
 def _raster_half_circle(radius: int, upper: bool) -> Iterator[tuple[int, int]]:
@@ -309,12 +311,12 @@ def stairway_strip(
             raise BudgetExceededError("stairway_strip", over, vertex_budget)
         cells = np.sort(np.concatenate((cells, met[fresh])), kind="stable")
 
-    x, y = np.divmod(cells, width)
-    points = tuple(zip((x - reach).tolist(), (y - reach).tolist()))
+    xy = np.stack(np.divmod(cells, width), axis=1) - reach
+    xy.flags.writeable = False
     origin = int(np.searchsorted(cells, reach * width + reach))
     # The edges (i, j) with cell j = cell i + step, for the x and y steps.
     edges = np.concatenate([np.stack(lookup(cells, cells + step), axis=1) for step in (width, 1)])
-    return StairwayStrip(Graph.from_edges(len(cells), edges, {"origin": origin}), points)
+    return StairwayStrip(Graph.from_edges(len(cells), edges, {"origin": origin}), xy)
 
 
 def norm_profile(strip: StairwayStrip, depth: int) -> VolumeProfile:
@@ -325,7 +327,7 @@ def norm_profile(strip: StairwayStrip, depth: int) -> VolumeProfile:
     half-circle of scale 2^k lands in the ring (2^k, 2^k + 1].  The graph
     metric would instead see a thick path here and no spikes.
     """
-    xy = np.array(strip.points, dtype=np.int64)
+    xy = strip.xy
     counts = np.bincount(_ceil_sqrt((xy * xy).sum(axis=1)), minlength=depth + 1)[: depth + 1]
     return VolumeProfile.from_sizes(strip.graph.basepoints["origin"], counts.tolist(), depth)
 

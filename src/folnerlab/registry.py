@@ -20,7 +20,11 @@ report that `shell` leaves in the context.
 
 Tables are formatted by `write_csv`: exact columns carry rationals as
 "p/q" strings and integers as plain decimals; fitted columns carry floats
-via repr (shortest round-trip form); booleans are "true"/"false".
+via repr (shortest round-trip form); booleans are "true"/"false".  A table
+is a header and its columns, and each column is formatted once: one of
+exact `int`s and `str`s (every column of the profile table) goes to
+`csv.writer` as it is, which writes the same text; any other goes through
+the formatter of its cells' types.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import csv
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from typing import IO, Any, Callable, Mapping, NamedTuple, Sequence
 
 from .analysis import (
@@ -192,18 +196,25 @@ def _column(values: Sequence[Any]) -> list[str]:
     return list(map(formats.pop() if len(formats) == 1 else cell, values))
 
 
+# The exact types `csv.writer` writes as `cell` does: a `str` as it is and an
+# `int` by `str`.  A subclass may change `__str__` (`bool`, `IntEnum`) or be
+# written by `csv` as its base's text, so it goes through `_column`.
+_PLAIN = frozenset((int, str))
+
+
 def write_csv(fh: IO[str], digest: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
-    """The table under a `# config` line, each column formatted once."""
+    """The table under a `# config` line, each column formatted once; a
+    column of exact `int`s and `str`s goes to `csv.writer` as it is."""
     fh.write(f"# config {digest}\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(zip(*map(_column, columns)))
+    writer.writerows(zip(*(c if _PLAIN.issuperset(map(type, c)) else _column(c) for c in columns)))
 
 
 def profile_table(labeled: Sequence[tuple[str, VolumeProfile]]) -> Table:
     return ("center", "r", "ball", "sphere"), (
-        [label for label, p in labeled for _ in p.ball],
-        [r for _, p in labeled for r in range(p.depth + 1)],
+        list(chain.from_iterable(repeat(label, len(p.ball)) for label, p in labeled)),
+        list(chain.from_iterable(range(len(p.ball)) for _, p in labeled)),
         list(chain.from_iterable(p.ball for _, p in labeled)),
         list(chain.from_iterable((*p.sphere, "") for _, p in labeled)),
     )

@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import le, sub
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -193,7 +194,7 @@ class VolumeProfile:
 
     @cached_property
     def sphere(self) -> tuple[int, ...]:
-        return tuple(self.ball[r + 1] - self.ball[r] for r in range(self.depth))
+        return tuple(map(sub, self.ball[1:], self.ball))
 
     @classmethod
     def from_sizes(cls, center: Vertex, sizes: Sequence[int], depth: int) -> "VolumeProfile":
@@ -208,7 +209,7 @@ class VolumeProfile:
     def __post_init__(self) -> None:
         if not self.ball or self.ball[0] < 1:
             raise ValueError("ball[0] must count at least the center")
-        if any(b > a for a, b in zip(self.ball[1:], self.ball)):
+        if not all(map(le, self.ball, self.ball[1:])):
             raise ValueError("ball volumes must be nondecreasing")
 
 
@@ -223,8 +224,10 @@ def bfs_layers(graph: Graph, center: Vertex, cutoff: int | None = None) -> Itera
     if not 0 <= center < graph.vertex_count:
         raise ValueError(f"center {center} out of range")
     adjacency = graph.adjacency
-    seen = bytearray(graph.vertex_count)
-    seen[center] = 1
+    # A list, not a bytearray: CPython 3.11 specialises a list's int
+    # subscript and store (PEP 659) but leaves a bytearray's generic.
+    seen = [False] * graph.vertex_count
+    seen[center] = True
     layer = [center]
     d = 0
     while layer:
@@ -236,7 +239,7 @@ def bfs_layers(graph: Graph, center: Vertex, cutoff: int | None = None) -> Itera
         for v in layer:
             for u in adjacency[v]:
                 if not seen[u]:
-                    seen[u] = 1
+                    seen[u] = True
                     nxt.append(u)
         layer = nxt
 

@@ -14,6 +14,10 @@ Core claims:
       `""` and `None` cells, ints above 2^63, numpy scalars, subclasses of
       the formatted types, columns of one type and of mixed types, and
       tables without rows
+    - columns whose cells are all exactly `int` or `str` go to `csv.writer`
+      as they are and never reach `registry._column`; a column with a
+      `bool`, `IntEnum`, numpy integer, `str` subclass, `Fraction`, `float`
+      or `None` cell still does
 """
 
 import csv
@@ -24,11 +28,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from folnerlab import runner
+from folnerlab import registry, runner
 from folnerlab.config import validate_config
 from folnerlab.recipes import RECIPES, recipe_document
 from folnerlab.registry import profile_table, write_csv
 from folnerlab.runner import run_analyses
+from folnerlab.space import VolumeProfile
 
 _REFERENCE_CELLS = {
     bool: lambda v: "true" if v else "false",
@@ -135,3 +140,47 @@ def test_each_column_alone_matches_the_reference():
 
 def test_table_without_columns_writes_its_header():
     assert _written("abc", ("n", "k"), []) == _reference_csv("abc", ("n", "k"), [])
+
+
+def _spied(monkeypatch, header, columns):
+    """The bytes `write_csv` writes, and the columns it handed to `_column`."""
+    seen = []
+    column = registry._column
+
+    def spy(values):
+        seen.append(list(values))
+        return column(values)
+
+    monkeypatch.setattr(registry, "_column", spy)
+    return _written("abc", header, columns), seen
+
+
+def test_exact_int_and_str_columns_skip_the_formatter(monkeypatch):
+    plain = {
+        "int": [0, -7, 2**70, 3],
+        "str": ["a,b", '"q"', "", "x\ny"],
+        "sphere": [4, 8, 2**64, ""],
+    }
+    formatted = {
+        "bool": [1, True, 2, 3],
+        "enum": [_Size.ONE, 1, 2, 3],
+        "numpy": [np.int64(9), 1, 2, 3],
+        "label": ["a", _Label("s,t"), "b", "c"],
+        "fraction": [Fraction(1, 2), 1, 2, 3],
+        "float": [1, 2, 0.5, 3],
+        "none": ["", None, "", ""],
+    }
+    header = (*plain, *formatted)
+    columns = [*plain.values(), *formatted.values()]
+    written, seen = _spied(monkeypatch, header, columns)
+    assert written == _reference_csv("abc", header, list(zip(*columns)))
+    assert seen == list(formatted.values())
+
+
+def test_profile_columns_skip_the_formatter(monkeypatch):
+    labeled = [("r_1", VolumeProfile(center=0, ball=(1, 3, 7, 7))),
+               ("x,y", VolumeProfile(center=5, ball=(1,)))]
+    header, columns = profile_table(labeled)
+    written, seen = _spied(monkeypatch, header, columns)
+    assert written == _reference_csv("abc", header, _reference_profile_rows(labeled))
+    assert seen == []

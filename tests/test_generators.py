@@ -26,9 +26,10 @@ Core claims:
     - the array builds of stretched_tree_chain, stairway_strip and
       norm_profile match the loops kept here as references: the same
       Graph (adjacency and basepoints) for tree chains of stretch and
-      valence 2-4 up to about 50k vertices, the same points and Graph for
-      stairways of 2-11 levels, the same profiles at depths below, at and
-      past 2^L + 1, and the same budget error texts; the ceiling square
+      valence 2-4 up to about 50k vertices, the same points (a read-only
+      int64 array `xy`) and Graph for stairways of 2-11 levels, the same
+      profiles at depths below, at and past 2^L + 1, and the same budget
+      error texts; the ceiling square
       root is exact past float precision, and a stairway whose cell keys
       could pass int64 is refused before it is built
     - in every generated family each point near a center ends a monotone
@@ -454,12 +455,13 @@ class TestStairway:
     def test_structure(self):
         strip = stairway_strip(4)
         g = strip.graph
-        assert g.basepoints["origin"] == strip.points.index((0, 0))
+        points = strip.xy.tolist()
+        assert g.basepoints["origin"] == points.index([0, 0])
         # edges join 4-neighbors only
         for v, nbrs in enumerate(g.adjacency):
-            px, py = strip.points[v]
+            px, py = points[v]
             for u in nbrs:
-                qx, qy = strip.points[u]
+                qx, qy = points[u]
                 assert abs(px - qx) + abs(py - qy) == 1
 
     def test_ambient_profile_spikes(self):
@@ -593,9 +595,10 @@ class TestArrayBuilds:
     def test_stairway_matches_the_set_build(self, levels):
         strip = stairway_strip(levels)
         points, graph = _reference_stairway_strip(levels)
-        assert strip.points == tuple(points)
+        assert strip.xy.tolist() == [list(p) for p in points]
         assert strip.graph == graph
-        assert all(type(c) is int for p in strip.points[:3] for c in p)
+        assert strip.xy.dtype == np.int64 and strip.xy.shape == (len(points), 2)
+        assert not strip.xy.flags.writeable
 
     def test_stairway_budget_matches_the_set_build(self):
         # Budgets where one curve point takes the count several cells past.
@@ -630,7 +633,7 @@ class TestArrayBuilds:
         origin = strip.graph.basepoints["origin"]
         edge = 2**levels + 1  # the last ring that holds stairway points: (2^L, 2^L + 1]
         for depth in (0, 1, 2**levels - 1, edge - 1, edge, edge + 1, 2 * edge + 5):
-            assert norm_profile(strip, depth) == _reference_norm_profile(strip.points, origin, depth)
+            assert norm_profile(strip, depth) == _reference_norm_profile(strip.xy.tolist(), origin, depth)
 
 
 # -- Shared randomized invariants --------------------------------------------

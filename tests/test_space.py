@@ -12,6 +12,14 @@ Core claims:
       agree
     - bfs_distances agrees with a dense min-plus oracle on seeded random
       connected graphs, with and without a cutoff
+    - bfs_layers gives the layers of a plain queue BFS (kept below), each in
+      the queue's discovery order, at cutoffs 0, mid-depth and None, on a
+      shuffled Z^2 ball, tree chains, a stairway and seeded random graphs,
+      and bfs_distances keeps the queue's insertion order
+    - VolumeProfile accepts exactly the nondecreasing balls (flat ones
+      included, a decrease at the last step refused), and its sphere is the
+      difference loop: empty at depth 0, and equal on profiles shaped like
+      the benchmark's
     - volume_profile is the cumulative distance histogram, nondecreasing,
       and saturates at the component size
     - separated_net output is pairwise (> k)-separated, maximal, inside the
@@ -30,6 +38,7 @@ Core claims:
 
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -40,6 +49,7 @@ from folnerlab.space import (
     Graph,
     VolumeProfile,
     bfs_distances,
+    bfs_layers,
     monotone_geodesic,
     sample_centers,
     separated_net,
@@ -112,6 +122,32 @@ def _shuffled_z2_ball(radius: int, seed: int) -> Graph:
              for v, (x, y) in enumerate(points) for q in ((x + 1, y), (x, y + 1)) if q in index]
     rng.shuffle(edges)
     return Graph.from_edges(len(points), edges, {"origin": index[0, 0]})
+
+
+def _deque_bfs(graph: Graph, center: int, cutoff: int | None) -> dict[int, int]:
+    """Distances by a plain queue BFS over the slice-built adjacency, in the
+    order the queue first meets each vertex."""
+    adjacency = _slice_adjacency(graph.vertex_count, graph._keys)
+    dist = {center: 0}
+    queue = deque([center])
+    while queue:
+        v = queue.popleft()
+        if cutoff is not None and dist[v] >= cutoff:
+            continue
+        for u in adjacency[v]:
+            if u not in dist:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def _deque_layers(graph: Graph, center: int, cutoff: int | None) -> list[list[int]]:
+    layers: list[list[int]] = []
+    for v, d in _deque_bfs(graph, center, cutoff).items():
+        if d == len(layers):
+            layers.append([])
+        layers[d].append(v)
+    return layers
 
 
 # -- Graph container ---------------------------------------------------------
@@ -243,11 +279,87 @@ class TestAdjacencyByDegree:
             assert list(space.bfs_layers(graph, center)) == list(space.bfs_layers(oracle, center))
 
 
+_ORDER_CASES = {
+    "z2-ball-20": lambda: _shuffled_z2_ball(20, 3),
+    "tree-chain-3-2-4": lambda: generators.stretched_tree_chain(3, 2, 4),
+    "tree-chain-2-3-4": lambda: generators.stretched_tree_chain(2, 3, 4),
+    "stairway-5": lambda: generators.stairway_strip(5).graph,
+    **{f"random-{seed}": (lambda seed=seed: _random_connected(random.Random(seed), 50 + 60 * seed, 30 * seed))
+       for seed in range(4)},
+}
+
+
+class TestDiscoveryOrder:
+    """`bfs_layers` against a queue BFS: the same layers with the same
+    vertices in the same order, at every cutoff."""
+
+    @pytest.mark.parametrize("case", list(_ORDER_CASES))
+    def test_layers_are_those_of_a_queue_bfs(self, case):
+        graph = _ORDER_CASES[case]()
+        for center in sample_centers(graph.vertex_count, graph.basepoints, 6, 1):
+            whole = _deque_layers(graph, center, None)
+            for cutoff in (0, (len(whole) - 1) // 2, None):
+                expected = _deque_layers(graph, center, cutoff)
+                assert list(bfs_layers(graph, center, cutoff)) == expected
+            assert len(whole) > 2
+
+    @pytest.mark.parametrize("case", list(_ORDER_CASES))
+    def test_distances_keep_the_queue_order(self, case):
+        graph = _ORDER_CASES[case]()
+        for center in sample_centers(graph.vertex_count, graph.basepoints, 3, 2):
+            for cutoff in (0, 3, None):
+                got, expected = bfs_distances(graph, center, cutoff), _deque_bfs(graph, center, cutoff)
+                assert list(got.items()) == list(expected.items())
+
+
+def _differences(ball):
+    return tuple(ball[r + 1] - ball[r] for r in range(len(ball) - 1))
+
+
 class TestVolumeProfileType:
     def test_sphere_is_difference(self):
         p = VolumeProfile(center=0, ball=(1, 3, 7, 7))
         assert p.depth == 3
         assert p.sphere == (2, 4, 0)
+
+    def test_depth_zero_has_no_sphere(self):
+        assert VolumeProfile(center=0, ball=(1,)).sphere == ()
+
+    def test_flat_ball_is_accepted(self):
+        assert VolumeProfile(center=0, ball=(1, 1, 1, 1)).sphere == (0, 0, 0)
+
+    def test_rejects_a_decrease_at_the_last_step(self):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            VolumeProfile(center=0, ball=(1, 3, 7, 7, 6))
+
+    def test_nondecreasing_check_matches_the_pairwise_loop(self):
+        rng = random.Random("nondecreasing")
+        for _ in range(500):
+            ball = [1]
+            for _ in range(rng.randrange(8)):
+                ball.append(ball[-1] + rng.choice((-1, 0, 0, 1, 2**70)))
+            ok = not any(b > a for a, b in zip(ball[1:], ball))
+            if ok:
+                assert VolumeProfile(center=0, ball=tuple(ball)).sphere == _differences(ball)
+            else:
+                with pytest.raises(ValueError, match="nondecreasing"):
+                    VolumeProfile(center=0, ball=tuple(ball))
+
+    def test_sphere_is_the_difference_loop_on_bench_shaped_profiles(self):
+        profiles = [
+            volume_profile(graph, center, depth)
+            for graph, depth in (
+                (generators.stretched_tree_chain(3, 2, 5), 250),
+                (generators.stretched_tree_chain(2, 3, 5), 40),
+                (_shuffled_z2_ball(30, 5), 64),
+            )
+            for center in sample_centers(graph.vertex_count, graph.basepoints, 6, 0)
+        ]
+        strip = generators.stairway_strip(8)
+        profiles += [generators.norm_profile(strip, depth) for depth in (0, 1, 257, 600)]
+        assert any(p.ball[-1] == p.ball[-2] for p in profiles)  # saturated tails too
+        for p in profiles:
+            assert p.sphere == _differences(p.ball)
 
     def test_sphere_is_computed_once(self):
         p = VolumeProfile(center=0, ball=(1, 3, 7, 7))
