@@ -20,10 +20,10 @@ polynomial sphere-decay certificate with exponent delta = log2(1 + alpha):
 
     mu(S(x, n)) <= C * n^(-delta) * mu(B(x, n)).
 
-`shell_alpha` finds alpha exactly without scoring every pair: monotone
-shells bound the ratios of a block of widths from below, and only the
-blocks whose bound reaches the least sampled ratio are settled pair by
-pair.  `verify_sphere_bound` fits the constant C and checks it stays flat;
+`shell_alpha` finds alpha exactly in one pass, from the largest radius
+down: monotone shells bound the ratios of a cell of widths from below, and
+only the cells whose bound reaches the least ratio met so far are settled.
+`verify_sphere_bound` fits the constant C and checks it stays flat;
 `dyadic_subsequence` certifies, one `DyadicRecord` per window,
 the cheaper radius-selection route that needs only the doubling constant;
 `isoperimetric_ratios` measures the stronger 1/n decay of abelian groups.
@@ -134,30 +134,27 @@ SHELL_CHUNK = 2**15  # pairs `shell_alpha` settles at a time (at least one cell)
 SHELL_WINDOW = 1e-12  # relative float window that screens shell candidates
 
 
-def _shell_rows(k_min: int, n_max: int, depth: int) -> np.ndarray:
-    """Per n = k_min..n_max, the number of admitted widths k_min <= k <= min(n, depth - n)."""
-    n = np.arange(k_min, n_max + 1, dtype=np.int64)
-    return np.minimum(n, depth - n) - k_min + 1
-
-
 def shell_pair_count(k_min: int, n_max: int, depth: int) -> int:
     """The number of (n, k) pairs `shell_alpha` admits per center, with no sweep."""
-    return int(_shell_rows(k_min, n_max, depth).sum())
+    n = np.arange(k_min, n_max + 1, dtype=np.int64)
+    return int((np.minimum(n, depth - n) - k_min + 1).sum())
 
 
-def _shell_cells(k_min: int, n_max: int, depth: int, width: int, size: int):
-    """The admitted (n, k) pairs in (n, k) order, cut into cells: each n's
-    widths k_min..min(n, depth - n) in runs of at most `width`.  Yields the
-    n, the first k and the last k of `size` cells at a time (a group may
-    split an n-row); with width 1, the pairs."""
+def _shell_cells(k_min: int, n_max: int, depth: int):
+    """The admitted (n, k) pairs cut into cells: each n's widths
+    k_min..min(n, depth - n) in runs of at most SHELL_WIDTH.  Yields the n,
+    the first k and the last k of SHELL_CELLS cells at a time, in (n, k)
+    order within a group and the groups from the largest n down (a group
+    may split an n-row)."""
+    width = SHELL_WIDTH
     n = np.arange(k_min, n_max + 1, dtype=np.int64)
     top = np.minimum(n, depth - n)  # the last admitted k per n
     runs = (top - k_min + width) // width  # cells per n
     ends = np.cumsum(runs)
     offset = k_min - width * (ends - runs)  # first k of cell c is width c + offset[n-row]
     total = int(ends[-1]) if len(ends) else 0
-    for start in range(0, total, size):
-        cell = np.arange(start, min(start + size, total), dtype=np.int64)
+    for start in reversed(range(0, total, SHELL_CELLS)):
+        cell = np.arange(start, min(start + SHELL_CELLS, total), dtype=np.int64)
         row = np.searchsorted(ends, cell, side="right")
         first = width * cell + offset[row]
         yield n[row], first, np.minimum(first + (width - 1), top[row])
@@ -198,34 +195,12 @@ def _block_least(c_lo: np.ndarray, c_hi: np.ndarray, bound: float) -> tuple[int,
     return first, float(ratio[first])
 
 
-def _cells_bound(balls: np.ndarray, k_min: int, n_max: int) -> float:
-    """The float least ratio at the cells' first pairs (n, k1) over every
-    center: an admitted ratio, so alpha is at most it; inf if none of those
-    pairs is admitted."""
-    bound = math.inf
-    with np.errstate(divide="ignore", invalid="ignore"):  # an empty c_hi gives inf or nan
-        for n, first, _ in _shell_cells(k_min, n_max, balls.shape[1] - 1, SHELL_WIDTH, SHELL_CELLS):
-            lo_first, hi_first = n - first, n + first  # the ball radii of those pairs' shells
-            for ball in balls:
-                at_n = ball[n]
-                ratio = (at_n - ball[lo_first]) / (ball[hi_first] - at_n)
-                bound = min(bound, float(np.fmin.reduce(ratio, initial=math.inf)))
-    return bound
-
-
-def _settle_cells(balls: np.ndarray, k_min: int, n_max: int, bound: float) -> tuple[int, int, int, int, int] | None:
+def _sweep(balls: np.ndarray, k_min: int, n_max: int) -> tuple[int, int, int, int, int] | None:
     """(c_lo, c_hi, center index, n, k) of the first exact least ratio in
-    (center, n, k) order, over the cells whose bound c_lo(n, k1) / c_hi(n,
-    k2) lies within SHELL_WINDOW of `bound` or of the best so far; None if
-    none is admitted.
-
-    For each group of cells and each center, the kept cells are listed in
-    (n, k) order, SHELL_CHUNK pairs at a time, as rows of SHELL_WIDTH
-    widths read off sliding windows of the ball; a column past its cell's
-    last k is padding, masked out by an empty c_hi.  A chunk's first least
-    pair replaces the best so far if its ratio is less, or equal and its
-    (center, n, k) comes first.
-    """
+    (center, n, k) order, found as `shell_alpha` says; None if no pair is
+    admitted.  A kept cell's pairs are listed SHELL_CHUNK at a time, as rows
+    of SHELL_WIDTH widths read off sliding windows of the ball; a column
+    past its cell's last k is padding, masked out by an empty c_hi."""
     depth = balls.shape[1] - 1
     pad = SHELL_WIDTH - 1
     # Per center, row j of `window` is B(j - pad .. j), over a copy of the
@@ -237,13 +212,15 @@ def _settle_cells(balls: np.ndarray, k_min: int, n_max: int, bound: float) -> tu
     window.flags.writeable = False
     width = np.arange(SHELL_WIDTH)
     step = max(1, SHELL_CHUNK // SHELL_WIDTH)  # cells per chunk
-    best = None
-    for n, first, last in _shell_cells(k_min, n_max, depth, SHELL_WIDTH, SHELL_CELLS):
-        lo_first, hi_last = n - first, n + last  # the ball radii of the cells' bounds
+    bound, best = math.inf, None
+    for n, first, last in _shell_cells(k_min, n_max, depth):
+        lo_first, hi_first, hi_last = n - first, n + first, n + last  # the ball radii of the cells' shells
         for i, ball in enumerate(balls):
             at_n = ball[n]
-            with np.errstate(divide="ignore", invalid="ignore"):  # an all-empty cell gives inf or nan
-                lower = (at_n - ball[lo_first]) / (ball[hi_last] - at_n)
+            inner = at_n - ball[lo_first]
+            with np.errstate(divide="ignore", invalid="ignore"):  # an empty c_hi gives inf or nan
+                bound = min(bound, float(np.fmin.reduce(inner / (ball[hi_first] - at_n), initial=math.inf)))
+                lower = inner / (ball[hi_last] - at_n)
             keep = np.flatnonzero(lower <= bound * (1 + SHELL_WINDOW))
             del lower
             for start in range(0, len(keep), step):
@@ -284,6 +261,18 @@ def _tested_pairs(balls: np.ndarray, k_min: int, n_max: int) -> int:
     return tested
 
 
+def _ball_matrix(profiles: Sequence[VolumeProfile], depth: int, stage: str) -> np.ndarray:
+    """The int64 matrix of the balls B(0..depth), one row per center; a count
+    of 2^63 or more is refused, naming its center and the `stage` it fails."""
+    for p in profiles:
+        if p.ball[depth] >= 2**63:
+            raise ValueError(
+                f"profile at center {p.center} counts {p.ball[depth]} vertices "
+                f"within depth {depth}; {stage} needs fewer than 2^63"
+            )
+    return np.array([p.ball[: depth + 1] for p in profiles], dtype=np.int64)
+
+
 def shell_alpha(
     profiles: Sequence[VolumeProfile], k_min: int, n_max: int, record_all: bool
 ) -> ShellReport:
@@ -307,26 +296,27 @@ def shell_alpha(
     the first step by c_lo(n, k) >= c_lo(n, k1), the second by c_hi(n, k2)
     >= c_hi(n, k) > 0; and a cell with c_hi(n, k2) = 0 admits no pair.
 
-    Pass 1 (`_cells_bound`) takes the ratio at every cell's first pair
-    (n, k1) at every center; the least, U, is an admitted ratio, so alpha
-    <= U (U is inf if none of those pairs is admitted).  Pass 2
-    (`_settle_cells`) lists only the pairs of the cells whose bound is
-    within SHELL_WINDOW of U, or of the best so far, and settles them
-    exactly, SHELL_CHUNK pairs at a time (`_block_least`).  Shells are
-    int64 differences, exact below 2^63; each float64 conversion and
-    division errs by at most 2^-53 relative, so no cell that holds a least
-    ratio falls outside the window.
-
-    Both passes lay the cells out SHELL_CELLS at a time and take every
-    center on each group, so beyond arrays as long as the depth (the ball
-    matrix and its padded copy) the sweep's memory does not grow with
-    the depth.  Pass 2 thus meets the pairs out of (center, n, k) order: a
-    chunk's least pair replaces the best so far only if its ratio is less,
-    or equal and its (center, n, k) comes first.
+    One pass (`_sweep`) visits the cells SHELL_CELLS at a time, the groups
+    from the largest n down, with every center on each group.  Before it
+    filters a group's cells at a center, it lowers U, the least float ratio
+    met so far, to the least ratio at those cells' first pairs (n, k1).  U
+    is always an admitted ratio or inf, so alpha <= U, and the cell that
+    holds alpha has a bound <= alpha <= U: only the cells whose bound is
+    within SHELL_WINDOW of U are listed and settled exactly, SHELL_CHUNK
+    pairs at a time (`_block_least`).  Shells are int64 differences, exact
+    below 2^63; each float64 conversion and division errs by at most 2^-53
+    relative, so no cell that holds a least ratio falls outside the window.
+    Alpha can only fall as n_max grows, and on the recipe profiles the
+    least pair sits at the largest radii, so the largest n first gives the
+    lowest U soonest.  Beyond arrays as long as the depth (the ball matrix
+    and its padded copy) the sweep's memory does not grow with the depth.
+    Since it meets the pairs out of (center, n, k) order, a chunk's least
+    pair replaces the best so far only if its ratio is less, or equal and
+    its (center, n, k) comes first.
 
     pairs_tested is counted per n in closed form: the admitted k from the
     least one with B(n+k) > B(n) on.  With record_all the records list
-    every pair, with no second search.
+    every pair, on Python ints, with no second search.
     """
     if k_min < 1:
         raise ValueError("k_min must be positive")
@@ -335,14 +325,8 @@ def shell_alpha(
         raise ValueError(
             f"profiles too shallow: depth {depth} < n_max + k_min = {n_max + k_min}"
         )
-    for p in profiles:
-        if p.ball[depth] >= 2**63:
-            raise ValueError(
-                f"profile at center {p.center} counts {p.ball[depth]} vertices "
-                f"within depth {depth}; the shell sweep needs fewer than 2^63"
-            )
-    balls = np.array([p.ball[: depth + 1] for p in profiles], dtype=np.int64)
-    least = _settle_cells(balls, k_min, n_max, _cells_bound(balls, k_min, n_max))
+    balls = _ball_matrix(profiles, depth, "the shell sweep")
+    least = _sweep(balls, k_min, n_max)
     if least is None:
         raise ValueError("no admissible shell pair in the requested range")
     c_lo, c_hi, i, n, k = least
@@ -350,10 +334,11 @@ def shell_alpha(
     records: tuple[ShellRecord, ...] = (worst,)
     if record_all:
         records = tuple(
-            ShellRecord(p.center, *pair, Fraction(pair[2], pair[3]) if pair[3] else None)
-            for p, ball in zip(profiles, balls)
-            for n, k, _ in _shell_cells(k_min, n_max, depth, 1, SHELL_CHUNK)
-            for pair in zip(n.tolist(), k.tolist(), (ball[n] - ball[n - k]).tolist(), (ball[n + k] - ball[n]).tolist())
+            ShellRecord(p.center, n, k, c_lo, c_hi, Fraction(c_lo, c_hi) if c_hi else None)
+            for p in profiles
+            for n in range(k_min, n_max + 1)
+            for k in range(k_min, min(n, depth - n) + 1)
+            for c_lo, c_hi in [(p.ball[n] - p.ball[n - k], p.ball[n + k] - p.ball[n])]
         )
     delta = delta_from_alpha(worst.ratio)
     return ShellReport(
@@ -421,13 +406,13 @@ def verify_sphere_bound(
 ) -> SphereBoundReport:
     """Measure the constant in mu(S) <= C n^(-delta) mu(B) and test its trend.
 
-    Ball counts up to radius n_hi + 1 must be below 2^63, as the shell
-    sweep that gives delta requires."""
+    Refuses, as the shell sweep that gives delta does, a profile that
+    counts 2^63 vertices or more within radius n_hi + 1."""
     depth = min(p.depth for p in profiles)
     n_lo, n_hi = n_range
     if not 1 <= n_lo < n_hi <= depth - 1:
         raise ValueError(f"radius range {n_range} not within profile depth {depth}")
-    balls = np.array([p.ball[: n_hi + 2] for p in profiles], dtype=np.int64)
+    balls = _ball_matrix(profiles, n_hi + 1, "the sphere-bound check")
     per_n = _sphere_constants(balls, delta, n_lo, n_hi)
     fitted = max(per_n)
     half_start = (n_lo + n_hi) // 2

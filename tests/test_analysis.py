@@ -34,8 +34,11 @@ from folnerlab.analysis import (
     shell_alpha,
     verify_sphere_bound,
 )
+from folnerlab.config import validate_config
 from folnerlab.generators import stretched_tree_chain, word_ball
 from folnerlab.groups import zd_model
+from folnerlab.recipes import recipe_document
+from folnerlab.runner import build_space
 from folnerlab.space import VolumeProfile, sample_centers, volume_profile
 from recursion_audit import lemma_recursion_audit
 
@@ -116,6 +119,35 @@ class TestShellAlpha:
     def test_bad_k_min(self, z2_profile):
         with pytest.raises(ValueError, match="k_min"):
             shell_alpha([z2_profile], k_min=0, n_max=16, record_all=False)
+
+    @pytest.mark.parametrize("d, n_max", [(2, 16), (2, 64), (2, 256), (2, 4000), (1, 400)])
+    def test_lattice_closed_forms_past_the_reference(self, d, n_max):
+        # Z^2, B(n) = 2n^2 + 2n + 1: the least ratio is (n + 1) / (3n + 1) at
+        # k = n = n_max.  Z^1, B(n) = 2n + 1: every ratio is 1, and the first
+        # pair (5, 5), which the sweep meets last, holds it.
+        ball = tuple(2 * n * n + 2 * n + 1 if d == 2 else 2 * n + 1 for n in range(2 * n_max + 1))
+        report = shell_alpha([VolumeProfile(0, ball)], k_min=5, n_max=n_max, record_all=False)
+        expected = (Fraction(n_max + 1, 3 * n_max + 1), n_max, n_max) if d == 2 else (1, 5, 5)
+        assert (report.alpha, report.worst.n, report.worst.k) == expected
+
+    @pytest.mark.parametrize("name", ["theorem-zd", "theorem-heisenberg", "counterexample-remark-ab"])
+    def test_recipe_alpha_falls_with_n_max_and_stays_below_the_k_eq_n_ratio(self, name):
+        # alpha(n_max) is an infimum over a set of pairs that grows with
+        # n_max, and the pair k = n is admitted whenever its outer shell is
+        # nonempty: (B(n) - B(0)) / (B(2n) - B(n)) bounds alpha from above
+        config = validate_config(recipe_document(name))
+        built = build_space(config)
+        profiles = [built.profile(v, config.depth) for v in sorted(set(built.basepoints.values()))]
+        k_min, top = config.analyses["shell"]["k_min"], config.analyses["shell"]["n_max"]
+        alphas = []
+        for n_max in (max(k_min, top // 4), top // 2, 3 * top // 4, top):
+            alpha = shell_alpha(profiles, k_min, n_max, record_all=False).alpha
+            for p in profiles:
+                for n in range(k_min, n_max + 1):
+                    if p.ball[2 * n] > p.ball[n]:
+                        assert alpha <= Fraction(p.ball[n] - p.ball[0], p.ball[2 * n] - p.ball[n]), (n_max, p.center, n)
+            alphas.append(alpha)
+        assert alphas == sorted(alphas, reverse=True), alphas
 
 
 def _sphere_constants(profiles, delta, radii):
@@ -454,6 +486,13 @@ class TestVerifySphereBound:
     def test_fitted_constant_is_max(self, z2_profile):
         check = verify_sphere_bound([z2_profile], 0.4, n_range=(1, 31), slope_tolerance=0.05)
         assert check.fitted_constant == pytest.approx(max(check.constants))
+
+    def test_counts_from_2_pow_63_are_refused(self):
+        big = VolumeProfile(0, (1, 2, 3, 4, 2**63))
+        with pytest.raises(ValueError, match=r"center 0 counts 9223372036854775808 vertices within depth 4"):
+            verify_sphere_bound([big], 0.5, n_range=(1, 3), slope_tolerance=0.05)
+        # only counts up to radius n_hi + 1 enter the check
+        assert verify_sphere_bound([big], 0.5, n_range=(1, 2), slope_tolerance=0.05).constants == (0.5, 2 ** 0.5 / 3)
 
 
 class TestDyadicSubsequence:

@@ -5,6 +5,9 @@ Core claims, for every module of src/folnerlab:
     - every module-level import is used in the module, unless its line
       carries `# noqa` (a name kept importable on purpose)
     - every name listed in `__all__` is defined in the module
+    - every module-level private function, class or constant (a name with
+      one leading underscore) is read by some other statement of src, so
+      no helper is left behind by the code that called it
     - every name listed in `__all__` is reached from an entry point of the
       package (`cli.main`, `runner.run_experiment`) through the
       module-level names that each one reads, or is kept for a
@@ -95,6 +98,23 @@ def test_all_names_are_defined(path):
     tree = _tree(path)
     missing = sorted(set(_all(tree)) - _defined(tree))
     assert not missing, f"{path.name}: __all__ lists undefined {missing}"
+
+
+def test_every_private_module_name_is_read():
+    reads = [
+        (path.stem, node, {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+         | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+        for path in MODULES
+        for node in _tree(path).body
+    ]
+    orphans = sorted(
+        f"{module}.{name}"
+        for module, node, _ in reads
+        for name in _bound(node)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in names for _, other, names in reads if other is not node)
+    )
+    assert not orphans, f"private module-level names that nothing in src reads: {orphans}"
 
 
 # Public names that no entry point reaches, each kept for a stated reason.
