@@ -81,20 +81,23 @@ def least_squares_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 def doubling_constant(profiles: Sequence[VolumeProfile], r_max: int) -> Fraction:
     """Max of mu(B(x, 2r)) / mu(B(x, r)) over the given centers and 1 <= r <= r_max.
 
-    Profiles must extend to depth 2 * r_max.  Exact.
+    Profiles must extend to depth 2 * r_max.  Exact: the ratios are compared
+    by cross-multiplying their integer counts (every ball holds its center,
+    so no count is 0), and one `Fraction` is built, of the largest.
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    best = Fraction(0)
+    top, bottom = 0, 1
     for p in profiles:
         if p.depth < 2 * r_max:
             raise ValueError(
                 f"profile at center {p.center} has depth {p.depth}, "
                 f"need {2 * r_max} for r_max={r_max}"
             )
-        for r in range(1, r_max + 1):
-            best = max(best, Fraction(p.ball[2 * r], p.ball[r]))
-    return best
+        for outer, inner in zip(p.ball[2 : 2 * r_max + 1 : 2], p.ball[1 : r_max + 1]):
+            if outer * bottom > top * inner:
+                top, bottom = outer, inner
+    return Fraction(top, bottom)
 
 
 # -- shell comparison --------------------------------------------------------

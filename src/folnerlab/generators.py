@@ -53,7 +53,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .groups import Element, GroupModel, check_generates, common, expand, lookup, step_images
+from .groups import Element, GroupModel, check_generates, expand, lookup, step_images
 from .products import ProductSequence
 from .space import Graph, VolumeProfile
 
@@ -85,12 +85,21 @@ class WordBall(ProductSequence):
 
         |g * s| differs from |g| by at most one, so every product of a layer
         before the last lies in the ball, and a product of the last layer
-        does exactly when it lands in the last two layers.
+        does exactly when it lands in the last two layers.  Each row of
+        images (one step s) is merged with the sorted union of those two
+        layers by one stable sort, which merges sorted runs, and its hits
+        are the adjacent equal keys: g -> g * s is injective, so a row's
+        keys are distinct, and this holds for any order of the row.
         """
         steps = self.model.symmetrize(self.factors[0][0])
         last = self.layers[-1].keys
         images = step_images(self.model, self.layers[0].box, steps)(last)
-        inside = sum(len(common(row, layer.keys)[0]) for layer in self.layers[-2:] for row in images)
+        outer = self.shell(self.steps - 2, self.steps).keys
+        inside = 0
+        for row in images:
+            merged = np.concatenate((outer, row))
+            merged.sort(kind="stable")
+            inside += int(np.count_nonzero(merged[1:] == merged[:-1]))
         return (len(steps) * (self.sizes[-1] - len(last)) + inside) // 2
 
     def edges(self) -> np.ndarray:

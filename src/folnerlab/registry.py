@@ -22,9 +22,12 @@ Tables are formatted by `write_csv`: exact columns carry rationals as
 "p/q" strings and integers as plain decimals; fitted columns carry floats
 via repr (shortest round-trip form); booleans are "true"/"false".  A table
 is a header and its columns, and each column is formatted once: one of
-exact `int`s and `str`s (every column of the profile table) goes to
-`csv.writer` as it is, which writes the same text; any other goes through
-the formatter of its cells' types.
+exact `int`s and `str`s (every column of the profile table) is written as
+it is, which is the same text; any other goes through the formatter of its
+cells' types.  A table of more than one column in which no cell, header
+included, holds a `,`, `"`, `\\r` or `\\n` (every recipe table) is written
+with one format call per row; `csv.writer` writes any other, and so it
+alone decides how a cell is quoted.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import csv
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import IO, Any, Callable, Mapping, NamedTuple, Sequence
 
 from .analysis import (
@@ -200,15 +203,47 @@ def _column(values: Sequence[Any]) -> list[str]:
 # `int` by `str`.  A subclass may change `__str__` (`bool`, `IntEnum`) or be
 # written by `csv` as its base's text, so it goes through `_column`.
 _PLAIN = frozenset((int, str))
+# What `csv.writer` may quote a cell for: the delimiter, the quote character
+# and line breaks (versions of `csv` differ on a lone "\r", so it counts
+# too).  The exact types of `_BARE` are formatted without any of them.
+_QUOTED = (",", '"', "\r", "\n")
+_BARE = frozenset((bool, Fraction, float, int))
+# Rows per write of the one-format path: a few kB at a time, never the
+# table's text, which would raise peak memory.
+_ROWS = 512
+
+
+def _unquoted(header: Sequence[str], columns: Sequence[Sequence], kinds: Sequence[set]) -> bool:
+    """Whether no cell of the table, header included, holds a character of
+    `_QUOTED`; only the distinct cells of columns with a type outside
+    `_BARE` are read."""
+    cells = [v for c, k in zip(columns, kinds) if not _BARE.issuperset(k) for v in set(c) if isinstance(v, str)]
+    text = "".join(chain(header, cells))
+    return not any(char in text for char in _QUOTED)
 
 
 def write_csv(fh: IO[str], digest: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     """The table under a `# config` line, each column formatted once; a
-    column of exact `int`s and `str`s goes to `csv.writer` as it is."""
+    column of exact `int`s and `str`s is written as it is.
+
+    A table of more than one column whose cells need no quoting is written
+    with one format call per row (`%s` is `str` of an exact `int` or `str`,
+    as in `csv.writer`), streamed `_ROWS` rows per write; `csv.writer`
+    writes any other, so it alone decides how a cell is quoted.  Both write
+    the same bytes.
+    """
     fh.write(f"# config {digest}\n")
+    kinds = [set(map(type, c)) for c in columns]
+    columns = [c if _PLAIN.issuperset(k) else _column(c) for c, k in zip(columns, kinds)]
+    if len(header) > 1 and _unquoted(header, columns, kinds):
+        row = ",".join(["%s"] * len(header)) + "\n"
+        fh.write(row % tuple(header))
+        lines = map(row.__mod__, zip(*columns))
+        fh.writelines(iter(lambda: "".join(islice(lines, _ROWS)), ""))
+        return
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(zip(*(c if _PLAIN.issuperset(map(type, c)) else _column(c) for c in columns)))
+    writer.writerows(zip(*columns))
 
 
 def profile_table(labeled: Sequence[tuple[str, VolumeProfile]]) -> Table:

@@ -9,9 +9,11 @@ reruns with the same config and seed.
 The runner names no family, no analysis and no kind of space.
 `run_analyses` is the one place analyses run: it builds the space record
 through the family table of `registry` (a graph file through
-`registry.graph_space`), profiles every center with the record's one
-`profile` call, and runs the enabled entries of the analysis table in table
-order, merging each entry's summary part and keeping its table.
+`registry.graph_space`), profiles each distinct center vertex once with the
+record's one `profile` call (basepoint labels that name one vertex share its
+profile, and every label keeps its rows), and runs the enabled entries of
+the analysis table in table order, merging each entry's summary part and
+keeping its table.
 `run_experiment` writes what it returns, each table as `<name>.csv`, and
 makes the output directory only then, so a run that fails writes nothing;
 `reproduce` calls it, and the CLI's analysis commands call `run_analyses`
@@ -94,11 +96,15 @@ def run_analyses(config: ExperimentConfig) -> tuple[dict[str, Any], dict[str, Ta
     """Build the configured space, profile its centers and run the enabled
     analyses in table order.
 
-    Returns the summary and each table by name, `profile` first.
+    Each distinct center vertex is profiled once, in the order the centers
+    first name it; every label on that vertex gets the same profile, and
+    the analyses see every label.  Returns the summary and each table by
+    name, `profile` first.
     """
     built = build_space(config)
     centers = _resolve_centers(built, config)
-    labeled = [(label, built.profile(v, config.depth)) for label, v in centers]
+    profiles = {v: built.profile(v, config.depth) for v in dict.fromkeys(v for _, v in centers)}
+    labeled = [(label, profiles[v]) for label, v in centers]
     ctx = Context(config.space, config.element_budget, config.depth, labeled)
     summary: dict[str, Any] = {
         "config": config.digest,

@@ -10,6 +10,9 @@ so the worst ratio over k <= n <= n_max is (2n - k + 1) / (2n + k + 1) at the
 largest admitted (n, k).  Those closed forms are the oracles here; the rank
 one lattice (ball 2n + 1, all shells of size 2k) exercises the exact equality
 cases of the audit.
+
+`doubling_constant` compares its ratios on integers; the reference kept here
+is the loop it replaced, the max of one `Fraction` per ratio.
 """
 
 import math
@@ -70,6 +73,52 @@ class TestDoubling:
     def test_depth_guard(self, z2_profile):
         with pytest.raises(ValueError, match="depth"):
             doubling_constant([z2_profile], 20)
+
+    def test_depth_guard_names_the_first_shallow_center(self, z2_profile):
+        shallow = VolumeProfile(center=7, ball=(1, 2, 3))
+        message = "^profile at center 7 has depth 2, need 4 for r_max=2$"
+        with pytest.raises(ValueError, match=message):
+            doubling_constant([VolumeProfile(center=3, ball=(1,) * 5), shallow, z2_profile], 2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("scale", [1, 2**40, 2**64])
+    def test_matches_the_fraction_reference(self, seed, scale):
+        rng = random.Random(f"doubling/{seed}")
+        r_max = rng.randint(1, 40)
+        profiles = [
+            _random_profile(rng, center, 2 * r_max + rng.randint(0, 5), scale)
+            for center in range(rng.randint(1, 6))
+        ]
+        got = doubling_constant(profiles, r_max)
+        assert type(got) is Fraction
+        assert got == _reference_doubling(profiles, r_max)
+        if scale == 2**64:
+            assert max(p.ball[-1] for p in profiles) >= 2**63
+
+    def test_tied_ratios(self):
+        # every ratio is 2, from different counts at each center
+        profiles = [VolumeProfile(center=c, ball=tuple(m * b for b in (1, 2, 4, 6, 8)))
+                    for c, m in enumerate((1, 3, 2**70))]
+        assert doubling_constant(profiles, 2) == _reference_doubling(profiles, 2) == 2
+        profiles.append(VolumeProfile(center=9, ball=(1, 2, 3, 5, 10)))  # 10/3 at r = 2
+        assert doubling_constant(profiles, 2) == Fraction(10, 3)
+
+    def test_no_profiles(self):
+        assert doubling_constant([], 4) == _reference_doubling([], 4) == 0
+
+
+def _reference_doubling(profiles, r_max):
+    best = Fraction(0)
+    for p in profiles:
+        for r in range(1, r_max + 1):
+            best = max(best, Fraction(p.ball[2 * r], p.ball[r]))
+    return best
+
+
+def _random_profile(rng, center, depth, scale):
+    """A nondecreasing profile whose ball steps are 0 or up to `scale` times 50."""
+    steps = [rng.choice([0, rng.randint(1, 50) * scale + rng.randint(0, scale)]) for _ in range(depth)]
+    return VolumeProfile(center=center, ball=tuple(accumulate(steps, initial=rng.randint(1, scale))))
 
 
 class TestShellAlpha:

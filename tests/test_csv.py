@@ -14,10 +14,15 @@ Core claims:
       `""` and `None` cells, ints above 2^63, numpy scalars, subclasses of
       the formatted types, columns of one type and of mixed types, and
       tables without rows
-    - columns whose cells are all exactly `int` or `str` go to `csv.writer`
-      as they are and never reach `registry._column`; a column with a
-      `bool`, `IntEnum`, numpy integer, `str` subclass, `Fraction`, `float`
-      or `None` cell still does
+    - columns whose cells are all exactly `int` or `str` are written as
+      they are and never reach `registry._column`; a column with a `bool`,
+      `IntEnum`, numpy integer, `str` subclass, `Fraction`, `float` or
+      `None` cell still does
+    - a table of more than one column whose cells, header included, hold
+      no `,`, `"`, `\\r` or `\\n` is written without `csv.writer`: every
+      recipe table is; a table with such a cell, in a label or in the
+      header, and every one-column table (a lone `""` cell is quoted) go
+      to `csv.writer`
 """
 
 import csv
@@ -51,10 +56,13 @@ def _reference_cell(value):
     return fmt(value)
 
 
+_CSV_WRITER = csv.writer  # the reference's, kept from the spies below
+
+
 def _reference_csv(digest, header, rows):
     fh = io.StringIO()
     fh.write(f"# config {digest}\n")
-    writer = csv.writer(fh, lineterminator="\n")
+    writer = _CSV_WRITER(fh, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_reference_cell(v) for v in row] for row in rows)
     return fh.getvalue()
@@ -112,19 +120,19 @@ class _Label(str):
 
 
 _HAND_MADE = {
-    "label": ["a,b", '"q"', "plain", "x\ny", "", _Label("s,t"), "c d", "ok"],
-    "int": [0, -7, 2**63, 2**70, -(2**64), 1, 12, 3],
+    "label": ["a,b", '"q"', "plain", "x\ny", "", _Label("s,t"), "c d", "ok", "r\rs"],
+    "int": [0, -7, 2**63, 2**70, -(2**64), 1, 12, 3, 5],
     "fraction": [Fraction(3, 4), Fraction(-5), Fraction(2**70, 3), "", _Half(1, 2),
-                 Fraction(0), Fraction(1, 7), ""],
-    "float": [0.1, -0.0, float("inf"), 1e300, 2.5e-8, float("nan"), 3.0, np.float64(0.25)],
-    "bool": [True, False, True, True, False, np.bool_(True), False, True],
-    "blank": ["", None, "", None, "", "", None, ""],
-    "mixed": [1, "", Fraction(1, 2), None, True, 2**70, 1.5, _Size.ONE],
-    "sphere": [4, 8, 12, 16, 0, np.int64(9), 2, ""],
+                 Fraction(0), Fraction(1, 7), "", Fraction(9, 2)],
+    "float": [0.1, -0.0, float("inf"), 1e300, 2.5e-8, float("nan"), 3.0, np.float64(0.25), 1e-5],
+    "bool": [True, False, True, True, False, np.bool_(True), False, True, False],
+    "blank": ["", None, "", None, "", "", None, "", ""],
+    "mixed": [1, "", Fraction(1, 2), None, True, 2**70, 1.5, _Size.ONE, ""],
+    "sphere": [4, 8, 12, 16, 0, np.int64(9), 2, "", 6],
 }
 
 
-@pytest.mark.parametrize("rows", [8, 3, 1, 0])
+@pytest.mark.parametrize("rows", [9, 8, 3, 1, 0])
 def test_hand_made_table_matches_the_reference(rows):
     header = tuple(_HAND_MADE)
     columns = [values[:rows] for values in _HAND_MADE.values()]
@@ -184,3 +192,69 @@ def test_profile_columns_skip_the_formatter(monkeypatch):
     written, seen = _spied(monkeypatch, header, columns)
     assert written == _reference_csv("abc", header, _reference_profile_rows(labeled))
     assert seen == []
+
+
+def _writers(monkeypatch):
+    """The `csv.writer`s made from here on, one entry each."""
+    made = []
+
+    def spy(*args, **kwargs):
+        made.append(args)
+        return _CSV_WRITER(*args, **kwargs)
+
+    monkeypatch.setattr(registry.csv, "writer", spy)
+    return made
+
+
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_recipe_tables_take_one_format_per_row(name, tmp_path, monkeypatch):
+    made = _writers(monkeypatch)
+    summary, tables = run_analyses(validate_config(recipe_document(name)))
+    for header, columns in tables.values():
+        expected = _reference_csv(summary["config"], header, list(zip(*columns)))
+        assert _written(summary["config"], header, columns) == expected
+    assert "profile" in tables and made == []
+
+
+_NO_QUOTES = {
+    "center": ["r_1", "leaf 2", "r_1", "x"],
+    "n": [0, 2**70, -3, 7],
+    "sphere": [4, "", 12, ""],
+    "mixed": ["", 1, "", 2],
+    "ratio": [Fraction(1, 3), "", 0.5, True],
+}
+
+
+def test_a_table_without_quotes_takes_one_format_per_row(monkeypatch):
+    header, columns = tuple(_NO_QUOTES), list(_NO_QUOTES.values())
+    expected = _reference_csv("abc", header, list(zip(*columns)))
+    made = _writers(monkeypatch)
+    assert _written("abc", header, columns) == expected
+    assert _written("abc", header, [c[:1] for c in columns]) == _reference_csv(
+        "abc", header, [tuple(c[0] for c in columns)])
+    assert _written("abc", header, []) == _reference_csv("abc", header, [])
+    assert made == []
+
+
+@pytest.mark.parametrize("char", [",", '"', "\n", "\r"])
+@pytest.mark.parametrize("where", ["label", "header", "formatted"])
+def test_a_cell_that_may_need_quotes_goes_to_csv_writer(char, where, monkeypatch):
+    header, columns = list(_NO_QUOTES), [list(c) for c in _NO_QUOTES.values()]
+    if where == "label":
+        columns[0][2] = f"a{char}b"
+    elif where == "header":
+        header[1] = f"n{char}"
+    else:  # a `str` subclass goes through `_column`
+        columns[0][3] = _Label(f"{char}x")
+    expected = _reference_csv("abc", header, list(zip(*columns)))
+    made = _writers(monkeypatch)
+    assert _written("abc", header, columns) == expected
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("values", [["", 1], [1, 2, 3], ["a", "b"], [Fraction(1, 2)], []])
+def test_one_column_tables_go_to_csv_writer(values, monkeypatch):
+    expected = _reference_csv("abc", ("n",), [(v,) for v in values])
+    made = _writers(monkeypatch)
+    assert _written("abc", ("n",), [values] if values else []) == expected
+    assert len(made) == 1

@@ -35,7 +35,9 @@ H3, symmetric and one-sided, from the identity and from far-off seed sets:
     - `expand` builds one step plan per distinct factor, and alternating
       factors A, B, A, B are each stepped by their own plan
     - `common` finds the positions `np.intersect1d` finds, and a word ball's
-      `edge_count` is the number of its `edges()` for every named set
+      `edge_count` is the number of its `edges()`, as an `int`, for every
+      named set up to radius 16 (Z^2's `diagonal` and `skew` sets have
+      edges inside a layer)
     - a key box too large for int64 raises ValueError before any array
       is allocated
 """
@@ -534,7 +536,8 @@ def _named_sets():
 
 
 @pytest.mark.parametrize("model,label", _named_sets())
-@pytest.mark.parametrize("radius", [0, 1, 2, 7])
+@pytest.mark.parametrize("radius", [0, 1, 2, 7, 12, 13, 14, 15, 16])
 def test_edge_count_is_the_number_of_edges(model, label, radius):
     ball = word_ball(model, label, radius)
     assert ball.edge_count == len(ball.edges())
+    assert type(ball.edge_count) is int

@@ -15,6 +15,11 @@ Core claims:
       at the basepoints and at sampled vertices; the stairway profiles its
       origin in the ambient norm and refuses any other center
     - the ergodic analysis expands the configured generating set
+    - each distinct center vertex is profiled once: the counterexample-tree
+      recipe's 24 basepoint labels sit on 17 vertices and take 17 calls of
+      the record's `profile`, labels on one vertex hold the identical
+      profile, and every label keeps its rows in the tables and its pairs
+      in `pairs_tested`
     - an empty center list is a config error naming `centers`; an unknown
       basepoint label is one naming `centers.basepoints`, with a sample or
       without, and a sample holds the listed basepoints, not every one
@@ -29,6 +34,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from folnerlab import runner
+from folnerlab.analysis import shell_pair_count
 from folnerlab.config import validate_config
 from folnerlab.errors import ConfigError
 from folnerlab.ergodic import GOLDEN_ANGLES, ergodic_trace
@@ -36,8 +43,9 @@ from folnerlab.generators import norm_profile, stairway_strip, stretched_tree_ch
 from folnerlab.graphio import dump_graph
 from folnerlab.groups import zd_model
 from folnerlab.products import product_powers
+from folnerlab.recipes import recipe_document
 from folnerlab.registry import FAMILIES, cell
-from folnerlab.runner import build_space, run_experiment
+from folnerlab.runner import build_space, run_analyses, run_experiment
 from folnerlab import space
 from folnerlab.space import Graph, sample_centers, volume_profile
 
@@ -221,6 +229,70 @@ def test_a_sample_holds_the_listed_basepoints_only(tmp_path, monkeypatch):
     run_experiment(config, tmp_path)
     rows = _profile_rows(tmp_path / "profile.csv")
     assert {row["center"] for row in rows} == {"r_1"}
+
+
+def _profiled(monkeypatch):
+    """The vertices the space record profiles, in call order, and the
+    (label, profile) pairs the profile table is made of."""
+    calls, labeled = [], []
+    build, table = runner.build_space, runner.profile_table
+
+    def counting_build(config):
+        built = build(config)
+
+        def profile(v, depth):
+            calls.append(v)
+            return built.profile(v, depth)
+
+        return built._replace(profile=profile)
+
+    def keeping_table(given):
+        labeled.extend(given)
+        return table(given)
+
+    monkeypatch.setattr(runner, "build_space", counting_build)
+    monkeypatch.setattr(runner, "profile_table", keeping_table)
+    return calls, labeled
+
+
+def test_each_distinct_center_is_profiled_once(monkeypatch):
+    calls, labeled = _profiled(monkeypatch)
+    config = validate_config(recipe_document("counterexample-tree"))
+    summary, tables = run_analyses(config)
+    basepoints = build_space(config).basepoints
+    assert len(basepoints) == 24 and len(set(basepoints.values())) == 17
+    assert calls == list(dict.fromkeys(basepoints[label] for label in sorted(basepoints)))
+    assert [label for label, _ in labeled] == sorted(basepoints)
+    by_vertex = {}
+    for label, p in labeled:
+        assert p.center == basepoints[label]
+        assert by_vertex.setdefault(p.center, p) is p
+    assert dict(labeled)["rp_1"] is dict(labeled)["r_2"]
+    rows = 24 * (config.depth + 1)
+    assert len(tables["profile"][1][0]) == rows
+    assert set(tables["annulus"][1][0]) == set(basepoints)
+
+
+def test_labels_on_one_vertex_share_a_profile_and_keep_their_rows(tmp_path, monkeypatch):
+    calls, labeled = _profiled(monkeypatch)
+    basepoints = stretched_tree_chain(2, 2, 2).basepoints
+    assert basepoints["rp_1"] == basepoints["r_2"] != basepoints["r_1"]
+    labels = ["r_2", "r_1", "rp_1"]
+    config = validate_config({"space": _CHAIN, "depth": 8,
+                              "centers": {"basepoints": labels},
+                              "analyses": {"shell": {"k_min": 1}, "annulus": {}}})
+    result = run_experiment(config, tmp_path)
+    assert calls == [basepoints["r_2"], basepoints["r_1"]]
+    assert [label for label, _ in labeled] == labels
+    assert labeled[0][1] is labeled[2][1]
+    assert result.summary["shell"]["pairs_tested"] == 3 * shell_pair_count(1, 4, 8)
+    graph = stretched_tree_chain(2, 2, 2)
+    rows = _profile_rows(tmp_path / "profile.csv")
+    for label in labels:
+        ball = tuple(int(row["ball"]) for row in rows if row["center"] == label)
+        assert ball == volume_profile(graph, basepoints[label], 8).ball
+    annulus = [row.split(",")[0] for row in (tmp_path / "annulus.csv").read_text().splitlines()[2:]]
+    assert annulus == [label for label in labels for _ in range(3)]  # r = 2, 4, 8
 
 
 def _reference_cell(value):
