@@ -29,7 +29,9 @@ product is new unless a sorted older array holds it (the last two layers
 for a symmetric factor, else the union of all layers), which `common`
 tests by searching the shorter of the two into the longer.  A `KeySet` is
 a finite set in the same representation, sorted keys in one box, with a
-subset test across boxes.  Word balls (`generators.word_ball`), product
+subset test across boxes; `expand` from a `KeySet` keeps its box when the
+run fits in it, so a shell of a product sequence grows in the sequence's
+own keys.  Word balls (`generators.word_ball`), product
 sequences and set products (`products`) are all read off these layers;
 tuples are decoded only where a caller asks for elements.  Named
 generating sets are carried on the model; all contain the identity so
@@ -166,7 +168,7 @@ class GroupModel:
 
 _KEY_CELLS = 2**63  # the largest key box `expand` accepts, in cells
 # A seen map takes one byte per cell of a key box, and a key eight, so a box
-# of at most 8 cells per key of the budget gets one (`expand`).
+# of at most 8 cells per key of the budget gets one (`KeyBox.holds_map`).
 _MAP_CELLS_PER_KEY = 8
 # The largest rank whose radius-1 word ball has int64 keys: `word_ball` sizes
 # its box for radius + 1 = 2 unit steps, so each coordinate takes 5 values.
@@ -234,6 +236,22 @@ class KeyBox(NamedTuple):
     def elements(self, keys: np.ndarray) -> list[Element]:
         """The elements of `keys` as tuples, in the same order."""
         return list(zip(*self.decode(keys).T.tolist()))
+
+    def extent(self, keys: np.ndarray) -> list[int]:
+        """Per coordinate, the largest |coordinate| over `keys` (0 if there
+        are none), read digit by digit without building rows."""
+        out = [0] * len(self.widths)
+        if not len(keys):
+            return out
+        for c in reversed(range(len(self.widths))):
+            keys, digit = np.divmod(keys, self.widths[c])
+            out[c] = max(int(digit.max()) - self.offsets[c], self.offsets[c] - int(digit.min()))
+        return out
+
+    def holds_map(self, budget: int) -> bool:
+        """Whether a map over the box, one byte a cell, takes no more bytes
+        than the int64 keys `budget` allows: at most 8 cells per key."""
+        return math.prod(self.widths) <= _MAP_CELLS_PER_KEY * budget
 
     def keys_of(self, rows: np.ndarray) -> np.ndarray:
         """`encode`, with -1, a key no set holds, for rows outside the box."""
@@ -384,6 +402,18 @@ def expand(
     need not generate.  A box too large for int64 keys is rejected, naming
     that step count, before any array is allocated.  The seeds may come as
     tuples or as a `KeySet`.
+
+    A `KeySet`'s box is kept when it holds the run: the reach of the
+    (capped) steps from the seeds' extents lies coordinatewise within the
+    box's offsets, so every product has its key there, the layers share
+    the seeds' box, and no seed is decoded.  Otherwise the run gets a box
+    of its own, as tuples do.  Seeds from a shell of the powers of one set
+    U always fit a run of m steps by U with j + m within the powers' steps,
+    j the shell's outer step: the seeds lie in N_j, whose bounds are the
+    entries of (I + |N|)^j, so I + |S| <= (I + |N|)^j entrywise, and
+    (I + |S|)(I + |N|)^m <= (I + |N|)^(j + m), the reach of j + m steps
+    from the identity (nonnegative matrices multiply monotonely), which
+    the powers' box holds.
     """
     runs = [(tuple(sorted(set(f) - {model.identity})), count) for f, count in factors if count]
     distinct = {f for f, _ in runs}
@@ -393,14 +423,14 @@ def expand(
         return [max((abs(g[c]) for g in elements), default=0) for c in range(model.rank)]
 
     if isinstance(seeds, KeySet):
-        seeds = seeds.box.decode(seeds.keys)
-        seed_max = np.abs(seeds).max(axis=0, initial=0).tolist()
+        seed_max = seeds.box.extent(seeds.keys)
     else:
         seeds = list(dict.fromkeys(seeds))
         seed_max = maxima(seeds)
     steps = min(steps, max(1, budget - len(seeds) + 1))
     offsets = model.reach(seed_max, maxima([s for f in distinct for s in f]), steps)
-    box = KeyBox(tuple(offsets), tuple(2 * b + 1 for b in offsets))
+    kept = isinstance(seeds, KeySet) and all(b <= o for b, o in zip(offsets, seeds.box.offsets))
+    box = seeds.box if kept else KeyBox(tuple(offsets), tuple(2 * b + 1 for b in offsets))
     cells = math.prod(box.widths)
     if cells > _KEY_CELLS:
         raise ValueError(
@@ -408,9 +438,14 @@ def expand(
             "cells, too many for int64 keys"
         )
     symmetric = len(distinct) == 1 and set(map(model.invert, runs[0][0])) == set(runs[0][0])
-    order = box.encode(np.array(seeds, dtype=np.int64).reshape(len(seeds), model.rank))
+    if kept:
+        order = seeds.keys
+    elif isinstance(seeds, KeySet):
+        order = box.encode(seeds.box.decode(seeds.keys))
+    else:
+        order = box.encode(np.array(seeds, dtype=np.int64).reshape(len(seeds), model.rank))
     layers = [Layer(np.sort(order), box, order if ordered else None)]
-    mapped = cells <= _MAP_CELLS_PER_KEY * budget
+    mapped = box.holds_map(budget)
     if mapped:  # the seen map
         seen = np.zeros(cells, dtype=bool)
         seen[layers[0].keys] = True

@@ -10,14 +10,15 @@ Every expansion here is `groups.expand`, and its factors are runs
 each.  A `ProductSequence` keeps the
 kernel's birth layers (sorted keys, one key box) as the one record of the
 products of its seeds N_0 = {1}: each N_n and each shell N_b minus N_a is
-a run of consecutive layers.  The claims sandwich reads the expansion of a
-middle shell the same way, as unions of its first layers, taken from the
-kernel only as far as its tests read.
+a run of consecutive layers.  The claims sandwich expands each middle
+shell once, in the powers' own key box, and reads its verdicts off counts
+of birth steps: how many elements reached by each step of the expansion
+were born at each step of the powers, with no set built or compared.
 Layers carry their discovery order only when `product_powers` is asked
 (`ordered=True`): only `ergodic.ergodic_trace` reads it, and every other
 caller reads sizes and shells and skips its sorts.
-Shells and set products are `KeySet`s, so the word-shell sandwich is tested
-on keys; only `birth` decodes tuples, for callers that want elements.
+Shells and set products are `KeySet`s, and the word-shell sandwich is
+tested on keys; only `birth` decodes tuples, for callers that want elements.
 `profile` is the identity's volume profile, read off the sizes; a word
 ball (`generators.WordBall`) is the record of its powers.
 Expanding only the newest elements of N_n is exhaustive when the next
@@ -27,13 +28,16 @@ otherwise the kernel multiplies the whole of N_n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, islice
-from typing import Iterable, Sequence
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Sequence
 
-from .groups import Element, GroupModel, KeySet, Layer, check_generates, expand
+import numpy as np
+
+from .groups import Element, GroupModel, KeySet, Layer, check_generates, expand, lookup
 from .space import VolumeProfile
 
 __all__ = [
@@ -186,9 +190,11 @@ def shell_inclusion_check(
     most n + k; its prefix of length h + 1 lies in C_{h, h+1} and the rest
     has length at most 3k/2 - 1 < 2k.  So forward is tested at 3k/2 - 1
     steps first, and at 2k only if that fails, which means the sequence's
-    shells and its factor disagree.  Needs k divisible by 4 and k <= n.  Both
-    right sides are prefix shells of one expansion of C_{h, h+1}, so each h
-    is expanded once, as far as its tests read, one h at a time.
+    shells and its factor disagree.  Needs k divisible by 4 and k <= n.
+    Both right sides are prefixes of one expansion of C_{h, h+1}, so each h
+    is expanded once, one h at a time, and both verdicts are read off the
+    birth steps in the sequence of the elements it reaches (`_sandwich`),
+    which are tabulated once here (`_birth_steps`).
     """
     pairs = list(pairs)
     middles: dict[int, set[int]] = {}  # h -> the widths k with n - k/2 = h
@@ -203,36 +209,81 @@ def shell_inclusion_check(
     distinct = {factor for factor, count in sequence.factors if count}
     if len(distinct) != 1:
         raise ValueError("needs the powers of one generating set")
+    born = _birth_steps(sequence, element_budget)
     outcomes = {}
     for h, ks in middles.items():
-        outcomes.update(_sandwich(sequence, *distinct, h, ks, element_budget))
+        outcomes.update(_sandwich(sequence, *distinct, h, ks, element_budget, born))
     return [outcomes[pair] for pair in pairs]
 
 
 def _sandwich(
-    sequence: ProductSequence, unit: tuple[Element, ...], h: int, ks: set[int], element_budget: int
+    sequence: ProductSequence,
+    unit: tuple[Element, ...],
+    h: int,
+    ks: set[int],
+    element_budget: int,
+    born: Callable[[np.ndarray], np.ndarray],
 ) -> dict[tuple[int, int], tuple[bool, bool]]:
     """The outcomes at (h + k/2, k) for each k of `ks`, from one expansion of
-    the middle shell C_{h, h+1} by the factor `unit`, its key box sized for
-    twice the largest k: C_{h, h+1} * U^m is the union of its layers 0..m.
-    Layers are read only as a test needs them.  Forward is tested first at
-    m = 3k/2 - 1, where it holds for powers of one set; U^m lies in U^(2k)
-    once the identity is adjoined, so a pass there is a pass at 2k, and only
-    a failure reads on to 2k.  For powers of one set, C_{h, h+1} * U^(3k/2-1)
-    lies in N_(n+k), which the powers already hold within the budget."""
-    steps = ((unit, 2 * max(ks)),)
-    layers = expand(sequence.model, sequence.shell(h, h + 1), steps, element_budget, "set product")
-    grown: list[Layer] = []
+    the middle shell C_{h, h+1} by the factor `unit` to 3k/2 - 1 steps for
+    the largest k.  Its layers are disjoint and C_{h, h+1} * U^m is the
+    union of layers 0..m, so one table answers every test: row m, column b,
+    the elements reached by step m that are born at step b of the sequence
+    (`born`, from `_birth_steps`), b = steps + 1 outside N_steps.  Forward
+    at m holds when those with n < b <= n + k number |C_{n, n+k}|, backward
+    when all of those reached by step k/4 have n - k < b <= n.  For powers
+    of one set, C_{h, h+1} * U^m lies in N_(h+1+m) with h + 1 + m <= n + k,
+    within the powers' key box (`groups.expand` keeps it) and their budget.
+    U^m lies in U^(2k) once the identity is adjoined, so a forward pass at
+    3k/2 - 1 is a pass at 2k, and only a failure reads on to 2k, in a
+    longer expansion if the table stops short of it; keys of a box other
+    than the sequence's are re-encoded into it."""
+    sizes, reach, box = sequence.sizes, 3 * max(ks) // 2 - 1, sequence.layers[0].box
+    columns = sequence.steps + 2
 
-    def product(m: int) -> KeySet:  # C_{h, h+1} * U^m
-        grown.extend(islice(layers, max(m + 1 - len(grown), 0)))
-        return KeySet.union(grown[: m + 1], grown[0].box)
+    def reached(m: int) -> np.ndarray:  # the table for C_{h, h+1} * U^j, j = 0..m
+        layers = list(expand(sequence.model, sequence.layers[h + 1], ((unit, m),), element_budget, "set product"))
+        keys = np.concatenate([l.keys if l.box == box else box.keys_of(l.box.decode(l.keys)) for l in layers])
+        rows = np.repeat(np.arange(0, len(layers) * columns, columns), list(map(len, layers)))
+        table = np.bincount(rows + born(keys), minlength=len(layers) * columns)
+        return table.reshape(len(layers), columns).cumsum(axis=0)
 
+    table = reached(reach)
     outcomes = {}
     for k in ks:
         n = h + k // 2
-        shell = sequence.shell(n, n + k)
-        forward = shell <= product(3 * k // 2 - 1) or shell <= product(2 * k)
-        backward = product(k // 4) <= sequence.shell(n - k, n)
-        outcomes[n, k] = (forward, backward)
+        shell, size = slice(n + 1, n + k + 1), sizes[n + k] - sizes[n]
+        forward = table[3 * k // 2 - 1, shell].sum() == size
+        if not forward:
+            forward = (table if 2 * k <= reach else reached(2 * k))[2 * k, shell].sum() == size
+        early = table[k // 4]
+        outcomes[n, k] = (bool(forward), bool(early[n - k + 1 : n + 1].sum() == early.sum()))
     return outcomes
+
+
+def _birth_steps(sequence: ProductSequence, element_budget: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The function from keys of the sequence's box (-1 for an element
+    outside it) to their birth steps, the first n with the element in N_n,
+    and steps + 1 outside N_steps.  Where the box holds a map within the
+    budget, as it does for the kernel's seen map (`KeyBox.holds_map`), a
+    map of the box's cells holds the steps, in the narrowest unsigned type,
+    and a call is one gather; key -1 reads its extra last cell.  Otherwise the
+    sorted keys of N_steps and their steps are searched, one `lookup`."""
+    layers, outside, box = sequence.layers, sequence.steps + 1, sequence.layers[0].box
+    if box.holds_map(element_budget):
+        steps = np.full(math.prod(box.widths) + 1, outside, dtype=np.min_scalar_type(outside))
+        for n, layer in enumerate(layers):
+            steps[layer.keys] = n
+        return steps.__getitem__
+    keys = np.concatenate([layer.keys for layer in layers])
+    rank = np.argsort(keys, kind="stable")  # the layers are sorted runs, which it merges
+    ranked, births = keys[rank], np.repeat(np.arange(len(layers)), list(map(len, layers)))[rank]
+
+    def search(queries: np.ndarray) -> np.ndarray:
+        found = np.full(len(queries), outside)
+        hit, position = lookup(ranked, queries)
+        found[hit] = births[position]
+        return found
+
+    return search
+

@@ -20,6 +20,10 @@ H3, symmetric and one-sided, from the identity and from far-off seed sets:
       search deep enough for these small sets: it reaches every generator
       inverse (and, in H3, (0, 0, +-1)) exactly for the accepted ones
     - budget errors carry the same stage, count and layer as the reference
+    - a `KeySet` of seeds keeps its box when the run fits in it (a shell of
+      the powers, run to within their steps) and far-off seeds get a box
+      of their own, with the reference's layers either way; the `claims`
+      analysis of the `claims-5-3` recipe decodes and re-encodes no key
     - the fresh test reads a seen map of the key box when the box has at
       most 8 cells per key of the budget, and searches sorted arrays
       otherwise; the two paths give the reference's layers and discovery
@@ -48,11 +52,14 @@ import random
 import numpy as np
 import pytest
 
-from folnerlab import groups
+from folnerlab import groups, registry
+from folnerlab.config import validate_config
 from folnerlab.errors import BudgetExceededError, NotGeneratingError
 from folnerlab.generators import word_ball
 from folnerlab.groups import KeyBox, KeySet, check_generates, common, expand, heisenberg_model, zd_model
 from folnerlab.products import DEFAULT_ELEMENT_BUDGET, product_powers, product_with_powers, varying_products
+from folnerlab.recipes import recipe
+from folnerlab.runner import run_analyses
 from tuple_law import multiply, reference_birth, reference_layers
 
 
@@ -287,6 +294,60 @@ class TestSearchAndSetProducts:
         assert set(verdicts) == {True, False}
 
 
+class TestKeySetSeeds:
+    @pytest.mark.parametrize("name,gens", _cases())
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_a_shell_of_the_powers_keeps_their_box(self, name, gens, ordered):
+        # C_{j-1, j} * U^m lies in N_(j+m), which the powers' box holds.
+        model, n = MODELS[name][0], STEPS[name]
+        seeds = product_powers(model, gens, n).layers[n // 2]
+        got = list(expand(model, seeds, [(gens, n - n // 2)], DEFAULT_ELEMENT_BUDGET, "test", ordered))
+        assert all(layer.box is seeds.box for layer in got)
+        expected = list(reference_layers(model, seeds.elements(), [gens] * (n - n // 2)))
+        assert [layer.elements() for layer in got] == (expected if ordered else [sorted(e) for e in expected])
+
+    @pytest.mark.parametrize("name,gens", _cases(2))
+    def test_far_off_seeds_get_a_box_of_their_own(self, name, gens):
+        model = MODELS[name][0]
+        rng = random.Random(f"keyset/{name}")
+        rows = np.array([[rng.choice([-1, 1]) * rng.randint(10, 14) for _ in range(model.rank)] for _ in range(5)])
+        tight = tuple(np.abs(rows).max(axis=0).tolist())  # no room for a step
+        box = KeyBox(tight, tuple(2 * b + 1 for b in tight))
+        seeds = KeySet(np.unique(box.encode(rows)), box)
+        got = list(expand(model, seeds, [(gens, 3)], DEFAULT_ELEMENT_BUDGET, "test", True))
+        assert all(layer.box is got[0].box != box for layer in got)
+        assert [layer.elements() for layer in got] == list(reference_layers(model, seeds.elements(), [gens] * 3))
+
+    def test_the_claims_recipe_decodes_no_key(self, monkeypatch):
+        inside, entered, calls, real_check = [], [], [], registry.shell_inclusion_check
+
+        def spy(name):
+            real = getattr(KeyBox, name)
+
+            def counted(box, keys):
+                if inside:
+                    calls.append(name)
+                return real(box, keys)
+
+            return counted
+
+        def check(*args):
+            inside.append(True)
+            entered.append(args[1])
+            try:
+                return real_check(*args)
+            finally:
+                inside.pop()
+
+        for name in ("decode", "keys_of"):
+            monkeypatch.setattr(KeyBox, name, spy(name))
+        monkeypatch.setattr(registry, "shell_inclusion_check", check)
+        summary, tables = run_analyses(validate_config(recipe("claims-5-3").raw))
+        assert summary["claims"] == {"all_hold": True}
+        assert [len(pairs) for pairs in entered] == [len(tables["claims"][1][0])] == [39]
+        assert calls == []
+
+
 class TestBudgets:
     @pytest.mark.parametrize("budget", [4, 9, 30, 77, 150])
     def test_stage_count_and_layer_match_reference(self, budget):
@@ -326,6 +387,14 @@ class TestKeyBox:
             product_with_powers(model, [(0, 0)], huge, 2**12)
         with pytest.raises(ValueError, match="test: .* too many for int64 keys"):
             next(expand(model, [(2**62, 0)], [([(1, 0)], 1)], DEFAULT_ELEMENT_BUDGET, "test"))
+
+    def test_extent_is_the_largest_absolute_coordinate(self):
+        box = KeyBox((3, 2, 5), (7, 5, 11))
+        rng = np.random.default_rng(0)
+        rows = np.stack([rng.integers(-b, b + 1, 40) for b in box.offsets], axis=-1)
+        assert box.extent(box.encode(rows)) == np.abs(rows).max(axis=0).tolist()
+        assert box.extent(box.encode(rows[:1])) == np.abs(rows[0]).tolist()
+        assert box.extent(np.empty(0, dtype=np.int64)) == [0, 0, 0]
 
     def test_the_largest_box_that_fits_is_exact(self):
         # Offsets 2^30 and 2^31 - 2, so 2^63 - 2^31 - 3 cells: the corner

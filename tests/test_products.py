@@ -15,6 +15,11 @@ The guiding identities, each checked against independent enumeration:
       every (n, k) in Z^2 and H3, keeps its row order, keeps the pair
       checks' error texts and names the stage `set product` in a budget
       error
+    - past the frozenset sizes, the set-union sandwich that the birth
+      counts replaced (`_union_sandwich`, checked once against the
+      frozensets) gives the same outcomes on the bench's claims
+      configurations, and so does a run whose key box has more than 8
+      cells per key of the budget, where no expansion gets a seen map
     - the subset test of key sets re-encodes across key boxes, and an
       element outside the right side's box is outside the set
     - varying products compare each factor with the inner and outer
@@ -24,12 +29,14 @@ The guiding identities, each checked against independent enumeration:
 """
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from folnerlab import groups, products
 from folnerlab.config import validate_config
 from folnerlab.errors import BudgetExceededError, NotGeneratingError
 from folnerlab.groups import KeyBox, KeySet, expand, heisenberg_model, zd_model
@@ -71,6 +78,32 @@ def _reference_shell_inclusion(sequence, n, k):
     h = n - k // 2
     middle = shell(h, h + 1)
     return shell(n, n + k) <= product(middle, 2 * k), product(middle, k // 4) <= shell(n - k, n)
+
+
+def _union_sandwich(sequence, pairs, element_budget=DEFAULT_ELEMENT_BUDGET):
+    """`shell_inclusion_check` on key sets: each middle shell C_{h, h+1}
+    expanded once in a box of its own, sized for twice its largest k, its
+    right sides unions of the expansion's first layers, read as far as the
+    tests need, and each inclusion a `KeySet` subset test across boxes."""
+    middles = {}
+    for n, k in pairs:
+        middles.setdefault(n - k // 2, set()).add(k)
+    unit = sequence.factors[0][0]
+    outcomes = {}
+    for h, ks in middles.items():
+        layers = expand(sequence.model, sequence.shell(h, h + 1), [(unit, 2 * max(ks))], element_budget, "set product")
+        grown = []
+
+        def product(m):  # C_{h, h+1} * U^m
+            grown.extend(itertools.islice(layers, max(m + 1 - len(grown), 0)))
+            return KeySet.union(grown[: m + 1], grown[0].box)
+
+        for k in ks:
+            n = h + k // 2
+            shell = sequence.shell(n, n + k)
+            forward = shell <= product(3 * k // 2 - 1) or shell <= product(2 * k)
+            outcomes[n, k] = (forward, product(k // 4) <= sequence.shell(n - k, n))
+    return [outcomes[pair] for pair in pairs]
 
 
 _Z2, _H3 = zd_model(2), heisenberg_model()
@@ -329,6 +362,29 @@ class TestShellInclusions:
         assert all(forward for forward, _ in expected)
         assert shell_inclusion_check(sequence, pairs) == expected
 
+    @pytest.mark.parametrize(
+        "model,gens,widths,n_max",
+        [
+            pytest.param(_Z2, "standard", [4, 8, 12], 20, id="Z2-standard"),
+            pytest.param(_Z2, "diagonal", [4, 8, 12], 20, id="Z2-diagonal"),
+            pytest.param(_Z2, "skew", [4, 8, 12], 20, id="Z2-skew"),
+            pytest.param(_H3, "standard", [4, 8], 9, id="H3-n9"),
+            pytest.param(_H3, "standard", [4, 8, 12], 12, id="H3-n12"),
+        ],
+    )
+    def test_the_bench_configs_match_the_union_reference(self, model, gens, widths, n_max):
+        sequence = product_powers(model, gens, n_max + max(widths))
+        pairs = [(n, k) for k in widths for n in range(k, n_max + 1)]
+        assert shell_inclusion_check(sequence, pairs) == _union_sandwich(sequence, pairs)
+
+    def test_the_union_reference_matches_the_frozenset_reference(self):
+        model = zd_model(2)
+        sequence = product_powers(model, [*model.generating_set("standard"), (3, 1)], 20)
+        pairs = [(n, k) for k in (8, 4) for n in range(k, 13)]
+        expected = [_reference_shell_inclusion(sequence, n, k) for n, k in pairs]
+        assert not all(backward for _, backward in expected)
+        assert _union_sandwich(sequence, pairs) == expected
+
     def test_width_validation(self):
         sequence = product_powers(zd_model(2), "standard", 20)
         for n, k in [(8, 3), (8, 6), (8, 12), (2, 4)]:
@@ -392,6 +448,26 @@ class TestClaimsAnalysis:
         unbudgeted, expected = run_analyses(_claims_config(space, [4], 4))
         assert tables == expected and tables["claims"][1][2] == (True,)
         assert summary["claims"] == unbudgeted["claims"] == {"all_hold": True}
+
+    def test_a_box_past_eight_cells_per_key_keeps_the_reference_outcomes(self, monkeypatch):
+        # The powers' box of H3 to step 17 has 334,425 cells for |N_17| =
+        # 35,549 keys, so at a budget of 40,000 no expansion gets a seen
+        # map and no map holds the birth steps: the expansions search sorted
+        # arrays, in the powers' own box, and so do the birth steps.
+        sequence = product_powers(_H3, "standard", 17, 40_000)
+        assert math.prod(sequence.layers[0].box.widths) > 8 * 40_000 >= sequence.sizes[-1]
+        pairs = [(n, k) for k in (8, 4) for n in range(k, 10)]
+        expected = _union_sandwich(sequence, pairs)
+        searches = {}
+        for module in (groups, products):
+            real = module.lookup
+            spy = lambda *args, module=module, real=real: searches.setdefault(module, []).append(1) or real(*args)
+            monkeypatch.setattr(module, "lookup", spy)
+        assert shell_inclusion_check(sequence, pairs, 40_000) == expected
+        assert searches.keys() == {groups, products}
+        searches.clear()
+        assert shell_inclusion_check(product_powers(_H3, "standard", 17), pairs) == expected
+        assert not searches  # both maps
 
     def test_budget_error_names_the_set_product(self):
         # The shells of Z^1's {0, +-1, +-2, +-3} with the factor {0, +-1, +-2}:
